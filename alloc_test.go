@@ -32,8 +32,9 @@ func newAllocFixture(t testing.TB) *decluster.GridFile {
 // RangeSearch — admission-free executor path with a nil obs sink — must
 // not allocate once its pools are warm, provided the caller recycles
 // results with Release. This is the machine-independent half of the PR
-// 10 bar (the ns/op half lives in BENCH_PR10.json); CI runs it on every
-// push, so a regression cannot land silently.
+// 10 bar (the ns/op half is the exec.rangesearch ladder rung of bench/,
+// compared across commits with `declusterbench compare`); CI runs it on
+// every push, so a regression cannot land silently.
 func TestRangeSearchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates in goroutine bookkeeping; the alloc gate runs in the no-race CI step")

@@ -14,8 +14,6 @@ package decluster_test
 
 import (
 	"context"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -496,155 +494,6 @@ func BenchmarkGridFileRangeSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkRangeSearch measures one executor range search — the
-// scheduler-free baseline BenchmarkServeSoak layers policies onto.
-func BenchmarkRangeSearch(b *testing.B) {
-	g := grid.MustNew(64, 64)
-	m, _ := alloc.NewHCAM(g, 16)
-	f, _ := decluster.NewGridFile(decluster.GridFileConfig{Method: m})
-	if err := f.InsertAll(decluster.UniformRecords{K: 2, Seed: 1}.Generate(50000)); err != nil {
-		b.Fatal(err)
-	}
-	e, err := decluster.NewExecutor(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := g.MustRect(decluster.Coord{8, 8}, decluster.Coord{55, 55})
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := e.RangeSearch(ctx, r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Recycle per the facade ownership rules; a caller that keeps
-		// the result simply skips this and pays the allocation.
-		res.Release()
-	}
-}
-
-// BenchmarkObsOverhead prices the observability layer on the executor
-// hot path: the exact BenchmarkRangeSearch workload run through two
-// executors over the same grid file, one with no sink ("off") and one
-// with a live sink counting every disk read and attempt ("on"). The
-// acceptance bar is <5% overhead on ns/op; scripts/bench_json.sh
-// renders the comparison into BENCH_PR4.json and CI runs a one-shot
-// smoke of both sub-benchmarks.
-func BenchmarkObsOverhead(b *testing.B) {
-	g := grid.MustNew(64, 64)
-	m, _ := alloc.NewHCAM(g, 16)
-	f, _ := decluster.NewGridFile(decluster.GridFileConfig{Method: m})
-	if err := f.InsertAll(decluster.UniformRecords{K: 2, Seed: 1}.Generate(50000)); err != nil {
-		b.Fatal(err)
-	}
-	r := g.MustRect(decluster.Coord{8, 8}, decluster.Coord{55, 55})
-	ctx := context.Background()
-	for _, mode := range []struct {
-		name string
-		opts []decluster.ExecOption
-	}{
-		{"off", nil},
-		{"on", []decluster.ExecOption{decluster.WithExecObserver(decluster.NewSink())}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			e, err := decluster.NewExecutor(f, mode.opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.RangeSearch(ctx, r); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkServeSoak measures the serving layer under concurrent load:
-// parallel clients pushing queries through admission control, health
-// observation, and hedging against a replicated file. The overhead vs
-// BenchmarkRangeSearch is the price of the overload policies.
-func BenchmarkServeSoak(b *testing.B) {
-	g := grid.MustNew(64, 64)
-	m, _ := alloc.NewHCAM(g, 16)
-	f, _ := decluster.NewGridFile(decluster.GridFileConfig{Method: m})
-	if err := f.InsertAll(decluster.UniformRecords{K: 2, Seed: 1}.Generate(50000)); err != nil {
-		b.Fatal(err)
-	}
-	rep, err := decluster.NewOffsetReplication(m, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := decluster.Serve(f,
-		decluster.WithServeFailover(rep),
-		decluster.WithHedging(decluster.HedgeConfig{After: time.Millisecond}),
-		decluster.WithAdmission(decluster.AdmissionConfig{MaxQueue: 1024}),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := g.MustRect(decluster.Coord{8, 8}, decluster.Coord{55, 55})
-	ctx := context.Background()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := s.Search(ctx, r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.StopTimer()
-	if _, err := s.Close(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkServeSoakP99 is BenchmarkServeSoak with a live obs sink, so
-// the benchmark reports the soak's query-latency p99 alongside mean
-// ns/op — the PR 10 bar is on the tail, not just the mean, because
-// pooling bugs (a stalled worker, a contended freelist) surface at p99
-// long before they move the average. bench_json.sh suite pr10 records
-// the p99-ns metric into BENCH_PR10.json.
-func BenchmarkServeSoakP99(b *testing.B) {
-	g := grid.MustNew(64, 64)
-	m, _ := alloc.NewHCAM(g, 16)
-	f, _ := decluster.NewGridFile(decluster.GridFileConfig{Method: m})
-	if err := f.InsertAll(decluster.UniformRecords{K: 2, Seed: 1}.Generate(50000)); err != nil {
-		b.Fatal(err)
-	}
-	rep, err := decluster.NewOffsetReplication(m, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sink := decluster.NewSink()
-	s, err := decluster.Serve(f,
-		decluster.WithServeFailover(rep),
-		decluster.WithHedging(decluster.HedgeConfig{After: time.Millisecond}),
-		decluster.WithAdmission(decluster.AdmissionConfig{MaxQueue: 1024}),
-		decluster.WithServeObserver(sink),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := g.MustRect(decluster.Coord{8, 8}, decluster.Coord{55, 55})
-	ctx := context.Background()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := s.Search(ctx, r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.StopTimer()
-	p99 := sink.Registry().Histogram("serve.query.latency").Snapshot().Percentile(99)
-	b.ReportMetric(float64(p99.Nanoseconds()), "p99-ns")
-	if _, err := s.Close(); err != nil {
-		b.Fatal(err)
-	}
-}
-
 func BenchmarkDynamicGridInsert(b *testing.B) {
 	recs := decluster.UniformRecords{K: 2, Seed: 1}.Generate(10000)
 	b.ResetTimer()
@@ -690,71 +539,6 @@ func BenchmarkEvaluateWorkload(b *testing.B) {
 	}
 }
 
-// --- Response-time kernels ------------------------------------------
-
-// BenchmarkKernelResponseTime prices the three response-time kernels on
-// the Figure-5(b) large-query regime (64×64 grid, M=32, sides drawn
-// from 16..48 ⇒ up to ~2300 buckets per query): the naive per-bucket
-// walk, the table-walk Evaluator, and the summed-area PrefixEvaluator.
-// Kernel construction happens outside the timer — the build-once,
-// query-millions trade is the point. The PR-5 acceptance bar is
-// prefix ≥ 5× walk (scripts/bench_json.sh pr5 renders the comparison
-// into BENCH_PR5.json).
-func BenchmarkKernelResponseTime(b *testing.B) {
-	g := grid.MustNew(64, 64)
-	m, _ := alloc.NewHCAM(g, 32)
-	w, err := query.RandomRange(g, 16, 48, 500, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = cost.Evaluate(m, w)
-		}
-	})
-	b.Run("walk", func(b *testing.B) {
-		e := cost.NewEvaluator(m)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = e.Evaluate(w)
-		}
-	})
-	b.Run("prefix", func(b *testing.B) {
-		e, err := cost.NewPrefixEvaluator(m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = e.Evaluate(w)
-		}
-	})
-}
-
-// BenchmarkKernelSweepDisksLarge regenerates the Figure-5(b) disks
-// sweep end to end through the sweep engine under each kernel,
-// including workload generation, method construction, and (for the
-// prefix kernel) table builds — the honest whole-experiment speedup
-// rather than the per-query one.
-func BenchmarkKernelSweepDisksLarge(b *testing.B) {
-	for _, tc := range []struct {
-		name   string
-		kernel cost.Kernel
-	}{
-		{"walk", cost.KernelWalk},
-		{"prefix", cost.KernelPrefix},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			opt := experiments.Options{Seed: 1, SampleLimit: 300, Kernel: tc.kernel}
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.DisksLarge(benchDisksCfg(), opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkEvaluateWorkloadFast measures the table-materializing fast
 // path the experiment harness uses; compare against
 // BenchmarkEvaluateWorkload for the speedup.
@@ -771,53 +555,6 @@ func BenchmarkEvaluateWorkloadFast(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = e.Evaluate(w)
 	}
-}
-
-// BenchmarkClusterScatterGather measures one robust scatter/gather
-// through the full cluster stack — shard decomposition, HTTP fan-out
-// over loopback, per-node scheduling, gather and merge — healthy and
-// with a crashed node routed around via replicas.
-func BenchmarkClusterScatterGather(b *testing.B) {
-	g := grid.MustNew(8, 8)
-	sm, err := decluster.NewChainShardMap(g, 4, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	method, err := decluster.NewFX(g, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	recs := decluster.UniformRecords{K: 2, Seed: 1}.Generate(2048)
-	h, err := decluster.StartClusterHarness(decluster.ClusterHarnessConfig{
-		Map:     sm,
-		Method:  method,
-		Records: recs,
-		Router:  decluster.RouterConfig{NodeDeadline: 5 * time.Second},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer h.Close()
-	q := g.MustRect(grid.Coord{1, 1}, grid.Coord{6, 6})
-
-	run := func(b *testing.B) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := h.Router().Search(context.Background(), q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Covered != res.SubQueries {
-				b.Fatalf("covered %d of %d sub-queries", res.Covered, res.SubQueries)
-			}
-		}
-	}
-	b.Run("healthy", run)
-	b.Run("degraded", func(b *testing.B) {
-		h.Faults().Crash(2)
-		defer h.Faults().Restart(2)
-		run(b)
-	})
 }
 
 // BenchmarkClusterMigration measures one full online membership change —
@@ -878,166 +615,5 @@ func BenchmarkClusterMigration(b *testing.B) {
 			joined = -1
 		}
 		b.ReportMetric(float64(st.Records), "records/op")
-	}
-}
-
-// BenchmarkAutopilotScatterGather measures the scatter/gather hot path
-// with the autopilot membership controller attached to the same
-// cluster: every tick it fans health probes out to all members and
-// snapshots the router's latency families for the windowed p99 signal.
-// The policy is calm (thresholds far above anything the benchmark
-// drives), so what's measured is pure controller coexistence — the
-// acceptance bar is ≤ 1.05× the committed PR 7 healthy router mean,
-// i.e. the decision loop stays off the query path.
-func BenchmarkAutopilotScatterGather(b *testing.B) {
-	g := grid.MustNew(8, 8)
-	sm, err := decluster.NewChainShardMap(g, 4, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	method, err := decluster.NewFX(g, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	recs := decluster.UniformRecords{K: 2, Seed: 1}.Generate(2048)
-	sink := decluster.NewSink()
-	h, err := decluster.StartClusterHarness(decluster.ClusterHarnessConfig{
-		Map:      sm,
-		Method:   method,
-		Records:  recs,
-		Standbys: 1,
-		Obs:      sink,
-		Router:   decluster.RouterConfig{NodeDeadline: 5 * time.Second},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer h.Close()
-	ap, err := decluster.NewAutopilot(decluster.AutopilotConfig{
-		Router:    h.Router(),
-		Endpoints: h.URLs(),
-		Obs:       sink,
-		Tick:      20 * time.Millisecond,
-		Policy: decluster.AutopilotPolicy{
-			ScaleUpP99: time.Hour, // calm: observe, never act
-			MinNodes:   4,
-			MaxNodes:   5,
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ap.Start()
-	defer ap.Stop()
-	q := g.MustRect(grid.Coord{1, 1}, grid.Coord{6, 6})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := h.Router().Search(context.Background(), q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Covered != res.SubQueries {
-			b.Fatalf("covered %d of %d sub-queries", res.Covered, res.SubQueries)
-		}
-	}
-	b.StopTimer()
-	// Short runs can finish inside the first tick period; give the
-	// loop one tick off the clock before checking it stayed calm.
-	time.Sleep(50 * time.Millisecond)
-	if st := ap.Stats(); st.Joins != 0 || st.Leaves != 0 || st.Ticks == 0 {
-		b.Fatalf("controller was not calmly observing: %+v", st)
-	}
-}
-
-// --- Batch engine ----------------------------------------------------
-
-// BenchmarkBatchThroughput answers the same overlapping logical queries
-// two ways: one admission slot per query (individual) versus one
-// batched group whose deduped physical read fans out to every member
-// (batch). Each op resolves `overlap` identical queries, so the
-// individual/batch ns-per-op ratio IS the goodput factor — and it
-// grows with the overlap, because a group's read cost is flat while
-// the individual path pays it per query.
-func BenchmarkBatchThroughput(b *testing.B) {
-	g, err := decluster.NewGrid(12, 12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := decluster.NewHCAM(g, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := decluster.NewGridFile(decluster.GridFileConfig{Method: m})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := f.InsertAll(decluster.UniformRecords{K: 2, Seed: 7}.Generate(3000)); err != nil {
-		b.Fatal(err)
-	}
-	rect, err := g.NewRect(decluster.Coord{2, 2}, decluster.Coord{5, 5}) // 16 buckets
-	if err != nil {
-		b.Fatal(err)
-	}
-	newSched := func(b *testing.B) *decluster.Scheduler {
-		s, err := decluster.Serve(f,
-			decluster.WithSimulatedLatency(2*time.Millisecond),
-			decluster.WithAdmission(decluster.AdmissionConfig{MaxInFlight: 1, MaxQueue: 256}),
-			decluster.WithDrainTimeout(30*time.Second),
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return s
-	}
-	run := func(b *testing.B, overlap int, do func(context.Context) error) {
-		ctx := context.Background()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			errs := make([]error, overlap)
-			var wg sync.WaitGroup
-			for c := 0; c < overlap; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					errs[c] = do(ctx)
-				}(c)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(overlap*b.N)/b.Elapsed().Seconds(), "queries/s")
-	}
-	for _, overlap := range []int{2, 4, 8} {
-		overlap := overlap
-		b.Run(fmt.Sprintf("individual-o%d", overlap), func(b *testing.B) {
-			s := newSched(b)
-			defer s.Close()
-			run(b, overlap, func(ctx context.Context) error {
-				_, err := s.Do(ctx, decluster.ServeQuery{Rect: rect})
-				return err
-			})
-		})
-		b.Run(fmt.Sprintf("batch-o%d", overlap), func(b *testing.B) {
-			s := newSched(b)
-			eng, err := decluster.NewBatchEngine(f, s,
-				decluster.WithBatchWindow(2*time.Millisecond),
-				decluster.WithBatchMax(overlap),
-				decluster.WithBatchPolicy(decluster.BatchSharedWorkFirst))
-			if err != nil {
-				s.Close()
-				b.Fatal(err)
-			}
-			defer s.Close()
-			defer eng.Close()
-			run(b, overlap, func(ctx context.Context) error {
-				_, err := eng.Do(ctx, decluster.BatchQuery{Rect: rect})
-				return err
-			})
-		})
 	}
 }

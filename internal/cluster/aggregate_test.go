@@ -2,15 +2,11 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"decluster/internal/batch"
-	"decluster/internal/exec"
-	"decluster/internal/fault"
 	"decluster/internal/grid"
 )
 
@@ -71,94 +67,5 @@ func TestClusterAggregate(t *testing.T) {
 				t.Fatalf("aggregate answered at epoch %d, map at %d", res.Epoch, tc.h.Map().Epoch())
 			}
 		}
-	}
-}
-
-// TestClusterAggregateFailover kills one node and checks aggregates
-// still answer from the surviving replicas; killing a whole shard's
-// replica set turns the aggregate into a typed partial error, never a
-// silently wrong number.
-func TestClusterAggregateFailover(t *testing.T) {
-	tc := startTestCluster(t, 4, 2, RouterConfig{
-		Retry:        exec.RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond},
-		NodeDeadline: 300 * time.Millisecond,
-	})
-	rt := tc.h.Router()
-	ctx := context.Background()
-	full := tc.g.FullRect()
-
-	want, err := rt.Aggregate(ctx, batch.AggregateQuery{Rect: full, Op: batch.OpCount})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Count != int64(len(tc.recs)) {
-		t.Fatalf("healthy full-grid count = %d, want %d", want.Count, len(tc.recs))
-	}
-
-	// One node down: replicas cover it exactly.
-	tc.h.Faults().Crash(1)
-	got, err := rt.Aggregate(ctx, batch.AggregateQuery{Rect: full, Op: batch.OpCount})
-	if err != nil {
-		t.Fatalf("aggregate with node 1 down: %v", err)
-	}
-	if got.Count != want.Count {
-		t.Fatalf("degraded count = %d, want %d", got.Count, want.Count)
-	}
-	if got.Retries == 0 {
-		t.Error("no retries with a node down; failover untested")
-	}
-
-	// Both replicas of some shard down: typed partial error, no answer.
-	tc.h.Faults().Crash(2)
-	if _, err := rt.Aggregate(ctx, batch.AggregateQuery{Rect: full, Op: batch.OpCount}); !errors.Is(err, ErrPartial) {
-		t.Fatalf("aggregate with a dead shard: err = %v, want ErrPartial", err)
-	}
-
-	tc.h.Faults().Restart(1)
-	tc.h.Faults().Restart(2)
-}
-
-// TestNodeAggregateRefusesPendingEpoch stages a migration epoch on a
-// node and checks the aggregate endpoint refuses it as unavailable
-// (the dual-read merge is records-only), while current and legacy
-// epochs keep answering.
-func TestNodeAggregateRefusesPendingEpoch(t *testing.T) {
-	tc := startTestCluster(t, 2, 2, RouterConfig{})
-	n := tc.h.Node(0)
-
-	cur := tc.h.Map()
-	next, err := newShardMapAt(cur.Grid(), cur.Nodes(), cur.Replicas(), cur.Stride(),
-		cur.Epoch()+1, cur.Members())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.mu.Lock()
-	staging, err := n.newFile()
-	if err != nil {
-		n.mu.Unlock()
-		t.Fatal(err)
-	}
-	n.pending, n.staging, n.ready = next, staging, map[int]bool{}
-	n.mu.Unlock()
-
-	sm, isPending, err := n.resolveEpoch(next.Epoch())
-	if err != nil || !isPending {
-		t.Fatalf("resolveEpoch(pending) = %v, pending=%v", err, isPending)
-	}
-	_ = sm
-
-	// Direct handler exercise through the harness URL.
-	rt := tc.h.Router()
-	cell := grid.Coord{0, 0}
-	rect := grid.Rect{Lo: cell, Hi: cell.Clone()}
-	if !n.hostsRectIn(n.CurrentMap(), rect) {
-		t.Skip("node 0 does not host cell (0,0) under this map layout")
-	}
-	q := batch.AggregateQuery{Rect: rect, Op: batch.OpCount}
-	if _, err := rt.aggregateNode(context.Background(), n.ID(), q, rect, next.Epoch()); !errors.Is(err, fault.ErrUnavailable) {
-		t.Fatalf("pending-epoch aggregate err = %v, want ErrUnavailable", err)
-	}
-	if _, err := rt.aggregateNode(context.Background(), n.ID(), q, rect, 0); err != nil {
-		t.Fatalf("legacy-epoch aggregate: %v", err)
 	}
 }

@@ -1,12 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
+	"sort"
 	"strings"
 	"time"
 
@@ -170,16 +168,13 @@ func Migrate(ctx context.Context, cfg MigrateConfig) (MigrateStats, error) {
 			if ctx.Err() != nil {
 				return abort(ctx.Err())
 			}
-			recs, retries, err := fetchBucket(ctx, cfg.Client, func(member int) (string, bool) {
-				if member < len(cfg.Endpoints) && cfg.Endpoints[member] != "" {
-					return cfg.Endpoints[member], true
-				}
-				return "", false
-			}, mv.Sources, c, fetchOpts{
-				timeout:  cfg.FetchTimeout,
-				attempts: cfg.FetchAttempts,
-				priority: cfg.Priority,
-				epoch:    p.From.Epoch(),
+			recs, retries, err := fetchBucket(ctx, mv.Sources, c, fetchOpts{
+				client:    cfg.Client,
+				endpoints: cfg.Endpoints,
+				timeout:   cfg.FetchTimeout,
+				attempts:  cfg.FetchAttempts,
+				priority:  cfg.Priority,
+				epoch:     p.From.Epoch(),
 			})
 			st.Retries += retries
 			mRetries.Add(uint64(retries))
@@ -191,10 +186,7 @@ func Migrate(ctx context.Context, cfg MigrateConfig) (MigrateStats, error) {
 			}); err != nil {
 				return abort(fmt.Errorf("ingest shard %d cell %v on member %d: %w", mv.Shard, c, mv.Dest, err))
 			}
-			pages := (len(recs) + cfg.PageCapacity - 1) / cfg.PageCapacity
-			if pages == 0 {
-				pages = 1
-			}
+			pages := max(1, (len(recs)+cfg.PageCapacity-1)/cfg.PageCapacity)
 			st.Buckets++
 			st.Records += len(recs)
 			st.Pages += pages
@@ -221,9 +213,8 @@ func Migrate(ctx context.Context, cfg MigrateConfig) (MigrateStats, error) {
 			if ctx.Err() != nil || acked == 0 {
 				break
 			}
-			select {
-			case <-ctx.Done():
-			case <-time.After(time.Duration(round+1) * 5 * time.Millisecond):
+			if sleepCtx(ctx, time.Duration(round+1)*5*time.Millisecond) != nil {
+				break
 			}
 		}
 		if err != nil {
@@ -273,47 +264,12 @@ func unionMembers(a, b *ShardMap) []int {
 			}
 		}
 	}
-	sortInts(out)
+	sort.Ints(out)
 	return out
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // postMigrate performs one POST /v1/migrate/<step> exchange.
 func postMigrate(ctx context.Context, cfg MigrateConfig, member int, step string, payload any) error {
-	body, err := json.Marshal(payload)
-	if err != nil {
-		return err
-	}
 	url := strings.TrimRight(cfg.Endpoints[member], "/") + "/v1/migrate/" + step
-	reqCtx, cancel := context.WithTimeout(ctx, cfg.FetchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	// Every migration step is idempotent by design (prepare, bucket
-	// ingest, cutover, abort all tolerate replays); marking the POST
-	// replayable lets the transport retry a stale pooled connection.
-	req.Header.Set("Idempotency-Key", step)
-	resp, err := cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return decodeErrorBody(resp.StatusCode, data)
-	}
-	return nil
+	return exchange(ctx, cfg.Client, cfg.FetchTimeout, url, payload, nil, recordPayloadLimit)
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -185,7 +186,7 @@ func startQueriers(tc *testCluster, done chan struct{}) (wait func() []error) {
 		for j, r := range rs.Records {
 			ids[j] = r.ID
 		}
-		sortInts(ids)
+		sort.Ints(ids)
 		want[i] = ids
 	}
 	for w := 0; w < 2; w++ {
@@ -207,7 +208,7 @@ func startQueriers(tc *testCluster, done chan struct{}) (wait func() []error) {
 					return
 				}
 				got := resultIDs(res)
-				sortInts(got)
+				sort.Ints(got)
 				if !equalInts(got, want[qi]) {
 					mu.Lock()
 					errs = append(errs, errors.New("answer diverged from single-node oracle mid-migration"))
@@ -384,70 +385,6 @@ func TestMigrateCrashMidCopyRollsBack(t *testing.T) {
 	}
 	if got, want := resultIDs(res), tc.refIDs(t, tc.g.FullRect()); !equalInts(got, want) {
 		t.Fatalf("post-rerun answer %d records, oracle %d", len(got), len(want))
-	}
-}
-
-// TestStaleRouterFollowsMigratedCluster migrates the cluster behind the
-// router's back — no Router wired into either migration — and asserts
-// both halves of the epoch protocol: one cutover leaves epoch-1 routing
-// inside the nodes' one-epoch grace window (served exactly off prev, no
-// gossip needed), and a second cutover pushes it past the grace so the
-// nodes' stale-epoch replies carry the router to the newest map, still
-// answering exactly.
-func TestStaleRouterFollowsMigratedCluster(t *testing.T) {
-	tc := startElasticCluster(t, 3, 2, 1)
-	join, err := PlanJoin(tc.h.Map())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Migrate(context.Background(), MigrateConfig{
-		Plan:      join,
-		Endpoints: tc.h.URLs(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// The harness router was never told; it still routes epoch 1 — and
-	// one epoch behind is inside the grace window, so the nodes serve it
-	// off the previous map without forcing an adoption.
-	if got := tc.h.Router().Epoch(); got != 1 {
-		t.Fatalf("router should still be at epoch 1, got %d", got)
-	}
-	res, err := tc.h.Router().Search(context.Background(), tc.g.FullRect())
-	if err != nil {
-		t.Fatalf("one-epoch-stale query: %v", err)
-	}
-	if got, want := resultIDs(res), tc.refIDs(t, tc.g.FullRect()); !equalInts(got, want) {
-		t.Fatalf("one-epoch-stale answer %d records, oracle %d", len(got), len(want))
-	}
-	if got := tc.h.Router().Epoch(); got != 1 {
-		t.Fatalf("grace window should not force adoption, router epoch = %d", got)
-	}
-
-	// Retire the joiner: epoch 3. The router is now two cutovers behind —
-	// outside the grace — so its next query draws stale-epoch replies and
-	// must adopt the current map mid-flight.
-	leave, err := PlanLeave(join.To, join.Member)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Migrate(context.Background(), MigrateConfig{
-		Plan:      leave,
-		Endpoints: tc.h.URLs(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	res, err = tc.h.Router().Search(context.Background(), tc.g.FullRect())
-	if err != nil {
-		t.Fatalf("two-epoch-stale query: %v", err)
-	}
-	if got, want := resultIDs(res), tc.refIDs(t, tc.g.FullRect()); !equalInts(got, want) {
-		t.Fatalf("two-epoch-stale answer %d records, oracle %d", len(got), len(want))
-	}
-	if got := tc.h.Router().Epoch(); got != 3 {
-		t.Fatalf("router epoch after gossip = %d, want 3", got)
-	}
-	if res.EpochFollows == 0 {
-		t.Error("adoption should be visible as at least one epoch follow")
 	}
 }
 

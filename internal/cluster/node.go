@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -208,20 +210,13 @@ func (n *Node) Scheduler() *serve.Scheduler {
 }
 
 // Epoch returns the node's current map epoch.
-func (n *Node) Epoch() uint64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.cur.Epoch()
-}
+func (n *Node) Epoch() uint64 { return n.CurrentMap().Epoch() }
 
 // PendingEpoch returns the staged next epoch, or 0 when none.
 func (n *Node) PendingEpoch() uint64 {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	if n.pending == nil {
-		return 0
-	}
-	return n.pending.Epoch()
+	return n.pendingEpochLocked()
 }
 
 // CurrentMap returns the map the node serves.
@@ -277,17 +272,17 @@ func (n *Node) hostsRectIn(sm *ShardMap, r grid.Rect) bool {
 	return false
 }
 
-// resolveEpoch picks the map a request epoch addresses: 0 (legacy,
-// unversioned) and the current epoch serve against cur; the previous
-// epoch — one cutover ago — still serves against prev; the staged
-// pending epoch selects the dual-read merge path. Anything else draws a
-// *StaleEpochError carrying the current map, the gossip that lets the
-// sender catch up in one round-trip.
+// resolveEpoch picks the map a request epoch addresses: the current
+// epoch serves against cur; the previous epoch — one cutover ago — still
+// serves against prev; the staged pending epoch selects the dual-read
+// merge path. Anything else (zero and absent included: maps are born at
+// epoch 1) draws a *StaleEpochError carrying the current map, the gossip
+// that lets the sender catch up in one round-trip.
 func (n *Node) resolveEpoch(epoch uint64) (sm *ShardMap, isPending bool, err error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	switch {
-	case epoch == 0 || epoch == n.cur.Epoch():
+	case epoch == n.cur.Epoch():
 		return n.cur, false, nil
 	case n.prev != nil && epoch == n.prev.Epoch():
 		return n.prev, false, nil
@@ -296,6 +291,37 @@ func (n *Node) resolveEpoch(epoch uint64) (sm *ShardMap, isPending bool, err err
 	default:
 		return nil, false, &StaleEpochError{RequestEpoch: epoch, NodeEpoch: n.cur.Epoch(), Map: n.cur}
 	}
+}
+
+// admit is the admission preamble every data endpoint runs before its
+// own work: the rect must fit the grid, the epoch must name a map the
+// node serves, the rect must sit inside a shard the node hosts under
+// that map, and the node must not be mid-rebuild. The epoch check runs
+// before the hostedness check: a router on the wrong map must learn the
+// right one, not be told "not hosted" against a map it isn't using.
+func (n *Node) admit(rect grid.Rect, epoch uint64) (sm *ShardMap, isPending bool, sched *serve.Scheduler, err error) {
+	g := n.g
+	if len(rect.Lo) != g.K() || len(rect.Hi) != g.K() || !g.Contains(rect.Lo) || !g.Contains(rect.Hi) {
+		return nil, false, nil, badRequestError{fmt.Errorf("rect %v invalid for grid %v", rect, g)}
+	}
+	for i := range rect.Lo {
+		if rect.Lo[i] > rect.Hi[i] {
+			return nil, false, nil, badRequestError{fmt.Errorf("rect %v inverted on axis %d", rect, i)}
+		}
+	}
+	if sm, isPending, err = n.resolveEpoch(epoch); err != nil {
+		return nil, false, nil, err
+	}
+	if !n.hostsRectIn(sm, rect) {
+		return nil, false, nil, fmt.Errorf("%w: node %d does not host %v at epoch %d", ErrNotHosted, n.id, rect, sm.Epoch())
+	}
+	n.mu.RLock()
+	sched, rebuilding := n.sched, n.rebuilding
+	n.mu.RUnlock()
+	if rebuilding {
+		return nil, false, nil, fmt.Errorf("%w: node %d is rebuilding", fault.ErrUnavailable, n.id)
+	}
+	return sm, isPending, sched, nil
 }
 
 // Handler returns the node's HTTP surface with fault injection applied
@@ -319,6 +345,12 @@ func (n *Node) Handler() http.Handler {
 // client sees a transport error, exactly like a dead process); a
 // partitioned node blackholes the request until the client gives up; a
 // slow node delays by (factor-1)·SlowUnit.
+//
+// Both blocking branches consume the request body first: net/http
+// starts the background read that notices a client disconnect — and
+// cancels r.Context() — only once the body has been read to EOF, so a
+// handler parked with an unread POST body would outlive its cancelled
+// client until server shutdown.
 func (n *Node) faultMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if n.faults != nil {
@@ -326,10 +358,15 @@ func (n *Node) faultMiddleware(next http.Handler) http.Handler {
 			case fault.NodeCrashed:
 				panic(http.ErrAbortHandler)
 			case fault.NodePartitioned:
+				_, _ = io.Copy(io.Discard, r.Body) // best effort: the request is dropped either way
 				<-r.Context().Done()
 				return
 			}
 			if f := n.faults.NodeSlowFactor(n.id); f > 1 {
+				// The handler still needs the body after the delay; a short
+				// read here fails the handler's own decode.
+				body, _ := io.ReadAll(r.Body)
+				r.Body = io.NopCloser(bytes.NewReader(body))
 				delay := time.Duration(float64(n.slowUnit) * (f - 1))
 				t := time.NewTimer(delay)
 				select {
@@ -344,10 +381,7 @@ func (n *Node) faultMiddleware(next http.Handler) http.Handler {
 	})
 }
 
-// handleQuery answers one sub-rectangle of a range query. The epoch
-// check runs before the hostedness check: a router on the wrong map
-// must learn the right one, not be told "not hosted" against a map it
-// isn't using.
+// handleQuery answers one sub-rectangle of a range query.
 func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if err := decodeJSONBody(r, &req); err != nil {
@@ -355,32 +389,9 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rect := req.Rect.rect()
-	g := n.g
-	if len(rect.Lo) != g.K() || len(rect.Hi) != g.K() || !g.Contains(rect.Lo) || !g.Contains(rect.Hi) {
-		writeError(w, badRequestError{fmt.Errorf("rect %v invalid for grid %v", rect, g)})
-		return
-	}
-	for i := range rect.Lo {
-		if rect.Lo[i] > rect.Hi[i] {
-			writeError(w, badRequestError{fmt.Errorf("rect %v inverted on axis %d", rect, i)})
-			return
-		}
-	}
-	sm, isPending, err := n.resolveEpoch(req.Epoch)
+	sm, isPending, sched, err := n.admit(rect, req.Epoch)
 	if err != nil {
 		writeError(w, err)
-		return
-	}
-	if !n.hostsRectIn(sm, rect) {
-		writeError(w, fmt.Errorf("%w: node %d does not host %v at epoch %d", ErrNotHosted, n.id, rect, sm.Epoch()))
-		return
-	}
-
-	n.mu.RLock()
-	sched, rebuilding := n.sched, n.rebuilding
-	n.mu.RUnlock()
-	if rebuilding {
-		writeError(w, fmt.Errorf("%w: node %d is rebuilding", fault.ErrUnavailable, n.id))
 		return
 	}
 	start := time.Now()
@@ -447,10 +458,10 @@ func (n *Node) aggregateIndex() (*batch.AggregateIndex, error) {
 }
 
 // handleAggregate answers one aggregate sub-query from the node's
-// summed-area index — zero bucket reads, no scheduler admission. Epoch
-// resolution matches handleQuery except that the staged pending epoch
-// is refused: the dual-read merge dedups records by bucket hosting,
-// which an index over two files cannot reproduce, and the router's
+// summed-area index — zero bucket reads, no scheduler admission.
+// Admission matches handleQuery except that the staged pending epoch is
+// refused: the dual-read merge dedups records by bucket hosting, which
+// an index over two files cannot reproduce, and the router's
 // authoritative old-epoch leg covers the window.
 func (n *Node) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	var req aggregateRequest
@@ -464,18 +475,7 @@ func (n *Node) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rect := req.Rect.rect()
-	g := n.g
-	if len(rect.Lo) != g.K() || len(rect.Hi) != g.K() || !g.Contains(rect.Lo) || !g.Contains(rect.Hi) {
-		writeError(w, badRequestError{fmt.Errorf("rect %v invalid for grid %v", rect, g)})
-		return
-	}
-	for i := range rect.Lo {
-		if rect.Lo[i] > rect.Hi[i] {
-			writeError(w, badRequestError{fmt.Errorf("rect %v inverted on axis %d", rect, i)})
-			return
-		}
-	}
-	sm, isPending, err := n.resolveEpoch(req.Epoch)
+	sm, isPending, _, err := n.admit(rect, req.Epoch)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -483,17 +483,6 @@ func (n *Node) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	if isPending {
 		writeError(w, fmt.Errorf("%w: node %d: aggregates not served at pending epoch %d",
 			fault.ErrUnavailable, n.id, sm.Epoch()))
-		return
-	}
-	if !n.hostsRectIn(sm, rect) {
-		writeError(w, fmt.Errorf("%w: node %d does not host %v at epoch %d", ErrNotHosted, n.id, rect, sm.Epoch()))
-		return
-	}
-	n.mu.RLock()
-	rebuilding := n.rebuilding
-	n.mu.RUnlock()
-	if rebuilding {
-		writeError(w, fmt.Errorf("%w: node %d is rebuilding", fault.ErrUnavailable, n.id))
 		return
 	}
 	ix, err := n.aggregateIndex()
@@ -529,20 +518,13 @@ func (n *Node) curHeldRecords(recs []datagen.Record) ([]datagen.Record, error) {
 	n.mu.RLock()
 	cur, file := n.cur, n.file
 	n.mu.RUnlock()
-	return n.heldRecords(recs, cur, file)
-}
-
-// heldRecords filters recs to the buckets this member hosts under sm,
-// using file only for its record→cell mapping. Lock-free so
-// handleCutover can call it while already holding the node mutex.
-func (n *Node) heldRecords(recs []datagen.Record, sm *ShardMap, file *gridfile.File) ([]datagen.Record, error) {
 	out := make([]datagen.Record, 0, len(recs))
 	for _, r := range recs {
 		c, err := file.CellOf(r.Values)
 		if err != nil {
 			return nil, err
 		}
-		if n.hostsShardIn(sm, sm.ShardOf(c)) {
+		if n.hostsShardIn(cur, cur.ShardOf(c)) {
 			out = append(out, r)
 		}
 	}
@@ -600,9 +582,9 @@ func (n *Node) stagingRecords(rect grid.Rect, pending *ShardMap) ([]datagen.Reco
 }
 
 // handleBucket serves one bucket's records for cross-node rebuild and
-// migration: GET /v1/bucket?cell=1,2,0[&epoch=N]. It reads through the
-// node's scheduler at the caller's priority so background traffic
-// competes (and loses) fairly against foreground queries.
+// migration: GET /v1/bucket?cell=1,2,0&epoch=N[&priority=P]. It reads
+// through the node's scheduler at the caller's priority so background
+// traffic competes (and loses) fairly against foreground queries.
 func (n *Node) handleBucket(w http.ResponseWriter, r *http.Request) {
 	cell, err := parseCell(r.URL.Query().Get("cell"), n.g)
 	if err != nil {
@@ -625,21 +607,10 @@ func (n *Node) handleBucket(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	sm, isPending, err := n.resolveEpoch(epoch)
+	rect := grid.Rect{Lo: cell, Hi: cell.Clone()}
+	sm, isPending, sched, err := n.admit(rect, epoch)
 	if err != nil {
 		writeError(w, err)
-		return
-	}
-	rect := grid.Rect{Lo: cell, Hi: cell.Clone()}
-	if !n.hostsRectIn(sm, rect) {
-		writeError(w, fmt.Errorf("%w: node %d does not host cell %v at epoch %d", ErrNotHosted, n.id, cell, sm.Epoch()))
-		return
-	}
-	n.mu.RLock()
-	sched, rebuilding := n.sched, n.rebuilding
-	n.mu.RUnlock()
-	if rebuilding {
-		writeError(w, fmt.Errorf("%w: node %d is rebuilding", fault.ErrUnavailable, n.id))
 		return
 	}
 	res, err := sched.Do(r.Context(), serve.Query{Rect: rect, Priority: prio})

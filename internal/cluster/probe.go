@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -49,20 +48,8 @@ func ProbeHealth(ctx context.Context, client *http.Client, base string) (Health,
 	if client == nil {
 		client = http.DefaultClient
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/health", nil)
-	if err != nil {
-		return Health{}, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return Health{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Health{}, fmt.Errorf("cluster: health probe of %s: %s", base, resp.Status)
-	}
 	var hr healthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
+	if err := exchange(ctx, client, 0, base+"/v1/health", nil, &hr, smallPayloadLimit); err != nil {
 		return Health{}, fmt.Errorf("cluster: health probe of %s: %w", base, err)
 	}
 	return Health{

@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -101,9 +99,8 @@ func RebuildNode(ctx context.Context, cfg RebuildConfig, target *Node) (RebuildS
 	if cfg.FetchAttempts <= 0 {
 		cfg.FetchAttempts = 8
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
+	if cfg.Client == nil {
+		cfg.Client = &http.Client{}
 	}
 	var mBuckets, mRecords, mRetries *obs.Counter
 	if cfg.Obs != nil {
@@ -112,17 +109,13 @@ func RebuildNode(ctx context.Context, cfg RebuildConfig, target *Node) (RebuildS
 		mRecords = r.Counter("cluster.rebuild.records")
 		mRetries = r.Counter("cluster.rebuild.retries")
 	}
-	urlOf := func(member int) (string, bool) {
-		if member >= 0 && member < len(cfg.Endpoints) && cfg.Endpoints[member] != "" {
-			return cfg.Endpoints[member], true
-		}
-		return "", false
-	}
 	opts := fetchOpts{
-		timeout:  cfg.FetchTimeout,
-		attempts: cfg.FetchAttempts,
-		priority: repair.BackgroundPriority,
-		epoch:    cfg.Map.Epoch(),
+		client:    cfg.Client,
+		endpoints: cfg.Endpoints,
+		timeout:   cfg.FetchTimeout,
+		attempts:  cfg.FetchAttempts,
+		priority:  repair.BackgroundPriority,
+		epoch:     cfg.Map.Epoch(),
 	}
 
 	start := time.Now()
@@ -142,7 +135,7 @@ func RebuildNode(ctx context.Context, cfg RebuildConfig, target *Node) (RebuildS
 		}
 		var fetchErr error
 		grid.EachRect(sh.Rect, func(c grid.Coord) bool {
-			recs, retries, err := fetchBucket(ctx, client, urlOf, donors, c, opts)
+			recs, retries, err := fetchBucket(ctx, donors, c, opts)
 			st.Retries += retries
 			mRetries.Add(uint64(retries))
 			if err != nil {
@@ -155,10 +148,7 @@ func RebuildNode(ctx context.Context, cfg RebuildConfig, target *Node) (RebuildS
 					return false
 				}
 			}
-			pages := (len(recs) + capacity - 1) / capacity
-			if pages == 0 {
-				pages = 1
-			}
+			pages := max(1, (len(recs)+capacity-1)/capacity)
 			st.Buckets++
 			st.Records += len(recs)
 			st.Pages += pages
@@ -194,10 +184,12 @@ func donorsFor(sm *ShardMap, shard, target int) []int {
 
 // fetchOpts parameterises one bucket-fetch loop.
 type fetchOpts struct {
-	timeout  time.Duration
-	attempts int
-	priority int
-	epoch    uint64
+	client    *http.Client
+	endpoints []string // base URL per member, indexed by stable member ID
+	timeout   time.Duration
+	attempts  int
+	priority  int
+	epoch     uint64
 }
 
 // fetchBucket reads one bucket from the first donor that answers,
@@ -208,7 +200,7 @@ type fetchOpts struct {
 // timeout — silence, not shedding) counts toward a short fuse: after
 // noDonorRounds consecutive all-hard rounds the fetch fails fast with
 // ErrNoDonor. Returns the records and how many fetches failed first.
-func fetchBucket(ctx context.Context, client *http.Client, urlOf func(int) (string, bool), donors []int, c grid.Coord, o fetchOpts) ([]wireRecord, int, error) {
+func fetchBucket(ctx context.Context, donors []int, c grid.Coord, o fetchOpts) ([]wireRecord, int, error) {
 	var lastErr error
 	retries := 0
 	delay := time.Millisecond
@@ -219,12 +211,11 @@ func fetchBucket(ctx context.Context, client *http.Client, urlOf func(int) (stri
 			if round > 0 || i > 0 {
 				retries++
 			}
-			base, ok := urlOf(donor)
-			if !ok {
+			if donor >= len(o.endpoints) || o.endpoints[donor] == "" {
 				lastErr = fmt.Errorf("cluster: no endpoint for member %d", donor)
 				continue
 			}
-			recs, err := fetchBucketFrom(ctx, client, base, c, o)
+			recs, err := fetchBucketFrom(ctx, o.endpoints[donor], c, o)
 			if err == nil {
 				return recs, retries, nil
 			}
@@ -248,10 +239,8 @@ func fetchBucket(ctx context.Context, client *http.Client, urlOf func(int) (stri
 		if round == o.attempts-1 {
 			break
 		}
-		select {
-		case <-ctx.Done():
-			return nil, retries, ctx.Err()
-		case <-time.After(delay):
+		if err := sleepCtx(ctx, delay); err != nil {
+			return nil, retries, err
 		}
 		if delay *= 2; delay > 50*time.Millisecond {
 			delay = 50 * time.Millisecond
@@ -272,34 +261,14 @@ func donorHardDown(err error) bool {
 
 // fetchBucketFrom performs one GET /v1/bucket exchange at the loop's
 // priority, stamped with its epoch.
-func fetchBucketFrom(ctx context.Context, client *http.Client, base string, c grid.Coord, o fetchOpts) ([]wireRecord, error) {
+func fetchBucketFrom(ctx context.Context, base string, c grid.Coord, o fetchOpts) ([]wireRecord, error) {
 	parts := make([]string, len(c))
 	for i, v := range c {
 		parts[i] = strconv.Itoa(v)
 	}
 	url := fmt.Sprintf("%s/v1/bucket?cell=%s&priority=%d&epoch=%d",
 		strings.TrimRight(base, "/"), strings.Join(parts, ","), o.priority, o.epoch)
-	reqCtx, cancel := context.WithTimeout(ctx, o.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeErrorBody(resp.StatusCode, data)
-	}
 	var br bucketResponse
-	if err := json.Unmarshal(data, &br); err != nil {
-		return nil, fmt.Errorf("cluster: bad bucket body: %w", err)
-	}
-	return br.Records, nil
+	err := exchange(ctx, o.client, o.timeout, url, nil, &br, recordPayloadLimit)
+	return br.Records, err
 }

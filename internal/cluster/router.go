@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -202,17 +199,12 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 func (rt *Router) Breakers() *serve.Breakers { return rt.brk }
 
 // Epoch returns the epoch the router currently routes under.
-func (rt *Router) Epoch() uint64 {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.sm.Epoch()
-}
+func (rt *Router) Epoch() uint64 { return rt.Map().Epoch() }
 
 // Map returns the shard map the router currently routes under.
 func (rt *Router) Map() *ShardMap {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.sm
+	sm, _ := rt.view()
+	return sm
 }
 
 // Adopt installs a strictly newer map as the routing map, returning
@@ -325,16 +317,75 @@ func retryTransient(err error) bool {
 		errors.Is(err, serve.ErrClosed)
 }
 
-// subOutcome is one sub-query's gathered result.
-type subOutcome struct {
-	idx      int
-	records  []datagen.Record
-	node     int
-	degraded bool
-	retries  int
-	hedges   int
-	hedgeWon bool
-	err      error
+// legOp is what distinguishes one kind of scatter from another: where a
+// leg is sent, what it carries and — through R — what comes back. The
+// scatter machinery below never looks at which op it serves.
+type legOp[R any] struct {
+	path  string // endpoint under the member's base URL
+	span  string // sub-query span label
+	limit int64  // response size cap
+	body  func(rect grid.Rect, epoch uint64, prio int) any
+}
+
+var searchOp = legOp[queryResponse]{
+	path: "/v1/query", span: "shard", limit: recordPayloadLimit,
+	body: func(rect grid.Rect, epoch uint64, prio int) any {
+		return queryRequest{Rect: toWireRect(rect), Epoch: epoch, Priority: prio}
+	},
+}
+
+// aggregateOp is the leg op of one aggregate query (aggregates bypass
+// scheduler admission, so the priority goes unsent).
+func aggregateOp(q batch.AggregateQuery) legOp[aggregateResponse] {
+	return legOp[aggregateResponse]{
+		path: "/v1/aggregate", span: "agg shard", limit: smallPayloadLimit,
+		body: func(rect grid.Rect, epoch uint64, _ int) any {
+			return aggregateRequest{Rect: toWireRect(rect), Op: q.Op.String(), Attr: q.Attr, Epoch: epoch}
+		},
+	}
+}
+
+// subOutcome is one sub-query's answer (resp is nil iff err is set).
+type subOutcome[R any] struct {
+	resp            *R
+	node            int // answering member
+	retries, hedges int
+	hedgeWon        bool
+	err             error
+}
+
+// gathered is one scatter round: every sub-query's outcome in
+// decomposition order, plus the round's attempt accounting.
+type gathered[R any] struct {
+	outs                       []subOutcome[R]
+	retries, hedges, hedgeWins int
+}
+
+// followEpochs runs one query round under the current routing view and,
+// while the round fails on a stale epoch with a strictly newer map
+// attached, adopts that map and re-runs — up to maxEpochFollows times,
+// sleeping 1ms doubling per follow, capped at 8ms: enough to let a
+// cutover wave settle, small enough to stay invisible in p99. It returns
+// the last round's answer and how many adoptions it chased.
+func followEpochs[T any](ctx context.Context, rt *Router, root *obs.Span, round func(cur, pending *ShardMap) (T, error)) (T, int, error) {
+	for follow := 0; ; follow++ {
+		cur, pending := rt.view()
+		res, err := round(cur, pending)
+		var stale *StaleEpochError
+		if errors.As(err, &stale) {
+			rt.mStale.Inc()
+			if stale.Map != nil && stale.Map.Epoch() > cur.Epoch() && follow < maxEpochFollows {
+				rt.Adopt(stale.Map)
+				root.Annotate(fmt.Sprintf("stale epoch %d, adopted %d", cur.Epoch(), stale.Map.Epoch()))
+				if berr := sleepCtx(ctx, min(time.Millisecond<<follow, 8*time.Millisecond)); berr != nil {
+					var zero T
+					return zero, follow, berr
+				}
+				continue
+			}
+		}
+		return res, follow, err
+	}
 }
 
 // Search answers a range query across the cluster. On full coverage it
@@ -348,35 +399,21 @@ type subOutcome struct {
 func (rt *Router) Search(ctx context.Context, q grid.Rect) (*Result, error) {
 	rt.mQueries.Inc()
 	start := time.Now()
-	var tr *obs.Trace
 	var root *obs.Span
 	if rt.sink != nil && rt.sink.Tracing() {
-		tr = rt.sink.StartTrace("cluster " + q.String())
+		tr := rt.sink.StartTrace("cluster " + q.String())
 		root = tr.Root()
 		defer rt.sink.FinishTrace(tr)
 	}
 	defer func() { rt.mLatency.Observe(time.Since(start)) }()
 
-	for follow := 0; ; follow++ {
-		cur, pending := rt.view()
-		res, err := rt.searchView(ctx, q, cur, pending, root)
-		if res != nil {
-			res.EpochFollows = follow
-		}
-		var stale *StaleEpochError
-		if err != nil && errors.As(err, &stale) {
-			rt.mStale.Inc()
-			if stale.Map != nil && stale.Map.Epoch() > cur.Epoch() && follow < maxEpochFollows {
-				rt.Adopt(stale.Map)
-				root.Annotate(fmt.Sprintf("stale epoch %d, adopted %d", cur.Epoch(), stale.Map.Epoch()))
-				if berr := rt.followBackoff(ctx, follow); berr != nil {
-					return nil, berr
-				}
-				continue
-			}
-		}
-		return res, err
+	res, follows, err := followEpochs(ctx, rt, root, func(cur, pending *ShardMap) (*Result, error) {
+		return rt.searchView(ctx, q, cur, pending, root)
+	})
+	if res != nil {
+		res.EpochFollows = follows
 	}
+	return res, err
 }
 
 // searchView runs one scatter round: just the authoritative epoch, or —
@@ -419,11 +456,8 @@ func (rt *Router) searchView(ctx context.Context, q grid.Rect, cur, pending *Sha
 				rt.mPendingWins.Inc()
 				o.res.PendingWins = 1
 			}
-			cancel()
-			if i == 0 {
-				// Reap the losing leg; the buffered channel holds its send.
-				go func() { <-out }()
-			}
+			// The deferred cancel aborts the losing leg; the buffered
+			// channel holds its send.
 			return o.res, nil
 		}
 		if !o.pending {
@@ -436,128 +470,137 @@ func (rt *Router) searchView(ctx context.Context, q grid.Rect, cur, pending *Sha
 	return authoritative.res, authoritative.err
 }
 
-// searchEpoch scatters q under one map and gathers the merge. observe
-// controls whether router-level outcome metrics (partials) are
-// recorded: the opportunistic dual-read leg stays out of the books, its
-// failures are expected mid-migration. prio is the admission priority
-// every sub-query is stamped with (0 foreground; the dual-read leg uses
+// searchEpoch scatters q under one map and merges the gathered records.
+// observe controls whether router-level outcome metrics are recorded:
+// the opportunistic dual-read leg stays out of the books, its failures
+// are expected mid-migration. prio is the admission priority every
+// sub-query is stamped with (0 foreground; the dual-read leg uses
 // serve.MigrationPriority).
 func (rt *Router) searchEpoch(ctx context.Context, q grid.Rect, sm *ShardMap, parent *obs.Span, observe bool, prio int) (*Result, error) {
-	subs, err := sm.Decompose(q)
-	if err != nil {
+	g, err := scatter(ctx, rt, searchOp, q, sm, parent, observe, prio)
+	if g == nil {
 		return nil, err
 	}
-
-	// One cancel scope covers every leg of every sub-query: when the
-	// caller gives up, every in-flight HTTP request aborts through its
-	// derived context.
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	out := make(chan subOutcome, len(subs))
-	var wg sync.WaitGroup
-	for i, sq := range subs {
-		wg.Add(1)
-		go func(i int, sq SubQuery) {
-			defer wg.Done()
-			o := rt.runSub(sctx, sq, sm, parent, prio)
-			o.idx = i
-			out <- o
-		}(i, sq)
+	res := &Result{
+		SubQueries: len(g.outs), Retries: g.retries, Hedges: g.hedges, HedgeWins: g.hedgeWins,
+		PerNode: make([]int, sm.MaxMember()+1), Epoch: sm.Epoch(),
 	}
-	wg.Wait()
-	close(out)
-
-	res := &Result{SubQueries: len(subs), PerNode: make([]int, sm.MaxMember()+1), Epoch: sm.Epoch()}
-	var missed []SubQuery
-	var subErr error
-	var staleErr *StaleEpochError
-	for o := range out {
-		res.Retries += o.retries
-		res.Hedges += o.hedges
-		if o.hedgeWon {
-			res.HedgeWins++
-		}
+	for _, o := range g.outs {
 		if o.err != nil {
-			if ctx.Err() != nil {
-				// The caller cancelled; report that, not a synthetic
-				// partial result.
-				return nil, ctx.Err()
-			}
-			var se *StaleEpochError
-			if errors.As(o.err, &se) && (staleErr == nil || se.NodeEpoch > staleErr.NodeEpoch) {
-				staleErr = se
-			}
-			missed = append(missed, subs[o.idx])
-			if subErr == nil {
-				subErr = o.err
-			}
 			continue
 		}
 		res.Covered++
-		res.Records = append(res.Records, o.records...)
-		if o.node >= 0 && o.node < len(res.PerNode) {
-			res.PerNode[o.node]++
-		}
-		res.Degraded = res.Degraded || o.degraded
+		res.Records = append(res.Records, fromWireRecords(o.resp.Records)...)
+		res.PerNode[o.node]++ // a shard member, so at most sm.MaxMember()
+		res.Degraded = res.Degraded || o.resp.Degraded
 	}
 	// Deterministic merge: ascending record ID. Within a bucket records
 	// sit in insertion order (ascending ID for generated datasets), and
 	// shards are disjoint, so a global ID sort is a total order
 	// independent of node scheduling.
 	sort.Slice(res.Records, func(i, j int) bool { return res.Records[i].ID < res.Records[j].ID })
-	if observe {
-		rt.mRetries.Add(uint64(res.Retries))
-		rt.mHedges.Add(uint64(res.Hedges))
-		rt.mHedgeWins.Add(uint64(res.HedgeWins))
-	}
-	if staleErr != nil {
-		// A newer epoch exists: let Search adopt and re-scatter rather
-		// than surfacing a partial answer of a dead epoch.
-		return res, staleErr
-	}
-	if len(missed) > 0 {
+	var pe *PartialError
+	if errors.As(err, &pe) {
 		if observe {
 			rt.mPartial.Inc()
 		}
-		pe := newPartialError(missed, subErr)
-		parent.Annotate(fmt.Sprintf("partial, %d uncovered (first: %v)", len(missed), subErr))
-		return res, pe
+		parent.Annotate(fmt.Sprintf("partial, %d uncovered (first: %v)", len(pe.Uncovered), pe.Cause))
 	}
-	return res, nil
+	return res, err
+}
+
+// scatter decomposes q under sm, runs every per-shard sub-query
+// concurrently, and gathers the outcomes. With every piece answered it
+// returns (g, nil). With pieces missing it returns what was gathered
+// alongside a *StaleEpochError when any node gossiped a newer epoch — the
+// follow loop should adopt and re-scatter rather than surface a partial
+// answer of a dead epoch — and a *PartialError naming the uncovered
+// sub-rectangles otherwise. A cancelled caller gets (nil, ctx.Err()),
+// not a synthetic partial result. Each leg's HTTP request derives from
+// ctx, so a caller giving up aborts everything in flight.
+func scatter[R any](ctx context.Context, rt *Router, op legOp[R], q grid.Rect, sm *ShardMap, parent *obs.Span, observe bool, prio int) (*gathered[R], error) {
+	subs, err := sm.Decompose(q)
+	if err != nil {
+		return nil, err
+	}
+	g := &gathered[R]{outs: make([]subOutcome[R], len(subs))}
+	var wg sync.WaitGroup
+	for i, sq := range subs {
+		wg.Add(1)
+		go func(i int, sq SubQuery) {
+			defer wg.Done()
+			g.outs[i] = runSub(ctx, rt, op, sq, sm, parent, prio)
+		}(i, sq)
+	}
+	wg.Wait()
+
+	var missed []SubQuery
+	var subErr error
+	var stale *StaleEpochError
+	for i, o := range g.outs {
+		g.retries += o.retries
+		g.hedges += o.hedges
+		if o.hedgeWon {
+			g.hedgeWins++
+		}
+		if o.err == nil {
+			continue
+		}
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		var se *StaleEpochError
+		if errors.As(o.err, &se) && (stale == nil || se.NodeEpoch > stale.NodeEpoch) {
+			stale = se
+		}
+		missed = append(missed, subs[i])
+		if subErr == nil {
+			subErr = o.err
+		}
+	}
+	if observe {
+		rt.mRetries.Add(uint64(g.retries))
+		rt.mHedges.Add(uint64(g.hedges))
+		rt.mHedgeWins.Add(uint64(g.hedgeWins))
+	}
+	switch {
+	case stale != nil:
+		return g, stale
+	case len(missed) > 0:
+		return g, newPartialError(missed, subErr)
+	}
+	return g, nil
 }
 
 // runSub answers one sub-query: Retry.MaxAttempts attempts, each
 // against the next replica in rotation (skipping open breakers when a
 // closed one exists), each hedged after HedgeAfter, with exponential
-// backoff between rounds. The attempt budget is a floor, not a wall:
-// while the caller's deadline has room and some replica failed
-// transiently within the last full rotation — a timeout or load
-// shedding, conditions the next round may not see — the rotation keeps
-// going rather than surrendering coverage early. When every candidate
-// fails fast with typed refusals or transport errors, the budget
-// exhausts and the sub-query degrades to a partial result, so a shard
-// with no live replica fails exactly as before. Candidates are stable
-// member IDs.
-func (rt *Router) runSub(ctx context.Context, sq SubQuery, sm *ShardMap, parent *obs.Span, prio int) subOutcome {
-	span := parent.Child(fmt.Sprintf("shard %d %v", sq.Shard, sq.Rect))
+// backoff between rounds. Candidates are stable member IDs.
+//
+// The configured attempt budget is a floor, not a ceiling: when the
+// caller set a deadline, that deadline is the real budget, and node
+// faults keep the backoff-paced rotation going until it expires — a
+// timeout or load shedding are conditions the next round may not see.
+// Rotation matters even for hard transport failures — a crashed
+// primary's EOFs trip its breaker within a round or two, after which
+// pickNode steers the remaining attempts at the surviving replicas.
+// Without a deadline the budget exhausts and the sub-query degrades to
+// a partial result, so a shard with no live replica fails fast. Only
+// typed refusals (below) prove another round is pointless.
+func runSub[R any](ctx context.Context, rt *Router, op legOp[R], sq SubQuery, sm *ShardMap, parent *obs.Span, prio int) subOutcome[R] {
+	span := parent.Child(fmt.Sprintf("%s %d %v", op.span, sq.Shard, sq.Rect))
+	leg := func(ctx context.Context, node int, kind string) legResult[R] {
+		s := span.Child(fmt.Sprintf("%s node %d", kind, node))
+		resp, err := callNode(ctx, rt, op, node, sq.Rect, sm.Epoch(), prio)
+		s.FinishErr(err)
+		return legResult[R]{node: node, resp: resp, err: err}
+	}
 	candidates := sm.ShardMembers(sq.Shard)
-	epoch := sm.Epoch()
-	o := subOutcome{node: -1}
-	// The configured attempt budget is a floor, not a ceiling: when the
-	// caller set a deadline, that deadline is the real budget, and node
-	// faults keep the backoff-paced rotation going until it expires.
-	// Rotation matters even for hard transport failures — a crashed
-	// primary's EOFs trip its breaker within a round or two, after which
-	// pickNode steers the remaining attempts at the surviving replicas.
-	// Only typed refusals (below) prove another round is pointless.
+	var o subOutcome[R]
 	_, hasDeadline := ctx.Deadline()
 	var lastErr error
 	attempt := 0
-	for ; ; attempt++ {
-		if attempt >= rt.retry.MaxAttempts && !hasDeadline {
-			break
-		}
+	for ; attempt < rt.retry.MaxAttempts || hasDeadline; attempt++ {
 		if attempt > 0 {
 			o.retries++
 			if err := rt.backoff(ctx, attempt); err != nil {
@@ -568,16 +611,14 @@ func (rt *Router) runSub(ctx context.Context, sq SubQuery, sm *ShardMap, parent 
 		}
 		node := rt.pickNode(candidates, attempt)
 		hedgeNode := rt.hedgeCandidate(candidates, node)
-		resp, winner, hedged, err := rt.dispatchHedged(ctx, sq.Rect, epoch, prio, node, hedgeNode, span)
+		r, hedged := dispatch(ctx, rt.hedge, node, hedgeNode, leg)
 		if hedged {
 			o.hedges++
 		}
-		if err == nil {
-			o.records = fromWireRecords(resp.Records)
-			o.node = winner
-			o.degraded = resp.Degraded
-			o.hedgeWon = hedged && winner == hedgeNode && winner != node
-			span.Annotate(fmt.Sprintf("node %d", winner))
+		if r.err == nil {
+			o.resp, o.node = r.resp, r.node
+			o.hedgeWon = hedged && r.node == hedgeNode
+			span.Annotate(fmt.Sprintf("node %d", r.node))
 			span.Finish()
 			return o
 		}
@@ -586,14 +627,14 @@ func (rt *Router) runSub(ctx context.Context, sq SubQuery, sm *ShardMap, parent 
 			span.FinishErr(o.err)
 			return o
 		}
-		lastErr = err
-		if errors.Is(err, ErrNotHosted) || errors.Is(err, ErrStaleEpoch) {
+		lastErr = r.err
+		if errors.Is(r.err, ErrNotHosted) || errors.Is(r.err, ErrStaleEpoch) {
 			// Not a node fault: no replica will answer differently for a
 			// routing bug, and a stale epoch needs adoption, not retry.
 			break
 		}
 	}
-	o.err = fmt.Errorf("cluster: shard %d exhausted %d attempts: %w", sq.Shard, attempt, lastErr)
+	o.err = fmt.Errorf("cluster: %s %d exhausted %d attempts: %w", op.span, sq.Shard, attempt, lastErr)
 	span.FinishErr(o.err)
 	return o
 }
@@ -660,148 +701,99 @@ func preferLegError(cur, next error) error {
 }
 
 // legResult is one dispatch leg's outcome.
-type legResult struct {
+type legResult[R any] struct {
 	node int
-	resp *queryResponse
+	resp *R
 	err  error
 }
 
-// dispatchHedged sends the sub-query to primary and, if it is still
-// unanswered after HedgeAfter and a hedge candidate exists, races a
-// second leg against the first. The first success wins and the loser's
-// context is cancelled; a lost leg's cancellation is invisible to node
-// health (the breaker ignores context errors).
-func (rt *Router) dispatchHedged(ctx context.Context, rect grid.Rect, epoch uint64, prio int, primary, hedgeNode int, span *obs.Span) (*queryResponse, int, bool, error) {
+// dispatch runs leg against primary and, if it is still unanswered after
+// the hedge delay, races a second leg to hedgeNode against the first.
+// The first success wins and the loser's context is cancelled; a lost
+// leg's cancellation is invisible to node health (the breaker ignores
+// context errors). It returns the winning (or most telling failed) leg
+// and whether a hedge leg was launched.
+func dispatch[R any](ctx context.Context, after time.Duration, primary, hedgeNode int, leg func(ctx context.Context, node int, kind string) legResult[R]) (legResult[R], bool) {
+	if hedgeNode < 0 {
+		// Nothing worth racing (hedging off, a single replica, every
+		// backup broken or saturated): the leg runs right here on the
+		// sub-query goroutine, with no goroutine, channel or timer.
+		return leg(ctx, primary, "leg"), false
+	}
+
 	legCtx, cancelLegs := context.WithCancel(ctx)
-	defer cancelLegs()
-
-	results := make(chan legResult, 2)
-	leg := func(node int, kind string) {
-		s := span.Child(fmt.Sprintf("%s node %d", kind, node))
-		resp, err := rt.queryNode(legCtx, ctx, node, rect, epoch, prio)
-		s.FinishErr(err)
-		results <- legResult{node: node, resp: resp, err: err}
+	defer cancelLegs() // aborts the losing leg once a winner returns
+	results := make(chan legResult[R], 2)
+	inflight := 0
+	launch := func(node int, kind string) {
+		inflight++
+		go func() { results <- leg(legCtx, node, kind) }()
 	}
-	go leg(primary, "leg")
+	launch(primary, "leg")
+	hedgeTimer := time.NewTimer(after)
+	defer hedgeTimer.Stop()
+	hedgeC, hedged := hedgeTimer.C, false
 
-	inflight := 1
-	hedged := false
-	var hedgeTimer *time.Timer
-	var hedgeC <-chan time.Time
-	if hedgeNode >= 0 {
-		hedgeTimer = time.NewTimer(rt.hedge)
-		defer hedgeTimer.Stop()
-		hedgeC = hedgeTimer.C
-	}
-
-	var firstErr error
+	var failed legResult[R]
 	for {
 		select {
 		case <-hedgeC:
-			hedgeC = nil
-			hedged = true
-			inflight++
-			go leg(hedgeNode, "hedge")
+			hedgeC, hedged = nil, true
+			launch(hedgeNode, "hedge")
 		case r := <-results:
 			inflight--
 			if r.err == nil {
-				// Winner: abort the other leg (if any) before returning.
-				cancelLegs()
-				return r.resp, r.node, hedged, nil
+				return r, hedged
 			}
-			firstErr = preferLegError(firstErr, r.err)
-			if inflight == 0 && hedgeC == nil {
-				return nil, -1, hedged, firstErr
-			}
-			if inflight == 0 {
+			failed.err = preferLegError(failed.err, r.err)
+			switch {
+			case !hedged:
 				// Primary failed before the hedge timer: fire the hedge
-				// immediately rather than waiting out the timer.
-				if hedgeTimer != nil && hedgeTimer.Stop() {
-					hedgeC = nil
-					hedged = true
-					rt.mHedges.Inc()
-					inflight++
-					go leg(hedgeNode, "hedge")
-				}
+				// now rather than waiting out the timer.
+				hedgeTimer.Reset(0)
+			case inflight == 0:
+				return failed, hedged
 			}
 		case <-ctx.Done():
-			return nil, -1, hedged, ctx.Err()
+			failed.err = ctx.Err()
+			return failed, hedged
 		}
 	}
 }
 
-// queryNode performs one HTTP attempt against a member. legCtx bounds
-// the leg (hedge-race cancellation); the per-node deadline layers on
-// top. parentCtx distinguishes a node timeout (countable against node
-// health) from caller cancellation (not countable). Node health only
+// callNode performs one attempt against a member, bounded by the
+// per-node deadline on top of ctx (the leg's context: hedge-race and
+// caller cancellation both arrive through it). Node health only
 // integrates errors that indict the node itself — see breakerCountable.
-func (rt *Router) queryNode(legCtx, parentCtx context.Context, node int, rect grid.Rect, epoch uint64, prio int) (*queryResponse, error) {
-	reqCtx, cancel := context.WithTimeout(legCtx, rt.deadline)
-	defer cancel()
+func callNode[R any](ctx context.Context, rt *Router, op legOp[R], node int, rect grid.Rect, epoch uint64, prio int) (*R, error) {
+	resp := new(R)
 	start := time.Now()
-	resp, err := rt.doQueryRequest(reqCtx, node, rect, epoch, prio)
+	var err error
+	if url, ok := rt.urlOf(node); ok {
+		err = exchange(ctx, rt.client, rt.deadline, url+op.path, op.body(rect, epoch, prio), resp, op.limit)
+	} else {
+		err = fmt.Errorf("cluster: no endpoint for member %d", node)
+	}
 	lat := time.Since(start)
 	if err != nil {
-		// A deadline expiry with the query still live is the node's
-		// fault; surface it as a breaker-countable error.
-		if errors.Is(err, context.DeadlineExceeded) && parentCtx.Err() == nil && legCtx.Err() == nil {
+		// A deadline expiry with the leg still live is the node's fault;
+		// surface it as a breaker-countable error.
+		if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 			err = fmt.Errorf("%w: node %d after %v", errNodeTimeout, node, rt.deadline)
 		}
-		rt.nodeErr(node)
+		resp = nil
 	}
 	if err == nil || breakerCountable(err) {
 		rt.brk.Observe(node, lat, err)
 	}
-	rt.nodeObserve(node, lat)
+	rt.nodeObserve(node, lat, err)
 	return resp, err
-}
-
-// doQueryRequest is the raw HTTP exchange, epoch-stamped.
-func (rt *Router) doQueryRequest(ctx context.Context, node int, rect grid.Rect, epoch uint64, prio int) (*queryResponse, error) {
-	url, ok := rt.urlOf(node)
-	if !ok {
-		return nil, fmt.Errorf("cluster: no endpoint for member %d", node)
-	}
-	body, err := json.Marshal(queryRequest{Rect: toWireRect(rect), Epoch: epoch, Priority: prio})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/query", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	// Queries are idempotent reads; the header marks the POST replayable
-	// so the transport transparently retries when a pooled keep-alive
-	// connection — closed by a node that restarted since — surfaces EOF
-	// on first reuse, instead of burning a whole attempt on a dead conn.
-	req.Header.Set("Idempotency-Key", "query")
-	httpResp, err := rt.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer httpResp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(httpResp.Body, 64<<20))
-	if err != nil {
-		return nil, err
-	}
-	if httpResp.StatusCode != http.StatusOK {
-		return nil, decodeErrorBody(httpResp.StatusCode, data)
-	}
-	var qr queryResponse
-	if err := json.Unmarshal(data, &qr); err != nil {
-		return nil, fmt.Errorf("cluster: node %d: bad response body: %w", node, err)
-	}
-	return &qr, nil
 }
 
 // backoff sleeps the exponential retry delay for the given attempt
 // (1-based round), honouring cancellation.
 func (rt *Router) backoff(ctx context.Context, attempt int) error {
 	d := rt.retry.BaseBackoff
-	if d <= 0 {
-		return ctx.Err()
-	}
 	for i := 1; i < attempt; i++ {
 		d *= 2
 		if rt.retry.MaxBackoff > 0 && d >= rt.retry.MaxBackoff {
@@ -809,23 +801,13 @@ func (rt *Router) backoff(ctx context.Context, attempt int) error {
 			break
 		}
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
+	return sleepCtx(ctx, d)
 }
 
-// followBackoff sleeps before re-scattering at a freshly adopted epoch:
-// 1ms doubling per follow, capped at 8ms — enough to let a cutover
-// wave settle, small enough to stay invisible in p99.
-func (rt *Router) followBackoff(ctx context.Context, follow int) error {
-	d := time.Millisecond << follow
-	if d > 8*time.Millisecond {
-		d = 8 * time.Millisecond
+// sleepCtx sleeps d (not at all when d <= 0), honouring cancellation.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return ctx.Err()
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -853,247 +835,66 @@ type AggregateResult struct {
 	EpochFollows int
 }
 
-// aggOutcome is one aggregate sub-query's gathered result.
-type aggOutcome struct {
-	idx     int
-	part    batch.AggregateResult
-	retries int
-	err     error
-}
-
 // Aggregate answers COUNT/SUM/MIN/MAX over a rectangle across the
 // cluster: the rect decomposes into per-shard pieces, each piece is
-// answered by a shard member's disk-free summed-area index (rotating
-// across replicas with backoff on failure, no hedging — the legs are
-// sub-millisecond), and the partials merge exactly. Unlike Search, any
-// uncovered piece fails the whole query: a partial sum or count is not
-// a degraded answer, it is a wrong one — the *PartialError names the
-// uncovered sub-rectangles. Stale-epoch adoption follows the same
-// gossip path as Search.
+// answered by a shard member's disk-free summed-area index through the
+// same scatter as Search (rotation, backoff, hedging, breakers), and
+// the partials merge exactly. Only the current epoch is asked — nodes
+// refuse aggregates at a pending epoch. Unlike Search, any uncovered
+// piece fails the whole query: a partial sum or count is not a degraded
+// answer, it is a wrong one — the *PartialError names the uncovered
+// sub-rectangles. Stale-epoch adoption follows the same gossip path as
+// Search.
 func (rt *Router) Aggregate(ctx context.Context, q batch.AggregateQuery) (*AggregateResult, error) {
 	rt.mAggregates.Inc()
 	start := time.Now()
-	var tr *obs.Trace
 	var root *obs.Span
 	if rt.sink != nil && rt.sink.Tracing() {
-		tr = rt.sink.StartTrace(fmt.Sprintf("cluster %s(%d) %v", q.Op, q.Attr, q.Rect))
+		tr := rt.sink.StartTrace(fmt.Sprintf("cluster %s(%d) %v", q.Op, q.Attr, q.Rect))
 		root = tr.Root()
 		defer rt.sink.FinishTrace(tr)
 	}
 	defer func() { rt.mLatency.Observe(time.Since(start)) }()
 
-	for follow := 0; ; follow++ {
-		cur, _ := rt.view()
-		res, err := rt.aggregateEpoch(ctx, q, cur, root)
-		if res != nil {
-			res.EpochFollows = follow
+	res, follows, err := followEpochs(ctx, rt, root, func(cur, _ *ShardMap) (*AggregateResult, error) {
+		g, err := scatter(ctx, rt, aggregateOp(q), q.Rect, cur, root, true, 0)
+		if err != nil {
+			var pe *PartialError
+			if errors.As(err, &pe) {
+				root.Annotate(fmt.Sprintf("aggregate refused, %d uncovered (first: %v)", len(pe.Uncovered), pe.Cause))
+			}
+			return nil, err
 		}
-		var stale *StaleEpochError
-		if err != nil && errors.As(err, &stale) {
-			rt.mStale.Inc()
-			if stale.Map != nil && stale.Map.Epoch() > cur.Epoch() && follow < maxEpochFollows {
-				rt.Adopt(stale.Map)
-				root.Annotate(fmt.Sprintf("stale epoch %d, adopted %d", cur.Epoch(), stale.Map.Epoch()))
-				if berr := rt.followBackoff(ctx, follow); berr != nil {
-					return nil, berr
-				}
-				continue
+		parts := make([]batch.AggregateResult, len(g.outs))
+		for i, o := range g.outs {
+			r := o.resp
+			parts[i] = batch.AggregateResult{
+				Op: q.Op, Attr: q.Attr, Count: r.Count, Sum: r.Sum, Min: r.Min, Max: r.Max, Buckets: r.Buckets,
 			}
 		}
-		if err != nil {
-			rt.mAggErrors.Inc()
-		}
-		return res, err
-	}
-}
-
-// aggregateEpoch scatters the aggregate under one map and merges the
-// gathered partials.
-func (rt *Router) aggregateEpoch(ctx context.Context, q batch.AggregateQuery, sm *ShardMap, parent *obs.Span) (*AggregateResult, error) {
-	subs, err := sm.Decompose(q.Rect)
+		return &AggregateResult{
+			AggregateResult: batch.MergeAggregates(q.Op, q.Attr, parts),
+			SubQueries:      len(g.outs), Retries: g.retries, Epoch: cur.Epoch(),
+		}, nil
+	})
 	if err != nil {
+		rt.mAggErrors.Inc()
 		return nil, err
 	}
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	out := make(chan aggOutcome, len(subs))
-	var wg sync.WaitGroup
-	for i, sq := range subs {
-		wg.Add(1)
-		go func(i int, sq SubQuery) {
-			defer wg.Done()
-			o := rt.runAggSub(sctx, q, sq, sm, parent)
-			o.idx = i
-			out <- o
-		}(i, sq)
-	}
-	wg.Wait()
-	close(out)
-
-	res := &AggregateResult{SubQueries: len(subs), Epoch: sm.Epoch()}
-	parts := make([]batch.AggregateResult, 0, len(subs))
-	var missed []SubQuery
-	var subErr error
-	var staleErr *StaleEpochError
-	for o := range out {
-		res.Retries += o.retries
-		if o.err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			var se *StaleEpochError
-			if errors.As(o.err, &se) && (staleErr == nil || se.NodeEpoch > staleErr.NodeEpoch) {
-				staleErr = se
-			}
-			missed = append(missed, subs[o.idx])
-			if subErr == nil {
-				subErr = o.err
-			}
-			continue
-		}
-		parts = append(parts, o.part)
-	}
-	rt.mRetries.Add(uint64(res.Retries))
-	if staleErr != nil {
-		return res, staleErr
-	}
-	if len(missed) > 0 {
-		pe := newPartialError(missed, subErr)
-		parent.Annotate(fmt.Sprintf("aggregate refused, %d uncovered (first: %v)", len(missed), subErr))
-		return nil, pe
-	}
-	res.AggregateResult = batch.MergeAggregates(q.Op, q.Attr, parts)
+	res.EpochFollows = follows
 	return res, nil
 }
 
-// runAggSub answers one aggregate sub-query with replica rotation and
-// backoff. No hedging: index lookups are orders of magnitude below the
-// hedge delay, so a hedge leg could only fire on a node that is down —
-// which the next rotation reaches anyway.
-func (rt *Router) runAggSub(ctx context.Context, q batch.AggregateQuery, sq SubQuery, sm *ShardMap, parent *obs.Span) aggOutcome {
-	span := parent.Child(fmt.Sprintf("agg shard %d %v", sq.Shard, sq.Rect))
-	candidates := sm.ShardMembers(sq.Shard)
-	epoch := sm.Epoch()
-	var o aggOutcome
-	var lastErr error
-	attempt := 0
-	for ; attempt < rt.retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			o.retries++
-			if err := rt.backoff(ctx, attempt); err != nil {
-				o.err = err
-				span.FinishErr(err)
-				return o
-			}
-		}
-		node := rt.pickNode(candidates, attempt)
-		part, err := rt.aggregateNode(ctx, node, q, sq.Rect, epoch)
-		if err == nil {
-			o.part = part
-			span.Annotate(fmt.Sprintf("node %d", node))
-			span.Finish()
-			return o
-		}
-		if ctx.Err() != nil {
-			o.err = ctx.Err()
-			span.FinishErr(o.err)
-			return o
-		}
-		lastErr = err
-		if errors.Is(err, ErrNotHosted) || errors.Is(err, ErrStaleEpoch) {
-			break
-		}
-	}
-	o.err = fmt.Errorf("cluster: aggregate shard %d exhausted %d attempts: %w", sq.Shard, attempt, lastErr)
-	span.FinishErr(o.err)
-	return o
-}
-
-// aggregateNode performs one aggregate attempt against a member, with
-// the per-node deadline and the same breaker/metrics bookkeeping as
-// queryNode.
-func (rt *Router) aggregateNode(ctx context.Context, node int, q batch.AggregateQuery, rect grid.Rect, epoch uint64) (batch.AggregateResult, error) {
-	reqCtx, cancel := context.WithTimeout(ctx, rt.deadline)
-	defer cancel()
-	start := time.Now()
-	resp, err := rt.doAggregateRequest(reqCtx, node, q, rect, epoch)
-	lat := time.Since(start)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-			err = fmt.Errorf("%w: node %d after %v", errNodeTimeout, node, rt.deadline)
-		}
-		rt.nodeErr(node)
-	}
-	if err == nil || breakerCountable(err) {
-		rt.brk.Observe(node, lat, err)
-	}
-	rt.nodeObserve(node, lat)
-	if err != nil {
-		return batch.AggregateResult{}, err
-	}
-	return batch.AggregateResult{
-		Op:      q.Op,
-		Attr:    q.Attr,
-		Count:   resp.Count,
-		Sum:     resp.Sum,
-		Min:     resp.Min,
-		Max:     resp.Max,
-		Buckets: resp.Buckets,
-	}, nil
-}
-
-// doAggregateRequest is the raw HTTP exchange, epoch-stamped.
-func (rt *Router) doAggregateRequest(ctx context.Context, node int, q batch.AggregateQuery, rect grid.Rect, epoch uint64) (*aggregateResponse, error) {
-	url, ok := rt.urlOf(node)
-	if !ok {
-		return nil, fmt.Errorf("cluster: no endpoint for member %d", node)
-	}
-	body, err := json.Marshal(aggregateRequest{Rect: toWireRect(rect), Op: q.Op.String(), Attr: q.Attr, Epoch: epoch})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/aggregate", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Idempotency-Key", "aggregate")
-	httpResp, err := rt.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer httpResp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(httpResp.Body, 1<<20))
-	if err != nil {
-		return nil, err
-	}
-	if httpResp.StatusCode != http.StatusOK {
-		return nil, decodeErrorBody(httpResp.StatusCode, data)
-	}
-	var ar aggregateResponse
-	if err := json.Unmarshal(data, &ar); err != nil {
-		return nil, fmt.Errorf("cluster: node %d: bad aggregate body: %w", node, err)
-	}
-	return &ar, nil
-}
-
-// nodeErr bumps the per-member error counter (nil-safe).
-func (rt *Router) nodeErr(node int) {
-	if rt.mNodeErrs != nil && node >= 0 && node < rt.brkSize {
-		rt.mNodeErrs.At(node).Inc()
-	}
-}
-
-// nodeObserve records one attempt against a member (nil-safe).
-func (rt *Router) nodeObserve(node int, lat time.Duration) {
-	if node < 0 || node >= rt.brkSize {
+// nodeObserve records one attempt against a member in the per-member
+// metric families (absent without an obs sink, and for members that
+// joined after construction — the families cannot grow).
+func (rt *Router) nodeObserve(node int, lat time.Duration, err error) {
+	if rt.mNodeReqs == nil || node < 0 || node >= rt.brkSize {
 		return
 	}
-	if rt.mNodeReqs != nil {
-		rt.mNodeReqs.At(node).Inc()
-	}
-	if rt.mNodeLatency != nil {
-		rt.mNodeLatency.At(node).Observe(lat)
+	rt.mNodeReqs.At(node).Inc()
+	rt.mNodeLatency.At(node).Observe(lat)
+	if err != nil {
+		rt.mNodeErrs.At(node).Inc()
 	}
 }

@@ -1,10 +1,15 @@
 package cluster
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"strings"
+	"time"
 
 	"decluster/internal/datagen"
 	"decluster/internal/grid"
@@ -26,12 +31,78 @@ import (
 //	POST /v1/migrate/cutover  epochRequest  → epochResponse
 //	POST /v1/migrate/abort    epochRequest  → epochResponse
 //
-// Epochs: every request may carry the sender's map epoch. Epoch 0 means
-// "unversioned" (a legacy PR 6 client) and is served against the node's
-// current map. A non-zero epoch the node does not recognise draws
-// CodeStaleEpoch with the node's current map attached, so the caller can
-// adopt it and retry — the gossip path that lets routers follow
-// migrations without a coordination service.
+// Epochs: every data request carries the sender's map epoch (maps are
+// born at epoch 1). An epoch the node does not serve — absent and zero
+// included — draws CodeStaleEpoch with the node's current map attached,
+// so the caller can adopt it and retry — the gossip path that lets
+// routers follow migrations without a coordination service.
+//
+// Every client in the package (router legs, rebuilder, migrator, health
+// probe) talks to a node through exchange, and every handler answers
+// through writeJSON / writeError: a change of wire format edits those
+// three functions.
+
+// Response size caps, chosen per call site: record-carrying payloads
+// (query, bucket, migration acks) versus fixed-size answers.
+const (
+	recordPayloadLimit = 64 << 20
+	smallPayloadLimit  = 1 << 20
+)
+
+// exchange performs one HTTP round trip against a node. A non-nil in is
+// POSTed as JSON, otherwise the request is a GET; a positive timeout
+// bounds this call on top of ctx; the response body is read up to limit
+// bytes. A non-200 answer decodes through decodeErrorBody into the typed
+// error the node raised; a 200 decodes into out (nil discards it).
+func exchange(ctx context.Context, client *http.Client, timeout time.Duration, url string, in, out any, limit int64) error {
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	method, body := http.MethodGet, io.Reader(nil)
+	if in != nil {
+		data, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		method, body = http.MethodPost, bytes.NewReader(data)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	if err != nil {
+		return err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+		// Every POST in the protocol is idempotent by design — queries and
+		// aggregates are reads; prepare, bucket ingest, cutover and abort
+		// all tolerate replays. The header (its value is the endpoint's
+		// last path segment) marks the POST replayable so the transport
+		// transparently retries when a pooled keep-alive connection —
+		// closed by a node that restarted since — surfaces EOF on first
+		// reuse, instead of burning a whole attempt on a dead conn.
+		req.Header.Set("Idempotency-Key", url[strings.LastIndexByte(url, '/')+1:])
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return decodeErrorBody(resp.StatusCode, data)
+	}
+	if out == nil {
+		return nil
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("cluster: %s: bad response body: %w", url, err)
+	}
+	return nil
+}
 
 // wireRect is a grid.Rect in JSON clothing.
 type wireRect struct {
@@ -43,17 +114,9 @@ func toWireRect(r grid.Rect) wireRect {
 	return wireRect{Lo: []int(r.Lo.Clone()), Hi: []int(r.Hi.Clone())}
 }
 
-func (w wireRect) rect() grid.Rect {
-	lo := make(grid.Coord, len(w.Lo))
-	hi := make(grid.Coord, len(w.Hi))
-	for i := range w.Lo {
-		lo[i] = w.Lo[i]
-	}
-	for i := range w.Hi {
-		hi[i] = w.Hi[i]
-	}
-	return grid.Rect{Lo: lo, Hi: hi}
-}
+// rect views the coordinates in place: a wireRect is decoded afresh for
+// every request, so nothing else holds its slices.
+func (w wireRect) rect() grid.Rect { return grid.Rect{Lo: w.Lo, Hi: w.Hi} }
 
 // wireRecord is a datagen.Record in JSON clothing.
 type wireRecord struct {
@@ -85,8 +148,7 @@ type queryRequest struct {
 	// Priority feeds the node's admission queue (higher first;
 	// repair.BackgroundPriority for rebuild traffic).
 	Priority int `json:"priority,omitempty"`
-	// Epoch is the shard-map epoch the sender routed against; 0 means
-	// unversioned (legacy) and is served against the node's current map.
+	// Epoch is the shard-map epoch the sender routed against.
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 
@@ -109,8 +171,7 @@ type aggregateRequest struct {
 	Rect wireRect `json:"rect"`
 	Op   string   `json:"op"`
 	Attr int      `json:"attr,omitempty"`
-	// Epoch is the shard-map epoch the sender routed against; 0 means
-	// unversioned and is served against the node's current map.
+	// Epoch is the shard-map epoch the sender routed against.
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 
@@ -282,7 +343,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 func decodeErrorBody(status int, body []byte) error {
 	var eb errorBody
 	if err := json.Unmarshal(body, &eb); err != nil || eb.Code == "" {
-		return fmt.Errorf("cluster: HTTP %d: %s", status, truncate(body, 200))
+		return fmt.Errorf("cluster: HTTP %d: %.200s", status, body)
 	}
 	if eb.Code == CodeStaleEpoch {
 		se := &StaleEpochError{RequestEpoch: eb.Epoch, NodeEpoch: eb.NodeEpoch}
@@ -294,11 +355,4 @@ func decodeErrorBody(status int, body []byte) error {
 		return se
 	}
 	return DecodeError(eb.Code, eb.Message)
-}
-
-func truncate(b []byte, n int) string {
-	if len(b) <= n {
-		return string(b)
-	}
-	return string(b[:n]) + "…"
 }

@@ -3,6 +3,7 @@ package disksim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"decluster/internal/gridfile"
@@ -114,13 +115,8 @@ func percentileDuration(xs []time.Duration, p float64) time.Duration {
 	if len(xs) == 0 {
 		return 0
 	}
-	sorted := make([]time.Duration, len(xs))
-	copy(sorted, xs)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
 	idx := int(p*float64(len(sorted))) - 1
 	if idx < 0 {
 		idx = 0

@@ -56,6 +56,20 @@ func (r *servedReader) ReadBucket(ctx context.Context, disk, bucket int) ([]data
 	if !ok {
 		return r.observe(ctx, disk, bucket)
 	}
+	// The router's hedgeCandidate rule at disk level: a timed hedge bets
+	// that the backup answers before the primary does, and a backup whose
+	// smoothed latency already exceeds the hedge delay loses that bet on
+	// average — under saturation the extra read only deepens the queues
+	// that made the primary slow. The one exception is a primary disk
+	// known to be slower still: when the hedge leg, delay included, beats
+	// that disk's typical read, racing it is what hedging is for. The
+	// gate covers only the timed hedge — an on-error hedge is failover
+	// for a read that already failed, not a bet on latency.
+	backup := s.health.EWMALatency(alt)
+	timed := backup <= s.hedge.After || s.hedge.After+backup < s.health.EWMALatency(disk)
+	if !timed && !s.hedge.OnError {
+		return r.observe(ctx, disk, bucket)
+	}
 
 	// The hedge race hangs its leg spans off the executor's attempt
 	// span, which rides the context.
@@ -97,13 +111,17 @@ func (r *servedReader) ReadBucket(ctx context.Context, disk, bucket int) ([]data
 	}
 	launch(disk, nil)
 
-	timer := time.NewTimer(s.hedge.After)
-	defer timer.Stop()
+	var timerC <-chan time.Time
+	if timed {
+		timer := time.NewTimer(s.hedge.After)
+		defer timer.Stop()
+		timerC = timer.C
+	}
 	hedged := false
 	var firstErr error
 	for {
 		select {
-		case <-timer.C:
+		case <-timerC:
 			if !hedged {
 				hedged = true
 				s.stats.HedgesIssued.Add(1)

@@ -469,6 +469,46 @@ func TestHedgingBeatsStraggler(t *testing.T) {
 	}
 }
 
+// Hedging must not amplify saturation: once every replica's smoothed
+// read latency exceeds the hedge delay, a backup read cannot beat the
+// straggling primary — it only deepens the queues that made it slow — so
+// the scheduler stops issuing hedges. The disk-level twin of the
+// router's TestRouterHedgeSuppressedUnderSaturation.
+func TestHedgeSuppressedUnderSaturation(t *testing.T) {
+	f := newLoadedFile(t, 4, 1000)
+	rep, err := replica.NewOffset(f.Method(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const base = 2 * time.Millisecond
+	s, err := New(f,
+		WithFailover(rep),
+		WithBaseLatency(base), // every disk serves at 2ms, past the 1.5ms hedge delay
+		WithHedging(HedgeConfig{After: 3 * base / 4, OnError: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := f.Grid().MustRect(grid.Coord{0, 0}, grid.Coord{7, 7})
+	// First search: EWMAs start cold at zero, so hedging is still allowed
+	// — and every disk it touches records ~2ms samples.
+	want, err := s.Search(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := s.Stats().HedgesIssued
+	got, err := s.Search(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Records) != len(want.Records) {
+		t.Fatalf("suppressed run returned %d records, want %d", len(got.Records), len(want.Records))
+	}
+	if issued := s.Stats().HedgesIssued - warm; issued != 0 {
+		t.Fatalf("%d hedge reads issued although every replica is slower than the hedge delay", issued)
+	}
+}
+
 func TestCloseDrainsAndStopsAdmissions(t *testing.T) {
 	f := newLoadedFile(t, 4, 500)
 	gr := &gatedReader{inner: exec.NewFileReader(f), gate: make(chan struct{}), started: make(chan struct{})}
