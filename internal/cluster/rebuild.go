@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"decluster/internal/exec"
 	"decluster/internal/fault"
 	"decluster/internal/grid"
 	"decluster/internal/obs"
@@ -23,6 +24,10 @@ import (
 // not. Every ErrNoDonor also matches fault.ErrUnavailable, so existing
 // "data unreachable" handling sees it without changes.
 var ErrNoDonor = errors.New("cluster: every donor hard-down")
+
+// donorBackoff paces the rounds through a bucket's donor list: 1ms
+// doubling, capped at 50ms.
+var donorBackoff = exec.RetryPolicy{BaseBackoff: time.Millisecond, MaxBackoff: 50 * time.Millisecond}
 
 // noDonorRounds is how many consecutive all-hard rounds the fetch loop
 // tolerates before giving up with ErrNoDonor. Two rounds filter out a
@@ -52,8 +57,8 @@ type RebuildConfig struct {
 	// bucket may take before the rebuild gives up (8 when 0). Donors
 	// shed background reads whenever foreground load wants the disk, so
 	// a patient retry loop — not a first-failure abort — is what lets a
-	// rebuild make progress through sustained traffic. Rounds back off
-	// exponentially (1ms doubling, capped at 50ms). Exception: when
+	// rebuild make progress through sustained traffic (rounds run
+	// donorBackoff apart). Exception: when
 	// every donor fails hard (transport error or timeout — nobody home)
 	// for noDonorRounds consecutive rounds, the fetch fails fast with
 	// ErrNoDonor instead of waiting out the budget.
@@ -203,9 +208,13 @@ type fetchOpts struct {
 func fetchBucket(ctx context.Context, donors []int, c grid.Coord, o fetchOpts) ([]wireRecord, int, error) {
 	var lastErr error
 	retries := 0
-	delay := time.Millisecond
 	allHardRounds := 0
 	for round := 0; round < o.attempts; round++ {
+		if round > 0 {
+			if err := donorBackoff.Wait(ctx, round); err != nil {
+				return nil, retries, err
+			}
+		}
 		allHard := true
 		for i, donor := range donors {
 			if round > 0 || i > 0 {
@@ -235,15 +244,6 @@ func fetchBucket(ctx context.Context, donors []int, c grid.Coord, o fetchOpts) (
 			}
 		} else {
 			allHardRounds = 0
-		}
-		if round == o.attempts-1 {
-			break
-		}
-		if err := sleepCtx(ctx, delay); err != nil {
-			return nil, retries, err
-		}
-		if delay *= 2; delay > 50*time.Millisecond {
-			delay = 50 * time.Millisecond
 		}
 	}
 	return nil, retries, fmt.Errorf("%w: %d donors failed %d rounds (last: %v)",

@@ -16,6 +16,7 @@ import (
 	"decluster/internal/fault"
 	"decluster/internal/grid"
 	"decluster/internal/gridfile"
+	"decluster/internal/hedge"
 	"decluster/internal/obs"
 	"decluster/internal/serve"
 )
@@ -309,7 +310,7 @@ func breakerCountable(err error) bool {
 // retryTransient reports whether a failure says the node is merely
 // busy — it timed out or shed load and may well answer the next round —
 // as opposed to down (transport failure) or refusing for a typed
-// reason. Hedged dispatch uses it to rank leg errors: "one replica is
+// reason. preferLegError uses it to rank leg errors: "one replica is
 // slow" must not be masked by "the other replica is dead".
 func retryTransient(err error) bool {
 	return errors.Is(err, errNodeTimeout) ||
@@ -361,12 +362,16 @@ type gathered[R any] struct {
 	retries, hedges, hedgeWins int
 }
 
+// followBackoff paces stale-epoch follows: 1ms doubling per follow,
+// capped at 8ms — enough to let a cutover wave settle, small enough to
+// stay invisible in p99.
+var followBackoff = exec.RetryPolicy{BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond}
+
 // followEpochs runs one query round under the current routing view and,
 // while the round fails on a stale epoch with a strictly newer map
 // attached, adopts that map and re-runs — up to maxEpochFollows times,
-// sleeping 1ms doubling per follow, capped at 8ms: enough to let a
-// cutover wave settle, small enough to stay invisible in p99. It returns
-// the last round's answer and how many adoptions it chased.
+// followBackoff apart. It returns the last round's answer and how many
+// adoptions it chased.
 func followEpochs[T any](ctx context.Context, rt *Router, root *obs.Span, round func(cur, pending *ShardMap) (T, error)) (T, int, error) {
 	for follow := 0; ; follow++ {
 		cur, pending := rt.view()
@@ -377,7 +382,7 @@ func followEpochs[T any](ctx context.Context, rt *Router, root *obs.Span, round 
 			if stale.Map != nil && stale.Map.Epoch() > cur.Epoch() && follow < maxEpochFollows {
 				rt.Adopt(stale.Map)
 				root.Annotate(fmt.Sprintf("stale epoch %d, adopted %d", cur.Epoch(), stale.Map.Epoch()))
-				if berr := sleepCtx(ctx, min(time.Millisecond<<follow, 8*time.Millisecond)); berr != nil {
+				if berr := followBackoff.Wait(ctx, follow+1); berr != nil {
 					var zero T
 					return zero, follow, berr
 				}
@@ -574,8 +579,8 @@ func scatter[R any](ctx context.Context, rt *Router, op legOp[R], q grid.Rect, s
 
 // runSub answers one sub-query: Retry.MaxAttempts attempts, each
 // against the next replica in rotation (skipping open breakers when a
-// closed one exists), each hedged after HedgeAfter, with exponential
-// backoff between rounds. Candidates are stable member IDs.
+// closed one exists), each a hedge.Race against hedgeCandidate's
+// replica, Retry.Wait apart. Candidates are stable member IDs.
 //
 // The configured attempt budget is a floor, not a ceiling: when the
 // caller set a deadline, that deadline is the real budget, and node
@@ -589,11 +594,15 @@ func scatter[R any](ctx context.Context, rt *Router, op legOp[R], q grid.Rect, s
 // typed refusals (below) prove another round is pointless.
 func runSub[R any](ctx context.Context, rt *Router, op legOp[R], sq SubQuery, sm *ShardMap, parent *obs.Span, prio int) subOutcome[R] {
 	span := parent.Child(fmt.Sprintf("%s %d %v", op.span, sq.Shard, sq.Rect))
-	leg := func(ctx context.Context, node int, kind string) legResult[R] {
+	leg := func(ctx context.Context, node int, hedgeLeg bool) (*R, error) {
+		kind := "leg"
+		if hedgeLeg {
+			kind = "hedge"
+		}
 		s := span.Child(fmt.Sprintf("%s node %d", kind, node))
 		resp, err := callNode(ctx, rt, op, node, sq.Rect, sm.Epoch(), prio)
 		s.FinishErr(err)
-		return legResult[R]{node: node, resp: resp, err: err}
+		return resp, err
 	}
 	candidates := sm.ShardMembers(sq.Shard)
 	var o subOutcome[R]
@@ -603,22 +612,22 @@ func runSub[R any](ctx context.Context, rt *Router, op legOp[R], sq SubQuery, sm
 	for ; attempt < rt.retry.MaxAttempts || hasDeadline; attempt++ {
 		if attempt > 0 {
 			o.retries++
-			if err := rt.backoff(ctx, attempt); err != nil {
+			if err := rt.retry.Wait(ctx, attempt); err != nil {
 				o.err = err
 				span.FinishErr(err)
 				return o
 			}
 		}
 		node := rt.pickNode(candidates, attempt)
-		hedgeNode := rt.hedgeCandidate(candidates, node)
-		r, hedged := dispatch(ctx, rt.hedge, node, hedgeNode, leg)
+		backup, after := rt.hedgeCandidate(candidates, node)
+		resp, winner, hedged, err := hedge.Race(ctx, after, node, backup, leg, preferLegError)
 		if hedged {
 			o.hedges++
 		}
-		if r.err == nil {
-			o.resp, o.node = r.resp, r.node
-			o.hedgeWon = hedged && r.node == hedgeNode
-			span.Annotate(fmt.Sprintf("node %d", r.node))
+		if err == nil {
+			o.resp, o.node = resp, winner
+			o.hedgeWon = hedged && winner == backup
+			span.Annotate(fmt.Sprintf("node %d", winner))
 			span.Finish()
 			return o
 		}
@@ -627,8 +636,8 @@ func runSub[R any](ctx context.Context, rt *Router, op legOp[R], sq SubQuery, sm
 			span.FinishErr(o.err)
 			return o
 		}
-		lastErr = r.err
-		if errors.Is(r.err, ErrNotHosted) || errors.Is(r.err, ErrStaleEpoch) {
+		lastErr = err
+		if errors.Is(err, ErrNotHosted) || errors.Is(err, ErrStaleEpoch) {
 			// Not a node fault: no replica will answer differently for a
 			// routing bug, and a stale epoch needs adoption, not retry.
 			break
@@ -654,42 +663,41 @@ func (rt *Router) pickNode(candidates []int, attempt int) int {
 	return candidates[attempt%n]
 }
 
-// hedgeCandidate returns the replica a hedge leg should target: the
-// first allowed candidate differing from primary whose own observed
-// latency leaves it a chance of beating the straggler, or -1 when none
-// exists (single replica, or everything else broken or saturated).
-//
-// The latency gate is what keeps hedging from amplifying overload: a
-// hedge is a bet that the backup answers faster than a straggling
-// primary, and when the backup's smoothed latency already exceeds the
-// hedge delay the bet is lost on average — every extra leg then just
-// deepens the very queues that made the primary slow. Under a flash
-// crowd this feedback loop (slow → hedge → slower) is what tips a
+// hedgeCandidate returns the replica a hedge leg should target — the
+// first allowed candidate differing from primary, or -1 when hedging is
+// off or none exists (single replica, everything else broken) — and the
+// delay to arm it with: HedgeAfter when the shared gate (hedge.Worth,
+// on the members' smoothed latencies) says a timed hedge is worth
+// issuing, 0 when it is not. The gate is what keeps hedging from
+// amplifying overload: under a flash crowd slow → hedge → slower tips a
 // saturated-but-stable cluster into breaker trips and retry storms, so
-// once EVERY replica of a shard reports sick latency the router stops
-// hedging that shard entirely and lets single legs drain the queues.
-func (rt *Router) hedgeCandidate(candidates []int, primary int) int {
+// once every replica of a shard reports sick latency the router stops
+// hedging that shard and lets single legs drain the queues. A closed
+// gate still leaves the backup as the failover target of a leg that
+// fails outright.
+func (rt *Router) hedgeCandidate(candidates []int, primary int) (backup int, after time.Duration) {
 	if rt.hedge <= 0 {
-		return -1
+		return -1, 0
 	}
 	for _, c := range candidates {
-		if c != primary && rt.allowMember(c) && rt.brk.EWMALatency(c) <= rt.hedge {
-			return c
+		if c != primary && rt.allowMember(c) {
+			if hedge.Worth(rt.hedge, rt.brk.EWMALatency(primary), rt.brk.EWMALatency(c)) {
+				return c, rt.hedge
+			}
+			return c, 0
 		}
 	}
-	return -1
+	return -1, 0
 }
 
-// preferLegError picks which failed leg's error a hedged dispatch
-// reports. A stale-epoch error always wins — it carries the newer map
+// preferLegError picks which failed leg's error a doubly failed hedged
+// race reports. A stale-epoch error always wins — it carries the newer map
 // the router must adopt. Otherwise a transient failure (timeout,
 // shedding) wins over a fast refusal: the retry loop reads the verdict
 // to decide whether another rotation is worthwhile, and "one replica is
 // merely slow" must not be masked by "the other replica is down".
 func preferLegError(cur, next error) error {
 	switch {
-	case cur == nil:
-		return next
 	case errors.Is(cur, ErrStaleEpoch):
 		return cur
 	case errors.Is(next, ErrStaleEpoch):
@@ -698,67 +706,6 @@ func preferLegError(cur, next error) error {
 		return next
 	}
 	return cur
-}
-
-// legResult is one dispatch leg's outcome.
-type legResult[R any] struct {
-	node int
-	resp *R
-	err  error
-}
-
-// dispatch runs leg against primary and, if it is still unanswered after
-// the hedge delay, races a second leg to hedgeNode against the first.
-// The first success wins and the loser's context is cancelled; a lost
-// leg's cancellation is invisible to node health (the breaker ignores
-// context errors). It returns the winning (or most telling failed) leg
-// and whether a hedge leg was launched.
-func dispatch[R any](ctx context.Context, after time.Duration, primary, hedgeNode int, leg func(ctx context.Context, node int, kind string) legResult[R]) (legResult[R], bool) {
-	if hedgeNode < 0 {
-		// Nothing worth racing (hedging off, a single replica, every
-		// backup broken or saturated): the leg runs right here on the
-		// sub-query goroutine, with no goroutine, channel or timer.
-		return leg(ctx, primary, "leg"), false
-	}
-
-	legCtx, cancelLegs := context.WithCancel(ctx)
-	defer cancelLegs() // aborts the losing leg once a winner returns
-	results := make(chan legResult[R], 2)
-	inflight := 0
-	launch := func(node int, kind string) {
-		inflight++
-		go func() { results <- leg(legCtx, node, kind) }()
-	}
-	launch(primary, "leg")
-	hedgeTimer := time.NewTimer(after)
-	defer hedgeTimer.Stop()
-	hedgeC, hedged := hedgeTimer.C, false
-
-	var failed legResult[R]
-	for {
-		select {
-		case <-hedgeC:
-			hedgeC, hedged = nil, true
-			launch(hedgeNode, "hedge")
-		case r := <-results:
-			inflight--
-			if r.err == nil {
-				return r, hedged
-			}
-			failed.err = preferLegError(failed.err, r.err)
-			switch {
-			case !hedged:
-				// Primary failed before the hedge timer: fire the hedge
-				// now rather than waiting out the timer.
-				hedgeTimer.Reset(0)
-			case inflight == 0:
-				return failed, hedged
-			}
-		case <-ctx.Done():
-			failed.err = ctx.Err()
-			return failed, hedged
-		}
-	}
 }
 
 // callNode performs one attempt against a member, bounded by the
@@ -788,20 +735,6 @@ func callNode[R any](ctx context.Context, rt *Router, op legOp[R], node int, rec
 	}
 	rt.nodeObserve(node, lat, err)
 	return resp, err
-}
-
-// backoff sleeps the exponential retry delay for the given attempt
-// (1-based round), honouring cancellation.
-func (rt *Router) backoff(ctx context.Context, attempt int) error {
-	d := rt.retry.BaseBackoff
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if rt.retry.MaxBackoff > 0 && d >= rt.retry.MaxBackoff {
-			d = rt.retry.MaxBackoff
-			break
-		}
-	}
-	return sleepCtx(ctx, d)
 }
 
 // sleepCtx sleeps d (not at all when d <= 0), honouring cancellation.

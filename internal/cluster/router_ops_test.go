@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"decluster/internal/exec"
 	"decluster/internal/fault"
 	"decluster/internal/grid"
+	"decluster/internal/hedge"
 	"decluster/internal/obs"
 )
 
@@ -227,6 +229,83 @@ func TestRouterOps(t *testing.T) {
 	for _, op := range routerOps {
 		for _, sc := range scenarios {
 			t.Run(op.name+"/"+sc.name, func(t *testing.T) { sc.run(t, op) })
+		}
+	}
+}
+
+// TestRouterHedgingBeatsStraggler is the node-level twin of serve's
+// TestHedgingBeatsStraggler: HedgeAfter sits below a healthy round trip,
+// so every replica's smoothed latency exceeds it, yet member 0 is a
+// straggler two orders of magnitude slower than the replicas of its
+// shards. The hedge leg, delay included, beats that straggler, so the
+// shared gate must let it race — and it must win.
+func TestRouterHedgingBeatsStraggler(t *testing.T) {
+	const hedgeAfter = time.Millisecond
+	for _, op := range routerOps {
+		t.Run(op.name, func(t *testing.T) {
+			ctx := context.Background()
+			sink := obs.NewSink()
+			tc := startTestCluster(t, 4, 2, RouterConfig{
+				HedgeAfter: hedgeAfter, NodeDeadline: 5 * time.Second, Obs: sink,
+			})
+			for n, factor := range []float64{101, 2, 2, 2} { // (factor-1)·2ms: 200ms, then 2ms each
+				if err := tc.h.Faults().SetNodeSlow(n, factor); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Warm every member's EWMA with raw legs: in a hedged query the
+			// straggler's leg loses its race and leaves no sample.
+			rt, sm := tc.h.Router(), tc.h.Map()
+			for n := 0; n < 4; n++ {
+				rect := sm.Shard(sm.HostedShardsOfMember(n)[0]).Rect
+				if err := op.leg(ctx, rt, n, rect, sm.Epoch()); err != nil {
+					t.Fatalf("warm-up leg to member %d: %v", n, err)
+				}
+			}
+			slow := rt.Breakers().EWMALatency(0)
+			for n := 1; n < 4; n++ {
+				if l := rt.Breakers().EWMALatency(n); l <= hedgeAfter || slow < 10*l {
+					t.Fatalf("member %d EWMA %v, straggler %v, hedge delay %v: not the scenario under test", n, l, slow, hedgeAfter)
+				}
+			}
+			start := time.Now()
+			if _, _, err := op.ask(ctx, t, tc, tc.g.FullRect()); err != nil {
+				t.Fatal(err)
+			}
+			if elapsed := time.Since(start); elapsed > 150*time.Millisecond {
+				t.Errorf("took %v; the 200ms straggler's latency leaked through", elapsed)
+			}
+			reg := sink.Registry()
+			if hedges, wins := reg.Counter("cluster.router.hedges").Value(), reg.Counter("cluster.router.hedgewins").Value(); hedges == 0 || wins == 0 {
+				t.Errorf("%d hedges issued, %d won against a straggler the hedge leg beats", hedges, wins)
+			}
+		})
+	}
+}
+
+// A hedged attempt whose legs both failed reports what the retry loop
+// most needs to know: a stale epoch (it carries the newer map) beats
+// everything, and "one replica is merely busy" beats "the other is
+// down", whichever leg drew which.
+func TestDoublyFailedAttemptPrefersLegError(t *testing.T) {
+	stale := &StaleEpochError{NodeEpoch: 7}
+	busy := fmt.Errorf("%w: node 1", errNodeTimeout)
+	down := errors.New("EOF")
+	for _, tc := range []struct{ primary, backup, want error }{
+		{busy, stale, stale},
+		{stale, busy, stale},
+		{down, busy, busy},
+		{busy, down, busy},
+		{down, errors.New("connection refused"), down},
+	} {
+		leg := func(_ context.Context, node int, _ bool) (*queryResponse, error) {
+			if node == 0 {
+				return nil, tc.primary
+			}
+			return nil, tc.backup
+		}
+		if _, _, _, err := hedge.Race(context.Background(), time.Hour, 0, 1, leg, preferLegError); err != tc.want {
+			t.Errorf("primary %v, backup %v: reported %v, want %v", tc.primary, tc.backup, err, tc.want)
 		}
 	}
 }

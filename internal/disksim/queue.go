@@ -3,10 +3,10 @@ package disksim
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"time"
 
 	"decluster/internal/gridfile"
+	"decluster/internal/stats"
 )
 
 // QueueResult summarizes an open-system simulation run.
@@ -96,7 +96,7 @@ func (s *Simulator) SimulateOpen(traces []gridfile.Trace, rate float64, n int, s
 		sum += r
 	}
 	res.MeanResponse = sum / time.Duration(n)
-	res.P95Response = percentileDuration(responses, 0.95)
+	res.P95Response = stats.NearestRank(responses, 0.95)
 	if makespan > 0 {
 		maxBusy := time.Duration(0)
 		for _, b := range busy {
@@ -107,22 +107,4 @@ func (s *Simulator) SimulateOpen(traces []gridfile.Trace, rate float64, n int, s
 		res.Utilization = float64(maxBusy) / float64(makespan)
 	}
 	return res, nil
-}
-
-// percentileDuration returns the p-quantile (0 < p ≤ 1) by sorting a
-// copy.
-func percentileDuration(xs []time.Duration, p float64) time.Duration {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := slices.Clone(xs)
-	slices.Sort(sorted)
-	idx := int(p*float64(len(sorted))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

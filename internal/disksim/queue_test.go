@@ -94,20 +94,3 @@ func TestSimulateOpenDeterministic(t *testing.T) {
 		t.Fatal("different seeds produced identical results")
 	}
 }
-
-func TestPercentileDuration(t *testing.T) {
-	xs := []time.Duration{5, 1, 4, 2, 3}
-	if got := percentileDuration(xs, 1.0); got != 5 {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := percentileDuration(xs, 0.2); got != 1 {
-		t.Errorf("p20 = %v", got)
-	}
-	if got := percentileDuration(nil, 0.5); got != 0 {
-		t.Errorf("empty percentile = %v", got)
-	}
-	// Input must not be mutated.
-	if xs[0] != 5 {
-		t.Error("percentileDuration mutated input")
-	}
-}

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -45,6 +46,41 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the doubled backoff (0 = uncapped).
 	MaxBackoff time.Duration
+}
+
+// Delay is the backoff before retry number retry (1-based): BaseBackoff
+// doubled retry−1 times and capped at MaxBackoff.
+func (p RetryPolicy) Delay(retry int) time.Duration {
+	d, limit := p.BaseBackoff, p.MaxBackoff
+	if limit <= 0 {
+		limit = math.MaxInt64
+	}
+	for i := 1; i < retry; i++ {
+		if d > limit/2 {
+			return limit // the next doubling would pass the cap (or overflow)
+		}
+		d *= 2
+	}
+	return min(d, limit)
+}
+
+// Wait sleeps Delay(retry), returning early with ctx.Err() when the
+// context ends first. Every backoff in the repository — bucket reads,
+// router rotation, epoch follows, rebuild sheds, donor rounds — is this
+// schedule under its own policy.
+func (p RetryPolicy) Wait(ctx context.Context, retry int) error {
+	d := p.Delay(retry)
+	if d <= 0 {
+		return ctx.Err()
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
 }
 
 // DefaultRetry is a policy suited to the transient faults the injector
@@ -549,28 +585,21 @@ func (e *Executor) primaryRouteRect(qs *queryState, r grid.Rect) {
 	}
 }
 
-// route partitions the query's buckets into per-disk work lists held in
-// qs.perDisk. With fail-stop disks present it either reroutes via the
-// replica scheme's min-makespan degraded assignment or — without
-// replication — reports the unreachable buckets as a typed
-// *fault.UnavailableError. Disks named by the WithAvoid hook are
-// additionally routed around when the failover scheme permits, falling
-// back to reading them when it does not: avoidance is advisory,
-// fail-stop is not.
-func (e *Executor) route(qs *queryState, r grid.Rect) (rerouted int, degraded bool, err error) {
-	g := e.file.Grid()
-	perDisk := qs.perDisk
+// routeStart is the preamble route and routeBuckets share: it empties
+// the query's per-disk work lists and returns them with the fail-stop
+// disk set and the set to route around. The avoid set extends the
+// failed set with the WithAvoid disks; it only matters when a failover
+// scheme exists to route around them. On a healthy executor both sets
+// are nil and nothing is allocated.
+func (e *Executor) routeStart(qs *queryState) (perDisk [][]int, failed, avoid map[int]bool) {
+	perDisk = qs.perDisk
 	for d := range perDisk {
 		perDisk[d] = perDisk[d][:0]
 	}
-	var failed map[int]bool
 	if e.inj != nil {
 		failed = e.inj.FailedSet()
 	}
-
-	// The avoid set extends the failed set for routing purposes; it only
-	// matters when a failover scheme exists to route around its disks.
-	avoid := failed
+	avoid = failed
 	if e.avoid != nil && e.failover != nil {
 		if extra := e.avoid(); len(extra) > 0 {
 			avoid = make(map[int]bool, len(failed)+len(extra))
@@ -584,7 +613,20 @@ func (e *Executor) route(qs *queryState, r grid.Rect) (rerouted int, degraded bo
 			}
 		}
 	}
+	return perDisk, failed, avoid
+}
 
+// route partitions the query's buckets into per-disk work lists held in
+// qs.perDisk. With fail-stop disks present it either reroutes via the
+// replica scheme's min-makespan degraded assignment or — without
+// replication — reports the unreachable buckets as a typed
+// *fault.UnavailableError. Disks named by the WithAvoid hook are
+// additionally routed around when the failover scheme permits, falling
+// back to reading them when it does not: avoidance is advisory,
+// fail-stop is not.
+func (e *Executor) route(qs *queryState, r grid.Rect) (rerouted int, degraded bool, err error) {
+	g := e.file.Grid()
+	perDisk, failed, avoid := e.routeStart(qs)
 	if len(avoid) == 0 {
 		// Healthy path: primary routing straight off the method.
 		e.primaryRouteRect(qs, r)
@@ -607,12 +649,7 @@ func (e *Executor) route(qs *queryState, r grid.Rect) (rerouted int, degraded bo
 			return true
 		})
 		if len(unreachable) > 0 {
-			fd := make([]int, 0, len(failed))
-			for d := range failed {
-				fd = append(fd, d)
-			}
-			sort.Ints(fd)
-			return 0, true, &fault.UnavailableError{Buckets: unreachable, FailedDisks: fd}
+			return 0, true, &fault.UnavailableError{Buckets: unreachable, FailedDisks: setToSlice(failed)}
 		}
 		return 0, true, nil
 	}
@@ -673,30 +710,7 @@ func (e *Executor) primaryRouteBuckets(qs *queryState, buckets []int) {
 // batch scheduling policy turns.
 func (e *Executor) routeBuckets(qs *queryState, buckets []int) (rerouted int, degraded bool, err error) {
 	g := e.file.Grid()
-	perDisk := qs.perDisk
-	for d := range perDisk {
-		perDisk[d] = perDisk[d][:0]
-	}
-	var failed map[int]bool
-	if e.inj != nil {
-		failed = e.inj.FailedSet()
-	}
-
-	avoid := failed
-	if e.avoid != nil && e.failover != nil {
-		if extra := e.avoid(); len(extra) > 0 {
-			avoid = make(map[int]bool, len(failed)+len(extra))
-			for d := range failed {
-				avoid[d] = true
-			}
-			for _, d := range extra {
-				if d >= 0 && d < e.file.Disks() {
-					avoid[d] = true
-				}
-			}
-		}
-	}
-
+	perDisk, failed, avoid := e.routeStart(qs)
 	if len(avoid) == 0 {
 		e.primaryRouteBuckets(qs, buckets)
 		return 0, false, nil
@@ -720,8 +734,7 @@ func (e *Executor) routeBuckets(qs *queryState, buckets []int) (rerouted int, de
 		}
 		if len(unreachable) > 0 {
 			sort.Ints(unreachable)
-			fd := setToSlice(failed)
-			return 0, true, &fault.UnavailableError{Buckets: unreachable, FailedDisks: fd}
+			return 0, true, &fault.UnavailableError{Buckets: unreachable, FailedDisks: setToSlice(failed)}
 		}
 		return 0, true, nil
 	}
@@ -778,7 +791,6 @@ func (e *Executor) readWithRetry(ctx context.Context, reader BucketReader, dsp *
 		t.calls++
 		lat = e.metrics.diskLatency.At(disk)
 	}
-	backoff := e.retry.BaseBackoff
 	for attempt := 1; ; attempt++ {
 		rctx := ctx
 		var asp *obs.Span
@@ -814,21 +826,11 @@ func (e *Executor) readWithRetry(ctx context.Context, reader BucketReader, dsp *
 		if t != nil {
 			t.retried++
 		}
-		if backoff > 0 {
-			timer := time.NewTimer(backoff)
-			select {
-			case <-ctx.Done():
-				timer.Stop()
-				if t != nil {
-					t.cancelled++
-				}
-				return nil, attempt - 1, ctx.Err()
-			case <-timer.C:
+		if err := e.retry.Wait(ctx, attempt); err != nil {
+			if t != nil {
+				t.cancelled++
 			}
-			backoff *= 2
-			if e.retry.MaxBackoff > 0 && backoff > e.retry.MaxBackoff {
-				backoff = e.retry.MaxBackoff
-			}
+			return nil, attempt - 1, err
 		}
 	}
 }

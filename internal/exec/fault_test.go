@@ -422,3 +422,54 @@ func TestDefaultRetry(t *testing.T) {
 		t.Errorf("DefaultRetry %+v malformed", p)
 	}
 }
+
+// TestRetryPolicyDelay pins the one backoff schedule under the four
+// parameterisations it replaced hand-rolled loops for.
+func TestRetryPolicyDelay(t *testing.T) {
+	const us, ms = time.Microsecond, time.Millisecond
+	cases := []struct {
+		name string
+		p    RetryPolicy
+		want []time.Duration // Delay(1), Delay(2), …
+	}{
+		{"bucket reads (DefaultRetry)", DefaultRetry(),
+			[]time.Duration{1 * ms, 2 * ms, 4 * ms, 8 * ms, 8 * ms}},
+		{"router rotation (a RouterConfig.Retry)", RetryPolicy{BaseBackoff: 3 * ms, MaxBackoff: 10 * ms},
+			[]time.Duration{3 * ms, 6 * ms, 10 * ms, 10 * ms}},
+		{"rebuild reads shed by admission", RetryPolicy{BaseBackoff: 200 * us, MaxBackoff: 3200 * us},
+			[]time.Duration{200 * us, 400 * us, 800 * us, 1600 * us, 3200 * us, 3200 * us}},
+		{"donor rounds", RetryPolicy{BaseBackoff: ms, MaxBackoff: 50 * ms},
+			[]time.Duration{1 * ms, 2 * ms, 4 * ms, 8 * ms, 16 * ms, 32 * ms, 50 * ms, 50 * ms}},
+		{"uncapped", RetryPolicy{BaseBackoff: ms},
+			[]time.Duration{1 * ms, 2 * ms, 4 * ms, 8 * ms, 16 * ms}},
+		{"no sleeping", RetryPolicy{MaxBackoff: 8 * ms}, []time.Duration{0, 0, 0}},
+		{"base above the cap", RetryPolicy{BaseBackoff: 10 * ms, MaxBackoff: 8 * ms}, []time.Duration{8 * ms, 8 * ms}},
+	}
+	for _, tc := range cases {
+		for i, want := range tc.want {
+			if got := tc.p.Delay(i + 1); got != want {
+				t.Errorf("%s: Delay(%d) = %v, want %v", tc.name, i+1, got, want)
+			}
+		}
+	}
+	// Far past the point a doubling would overflow, an uncapped schedule
+	// saturates instead of wrapping to a negative (that is, no) sleep.
+	if got := (RetryPolicy{BaseBackoff: ms}).Delay(500); got <= 0 {
+		t.Errorf("uncapped Delay(500) = %v", got)
+	}
+}
+
+// A context that is already over is reported without sleeping — under
+// an hour-long schedule this test would otherwise time out.
+func TestRetryPolicyWaitCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, p := range []RetryPolicy{{BaseBackoff: time.Hour}, {}} {
+		if err := p.Wait(ctx, 3); !errors.Is(err, context.Canceled) {
+			t.Errorf("%+v: Wait on a cancelled context = %v", p, err)
+		}
+	}
+	if err := (RetryPolicy{}).Wait(context.Background(), 1); err != nil {
+		t.Errorf("zero policy Wait = %v", err)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,6 +19,7 @@ import (
 	"decluster/internal/obs"
 	"decluster/internal/replica"
 	"decluster/internal/serve"
+	"decluster/internal/stats"
 	"decluster/internal/table"
 )
 
@@ -376,9 +376,8 @@ func runBatchGoodputCell(f *gridfile.File, pool []grid.Rect, batched bool, polic
 	cell.Answered = answered.Load()
 	cell.Failed = failed.Load()
 	cell.GoodputQPS = float64(cell.Answered) / cfg.Duration.Seconds()
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	cell.P50 = percentileDur(lats, 0.50)
-	cell.P99 = percentileDur(lats, 0.99)
+	cell.P50 = stats.NearestRank(lats, 0.50)
+	cell.P99 = stats.NearestRank(lats, 0.99)
 	return cell, nil
 }
 

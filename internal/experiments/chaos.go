@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,6 +19,7 @@ import (
 	"decluster/internal/obs"
 	"decluster/internal/replica"
 	"decluster/internal/serve"
+	"decluster/internal/stats"
 	"decluster/internal/table"
 )
 
@@ -275,7 +275,7 @@ func runChaosCell(f *gridfile.File, rep *replica.Replicated, hedged bool, cfg Ch
 		opts = append(opts, serve.WithFailover(rep))
 	}
 	if hedged {
-		opts = append(opts, serve.WithHedging(serve.HedgeConfig{After: cfg.HedgeAfter, OnError: true}))
+		opts = append(opts, serve.WithHedging(serve.HedgeConfig{After: cfg.HedgeAfter}))
 	}
 	if cfg.Obs != nil {
 		opts = append(opts, serve.WithObserver(cfg.Obs))
@@ -413,24 +413,10 @@ func runChaosCell(f *gridfile.File, rep *replica.Replicated, hedged bool, cfg Ch
 	cell.HedgesIssued = snap.Stats.HedgesIssued
 	cell.HedgesWon = snap.Stats.HedgesWon
 	cell.BreakerTrips = snap.Stats.BreakerTrips
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	cell.P50 = percentileDur(lats, 0.50)
-	cell.P99 = percentileDur(lats, 0.99)
-	cell.P999 = percentileDur(lats, 0.999)
+	cell.P50 = stats.NearestRank(lats, 0.50)
+	cell.P99 = stats.NearestRank(lats, 0.99)
+	cell.P999 = stats.NearestRank(lats, 0.999)
 	return cell, nil
-}
-
-// percentileDur reads the p-quantile of ascending-sorted latencies
-// (nearest-rank; 0 when empty).
-func percentileDur(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)))
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
 
 // Table renders the soak: one row per method × scheme.

@@ -100,16 +100,3 @@ func TestChaosValidation(t *testing.T) {
 		t.Error("unknown method filter accepted")
 	}
 }
-
-func TestPercentileDur(t *testing.T) {
-	if got := percentileDur(nil, 0.5); got != 0 {
-		t.Errorf("empty percentile = %v, want 0", got)
-	}
-	lats := []time.Duration{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := percentileDur(lats, 0.5); got != 6 {
-		t.Errorf("p50 = %v, want 6", got)
-	}
-	if got := percentileDur(lats, 0.999); got != 10 {
-		t.Errorf("p999 = %v, want 10", got)
-	}
-}

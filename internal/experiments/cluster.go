@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,6 +20,7 @@ import (
 	"decluster/internal/obs"
 	"decluster/internal/repair"
 	"decluster/internal/serve"
+	"decluster/internal/stats"
 	"decluster/internal/table"
 )
 
@@ -632,9 +632,8 @@ func runClusterCell(sm *cluster.ShardMap, method alloc.Method, records []datagen
 	cell.Hedges = hedges.Load()
 	cell.HedgeWins = hedgeWins.Load()
 	cell.Retries = retries.Load()
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	cell.P50 = percentileDur(lats, 0.50)
-	cell.P99 = percentileDur(lats, 0.99)
+	cell.P50 = stats.NearestRank(lats, 0.50)
+	cell.P99 = stats.NearestRank(lats, 0.99)
 	return cell, nil
 }
 

@@ -22,6 +22,7 @@ import (
 	"decluster/internal/repair"
 	"decluster/internal/replica"
 	"decluster/internal/serve"
+	"decluster/internal/stats"
 	"decluster/internal/table"
 )
 
@@ -429,13 +430,10 @@ func runRecoveryCell(m alloc.Method, rep *replica.Replicated, rate float64, cfg 
 	cell.Issued = issued.Load()
 	cell.Completed = completed.Load()
 	cell.Failed = failed.Load()
-	for _, p := range []int32{phaseSteady, phaseRebuild} {
-		sort.Slice(lats[p], func(i, j int) bool { return lats[p][i] < lats[p][j] })
-	}
-	cell.SteadyP50 = percentileDur(lats[phaseSteady], 0.50)
-	cell.SteadyP99 = percentileDur(lats[phaseSteady], 0.99)
-	cell.RebuildP50 = percentileDur(lats[phaseRebuild], 0.50)
-	cell.RebuildP99 = percentileDur(lats[phaseRebuild], 0.99)
+	cell.SteadyP50 = stats.NearestRank(lats[phaseSteady], 0.50)
+	cell.SteadyP99 = stats.NearestRank(lats[phaseSteady], 0.99)
+	cell.RebuildP50 = stats.NearestRank(lats[phaseRebuild], 0.50)
+	cell.RebuildP99 = stats.NearestRank(lats[phaseRebuild], 0.99)
 	return cell, nil
 }
 

@@ -8,12 +8,17 @@ import (
 	"time"
 
 	"decluster/internal/datagen"
+	"decluster/internal/exec"
 	"decluster/internal/fault"
 	"decluster/internal/grid"
 	"decluster/internal/gridfile"
 	"decluster/internal/obs"
 	"decluster/internal/serve"
 )
+
+// shedBackoff paces the retries of a rebuild read shed by admission
+// control: 200µs, doubling per consecutive shed up to 16×.
+var shedBackoff = exec.RetryPolicy{BaseBackoff: 200 * time.Microsecond, MaxBackoff: 3200 * time.Microsecond}
 
 // BackgroundPriority is the default admission priority of rebuild
 // reads: far below the default foreground priority (0), so a saturated
@@ -36,10 +41,6 @@ type RebuildConfig struct {
 	// keeps in flight (default 1). More parallelism cuts MTTR when the
 	// throttle allows it, at the price of more foreground contention.
 	Parallel int
-	// ShedBackoff is the initial wait after a rebuild read is shed by
-	// admission control, doubling per consecutive shed up to 16×
-	// (default 200µs).
-	ShedBackoff time.Duration
 	// Tracker optionally records the disk's rebuilding → healthy
 	// transitions.
 	Tracker *Tracker
@@ -90,12 +91,6 @@ func NewRebuilder(store *gridfile.Store, sched *serve.Scheduler, inj *fault.Inje
 	}
 	if inj == nil {
 		return nil, fmt.Errorf("repair: nil fault injector (rebuilds are driven by permanent failures)")
-	}
-	if cfg.ShedBackoff < 0 {
-		return nil, fmt.Errorf("repair: negative shed backoff %v", cfg.ShedBackoff)
-	}
-	if cfg.ShedBackoff == 0 {
-		cfg.ShedBackoff = 200 * time.Microsecond
 	}
 	if cfg.Priority == 0 {
 		cfg.Priority = BackgroundPriority
@@ -233,7 +228,7 @@ func (r *Rebuilder) fail(mu *sync.Mutex, firstErr *error, cancel context.CancelF
 
 // readSurvivor reads bucket b's records from a surviving replica:
 // through the scheduler at the configured priority (retrying shed
-// reads with capped exponential backoff) when one is attached, else
+// reads, shedBackoff apart) when one is attached, else
 // directly from a clean live copy in the store.
 func (r *Rebuilder) readSurvivor(ctx context.Context, b int) ([]datagen.Record, int, error) {
 	if r.sched == nil {
@@ -250,7 +245,6 @@ func (r *Rebuilder) readSurvivor(ctx context.Context, b int) ([]datagen.Record, 
 	g := r.store.Grid()
 	c := g.Delinearize(b, nil)
 	q := serve.Query{Rect: grid.Rect{Lo: c, Hi: c}, Priority: r.cfg.Priority}
-	backoff := r.cfg.ShedBackoff
 	sheds := 0
 	for {
 		res, err := r.sched.Do(ctx, q)
@@ -261,15 +255,8 @@ func (r *Rebuilder) readSurvivor(ctx context.Context, b int) ([]datagen.Record, 
 			return nil, sheds, err
 		}
 		sheds++
-		t := time.NewTimer(backoff)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return nil, sheds, ctx.Err()
-		case <-t.C:
-		}
-		if backoff < 16*r.cfg.ShedBackoff {
-			backoff *= 2
+		if err := shedBackoff.Wait(ctx, sheds); err != nil {
+			return nil, sheds, err
 		}
 	}
 }

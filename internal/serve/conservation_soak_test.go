@@ -106,7 +106,7 @@ func TestConservationSoak(t *testing.T) {
 		serve.WithFailover(rep),
 		serve.WithRetry(exec.RetryPolicy{MaxAttempts: 6, BaseBackoff: 50 * time.Microsecond, MaxBackoff: time.Millisecond}),
 		serve.WithBaseLatency(100*time.Microsecond),
-		serve.WithHedging(serve.HedgeConfig{After: 250 * time.Microsecond, OnError: true}),
+		serve.WithHedging(serve.HedgeConfig{After: 250 * time.Microsecond}),
 		serve.WithBreaker(serve.BreakerConfig{ErrorThreshold: 6, Cooldown: 10 * time.Millisecond}),
 		serve.WithReadWrapper(rr.Wrap),
 		serve.WithAdmission(serve.AdmissionConfig{MaxInFlight: 3, MaxQueue: 4, DropExpired: true}),

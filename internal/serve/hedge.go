@@ -9,6 +9,7 @@ import (
 	"decluster/internal/datagen"
 	"decluster/internal/exec"
 	"decluster/internal/fault"
+	"decluster/internal/hedge"
 	"decluster/internal/obs"
 )
 
@@ -18,12 +19,10 @@ type HedgeConfig struct {
 	// backup read is issued against the bucket's other replica
 	// (0 disables hedging). Choose it near the healthy read-latency
 	// tail — e.g. an observed p95 — so only stragglers are hedged.
+	// With hedging on, a primary read that fails outright also fails
+	// over to the live replica at once instead of waiting for the retry
+	// loop to re-try the same sick disk.
 	After time.Duration
-	// OnError additionally hedges immediately when the primary read
-	// fails while a live replica exists, instead of waiting for the
-	// retry loop to re-try the same sick disk (default true via
-	// Scheduler; set by WithHedging).
-	OnError bool
 }
 
 // servedReader is the per-query reader the scheduler installs via
@@ -37,133 +36,58 @@ type servedReader struct {
 	inner exec.BucketReader
 }
 
-// readRes is one leg's outcome.
-type readRes struct {
-	recs []datagen.Record
-	err  error
-	disk int
-}
-
 // ReadBucket serves one bucket read with observation and optional
-// hedging. Exactly one leg's records are returned (dedup by
-// construction: the loser is cancelled and its result discarded).
+// hedging (hedge.Race: exactly one leg's records are returned, and the
+// loser's health and metric observations have landed — the conservation
+// invariants count on that). A lost leg's context error is not charged
+// against its disk.
 func (r *servedReader) ReadBucket(ctx context.Context, disk, bucket int) ([]datagen.Record, error) {
 	s := r.s
-	if s.hedge.After <= 0 {
+	alt := -1
+	if s.hedge.After > 0 {
+		alt = s.altDisk(disk, bucket)
+	}
+	if alt < 0 {
 		return r.observe(ctx, disk, bucket)
 	}
-	alt, ok := s.altDisk(disk, bucket)
-	if !ok {
-		return r.observe(ctx, disk, bucket)
+	after := s.hedge.After
+	if !hedge.Worth(after, s.health.EWMALatency(disk), s.health.EWMALatency(alt)) {
+		after = 0 // failover only
 	}
-	// The router's hedgeCandidate rule at disk level: a timed hedge bets
-	// that the backup answers before the primary does, and a backup whose
-	// smoothed latency already exceeds the hedge delay loses that bet on
-	// average — under saturation the extra read only deepens the queues
-	// that made the primary slow. The one exception is a primary disk
-	// known to be slower still: when the hedge leg, delay included, beats
-	// that disk's typical read, racing it is what hedging is for. The
-	// gate covers only the timed hedge — an on-error hedge is failover
-	// for a read that already failed, not a bet on latency.
-	backup := s.health.EWMALatency(alt)
-	timed := backup <= s.hedge.After || s.hedge.After+backup < s.health.EWMALatency(disk)
-	if !timed && !s.hedge.OnError {
-		return r.observe(ctx, disk, bucket)
-	}
-
-	// The hedge race hangs its leg spans off the executor's attempt
-	// span, which rides the context.
-	var asp *obs.Span
-	if s.obs.Tracing() {
-		asp = obs.SpanFromContext(ctx)
-	}
-	hedgeSpan := func() *obs.Span {
-		if asp == nil {
-			return nil
-		}
-		return asp.Child(fmt.Sprintf("hedge d%d", alt))
-	}
-
-	// Race the primary leg against a delayed hedge leg. The loser is
-	// cancelled; its context error is not charged against its disk.
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan readRes, 2)
-	pending := 0
-	launch := func(d int, sp *obs.Span) {
-		pending++
-		go func() {
-			recs, err := r.observe(cctx, d, bucket)
+	recs, winner, hedged, err := hedge.Race(ctx, after, disk, alt,
+		func(ctx context.Context, d int, hedgeLeg bool) ([]datagen.Record, error) {
+			if !hedgeLeg {
+				return r.observe(ctx, d, bucket)
+			}
+			s.stats.HedgesIssued.Add(1)
+			s.metrics.hedgesIssued.Inc()
+			// The hedge leg's span hangs off the executor's attempt
+			// span, which rides the context.
+			var sp *obs.Span
+			if s.obs.Tracing() {
+				sp = obs.SpanFromContext(ctx).Child(fmt.Sprintf("hedge d%d", d))
+			}
+			recs, err := r.observe(ctx, d, bucket)
 			sp.FinishErr(err)
-			results <- readRes{recs: recs, err: err, disk: d}
-		}()
+			return recs, err
+		}, preferTransient)
+	if hedged && err == nil && winner == alt {
+		s.stats.HedgesWon.Add(1)
+		s.metrics.hedgesWon.Inc()
 	}
-	// drain cancels and then waits out the losing legs, so every leg's
-	// health and metric observations land before the read returns —
-	// the conservation invariants count on that. Cancelled legs return
-	// promptly: every reader layer below selects on its context.
-	drain := func() {
-		cancel()
-		for pending > 0 {
-			<-results
-			pending--
-		}
-	}
-	launch(disk, nil)
+	return recs, err
+}
 
-	var timerC <-chan time.Time
-	if timed {
-		timer := time.NewTimer(s.hedge.After)
-		defer timer.Stop()
-		timerC = timer.C
+// preferTransient picks the error a doubly failed read reports: if one
+// leg hit a fail-stop disk (mid-flight failure) and the other merely a
+// transient blip, the executor's retry loop must get the transient
+// error so the next attempt — which hedges again — can still answer
+// the query.
+func preferTransient(cur, next error) error {
+	if !errors.Is(cur, fault.ErrTransient) && errors.Is(next, fault.ErrTransient) {
+		return next
 	}
-	hedged := false
-	var firstErr error
-	for {
-		select {
-		case <-timerC:
-			if !hedged {
-				hedged = true
-				s.stats.HedgesIssued.Add(1)
-				s.metrics.hedgesIssued.Inc()
-				launch(alt, hedgeSpan())
-			}
-		case res := <-results:
-			pending--
-			if res.err == nil {
-				if hedged && res.disk == alt {
-					s.stats.HedgesWon.Add(1)
-					s.metrics.hedgesWon.Inc()
-				}
-				drain() // stop and collect the losing leg
-				return res.recs, nil
-			}
-			// Prefer reporting a retryable error class: if one leg hit a
-			// fail-stop disk (mid-flight failure) and the other merely a
-			// transient blip, the executor's retry loop must get the
-			// transient error so the next attempt — which hedges again —
-			// can still answer the query.
-			if firstErr == nil ||
-				(!errors.Is(firstErr, fault.ErrTransient) && errors.Is(res.err, fault.ErrTransient)) {
-				firstErr = res.err
-			}
-			if !hedged && s.hedge.OnError {
-				// The primary failed outright; spend the hedge now
-				// rather than waiting out the timer.
-				hedged = true
-				s.stats.HedgesIssued.Add(1)
-				s.metrics.hedgesIssued.Inc()
-				launch(alt, hedgeSpan())
-				continue
-			}
-			if pending == 0 {
-				return nil, firstErr
-			}
-		case <-ctx.Done():
-			drain()
-			return nil, ctx.Err()
-		}
-	}
+	return cur
 }
 
 // observe times one read against the inner (fault-injecting) reader
@@ -183,25 +107,19 @@ func (r *servedReader) observe(ctx context.Context, disk, bucket int) ([]datagen
 
 // altDisk returns the other replica of bucket — the hedge target — if
 // one exists and is worth hedging to: not the serving disk itself, not
-// fail-stop, and not held open by its breaker.
-func (s *Scheduler) altDisk(disk, bucket int) (int, bool) {
+// fail-stop, and not held open by its breaker. Otherwise -1.
+func (s *Scheduler) altDisk(disk, bucket int) int {
 	if s.rep == nil {
-		return 0, false
+		return -1
 	}
 	alt := s.rep.BackupOf(bucket)
 	if alt == disk {
 		alt = s.rep.PrimaryOf(bucket)
 	}
-	if alt == disk {
-		return 0, false
+	if alt == disk || (s.inj != nil && s.inj.DiskFailed(alt)) || !s.health.Allow(alt) {
+		return -1
 	}
-	if s.inj != nil && s.inj.DiskFailed(alt) {
-		return 0, false
-	}
-	if !s.health.Allow(alt) {
-		return 0, false
-	}
-	return alt, true
+	return alt
 }
 
 // latencyReader simulates per-read service time: every read sleeps

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"decluster/internal/fault"
 	"decluster/internal/grid"
 	"decluster/internal/gridfile"
+	"decluster/internal/hedge"
 	"decluster/internal/replica"
 )
 
@@ -428,7 +430,7 @@ func TestHedgingBeatsStraggler(t *testing.T) {
 		WithFaults(inj),
 		WithFailover(rep),
 		WithBaseLatency(base),
-		WithHedging(HedgeConfig{After: 2 * base, OnError: true}))
+		WithHedging(HedgeConfig{After: 2 * base}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +486,7 @@ func TestHedgeSuppressedUnderSaturation(t *testing.T) {
 	s, err := New(f,
 		WithFailover(rep),
 		WithBaseLatency(base), // every disk serves at 2ms, past the 1.5ms hedge delay
-		WithHedging(HedgeConfig{After: 3 * base / 4, OnError: true}))
+		WithHedging(HedgeConfig{After: 3 * base / 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,6 +508,29 @@ func TestHedgeSuppressedUnderSaturation(t *testing.T) {
 	}
 	if issued := s.Stats().HedgesIssued - warm; issued != 0 {
 		t.Fatalf("%d hedge reads issued although every replica is slower than the hedge delay", issued)
+	}
+}
+
+// A hedged read whose legs both failed reports the transient error,
+// whichever leg drew it: the executor retries only that class, and the
+// retry hedges again.
+func TestDoublyFailedReadPrefersTransient(t *testing.T) {
+	failStop := fmt.Errorf("d1: %w", fault.ErrDiskFailed)
+	transient := fmt.Errorf("d3: %w", fault.ErrTransient)
+	for _, tc := range []struct{ primary, backup, want error }{
+		{failStop, transient, transient},
+		{transient, failStop, transient},
+		{failStop, fault.ErrDiskFailed, failStop},
+	} {
+		leg := func(_ context.Context, d int, _ bool) ([]datagen.Record, error) {
+			if d == 1 {
+				return nil, tc.primary
+			}
+			return nil, tc.backup
+		}
+		if _, _, _, err := hedge.Race(context.Background(), time.Hour, 1, 3, leg, preferTransient); err != tc.want {
+			t.Errorf("primary %v, backup %v: reported %v, want %v", tc.primary, tc.backup, err, tc.want)
+		}
 	}
 }
 
@@ -634,7 +659,7 @@ func TestDifferentialSoak(t *testing.T) {
 		WithFailover(rep),
 		WithRetry(exec.RetryPolicy{MaxAttempts: 10, BaseBackoff: 50 * time.Microsecond, MaxBackoff: time.Millisecond}),
 		WithBaseLatency(100*time.Microsecond),
-		WithHedging(HedgeConfig{After: 250 * time.Microsecond, OnError: true}),
+		WithHedging(HedgeConfig{After: 250 * time.Microsecond}),
 		WithBreaker(BreakerConfig{ErrorThreshold: 8, Cooldown: 10 * time.Millisecond}),
 		WithAdmission(AdmissionConfig{MaxInFlight: clients, MaxQueue: clients * perCli}))
 	if err != nil {

@@ -6,7 +6,9 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"time"
 )
 
 // Summary holds descriptive statistics of a sample.
@@ -127,6 +129,22 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// NearestRank returns the p-quantile (0 < p ≤ 1) of a latency sample by
+// the nearest-rank rule: the ⌈p·n⌉-th smallest value, an actual
+// observation — P50 of two samples is the smaller, P99 of a hundred is
+// the 99th. It sorts a copy; an empty sample yields 0.
+func NearestRank(xs []time.Duration, p float64) time.Duration {
+	if len(xs) == 0 {
+		return 0
+	}
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
+	// The epsilon keeps a product like 0.07·100 = 7.000000000000001 on
+	// rank 7.
+	rank := int(math.Ceil(p*float64(len(sorted)) - 1e-9))
+	return sorted[min(max(rank, 1), len(sorted))-1]
 }
 
 // Ratio returns a/b, or 1 when both are zero (by convention: "no worse

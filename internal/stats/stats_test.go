@@ -2,8 +2,10 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
@@ -189,5 +191,47 @@ func TestQuickPercentileMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNearestRank pins the one latency-percentile rule (index ⌈p·n⌉−1)
+// that replaced experiments' int(p·n) — one rank high whenever p·n is
+// an integer — and disksim's int(p·n)−1 — one rank low whenever it is
+// not.
+func TestNearestRank(t *testing.T) {
+	upTo := func(n int) []time.Duration { // n, n-1, …, 1: unsorted on purpose
+		xs := make([]time.Duration, n)
+		for i := range xs {
+			xs[i] = time.Duration(n - i)
+		}
+		return xs
+	}
+	cases := []struct {
+		name string
+		xs   []time.Duration
+		p    float64
+		want time.Duration
+	}{
+		{"empty", nil, 0.5, 0},
+		{"n=1", upTo(1), 0.99, 1},
+		{"n=2 p50 is the smaller", upTo(2), 0.5, 1},
+		{"n=5 p20", upTo(5), 0.2, 1},
+		{"n=5 p100", upTo(5), 1, 5},
+		{"n=10 p50", upTo(10), 0.5, 5},
+		{"n=10 p999", upTo(10), 0.999, 10},
+		{"n=100 p99 is not the maximum", upTo(100), 0.99, 99},
+		{"n=100 p7 survives 0.07·100 > 7", upTo(100), 0.07, 7},
+		{"n=150 p99 rounds up", upTo(150), 0.99, 149},
+		{"p below the first rank", upTo(5), 0, 1},
+	}
+	for _, tc := range cases {
+		if got := NearestRank(tc.xs, tc.p); got != tc.want {
+			t.Errorf("%s: NearestRank(p=%v) = %d, want %d", tc.name, tc.p, got, tc.want)
+		}
+	}
+	xs := []time.Duration{5, 1, 4, 2, 3}
+	NearestRank(xs, 0.5)
+	if !slices.Equal(xs, []time.Duration{5, 1, 4, 2, 3}) {
+		t.Errorf("NearestRank mutated its input: %v", xs)
 	}
 }

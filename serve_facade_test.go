@@ -39,7 +39,7 @@ func TestFacadeServe(t *testing.T) {
 		decluster.WithServeFailover(rep),
 		decluster.WithServeRetry(decluster.RetryPolicy{MaxAttempts: 10, BaseBackoff: time.Microsecond, MaxBackoff: 8 * time.Microsecond}),
 		decluster.WithSimulatedLatency(100*time.Microsecond),
-		decluster.WithHedging(decluster.HedgeConfig{After: 250 * time.Microsecond, OnError: true}),
+		decluster.WithHedging(decluster.HedgeConfig{After: 250 * time.Microsecond}),
 		decluster.WithBreaker(decluster.BreakerConfig{ErrorThreshold: 4, Cooldown: 10 * time.Millisecond}),
 		decluster.WithAdmission(decluster.AdmissionConfig{MaxInFlight: 4, MaxQueue: 32}),
 		decluster.WithDrainTimeout(10*time.Second),
