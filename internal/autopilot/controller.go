@@ -31,12 +31,6 @@ type Config struct {
 	Obs *obs.Sink
 	// Tick is the control-loop period (default 50ms).
 	Tick time.Duration
-	// WindowTicks is the sliding-window depth in ticks for p99 and
-	// shed rate (default 4).
-	WindowTicks int
-	// ProbeTimeout bounds each tick's health-probe fan-out (default
-	// Tick, min 20ms).
-	ProbeTimeout time.Duration
 	// Policy sets thresholds, hysteresis, cool-down, and the node
 	// envelope; zero fields take Policy defaults.
 	Policy Policy
@@ -116,6 +110,14 @@ type Controller struct {
 // maxLog bounds the retained decision log (oldest dropped first).
 const maxLog = 128
 
+// windowTicks is the sliding-window depth in ticks for p99 and shed
+// rate; minProbeTimeout floors the per-tick health-probe fan-out's
+// bound, which is otherwise one Tick.
+const (
+	windowTicks     = 4
+	minProbeTimeout = 20 * time.Millisecond
+)
+
 // New validates the wiring and builds a controller in Steady.
 func New(cfg Config) (*Controller, error) {
 	if cfg.Router == nil {
@@ -127,20 +129,11 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Tick <= 0 {
 		cfg.Tick = 50 * time.Millisecond
 	}
-	if cfg.WindowTicks <= 0 {
-		cfg.WindowTicks = 4
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = cfg.Tick
-	}
-	if cfg.ProbeTimeout < 20*time.Millisecond {
-		cfg.ProbeTimeout = 20 * time.Millisecond
-	}
 	c := &Controller{
 		cfg:     cfg,
 		machine: NewMachine(cfg.Policy),
 		watch: newWatcher(cfg.Router, cfg.Endpoints, cfg.Client,
-			cfg.ProbeTimeout, cfg.Obs, cfg.WindowTicks),
+			max(cfg.Tick, minProbeTimeout), cfg.Obs, windowTicks),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}

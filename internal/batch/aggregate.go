@@ -334,17 +334,8 @@ func (ix *AggregateIndex) Grid() *grid.Grid { return ix.g }
 // Aggregate answers one aggregate query from the tables.
 func (ix *AggregateIndex) Aggregate(q AggregateQuery) (AggregateResult, error) {
 	r := q.Rect
-	if len(r.Lo) != ix.k || len(r.Hi) != ix.k {
-		return AggregateResult{}, fmt.Errorf("batch: rect %v has %d..%d axes for %d-attribute grid %v",
-			r, len(r.Lo), len(r.Hi), ix.k, ix.g)
-	}
-	for i := range r.Lo {
-		if r.Lo[i] > r.Hi[i] {
-			return AggregateResult{}, fmt.Errorf("batch: rect %v inverted on axis %d", r, i)
-		}
-	}
-	if !ix.g.Contains(r.Lo) || !ix.g.Contains(r.Hi) {
-		return AggregateResult{}, fmt.Errorf("batch: rect %v outside grid %v", r, ix.g)
+	if err := ix.g.CheckRect(r); err != nil {
+		return AggregateResult{}, fmt.Errorf("batch: %w", err)
 	}
 	if q.Op != OpCount && (q.Attr < 0 || q.Attr >= ix.k) {
 		return AggregateResult{}, fmt.Errorf("batch: attribute %d outside [0,%d)", q.Attr, ix.k)

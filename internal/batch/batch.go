@@ -267,24 +267,10 @@ func (e *Engine) Aggregate(ctx context.Context, q AggregateQuery) (AggregateResu
 // bucketsOf validates the rect and decomposes it into ascending
 // row-major bucket numbers.
 func (e *Engine) bucketsOf(r grid.Rect) ([]int, error) {
-	if len(r.Lo) != e.g.K() || len(r.Hi) != e.g.K() {
-		return nil, fmt.Errorf("batch: rect %v has %d..%d axes for %d-attribute grid %v",
-			r, len(r.Lo), len(r.Hi), e.g.K(), e.g)
+	if err := e.g.CheckRect(r); err != nil {
+		return nil, fmt.Errorf("batch: %w", err)
 	}
-	for i := range r.Lo {
-		if r.Lo[i] > r.Hi[i] {
-			return nil, fmt.Errorf("batch: rect %v inverted on axis %d", r, i)
-		}
-	}
-	if !e.g.Contains(r.Lo) || !e.g.Contains(r.Hi) {
-		return nil, fmt.Errorf("batch: rect %v outside grid %v", r, e.g)
-	}
-	out := make([]int, 0, r.Volume())
-	grid.EachRect(r, func(c grid.Coord) bool {
-		out = append(out, e.g.Linearize(c))
-		return true
-	})
-	return out, nil
+	return e.g.AppendRect(nil, r), nil
 }
 
 // Member states.

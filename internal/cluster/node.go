@@ -300,14 +300,8 @@ func (n *Node) resolveEpoch(epoch uint64) (sm *ShardMap, isPending bool, err err
 // before the hostedness check: a router on the wrong map must learn the
 // right one, not be told "not hosted" against a map it isn't using.
 func (n *Node) admit(rect grid.Rect, epoch uint64) (sm *ShardMap, isPending bool, sched *serve.Scheduler, err error) {
-	g := n.g
-	if len(rect.Lo) != g.K() || len(rect.Hi) != g.K() || !g.Contains(rect.Lo) || !g.Contains(rect.Hi) {
-		return nil, false, nil, badRequestError{fmt.Errorf("rect %v invalid for grid %v", rect, g)}
-	}
-	for i := range rect.Lo {
-		if rect.Lo[i] > rect.Hi[i] {
-			return nil, false, nil, badRequestError{fmt.Errorf("rect %v inverted on axis %d", rect, i)}
-		}
+	if err := n.g.CheckRect(rect); err != nil {
+		return nil, false, nil, badRequestError{err}
 	}
 	if sm, isPending, err = n.resolveEpoch(epoch); err != nil {
 		return nil, false, nil, err

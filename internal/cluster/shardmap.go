@@ -184,10 +184,9 @@ func newShardMapAt(g *grid.Grid, nodes, replicas, stride int, epoch uint64, memb
 			hosts[j] = (i + j*s) % nodes
 		}
 		sm.shards[i] = Shard{ID: i, Rect: r, Nodes: hosts}
-		grid.EachRect(r, func(c grid.Coord) bool {
-			sm.shardOf[g.Linearize(c)] = i
-			return true
-		})
+		for _, b := range g.AppendRect(nil, r) {
+			sm.shardOf[b] = i
+		}
 		for _, n := range hosts {
 			sm.hosted[n] = append(sm.hosted[n], i)
 		}
@@ -347,17 +346,8 @@ func (sm *ShardMap) HostedShards(n int) []int {
 // returned sub-queries exactly tile q: disjoint, and their union is q.
 // Shards the query misses (zero-volume intersections) are absent.
 func (sm *ShardMap) Decompose(q grid.Rect) ([]SubQuery, error) {
-	if len(q.Lo) != sm.g.K() || len(q.Hi) != sm.g.K() {
-		return nil, fmt.Errorf("cluster: rect %v has %d..%d axes for %d-attribute grid %v",
-			q, len(q.Lo), len(q.Hi), sm.g.K(), sm.g)
-	}
-	for i := range q.Lo {
-		if q.Lo[i] > q.Hi[i] {
-			return nil, fmt.Errorf("cluster: rect %v inverted on axis %d", q, i)
-		}
-	}
-	if !sm.g.Contains(q.Lo) || !sm.g.Contains(q.Hi) {
-		return nil, fmt.Errorf("cluster: rect %v outside grid %v", q, sm.g)
+	if err := sm.g.CheckRect(q); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	var subs []SubQuery
 	for _, sh := range sm.shards {

@@ -390,19 +390,14 @@ type bucketRecs struct {
 // Results are merged into deterministic order.
 func (e *Executor) RangeSearch(ctx context.Context, r grid.Rect) (*Result, error) {
 	g := e.file.Grid()
-	if len(r.Lo) != g.K() || len(r.Hi) != g.K() {
-		return nil, fmt.Errorf("exec: rect %v has %d..%d axes for %d-attribute grid %v",
-			r, len(r.Lo), len(r.Hi), g.K(), g)
+	if err := g.CheckRect(r); err != nil {
+		return nil, fmt.Errorf("exec: %w", err)
 	}
-	for i := range r.Lo {
-		if r.Lo[i] > r.Hi[i] {
-			return nil, fmt.Errorf("exec: rect %v inverted on axis %d (Lo %d > Hi %d)", r, i, r.Lo[i], r.Hi[i])
-		}
-	}
-	if !g.Contains(r.Lo) || !g.Contains(r.Hi) {
-		return nil, fmt.Errorf("exec: rect %v outside grid %v", r, g)
-	}
-	return e.run(ctx, r, nil)
+	// A rectangle is a bucket set: enumerate it into the query's pooled
+	// list and take the same route as an explicit read set.
+	qs := e.getState()
+	qs.buckets = g.AppendRect(qs.buckets[:0], r)
+	return e.run(ctx, qs, qs.buckets)
 }
 
 // RangeSearchBuckets reads an explicit set of row-major bucket numbers
@@ -426,39 +421,31 @@ func (e *Executor) RangeSearchBuckets(ctx context.Context, buckets []int) (*Resu
 		}
 		seen[b] = true
 	}
-	return e.run(ctx, grid.Rect{}, buckets)
+	return e.run(ctx, e.getState(), buckets)
 }
 
-// run executes one already-validated query: route partitions the work
-// into per-disk bucket lists, then one pooled worker per disk reads its
-// list honouring ctx and the configured deadline, and the results merge
-// into deterministic (bucket, insertion) order. A nil buckets slice
-// selects rectangle routing over r; otherwise buckets is the explicit
-// read set. Every piece of per-query state — routing tables, disk
-// tasks, the cancellation context, the merge buffer, the Result — is
-// pooled, so the healthy unobserved path allocates nothing.
-func (e *Executor) run(ctx context.Context, r grid.Rect, buckets []int) (*Result, error) {
+// run executes one already-validated query on the pooled state qs:
+// route partitions the bucket set into per-disk lists, then one pooled
+// worker per disk reads its list honouring ctx and the configured
+// deadline, and the results merge into deterministic (bucket,
+// insertion) order. Every piece of per-query state — the rectangle's
+// bucket list, routing tables, disk tasks, the cancellation context,
+// the merge buffer, the Result — is pooled, so the healthy unobserved
+// path allocates nothing.
+func (e *Executor) run(ctx context.Context, qs *queryState, buckets []int) (*Result, error) {
 	// Past validation every query ends in exactly one of queriesOK /
 	// queriesErr, so exec.queries == exec.queries.ok + exec.queries.err.
 	m := e.metrics
 	if m != nil {
 		m.queries.Inc()
 	}
-	qs := e.getState()
 	qs.m = m
 	if e.obs.Tracing() {
 		qs.qsp = obs.SpanFromContext(ctx)
 	}
 	qs.beginCtx(ctx)
 
-	var rerouted int
-	var degraded bool
-	var err error
-	if buckets == nil {
-		rerouted, degraded, err = e.route(qs, r)
-	} else {
-		rerouted, degraded, err = e.routeBuckets(qs, buckets)
-	}
+	rerouted, degraded, err := e.route(qs, buckets)
 	if err != nil {
 		qs.endCtx()
 		e.putState(qs)
@@ -555,51 +542,30 @@ func (e *Executor) run(ctx context.Context, r grid.Rect, buckets []int) (*Result
 	return out, nil
 }
 
-// primaryRouteRect walks r with the query's reusable coordinate and
-// places every bucket on its method disk. The walk is inlined (no
-// iterator callback) because a captured-closure iterator is itself a
-// per-query allocation.
-func (e *Executor) primaryRouteRect(qs *queryState, r grid.Rect) {
-	g := e.file.Grid()
-	method := e.file.Method()
-	k := g.K()
-	if len(qs.coord) != k {
-		qs.coord = make(grid.Coord, k)
-	}
-	c := qs.coord
-	copy(c, r.Lo)
-	for {
-		d := method.DiskOf(c)
-		qs.perDisk[d] = append(qs.perDisk[d], g.Linearize(c))
-		i := k - 1
-		for ; i >= 0; i-- {
-			c[i]++
-			if c[i] <= r.Hi[i] {
-				break
-			}
-			c[i] = r.Lo[i]
-		}
-		if i < 0 {
-			return
-		}
-	}
-}
-
-// routeStart is the preamble route and routeBuckets share: it empties
-// the query's per-disk work lists and returns them with the fail-stop
-// disk set and the set to route around. The avoid set extends the
-// failed set with the WithAvoid disks; it only matters when a failover
-// scheme exists to route around them. On a healthy executor both sets
-// are nil and nothing is allocated.
-func (e *Executor) routeStart(qs *queryState) (perDisk [][]int, failed, avoid map[int]bool) {
-	perDisk = qs.perDisk
+// route partitions the query's bucket set into per-disk work lists held
+// in qs.perDisk — the one place that decides which disk reads which
+// bucket, for rectangles and explicit read sets alike. Within each disk,
+// buckets are read in the order given (the knob a batch scheduling
+// policy turns). With fail-stop disks present it either reroutes via the
+// replica scheme's min-makespan degraded assignment or — without
+// replication — reports the unreachable buckets as a typed
+// *fault.UnavailableError. Disks named by the WithAvoid hook are
+// additionally routed around when the failover scheme permits, falling
+// back to reading them when it does not: avoidance is advisory,
+// fail-stop is not. On a healthy executor nothing is allocated.
+func (e *Executor) route(qs *queryState, buckets []int) (rerouted int, degraded bool, err error) {
+	perDisk := qs.perDisk
 	for d := range perDisk {
 		perDisk[d] = perDisk[d][:0]
 	}
+	var failed map[int]bool
 	if e.inj != nil {
 		failed = e.inj.FailedSet()
 	}
-	avoid = failed
+	degraded = len(failed) > 0
+	// The avoid set extends the failed set with the WithAvoid disks; it
+	// only matters when a failover scheme exists to route around them.
+	avoid := failed
 	if e.avoid != nil && e.failover != nil {
 		if extra := e.avoid(); len(extra) > 0 {
 			avoid = make(map[int]bool, len(failed)+len(extra))
@@ -613,46 +579,6 @@ func (e *Executor) routeStart(qs *queryState) (perDisk [][]int, failed, avoid ma
 			}
 		}
 	}
-	return perDisk, failed, avoid
-}
-
-// route partitions the query's buckets into per-disk work lists held in
-// qs.perDisk. With fail-stop disks present it either reroutes via the
-// replica scheme's min-makespan degraded assignment or — without
-// replication — reports the unreachable buckets as a typed
-// *fault.UnavailableError. Disks named by the WithAvoid hook are
-// additionally routed around when the failover scheme permits, falling
-// back to reading them when it does not: avoidance is advisory,
-// fail-stop is not.
-func (e *Executor) route(qs *queryState, r grid.Rect) (rerouted int, degraded bool, err error) {
-	g := e.file.Grid()
-	perDisk, failed, avoid := e.routeStart(qs)
-	if len(avoid) == 0 {
-		// Healthy path: primary routing straight off the method.
-		e.primaryRouteRect(qs, r)
-		return 0, false, nil
-	}
-
-	if e.failover == nil {
-		// No replication: buckets on failed disks are unreachable, and
-		// partial answers would be silently wrong.
-		method := e.file.Method()
-		var unreachable []int
-		grid.EachRect(r, func(c grid.Coord) bool {
-			d := method.DiskOf(c)
-			b := g.Linearize(c)
-			if failed[d] {
-				unreachable = append(unreachable, b)
-				return true
-			}
-			perDisk[d] = append(perDisk[d], b)
-			return true
-		})
-		if len(unreachable) > 0 {
-			return 0, true, &fault.UnavailableError{Buckets: unreachable, FailedDisks: setToSlice(failed)}
-		}
-		return 0, true, nil
-	}
 
 	// Replica failover: schedule every bucket onto a live replica,
 	// minimizing the busiest disk (the degraded load is rebalanced, not
@@ -662,101 +588,50 @@ func (e *Executor) route(qs *queryState, r grid.Rect) (rerouted int, degraded bo
 	// just the truly failed disks — a breaker-open disk is still
 	// readable, so avoidance must never turn an answerable query into an
 	// unavailable one.
-	degraded = len(failed) > 0
-	assign, err := e.failover.DegradedAssignment(r, setToSlice(avoid))
-	if err != nil && len(avoid) > len(failed) {
-		avoid = failed
-		if len(failed) == 0 {
-			// Nothing actually failed: plain primary routing.
-			e.primaryRouteRect(qs, r)
-			return 0, false, nil
+	var assign map[int]int
+	if e.failover != nil && len(avoid) > 0 {
+		assign, err = e.failover.DegradedAssignmentBuckets(buckets, setToSlice(avoid))
+		if err != nil && len(avoid) > len(failed) {
+			avoid, assign, err = failed, nil, nil
+			if degraded {
+				assign, err = e.failover.DegradedAssignmentBuckets(buckets, setToSlice(failed))
+			}
 		}
-		assign, err = e.failover.DegradedAssignment(r, setToSlice(failed))
-	}
-	if err != nil {
-		return 0, degraded, err
-	}
-	grid.EachRect(r, func(c grid.Coord) bool {
-		b := g.Linearize(c)
-		d := assign[b]
-		perDisk[d] = append(perDisk[d], b)
-		if avoid[e.failover.PrimaryOf(b)] {
-			rerouted++
+		if err != nil {
+			return 0, degraded, err
 		}
-		return true
-	})
-	return rerouted, degraded, nil
-}
-
-// primaryRouteBuckets places every listed bucket on its method disk,
-// reusing the query's coordinate scratch.
-func (e *Executor) primaryRouteBuckets(qs *queryState, buckets []int) {
-	g := e.file.Grid()
-	method := e.file.Method()
-	if len(qs.coord) != g.K() {
-		qs.coord = make(grid.Coord, g.K())
-	}
-	c := qs.coord
-	for _, b := range buckets {
-		g.Delinearize(b, c)
-		qs.perDisk[method.DiskOf(c)] = append(qs.perDisk[method.DiskOf(c)], b)
-	}
-}
-
-// routeBuckets is route for an explicit bucket set: identical fail-stop,
-// avoidance, and failover semantics, with the degraded min-makespan
-// assignment solved over the listed buckets instead of a rectangle.
-// Within each disk, buckets are read in the order given — the knob a
-// batch scheduling policy turns.
-func (e *Executor) routeBuckets(qs *queryState, buckets []int) (rerouted int, degraded bool, err error) {
-	g := e.file.Grid()
-	perDisk, failed, avoid := e.routeStart(qs)
-	if len(avoid) == 0 {
-		e.primaryRouteBuckets(qs, buckets)
-		return 0, false, nil
 	}
 
-	if e.failover == nil {
-		method := e.file.Method()
-		if len(qs.coord) != g.K() {
-			qs.coord = make(grid.Coord, g.K())
+	switch {
+	case assign != nil:
+		for _, b := range buckets {
+			d := assign[b]
+			perDisk[d] = append(perDisk[d], b)
+			if avoid[e.failover.PrimaryOf(b)] {
+				rerouted++
+			}
 		}
-		c := qs.coord
+	case !degraded:
+		// Healthy path (or nothing failed and avoidance infeasible):
+		// primary routing straight off the file's bucket→disk table.
+		for _, b := range buckets {
+			d := e.file.DiskOf(b)
+			perDisk[d] = append(perDisk[d], b)
+		}
+	default:
+		// No replication: buckets on failed disks are unreachable, and
+		// partial answers would be silently wrong.
 		var unreachable []int
 		for _, b := range buckets {
-			g.Delinearize(b, c)
-			d := method.DiskOf(c)
-			if failed[d] {
+			if d := e.file.DiskOf(b); failed[d] {
 				unreachable = append(unreachable, b)
-				continue
+			} else {
+				perDisk[d] = append(perDisk[d], b)
 			}
-			perDisk[d] = append(perDisk[d], b)
 		}
 		if len(unreachable) > 0 {
 			sort.Ints(unreachable)
 			return 0, true, &fault.UnavailableError{Buckets: unreachable, FailedDisks: setToSlice(failed)}
-		}
-		return 0, true, nil
-	}
-
-	degraded = len(failed) > 0
-	assign, err := e.failover.DegradedAssignmentBuckets(buckets, setToSlice(avoid))
-	if err != nil && len(avoid) > len(failed) {
-		avoid = failed
-		if len(failed) == 0 {
-			e.primaryRouteBuckets(qs, buckets)
-			return 0, false, nil
-		}
-		assign, err = e.failover.DegradedAssignmentBuckets(buckets, setToSlice(failed))
-	}
-	if err != nil {
-		return 0, degraded, err
-	}
-	for _, b := range buckets {
-		d := assign[b]
-		perDisk[d] = append(perDisk[d], b)
-		if avoid[e.failover.PrimaryOf(b)] {
-			rerouted++
 		}
 	}
 	return rerouted, degraded, nil

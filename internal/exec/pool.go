@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"decluster/internal/grid"
 	"decluster/internal/obs"
 )
 
@@ -209,9 +208,12 @@ type queryState struct {
 	stdCancel context.CancelFunc
 	tCancel   context.CancelFunc
 
+	// buckets is RangeSearch's enumeration of its rectangle, kept for
+	// its capacity; perDisk is route's partition of the query's bucket
+	// set (this list or a caller's explicit one).
+	buckets []int
 	perDisk [][]int
 	tasks   []diskTask
-	coord   grid.Coord
 	all     []bucketRecs
 }
 

@@ -1,0 +1,111 @@
+package exec
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"slices"
+	"testing"
+
+	"decluster/internal/fault"
+	"decluster/internal/grid"
+	"decluster/internal/replica"
+)
+
+// A rectangle is a bucket set: RangeSearch(r) and RangeSearchBuckets
+// over r's row-major bucket numbers go through the one route, so under
+// every health condition they must agree on the records, the per-disk
+// read counts, the degraded-routing accounting and — when the query is
+// unanswerable — the typed error's contents.
+func TestRectAndBucketSetRouteAlike(t *testing.T) {
+	const disks = 4
+	f := newLoadedFile(t, disks, 2000)
+	g := f.Grid()
+	offset, err := replica.NewOffset(f.Method(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := func(d ...int) *fault.Injector {
+		inj, err := fault.New(fault.Config{Seed: 1, FailDisks: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inj
+	}
+	avoid := func(d ...int) Option { return WithAvoid(func() []int { return d }) }
+
+	for _, tc := range []struct {
+		name        string
+		opts        []Option
+		unavailable bool
+		degraded    bool
+		rerouted    bool  // some bucket served off its primary
+		idle        []int // disks that must read nothing
+	}{
+		{name: "healthy"},
+		{name: "one disk failed, offset failover",
+			opts: []Option{WithFaults(failed(1)), WithFailover(offset)}, degraded: true, rerouted: true, idle: []int{1}},
+		{name: "one disk failed, no failover",
+			opts: []Option{WithFaults(failed(1))}, unavailable: true},
+		{name: "avoid a live disk",
+			opts: []Option{WithFailover(offset), avoid(2)}, rerouted: true, idle: []int{2}},
+		{name: "avoid both replicas of some bucket", // disks 0 and 2 pair up under offset 2
+			opts: []Option{WithFailover(offset), avoid(0, 2)}},
+		{name: "avoid both replicas, one disk failed",
+			opts: []Option{WithFaults(failed(1)), WithFailover(offset), avoid(0, 2)}, degraded: true, rerouted: true, idle: []int{1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := New(f, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			for _, r := range []grid.Rect{
+				g.FullRect(),
+				g.MustRect(grid.Coord{2, 3}, grid.Coord{9, 12}),
+				g.MustRect(grid.Coord{5, 0}, grid.Coord{5, 15}),
+			} {
+				byRect, rerr := e.RangeSearch(ctx, r)
+				bySet, serr := e.RangeSearchBuckets(ctx, g.AppendRect(nil, r))
+				if tc.unavailable {
+					var ru, su *fault.UnavailableError
+					if !errors.As(rerr, &ru) || !errors.As(serr, &su) {
+						t.Fatalf("rect %v: errors %v / %v, want *fault.UnavailableError from both", r, rerr, serr)
+					}
+					if !slices.Equal(ru.Buckets, su.Buckets) || !slices.Equal(ru.FailedDisks, su.FailedDisks) {
+						t.Errorf("rect %v: unavailable %v on %v by rect, %v on %v by set",
+							r, ru.Buckets, ru.FailedDisks, su.Buckets, su.FailedDisks)
+					}
+					if len(ru.Buckets) == 0 || !slices.IsSorted(ru.Buckets) {
+						t.Errorf("rect %v: unreachable buckets %v, want a non-empty ascending list", r, ru.Buckets)
+					}
+					continue
+				}
+				if rerr != nil || serr != nil {
+					t.Fatalf("rect %v: errors %v / %v", r, rerr, serr)
+				}
+				if !reflect.DeepEqual(byRect.Records, bySet.Records) {
+					t.Errorf("rect %v: %d records by rect, %d by set (or order differs)", r, len(byRect.Records), len(bySet.Records))
+				}
+				if !slices.Equal(byRect.BucketsPerDisk, bySet.BucketsPerDisk) {
+					t.Errorf("rect %v: BucketsPerDisk %v by rect, %v by set", r, byRect.BucketsPerDisk, bySet.BucketsPerDisk)
+				}
+				if byRect.Rerouted != bySet.Rerouted || byRect.Degraded != bySet.Degraded {
+					t.Errorf("rect %v: rerouted/degraded %d/%v by rect, %d/%v by set",
+						r, byRect.Rerouted, byRect.Degraded, bySet.Rerouted, bySet.Degraded)
+				}
+				if byRect.Degraded != tc.degraded {
+					t.Errorf("rect %v: Degraded = %v, want %v", r, byRect.Degraded, tc.degraded)
+				}
+				if r.Volume() == g.Buckets() && (byRect.Rerouted > 0) != tc.rerouted {
+					t.Errorf("full grid: Rerouted = %d, want rerouting %v", byRect.Rerouted, tc.rerouted)
+				}
+				for _, d := range tc.idle {
+					if byRect.BucketsPerDisk[d] != 0 {
+						t.Errorf("rect %v: disk %d read %d buckets, want none", r, d, byRect.BucketsPerDisk[d])
+					}
+				}
+			}
+		})
+	}
+}

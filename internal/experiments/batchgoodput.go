@@ -55,9 +55,8 @@ type BatchGoodputConfig struct {
 	// BaseLatency is the simulated healthy per-bucket read service
 	// time (default 2ms; keep it above the platform timer floor).
 	BaseLatency time.Duration
-	// Window and MaxBatch bound the batching group (defaults 3ms, 16).
-	Window   time.Duration
-	MaxBatch int
+	// Window bounds the batching group in time (default 3ms).
+	Window time.Duration
 	// MaxInFlight and MaxQueue are the admission bounds (defaults 1
 	// and 4×Clients). MaxInFlight sits deliberately far below Clients:
 	// batching pays off exactly when concurrent physical reads are the
@@ -107,9 +106,6 @@ func (c BatchGoodputConfig) withDefaults() BatchGoodputConfig {
 	}
 	if c.Window == 0 {
 		c.Window = 3 * time.Millisecond
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 16
 	}
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 1
@@ -273,6 +269,9 @@ func newBatchGoodputScheduler(f *gridfile.File, cfg BatchGoodputConfig, seed int
 	return serve.New(f, opts...)
 }
 
+// batchGoodputMaxBatch caps a batching group's size.
+const batchGoodputMaxBatch = 16
+
 // runBatchGoodputCell soaks one dispatch mode.
 func runBatchGoodputCell(f *gridfile.File, pool []grid.Rect, batched bool, policy batch.Policy, cfg BatchGoodputConfig, seed int64) (*BatchGoodputCell, error) {
 	s, err := newBatchGoodputScheduler(f, cfg, seed)
@@ -284,7 +283,7 @@ func runBatchGoodputCell(f *gridfile.File, pool []grid.Rect, batched bool, polic
 	if batched {
 		bopts := []batch.Option{
 			batch.WithWindow(cfg.Window),
-			batch.WithMaxBatch(cfg.MaxBatch),
+			batch.WithMaxBatch(batchGoodputMaxBatch),
 			batch.WithPolicy(policy),
 		}
 		if cfg.Obs != nil {

@@ -57,10 +57,6 @@ type ChaosConfig struct {
 	// StragglerFactor is the latency multiplier of the straggler disk,
 	// present for the whole run (default 8; disk 0 straggles).
 	StragglerFactor float64
-	// TransientBase and TransientPeak are the per-read transient error
-	// probabilities outside and inside the mid-run fault storm
-	// (defaults 0.02 and 0.25).
-	TransientBase, TransientPeak float64
 	// Offset is the backup offset of the offset-replication schemes
 	// (default Disks/2).
 	Offset int
@@ -104,12 +100,6 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	}
 	if c.StragglerFactor == 0 {
 		c.StragglerFactor = 8
-	}
-	if c.TransientBase == 0 {
-		c.TransientBase = 0.02
-	}
-	if c.TransientPeak == 0 {
-		c.TransientPeak = 0.25
 	}
 	if c.Offset == 0 {
 		c.Offset = c.Disks / 2
@@ -242,11 +232,15 @@ func Chaos(cfg ChaosConfig, opt Options) (*ChaosResult, error) {
 	return res, nil
 }
 
+// chaosTransientBase and chaosTransientPeak are the per-read transient
+// error probabilities outside and inside the mid-run fault storm.
+const chaosTransientBase, chaosTransientPeak = 0.02, 0.25
+
 // runChaosCell soaks one scheduler configuration.
 func runChaosCell(f *gridfile.File, rep *replica.Replicated, hedged bool, cfg ChaosConfig, seed int64) (*ChaosCell, error) {
 	inj, err := fault.New(fault.Config{
 		Seed:          seed,
-		TransientProb: cfg.TransientBase,
+		TransientProb: chaosTransientBase,
 		Stragglers:    map[int]float64{0: cfg.StragglerFactor},
 	})
 	if err != nil {
@@ -315,9 +309,9 @@ func runChaosCell(f *gridfile.File, rep *replica.Replicated, hedged bool, cfg Ch
 				inj.FlipDisks([]int{1}, nil)
 			case 2:
 				inj.FlipDisks(nil, []int{1})
-				inj.SetTransientProb(cfg.TransientPeak)
+				inj.SetTransientProb(chaosTransientPeak)
 			case 3:
-				inj.SetTransientProb(cfg.TransientBase)
+				inj.SetTransientProb(chaosTransientBase)
 			}
 			t.Reset(step)
 		}

@@ -67,9 +67,6 @@ type ClusterChaosConfig struct {
 	Replicas int
 	// Offset is the offset placement's stride (default Nodes/2).
 	Offset int
-	// RebuildRate paces the mid-run node rebuild in pages/second
-	// (0 = unthrottled).
-	RebuildRate float64
 	// MigrateRate paces the join/leave bucket copies in pages/second
 	// (0 = unthrottled); autopilot-driven migrations obey it too.
 	MigrateRate float64
@@ -414,10 +411,6 @@ func runClusterCell(sm *cluster.ShardMap, method alloc.Method, records []datagen
 				rebuildWG.Add(1)
 				go func(victim int) {
 					defer rebuildWG.Done()
-					throttle, terr := repair.NewThrottle(cfg.RebuildRate, 0)
-					if terr != nil {
-						return
-					}
 					// The rebuild gets its own deadline rather than the
 					// soak's: it races real foreground load on the wall
 					// clock, and a soak that ends mid-stream should let
@@ -425,10 +418,10 @@ func runClusterCell(sm *cluster.ShardMap, method alloc.Method, records []datagen
 					rctx, rcancel := context.WithTimeout(context.Background(), 4*cfg.Duration+2*time.Second)
 					defer rcancel()
 					rstart := time.Now()
+					// No Throttle: the mid-run node rebuild is unthrottled.
 					st, rerr := cluster.RebuildNode(rctx, cluster.RebuildConfig{
 						Map:       sm,
 						Endpoints: h.URLs(),
-						Throttle:  throttle,
 						Obs:       cfg.Obs,
 					}, h.Node(victim))
 					latMu.Lock()

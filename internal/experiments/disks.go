@@ -21,12 +21,6 @@ type DisksConfig struct {
 	// figure discusses crossovers at 14 and 25 disks, so the sweep must
 	// cover past 25).
 	Disks []int
-	// SmallBand is the [min, max] query side band for the small-query
-	// figure (default [1, 4]).
-	SmallBand [2]int
-	// LargeBand is the [min, max] query side band for the large-query
-	// figure (default [16, 48]).
-	LargeBand [2]int
 }
 
 func (c DisksConfig) withDefaults() DisksConfig {
@@ -37,12 +31,6 @@ func (c DisksConfig) withDefaults() DisksConfig {
 		for m := 2; m <= 32; m += 2 {
 			c.Disks = append(c.Disks, m)
 		}
-	}
-	if c.SmallBand == [2]int{} {
-		c.SmallBand = [2]int{1, 4}
-	}
-	if c.LargeBand == [2]int{} {
-		c.LargeBand = [2]int{16, 48}
 	}
 	return c
 }
@@ -129,17 +117,18 @@ func disksSweep(id, title string, band [2]int, cfg DisksConfig, opt Options) (*E
 // DisksSmall reproduces Figure 5(a): mean response time versus the
 // number of disks for small queries. The paper finds HCAM uniformly
 // best here (bested only in small regions by FX or ECC) and DM/CMD
-// uniformly worst.
+// uniformly worst. Small queries have sides in [1, 4].
 func DisksSmall(cfg DisksConfig, opt Options) (*Experiment, error) {
 	cfg = cfg.withDefaults()
-	return disksSweep("E6", "Figure 5(a): disks sweep, small queries", cfg.SmallBand, cfg, opt)
+	return disksSweep("E6", "Figure 5(a): disks sweep, small queries", [2]int{1, 4}, cfg, opt)
 }
 
 // DisksLarge reproduces Figure 5(b): mean response time versus the
 // number of disks for large queries. The paper finds the picture
 // inverted from 5(a): DM/CMD and FX outperform HCAM, with ECC
-// overtaking HCAM and then DM/CMD as disks grow.
+// overtaking HCAM and then DM/CMD as disks grow. Large queries have
+// sides in [16, 48].
 func DisksLarge(cfg DisksConfig, opt Options) (*Experiment, error) {
 	cfg = cfg.withDefaults()
-	return disksSweep("E7", "Figure 5(b): disks sweep, large queries", cfg.LargeBand, cfg, opt)
+	return disksSweep("E7", "Figure 5(b): disks sweep, large queries", [2]int{16, 48}, cfg, opt)
 }

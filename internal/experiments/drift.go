@@ -22,12 +22,6 @@ type DriftConfig struct {
 	GridSide int
 	// Disks is M (default 16).
 	Disks int
-	// BeforeSides is the original workload's query shape (default 1×32
-	// row scans — a modulo-family-friendly profile).
-	BeforeSides []int
-	// AfterSides is the drifted workload's query shape (default 4×4
-	// tiles — a curve/code-friendly profile).
-	AfterSides []int
 }
 
 func (c DriftConfig) withDefaults() DriftConfig {
@@ -36,12 +30,6 @@ func (c DriftConfig) withDefaults() DriftConfig {
 	}
 	if c.Disks == 0 {
 		c.Disks = 16
-	}
-	if len(c.BeforeSides) == 0 {
-		c.BeforeSides = []int{1, 32}
-	}
-	if len(c.AfterSides) == 0 {
-		c.AfterSides = []int{4, 4}
 	}
 	return c
 }
@@ -80,11 +68,13 @@ func Drift(cfg DriftConfig, opt Options) (*DriftResult, error) {
 		w := query.Workload{Name: fmt.Sprintf("%d×%d", sides[0], sides[1]), Queries: qs}
 		return []advisor.WorkloadClass{{Workload: w, Weight: 1}}, w, nil
 	}
-	beforeMix, _, err := mkMix(cfg.BeforeSides)
+	// The original workload is 1×32 row scans — a modulo-family-friendly
+	// profile; it drifts to 4×4 tiles — a curve/code-friendly one.
+	beforeMix, _, err := mkMix([]int{1, 32})
 	if err != nil {
 		return nil, err
 	}
-	afterMix, afterW, err := mkMix(cfg.AfterSides)
+	afterMix, afterW, err := mkMix([]int{4, 4})
 	if err != nil {
 		return nil, err
 	}

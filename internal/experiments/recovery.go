@@ -53,12 +53,6 @@ type RecoveryConfig struct {
 	// BaseLatency is the simulated healthy per-bucket read service time
 	// (default 2ms).
 	BaseLatency time.Duration
-	// Think is each client's jittered pause between queries (default
-	// 20 × BaseLatency, ≈50% admission utilization at the defaults).
-	// Foreground load must stay well below saturation or a
-	// strict-priority background rebuild starves: the knob sets the
-	// headroom rebuild reads compete for.
-	Think time.Duration
 	// CorruptProb seeds the per-page silent-corruption plan
 	// (default 0.02).
 	CorruptProb float64
@@ -110,9 +104,6 @@ func (c RecoveryConfig) withDefaults() RecoveryConfig {
 	}
 	if c.BaseLatency == 0 {
 		c.BaseLatency = 2 * time.Millisecond
-	}
-	if c.Think == 0 {
-		c.Think = 20 * c.BaseLatency
 	}
 	if c.CorruptProb == 0 {
 		c.CorruptProb = 0.02
@@ -350,9 +341,12 @@ func runRecoveryCell(m alloc.Method, rep *replica.Replicated, rate float64, cfg 
 				default:
 					failed.Add(1)
 				}
-				// Jittered think time (0.5–1.5×) keeps offered load below
-				// saturation so background rebuild reads can win slots.
-				think := cfg.Think/2 + time.Duration(rng.Int63n(int64(cfg.Think)))
+				// Jittered think time (0.5–1.5× of 20 × BaseLatency, ≈50%
+				// admission utilization at the defaults) keeps offered load
+				// well below saturation, or a strict-priority background
+				// rebuild starves: it is the headroom rebuild reads compete for.
+				think := 20 * cfg.BaseLatency
+				think = think/2 + time.Duration(rng.Int63n(int64(think)))
 				select {
 				case <-stop:
 					return

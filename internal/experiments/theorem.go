@@ -14,17 +14,15 @@ import (
 type TheoremConfig struct {
 	// MaxDisks bounds the sweep (default 8).
 	MaxDisks int
-	// Budget bounds the search tree per configuration (default 50M
-	// nodes; every default configuration completes far below this).
-	Budget int64
 }
+
+// theoremBudget bounds the search tree per configuration, in nodes;
+// every default configuration completes far below it.
+const theoremBudget = 50_000_000
 
 func (c TheoremConfig) withDefaults() TheoremConfig {
 	if c.MaxDisks == 0 {
 		c.MaxDisks = 8
-	}
-	if c.Budget == 0 {
-		c.Budget = 50_000_000
 	}
 	return c
 }
@@ -60,9 +58,9 @@ func Theorem(cfg TheoremConfig) (*TheoremResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		sr := optimality.SearchStrictlyOptimal(g, m, cfg.Budget)
+		sr := optimality.SearchStrictlyOptimal(g, m, theoremBudget)
 		if sr.Outcome == optimality.Undecided {
-			return nil, fmt.Errorf("experiments: theorem search undecided at M=%d within budget %d", m, cfg.Budget)
+			return nil, fmt.Errorf("experiments: theorem search undecided at M=%d within budget %d", m, theoremBudget)
 		}
 		res.Rows = append(res.Rows, TheoremRow{
 			Disks:   m,

@@ -12,6 +12,7 @@ package grid
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -227,16 +228,31 @@ type Rect struct {
 	Lo, Hi Coord
 }
 
+// CheckRect reports whether r is a well-formed rectangle of g: both
+// corners carry one coordinate per axis, and on every axis
+// 0 ≤ Lo ≤ Hi < d_i. It is the one statement of that rule; entry points
+// that take a Rect from a caller wrap its error with their own package
+// prefix, so the message itself carries none.
+func (g *Grid) CheckRect(r Rect) error {
+	if len(r.Lo) != g.K() || len(r.Hi) != g.K() {
+		return fmt.Errorf("rect %v has %d..%d axes for %d-attribute grid %v", r, len(r.Lo), len(r.Hi), g.K(), g)
+	}
+	for i, d := range g.dims {
+		switch lo, hi := r.Lo[i], r.Hi[i]; {
+		case lo > hi:
+			return fmt.Errorf("rect %v inverted on axis %d (Lo %d > Hi %d)", r, i, lo, hi)
+		case lo < 0 || hi >= d:
+			return fmt.Errorf("rect %v outside grid %v on axis %d", r, g, i)
+		}
+	}
+	return nil
+}
+
 // NewRect validates the corner coordinates against g and returns the
 // rectangle. Both corners are inclusive.
 func (g *Grid) NewRect(lo, hi Coord) (Rect, error) {
-	if len(lo) != g.K() || len(hi) != g.K() {
-		return Rect{}, fmt.Errorf("grid: rect corners %v..%v do not match %d-dimensional grid", lo, hi, g.K())
-	}
-	for i := range lo {
-		if lo[i] < 0 || hi[i] >= g.dims[i] || lo[i] > hi[i] {
-			return Rect{}, fmt.Errorf("grid: rect %v..%v invalid on axis %d of grid %v", lo, hi, i, g)
-		}
+	if err := g.CheckRect(Rect{Lo: lo, Hi: hi}); err != nil {
+		return Rect{}, fmt.Errorf("grid: %w", err)
 	}
 	return Rect{Lo: lo.Clone(), Hi: hi.Clone()}, nil
 }
@@ -321,6 +337,48 @@ func EachRect(r Rect, fn func(c Coord) bool) {
 		}
 		if i < 0 {
 			return
+		}
+	}
+}
+
+// AppendRect appends the row-major bucket numbers of r to dst, in
+// ascending order, and returns the extended slice: the rectangle as the
+// bucket set everything below the entry points routes, schedules and
+// reads. r must satisfy CheckRect. The walk is stride arithmetic over a
+// running base offset — no Coord, no callback, no Linearize per bucket —
+// and allocates nothing beyond growing dst for grids of up to eight
+// attributes.
+func (g *Grid) AppendRect(dst []int, r Rect) []int {
+	dst = slices.Grow(dst, r.Volume())
+	last := len(g.dims) - 1
+	var scratch [8]int
+	c := scratch[:]
+	if len(g.dims) > len(scratch) {
+		c = make([]int, len(g.dims))
+	}
+	// c[i] is the walk's offset from r.Lo on outer axis i; base is the
+	// bucket number of the current innermost row's first cell.
+	base := 0
+	for i, lo := range r.Lo {
+		base += lo * g.strides[i]
+	}
+	width := r.Hi[last] - r.Lo[last]
+	for {
+		for b := base; b <= base+width; b++ {
+			dst = append(dst, b)
+		}
+		i := last - 1
+		for ; i >= 0; i-- {
+			c[i]++
+			base += g.strides[i]
+			if r.Lo[i]+c[i] <= r.Hi[i] {
+				break
+			}
+			base -= c[i] * g.strides[i]
+			c[i] = 0
+		}
+		if i < 0 {
+			return dst
 		}
 	}
 }

@@ -2,6 +2,8 @@ package grid
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -424,5 +426,119 @@ func TestVolumeSaturates(t *testing.T) {
 	r = Rect{Lo: Coord{0, 3, 5}, Hi: Coord{0, 3, 9}}
 	if got := r.Volume(); got != 5 {
 		t.Errorf("Volume = %d, want 5", got)
+	}
+}
+
+// appendRectOracle is AppendRect as every caller used to hand-roll it:
+// walk the rectangle's coordinates and linearize each.
+func appendRectOracle(g *Grid, dst []int, r Rect) []int {
+	EachRect(r, func(c Coord) bool {
+		dst = append(dst, g.Linearize(c))
+		return true
+	})
+	return dst
+}
+
+func TestAppendRectMatchesEachRect(t *testing.T) {
+	for _, dims := range [][]int{{8, 8}, {5, 7}, {4, 4, 4}, {3, 4, 2, 3}} {
+		g := MustNew(dims...)
+		rects := 0
+		// Every rectangle of the grid: every low corner, every high
+		// corner at or past it.
+		g.Each(func(lo Coord) bool {
+			lo = lo.Clone()
+			EachRect(Rect{Lo: lo, Hi: g.FullRect().Hi}, func(hi Coord) bool {
+				r := Rect{Lo: lo, Hi: hi}
+				got, want := g.AppendRect(nil, r), appendRectOracle(g, nil, r)
+				if !slices.Equal(got, want) {
+					t.Fatalf("grid %v rect %v: AppendRect = %v, want %v", g, r, got, want)
+				}
+				if len(got) != r.Volume() {
+					t.Fatalf("grid %v rect %v: %d buckets, volume %d", g, r, len(got), r.Volume())
+				}
+				rects++
+				return true
+			})
+			return true
+		})
+		if rects == 0 {
+			t.Fatalf("grid %v: no rectangle visited", g)
+		}
+	}
+
+	// Nine axes: the walk's offsets no longer fit the stack scratch.
+	g := MustNew(2, 3, 2, 2, 3, 2, 2, 2, 3)
+	for _, r := range []Rect{
+		g.FullRect(),
+		g.MustRect(Coord{1, 2, 1, 1, 2, 1, 1, 1, 2}, Coord{1, 2, 1, 1, 2, 1, 1, 1, 2}),
+		g.MustRect(Coord{0, 1, 0, 1, 0, 1, 0, 1, 0}, Coord{1, 2, 1, 1, 2, 1, 0, 1, 1}),
+		g.MustRect(Coord{1, 0, 0, 0, 1, 0, 1, 0, 1}, Coord{1, 2, 0, 1, 1, 1, 1, 0, 2}),
+	} {
+		if got, want := g.AppendRect(nil, r), appendRectOracle(g, nil, r); !slices.Equal(got, want) {
+			t.Errorf("9-axis rect %v: AppendRect differs from EachRect+Linearize (%d vs %d buckets)", r, len(got), len(want))
+		}
+	}
+
+	// It appends: what dst already held stays in front.
+	g = MustNew(5, 7)
+	r := g.MustRect(Coord{1, 2}, Coord{3, 4})
+	got := g.AppendRect([]int{-7, -8}, r)
+	if want := appendRectOracle(g, []int{-7, -8}, r); !slices.Equal(got, want) {
+		t.Errorf("AppendRect onto a non-empty dst = %v, want %v", got, want)
+	}
+}
+
+// TestAppendRectZeroAllocs gates the routing hot path's enumeration:
+// into a dst with room, grids of up to eight attributes allocate nothing.
+func TestAppendRectZeroAllocs(t *testing.T) {
+	for _, dims := range [][]int{{64, 64}, {4, 4, 4}, {2, 2, 2, 2, 2, 2, 2, 2}} {
+		g := MustNew(dims...)
+		r := g.FullRect()
+		dst := make([]int, 0, g.Buckets())
+		if avg := testing.AllocsPerRun(100, func() {
+			dst = g.AppendRect(dst[:0], r)
+		}); avg > 0 {
+			t.Errorf("grid %v: AppendRect allocates %.1f allocs/op into a pre-sized dst, want 0", g, avg)
+		}
+	}
+}
+
+func TestCheckRect(t *testing.T) {
+	g := MustNew(5, 7)
+	for _, tc := range []struct {
+		name   string
+		lo, hi Coord
+		want   []string // substrings of the error; nil = valid
+	}{
+		{"valid 1×1", Coord{4, 6}, Coord{4, 6}, nil},
+		{"valid full", Coord{0, 0}, Coord{4, 6}, nil},
+		{"short Lo", Coord{1}, Coord{2, 3}, []string{"1..2 axes", "2-attribute"}},
+		{"long Hi", Coord{1, 1}, Coord{2, 3, 4}, []string{"2..3 axes"}},
+		{"no corners", nil, nil, []string{"0..0 axes"}},
+		{"negative", Coord{0, -1}, Coord{2, 3}, []string{"outside grid", "axis 1"}},
+		{"past the edge", Coord{0, 0}, Coord{5, 3}, []string{"outside grid", "axis 0"}},
+		{"inverted", Coord{1, 5}, Coord{2, 4}, []string{"inverted", "axis 1", "Lo 5 > Hi 4"}},
+		{"inverted and outside", Coord{6, 0}, Coord{2, 9}, []string{"inverted", "axis 0"}},
+	} {
+		err := g.CheckRect(Rect{Lo: tc.lo, Hi: tc.hi})
+		if tc.want == nil {
+			if err != nil {
+				t.Errorf("%s: CheckRect = %v, want nil", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: rect %v..%v accepted", tc.name, tc.lo, tc.hi)
+			continue
+		}
+		for _, sub := range tc.want {
+			if !strings.Contains(err.Error(), sub) {
+				t.Errorf("%s: error %q lacks %q", tc.name, err, sub)
+			}
+		}
+		// NewRect is the same rule under the package's own prefix.
+		if _, nerr := g.NewRect(tc.lo, tc.hi); nerr == nil || nerr.Error() != "grid: "+err.Error() {
+			t.Errorf("%s: NewRect error %v, want %q prefixed", tc.name, nerr, err)
+		}
 	}
 }

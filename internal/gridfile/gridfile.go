@@ -119,6 +119,12 @@ func (f *File) Disks() int { return f.method.Disks() }
 // Method returns the declustering method in use.
 func (f *File) Method() alloc.Method { return f.method }
 
+// DiskOf returns the disk holding the row-major bucket b, read from the
+// table the file precomputes at construction: the routing hot path asks
+// this instead of paying Method.DiskOf's interface call and coordinate
+// arithmetic per bucket.
+func (f *File) DiskOf(b int) int { return f.diskOf[b] }
+
 // Len returns the number of records stored.
 func (f *File) Len() int { return f.count }
 
@@ -278,21 +284,19 @@ type ResultSet struct {
 // returns all their records (no value-level filtering) with the access
 // trace. It is the bucket-granularity search the paper's metric counts.
 func (f *File) CellRangeSearch(r grid.Rect) (*ResultSet, error) {
-	if len(r.Lo) != f.g.K() || !f.g.Contains(r.Lo) || !f.g.Contains(r.Hi) {
-		return nil, fmt.Errorf("gridfile: rect %v invalid for grid %v", r, f.g)
+	if err := f.g.CheckRect(r); err != nil {
+		return nil, fmt.Errorf("gridfile: %w", err)
 	}
 	rs := &ResultSet{Trace: Trace{PerDisk: make([][]Access, f.Disks())}}
-	grid.EachRect(r, func(c grid.Coord) bool {
-		b := f.g.Linearize(c)
+	for _, b := range f.g.AppendRect(nil, r) {
 		pages := f.BucketPages(b)
 		if pages == 0 {
-			return true
+			continue
 		}
 		disk := f.diskOf[b]
 		rs.Trace.PerDisk[disk] = append(rs.Trace.PerDisk[disk], Access{Bucket: b, Pages: pages})
 		rs.Records = append(rs.Records, f.buckets[b]...)
-		return true
-	})
+	}
 	return rs, nil
 }
 

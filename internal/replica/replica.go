@@ -130,48 +130,23 @@ func (r *Replicated) ResponseTimeDegradedSet(rect grid.Rect, failed []int) (int,
 // replicas alive are placed to minimize the busiest disk. No bucket is
 // ever assigned to a failed disk. Errors are those of
 // ResponseTimeDegradedSet; a nil or empty failed set yields the
-// healthy optimal assignment.
+// healthy optimal assignment. A rectangle is the common special case of
+// a bucket set, so this is DegradedAssignmentBuckets over its buckets.
 func (r *Replicated) DegradedAssignment(rect grid.Rect, failed []int) (map[int]int, error) {
-	fs, err := r.failedSet(failed)
-	if err != nil {
-		return nil, err
-	}
-	jobs, ids, err := r.gather(rect, fs)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int]int, len(jobs))
-	if len(jobs) == 0 {
-		return out, nil
-	}
-	q, err := r.makespan(jobs, len(fs))
-	if err != nil {
-		return nil, err
-	}
-	byDisk, ok := r.assign(jobs, q)
-	if !ok {
-		// makespan returned a feasible quota by construction.
-		panic(fmt.Sprintf("replica: optimal makespan %d infeasible", q))
-	}
-	for d, occupants := range byDisk {
-		for _, j := range occupants {
-			out[ids[j]] = d
-		}
-	}
-	return out, nil
+	return r.DegradedAssignmentBuckets(r.g.AppendRect(nil, rect), failed)
 }
 
-// DegradedAssignmentBuckets is DegradedAssignment for an explicit
-// bucket-number set rather than a rectangle — the shape a batch
-// engine's deduped read plan has after shared buckets are folded
-// across queries. Buckets may arrive in any order and may repeat;
-// the returned map has one entry per distinct bucket.
+// DegradedAssignmentBuckets is the one degraded assignment: it takes an
+// explicit bucket-number set — a rectangle's buckets, or the shape a
+// batch engine's deduped read plan has after shared buckets are folded
+// across queries. Buckets may arrive in any order and may repeat; the
+// returned map has one entry per distinct bucket.
 func (r *Replicated) DegradedAssignmentBuckets(buckets []int, failed []int) (map[int]int, error) {
 	fs, err := r.failedSet(failed)
 	if err != nil {
 		return nil, err
 	}
-	jobs, ids, err := r.gatherBuckets(buckets, fs)
+	jobs, ids, err := r.gather(buckets, fs)
 	if err != nil {
 		return nil, err
 	}
@@ -196,15 +171,30 @@ func (r *Replicated) DegradedAssignmentBuckets(buckets []int, failed []int) (map
 	return out, nil
 }
 
-// gatherBuckets collects each listed bucket's admissible disks under
-// the failed set, mirroring gather for explicit bucket numbers.
-// Repeated buckets contribute one job each (the physical read happens
-// once). Buckets that lost both replicas make the set unavailable.
-func (r *Replicated) gatherBuckets(buckets []int, failed map[int]bool) ([]job, []int, error) {
-	var jobs []job
-	var ids []int
+// failedSet validates and dedups a failed-disk list.
+func (r *Replicated) failedSet(failed []int) (map[int]bool, error) {
+	fs := make(map[int]bool, len(failed))
+	for _, d := range failed {
+		if d < 0 || d >= r.m {
+			return nil, fmt.Errorf("replica: failed disk %d outside [0,%d)", d, r.m)
+		}
+		fs[d] = true
+	}
+	if len(fs) >= r.m {
+		return nil, fmt.Errorf("replica: all %d disks failed", r.m)
+	}
+	return fs, nil
+}
+
+// gather collects each listed bucket's admissible disks under the failed
+// set, plus the bucket ids in visit order. Repeated buckets contribute
+// one job (the physical read happens once). Buckets that lost both
+// replicas make the set unavailable.
+func (r *Replicated) gather(buckets []int, failed map[int]bool) ([]job, []int, error) {
+	jobs := make([]job, 0, len(buckets))
+	ids := make([]int, 0, len(buckets))
 	var lost []int
-	seen := make(map[int]bool, len(buckets))
+	seen := make([]bool, len(r.primary))
 	for _, idx := range buckets {
 		if idx < 0 || idx >= len(r.primary) {
 			return nil, nil, fmt.Errorf("replica: bucket %d outside [0,%d)", idx, len(r.primary))
@@ -239,61 +229,10 @@ func (r *Replicated) gatherBuckets(buckets []int, failed map[int]bool) ([]job, [
 	return jobs, ids, nil
 }
 
-// failedSet validates and dedups a failed-disk list.
-func (r *Replicated) failedSet(failed []int) (map[int]bool, error) {
-	fs := make(map[int]bool, len(failed))
-	for _, d := range failed {
-		if d < 0 || d >= r.m {
-			return nil, fmt.Errorf("replica: failed disk %d outside [0,%d)", d, r.m)
-		}
-		fs[d] = true
-	}
-	if len(fs) >= r.m {
-		return nil, fmt.Errorf("replica: all %d disks failed", r.m)
-	}
-	return fs, nil
-}
-
-// gather collects each query bucket's admissible disks under the failed
-// set, plus the bucket ids in visit order. Buckets that lost both
-// replicas make the query unavailable.
-func (r *Replicated) gather(rect grid.Rect, failed map[int]bool) ([]job, []int, error) {
-	var jobs []job
-	var ids []int
-	var lost []int
-	grid.EachRect(rect, func(c grid.Coord) bool {
-		idx := r.g.Linearize(c)
-		a, b := r.primary[idx], r.backup[idx]
-		aOK, bOK := !failed[a], !failed[b]
-		switch {
-		case !aOK && !bOK:
-			lost = append(lost, idx)
-			return true
-		case !aOK:
-			a = b
-		case !bOK:
-			b = a
-		}
-		jobs = append(jobs, job{a, b})
-		ids = append(ids, idx)
-		return true
-	})
-	if len(lost) > 0 {
-		sort.Ints(lost)
-		fd := make([]int, 0, len(failed))
-		for d := range failed {
-			fd = append(fd, d)
-		}
-		sort.Ints(fd)
-		return nil, nil, &fault.UnavailableError{Buckets: lost, FailedDisks: fd}
-	}
-	return jobs, ids, nil
-}
-
 // responseTime solves the min-makespan replica assignment for the
 // query's buckets, excluding the failed disks (nil = none).
 func (r *Replicated) responseTime(rect grid.Rect, failed map[int]bool) (int, error) {
-	jobs, _, err := r.gather(rect, failed)
+	jobs, _, err := r.gather(r.g.AppendRect(nil, rect), failed)
 	if err != nil {
 		return 0, err
 	}

@@ -43,16 +43,9 @@ type servedReader struct {
 // against its disk.
 func (r *servedReader) ReadBucket(ctx context.Context, disk, bucket int) ([]datagen.Record, error) {
 	s := r.s
-	alt := -1
-	if s.hedge.After > 0 {
-		alt = s.altDisk(disk, bucket)
-	}
+	alt, after := s.altDisk(disk, bucket)
 	if alt < 0 {
 		return r.observe(ctx, disk, bucket)
-	}
-	after := s.hedge.After
-	if !hedge.Worth(after, s.health.EWMALatency(disk), s.health.EWMALatency(alt)) {
-		after = 0 // failover only
 	}
 	recs, winner, hedged, err := hedge.Race(ctx, after, disk, alt,
 		func(ctx context.Context, d int, hedgeLeg bool) ([]datagen.Record, error) {
@@ -105,21 +98,31 @@ func (r *servedReader) observe(ctx context.Context, disk, bucket int) ([]datagen
 	return recs, err
 }
 
-// altDisk returns the other replica of bucket — the hedge target — if
-// one exists and is worth hedging to: not the serving disk itself, not
-// fail-stop, and not held open by its breaker. Otherwise -1.
-func (s *Scheduler) altDisk(disk, bucket int) int {
-	if s.rep == nil {
-		return -1
+// altDisk returns the other replica of bucket — the hedge target — and
+// the delay after which to hedge to it; -1 when hedging is off or no
+// other live replica exists (it is the serving disk itself, or
+// fail-stop). A zero delay leaves only the on-error failover: the timed
+// hedge is a bet on latency, closed when hedge.Worth says the backup
+// would lose it and when the backup's breaker is open. An open breaker
+// does not make the replica unreadable, though, so it stays the backup
+// for a primary that fails outright (a disk that went fail-stop after
+// routing) — the rule exec.route states: avoidance must never turn an
+// answerable read into a failed one.
+func (s *Scheduler) altDisk(disk, bucket int) (alt int, after time.Duration) {
+	if s.hedge.After <= 0 || s.rep == nil {
+		return -1, 0
 	}
-	alt := s.rep.BackupOf(bucket)
+	alt = s.rep.BackupOf(bucket)
 	if alt == disk {
 		alt = s.rep.PrimaryOf(bucket)
 	}
-	if alt == disk || (s.inj != nil && s.inj.DiskFailed(alt)) || !s.health.Allow(alt) {
-		return -1
+	if alt == disk || (s.inj != nil && s.inj.DiskFailed(alt)) {
+		return -1, 0
 	}
-	return alt
+	if s.health.Allow(alt) && hedge.Worth(s.hedge.After, s.health.EWMALatency(disk), s.health.EWMALatency(alt)) {
+		after = s.hedge.After
+	}
+	return alt, after
 }
 
 // latencyReader simulates per-read service time: every read sleeps

@@ -511,6 +511,149 @@ func TestHedgeSuppressedUnderSaturation(t *testing.T) {
 	}
 }
 
+// injectedReader is the slice of the executor's fault layer a
+// servedReader unit test needs: reads of a fail-stop disk error, the
+// rest reach the file.
+type injectedReader struct {
+	inner exec.BucketReader
+	inj   *fault.Injector
+}
+
+func (r injectedReader) ReadBucket(ctx context.Context, disk, bucket int) ([]datagen.Record, error) {
+	if err := r.inj.CheckRead(disk, bucket, 1); err != nil {
+		return nil, err
+	}
+	return r.inner.ReadBucket(ctx, disk, bucket)
+}
+
+// An open breaker closes the timed hedge onto its disk, not the disk
+// itself: when a read's primary went fail-stop after routing and the
+// only other replica's breaker happens to be open, the read must still
+// fail over to that replica — it is sick-but-readable — instead of
+// failing the query (the flake TestDifferentialSoak hit 1–4 times per
+// 1,200 runs before the fix).
+func TestOpenBreakerStillBacksUpFailedPrimary(t *testing.T) {
+	f := newLoadedFile(t, 4, 1000)
+	rep, err := replica.NewOffset(f.Method(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := fault.New(fault.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(f,
+		WithFaults(inj),
+		WithFailover(rep),
+		WithBreaker(BreakerConfig{ErrorThreshold: 1, Cooldown: time.Hour}),
+		WithHedging(HedgeConfig{After: time.Hour}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bucket := -1
+	for b := 0; b < f.Grid().Buckets(); b++ {
+		if f.BucketLen(b) > 0 {
+			bucket = b
+			break
+		}
+	}
+	if bucket < 0 {
+		t.Fatal("fixture has no occupied bucket")
+	}
+	a, b := rep.PrimaryOf(bucket), rep.BackupOf(bucket)
+	if alt, after := s.altDisk(a, bucket); alt != b || after != time.Hour {
+		t.Fatalf("healthy: altDisk = (%d, %v), want (%d, 1h)", alt, after, b)
+	}
+
+	s.health.Observe(b, 0, fault.ErrTransient) // trips b's breaker
+	if s.health.Allow(b) {
+		t.Fatal("breaker of the backup disk did not open")
+	}
+	inj.FailDisk(a) // after "routing": the read below still targets a
+
+	if alt, after := s.altDisk(a, bucket); alt != b || after != 0 {
+		t.Errorf("backup breaker open: altDisk = (%d, %v), want (%d, 0): failover kept, timed hedge closed", alt, after, b)
+	}
+	r := &servedReader{s: s, inner: injectedReader{inner: exec.NewFileReader(f), inj: inj}}
+	recs, err := r.ReadBucket(context.Background(), a, bucket)
+	if err != nil {
+		t.Fatalf("read with a fail-stop primary and a breaker-open backup failed: %v", err)
+	}
+	if len(recs) != f.BucketLen(bucket) {
+		t.Errorf("failover returned %d records, want %d", len(recs), f.BucketLen(bucket))
+	}
+	if st := s.Stats(); st.HedgesIssued != 1 || st.HedgesWon != 1 {
+		t.Errorf("hedges issued/won = %d/%d, want exactly the one failover leg", st.HedgesIssued, st.HedgesWon)
+	}
+
+	// A fail-stop backup is no backup at all.
+	inj.FailDisk(b)
+	if alt, _ := s.altDisk(a, bucket); alt != -1 {
+		t.Errorf("fail-stop backup offered as hedge target %d", alt)
+	}
+}
+
+// The latency rule of the breaker: a slow EWMA trips it only once
+// MinSamples reads have been seen, and the open breaker recovers through
+// cooldown → half-open → HalfOpenProbes fast reads like an error trip.
+func TestBreakerLatencyTrip(t *testing.T) {
+	const slow, fast = 10 * time.Millisecond, 100 * time.Microsecond
+	h, err := newHealth(BreakerConfig{
+		ErrorThreshold:   -1,
+		LatencyThreshold: time.Millisecond,
+		MinSamples:       4,
+		Cooldown:         time.Millisecond,
+		HalfOpenProbes:   2,
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The raw state, without the cooldown tick every accessor applies: a
+	// descheduled test must not read a just-opened breaker as half-open.
+	state := func() BreakerState {
+		d := h.disks[1]
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.state
+	}
+	for i := 1; i < 4; i++ {
+		h.Observe(1, slow, nil)
+		if state() != BreakerClosed {
+			t.Fatalf("tripped on sample %d, below MinSamples 4", i)
+		}
+	}
+	// Errors are not latency samples: they neither count toward
+	// MinSamples nor (threshold disabled) trip anything.
+	h.Observe(1, slow, fault.ErrTransient)
+	if state() != BreakerClosed {
+		t.Fatal("an errored read counted as a latency sample")
+	}
+	h.Observe(1, slow, nil)
+	if state() != BreakerOpen || h.Trips() != 1 {
+		t.Fatalf("at MinSamples with EWMA %v over the 1ms threshold: state %v, trips %d", h.EWMALatency(1), state(), h.Trips())
+	}
+
+	time.Sleep(2 * time.Millisecond) // the cooldown
+	if !h.Allow(1) || state() != BreakerHalfOpen {
+		t.Fatalf("after the cooldown: state %v, want half-open and allowed", state())
+	}
+	h.Observe(1, fast, nil)
+	if state() != BreakerHalfOpen {
+		t.Fatalf("re-closed after 1 of 2 probes")
+	}
+	h.Observe(1, fast, nil)
+	if state() != BreakerClosed || h.EWMALatency(1) != 0 {
+		t.Fatalf("after 2 fast probes: state %v, EWMA %v; want closed with the sick-era latency forgotten", state(), h.EWMALatency(1))
+	}
+	// Judged on fresh samples: fast reads never trip, however many.
+	for i := 0; i < 8; i++ {
+		h.Observe(1, fast, nil)
+	}
+	if state() != BreakerClosed || h.Trips() != 1 {
+		t.Errorf("fast disk tripped again: state %v, trips %d", state(), h.Trips())
+	}
+}
+
 // A hedged read whose legs both failed reports the transient error,
 // whichever leg drew it: the executor retries only that class, and the
 // retry hedges again.
