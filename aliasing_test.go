@@ -134,3 +134,79 @@ func TestResultReleaseIsTerminal(t *testing.T) {
 	r1.Release()
 	r2.Release()
 }
+
+// TestClusterResultNoAliasing extends the audit across the wire. A
+// gathered RouterResult is built from record frames: each node encodes
+// its answer from a pooled executor result into a pooled buffer and
+// releases both, and the router's records share per-leg value slabs. A
+// held result must therefore (a) stay bit-identical to the single-file
+// answer while concurrent searches recycle every one of those pools, and
+// (b) keep its records apart — appending to one record's Values must
+// reallocate, not write into the record decoded next to it.
+func TestClusterResultNoAliasing(t *testing.T) {
+	g := grid.MustNew(16, 16)
+	m, err := alloc.NewHCAM(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := decluster.UniformRecords{K: 2, Seed: 21}.Generate(3000)
+	sm, err := decluster.NewChainShardMap(g, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := decluster.StartClusterHarness(decluster.ClusterHarnessConfig{Map: sm, Method: m, Records: recs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	ctx := context.Background()
+	q := g.MustRect(grid.Coord{2, 2}, grid.Coord{13, 13})
+
+	held, err := h.Router().Search(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(held.Records) == 0 {
+		t.Fatal("no records")
+	}
+	byID := make(map[int][]float64, len(recs))
+	for _, rec := range recs {
+		byID[rec.ID] = rec.Values
+	}
+	check := func(when string) {
+		t.Helper()
+		for i, rec := range held.Records {
+			want := byID[rec.ID]
+			if len(rec.Values) != len(want) || (i > 0 && held.Records[i-1].ID >= rec.ID) {
+				t.Fatalf("%s: record %d (ID %d) malformed or out of order", when, i, rec.ID)
+			}
+			for a, v := range rec.Values {
+				if v != want[a] {
+					t.Fatalf("%s: record %d attribute %d = %v, want %v", when, rec.ID, a, v, want[a])
+				}
+			}
+		}
+	}
+	check("as gathered")
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 16; i++ {
+				if _, err := h.Router().Search(ctx, g.FullRect()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	check("after pool churn")
+
+	for i := range held.Records {
+		_ = append(held.Records[i].Values, -1)
+	}
+	check("after appending to every record's values")
+}

@@ -15,7 +15,7 @@ import (
 
 // HarnessConfig configures an in-process cluster: N real HTTP servers
 // on loopback, one per node, plus a router over them. Chaos experiments
-// and tests exercise the full wire path — JSON encoding, transport
+// and tests exercise the full wire path — frame and JSON encoding, transport
 // errors, connection aborts — without leaving the process.
 type HarnessConfig struct {
 	// Map is the cluster's shard map (required).

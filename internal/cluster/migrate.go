@@ -181,8 +181,8 @@ func Migrate(ctx context.Context, cfg MigrateConfig) (MigrateStats, error) {
 			if err != nil {
 				return abort(fmt.Errorf("copy shard %d cell %v to member %d: %w", mv.Shard, c, mv.Dest, err))
 			}
-			if err := postMigrate(ctx, cfg, mv.Dest, "bucket", migrateBucketRequest{
-				Epoch: p.To.Epoch(), Cell: []int(c), Records: recs,
+			if err := postMigrate(ctx, cfg, mv.Dest, "bucket", &recordPage{
+				Epoch: p.To.Epoch(), Buckets: 1, Cell: c, Records: recs,
 			}); err != nil {
 				return abort(fmt.Errorf("ingest shard %d cell %v on member %d: %w", mv.Shard, c, mv.Dest, err))
 			}

@@ -358,8 +358,9 @@ func (n *Node) faultMiddleware(next http.Handler) http.Handler {
 			}
 			if f := n.faults.NodeSlowFactor(n.id); f > 1 {
 				// The handler still needs the body after the delay; a short
-				// read here fails the handler's own decode.
-				body, _ := io.ReadAll(r.Body)
+				// read here (the largest route cap bounds it) fails the
+				// handler's own decode.
+				body, _ := io.ReadAll(http.MaxBytesReader(w, r.Body, recordPayloadLimit))
 				r.Body = io.NopCloser(bytes.NewReader(body))
 				delay := time.Duration(float64(n.slowUnit) * (f - 1))
 				t := time.NewTimer(delay)
@@ -378,7 +379,7 @@ func (n *Node) faultMiddleware(next http.Handler) http.Handler {
 // handleQuery answers one sub-rectangle of a range query.
 func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if err := decodeJSONBody(r, &req); err != nil {
+	if err := decodeJSONBody(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -398,6 +399,7 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
+	defer res.Release() // back to the scheduler's pool once the answer is framed
 	records := res.Records
 	if isPending {
 		// Dual-read merge: the live leg covers the rect's buckets this
@@ -419,12 +421,7 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		records = append(live, extra...)
 	}
-	writeJSON(w, queryResponse{
-		Records:  toWireRecords(records),
-		Buckets:  rect.Volume(),
-		Degraded: res.Degraded,
-		Epoch:    sm.Epoch(),
-	})
+	writePage(w, &recordPage{Epoch: sm.Epoch(), Buckets: rect.Volume(), Degraded: res.Degraded, Records: records})
 }
 
 // aggregateIndex returns the node's aggregate index, rebuilding it when
@@ -459,7 +456,7 @@ func (n *Node) aggregateIndex() (*batch.AggregateIndex, error) {
 // authoritative old-epoch leg covers the window.
 func (n *Node) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	var req aggregateRequest
-	if err := decodeJSONBody(r, &req); err != nil {
+	if err := decodeJSONBody(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -612,6 +609,7 @@ func (n *Node) handleBucket(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
+	defer res.Release()
 	records := res.Records
 	if isPending {
 		extra, err := n.stagingRecords(rect, sm)
@@ -621,7 +619,7 @@ func (n *Node) handleBucket(w http.ResponseWriter, r *http.Request) {
 		}
 		records = append(append([]datagen.Record(nil), records...), extra...)
 	}
-	writeJSON(w, bucketResponse{Records: toWireRecords(records), Epoch: sm.Epoch()})
+	writePage(w, &recordPage{Epoch: sm.Epoch(), Buckets: 1, Records: records})
 }
 
 // handlePrepare stages the next-epoch map (PREPARE). Idempotent for the
@@ -630,7 +628,7 @@ func (n *Node) handleBucket(w http.ResponseWriter, r *http.Request) {
 // a second concurrent migration draws a conflict.
 func (n *Node) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	var req prepareRequest
-	if err := decodeJSONBody(r, &req); err != nil {
+	if err := decodeJSONBody(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -673,13 +671,16 @@ func (n *Node) handlePrepare(w http.ResponseWriter, r *http.Request) {
 // marked ready is a no-op: records are immutable, so the first copy is
 // as good as any.
 func (n *Node) handleMigrateBucket(w http.ResponseWriter, r *http.Request) {
-	var req migrateBucketRequest
-	if err := decodeJSONBody(r, &req); err != nil {
-		writeError(w, err)
+	var req recordPage
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, recordPayloadLimit))
+	if err == nil {
+		err = req.decode(r.Header.Get("Content-Type"), data)
+	}
+	if err != nil {
+		writeError(w, badRequestError{fmt.Errorf("bad request body: %w", err)})
 		return
 	}
-	cell := make(grid.Coord, len(req.Cell))
-	copy(cell, req.Cell)
+	cell := grid.Coord(req.Cell)
 	if len(cell) != n.g.K() || !n.g.Contains(cell) {
 		writeError(w, badRequestError{fmt.Errorf("cell %v outside grid %v", cell, n.g)})
 		return
@@ -705,7 +706,7 @@ func (n *Node) handleMigrateBucket(w http.ResponseWriter, r *http.Request) {
 	}
 	key := n.g.Linearize(cell)
 	if !n.ready[key] {
-		if err := n.staging.InsertAll(fromWireRecords(req.Records)); err != nil {
+		if err := n.staging.InsertAll(req.Records); err != nil {
 			writeError(w, err)
 			return
 		}
@@ -723,7 +724,7 @@ func (n *Node) handleMigrateBucket(w http.ResponseWriter, r *http.Request) {
 // epoch.
 func (n *Node) handleCutover(w http.ResponseWriter, r *http.Request) {
 	var req epochRequest
-	if err := decodeJSONBody(r, &req); err != nil {
+	if err := decodeJSONBody(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -803,7 +804,7 @@ func (n *Node) handleCutover(w http.ResponseWriter, r *http.Request) {
 // cutover cannot be undone, and the migrator must know.
 func (n *Node) handleAbort(w http.ResponseWriter, r *http.Request) {
 	var req epochRequest
-	if err := decodeJSONBody(r, &req); err != nil {
+	if err := decodeJSONBody(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -941,9 +942,10 @@ func (n *Node) FinishRebuild() {
 	n.mu.Unlock()
 }
 
-// decodeJSONBody parses the request body as JSON into v.
-func decodeJSONBody(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+// decodeJSONBody parses the request body, at most smallPayloadLimit
+// bytes of it, as JSON into v.
+func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) error {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, smallPayloadLimit)).Decode(v); err != nil {
 		return badRequestError{fmt.Errorf("bad request body: %w", err)}
 	}
 	return nil

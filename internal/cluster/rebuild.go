@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"decluster/internal/datagen"
 	"decluster/internal/exec"
 	"decluster/internal/fault"
 	"decluster/internal/grid"
@@ -148,7 +149,7 @@ func RebuildNode(ctx context.Context, cfg RebuildConfig, target *Node) (RebuildS
 				return false
 			}
 			if len(recs) > 0 {
-				if err := target.RebuildInsert(fromWireRecords(recs)); err != nil {
+				if err := target.RebuildInsert(recs); err != nil {
 					fetchErr = err
 					return false
 				}
@@ -205,7 +206,7 @@ type fetchOpts struct {
 // timeout — silence, not shedding) counts toward a short fuse: after
 // noDonorRounds consecutive all-hard rounds the fetch fails fast with
 // ErrNoDonor. Returns the records and how many fetches failed first.
-func fetchBucket(ctx context.Context, donors []int, c grid.Coord, o fetchOpts) ([]wireRecord, int, error) {
+func fetchBucket(ctx context.Context, donors []int, c grid.Coord, o fetchOpts) ([]datagen.Record, int, error) {
 	var lastErr error
 	retries := 0
 	allHardRounds := 0
@@ -261,14 +262,14 @@ func donorHardDown(err error) bool {
 
 // fetchBucketFrom performs one GET /v1/bucket exchange at the loop's
 // priority, stamped with its epoch.
-func fetchBucketFrom(ctx context.Context, base string, c grid.Coord, o fetchOpts) ([]wireRecord, error) {
+func fetchBucketFrom(ctx context.Context, base string, c grid.Coord, o fetchOpts) ([]datagen.Record, error) {
 	parts := make([]string, len(c))
 	for i, v := range c {
 		parts[i] = strconv.Itoa(v)
 	}
 	url := fmt.Sprintf("%s/v1/bucket?cell=%s&priority=%d&epoch=%d",
 		strings.TrimRight(base, "/"), strings.Join(parts, ","), o.priority, o.epoch)
-	var br bucketResponse
-	err := exchange(ctx, o.client, o.timeout, url, nil, &br, recordPayloadLimit)
-	return br.Records, err
+	var page recordPage
+	err := exchange(ctx, o.client, o.timeout, url, nil, &page, recordPayloadLimit)
+	return page.Records, err
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -328,7 +327,7 @@ type legOp[R any] struct {
 	body  func(rect grid.Rect, epoch uint64, prio int) any
 }
 
-var searchOp = legOp[queryResponse]{
+var searchOp = legOp[recordPage]{
 	path: "/v1/query", span: "shard", limit: recordPayloadLimit,
 	body: func(rect grid.Rect, epoch uint64, prio int) any {
 		return queryRequest{Rect: toWireRect(rect), Epoch: epoch, Priority: prio}
@@ -490,20 +489,33 @@ func (rt *Router) searchEpoch(ctx context.Context, q grid.Rect, sm *ShardMap, pa
 		SubQueries: len(g.outs), Retries: g.retries, Hedges: g.hedges, HedgeWins: g.hedgeWins,
 		PerNode: make([]int, sm.MaxMember()+1), Epoch: sm.Epoch(),
 	}
+	// Deterministic merge: ascending record ID. Within a bucket records
+	// sit in insertion order (ascending ID for generated datasets), and
+	// shards are disjoint, so a global ID sort is a total order
+	// independent of node scheduling. What is sorted is one pointer-free
+	// key per record; the records themselves move once, to their place.
+	total := 0
 	for _, o := range g.outs {
+		if o.err == nil {
+			total += len(o.resp.Records)
+		}
+	}
+	keys := make([]mergeKey, 0, 2*total) // the spare half is sortKeys' scratch
+	for leg, o := range g.outs {
 		if o.err != nil {
 			continue
 		}
 		res.Covered++
-		res.Records = append(res.Records, fromWireRecords(o.resp.Records)...)
 		res.PerNode[o.node]++ // a shard member, so at most sm.MaxMember()
 		res.Degraded = res.Degraded || o.resp.Degraded
+		for i, rec := range o.resp.Records {
+			keys = append(keys, mergeKey{uint64(rec.ID) ^ 1<<63, uint64(leg)<<32 | uint64(i)})
+		}
 	}
-	// Deterministic merge: ascending record ID. Within a bucket records
-	// sit in insertion order (ascending ID for generated datasets), and
-	// shards are disjoint, so a global ID sort is a total order
-	// independent of node scheduling.
-	sort.Slice(res.Records, func(i, j int) bool { return res.Records[i].ID < res.Records[j].ID })
+	res.Records = make([]datagen.Record, total)
+	for i, key := range sortKeys(keys, keys[total:2*total]) {
+		res.Records[i] = g.outs[key.at>>32].resp.Records[uint32(key.at)]
+	}
 	var pe *PartialError
 	if errors.As(err, &pe) {
 		if observe {
@@ -512,6 +524,37 @@ func (rt *Router) searchEpoch(ctx context.Context, q grid.Rect, sm *ShardMap, pa
 		parent.Annotate(fmt.Sprintf("partial, %d uncovered (first: %v)", len(pe.Uncovered), pe.Cause))
 	}
 	return res, err
+}
+
+// mergeKey stands for one gathered record in the merge sort: its ID with
+// the sign bit flipped, so unsigned order is ID order for any int, and
+// where it sits — leg<<32 | index in the leg's page.
+type mergeKey struct{ id, at uint64 }
+
+// sortKeys orders keys by id: an LSD radix sort, a byte a pass, between
+// keys and tmp (same length), returning whichever ends up sorted. It is
+// stable, so equal IDs stay as keyed — by leg, then page position — and
+// it skips a byte all keys share: small IDs cost two or three passes.
+func sortKeys(keys, tmp []mergeKey) []mergeKey {
+	for shift := 0; shift < 64 && len(keys) > 1; shift += 8 {
+		var next [256]int
+		for _, k := range keys {
+			next[byte(k.id>>shift)]++
+		}
+		if next[byte(keys[0].id>>shift)] == len(keys) {
+			continue
+		}
+		at := 0
+		for d, c := range next {
+			next[d], at = at, at+c
+		}
+		for _, k := range keys {
+			tmp[next[byte(k.id>>shift)]] = k
+			next[byte(k.id>>shift)]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
 }
 
 // scatter decomposes q under sm, runs every per-shard sub-query

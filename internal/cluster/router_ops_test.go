@@ -298,7 +298,7 @@ func TestDoublyFailedAttemptPrefersLegError(t *testing.T) {
 		{busy, down, busy},
 		{down, errors.New("connection refused"), down},
 	} {
-		leg := func(_ context.Context, node int, _ bool) (*queryResponse, error) {
+		leg := func(_ context.Context, node int, _ bool) (*recordPage, error) {
 			if node == 0 {
 				return nil, tc.primary
 			}

@@ -3,31 +3,54 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"decluster/internal/datagen"
 	"decluster/internal/grid"
 )
 
-// Wire shapes for the node HTTP API. Everything is JSON; errors travel
-// as an errorBody whose Code round-trips through DecodeError back into
-// the typed sentinel the node matched (see errors.go).
+// Wire shapes for the node HTTP API. The rule: records are frames,
+// everything else and every error is JSON. The three record-carrying
+// payloads — the 200 answers of /v1/query and /v1/bucket and the body of
+// /v1/migrate/bucket — travel as one binary record frame, the bucket
+// page as gridfile already holds it; errors travel as an errorBody whose
+// Code round-trips through DecodeError back into the typed sentinel the
+// node matched (see errors.go). Each payload has exactly one encoding,
+// picked by its Go type and verified by Content-Type on receipt.
+//
+// Record frame (Content-Type frameContentType), little-endian:
+//
+//	offset  size      field
+//	0       4         magic "DGP" + version 1
+//	4       1         flags (bit 0: degraded; the rest must be 0)
+//	5       1         c, cell axes (0 except on /v1/migrate/bucket)
+//	6       2         k, values per record (0 when n is 0)
+//	8       8         epoch
+//	16      4         buckets
+//	20      4         n, records
+//	24      4·c       cell coordinates, uint32 each
+//	24+4·c  n·(8+8k)  records: int64 id, then k float64 bit patterns
 //
 // Endpoints:
 //
-//	POST /v1/query            queryRequest  → queryResponse
+//	POST /v1/query            queryRequest  → record frame
 //	POST /v1/aggregate        aggregateRequest → aggregateResponse (disk-free kernel)
-//	GET  /v1/bucket?cell=1,2,0              → bucketResponse (rebuild/migration source)
+//	GET  /v1/bucket?cell=1,2,0              → record frame (rebuild/migration source)
 //	GET  /v1/health                         → healthResponse
 //	GET  /v1/shards                         → shardsResponse
 //	POST /v1/migrate/prepare  prepareRequest → epochResponse
-//	POST /v1/migrate/bucket   migrateBucketRequest → epochResponse
+//	POST /v1/migrate/bucket   record frame  → epochResponse
 //	POST /v1/migrate/cutover  epochRequest  → epochResponse
 //	POST /v1/migrate/abort    epochRequest  → epochResponse
 //
@@ -39,30 +62,122 @@ import (
 //
 // Every client in the package (router legs, rebuilder, migrator, health
 // probe) talks to a node through exchange, and every handler answers
-// through writeJSON / writeError: a change of wire format edits those
-// three functions.
+// through writePage / writeJSON / writeError: a change of wire format
+// edits those four functions.
 
-// Response size caps, chosen per call site: record-carrying payloads
-// (query, bucket, migration acks) versus fixed-size answers.
+// Payload size caps, chosen per call site: record-carrying payloads
+// (query, bucket, migration ingest) versus fixed-size ones. exchange
+// holds responses to them, the node's handlers request bodies.
 const (
 	recordPayloadLimit = 64 << 20
 	smallPayloadLimit  = 1 << 20
+
+	frameContentType = "application/x-decluster-page"
+	frameMagic       = "DGP\x01"
+	frameHeaderLen   = 24
 )
 
+var le = binary.LittleEndian
+
+// recordPage is a record-carrying payload: a sub-query's answer, one
+// bucket for a rebuild or migration, one bucket for a staging file.
+type recordPage struct {
+	Epoch    uint64 // map epoch the page was read, or is to be staged, under
+	Buckets  int    // grid buckets the page covers (observability)
+	Degraded bool   // some bucket came from a replica disk, not its primary
+	Cell     []int  // the bucket a /v1/migrate/bucket page belongs to
+	Records  []datagen.Record
+}
+
+// appendTo frames p onto buf[:0]. A record set that is not k values wide
+// throughout is refused rather than emitted as a ragged page.
+func (p *recordPage) appendTo(buf []byte) ([]byte, error) {
+	k := 0
+	if len(p.Records) > 0 {
+		k = len(p.Records[0].Values)
+	}
+	if uint64(p.Buckets) > math.MaxUint32 || len(p.Cell) > math.MaxUint8 || k > math.MaxUint16 || uint64(len(p.Records)) > math.MaxUint32 {
+		return nil, fmt.Errorf("cluster: page of %d records × %d values over %d buckets does not fit a record frame", len(p.Records), k, p.Buckets)
+	}
+	buf = slices.Grow(buf[:0], frameHeaderLen+4*len(p.Cell)+len(p.Records)*(8+8*k))
+	flags := byte(0)
+	if p.Degraded {
+		flags = 1
+	}
+	buf = append(append(buf, frameMagic...), flags, byte(len(p.Cell)))
+	buf = le.AppendUint16(buf, uint16(k))
+	buf = le.AppendUint64(buf, p.Epoch)
+	buf = le.AppendUint32(buf, uint32(p.Buckets))
+	buf = le.AppendUint32(buf, uint32(len(p.Records)))
+	for _, c := range p.Cell {
+		buf = le.AppendUint32(buf, uint32(c))
+	}
+	for _, r := range p.Records {
+		if len(r.Values) != k {
+			return nil, fmt.Errorf("cluster: record %d has %d values in a page of %d-value records", r.ID, len(r.Values), k)
+		}
+		buf = le.AppendUint64(buf, uint64(r.ID))
+		for _, v := range r.Values {
+			buf = le.AppendUint64(buf, math.Float64bits(v))
+		}
+	}
+	return buf, nil
+}
+
+// decode validates one frame — content type, magic and version, flags,
+// and a length that is exactly header + cell + n·(8+8k), computed in 64
+// bits — before it allocates anything, then materialises the page in two
+// allocations: the records and one value slab. Each record's Values is
+// capped at its own k values, so a caller's append reallocates instead
+// of writing into the next record.
+func (p *recordPage) decode(contentType string, data []byte) error {
+	if contentType != frameContentType || len(data) < frameHeaderLen || string(data[:4]) != frameMagic {
+		return fmt.Errorf("not a record frame (%q, %d bytes)", contentType, len(data))
+	}
+	flags, c, k, n := data[4], int(data[5]), int(le.Uint16(data[6:])), int(le.Uint32(data[20:]))
+	body := data[frameHeaderLen:]
+	if flags > 1 || len(body) < 4*c || (n == 0 && k != 0) || uint64(len(body)-4*c) != uint64(n)*uint64(8+8*k) {
+		return fmt.Errorf("malformed record frame: flags %#x, %d bytes after the header for %d cell axes and %d records of %d values", flags, len(body), c, n, k)
+	}
+	*p = recordPage{Epoch: le.Uint64(data[8:]), Buckets: int(le.Uint32(data[16:])), Degraded: flags == 1, Records: make([]datagen.Record, n)}
+	for ; c > 0; c, body = c-1, body[4:] {
+		p.Cell = append(p.Cell, int(le.Uint32(body)))
+	}
+	slab := make([]float64, n*k)
+	for i := range p.Records {
+		rec, vals := body[i*(8+8*k):], slab[i*k:(i+1)*k:(i+1)*k]
+		for j := range vals {
+			vals[j] = math.Float64frombits(le.Uint64(rec[8+8*j:]))
+		}
+		p.Records[i] = datagen.Record{ID: int(int64(le.Uint64(rec))), Values: vals}
+	}
+	return nil
+}
+
 // exchange performs one HTTP round trip against a node. A non-nil in is
-// POSTed as JSON, otherwise the request is a GET; a positive timeout
-// bounds this call on top of ctx; the response body is read up to limit
-// bytes. A non-200 answer decodes through decodeErrorBody into the typed
-// error the node raised; a 200 decodes into out (nil discards it).
+// POSTed — a *recordPage as a record frame, anything else as JSON —
+// otherwise the request is a GET; a positive timeout bounds this call on
+// top of ctx. The response is read whole, sized from its Content-Length,
+// and refused when longer than limit bytes. A non-200 answer decodes
+// through decodeErrorBody into the typed error the node raised; a 200
+// decodes into out — a *recordPage from a record frame, anything else
+// from JSON, nil discards it.
 func exchange(ctx context.Context, client *http.Client, timeout time.Duration, url string, in, out any, limit int64) error {
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	method, body := http.MethodGet, io.Reader(nil)
+	method, body, contentType := http.MethodGet, io.Reader(nil), "application/json"
 	if in != nil {
-		data, err := json.Marshal(in)
+		var data []byte
+		var err error
+		if page, ok := in.(*recordPage); ok {
+			contentType = frameContentType
+			data, err = page.appendTo(nil)
+		} else {
+			data, err = json.Marshal(in)
+		}
 		if err != nil {
 			return err
 		}
@@ -73,7 +188,7 @@ func exchange(ctx context.Context, client *http.Client, timeout time.Duration, u
 		return err
 	}
 	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
 		// Every POST in the protocol is idempotent by design — queries and
 		// aggregates are reads; prepare, bucket ingest, cutover and abort
 		// all tolerate replays. The header (its value is the endpoint's
@@ -88,17 +203,34 @@ func exchange(ctx context.Context, client *http.Client, timeout time.Duration, u
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	// A body past the cap is refused, never cut at it: a truncated answer
+	// would pass for a corrupt peer, or for a shorter page.
+	var data []byte
+	size := resp.ContentLength
+	if size < 0 { // unknown: one byte past the cap tells
+		data, err = io.ReadAll(io.LimitReader(resp.Body, limit+1))
+		size = int64(len(data))
+	} else if size <= limit {
+		data = make([]byte, size)
+		_, err = io.ReadFull(resp.Body, data)
+	}
 	if err != nil {
 		return err
+	}
+	if size > limit {
+		return fmt.Errorf("cluster: %s: response exceeds %d bytes", url, limit)
 	}
 	if resp.StatusCode != http.StatusOK {
 		return decodeErrorBody(resp.StatusCode, data)
 	}
-	if out == nil {
-		return nil
+	switch out := out.(type) {
+	case nil:
+	case *recordPage:
+		err = out.decode(resp.Header.Get("Content-Type"), data)
+	default:
+		err = json.Unmarshal(data, out)
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	if err != nil {
 		return fmt.Errorf("cluster: %s: bad response body: %w", url, err)
 	}
 	return nil
@@ -118,28 +250,6 @@ func toWireRect(r grid.Rect) wireRect {
 // every request, so nothing else holds its slices.
 func (w wireRect) rect() grid.Rect { return grid.Rect{Lo: w.Lo, Hi: w.Hi} }
 
-// wireRecord is a datagen.Record in JSON clothing.
-type wireRecord struct {
-	ID     int       `json:"id"`
-	Values []float64 `json:"values"`
-}
-
-func toWireRecords(recs []datagen.Record) []wireRecord {
-	out := make([]wireRecord, len(recs))
-	for i, r := range recs {
-		out[i] = wireRecord{ID: r.ID, Values: r.Values}
-	}
-	return out
-}
-
-func fromWireRecords(ws []wireRecord) []datagen.Record {
-	out := make([]datagen.Record, len(ws))
-	for i, w := range ws {
-		out[i] = datagen.Record{ID: w.ID, Values: w.Values}
-	}
-	return out
-}
-
 // queryRequest asks a node to answer one sub-rectangle of a range
 // query. The rect must fall entirely inside one shard the node hosts
 // under the map at Epoch.
@@ -149,18 +259,6 @@ type queryRequest struct {
 	// repair.BackgroundPriority for rebuild traffic).
 	Priority int `json:"priority,omitempty"`
 	// Epoch is the shard-map epoch the sender routed against.
-	Epoch uint64 `json:"epoch,omitempty"`
-}
-
-// queryResponse carries a sub-query's answer.
-type queryResponse struct {
-	Records []wireRecord `json:"records"`
-	// Buckets is how many grid buckets the rect covered (observability).
-	Buckets int `json:"buckets"`
-	// Degraded reports the node answered some bucket from a replica
-	// disk rather than its primary.
-	Degraded bool `json:"degraded,omitempty"`
-	// Epoch is the map epoch the answer was computed under.
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 
@@ -187,14 +285,6 @@ type aggregateResponse struct {
 	Max     float64 `json:"max,omitempty"`
 	Buckets int     `json:"buckets"`
 	Epoch   uint64  `json:"epoch,omitempty"`
-}
-
-// bucketResponse carries one bucket's records for cross-node rebuild
-// and migration.
-type bucketResponse struct {
-	Records []wireRecord `json:"records"`
-	// Epoch is the donor's current map epoch.
-	Epoch uint64 `json:"epoch,omitempty"`
 }
 
 // healthResponse summarises a node for operators and the harness.
@@ -265,14 +355,6 @@ type prepareRequest struct {
 	Map *wireMap `json:"map"`
 }
 
-// migrateBucketRequest hands one bucket's records to a destination
-// node's staging file for the pending epoch.
-type migrateBucketRequest struct {
-	Epoch   uint64       `json:"epoch"`
-	Cell    []int        `json:"cell"`
-	Records []wireRecord `json:"records"`
-}
-
 // epochRequest names a pending epoch (CUTOVER and ABORT steps).
 type epochRequest struct {
 	Epoch uint64 `json:"epoch"`
@@ -327,6 +409,27 @@ func writeError(w http.ResponseWriter, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(HTTPStatus(code))
 	_ = json.NewEncoder(w).Encode(eb)
+}
+
+// pageBufs recycles writePage's encode buffers; being a sync.Pool, the
+// collector may drop them, so no node retains its largest answer.
+var pageBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writePage answers 200 with p as one record frame, encoded into a
+// pooled buffer and written once under its Content-Length. A page that
+// cannot be framed draws the JSON error envelope, not a half-written 200.
+func writePage(w http.ResponseWriter, p *recordPage) {
+	bp := pageBufs.Get().(*[]byte)
+	defer pageBufs.Put(bp)
+	buf, err := p.appendTo(*bp)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	*bp = buf
+	w.Header().Set("Content-Type", frameContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
+	_, _ = w.Write(buf)
 }
 
 // writeJSON encodes v with status 200.
