@@ -622,8 +622,9 @@ func scatter[R any](ctx context.Context, rt *Router, op legOp[R], q grid.Rect, s
 
 // runSub answers one sub-query: Retry.MaxAttempts attempts, each
 // against the next replica in rotation (skipping open breakers when a
-// closed one exists), each a hedge.Race against hedgeCandidate's
-// replica, Retry.Wait apart. Candidates are stable member IDs.
+// closed one exists), each a race (one hedge.Racer serves them all)
+// against hedgeCandidate's replica, Retry.Wait apart. Candidates are
+// stable member IDs.
 //
 // The configured attempt budget is a floor, not a ceiling: when the
 // caller set a deadline, that deadline is the real budget, and node
@@ -647,6 +648,8 @@ func runSub[R any](ctx context.Context, rt *Router, op legOp[R], sq SubQuery, sm
 		s.FinishErr(err)
 		return resp, err
 	}
+	var racer hedge.Racer[*R]
+	defer racer.Release()
 	candidates := sm.ShardMembers(sq.Shard)
 	var o subOutcome[R]
 	_, hasDeadline := ctx.Deadline()
@@ -663,7 +666,7 @@ func runSub[R any](ctx context.Context, rt *Router, op legOp[R], sq SubQuery, sm
 		}
 		node := rt.pickNode(candidates, attempt)
 		backup, after := rt.hedgeCandidate(candidates, node)
-		resp, winner, hedged, err := hedge.Race(ctx, after, node, backup, leg, preferLegError)
+		resp, winner, hedged, err := racer.Race(ctx, after, node, backup, leg, preferLegError)
 		if hedged {
 			o.hedges++
 		}

@@ -117,8 +117,8 @@ type Executor struct {
 	// pays one pointer comparison per site.
 	obs     *obs.Sink
 	metrics *execMetrics
-	// states pools per-query scratch (routing tables, disk tasks, merge
-	// buffers, a reusable cancellation context) so the steady-state
+	// states pools per-query scratch (routing tables, disk tasks, gather
+	// slots, a reusable cancellation context) so the steady-state
 	// query path allocates nothing.
 	states sync.Pool
 }
@@ -378,11 +378,10 @@ func (r *Result) Release() {
 	p.Put(r)
 }
 
-// bucketRecs is one bucket's payload as collected by a disk worker.
-type bucketRecs struct {
-	bucket int
-	recs   []datagen.Record
-}
+// placed is one bucket of a query on the disk that reads it. Its rank is
+// the bucket's position among the query's buckets in ascending order —
+// the slot its page takes in the gather, which therefore never sorts.
+type placed struct{ bucket, rank int }
 
 // RangeSearch reads every bucket of the cell rectangle r concurrently,
 // one worker per disk, honouring ctx cancellation and the configured
@@ -396,8 +395,8 @@ func (e *Executor) RangeSearch(ctx context.Context, r grid.Rect) (*Result, error
 	// A rectangle is a bucket set: enumerate it into the query's pooled
 	// list and take the same route as an explicit read set.
 	qs := e.getState()
-	qs.buckets = g.AppendRect(qs.buckets[:0], r)
-	return e.run(ctx, qs, qs.buckets)
+	qs.buckets = g.AppendRect(qs.buckets[:0], r) // ascending: a bucket's rank is its index
+	return e.run(ctx, qs, qs.buckets, nil)
 }
 
 // RangeSearchBuckets reads an explicit set of row-major bucket numbers
@@ -410,29 +409,70 @@ func (e *Executor) RangeSearch(ctx context.Context, r grid.Rect) (*Result, error
 // (bucket, insertion) order exactly as a rectangle covering the same
 // buckets would return them.
 func (e *Executor) RangeSearchBuckets(ctx context.Context, buckets []int) (*Result, error) {
-	n := e.file.Grid().Buckets()
-	seen := make(map[int]bool, len(buckets))
-	for _, b := range buckets {
-		if b < 0 || b >= n {
-			return nil, fmt.Errorf("exec: bucket %d outside [0,%d)", b, n)
-		}
-		if seen[b] {
-			return nil, fmt.Errorf("exec: duplicate bucket %d in read set", b)
-		}
-		seen[b] = true
+	qs := e.getState()
+	rank, err := qs.rankBuckets(buckets, e.file.Grid().Buckets())
+	if err != nil {
+		e.putState(qs)
+		return nil, err
 	}
-	return e.run(ctx, e.getState(), buckets)
+	return e.run(ctx, qs, buckets, rank)
+}
+
+// rankBuckets validates an explicit read set — every bucket inside
+// [0,n), none repeated — and returns each bucket's rank in ascending
+// order, nil when the set is already ascending and the rank is the
+// index. The marks and the ranks live on the pooled state; the marks
+// are wiped before returning, whatever the verdict.
+func (qs *queryState) rankBuckets(buckets []int, n int) (rank []int, err error) {
+	if len(qs.seen) < n {
+		qs.seen = make([]bool, n)
+	}
+	ascending := true
+	checked := 0
+	for i, b := range buckets {
+		if b < 0 || b >= n {
+			err = fmt.Errorf("exec: bucket %d outside [0,%d)", b, n)
+			break
+		}
+		if qs.seen[b] {
+			err = fmt.Errorf("exec: duplicate bucket %d in read set", b)
+			break
+		}
+		qs.seen[b] = true
+		ascending = ascending && (i == 0 || buckets[i-1] < b)
+		checked++
+	}
+	for _, b := range buckets[:checked] {
+		qs.seen[b] = false
+	}
+	if err != nil || ascending {
+		return nil, err
+	}
+	// Sort the indices, not the set: the order given is the order each
+	// disk reads in, and stays.
+	qs.order = slices.Grow(qs.order[:0], len(buckets))
+	for i := range buckets {
+		qs.order = append(qs.order, i)
+	}
+	slices.SortFunc(qs.order, func(i, j int) int { return cmp.Compare(buckets[i], buckets[j]) })
+	qs.rank = slices.Grow(qs.rank[:0], len(buckets))[:len(buckets)]
+	for r, i := range qs.order {
+		qs.rank[i] = r
+	}
+	return qs.rank, nil
 }
 
 // run executes one already-validated query on the pooled state qs:
 // route partitions the bucket set into per-disk lists, then one pooled
 // worker per disk reads its list honouring ctx and the configured
-// deadline, and the results merge into deterministic (bucket,
+// deadline, leaving each page in the slot of its bucket's rank (nil
+// rank: the set is ascending and the rank is the index), and one pass
+// over the slots gathers the records in deterministic (bucket,
 // insertion) order. Every piece of per-query state — the rectangle's
 // bucket list, routing tables, disk tasks, the cancellation context,
-// the merge buffer, the Result — is pooled, so the healthy unobserved
-// path allocates nothing.
-func (e *Executor) run(ctx context.Context, qs *queryState, buckets []int) (*Result, error) {
+// the slots, the Result — is pooled, so the healthy unobserved path
+// allocates nothing.
+func (e *Executor) run(ctx context.Context, qs *queryState, buckets, rank []int) (*Result, error) {
 	// Past validation every query ends in exactly one of queriesOK /
 	// queriesErr, so exec.queries == exec.queries.ok + exec.queries.err.
 	m := e.metrics
@@ -445,7 +485,7 @@ func (e *Executor) run(ctx context.Context, qs *queryState, buckets []int) (*Res
 	}
 	qs.beginCtx(ctx)
 
-	rerouted, degraded, err := e.route(qs, buckets)
+	rerouted, degraded, err := e.route(qs, buckets, rank)
 	if err != nil {
 		qs.endCtx()
 		e.putState(qs)
@@ -459,13 +499,14 @@ func (e *Executor) run(ctx context.Context, qs *queryState, buckets []int) (*Res
 	active := 0
 	for d := 0; d < disks; d++ {
 		t := &qs.tasks[d]
-		t.out = t.out[:0]
+		t.read = 0
 		t.retries = 0
 		t.tally = readTally{}
 		if len(qs.perDisk[d]) > 0 {
 			active++
 		}
 	}
+	qs.slots = slices.Grow(qs.slots[:0], len(buckets))[:len(buckets)]
 
 	limit := e.maxParallel
 	if limit == 0 || limit > disks {
@@ -520,22 +561,19 @@ func (e *Executor) run(ctx context.Context, qs *queryState, buckets []int) (*Res
 	}
 	out.BucketsPerDisk = out.BucketsPerDisk[:disks]
 	out.Retries, out.Rerouted, out.Degraded = 0, rerouted, degraded
-	all := qs.all[:0]
 	for d := 0; d < disks; d++ {
 		t := &qs.tasks[d]
-		out.BucketsPerDisk[d] = len(t.out)
+		out.BucketsPerDisk[d] = t.read
 		out.Retries += t.retries
-		all = append(all, t.out...)
 	}
-	qs.all = all
 	// Deterministic merge: records ordered by (bucket of origin,
-	// insertion order) regardless of worker scheduling. The records are
-	// copied out of the read path's views into the Result's own backing,
-	// so the Result aliases neither the grid file nor any pooled buffer.
-	slices.SortFunc(all, func(a, b bucketRecs) int { return cmp.Compare(a.bucket, b.bucket) })
+	// insertion order) regardless of worker scheduling — slot order. The
+	// records are copied out of the read path's views into the Result's
+	// own backing, so the Result aliases neither the grid file nor any
+	// pooled buffer.
 	recs := out.Records[:0]
-	for i := range all {
-		recs = append(recs, all[i].recs...)
+	for _, page := range qs.slots {
+		recs = append(recs, page...)
 	}
 	out.Records = recs
 	e.putState(qs)
@@ -544,8 +582,9 @@ func (e *Executor) run(ctx context.Context, qs *queryState, buckets []int) (*Res
 
 // route partitions the query's bucket set into per-disk work lists held
 // in qs.perDisk — the one place that decides which disk reads which
-// bucket, for rectangles and explicit read sets alike. Within each disk,
-// buckets are read in the order given (the knob a batch scheduling
+// bucket, for rectangles and explicit read sets alike — and, beside
+// each bucket, its rank (rank[i], or i when rank is nil). Within each
+// disk, buckets are read in the order given (the knob a batch scheduling
 // policy turns). With fail-stop disks present it either reroutes via the
 // replica scheme's min-makespan degraded assignment or — without
 // replication — reports the unreachable buckets as a typed
@@ -553,7 +592,7 @@ func (e *Executor) run(ctx context.Context, qs *queryState, buckets []int) (*Res
 // additionally routed around when the failover scheme permits, falling
 // back to reading them when it does not: avoidance is advisory,
 // fail-stop is not. On a healthy executor nothing is allocated.
-func (e *Executor) route(qs *queryState, buckets []int) (rerouted int, degraded bool, err error) {
+func (e *Executor) route(qs *queryState, buckets, rank []int) (rerouted int, degraded bool, err error) {
 	perDisk := qs.perDisk
 	for d := range perDisk {
 		perDisk[d] = perDisk[d][:0]
@@ -602,11 +641,17 @@ func (e *Executor) route(qs *queryState, buckets []int) (rerouted int, degraded 
 		}
 	}
 
+	place := func(d, i int) {
+		p := placed{bucket: buckets[i], rank: i}
+		if rank != nil {
+			p.rank = rank[i]
+		}
+		perDisk[d] = append(perDisk[d], p)
+	}
 	switch {
 	case assign != nil:
-		for _, b := range buckets {
-			d := assign[b]
-			perDisk[d] = append(perDisk[d], b)
+		for i, b := range buckets {
+			place(assign[b], i)
 			if avoid[e.failover.PrimaryOf(b)] {
 				rerouted++
 			}
@@ -614,19 +659,18 @@ func (e *Executor) route(qs *queryState, buckets []int) (rerouted int, degraded 
 	case !degraded:
 		// Healthy path (or nothing failed and avoidance infeasible):
 		// primary routing straight off the file's bucket→disk table.
-		for _, b := range buckets {
-			d := e.file.DiskOf(b)
-			perDisk[d] = append(perDisk[d], b)
+		for i, b := range buckets {
+			place(e.file.DiskOf(b), i)
 		}
 	default:
 		// No replication: buckets on failed disks are unreachable, and
 		// partial answers would be silently wrong.
 		var unreachable []int
-		for _, b := range buckets {
+		for i, b := range buckets {
 			if d := e.file.DiskOf(b); failed[d] {
 				unreachable = append(unreachable, b)
 			} else {
-				perDisk[d] = append(perDisk[d], b)
+				place(d, i)
 			}
 		}
 		if len(unreachable) > 0 {

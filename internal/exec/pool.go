@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"decluster/internal/datagen"
 	"decluster/internal/obs"
 )
 
@@ -119,15 +120,15 @@ func (w *execWorker) serve(t *diskTask) {
 }
 
 // diskTask is one disk's share of a query: its bucket list in, its
-// collected records and counters out. Tasks live in queryState and are
-// reused across queries.
+// counters out (the pages go to the query's slots). Tasks live in
+// queryState and are reused across queries.
 type diskTask struct {
 	qs      *queryState
 	disk    int
-	buckets []int
+	buckets []placed
 	useSem  bool
 
-	out     []bucketRecs
+	read    int // non-empty buckets read
 	retries int
 	tally   readTally
 }
@@ -158,28 +159,30 @@ func (t *diskTask) run() {
 			return
 		}
 	}
-	for _, b := range t.buckets {
+	for _, p := range t.buckets {
 		if err := ctx.Err(); err != nil {
 			dsp.FinishErr(err)
 			qs.fail(err)
 			return
 		}
-		if e.file.BucketLen(b) == 0 {
-			continue // the grid directory knows the bucket is empty
+		if e.file.BucketLen(p.bucket) == 0 {
+			qs.slots[p.rank] = nil // the grid directory knows the bucket is empty
+			continue
 		}
-		recs, tries, err := e.readWithRetry(ctx, qs.reader, dsp, tally, t.disk, b)
+		recs, tries, err := e.readWithRetry(ctx, qs.reader, dsp, tally, t.disk, p.bucket)
 		t.retries += tries
 		if err != nil {
 			dsp.FinishErr(err)
 			qs.fail(err)
 			return
 		}
-		t.out = append(t.out, bucketRecs{bucket: b, recs: recs})
+		qs.slots[p.rank] = recs
+		t.read++
 	}
 }
 
 // queryState is the reusable per-query scratch of one Executor: routing
-// tables, disk tasks, the concurrency semaphore, the merge buffer, and
+// tables, disk tasks, the concurrency semaphore, the gather's slots, and
 // a reusable cancellation context. States are pooled per executor so
 // the steady-state query path performs no heap allocation.
 type queryState struct {
@@ -201,8 +204,11 @@ type queryState struct {
 	firstErr error
 
 	// useQctx selects the reusable context; false means the stdlib
-	// composition below is live (taken when reader wraps exist, since a
-	// hedge leg may retain the context past the query's end).
+	// composition below is live. That one is taken when reader wraps
+	// exist: a wrapper derives child contexts from the query's (a hedge
+	// races its legs under one), and the context package can hook a
+	// child onto a parent of its own types directly, while a foreign
+	// parent such as qctx costs it a watcher goroutine per child.
 	useQctx   bool
 	qctx      queryCtx
 	stdCancel context.CancelFunc
@@ -210,11 +216,18 @@ type queryState struct {
 
 	// buckets is RangeSearch's enumeration of its rectangle, kept for
 	// its capacity; perDisk is route's partition of the query's bucket
-	// set (this list or a caller's explicit one).
+	// set (this list or a caller's explicit one). slots has one entry
+	// per bucket of the set, in ascending bucket order: each worker
+	// writes the slots of its own buckets, the gather reads them all.
 	buckets []int
-	perDisk [][]int
+	perDisk [][]placed
 	tasks   []diskTask
-	all     []bucketRecs
+	slots   [][]datagen.Record
+
+	// rankBuckets' scratch: marks over the grid's buckets, and the
+	// index sort and ranks of a read set that is not ascending.
+	seen        []bool
+	order, rank []int
 }
 
 // getState returns a pooled query state, creating one sized for the
@@ -227,7 +240,7 @@ func (e *Executor) getState() *queryState {
 	return &queryState{
 		ex:      e,
 		sem:     make(chan struct{}, disks),
-		perDisk: make([][]int, disks),
+		perDisk: make([][]placed, disks),
 		tasks:   make([]diskTask, disks),
 	}
 }
@@ -274,7 +287,7 @@ func (qs *queryState) releaseSem() { qs.sem <- struct{}{} }
 
 // beginCtx installs the query's effective context: the reusable qctx on
 // the unwrapped path, or the stdlib timeout/cancel composition when
-// reader wraps exist.
+// reader wraps exist (see useQctx).
 func (qs *queryState) beginCtx(parent context.Context) {
 	e := qs.ex
 	if len(e.wraps) == 0 {

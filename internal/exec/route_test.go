@@ -3,6 +3,8 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -107,5 +109,62 @@ func TestRectAndBucketSetRouteAlike(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// RangeSearchBuckets validates against marks kept on the pooled query
+// state and, for a set that is not ascending, ranks it there too. Neither
+// may leak from one query into the next: a repeat or an out-of-range
+// bucket is refused after clean queries have used the state, a refused
+// set leaves no mark that would make a later clean set look repeated,
+// and a shuffled set answers exactly like its sorted self.
+func TestBucketSetValidationOnPooledState(t *testing.T) {
+	f := newLoadedFile(t, 4, 2000)
+	g := f.Grid()
+	e, err := New(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sorted := g.AppendRect(nil, g.MustRect(grid.Coord{2, 3}, grid.Coord{9, 12}))
+	want, err := e.RangeSearchBuckets(ctx, sorted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shuffled := slices.Clone(sorted)
+	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	last := len(sorted) - 1
+
+	for round := 0; round < 3; round++ {
+		for _, tc := range []struct {
+			name    string
+			buckets []int
+			refusal string // "" = answered like sorted
+		}{
+			{"sorted", sorted, ""},
+			{"repeat at the end", append(slices.Clone(sorted), sorted[0]), fmt.Sprintf("exec: duplicate bucket %d in read set", sorted[0])},
+			{"sorted again", sorted, ""},
+			{"shuffled", shuffled, ""},
+			{"repeat in a shuffled set", append(slices.Clone(shuffled), shuffled[last]), fmt.Sprintf("exec: duplicate bucket %d in read set", shuffled[last])},
+			{"past the grid", append(slices.Clone(sorted), g.Buckets()), fmt.Sprintf("exec: bucket %d outside [0,%d)", g.Buckets(), g.Buckets())},
+			{"negative", append([]int{-1}, sorted...), fmt.Sprintf("exec: bucket -1 outside [0,%d)", g.Buckets())},
+			{"shuffled again", shuffled, ""},
+			{"sorted after shuffled", sorted, ""},
+		} {
+			got, err := e.RangeSearchBuckets(ctx, tc.buckets)
+			if tc.refusal != "" {
+				if err == nil || err.Error() != tc.refusal {
+					t.Fatalf("round %d, %s: err = %v, want %q", round, tc.name, err, tc.refusal)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("round %d, %s: %v", round, tc.name, err)
+			}
+			if !reflect.DeepEqual(got.Records, want.Records) || !slices.Equal(got.BucketsPerDisk, want.BucketsPerDisk) {
+				t.Fatalf("round %d, %s: %d records, per disk %v; the sorted set gave %d, %v (or order differs)",
+					round, tc.name, len(got.Records), got.BucketsPerDisk, len(want.Records), want.BucketsPerDisk)
+			}
+		}
 	}
 }

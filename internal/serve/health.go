@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,12 +105,16 @@ type DiskHealth struct {
 	Trips       uint64 // closed/half-open → open transitions
 }
 
-// diskTracker is the per-disk mutable health state.
+// diskTracker is the per-disk mutable health state. Everything is
+// written under mu; unsettled and ewma are atomics so that what every
+// hedged read asks — is the breaker closed, how slow is the disk — is
+// answered without it.
 type diskTracker struct {
 	mu         sync.Mutex
 	state      BreakerState
+	unsettled  atomic.Bool   // state != BreakerClosed; setState keeps the two in step
+	ewma       atomic.Uint64 // float64 bits, nanoseconds
 	openedAt   time.Time
-	ewma       float64 // nanoseconds
 	samples    int
 	reads      uint64
 	errs       uint64
@@ -187,17 +192,17 @@ func (h *health) Observe(d int, lat time.Duration, err error) {
 	t.consecErrs = 0
 	// Latency only means something for successful reads; injected
 	// errors return in ~0 time.
-	if t.samples == 0 {
-		t.ewma = float64(lat)
-	} else {
+	ewma := float64(lat)
+	if t.samples > 0 {
 		a := h.cfg.Alpha
-		t.ewma = a*float64(lat) + (1-a)*t.ewma
+		ewma = a*ewma + (1-a)*t.latency()
 	}
+	t.ewma.Store(math.Float64bits(ewma))
 	t.samples++
 	switch t.state {
 	case BreakerClosed:
 		if h.cfg.LatencyThreshold > 0 && t.samples >= h.cfg.MinSamples &&
-			t.ewma > float64(h.cfg.LatencyThreshold) {
+			ewma > float64(h.cfg.LatencyThreshold) {
 			h.tripLocked(t)
 		}
 	case BreakerHalfOpen:
@@ -205,17 +210,26 @@ func (h *health) Observe(d int, lat time.Duration, err error) {
 		if t.probes >= h.cfg.HalfOpenProbes {
 			// Close and forget the sick-era latency so a recovered disk
 			// is judged on fresh samples.
-			t.state = BreakerClosed
-			t.ewma = 0
+			t.setState(BreakerClosed)
+			t.ewma.Store(0)
 			t.samples = 0
 			h.reclosed.Inc()
 		}
 	}
 }
 
+// setState moves the breaker; callers hold mu.
+func (t *diskTracker) setState(s BreakerState) {
+	t.state = s
+	t.unsettled.Store(s != BreakerClosed)
+}
+
+// latency is the disk's EWMA read latency in nanoseconds.
+func (t *diskTracker) latency() float64 { return math.Float64frombits(t.ewma.Load()) }
+
 // tripLocked opens the breaker of t.
 func (h *health) tripLocked(t *diskTracker) {
-	t.state = BreakerOpen
+	t.setState(BreakerOpen)
 	t.openedAt = time.Now()
 	t.probes = 0
 	t.trips++
@@ -226,7 +240,7 @@ func (h *health) tripLocked(t *diskTracker) {
 // tickLocked advances open → half-open once the cooldown elapses.
 func (h *health) tickLocked(t *diskTracker) {
 	if t.state == BreakerOpen && time.Since(t.openedAt) >= h.cfg.Cooldown {
-		t.state = BreakerHalfOpen
+		t.setState(BreakerHalfOpen)
 		t.probes = 0
 		t.consecErrs = 0
 		h.halfOpened.Inc()
@@ -234,12 +248,17 @@ func (h *health) tickLocked(t *diskTracker) {
 }
 
 // Allow reports whether disk d may be targeted by new speculative work
-// (hedges): open disks may not, half-open and closed disks may.
+// (hedges): open disks may not, half-open and closed disks may. A closed
+// breaker — the healthy case, asked on every hedged read — answers from
+// one atomic load; only a closed breaker has no clock to tick.
 func (h *health) Allow(d int) bool {
 	if d < 0 || d >= len(h.disks) {
 		return false
 	}
 	t := h.disks[d]
+	if !t.unsettled.Load() {
+		return true
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	h.tickLocked(t)
@@ -271,10 +290,7 @@ func (h *health) EWMALatency(d int) time.Duration {
 	if d < 0 || d >= len(h.disks) {
 		return 0
 	}
-	t := h.disks[d]
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return time.Duration(t.ewma)
+	return time.Duration(h.disks[d].latency())
 }
 
 // Snapshot copies every disk's health.
@@ -286,7 +302,7 @@ func (h *health) Snapshot() []DiskHealth {
 		out[d] = DiskHealth{
 			Disk:        d,
 			State:       t.state,
-			EWMALatency: time.Duration(t.ewma),
+			EWMALatency: time.Duration(t.latency()),
 			Reads:       t.reads,
 			Errors:      t.errs,
 			Trips:       t.trips,

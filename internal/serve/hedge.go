@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"decluster/internal/datagen"
@@ -37,7 +38,7 @@ type servedReader struct {
 }
 
 // ReadBucket serves one bucket read with observation and optional
-// hedging (hedge.Race: exactly one leg's records are returned, and the
+// hedging (hedge.Racer: exactly one leg's records are returned, and the
 // loser's health and metric observations have landed — the conservation
 // invariants count on that). A lost leg's context error is not charged
 // against its disk.
@@ -47,27 +48,54 @@ func (r *servedReader) ReadBucket(ctx context.Context, disk, bucket int) ([]data
 	if alt < 0 {
 		return r.observe(ctx, disk, bucket)
 	}
-	recs, winner, hedged, err := hedge.Race(ctx, after, disk, alt,
-		func(ctx context.Context, d int, hedgeLeg bool) ([]datagen.Record, error) {
-			if !hedgeLeg {
-				return r.observe(ctx, d, bucket)
-			}
-			s.stats.HedgesIssued.Add(1)
-			s.metrics.hedgesIssued.Inc()
-			// The hedge leg's span hangs off the executor's attempt
-			// span, which rides the context.
-			var sp *obs.Span
-			if s.obs.Tracing() {
-				sp = obs.SpanFromContext(ctx).Child(fmt.Sprintf("hedge d%d", d))
-			}
-			recs, err := r.observe(ctx, d, bucket)
-			sp.FinishErr(err)
-			return recs, err
-		}, preferTransient)
+	br := bucketRaces.Get().(*bucketRace)
+	br.r, br.bucket = r, bucket
+	recs, winner, hedged, err := br.racer.Race(ctx, after, disk, alt, br.leg, preferTransient)
+	br.r = nil
+	bucketRaces.Put(br)
 	if hedged && err == nil && winner == alt {
 		s.stats.HedgesWon.Add(1)
 		s.metrics.hedgesWon.Inc()
 	}
+	return recs, err
+}
+
+// bucketRace is what one hedged bucket read needs beyond its arguments,
+// pooled: the Racer with its watchdog and leg context, and the leg
+// function, bound to this struct once so that a read builds no closure.
+// A disk worker reads its buckets one after another under one query
+// context and keeps drawing the Racer it just put back, so the leg
+// context is made about once per worker per query, not once per read.
+type bucketRace struct {
+	racer  hedge.Racer[[]datagen.Record]
+	leg    func(ctx context.Context, disk int, hedgeLeg bool) ([]datagen.Record, error)
+	r      *servedReader
+	bucket int
+}
+
+var bucketRaces = sync.Pool{New: func() any {
+	br := new(bucketRace)
+	br.leg = br.read
+	return br
+}}
+
+// read is a race's leg: one observed read of the bucket from disk d.
+func (br *bucketRace) read(ctx context.Context, d int, hedgeLeg bool) ([]datagen.Record, error) {
+	r := br.r
+	if !hedgeLeg {
+		return r.observe(ctx, d, br.bucket)
+	}
+	s := r.s
+	s.stats.HedgesIssued.Add(1)
+	s.metrics.hedgesIssued.Inc()
+	// The hedge leg's span hangs off the executor's attempt span, which
+	// rides the context.
+	var sp *obs.Span
+	if s.obs.Tracing() {
+		sp = obs.SpanFromContext(ctx).Child(fmt.Sprintf("hedge d%d", d))
+	}
+	recs, err := r.observe(ctx, d, br.bucket)
+	sp.FinishErr(err)
 	return recs, err
 }
 
