@@ -110,7 +110,8 @@ func IsBalanced(m Method) bool { return alloc.IsBalanced(m) }
 
 // Evaluator is the table-walk response-time kernel: the allocation
 // materializes into a flat table once, and each query walks its
-// buckets. Not safe for concurrent use; create one per goroutine.
+// buckets. Not safe for concurrent use; Clone shares the table across
+// goroutines.
 type Evaluator = cost.Evaluator
 
 // PrefixEvaluator is the summed-area response-time kernel: per-disk

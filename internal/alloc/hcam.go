@@ -37,6 +37,16 @@ func NewHCAM(g *grid.Grid, m int) (*HCAM, error) {
 	return &HCAM{g: g, m: m, ranks: ranks}, nil
 }
 
+// WithDisks returns the Hilbert allocation of the same grid over m
+// disks. The visit ranks depend on the grid only, so the new method
+// shares h's rank table instead of recomputing it.
+func (h *HCAM) WithDisks(m int) (*HCAM, error) {
+	if err := checkArgs(h.g, m); err != nil {
+		return nil, err
+	}
+	return &HCAM{g: h.g, m: m, ranks: h.ranks}, nil
+}
+
 // Name implements Method.
 func (h *HCAM) Name() string { return "HCAM" }
 

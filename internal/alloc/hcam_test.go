@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"slices"
 	"testing"
 
 	"decluster/internal/grid"
@@ -89,4 +90,35 @@ func TestHCAMRanksAreCurveOrder(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// WithDisks re-deals the same Hilbert order over another disk count:
+// the same allocation NewHCAM computes, over the one shared rank table.
+func TestHCAMWithDisksSharesRanks(t *testing.T) {
+	for _, dims := range [][]int{{8, 8}, {5, 7}} {
+		g := grid.MustNew(dims...)
+		base, err := NewHCAM(g, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []int{1, 4, 7} {
+			h, err := base.WithDisks(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, _ := NewHCAM(g, m)
+			if h.Disks() != m || h.Grid() != g || !slices.Equal(Table(h), Table(fresh)) {
+				t.Fatalf("%v: WithDisks(%d) differs from NewHCAM", g, m)
+			}
+			if &h.ranks[0] != &base.ranks[0] {
+				t.Fatalf("%v: WithDisks(%d) copied the rank table", g, m)
+			}
+		}
+		if base.Disks() != 3 {
+			t.Fatal("WithDisks changed its receiver")
+		}
+		if _, err := base.WithDisks(0); err == nil {
+			t.Error("zero disks accepted")
+		}
+	}
 }

@@ -48,9 +48,9 @@ func checkArgs(g *grid.Grid, m int) error {
 // by row-major bucket number.
 func Table(m Method) []int {
 	g := m.Grid()
-	out := make([]int, g.Buckets())
-	g.Each(func(c grid.Coord) bool {
-		out[g.Linearize(c)] = m.DiskOf(c)
+	out := make([]int, 0, g.Buckets())
+	g.Each(func(c grid.Coord) bool { // row-major: visit order is bucket number
+		out = append(out, m.DiskOf(c))
 		return true
 	})
 	return out

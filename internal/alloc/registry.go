@@ -83,18 +83,36 @@ func Names() []string {
 // grid/disk combination violates (e.g. ECC on non-power-of-two disks)
 // are skipped; the returned slice preserves the paper's ordering.
 func PaperSet(g *grid.Grid, m int) []Method {
-	var out []Method
-	if dm, err := NewDM(g, m); err == nil {
-		out = append(out, dm)
-	}
-	if fx, err := NewFXAuto(g, m); err == nil {
-		out = append(out, fx)
-	}
-	if e, err := NewECC(g, m); err == nil {
-		out = append(out, e)
-	}
-	if h, err := NewHCAM(g, m); err == nil {
-		out = append(out, h)
+	return PaperSets(g, []int{m})[0]
+}
+
+// PaperSets is PaperSet for each of several disk counts over one grid,
+// as a disk sweep needs. The Hilbert ranks depend on the grid only, so
+// they are computed once and every HCAM of the call shares them.
+func PaperSets(g *grid.Grid, disks []int) [][]Method {
+	var hcam *HCAM // first HCAM built; the rest share its ranks
+	out := make([][]Method, len(disks))
+	for i, m := range disks {
+		if dm, err := NewDM(g, m); err == nil {
+			out[i] = append(out[i], dm)
+		}
+		if fx, err := NewFXAuto(g, m); err == nil {
+			out[i] = append(out[i], fx)
+		}
+		if e, err := NewECC(g, m); err == nil {
+			out[i] = append(out[i], e)
+		}
+		var h *HCAM
+		var err error
+		if hcam == nil {
+			h, err = NewHCAM(g, m)
+			hcam = h
+		} else {
+			h, err = hcam.WithDisks(m)
+		}
+		if err == nil {
+			out[i] = append(out[i], h)
+		}
 	}
 	return out
 }

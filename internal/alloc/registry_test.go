@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -106,6 +107,40 @@ func TestPaperSetSkipsECCOnNonPow2Grid(t *testing.T) {
 	}
 	if len(set) != 3 {
 		t.Fatalf("PaperSet has %d methods, want 3", len(set))
+	}
+}
+
+// A disk sweep's method sets are the per-M paper sets, with one Hilbert
+// rank table behind every HCAM of the call.
+func TestPaperSetsMatchPaperSet(t *testing.T) {
+	for _, g := range []*grid.Grid{grid.MustNew(16, 16), grid.MustNew(12, 10)} {
+		disks := []int{2, 6, 16, 24}
+		sets := PaperSets(g, disks)
+		if len(sets) != len(disks) {
+			t.Fatalf("%d sets for %d disk counts", len(sets), len(disks))
+		}
+		var ranks *int
+		for i, m := range disks {
+			want := PaperSet(g, m)
+			if len(sets[i]) != len(want) {
+				t.Fatalf("%v M=%d: %d methods, want %d", g, m, len(sets[i]), len(want))
+			}
+			for j, mm := range sets[i] {
+				if mm.Name() != want[j].Name() || mm.Disks() != m || !slices.Equal(Table(mm), Table(want[j])) {
+					t.Fatalf("%v M=%d: method %d (%s) differs from PaperSet", g, m, j, mm.Name())
+				}
+				if h, ok := mm.(*HCAM); ok {
+					if ranks == nil {
+						ranks = &h.ranks[0]
+					} else if ranks != &h.ranks[0] {
+						t.Fatalf("%v M=%d: HCAM has its own rank table", g, m)
+					}
+				}
+			}
+		}
+		if ranks == nil {
+			t.Fatalf("%v: no HCAM in any set", g)
+		}
 	}
 }
 

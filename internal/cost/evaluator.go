@@ -16,8 +16,8 @@ import (
 // evaluates millions of (query, bucket) pairs, so this path matters —
 // see BenchmarkEvaluateWorkload.
 //
-// An Evaluator is not safe for concurrent use (shared scratch); create
-// one per goroutine.
+// An Evaluator is not safe for concurrent use (shared scratch); build
+// one and hand each goroutine a Clone, which shares the table.
 type Evaluator struct {
 	method alloc.Method
 	g      *grid.Grid
@@ -55,6 +55,17 @@ func NewEvaluator(m alloc.Method) *Evaluator {
 // setDisk updates the materialized table entry for bucket b — the walk
 // kernel's delta maintenance (a cell moving disks is one table write).
 func (e *Evaluator) setDisk(b, d int) { e.table[b] = d }
+
+// Clone returns an independent evaluator sharing the materialized
+// table, as PrefixEvaluator.Clone shares its tables: a cell moved
+// through any clone is visible to all of them, and must not run
+// concurrently with queries on any clone.
+func (e *Evaluator) Clone() *Evaluator {
+	cp := *e
+	cp.loads = make([]int, e.disks)
+	cp.cur = make([]int, len(e.cur))
+	return &cp
+}
 
 // Method returns the evaluated method.
 func (e *Evaluator) Method() alloc.Method { return e.method }

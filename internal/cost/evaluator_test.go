@@ -73,3 +73,32 @@ func TestEvaluatorEmptyWorkload(t *testing.T) {
 		t.Fatalf("empty workload result %+v", res)
 	}
 }
+
+// Clone shares the materialized table but not the scratch: concurrent
+// clones must stay correct (run under -race), and a cell moved through
+// one is seen by all.
+func TestEvaluatorCloneConcurrent(t *testing.T) {
+	g := grid.MustNew(16, 16)
+	m, _ := alloc.NewHCAM(g, 8)
+	base := NewEvaluator(m)
+	w := query.Workload{Name: "all 5×3"}
+	var err error
+	if w.Queries, err = query.Placements(g, []int{5, 3}, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	want := Evaluate(m, w)
+	done := make(chan Result, 4)
+	for i := 0; i < 4; i++ {
+		go func() { done <- base.Clone().Evaluate(w) }()
+	}
+	for i := 0; i < 4; i++ {
+		if got := <-done; got != want {
+			t.Fatalf("clone result %+v, want %+v", got, want)
+		}
+	}
+	c := base.Clone()
+	c.setDisk(0, (base.table[0]+1)%8)
+	if base.table[0] != c.table[0] {
+		t.Fatal("clone does not share the table")
+	}
+}

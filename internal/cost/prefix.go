@@ -28,8 +28,8 @@ import (
 // stream M adjacent values. See DESIGN.md §13 for the math.
 //
 // Like Evaluator, a PrefixEvaluator is not safe for concurrent use
-// (shared scratch); create one per goroutine, or Clone one to share the
-// immutable tables across goroutines for free.
+// (shared scratch); build one and hand each goroutine a Clone, which
+// shares the immutable tables for free.
 type PrefixEvaluator struct {
 	method alloc.Method
 	g      *grid.Grid
@@ -98,13 +98,6 @@ func NewPrefixEvaluator(m alloc.Method) (*PrefixEvaluator, error) {
 		paddedDims[i] = g.Dim(i) + 1
 		cells *= paddedDims[i]
 	}
-	// Cell strides of the padded grid (row-major, last axis fastest).
-	cellStrides := make([]int, k)
-	stride := 1
-	for i := k - 1; i >= 0; i-- {
-		cellStrides[i] = stride
-		stride *= paddedDims[i]
-	}
 	e := &PrefixEvaluator{
 		method:     m,
 		g:          g,
@@ -117,37 +110,50 @@ func NewPrefixEvaluator(m alloc.Method) (*PrefixEvaluator, error) {
 		corners:    make([]cornerTerm, 1<<uint(k)),
 		dcoord:     make([]int, k),
 	}
-	for i := range cellStrides {
-		e.pstrides[i] = cellStrides[i] * disks
+	// Strides of the padded grid (row-major, last axis fastest).
+	stride := disks
+	for i := k - 1; i >= 0; i-- {
+		e.pstrides[i] = stride
+		stride *= paddedDims[i]
 	}
 
 	// Scatter the allocation: bucket c contributes 1 to its own padded
 	// cell c+1 (exclusive prefix: S[x] counts cells strictly below x on
-	// every axis).
-	g.Each(func(c grid.Coord) bool {
-		off := 0
-		for i, v := range c {
-			off += (v + 1) * e.pstrides[i]
+	// every axis). Buckets arrive in row-major order, so the padded
+	// offset is carried along an odometer instead of recomputed.
+	cur := e.dcoord
+	off := 0
+	for _, s := range e.pstrides {
+		off += s
+	}
+	for _, d := range alloc.Table(m) {
+		e.sat[off+d]++
+		for i := k - 1; i >= 0; i-- {
+			cur[i]++
+			off += e.pstrides[i]
+			if cur[i] < g.Dim(i) {
+				break
+			}
+			off -= cur[i] * e.pstrides[i]
+			cur[i] = 0
 		}
-		e.sat[off+m.DiskOf(c)]++
-		return true
-	})
+	}
 
 	// Run a prefix pass along each axis in turn; after all k passes
-	// S[x] holds the box sum over [0,x) per disk.
+	// S[x] holds the box sum over [0,x) per disk. Along one axis the
+	// table is blocks of paddedDims[axis] rows, a row being the
+	// pstrides[axis] contiguous counters that share that axis
+	// coordinate; each row accumulates from its predecessor.
 	for axis := 0; axis < k; axis++ {
-		axisStride := cellStrides[axis]
-		// Walk cells in linear order; a cell at linear index p has
-		// coordinate (p/axisStride)%paddedDims[axis] on this axis, and
-		// accumulates from its predecessor along the axis when > 0.
-		for p := 0; p < cells; p++ {
-			if (p/axisStride)%paddedDims[axis] == 0 {
-				continue
-			}
-			dst := p * disks
-			src := dst - e.pstrides[axis]
-			for d := 0; d < disks; d++ {
-				e.sat[dst+d] += e.sat[src+d]
+		row := e.pstrides[axis]
+		block := row * paddedDims[axis]
+		for base := 0; base < len(e.sat); base += block {
+			for lo := base + row; lo < base+block; lo += row {
+				dst := e.sat[lo : lo+row]
+				src := e.sat[lo-row : lo]
+				for i := range dst {
+					dst[i] += src[i]
+				}
 			}
 		}
 	}

@@ -261,3 +261,66 @@ func TestLoadsZeroAllocs(t *testing.T) {
 	}
 	_ = sink
 }
+
+// referencePrefixTables is the straightforward table build the blocked
+// one replaced — a g.Each scatter that recomputes every padded offset,
+// then per axis one pass over all cells with a divide and a modulo per
+// cell — kept as the oracle the fast build must equal bit for bit.
+func referencePrefixTables(m alloc.Method) *PrefixEvaluator {
+	g := m.Grid()
+	disks := m.Disks()
+	k := g.K()
+	paddedDims := make([]int, k)
+	cells := 1
+	for i := 0; i < k; i++ {
+		paddedDims[i] = g.Dim(i) + 1
+		cells *= paddedDims[i]
+	}
+	cellStrides := make([]int, k)
+	stride := 1
+	for i := k - 1; i >= 0; i-- {
+		cellStrides[i] = stride
+		stride *= paddedDims[i]
+	}
+	sat := make([]int32, cells*disks)
+	g.Each(func(c grid.Coord) bool {
+		off := 0
+		for i, v := range c {
+			off += (v + 1) * cellStrides[i] * disks
+		}
+		sat[off+m.DiskOf(c)]++
+		return true
+	})
+	for axis := 0; axis < k; axis++ {
+		for p := 0; p < cells; p++ {
+			if (p/cellStrides[axis])%paddedDims[axis] == 0 {
+				continue
+			}
+			dst := p * disks
+			src := dst - cellStrides[axis]*disks
+			for d := 0; d < disks; d++ {
+				sat[dst+d] += sat[src+d]
+			}
+		}
+	}
+	return &PrefixEvaluator{disks: disks, k: k, paddedDims: paddedDims, sat: sat}
+}
+
+// The blocked build must produce the reference build's tables exactly,
+// on cubes, ragged grids and up to four axes.
+func TestPrefixBuildMatchesReference(t *testing.T) {
+	for _, dims := range [][]int{{8, 8}, {5, 7}, {4, 4, 4}, {3, 4, 2, 3}, {12, 10}, {1, 9}} {
+		g := grid.MustNew(dims...)
+		for _, disks := range []int{4, 5} {
+			for _, m := range alloc.PaperSet(g, disks) {
+				e, err := NewPrefixEvaluator(m)
+				if err != nil {
+					t.Fatalf("%v %s: %v", dims, m.Name(), err)
+				}
+				if !e.TablesEqual(referencePrefixTables(m)) {
+					t.Fatalf("%s over %d disks on %v: blocked build differs from the reference build", m.Name(), disks, g)
+				}
+			}
+		}
+	}
+}

@@ -36,7 +36,7 @@ func (c DisksConfig) withDefaults() DisksConfig {
 }
 
 // disksSweep runs one query band across the disk counts. Unlike the
-// other experiments the x axis is M, so each row rebuilds the method
+// other experiments the x axis is M, so each row has its own method
 // set; the FX/ExFX pair collapses onto one "FX" line per the paper's
 // selection rule, and methods inapplicable at some M leave a gap
 // (zero-query result) to keep columns aligned. All (M, method) cells
@@ -63,27 +63,27 @@ func disksSweep(id, title string, band [2]int, cfg DisksConfig, opt Options) (*E
 
 	// Column set: union of line names across all M; and one evaluation
 	// cell per applicable (M, method) pair.
+	perRow, err := opt.methodSets(g, cfg.Disks)
+	if err != nil {
+		return nil, err
+	}
 	var colSet []string
 	seen := map[string]bool{}
-	perRow := make([][]alloc.Method, len(cfg.Disks))
+	var methods []alloc.Method
 	var cells []evalCell
 	cellIdx := make([][]int, len(cfg.Disks))
-	for row, m := range cfg.Disks {
-		methods, err := opt.methods(g, m)
-		if err != nil {
-			return nil, err
-		}
-		perRow[row] = methods
-		for _, mm := range methods {
+	for row := range cfg.Disks {
+		for _, mm := range perRow[row] {
 			if name := lineName(mm); !seen[name] {
 				seen[name] = true
 				colSet = append(colSet, name)
 			}
 			cellIdx[row] = append(cellIdx[row], len(cells))
-			cells = append(cells, evalCell{method: mm, w: w})
+			cells = append(cells, evalCell{method: len(methods), w: w})
+			methods = append(methods, mm)
 		}
 	}
-	evaluated, err := opt.evaluateCells(cells)
+	evaluated, err := opt.evaluateCells(methods, cells)
 	if err != nil {
 		return nil, err
 	}

@@ -73,18 +73,31 @@ func (o Options) limit() int {
 // methods builds the paper's method set over g/m, optionally with the
 // random baseline appended.
 func (o Options) methods(g *grid.Grid, m int) ([]alloc.Method, error) {
-	set := alloc.PaperSet(g, m)
-	if len(set) == 0 {
-		return nil, fmt.Errorf("experiments: no method applies to grid %v with %d disks", g, m)
+	sets, err := o.methodSets(g, []int{m})
+	if err != nil {
+		return nil, err
 	}
-	if o.IncludeRandom {
-		r, err := alloc.NewRandom(g, m, o.seed())
-		if err != nil {
-			return nil, err
+	return sets[0], nil
+}
+
+// methodSets is methods for each disk count of a disk sweep over one
+// grid; the sets share whatever depends on the grid only (see
+// alloc.PaperSets).
+func (o Options) methodSets(g *grid.Grid, disks []int) ([][]alloc.Method, error) {
+	sets := alloc.PaperSets(g, disks)
+	for i, m := range disks {
+		if len(sets[i]) == 0 {
+			return nil, fmt.Errorf("experiments: no method applies to grid %v with %d disks", g, m)
 		}
-		set = append(set, r)
+		if o.IncludeRandom {
+			r, err := alloc.NewRandom(g, m, o.seed())
+			if err != nil {
+				return nil, err
+			}
+			sets[i] = append(sets[i], r)
+		}
 	}
-	return set, nil
+	return sets, nil
 }
 
 // Row is one x-axis point of an experiment: a label (the swept

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"decluster/internal/alloc"
 	"decluster/internal/cost"
@@ -14,25 +16,58 @@ import (
 // disk sweeps' (M, method) grid — flattens into cells, runs here, and
 // reassembles by index, so result ordering is deterministic regardless
 // of completion order and the parallel path produces byte-identical
-// experiment tables to a -parallel 1 run. Each cell builds its own
-// kernel evaluator inside the worker goroutine, honouring the
-// per-goroutine contract of cost.Evaluator/PrefixEvaluator; the kernel
-// choice (walk vs prefix tables, Options.Kernel) is per cell, so a cell
-// whose prefix tables would bust the budget falls back to the walk
-// without affecting its neighbours.
+// experiment tables to a -parallel 1 run. A method's kernel is built
+// once per call, by the first worker to reach one of its cells; every
+// cell evaluates through a Clone (cost.Evaluator/PrefixEvaluator share
+// their immutable tables and keep scratch per clone), and the kernel is
+// dropped when the method's last cell finishes. The kernel choice (walk
+// vs prefix tables, Options.Kernel) is per method, so a method whose
+// prefix tables would bust the budget falls back to the walk without
+// affecting its neighbours.
 
-// evalCell is one unit of sweep work: one method over one workload.
+// evalCell is one unit of sweep work: one method, by its index in the
+// method list handed to evaluateCells, over one workload.
 type evalCell struct {
-	method alloc.Method
+	method int
 	w      query.Workload
+}
+
+// sharedKernel is one method's kernel for the length of one
+// evaluateCells call.
+type sharedKernel struct {
+	build sync.Once
+	clone func() cost.RTEvaluator // nil once released
+	err   error
+	left  atomic.Int32 // cells of this method not yet evaluated
+}
+
+// newKernelCloner builds the chosen kernel for m and returns the
+// function that hands out clones sharing its tables.
+func (o Options) newKernelCloner(m alloc.Method) (func() cost.RTEvaluator, error) {
+	ev, err := cost.NewKernelEvaluator(m, o.Kernel, o.TableBudget)
+	if err != nil {
+		return nil, err
+	}
+	switch e := ev.(type) {
+	case *cost.PrefixEvaluator:
+		return func() cost.RTEvaluator { return e.Clone() }, nil
+	case *cost.Evaluator:
+		return func() cost.RTEvaluator { return e.Clone() }, nil
+	default:
+		return nil, fmt.Errorf("experiments: kernel %T cannot be shared across workers", ev)
+	}
 }
 
 // evaluateCells runs the cells on Options.Parallel workers and returns
 // one Result per cell, aligned to the input order. The first kernel
 // construction error aborts the sweep (remaining queued cells are
 // drained unevaluated).
-func (o Options) evaluateCells(cells []evalCell) ([]cost.Result, error) {
+func (o Options) evaluateCells(methods []alloc.Method, cells []evalCell) ([]cost.Result, error) {
 	out := make([]cost.Result, len(cells))
+	kernels := make([]sharedKernel, len(methods))
+	for _, c := range cells {
+		kernels[c.method].left.Add(1)
+	}
 	par := o.parallel()
 	if par > len(cells) {
 		par = len(cells)
@@ -58,16 +93,20 @@ func (o Options) evaluateCells(cells []evalCell) ([]cost.Result, error) {
 					continue
 				}
 				c := cells[idx]
-				ev, err := cost.NewKernelEvaluator(c.method, o.Kernel, o.TableBudget)
-				if err != nil {
+				k := &kernels[c.method]
+				k.build.Do(func() { k.clone, k.err = o.newKernelCloner(methods[c.method]) })
+				if k.err != nil {
 					mu.Lock()
 					if firstErr == nil {
-						firstErr = err
+						firstErr = k.err
 					}
 					mu.Unlock()
 					continue
 				}
-				out[idx] = ev.Evaluate(c.w)
+				out[idx] = k.clone().Evaluate(c.w)
+				if k.left.Add(-1) == 0 {
+					k.clone = nil // last cell: release the tables
+				}
 			}
 		}()
 	}
@@ -88,11 +127,11 @@ func (o Options) evaluateCells(cells []evalCell) ([]cost.Result, error) {
 func evaluateGrid(methods []alloc.Method, workloads []query.Workload, opt Options) ([]Row, error) {
 	cells := make([]evalCell, 0, len(methods)*len(workloads))
 	for _, w := range workloads {
-		for _, m := range methods {
-			cells = append(cells, evalCell{method: m, w: w})
+		for j := range methods {
+			cells = append(cells, evalCell{method: j, w: w})
 		}
 	}
-	res, err := opt.evaluateCells(cells)
+	res, err := opt.evaluateCells(methods, cells)
 	if err != nil {
 		return nil, err
 	}

@@ -3,9 +3,13 @@ package experiments
 import (
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"decluster/internal/alloc"
 	"decluster/internal/cost"
+	"decluster/internal/grid"
+	"decluster/internal/query"
 )
 
 // The parallel sweep must produce byte-identical experiment tables to
@@ -117,5 +121,56 @@ func TestSweepKernelErrorPropagates(t *testing.T) {
 	_, err := DisksSmall(DisksConfig{Disks: []int{4}}, Options{Kernel: cost.Kernel(99), SampleLimit: 50})
 	if err == nil {
 		t.Fatal("unknown kernel did not propagate an error")
+	}
+}
+
+// countingMethod counts DiskOf calls: every kernel build materializes
+// the allocation with exactly Buckets() of them, and no kernel calls
+// DiskOf again while answering queries.
+type countingMethod struct {
+	alloc.Method
+	calls atomic.Int64
+}
+
+func (c *countingMethod) DiskOf(co grid.Coord) int {
+	c.calls.Add(1)
+	return c.Method.DiskOf(co)
+}
+
+// The engine builds each method's kernel once per call, however many
+// workloads and workers share it — not once per (method, workload) cell.
+func TestSweepBuildsOncePerMethod(t *testing.T) {
+	g := grid.MustNew(16, 16)
+	workloads, err := query.SizeSweep(g, []int{1, 4, 16, 36, 64}, 40, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := alloc.PaperSet(g, 8)
+	want, err := evaluateGrid(plain, workloads, Options{Parallel: 1, Kernel: cost.KernelWalk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kernel := range []cost.Kernel{cost.KernelWalk, cost.KernelPrefix} {
+		for _, par := range []int{1, 2, 7} {
+			counted := make([]*countingMethod, len(plain))
+			methods := make([]alloc.Method, len(plain))
+			for i, m := range plain {
+				counted[i] = &countingMethod{Method: m}
+				methods[i] = counted[i]
+			}
+			got, err := evaluateGrid(methods, workloads, Options{Parallel: par, Kernel: kernel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("kernel %v parallel %d: rows differ from the serial walk", kernel, par)
+			}
+			for _, c := range counted {
+				if n := c.calls.Load(); n != int64(g.Buckets()) {
+					t.Errorf("kernel %v parallel %d: %s made %d DiskOf calls over %d workloads, want %d (one build)",
+						kernel, par, c.Name(), n, len(workloads), g.Buckets())
+				}
+			}
+		}
 	}
 }

@@ -12,7 +12,6 @@ package hilbert
 
 import (
 	"fmt"
-	"sort"
 
 	"decluster/internal/grid"
 )
@@ -151,16 +150,23 @@ func (c *Curve) Index(coords []int) (int64, error) {
 	if len(coords) != c.n {
 		return 0, fmt.Errorf("hilbert: %d coordinates for %d-dimensional curve", len(coords), c.n)
 	}
-	x := make([]uint64, c.n)
 	side := c.Side()
 	for i, v := range coords {
 		if v < 0 || v >= side {
 			return 0, fmt.Errorf("hilbert: coordinate %d = %d out of [0,%d)", i, v, side)
 		}
+	}
+	return c.index(coords, make([]uint64, c.n)), nil
+}
+
+// index is Index for coordinates already known to lie on the curve,
+// with the caller's scratch x (len n) in place of a per-call slice.
+func (c *Curve) index(coords []int, x []uint64) int64 {
+	for i, v := range coords {
 		x[i] = uint64(v)
 	}
 	c.axesToTranspose(x)
-	return c.interleave(x), nil
+	return c.interleave(x)
 }
 
 // MustIndex is Index, panicking on error.
@@ -193,13 +199,7 @@ func (c *Curve) Coords(idx int64, dst []int) ([]int, error) {
 // ForGrid returns the smallest curve that encloses g: dimensions equal
 // to g.K() and enough bits for the largest axis.
 func ForGrid(g *grid.Grid) (*Curve, error) {
-	b := 1
-	for _, ab := range g.BitsPerAxis() {
-		if ab > b {
-			b = ab
-		}
-	}
-	return New(g.K(), b)
+	return New(g.K(), g.CubeBits())
 }
 
 // RankTable computes, for every bucket of g (indexed by row-major
@@ -212,32 +212,6 @@ func RankTable(g *grid.Grid) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	type entry struct {
-		bucket int
-		idx    int64
-	}
-	entries := make([]entry, 0, g.Buckets())
-	coords := make([]int, g.K())
-	var iterErr error
-	g.Each(func(co grid.Coord) bool {
-		for i, v := range co {
-			coords[i] = v
-		}
-		idx, err := c.Index(coords)
-		if err != nil {
-			iterErr = err
-			return false
-		}
-		entries = append(entries, entry{g.Linearize(co), idx})
-		return true
-	})
-	if iterErr != nil {
-		return nil, iterErr
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].idx < entries[j].idx })
-	ranks := make([]int, g.Buckets())
-	for rank, e := range entries {
-		ranks[e.bucket] = rank
-	}
-	return ranks, nil
+	x := make([]uint64, c.n)
+	return g.CurveRanks(func(coords []int) int64 { return c.index(coords, x) }), nil
 }

@@ -14,6 +14,7 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"decluster/internal/grid"
 )
@@ -102,52 +103,43 @@ func Placements(g *grid.Grid, sides []int, limit int, seed int64) ([]grid.Rect, 
 }
 
 // sampledPlacements draws `limit` distinct placements uniformly without
-// replacement by sampling placement indexes and decoding them.
+// replacement by sampling placement indexes and decoding them in
+// ascending index order, which is low-corner row-major order.
 func sampledPlacements(g *grid.Grid, sides []int, total, limit int, seed int64) ([]grid.Rect, error) {
 	rng := rand.New(rand.NewSource(seed))
-	picked := make(map[int]bool, limit)
-	for len(picked) < limit {
-		picked[rng.Intn(total)] = true
+	picked := make(map[int]struct{}, limit)
+	idxs := make([]int, 0, limit)
+	for len(idxs) < limit {
+		idx := rng.Intn(total)
+		if _, dup := picked[idx]; !dup {
+			picked[idx] = struct{}{}
+			idxs = append(idxs, idx)
+		}
 	}
+	sort.Ints(idxs)
 	// Decode placement index → low corner using mixed-radix digits of
-	// per-axis free positions (d_i − side_i + 1), row-major.
-	radix := make([]int, g.K())
+	// per-axis free positions (d_i − side_i + 1), row-major. Every
+	// corner lives in one slab, capped so an append cannot reach its
+	// neighbour.
+	k := g.K()
+	radix := make([]int, k)
 	for i := range radix {
 		radix[i] = g.Dim(i) - sides[i] + 1
 	}
-	out := make([]grid.Rect, 0, limit)
-	for idx := range picked {
-		lo := make(grid.Coord, g.K())
-		hi := make(grid.Coord, g.K())
-		rem := idx
-		for i := g.K() - 1; i >= 0; i-- {
-			lo[i] = rem % radix[i]
+	slab := make([]int, 2*k*limit)
+	out := make([]grid.Rect, limit)
+	for n, idx := range idxs {
+		corners := slab[2*k*n:]
+		lo := grid.Coord(corners[:k:k])
+		hi := grid.Coord(corners[k : 2*k : 2*k])
+		for i := k - 1; i >= 0; i-- {
+			lo[i] = idx % radix[i]
 			hi[i] = lo[i] + sides[i] - 1
-			rem /= radix[i]
+			idx /= radix[i]
 		}
-		out = append(out, grid.Rect{Lo: lo, Hi: hi})
+		out[n] = grid.Rect{Lo: lo, Hi: hi}
 	}
-	// Map iteration order is random; normalize for determinism.
-	sortRects(out)
 	return out, nil
-}
-
-// sortRects orders rectangles by their low corner, row-major.
-func sortRects(rs []grid.Rect) {
-	less := func(a, b grid.Rect) bool {
-		for i := range a.Lo {
-			if a.Lo[i] != b.Lo[i] {
-				return a.Lo[i] < b.Lo[i]
-			}
-		}
-		return false
-	}
-	// Insertion sort: workload sizes are bounded by the sampling limit.
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && less(rs[j], rs[j-1]); j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
 }
 
 // SquarishSides factors area into g.K() side lengths as close to equal

@@ -371,3 +371,83 @@ func TestRandomRangeEffectiveBandName(t *testing.T) {
 		t.Error("band entirely above the grid was accepted")
 	}
 }
+
+// The sampler sorts placement indexes instead of sorting rectangles:
+// the output must still be strictly ascending by low corner, and must
+// be the very rectangles the insertion-sorting sampler produced (the
+// literals below were recorded from it, at the commit before the
+// change).
+func TestSampledPlacementsAscendingAndPinned(t *testing.T) {
+	type corners [2][]int
+	for _, tc := range []struct {
+		dims, sides []int
+		limit       int
+		seed        int64
+		first, last [5]corners
+	}{
+		{
+			dims: []int{64, 64}, sides: []int{4, 4}, limit: 2000, seed: 7,
+			first: [5]corners{
+				{{0, 0}, {3, 3}}, {{0, 2}, {3, 5}}, {{0, 3}, {3, 6}}, {{0, 4}, {3, 7}}, {{0, 5}, {3, 8}},
+			},
+			last: [5]corners{
+				{{60, 53}, {63, 56}}, {{60, 54}, {63, 57}}, {{60, 55}, {63, 58}}, {{60, 57}, {63, 60}}, {{60, 60}, {63, 63}},
+			},
+		},
+		{
+			dims: []int{16, 16, 16}, sides: []int{2, 3, 4}, limit: 500, seed: 42,
+			first: [5]corners{
+				{{0, 0, 11}, {1, 2, 14}}, {{0, 1, 2}, {1, 3, 5}}, {{0, 1, 3}, {1, 3, 6}}, {{0, 2, 0}, {1, 4, 3}}, {{0, 2, 12}, {1, 4, 15}},
+			},
+			last: [5]corners{
+				{{14, 12, 7}, {15, 14, 10}}, {{14, 12, 8}, {15, 14, 11}}, {{14, 13, 0}, {15, 15, 3}}, {{14, 13, 4}, {15, 15, 7}}, {{14, 13, 5}, {15, 15, 8}},
+			},
+		},
+		{
+			dims: []int{8, 8, 8, 8}, sides: []int{2, 2, 2, 2}, limit: 300, seed: 3,
+			first: [5]corners{
+				{{0, 0, 1, 5}, {1, 1, 2, 6}}, {{0, 0, 2, 0}, {1, 1, 3, 1}}, {{0, 0, 2, 1}, {1, 1, 3, 2}}, {{0, 0, 3, 0}, {1, 1, 4, 1}}, {{0, 0, 4, 4}, {1, 1, 5, 5}},
+			},
+			last: [5]corners{
+				{{6, 6, 1, 5}, {7, 7, 2, 6}}, {{6, 6, 3, 3}, {7, 7, 4, 4}}, {{6, 6, 5, 3}, {7, 7, 6, 4}}, {{6, 6, 6, 2}, {7, 7, 7, 3}}, {{6, 6, 6, 5}, {7, 7, 7, 6}},
+			},
+		},
+	} {
+		g := grid.MustNew(tc.dims...)
+		qs, err := Placements(g, tc.sides, tc.limit, tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(qs) != tc.limit {
+			t.Fatalf("%v: %d placements, want %d", g, len(qs), tc.limit)
+		}
+		for i := 1; i < len(qs); i++ {
+			ascending := false
+			for a := range qs[i].Lo {
+				if qs[i].Lo[a] != qs[i-1].Lo[a] {
+					ascending = qs[i].Lo[a] > qs[i-1].Lo[a]
+					break
+				}
+			}
+			if !ascending {
+				t.Fatalf("%v: placement %d %v does not follow %v", g, i, qs[i], qs[i-1])
+			}
+		}
+		for i := 0; i < 5; i++ {
+			for _, pin := range []struct {
+				got  grid.Rect
+				want corners
+			}{{qs[i], tc.first[i]}, {qs[len(qs)-5+i], tc.last[i]}} {
+				if !pin.got.Lo.Equal(pin.want[0]) || !pin.got.Hi.Equal(pin.want[1]) {
+					t.Fatalf("%v seed %d: got %v, pinned %v", g, tc.seed, pin.got, pin.want)
+				}
+			}
+		}
+		// Corners share one slab; growing one must not reach the next.
+		_ = append(qs[0].Lo, -1)
+		_ = append(qs[0].Hi, -1)
+		if !qs[0].Hi.Equal(tc.first[0][1]) || !qs[1].Lo.Equal(tc.first[1][0]) {
+			t.Fatalf("%v: appending to a corner overwrote its neighbour", g)
+		}
+	}
+}

@@ -12,7 +12,6 @@ package sfc
 
 import (
 	"fmt"
-	"sort"
 
 	"decluster/internal/grid"
 )
@@ -44,17 +43,21 @@ func validate(coords []int, n, b int) error {
 // interleaved most-significant-first, dimension 0 contributing the
 // higher bit at each level.
 func MortonIndex(coords []int, b int) (int64, error) {
-	n := len(coords)
-	if err := validate(coords, n, b); err != nil {
+	if err := validate(coords, len(coords), b); err != nil {
 		return 0, err
 	}
+	return morton(coords, b), nil
+}
+
+// morton is MortonIndex for coordinates already known to be valid.
+func morton(coords []int, b int) int64 {
 	var idx int64
 	for bit := b - 1; bit >= 0; bit-- {
-		for i := 0; i < n; i++ {
-			idx = idx<<1 | int64(coords[i]>>uint(bit)&1)
+		for _, v := range coords {
+			idx = idx<<1 | int64(v>>uint(bit)&1)
 		}
 	}
-	return idx, nil
+	return idx
 }
 
 // MortonCoords inverts MortonIndex, writing into dst when it has
@@ -142,49 +145,16 @@ func (k Kind) String() string {
 // its rank in the chosen curve's ordering restricted to the grid —
 // the analogue of hilbert.RankTable for the ablation curves.
 func RankTable(g *grid.Grid, kind Kind) ([]int, error) {
-	b := 1
-	for _, ab := range g.BitsPerAxis() {
-		if ab > b {
-			b = ab
-		}
-	}
+	b := g.CubeBits()
 	if g.K()*b > maxIndexBits {
 		return nil, fmt.Errorf("sfc: grid %v needs %d index bits; max %d", g, g.K()*b, maxIndexBits)
 	}
-	index := func(coords []int) (int64, error) {
-		switch kind {
-		case Morton:
-			return MortonIndex(coords, b)
-		case Gray:
-			return GrayIndex(coords, b)
-		default:
-			return 0, fmt.Errorf("sfc: unknown curve kind %v", kind)
-		}
+	switch kind {
+	case Morton:
+		return g.CurveRanks(func(coords []int) int64 { return morton(coords, b) }), nil
+	case Gray:
+		return g.CurveRanks(func(coords []int) int64 { return grayInverse(morton(coords, b)) }), nil
+	default:
+		return nil, fmt.Errorf("sfc: unknown curve kind %v", kind)
 	}
-	type entry struct {
-		bucket int
-		idx    int64
-	}
-	entries := make([]entry, 0, g.Buckets())
-	coords := make([]int, g.K())
-	var iterErr error
-	g.Each(func(c grid.Coord) bool {
-		copy(coords, c)
-		idx, err := index(coords)
-		if err != nil {
-			iterErr = err
-			return false
-		}
-		entries = append(entries, entry{g.Linearize(c), idx})
-		return true
-	})
-	if iterErr != nil {
-		return nil, iterErr
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].idx < entries[j].idx })
-	ranks := make([]int, g.Buckets())
-	for rank, e := range entries {
-		ranks[e.bucket] = rank
-	}
-	return ranks, nil
 }
