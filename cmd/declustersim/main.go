@@ -29,13 +29,15 @@
 //	-fail-prob   availability: transient read-error probability of the
 //	             end-to-end fault drill (default 0.3; 0 disables
 //	             transient errors)
-//	-soak        chaos: soak duration per method × scheme cell; passing
-//	             it implies -experiment chaos (default 300ms)
+//	-soak        chaos, cluster, batch-goodput: soak duration per table
+//	             cell; passing it alone implies -experiment chaos
+//	             (default 1s; batch-goodput 600ms)
 //	-qps         chaos: total target arrival rate (default 0 =
 //	             closed-loop clients)
-//	-clients     chaos: concurrent query clients (default 12)
-//	-hedge-after chaos: hedged-read delay (default 2.5× the simulated
-//	             base read latency)
+//	-clients     chaos, cluster, batch-goodput: concurrent query
+//	             clients (default 12; cluster 8)
+//	-hedge-after chaos, cluster: hedged-read delay (default 2.5× the
+//	             simulated base read latency; cluster 4×)
 //	-rebuild-rate recovery: comma-separated rebuild throttles in
 //	             pages/sec, one table cell each per replication scheme;
 //	             0 means unthrottled (default 50,200,1600)
@@ -66,12 +68,12 @@
 //	             migrations obey it too)
 //	-corrupt-prob recovery: per-page silent-corruption probability of
 //	             the seeded rot plan (default 0.02)
-//	-metrics     dump the observability registry after the run as
-//	             "table" or "csv" (the chaos and recovery soaks are the
+//	-metrics     soaks: dump the observability registry after the run
+//	             as "table" or "csv" (the four wall-clock soaks are the
 //	             instrumented experiments)
-//	-trace-slowest record per-query lifecycle traces and print the N
-//	             slowest span trees after the run
-//	-http        serve live metrics (/metrics JSON, /metrics.txt,
+//	-trace-slowest soaks: record per-query lifecycle traces and print
+//	             the N slowest span trees after the run
+//	-http        soaks: serve live metrics (/metrics JSON, /metrics.txt,
 //	             /metrics.csv, /traces) and /debug/pprof on this
 //	             address while the run executes
 //
@@ -109,11 +111,12 @@ import (
 	"decluster/internal/grid"
 	"decluster/internal/obs"
 	"decluster/internal/optimality"
+	"decluster/internal/table"
 )
 
 func main() {
 	var (
-		experiment  = flag.String("experiment", "all", "artifact to regenerate (all, table1, theorem, size, shape, attrs, disks-small, disks-large, dbsize, pm, endtoend, availability, chaos, recovery, cluster, batch-goodput)")
+		experiment  = flag.String("experiment", "all", "artifact to regenerate: all, "+strings.Join(slices.Concat(order, soaks), ", "))
 		metric      = flag.String("metric", "meanrt", "metric to print: meanrt, ratio, fracopt, worst")
 		samples     = flag.Int("samples", 2000, "query placements sampled per workload")
 		seed        = flag.Int64("seed", 1, "sampling seed")
@@ -125,10 +128,10 @@ func main() {
 		plotOut     = flag.Bool("plot", false, "render sweep experiments as ASCII charts instead of tables")
 		failDisks   = flag.Int("fail-disks", 2, "availability experiment: maximum simultaneously failed disks")
 		failProb    = flag.Float64("fail-prob", 0.3, "availability experiment: transient read-error probability of the fault drill")
-		soak        = flag.Duration("soak", 0, "chaos experiment: soak duration per cell (implies -experiment chaos)")
+		soak        = flag.Duration("soak", 0, "chaos, cluster, batch-goodput: soak duration per cell (alone, implies -experiment chaos; default 1s, batch-goodput 600ms)")
 		qps         = flag.Float64("qps", 0, "chaos experiment: total target arrival rate (0 = closed-loop)")
-		clients     = flag.Int("clients", 0, "chaos experiment: concurrent query clients (default 12)")
-		hedgeAfter  = flag.Duration("hedge-after", 0, "chaos experiment: hedged-read delay (default 2.5× base latency)")
+		clients     = flag.Int("clients", 0, "chaos, cluster, batch-goodput: concurrent query clients (default 12, cluster 8)")
+		hedgeAfter  = flag.Duration("hedge-after", 0, "chaos, cluster: hedged-read delay (default 2.5× base latency, cluster 4×)")
 		rebuildRate = flag.String("rebuild-rate", "", "recovery experiment: comma-separated rebuild throttles in pages/sec (0 = unthrottled; default 50,200,1600)")
 		nodes       = flag.Int("nodes", 0, "cluster experiment: cluster size N (default 4)")
 		replicas    = flag.Int("replicas", 0, "cluster experiment: copies per shard of the replicated placements (default 2)")
@@ -142,9 +145,9 @@ func main() {
 		autoP99     = flag.Duration("autopilot-p99", 0, "cluster experiment: autopilot scale-up p99 trigger and stated bound (default 10× base latency)")
 		migrateRate = flag.Float64("migrate-rate", 0, "cluster experiment: join/leave copy throttle in pages/sec (0 = unthrottled)")
 		corruptProb = flag.Float64("corrupt-prob", 0, "recovery experiment: per-page silent-corruption probability (default 0.02)")
-		metricsOut  = flag.String("metrics", "", "dump the observability registry after the run: table or csv (chaos and recovery)")
-		traceSlow   = flag.Int("trace-slowest", 0, "record per-query traces and print the N slowest span trees after the run")
-		httpAddr    = flag.String("http", "", "serve live metrics, traces, and pprof on this address (e.g. :8080) while the run executes")
+		metricsOut  = flag.String("metrics", "", "soak experiments: dump the observability registry after the run: table or csv")
+		traceSlow   = flag.Int("trace-slowest", 0, "soak experiments: record per-query traces and print the N slowest span trees after the run")
+		httpAddr    = flag.String("http", "", "soak experiments: serve live metrics, traces, and pprof on this address (e.g. :8080) while the run executes")
 	)
 	flag.Parse()
 
@@ -162,20 +165,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "declustersim:", err)
 		os.Exit(2)
 	}
-	opt := experiments.Options{
+	set := settings{metric: m, opt: experiments.Options{
 		Seed:          *seed,
 		SampleLimit:   *samples,
 		Exhaustive:    *exhaustive,
 		IncludeRandom: *random,
 		Parallel:      *parallel,
 		Kernel:        kernel,
-	}
-	mode := modeTable
+	}}
 	if *csvOut {
-		mode = modeCSV
+		set.mode = modeCSV
 	}
 	if *plotOut {
-		mode = modePlot
+		set.mode = modePlot
 	}
 	if *failDisks < 0 {
 		fmt.Fprintln(os.Stderr, "declustersim: -fail-disks must be ≥ 0")
@@ -185,7 +187,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "declustersim: -fail-prob must be in [0, 1)")
 		os.Exit(2)
 	}
-	avail := experiments.AvailabilityConfig{
+	set.avail = experiments.AvailabilityConfig{
 		MaxFailed:     *failDisks,
 		TransientProb: *failProb,
 	}
@@ -196,11 +198,11 @@ func main() {
 		switch fl.Name {
 		case "fail-disks":
 			if *failDisks == 0 {
-				avail.MaxFailed = -1
+				set.avail.MaxFailed = -1
 			}
 		case "fail-prob":
 			if *failProb == 0 {
-				avail.TransientProb = -1
+				set.avail.TransientProb = -1
 			}
 		}
 	})
@@ -208,17 +210,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "declustersim: -soak, -qps, -clients, and -hedge-after must be ≥ 0")
 		os.Exit(2)
 	}
-	chaos := experiments.ChaosConfig{
+	set.chaos = experiments.ChaosConfig{
 		Duration:   *soak,
 		QPS:        *qps,
 		Clients:    *clients,
 		HedgeAfter: *hedgeAfter,
 	}
+	set.goodput = experiments.BatchGoodputConfig{Duration: *soak, Clients: *clients}
 	if *nodes < 0 || *replicas < 0 || *migrateRate < 0 || *spikeFactor < 0 || *autoP99 < 0 {
 		fmt.Fprintln(os.Stderr, "declustersim: -nodes, -replicas, -migrate-rate, -spike-factor, and -autopilot-p99 must be ≥ 0")
 		os.Exit(2)
 	}
-	clusterCfg := experiments.ClusterChaosConfig{
+	set.cluster = experiments.ClusterChaosConfig{
 		Nodes:        *nodes,
 		Replicas:     *replicas,
 		Duration:     *soak,
@@ -249,7 +252,7 @@ func main() {
 	if *blinkScen {
 		scenarios = append(scenarios, "blinking-partition")
 	}
-	clusterCfg.Scenarios = scenarios
+	set.cluster.Scenarios = scenarios
 	if *corruptProb < 0 || *corruptProb >= 1 {
 		fmt.Fprintln(os.Stderr, "declustersim: -corrupt-prob must be in [0, 1)")
 		os.Exit(2)
@@ -259,7 +262,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "declustersim:", err)
 		os.Exit(2)
 	}
-	recovery := experiments.RecoveryConfig{
+	set.recovery = experiments.RecoveryConfig{
 		RebuildRates: rates,
 		CorruptProb:  *corruptProb,
 	}
@@ -277,9 +280,10 @@ func main() {
 		if *traceSlow > 0 {
 			sink.EnableTracing(*traceSlow)
 		}
-		chaos.Obs = sink
-		recovery.Obs = sink
-		clusterCfg.Obs = sink
+		set.chaos.Obs = sink
+		set.recovery.Obs = sink
+		set.cluster.Obs = sink
+		set.goodput.Obs = sink
 	}
 	if *httpAddr != "" {
 		ln, err := net.Listen("tcp", *httpAddr)
@@ -314,7 +318,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "declustersim:", err)
 		os.Exit(2)
 	}
-	if err := run(os.Stdout, name, m, opt, avail, chaos, recovery, clusterCfg, mode); err != nil {
+	if err := run(os.Stdout, name, set); err != nil {
 		fmt.Fprintln(os.Stderr, "declustersim:", err)
 		os.Exit(1)
 	}
@@ -389,13 +393,17 @@ func parseRates(s string) ([]float64, error) {
 	return rates, nil
 }
 
-// runners maps experiment names to their execution, in the paper's
+// order lists the experiments -experiment all runs, in the paper's
 // presentation order.
 var order = []string{
 	"table1", "theorem", "size", "shape", "attrs",
 	"disks-small", "disks-large", "dbsize", "pm", "endtoend",
 	"batch", "skew", "drift", "replication", "availability", "load", "witness",
 }
+
+// soaks run by name only, never in "all": they burn wall-clock time by design
+// and their numbers vary run to run. Only they attach the observability sink.
+var soaks = []string{"chaos", "recovery", "cluster", "batch-goodput"}
 
 // scopedFlags maps each flag that only specific experiments read to
 // those experiments. "all" appears only where the default sweep
@@ -421,6 +429,9 @@ var scopedFlags = map[string][]string{
 	"corrupt-prob":  {"recovery"},
 	"fail-disks":    {"availability", "all"},
 	"fail-prob":     {"availability", "all"},
+	"metrics":       soaks,
+	"trace-slowest": soaks,
+	"http":          soaks,
 }
 
 // checkFlagScope rejects explicitly passed flags the selected
@@ -456,15 +467,24 @@ const (
 	modePlot
 )
 
-// run executes one experiment (or all) and writes its artifact to w in
-// the chosen output mode. The chaos and recovery soaks are deliberately
-// not part of "all": they burn wall-clock time by design and their
-// numbers vary run to run, while everything in order is fast and
-// deterministic.
-func run(w io.Writer, name string, metric experiments.Metric, opt experiments.Options, avail experiments.AvailabilityConfig, chaos experiments.ChaosConfig, recovery experiments.RecoveryConfig, clusterCfg experiments.ClusterChaosConfig, mode outputMode) error {
+// settings is what a run reads besides the experiment's name.
+type settings struct {
+	metric   experiments.Metric
+	opt      experiments.Options
+	mode     outputMode
+	avail    experiments.AvailabilityConfig
+	chaos    experiments.ChaosConfig
+	recovery experiments.RecoveryConfig
+	cluster  experiments.ClusterChaosConfig
+	goodput  experiments.BatchGoodputConfig
+}
+
+// run executes one experiment (or all of order) and writes its artifact
+// to w in the chosen output mode.
+func run(w io.Writer, name string, set settings) error {
 	if name == "all" {
 		for _, n := range order {
-			if err := run(w, n, metric, opt, avail, chaos, recovery, clusterCfg, mode); err != nil {
+			if err := run(w, n, set); err != nil {
 				return err
 			}
 			fmt.Fprintln(w)
@@ -490,98 +510,74 @@ func run(w io.Writer, name string, metric experiments.Metric, opt experiments.Op
 			fmt.Fprintln(w, "WARNING: paper theorem NOT confirmed on this sweep")
 		}
 	case "size":
-		e, err := experiments.QuerySize(experiments.SizeConfig{}, opt)
-		return printExperiment(w, e, err, metric, mode)
+		e, err := experiments.QuerySize(experiments.SizeConfig{}, set.opt)
+		return printExperiment(w, e, err, set.metric, set.mode)
 	case "shape":
-		e, err := experiments.QueryShape(experiments.ShapeConfig{}, opt)
-		return printExperiment(w, e, err, metric, mode)
+		e, err := experiments.QueryShape(experiments.ShapeConfig{}, set.opt)
+		return printExperiment(w, e, err, set.metric, set.mode)
 	case "attrs":
-		e, err := experiments.Attributes(experiments.AttrsConfig{}, opt)
-		return printExperiment(w, e, err, metric, mode)
+		e, err := experiments.Attributes(experiments.AttrsConfig{}, set.opt)
+		return printExperiment(w, e, err, set.metric, set.mode)
 	case "disks-small":
-		e, err := experiments.DisksSmall(experiments.DisksConfig{}, opt)
-		return printExperiment(w, e, err, metric, mode)
+		e, err := experiments.DisksSmall(experiments.DisksConfig{}, set.opt)
+		return printExperiment(w, e, err, set.metric, set.mode)
 	case "disks-large":
-		e, err := experiments.DisksLarge(experiments.DisksConfig{}, opt)
-		return printExperiment(w, e, err, metric, mode)
+		e, err := experiments.DisksLarge(experiments.DisksConfig{}, set.opt)
+		return printExperiment(w, e, err, set.metric, set.mode)
 	case "dbsize":
-		e, err := experiments.DatabaseSize(experiments.DBSizeConfig{}, opt)
-		return printExperiment(w, e, err, metric, mode)
+		e, err := experiments.DatabaseSize(experiments.DBSizeConfig{}, set.opt)
+		return printExperiment(w, e, err, set.metric, set.mode)
 	case "pm":
-		e, err := experiments.PartialMatch(experiments.PMConfig{}, opt)
-		return printExperiment(w, e, err, metric, mode)
+		e, err := experiments.PartialMatch(experiments.PMConfig{}, set.opt)
+		return printExperiment(w, e, err, set.metric, set.mode)
 	case "endtoend":
-		res, err := experiments.EndToEnd(experiments.EndToEndConfig{}, opt)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, res.Table())
+		res, err := experiments.EndToEnd(experiments.EndToEndConfig{}, set.opt)
+		return printTable(w, res, err)
 	case "batch":
-		res, err := experiments.Batch(experiments.BatchConfig{}, opt)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, res.Table())
+		res, err := experiments.Batch(experiments.BatchConfig{}, set.opt)
+		return printTable(w, res, err)
 	case "skew":
-		res, err := experiments.Skew(experiments.SkewConfig{}, opt)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, res.Table())
+		res, err := experiments.Skew(experiments.SkewConfig{}, set.opt)
+		return printTable(w, res, err)
 	case "drift":
-		res, err := experiments.Drift(experiments.DriftConfig{}, opt)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, res.Table())
+		res, err := experiments.Drift(experiments.DriftConfig{}, set.opt)
+		return printTable(w, res, err)
 	case "replication":
-		res, err := experiments.Replication(experiments.ReplicationConfig{}, opt)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, res.Table())
+		res, err := experiments.Replication(experiments.ReplicationConfig{}, set.opt)
+		return printTable(w, res, err)
 	case "availability":
-		res, err := experiments.Availability(avail, opt)
+		res, err := experiments.Availability(set.avail, set.opt)
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(w, res.Table())
 		fmt.Fprint(w, res.DrillReport())
 	case "load":
-		res, err := experiments.Load(experiments.LoadConfig{}, opt)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, res.Table())
+		res, err := experiments.Load(experiments.LoadConfig{}, set.opt)
+		return printTable(w, res, err)
 	case "chaos":
-		res, err := experiments.Chaos(chaos, opt)
+		res, err := experiments.Chaos(set.chaos, set.opt)
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(w, res.Table())
 		fmt.Fprint(w, res.HedgeReport())
 	case "recovery":
-		res, err := experiments.Recovery(recovery, opt)
+		res, err := experiments.Recovery(set.recovery, set.opt)
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(w, res.Table())
 		fmt.Fprint(w, res.ThrottleReport())
 	case "cluster":
-		res, err := experiments.ClusterChaos(clusterCfg, opt)
+		res, err := experiments.ClusterChaos(set.cluster, set.opt)
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(w, res.Table())
 		fmt.Fprintf(w, "fault schedules are pure functions of the seed; replay with -seed %d\n", res.Seed)
 	case "batch-goodput":
-		// The EB soak shares the chaos soak's knobs: -soak is the cell
-		// duration, -clients the issuer count, -metrics the registry dump.
-		res, err := experiments.BatchGoodput(experiments.BatchGoodputConfig{
-			Duration: chaos.Duration,
-			Clients:  chaos.Clients,
-			Obs:      chaos.Obs,
-		}, opt)
+		res, err := experiments.BatchGoodput(set.goodput, set.opt)
 		if err != nil {
 			return err
 		}
@@ -590,7 +586,7 @@ func run(w io.Writer, name string, metric experiments.Metric, opt experiments.Op
 	case "witness":
 		return printWitnesses(w)
 	default:
-		return fmt.Errorf("unknown experiment %q (try: all, %s, chaos, recovery, cluster, batch-goodput)", name, strings.Join(order, ", "))
+		return fmt.Errorf("unknown experiment %q (try: all, %s)", name, strings.Join(slices.Concat(order, soaks), ", "))
 	}
 	return nil
 }
@@ -619,6 +615,15 @@ func printWitnesses(w io.Writer) error {
 	}
 	fmt.Fprintln(w, "every placement of just these shapes is already unsatisfiable;")
 	fmt.Fprintln(w, "dropping any one shape admits an allocation.")
+	return nil
+}
+
+// printTable writes an experiment whose artifact is one table.
+func printTable(w io.Writer, res interface{ Table() *table.Table }, err error) error {
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, res.Table())
 	return nil
 }
 

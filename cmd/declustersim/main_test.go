@@ -33,14 +33,14 @@ func TestParseMetric(t *testing.T) {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "bogus", experiments.MeanRT, fastOpt(), experiments.AvailabilityConfig{}, experiments.ChaosConfig{}, experiments.RecoveryConfig{}, experiments.ClusterChaosConfig{}, modeTable); err == nil {
+	if err := run(&buf, "bogus", settings{opt: fastOpt()}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
 func TestRunSizeTable(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "size", experiments.Ratio, fastOpt(), experiments.AvailabilityConfig{}, experiments.ChaosConfig{}, experiments.RecoveryConfig{}, experiments.ClusterChaosConfig{}, modeTable); err != nil {
+	if err := run(&buf, "size", settings{metric: experiments.Ratio, opt: fastOpt()}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -53,7 +53,7 @@ func TestRunSizeTable(t *testing.T) {
 
 func TestRunSizeCSV(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "size", experiments.Ratio, fastOpt(), experiments.AvailabilityConfig{}, experiments.ChaosConfig{}, experiments.RecoveryConfig{}, experiments.ClusterChaosConfig{}, modeCSV); err != nil {
+	if err := run(&buf, "size", settings{metric: experiments.Ratio, opt: fastOpt(), mode: modeCSV}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -67,7 +67,7 @@ func TestRunSizeCSV(t *testing.T) {
 
 func TestRunTheorem(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "theorem", experiments.MeanRT, fastOpt(), experiments.AvailabilityConfig{}, experiments.ChaosConfig{}, experiments.RecoveryConfig{}, experiments.ClusterChaosConfig{}, modeTable); err != nil {
+	if err := run(&buf, "theorem", settings{opt: fastOpt()}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "paper theorem confirmed") {
@@ -77,7 +77,7 @@ func TestRunTheorem(t *testing.T) {
 
 func TestRunTable1(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "table1", experiments.MeanRT, fastOpt(), experiments.AvailabilityConfig{}, experiments.ChaosConfig{}, experiments.RecoveryConfig{}, experiments.ClusterChaosConfig{}, modeTable); err != nil {
+	if err := run(&buf, "table1", settings{opt: fastOpt()}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "holds") {
@@ -88,7 +88,7 @@ func TestRunTable1(t *testing.T) {
 func TestRunEndToEnd(t *testing.T) {
 	var buf bytes.Buffer
 	opt := experiments.Options{Seed: 1, SampleLimit: 5}
-	if err := run(&buf, "endtoend", experiments.MeanRT, opt, experiments.AvailabilityConfig{}, experiments.ChaosConfig{}, experiments.RecoveryConfig{}, experiments.ClusterChaosConfig{}, modeTable); err != nil {
+	if err := run(&buf, "endtoend", settings{opt: opt}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "E10") {
@@ -98,7 +98,7 @@ func TestRunEndToEnd(t *testing.T) {
 
 func TestRunPlotMode(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "size", experiments.Ratio, fastOpt(), experiments.AvailabilityConfig{}, experiments.ChaosConfig{}, experiments.RecoveryConfig{}, experiments.ClusterChaosConfig{}, modePlot); err != nil {
+	if err := run(&buf, "size", settings{metric: experiments.Ratio, opt: fastOpt(), mode: modePlot}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -110,7 +110,7 @@ func TestRunPlotMode(t *testing.T) {
 func TestRunPMShapeAttrs(t *testing.T) {
 	for _, name := range []string{"pm", "shape", "attrs", "dbsize"} {
 		var buf bytes.Buffer
-		if err := run(&buf, name, experiments.MeanRT, fastOpt(), experiments.AvailabilityConfig{}, experiments.ChaosConfig{}, experiments.RecoveryConfig{}, experiments.ClusterChaosConfig{}, modeTable); err != nil {
+		if err := run(&buf, name, settings{opt: fastOpt()}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if buf.Len() == 0 {
@@ -128,7 +128,7 @@ func TestRunRemainingExperiments(t *testing.T) {
 		"disks-small", "disks-large", "batch", "skew", "drift", "replication", "load",
 	} {
 		var buf bytes.Buffer
-		if err := run(&buf, name, experiments.MeanRT, opt, experiments.AvailabilityConfig{}, experiments.ChaosConfig{}, experiments.RecoveryConfig{}, experiments.ClusterChaosConfig{}, modeTable); err != nil {
+		if err := run(&buf, name, settings{opt: opt}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if buf.Len() == 0 {
@@ -140,7 +140,7 @@ func TestRunRemainingExperiments(t *testing.T) {
 func TestRunAvailability(t *testing.T) {
 	var buf bytes.Buffer
 	avail := experiments.AvailabilityConfig{GridSide: 16, Disks: 8, MaxFailed: 2, FailTrials: 2}
-	if err := run(&buf, "availability", experiments.MeanRT, fastOpt(), avail, experiments.ChaosConfig{}, experiments.RecoveryConfig{}, experiments.ClusterChaosConfig{}, modeTable); err != nil {
+	if err := run(&buf, "availability", settings{opt: fastOpt(), avail: avail}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -158,7 +158,7 @@ func TestRunChaos(t *testing.T) {
 		Duration: 60 * time.Millisecond, BaseLatency: 50 * time.Microsecond,
 		Offset: 2, Methods: []string{"HCAM"},
 	}
-	if err := run(&buf, "chaos", experiments.MeanRT, fastOpt(), experiments.AvailabilityConfig{}, chaos, experiments.RecoveryConfig{}, experiments.ClusterChaosConfig{}, modeTable); err != nil {
+	if err := run(&buf, "chaos", settings{opt: fastOpt(), chaos: chaos}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -185,7 +185,7 @@ func TestRunRecovery(t *testing.T) {
 		BaseLatency: 50 * time.Microsecond, CorruptProb: 0.05,
 		RebuildRates: []float64{0}, Offset: 2, Methods: []string{"HCAM"},
 	}
-	if err := run(&buf, "recovery", experiments.MeanRT, fastOpt(), experiments.AvailabilityConfig{}, experiments.ChaosConfig{}, recovery, experiments.ClusterChaosConfig{}, modeTable); err != nil {
+	if err := run(&buf, "recovery", settings{opt: fastOpt(), recovery: recovery}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -225,7 +225,7 @@ func TestRunWitness(t *testing.T) {
 		t.Skip("witness extraction is seconds-scale")
 	}
 	var buf bytes.Buffer
-	if err := run(&buf, "witness", experiments.MeanRT, fastOpt(), experiments.AvailabilityConfig{}, experiments.ChaosConfig{}, experiments.RecoveryConfig{}, experiments.ClusterChaosConfig{}, modeTable); err != nil {
+	if err := run(&buf, "witness", settings{opt: fastOpt()}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -245,7 +245,7 @@ func TestRunParallelKernelIdentical(t *testing.T) {
 		{Seed: 1, SampleLimit: 50, Parallel: 3, Kernel: cost.KernelAuto},
 	} {
 		var buf bytes.Buffer
-		if err := run(&buf, "disks-large", experiments.MeanRT, opt, experiments.AvailabilityConfig{}, experiments.ChaosConfig{}, experiments.RecoveryConfig{}, experiments.ClusterChaosConfig{}, modeTable); err != nil {
+		if err := run(&buf, "disks-large", settings{opt: opt}); err != nil {
 			t.Fatal(err)
 		}
 		if want == "" {
@@ -259,7 +259,7 @@ func TestRunParallelKernelIdentical(t *testing.T) {
 func TestRunExhaustiveDisksWarns(t *testing.T) {
 	var buf bytes.Buffer
 	opt := experiments.Options{Seed: 1, Exhaustive: true}
-	if err := run(&buf, "disks-small", experiments.MeanRT, opt, experiments.AvailabilityConfig{}, experiments.ChaosConfig{}, experiments.RecoveryConfig{}, experiments.ClusterChaosConfig{}, modeTable); err != nil {
+	if err := run(&buf, "disks-small", settings{opt: opt}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -274,7 +274,7 @@ func TestRunCluster(t *testing.T) {
 		GridSide: 8, Nodes: 4, DisksPerNode: 4, Records: 512, Clients: 4,
 		Duration: 100 * time.Millisecond, BaseLatency: 100 * time.Microsecond,
 	}
-	if err := run(&buf, "cluster", experiments.MeanRT, fastOpt(), experiments.AvailabilityConfig{}, experiments.ChaosConfig{}, experiments.RecoveryConfig{}, clusterCfg, modeTable); err != nil {
+	if err := run(&buf, "cluster", settings{opt: fastOpt(), cluster: clusterCfg}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -314,12 +314,21 @@ func TestCheckFlagScope(t *testing.T) {
 		{"chaos", set("corrupt-prob"), "-corrupt-prob"},
 		{"chaos", set("nodes"), "-nodes"},
 		{"size", set("fail-disks"), "-fail-disks"},
+		// Observability flags under an experiment that never attaches the
+		// sink printed an empty registry and exited 0.
+		{"table1", set("metrics"), "-metrics"},
+		{"all", set("trace-slowest"), "-trace-slowest"},
+		{"availability", set("http"), "-http"},
 		// Consumed: the flag reaches its experiment.
 		{"chaos", set("soak", "qps", "clients", "hedge-after"), ""},
 		{"cluster", set("soak", "clients", "hedge-after", "nodes", "flash-crowd", "migrate-rate"), ""},
 		{"batch-goodput", set("soak", "clients"), ""},
 		{"recovery", set("rebuild-rate", "corrupt-prob"), ""},
 		{"availability", set("fail-disks", "fail-prob"), ""},
+		{"chaos", set("metrics", "trace-slowest", "http"), ""},
+		{"recovery", set("metrics"), ""},
+		{"cluster", set("trace-slowest"), ""},
+		{"batch-goodput", set("metrics", "http"), ""},
 		{"all", set("fail-disks"), ""}, // the default sweep runs availability
 		// Unscoped flags are everyone's business.
 		{"size", set("seed", "samples", "metric"), ""},

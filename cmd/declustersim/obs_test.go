@@ -34,7 +34,7 @@ func obsSoak(t *testing.T, traceN int) *obs.Sink {
 		Obs: sink,
 	}
 	var buf bytes.Buffer
-	if err := run(&buf, "chaos", experiments.MeanRT, fastOpt(), experiments.AvailabilityConfig{}, chaos, experiments.RecoveryConfig{}, experiments.ClusterChaosConfig{}, modeTable); err != nil {
+	if err := run(&buf, "chaos", settings{opt: fastOpt(), chaos: chaos}); err != nil {
 		t.Fatal(err)
 	}
 	return sink

@@ -25,6 +25,13 @@
 //     paper's evaluation (see the bench_test.go benchmarks and
 //     cmd/declustersim).
 //
+// Library-only: internal/analysis (heat maps, worst-query finder),
+// internal/catalog with its record format internal/recio,
+// internal/domain (typed attribute schemas) and internal/gdmopt (the
+// GDM coefficient search) are reached through this facade and
+// examples/ alone — no binary, experiment or benchmark workload
+// imports them, by design.
+//
 // Quick start:
 //
 //	g, _ := decluster.NewGrid(64, 64)

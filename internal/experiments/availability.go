@@ -13,7 +13,6 @@ import (
 	"decluster/internal/exec"
 	"decluster/internal/fault"
 	"decluster/internal/grid"
-	"decluster/internal/gridfile"
 	"decluster/internal/query"
 	"decluster/internal/replica"
 	"decluster/internal/stats"
@@ -175,28 +174,20 @@ func Availability(cfg AvailabilityConfig, opt Options) (*AvailabilityResult, err
 	}
 
 	for _, m := range methods {
-		chain, err := replica.NewChained(m)
+		schemes, err := replicaSchemes(m, cfg.Offset)
 		if err != nil {
 			return nil, err
 		}
-		offset, err := replica.NewOffset(m, cfg.Offset)
-		if err != nil {
-			return nil, err
-		}
-		schemes := []struct {
-			name string
-			rt   func(q grid.Rect, failed []int) (int, error)
-		}{
-			{"none", func(q grid.Rect, failed []int) (int, error) {
+		for _, s := range append([]replicaScheme{{"none", nil}}, schemes...) {
+			rt := func(q grid.Rect, failed []int) (int, error) {
 				return cost.DegradedResponseTime(m, q, failed)
-			}},
-			{"chain", chain.ResponseTimeDegradedSet},
-			{fmt.Sprintf("offset+%d", cfg.Offset), offset.ResponseTimeDegradedSet},
-		}
-		for _, s := range schemes {
+			}
+			if s.rep != nil {
+				rt = s.rep.ResponseTimeDegradedSet
+			}
 			row := AvailabilityRow{Method: lineName(m), Scheme: s.name}
 			for f := 0; f <= cfg.MaxFailed; f++ {
-				cell, err := availabilityCell(s.rt, qs, failSets[f], cfg.Disks)
+				cell, err := availabilityCell(rt, qs, failSets[f], cfg.Disks)
 				if err != nil {
 					return nil, err
 				}
@@ -254,11 +245,8 @@ func runDrill(cfg AvailabilityConfig, seed int64) (*AvailabilityDrill, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := gridfile.New(gridfile.Config{Method: m})
+	f, err := populated(m, 0, datagen.Uniform{K: 2, Seed: seed}.Generate(4096))
 	if err != nil {
-		return nil, err
-	}
-	if err := f.InsertAll(datagen.Uniform{K: 2, Seed: seed}.Generate(4096)); err != nil {
 		return nil, err
 	}
 	q := g.MustRect(grid.Coord{2, 2}, grid.Coord{9, 9})

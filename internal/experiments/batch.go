@@ -109,11 +109,8 @@ func Batch(cfg BatchConfig, opt Options) (*BatchResult, error) {
 	res := &BatchResult{Methods: methodNames(methods)}
 	traces := make(map[string][]gridfile.Trace)
 	for _, m := range methods {
-		f, err := gridfile.New(gridfile.Config{Method: m})
+		f, err := populated(m, 0, records)
 		if err != nil {
-			return nil, err
-		}
-		if err := f.InsertAll(records); err != nil {
 			return nil, err
 		}
 		for _, q := range qs {

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,7 +17,6 @@ import (
 	"decluster/internal/obs"
 	"decluster/internal/replica"
 	"decluster/internal/serve"
-	"decluster/internal/stats"
 	"decluster/internal/table"
 )
 
@@ -57,21 +54,13 @@ type BatchGoodputConfig struct {
 	BaseLatency time.Duration
 	// Window bounds the batching group in time (default 3ms).
 	Window time.Duration
-	// MaxInFlight and MaxQueue are the admission bounds (defaults 1
-	// and 4×Clients). MaxInFlight sits deliberately far below Clients:
-	// batching pays off exactly when concurrent physical reads are the
-	// scarce resource — a group rides one admission slot no matter how
-	// many logical queries it answers, while individual dispatch needs
-	// a slot per query.
-	MaxInFlight, MaxQueue int
-	// StragglerFactor slows disk 0 for the whole run (default 8).
-	StragglerFactor float64
-	// TransientProb is the per-read transient error probability
-	// (default 0.05).
-	TransientProb float64
-	// QueryDeadline bounds each logical query end to end (default
-	// 500 × BaseLatency).
-	QueryDeadline time.Duration
+	// MaxInFlight is the admission bound on concurrent queries (default
+	// 1). It sits deliberately far below Clients: batching pays off
+	// exactly when concurrent physical reads are the scarce resource —
+	// a group rides one admission slot no matter how many logical
+	// queries it answers, while individual dispatch needs a slot per
+	// query.
+	MaxInFlight int
 	// Aggregates is the number of aggregate queries in the zero-read
 	// drill (default 2000).
 	Aggregates int
@@ -109,18 +98,6 @@ func (c BatchGoodputConfig) withDefaults() BatchGoodputConfig {
 	}
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 1
-	}
-	if c.MaxQueue == 0 {
-		c.MaxQueue = 4 * c.Clients
-	}
-	if c.StragglerFactor == 0 {
-		c.StragglerFactor = 8
-	}
-	if c.TransientProb == 0 {
-		c.TransientProb = 0.05
-	}
-	if c.QueryDeadline == 0 {
-		c.QueryDeadline = 500 * c.BaseLatency
 	}
 	if c.Aggregates == 0 {
 		c.Aggregates = 2000
@@ -185,11 +162,8 @@ func BatchGoodput(cfg BatchGoodputConfig, opt Options) (*BatchGoodputResult, err
 	if err != nil {
 		return nil, err
 	}
-	f, err := gridfile.New(gridfile.Config{Method: m})
+	f, err := populated(m, 0, datagen.Uniform{K: 2, Seed: opt.seed()}.Generate(cfg.Records))
 	if err != nil {
-		return nil, err
-	}
-	if err := f.InsertAll(datagen.Uniform{K: 2, Seed: opt.seed()}.Generate(cfg.Records)); err != nil {
 		return nil, err
 	}
 
@@ -235,12 +209,14 @@ func BatchGoodput(cfg BatchGoodputConfig, opt Options) (*BatchGoodputResult, err
 }
 
 // newBatchGoodputScheduler builds one cell's scheduler over the shared
-// file with the experiment's chaos profile.
+// file with the experiment's chaos profile: one read in twenty fails
+// transiently, disk 0 straggles ×8 for the whole run and disk 1 is down
+// behind chained replication.
 func newBatchGoodputScheduler(f *gridfile.File, cfg BatchGoodputConfig, seed int64) (*serve.Scheduler, error) {
 	inj, err := fault.New(fault.Config{
 		Seed:          seed,
-		TransientProb: cfg.TransientProb,
-		Stragglers:    map[int]float64{0: cfg.StragglerFactor},
+		TransientProb: 0.05,
+		Stragglers:    map[int]float64{0: 8},
 	})
 	if err != nil {
 		return nil, err
@@ -257,8 +233,10 @@ func newBatchGoodputScheduler(f *gridfile.File, cfg BatchGoodputConfig, seed int
 		serve.WithFailover(chain),
 		serve.WithRetry(exec.RetryPolicy{MaxAttempts: 8, BaseBackoff: 50 * time.Microsecond, MaxBackoff: time.Millisecond}),
 		serve.WithBaseLatency(cfg.BaseLatency),
+		// The queue holds every client four times over: EB measures what
+		// the read slots deliver, not what the queue turns away.
 		serve.WithAdmission(serve.AdmissionConfig{
-			MaxInFlight: cfg.MaxInFlight, MaxQueue: cfg.MaxQueue, DropExpired: true,
+			MaxInFlight: cfg.MaxInFlight, MaxQueue: 4 * cfg.Clients, DropExpired: true,
 		}),
 		serve.WithDrainTimeout(10 * time.Second),
 	}
@@ -274,7 +252,7 @@ const batchGoodputMaxBatch = 16
 
 // runBatchGoodputCell soaks one dispatch mode.
 func runBatchGoodputCell(f *gridfile.File, pool []grid.Rect, batched bool, policy batch.Policy, cfg BatchGoodputConfig, seed int64) (*BatchGoodputCell, error) {
-	s, err := newBatchGoodputScheduler(f, cfg, seed)
+	sched, err := newBatchGoodputScheduler(f, cfg, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -290,72 +268,44 @@ func runBatchGoodputCell(f *gridfile.File, pool []grid.Rect, batched bool, polic
 			bopts = append(bopts, batch.WithObserver(cfg.Obs))
 		}
 		eng, err = batch.New(f, func(ctx context.Context, buckets []int, prio int) (*exec.Result, error) {
-			return s.DoBuckets(ctx, serve.BucketQuery{Buckets: buckets, Priority: prio})
+			return sched.DoBuckets(ctx, serve.BucketQuery{Buckets: buckets, Priority: prio})
 		}, bopts...)
 		if err != nil {
-			s.Close()
+			sched.Close()
 			return nil, err
 		}
 	}
 
-	cell := &BatchGoodputCell{}
-	var issued, answered, failed, demand atomic.Uint64
-	var latMu sync.Mutex
-	var lats []time.Duration
-
-	ctx, cancelRun := context.WithCancel(context.Background())
-	defer cancelRun()
-	end := time.Now().Add(cfg.Duration)
-	shedBackoff := 4 * cfg.BaseLatency
-
-	var wg sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed*7919 + int64(c)))
-			for time.Now().Before(end) {
-				q := pool[rng.Intn(len(pool))]
-				issued.Add(1)
-				qctx, cancel := context.WithTimeout(ctx, cfg.QueryDeadline)
-				start := time.Now()
-				var err error
-				if batched {
-					_, err = eng.Do(qctx, batch.Query{Rect: q})
-				} else {
-					_, err = s.Do(qctx, serve.Query{Rect: q})
-				}
-				elapsed := time.Since(start)
-				cancel()
-				switch {
-				case err == nil:
-					answered.Add(1)
-					demand.Add(uint64(q.Volume()))
-					latMu.Lock()
-					lats = append(lats, elapsed)
-					latMu.Unlock()
-				case errors.Is(err, serve.ErrClosed), errors.Is(err, batch.ErrClosed):
-					return
-				case errors.Is(err, serve.ErrOverloaded):
-					failed.Add(1)
-					select {
-					case <-ctx.Done():
-						return
-					case <-time.After(shedBackoff):
-					}
-				default:
-					failed.Add(1)
-				}
+	// Each logical query is bounded end to end at 500 × BaseLatency.
+	var demand atomic.Uint64
+	s := newSoak(500*cfg.BaseLatency, func(ctx context.Context, q grid.Rect) outcome {
+		var err error
+		if batched {
+			_, err = eng.Do(ctx, batch.Query{Rect: q})
+		} else {
+			_, err = sched.Do(ctx, serve.Query{Rect: q})
+		}
+		if err == nil {
+			demand.Add(uint64(q.Volume()))
+		}
+		return serveOutcome(err)
+	})
+	s.clients(cfg.Clients, seed*7919,
+		func(rng *rand.Rand) grid.Rect { return pool[rng.Intn(len(pool))] },
+		func(o outcome, _ time.Duration, _ *rand.Rand) time.Duration {
+			if o == shed {
+				return 4 * cfg.BaseLatency
 			}
-		}(c)
-	}
-	wg.Wait()
-	cancelRun()
+			return 0
+		})
+	s.at(cfg.Duration, s.halt)
+	s.wait()
 
+	cell := &BatchGoodputCell{}
 	if batched {
 		st, err := eng.Close()
 		if err != nil {
-			s.Close()
+			sched.Close()
 			return nil, err
 		}
 		cell.Physical = st.Physical
@@ -367,16 +317,18 @@ func runBatchGoodputCell(f *gridfile.File, pool []grid.Rect, batched bool, polic
 		cell.Physical = demand.Load()
 		cell.Demand = demand.Load()
 	}
-	if _, err := s.Close(); err != nil {
+	if _, err := sched.Close(); err != nil {
 		return nil, fmt.Errorf("experiments: batch goodput drain: %w", err)
 	}
 
-	cell.Issued = issued.Load()
-	cell.Answered = answered.Load()
-	cell.Failed = failed.Load()
+	cell.Issued = s.issued.Load()
+	cell.Answered = s.total(answered)
+	// Shed and unavailable queries are failures here: EB has one fail%
+	// column.
+	cell.Failed = s.total(shed, unavailable, failed)
 	cell.GoodputQPS = float64(cell.Answered) / cfg.Duration.Seconds()
-	cell.P50 = stats.NearestRank(lats, 0.50)
-	cell.P99 = stats.NearestRank(lats, 0.99)
+	cell.P50 = s.percentile(0, 0.50)
+	cell.P99 = s.percentile(0, 0.99)
 	return cell, nil
 }
 

@@ -2,15 +2,12 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"decluster/internal/alloc"
 	"decluster/internal/datagen"
 	"decluster/internal/exec"
 	"decluster/internal/fault"
@@ -19,7 +16,6 @@ import (
 	"decluster/internal/obs"
 	"decluster/internal/replica"
 	"decluster/internal/serve"
-	"decluster/internal/stats"
 	"decluster/internal/table"
 )
 
@@ -54,19 +50,9 @@ type ChaosConfig struct {
 	// HedgeAfter is the hedged-read delay for the +hedge schemes
 	// (default 2.5 × BaseLatency).
 	HedgeAfter time.Duration
-	// StragglerFactor is the latency multiplier of the straggler disk,
-	// present for the whole run (default 8; disk 0 straggles).
-	StragglerFactor float64
 	// Offset is the backup offset of the offset-replication schemes
 	// (default Disks/2).
 	Offset int
-	// QueryDeadline bounds each query end to end, queueing included
-	// (default 250 × BaseLatency).
-	QueryDeadline time.Duration
-	// MaxInFlight and MaxQueue are the admission bounds (defaults
-	// Clients/2 and Clients/4, both at least 2) — deliberately below
-	// Clients so overload sheds rather than queueing without bound.
-	MaxInFlight, MaxQueue int
 	// Methods optionally restricts the method set by name (all paper
 	// methods when empty).
 	Methods []string
@@ -98,20 +84,8 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	if c.HedgeAfter == 0 {
 		c.HedgeAfter = 5 * c.BaseLatency / 2
 	}
-	if c.StragglerFactor == 0 {
-		c.StragglerFactor = 8
-	}
 	if c.Offset == 0 {
 		c.Offset = c.Disks / 2
-	}
-	if c.QueryDeadline == 0 {
-		c.QueryDeadline = 500 * c.BaseLatency
-	}
-	if c.MaxInFlight == 0 {
-		c.MaxInFlight = max(2, c.Clients/2)
-	}
-	if c.MaxQueue == 0 {
-		c.MaxQueue = max(2, c.Clients/4)
 	}
 	return c
 }
@@ -165,68 +139,43 @@ func Chaos(cfg ChaosConfig, opt Options) (*ChaosResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	methods, err := opt.methods(g, cfg.Disks)
+	methods, err := opt.namedMethods(g, cfg.Disks, cfg.Methods)
 	if err != nil {
 		return nil, err
-	}
-	if len(cfg.Methods) > 0 {
-		var keep []alloc.Method
-		for _, m := range methods {
-			for _, want := range cfg.Methods {
-				if strings.EqualFold(lineName(m), want) || strings.EqualFold(m.Name(), want) {
-					keep = append(keep, m)
-					break
-				}
-			}
-		}
-		if len(keep) == 0 {
-			return nil, fmt.Errorf("experiments: no method matches filter %v", cfg.Methods)
-		}
-		methods = keep
 	}
 
 	res := &ChaosResult{
 		Disks: cfg.Disks, Clients: cfg.Clients, QPS: cfg.QPS,
 		Duration: cfg.Duration, BaseLatency: cfg.BaseLatency,
 		HedgeAfter: cfg.HedgeAfter, StragglerDisk: 0,
-		StragglerFactor: cfg.StragglerFactor, FailedDisk: 1,
+		StragglerFactor: chaosStragglerFactor, FailedDisk: 1,
 		Offset: cfg.Offset,
 	}
 	for _, m := range methods {
-		f, err := gridfile.New(gridfile.Config{Method: m})
+		f, err := populated(m, 0, datagen.Uniform{K: 2, Seed: opt.seed()}.Generate(cfg.Records))
 		if err != nil {
 			return nil, err
 		}
-		if err := f.InsertAll(datagen.Uniform{K: 2, Seed: opt.seed()}.Generate(cfg.Records)); err != nil {
-			return nil, err
-		}
-		chain, err := replica.NewChained(m)
+		schemes, err := replicaSchemes(m, cfg.Offset)
 		if err != nil {
 			return nil, err
 		}
-		offset, err := replica.NewOffset(m, cfg.Offset)
-		if err != nil {
-			return nil, err
-		}
-		schemes := []struct {
-			name   string
-			rep    *replica.Replicated
-			hedged bool
-		}{
-			{"none", nil, false},
-			{"chain", chain, false},
-			{"chain+hedge", chain, true},
-			{fmt.Sprintf("offset+%d", cfg.Offset), offset, false},
-			{fmt.Sprintf("offset+%d+hedge", cfg.Offset), offset, true},
-		}
-		for _, sc := range schemes {
-			cell, err := runChaosCell(f, sc.rep, sc.hedged, cfg, opt.seed())
-			if err != nil {
-				return nil, err
+		for _, sc := range append([]replicaScheme{{"none", nil}}, schemes...) {
+			for _, hedged := range []bool{false, true} {
+				if hedged && sc.rep == nil {
+					continue // a single copy has nothing to hedge to
+				}
+				cell, err := runChaosCell(f, sc.rep, hedged, cfg, opt.seed())
+				if err != nil {
+					return nil, err
+				}
+				cell.Method = lineName(m)
+				cell.Scheme = sc.name
+				if hedged {
+					cell.Scheme += "+hedge"
+				}
+				res.Cells = append(res.Cells, *cell)
 			}
-			cell.Method = lineName(m)
-			cell.Scheme = sc.name
-			res.Cells = append(res.Cells, *cell)
 		}
 	}
 	return res, nil
@@ -236,12 +185,16 @@ func Chaos(cfg ChaosConfig, opt Options) (*ChaosResult, error) {
 // error probabilities outside and inside the mid-run fault storm.
 const chaosTransientBase, chaosTransientPeak = 0.02, 0.25
 
+// chaosStragglerFactor slows disk 0 for the whole run: the tail the
+// +hedge schemes exist to cut.
+const chaosStragglerFactor = 8
+
 // runChaosCell soaks one scheduler configuration.
 func runChaosCell(f *gridfile.File, rep *replica.Replicated, hedged bool, cfg ChaosConfig, seed int64) (*ChaosCell, error) {
 	inj, err := fault.New(fault.Config{
 		Seed:          seed,
 		TransientProb: chaosTransientBase,
-		Stragglers:    map[int]float64{0: cfg.StragglerFactor},
+		Stragglers:    map[int]float64{0: chaosStragglerFactor},
 	})
 	if err != nil {
 		return nil, err
@@ -253,8 +206,10 @@ func runChaosCell(f *gridfile.File, rep *replica.Replicated, hedged bool, cfg Ch
 		serve.WithFaults(inj),
 		serve.WithRetry(exec.RetryPolicy{MaxAttempts: 8, BaseBackoff: 50 * time.Microsecond, MaxBackoff: time.Millisecond}),
 		serve.WithBaseLatency(cfg.BaseLatency),
+		// Admission sits deliberately below Clients, so overload sheds
+		// rather than queueing without bound.
 		serve.WithAdmission(serve.AdmissionConfig{
-			MaxInFlight: cfg.MaxInFlight, MaxQueue: cfg.MaxQueue, DropExpired: true,
+			MaxInFlight: max(2, cfg.Clients/2), MaxQueue: max(2, cfg.Clients/4), DropExpired: true,
 		}),
 		// Breakers trip on error runs only: the straggler is the hedge
 		// schemes' job, so the latency threshold stays disabled to keep
@@ -274,142 +229,75 @@ func runChaosCell(f *gridfile.File, rep *replica.Replicated, hedged bool, cfg Ch
 	if cfg.Obs != nil {
 		opts = append(opts, serve.WithObserver(cfg.Obs))
 	}
-	s, err := serve.New(f, opts...)
+	sched, err := serve.New(f, opts...)
 	if err != nil {
 		return nil, err
 	}
 
-	g := f.Grid()
-	cell := &ChaosCell{Hedged: hedged}
-	var issued, completed, shed, unavailable, failed, degraded atomic.Uint64
-	var latMu sync.Mutex
-	var lats []time.Duration
-
-	ctx, cancelRun := context.WithCancel(context.Background())
-	defer cancelRun()
-	end := time.Now().Add(cfg.Duration)
-
-	// Chaos driver: fail disk 1 for the second quarter of the run, then
-	// ramp the transient probability to its peak for the third quarter.
-	var chaosWG sync.WaitGroup
-	chaosWG.Add(1)
-	go func() {
-		defer chaosWG.Done()
-		step := cfg.Duration / 4
-		t := time.NewTimer(step)
-		defer t.Stop()
-		for phase := 1; phase <= 3; phase++ {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-			}
-			switch phase {
-			case 1:
-				inj.FlipDisks([]int{1}, nil)
-			case 2:
-				inj.FlipDisks(nil, []int{1})
-				inj.SetTransientProb(chaosTransientPeak)
-			case 3:
-				inj.SetTransientProb(chaosTransientBase)
-			}
-			t.Reset(step)
+	// Each query is bounded end to end, queueing included, at 500 ×
+	// BaseLatency. Uniform priority: the percentile columns compare
+	// hedging and replication, so priority starvation must not pollute
+	// the tail (eviction is exercised by the serve tests).
+	var degraded atomic.Uint64
+	s := newSoak(500*cfg.BaseLatency, func(ctx context.Context, q grid.Rect) outcome {
+		res, err := sched.Do(ctx, serve.Query{Rect: q})
+		if err == nil && res.Degraded {
+			degraded.Add(1)
 		}
-	}()
+		return serveOutcome(err)
+	})
 
 	var interval time.Duration
 	if cfg.QPS > 0 {
 		interval = time.Duration(float64(time.Second) * float64(cfg.Clients) / cfg.QPS)
 	}
-	// Closed-loop clients back off briefly after a shed instead of
-	// hammering the admission gate in a hot loop — fast-reject only
-	// helps if rejected clients actually yield.
-	shedBackoff := 10 * cfg.BaseLatency
-	var wg sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed*1031 + int64(c)))
-			for time.Now().Before(end) {
-				w := 1 + rng.Intn(max(1, g.Dim(0)/2))
-				h := 1 + rng.Intn(max(1, g.Dim(1)/2))
-				x, y := rng.Intn(g.Dim(0)-w+1), rng.Intn(g.Dim(1)-h+1)
-				q := g.MustRect(grid.Coord{x, y}, grid.Coord{x + w - 1, y + h - 1})
+	s.clients(cfg.Clients, seed*1031, uniformRects(f.Grid()), func(o outcome, elapsed time.Duration, _ *rand.Rand) time.Duration {
+		// Under a QPS target a client rests for what is left of its
+		// interval; closed-loop (interval 0) it does not rest at all.
+		pause := max(0, interval-elapsed)
+		// A shed client also backs off instead of hammering the
+		// admission gate in a hot loop — fast-reject only helps if
+		// rejected clients actually yield — and so does an unavailable
+		// one: unreplicated routing rejects instantly while a disk is
+		// down.
+		if o == shed || o == unavailable {
+			pause += 10 * cfg.BaseLatency
+		}
+		return pause
+	})
 
-				issued.Add(1)
-				qctx, cancel := context.WithTimeout(ctx, cfg.QueryDeadline)
-				start := time.Now()
-				// Uniform priority: the percentile columns compare hedging
-				// and replication, so priority starvation must not pollute
-				// the tail (eviction is exercised by the serve tests).
-				res, err := s.Do(qctx, serve.Query{Rect: q})
-				elapsed := time.Since(start)
-				cancel()
-				switch {
-				case err == nil:
-					completed.Add(1)
-					if res.Degraded {
-						degraded.Add(1)
-					}
-					latMu.Lock()
-					lats = append(lats, elapsed)
-					latMu.Unlock()
-				case errors.Is(err, serve.ErrOverloaded):
-					shed.Add(1)
-					select {
-					case <-ctx.Done():
-						return
-					case <-time.After(shedBackoff):
-					}
-				case errors.Is(err, fault.ErrUnavailable):
-					// Unreplicated routing rejects instantly while a disk is
-					// down; back off like a shed client would.
-					unavailable.Add(1)
-					select {
-					case <-ctx.Done():
-						return
-					case <-time.After(shedBackoff):
-					}
-				case errors.Is(err, serve.ErrClosed):
-					return
-				default:
-					failed.Add(1)
-				}
-				if interval > 0 {
-					pause := interval - elapsed
-					if pause > 0 {
-						select {
-						case <-ctx.Done():
-							return
-						case <-time.After(pause):
-						}
-					}
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	cancelRun()
-	chaosWG.Wait()
-	snap, err := s.Close()
+	// The chaos timeline: disk 1 is down for the second quarter of the
+	// run, the transient probability at its peak for the third.
+	quarter := cfg.Duration / 4
+	s.at(quarter, func() { inj.FlipDisks([]int{1}, nil) })
+	s.at(2*quarter, func() {
+		inj.FlipDisks(nil, []int{1})
+		inj.SetTransientProb(chaosTransientPeak)
+	})
+	s.at(3*quarter, func() { inj.SetTransientProb(chaosTransientBase) })
+	s.at(cfg.Duration, s.halt)
+	s.wait()
+	snap, err := sched.Close()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: chaos drain: %w", err)
 	}
 
-	cell.Issued = issued.Load()
-	cell.Completed = completed.Load()
-	cell.Shed = shed.Load()
-	cell.Unavailable = unavailable.Load()
-	cell.Failed = failed.Load()
-	cell.DegradedAnswered = degraded.Load()
+	cell := &ChaosCell{
+		Hedged:           hedged,
+		Issued:           s.issued.Load(),
+		Completed:        s.total(answered),
+		Shed:             s.total(shed),
+		Unavailable:      s.total(unavailable),
+		Failed:           s.total(failed),
+		DegradedAnswered: degraded.Load(),
+		HedgesIssued:     snap.Stats.HedgesIssued,
+		HedgesWon:        snap.Stats.HedgesWon,
+		BreakerTrips:     snap.Stats.BreakerTrips,
+		P50:              s.percentile(0, 0.50),
+		P99:              s.percentile(0, 0.99),
+		P999:             s.percentile(0, 0.999),
+	}
 	cell.GoodputQPS = float64(cell.Completed) / cfg.Duration.Seconds()
-	cell.HedgesIssued = snap.Stats.HedgesIssued
-	cell.HedgesWon = snap.Stats.HedgesWon
-	cell.BreakerTrips = snap.Stats.BreakerTrips
-	cell.P50 = stats.NearestRank(lats, 0.50)
-	cell.P99 = stats.NearestRank(lats, 0.99)
-	cell.P999 = stats.NearestRank(lats, 0.999)
 	return cell, nil
 }
 

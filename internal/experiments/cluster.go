@@ -20,7 +20,6 @@ import (
 	"decluster/internal/obs"
 	"decluster/internal/repair"
 	"decluster/internal/serve"
-	"decluster/internal/stats"
 	"decluster/internal/table"
 )
 
@@ -55,13 +54,6 @@ type ClusterChaosConfig struct {
 	BaseLatency time.Duration
 	// HedgeAfter is the router's hedge delay (default 4 × BaseLatency).
 	HedgeAfter time.Duration
-	// NodeDeadline bounds each router attempt against one node
-	// (default 50 × BaseLatency) — it is what turns a blackholed node
-	// into a retryable error.
-	NodeDeadline time.Duration
-	// QueryDeadline bounds each query end to end (default 250 ×
-	// BaseLatency).
-	QueryDeadline time.Duration
 	// Replicas is the copies per shard of the replicated placements
 	// (default 2; the "none" placement always runs with 1).
 	Replicas int
@@ -119,12 +111,6 @@ func (c ClusterChaosConfig) withDefaults() ClusterChaosConfig {
 	}
 	if c.HedgeAfter == 0 {
 		c.HedgeAfter = 4 * c.BaseLatency
-	}
-	if c.NodeDeadline == 0 {
-		c.NodeDeadline = 50 * c.BaseLatency
-	}
-	if c.QueryDeadline == 0 {
-		c.QueryDeadline = 250 * c.BaseLatency
 	}
 	if c.Replicas == 0 {
 		c.Replicas = 2
@@ -336,7 +322,9 @@ func runClusterCell(sm *cluster.ShardMap, method alloc.Method, records []datagen
 			serve.WithRetry(exec.RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond}),
 		},
 		Router: cluster.RouterConfig{
-			NodeDeadline: cfg.NodeDeadline,
+			// The per-attempt deadline against one node is what turns a
+			// blackholed node into a retryable error.
+			NodeDeadline: 50 * cfg.BaseLatency,
 			Retry:        exec.RetryPolicy{MaxAttempts: 4, BaseBackoff: cfg.BaseLatency / 2, MaxBackoff: 4 * cfg.BaseLatency},
 			HedgeAfter:   cfg.HedgeAfter,
 			Breaker: serve.BreakerConfig{
@@ -351,8 +339,7 @@ func runClusterCell(sm *cluster.ShardMap, method alloc.Method, records []datagen
 	}
 	defer h.Close()
 
-	var schedule fault.NodeSchedule
-	hasSchedule := true
+	var schedule fault.NodeSchedule // empty unless the scenario is a fault
 	hasSpike := false
 	switch scenario {
 	case "node-loss":
@@ -366,113 +353,11 @@ func runClusterCell(sm *cluster.ShardMap, method alloc.Method, records []datagen
 	case "join", "leave":
 		// Membership changes are the chaos: no fault schedule, the
 		// migration itself runs against live traffic.
-		hasSchedule = false
 	case "flash-crowd", "flash-crowd+autopilot":
 		// The chaos is a load surge, not a fault.
-		hasSchedule = false
 		hasSpike = true
 	default:
 		return nil, fmt.Errorf("experiments: unknown cluster scenario %q", scenario)
-	}
-
-	cell := &ClusterChaosCell{}
-	var issued, completed, partial, failed, subQ, subC atomic.Uint64
-	var hedges, hedgeWins, retries atomic.Uint64
-	var latMu sync.Mutex
-	var lats []time.Duration
-
-	ctx, cancelRun := context.WithCancel(context.Background())
-	defer cancelRun()
-	soakStart := time.Now()
-	end := soakStart.Add(cfg.Duration)
-
-	// Fault driver: run the seeded schedule; on a node-loss crash with
-	// replication available, rebuild the victim's shards from its peers
-	// while it is down, so the restart at ¾ brings back a node whose
-	// data was restored over the wire, not preserved by fiat.
-	var rebuildWG sync.WaitGroup
-	var rebuilt atomic.Int64
-	done := make(chan struct{})
-	var chaosWG sync.WaitGroup
-	if scenario == "join" || scenario == "leave" {
-		runClusterMigration(h, sm, scenario, cfg, seed, cell, &latMu, done, &chaosWG)
-	}
-	chaosWG.Add(1)
-	go func() {
-		defer chaosWG.Done()
-		if !hasSchedule {
-			return
-		}
-		_ = schedule.Run(done, h.Faults(), func(e fault.NodeEvent) {
-			latMu.Lock()
-			cell.Events = append(cell.Events, fmt.Sprintf("%v %s node %d", e.At.Round(time.Millisecond), e.Kind, e.Node))
-			latMu.Unlock()
-			if e.Kind == fault.EventCrash && scenario == "node-loss" && sm.Replicas() > 1 {
-				rebuildWG.Add(1)
-				go func(victim int) {
-					defer rebuildWG.Done()
-					// The rebuild gets its own deadline rather than the
-					// soak's: it races real foreground load on the wall
-					// clock, and a soak that ends mid-stream should let
-					// the repair converge, not strand the victim empty.
-					rctx, rcancel := context.WithTimeout(context.Background(), 4*cfg.Duration+2*time.Second)
-					defer rcancel()
-					rstart := time.Now()
-					// No Throttle: the mid-run node rebuild is unthrottled.
-					st, rerr := cluster.RebuildNode(rctx, cluster.RebuildConfig{
-						Map:       sm,
-						Endpoints: h.URLs(),
-						Obs:       cfg.Obs,
-					}, h.Node(victim))
-					latMu.Lock()
-					if rerr == nil {
-						rebuilt.Store(int64(st.Records))
-						cell.RebuildLog = append(cell.RebuildLog, fmt.Sprintf(
-							"rebuilt node %d: %d records in %v (%d retries)",
-							victim, st.Records, time.Since(rstart).Round(time.Millisecond), st.Retries))
-					} else {
-						cell.RebuildLog = append(cell.RebuildLog, fmt.Sprintf(
-							"rebuild node %d stopped after %d buckets (%d records): %v",
-							victim, st.Buckets, st.Records, rerr))
-					}
-					latMu.Unlock()
-				}(e.Node)
-			}
-		})
-	}()
-
-	// runQuery issues one query and books its outcome — shared by the
-	// baseline clients and the flash-crowd surge issuers.
-	runQuery := func(q grid.Rect) {
-		issued.Add(1)
-		qctx, cancel := context.WithTimeout(ctx, cfg.QueryDeadline)
-		start := time.Now()
-		r, err := h.Router().Search(qctx, q)
-		elapsed := time.Since(start)
-		cancel()
-		if r != nil {
-			subQ.Add(uint64(r.SubQueries))
-			subC.Add(uint64(r.Covered))
-			hedges.Add(uint64(r.Hedges))
-			hedgeWins.Add(uint64(r.HedgeWins))
-			retries.Add(uint64(r.Retries))
-		}
-		switch {
-		case err == nil:
-			completed.Add(1)
-			latMu.Lock()
-			lats = append(lats, elapsed)
-			latMu.Unlock()
-		case errors.Is(err, cluster.ErrPartial):
-			partial.Add(1)
-			latMu.Lock()
-			if len(cell.PartialLog) < 8 {
-				cell.PartialLog = append(cell.PartialLog, err.Error())
-			}
-			latMu.Unlock()
-		default:
-			failed.Add(1)
-		}
 	}
 
 	g := sm.Grid()
@@ -496,15 +381,11 @@ func runClusterCell(sm *cluster.ShardMap, method alloc.Method, records []datagen
 			// thrash counter at zero.
 			pol.ScaleDownP99 = cfg.BaseLatency
 		}
-		tick := cfg.Duration / 50
-		if tick < 5*time.Millisecond {
-			tick = 5 * time.Millisecond
-		}
 		ap, err = autopilot.New(autopilot.Config{
 			Router:      h.Router(),
 			Endpoints:   h.URLs(),
 			Obs:         sink,
-			Tick:        tick,
+			Tick:        max(cfg.Duration/50, 5*time.Millisecond),
 			MigrateRate: cfg.MigrateRate,
 			Policy:      pol,
 		})
@@ -514,75 +395,103 @@ func runClusterCell(sm *cluster.ShardMap, method alloc.Method, records []datagen
 		ap.Start()
 	}
 
-	var wg sync.WaitGroup
+	cell := &ClusterChaosCell{}
+	var logMu sync.Mutex // guards the cell's logs: timeline actions and issuers both append
+	logf := func(log *[]string, format string, args ...any) {
+		logMu.Lock()
+		*log = append(*log, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	}
+	var subQ, subC, hedges, hedgeWins, retries atomic.Uint64
+	deadline := 250 * cfg.BaseLatency // per query, end to end; the recovery sweep's probes too
+	s := newSoak(deadline, func(ctx context.Context, q grid.Rect) outcome {
+		r, err := h.Router().Search(ctx, q)
+		if r != nil {
+			subQ.Add(uint64(r.SubQueries))
+			subC.Add(uint64(r.Covered))
+			hedges.Add(uint64(r.Hedges))
+			hedgeWins.Add(uint64(r.HedgeWins))
+			retries.Add(uint64(r.Retries))
+		}
+		switch {
+		case err == nil:
+			return answered
+		case errors.Is(err, cluster.ErrPartial):
+			logMu.Lock()
+			if len(cell.PartialLog) < 8 {
+				cell.PartialLog = append(cell.PartialLog, err.Error())
+			}
+			logMu.Unlock()
+			return partial
+		default:
+			return failed
+		}
+	})
+
+	if scenario == "join" || scenario == "leave" {
+		s.at(cfg.Duration/4, func() { runClusterMigration(h, sm, scenario, cfg, seed, cell, logf) })
+	}
+	// On a node-loss crash with replication available, the victim's
+	// shards are rebuilt from its peers while it is down, so the restart
+	// at ¾ brings back a node whose data was restored over the wire, not
+	// preserved by fiat.
+	var rebuildWG sync.WaitGroup
+	var rebuilt atomic.Int64
+	rebuild := func(victim int) {
+		defer rebuildWG.Done()
+		// The rebuild gets its own deadline rather than the soak's: it
+		// races real foreground load on the wall clock, and a soak that
+		// ends mid-stream should let the repair converge, not strand the
+		// victim empty.
+		rctx, rcancel := context.WithTimeout(context.Background(), 4*cfg.Duration+2*time.Second)
+		defer rcancel()
+		rstart := time.Now()
+		// No Throttle: the mid-run node rebuild is unthrottled.
+		st, err := cluster.RebuildNode(rctx, cluster.RebuildConfig{
+			Map:       sm,
+			Endpoints: h.URLs(),
+			Obs:       cfg.Obs,
+		}, h.Node(victim))
+		if err != nil {
+			logf(&cell.RebuildLog, "rebuild node %d stopped after %d buckets (%d records): %v",
+				victim, st.Buckets, st.Records, err)
+			return
+		}
+		rebuilt.Store(int64(st.Records))
+		logf(&cell.RebuildLog, "rebuilt node %d: %d records in %v (%d retries)",
+			victim, st.Records, time.Since(rstart).Round(time.Millisecond), st.Retries)
+	}
+	// The seeded fault schedule plays until the load has drained.
+	s.at(0, func() {
+		_ = schedule.Run(s.ctx.Done(), h.Faults(), func(e fault.NodeEvent) {
+			logf(&cell.Events, "%v %s node %d", e.At.Round(time.Millisecond), e.Kind, e.Node)
+			if e.Kind == fault.EventCrash && scenario == "node-loss" && sm.Replicas() > 1 {
+				rebuildWG.Add(1)
+				go rebuild(e.Node)
+			}
+		})
+	})
+
 	if hasSpike {
-		// Flash crowd: for the seeded surge window, extra issuers hammer
-		// the schedule's hot region — (SpikeFactor−1) × Clients of them.
-		// Unlike the baseline clients they are OPEN-LOOP: each fires on a
-		// fixed cadence whether or not earlier queries have answered,
-		// because a real crowd does not slow its arrival rate when the
-		// service degrades. Under-capacity, queues grow without bound and
-		// the tail blows through the deadline; that is the regime a
-		// membership change can fix and a closed loop would mask.
+		// Flash crowd: for the seeded surge window (SpikeFactor−1) ×
+		// Clients open-loop issuers hammer the schedule's hot region, one
+		// query each every 8 × BaseLatency. Under-capacity is the regime a
+		// membership change can fix.
 		spike := fault.NewLoadSpikeSchedule(seed, g.K(), cfg.Duration, cfg.SpikeFactor)
 		cell.Events = append(cell.Events, spike.String())
 		lo, hi := spike.Region(g.Dims())
-		extra := int((cfg.SpikeFactor - 1) * float64(cfg.Clients))
-		if extra < 1 {
-			extra = 1
-		}
-		interval := 8 * cfg.BaseLatency
-		for c := 0; c < extra; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed*104729 + int64(c)))
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(spike.Start - time.Since(soakStart)):
-				}
-				tick := time.NewTicker(interval)
-				defer tick.Stop()
-				var inflight sync.WaitGroup
-				defer inflight.Wait()
-				for time.Since(soakStart) < spike.End && time.Now().Before(end) {
-					x := lo[0] + rng.Intn(hi[0]-lo[0]+1)
-					y := lo[1] + rng.Intn(hi[1]-lo[1]+1)
-					x2 := x + rng.Intn(hi[0]-x+1)
-					y2 := y + rng.Intn(hi[1]-y+1)
-					q := g.MustRect(grid.Coord{x, y}, grid.Coord{x2, y2})
-					inflight.Add(1)
-					go func() {
-						defer inflight.Done()
-						runQuery(q)
-					}()
-					select {
-					case <-ctx.Done():
-						return
-					case <-tick.C:
-					}
-				}
-			}(c)
-		}
+		extra := max(1, int((cfg.SpikeFactor-1)*float64(cfg.Clients)))
+		s.arrivals(extra, seed*104729, spike.Start, spike.End, 8*cfg.BaseLatency, func(rng *rand.Rand) grid.Rect {
+			x := lo[0] + rng.Intn(hi[0]-lo[0]+1)
+			y := lo[1] + rng.Intn(hi[1]-lo[1]+1)
+			x2 := x + rng.Intn(hi[0]-x+1)
+			y2 := y + rng.Intn(hi[1]-y+1)
+			return g.MustRect(grid.Coord{x, y}, grid.Coord{x2, y2})
+		})
 	}
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed*7919 + int64(c)))
-			for time.Now().Before(end) {
-				w := 1 + rng.Intn(max(1, g.Dim(0)/2))
-				ht := 1 + rng.Intn(max(1, g.Dim(1)/2))
-				x, y := rng.Intn(g.Dim(0)-w+1), rng.Intn(g.Dim(1)-ht+1)
-				runQuery(g.MustRect(grid.Coord{x, y}, grid.Coord{x + w - 1, y + ht - 1}))
-			}
-		}(c)
-	}
-	wg.Wait()
-	cancelRun()
-	close(done)
-	chaosWG.Wait()
+	s.clients(cfg.Clients, seed*7919, uniformRects(g), closedLoop)
+	s.at(cfg.Duration, s.halt)
+	s.wait()
 	rebuildWG.Wait()
 	if ap != nil {
 		// Stop waits out any migration still in flight, so the stats
@@ -598,10 +507,10 @@ func runClusterCell(sm *cluster.ShardMap, method alloc.Method, records []datagen
 		cell.AutopilotLog = ap.DecisionLog()
 	}
 
-	cell.Issued = issued.Load()
-	cell.Completed = completed.Load()
-	cell.Partial = partial.Load()
-	cell.Failed = failed.Load()
+	cell.Issued = s.issued.Load()
+	cell.Completed = s.total(answered)
+	cell.Partial = s.total(partial)
+	cell.Failed = s.total(failed)
 	cell.SubQueries = subQ.Load()
 	cell.SubCovered = subC.Load()
 	cell.RebuiltRecords = int(rebuilt.Load())
@@ -616,7 +525,7 @@ func runClusterCell(sm *cluster.ShardMap, method alloc.Method, records []datagen
 	cooldown := cfg.Duration / 10
 	recoverBy := time.Now().Add(4 * cooldown)
 	for len(h.Router().Breakers().Open()) > 0 && time.Now().Before(recoverBy) {
-		qctx, qcancel := context.WithTimeout(context.Background(), cfg.QueryDeadline)
+		qctx, qcancel := context.WithTimeout(context.Background(), deadline)
 		_, _ = h.Router().Search(qctx, g.FullRect())
 		qcancel()
 		time.Sleep(cooldown / 4)
@@ -625,73 +534,57 @@ func runClusterCell(sm *cluster.ShardMap, method alloc.Method, records []datagen
 	cell.Hedges = hedges.Load()
 	cell.HedgeWins = hedgeWins.Load()
 	cell.Retries = retries.Load()
-	cell.P50 = stats.NearestRank(lats, 0.50)
-	cell.P99 = stats.NearestRank(lats, 0.99)
+	cell.P50 = s.percentile(0, 0.50)
+	cell.P99 = s.percentile(0, 0.99)
 	return cell, nil
 }
 
-// runClusterMigration drives the join/leave scenarios: at ¼ of the
-// soak it plans the membership change from the router's live map and
-// executes it online — prepare, throttled copy, dual-read handoff,
-// cutover, adopt — while the closed-loop clients keep querying. The
-// migration runs on its own deadline rather than the soak's: queries
-// stop at the end of the run, but an in-flight handoff is left to
-// converge (or abort on its own) so the cell reports the epoch the
-// cluster actually settled on.
-func runClusterMigration(h *cluster.Harness, sm *cluster.ShardMap, scenario string, cfg ClusterChaosConfig, seed int64, cell *ClusterChaosCell, latMu *sync.Mutex, done chan struct{}, wg *sync.WaitGroup) {
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		select {
-		case <-done:
-			return
-		case <-time.After(cfg.Duration / 4):
-		}
-		var plan *cluster.MigrationPlan
-		var perr error
-		if scenario == "join" {
-			plan, perr = cluster.PlanJoin(h.Map())
-		} else {
-			victim := h.Map().MemberAt(fault.Pick(seed, 0, sm.Nodes()))
-			plan, perr = cluster.PlanLeave(h.Map(), victim)
-		}
-		latMu.Lock()
-		if perr != nil {
-			cell.MigrationLog = append(cell.MigrationLog, fmt.Sprintf("plan: %v", perr))
-			latMu.Unlock()
-			return
-		}
-		// The plan line is deterministic — a pure function of seed and
-		// geometry — so it lives in Events with the fault timelines.
-		cell.Events = append(cell.Events, fmt.Sprintf("%v %s",
-			(cfg.Duration/4).Round(time.Millisecond), plan))
-		latMu.Unlock()
-		throttle, terr := repair.NewThrottle(cfg.MigrateRate, 0)
-		if terr != nil {
-			return
-		}
-		mctx, mcancel := context.WithTimeout(context.Background(), 4*cfg.Duration+2*time.Second)
-		defer mcancel()
-		mstart := time.Now()
-		stats, merr := cluster.Migrate(mctx, cluster.MigrateConfig{
-			Plan:      plan,
-			Endpoints: h.URLs(),
-			Throttle:  throttle,
-			Router:    h.Router(),
-			Obs:       cfg.Obs,
-		})
-		latMu.Lock()
-		defer latMu.Unlock()
-		if merr != nil {
-			cell.MigrationLog = append(cell.MigrationLog, fmt.Sprintf(
-				"%s aborted after %d buckets: %v", scenario, stats.Buckets, merr))
-			return
-		}
-		cell.MigrationLog = append(cell.MigrationLog, fmt.Sprintf(
-			"%s: epoch %d → %d, %d buckets (%d records) in %v, %d retries",
-			scenario, plan.From.Epoch(), plan.To.Epoch(), stats.Buckets, stats.Records,
-			time.Since(mstart).Round(time.Millisecond), stats.Retries))
-	}()
+// runClusterMigration is the join/leave scenarios' timeline action: at
+// ¼ of the soak it plans the membership change from the router's live
+// map and executes it online — prepare, throttled copy, dual-read
+// handoff, cutover, adopt — while the closed-loop clients keep
+// querying. The migration runs on its own deadline rather than the
+// soak's: queries stop at the end of the run, but an in-flight handoff
+// is left to converge (or abort on its own) so the cell reports the
+// epoch the cluster actually settled on.
+func runClusterMigration(h *cluster.Harness, sm *cluster.ShardMap, scenario string, cfg ClusterChaosConfig, seed int64, cell *ClusterChaosCell, logf func(log *[]string, format string, args ...any)) {
+	var plan *cluster.MigrationPlan
+	var err error
+	if scenario == "join" {
+		plan, err = cluster.PlanJoin(h.Map())
+	} else {
+		victim := h.Map().MemberAt(fault.Pick(seed, 0, sm.Nodes()))
+		plan, err = cluster.PlanLeave(h.Map(), victim)
+	}
+	if err != nil {
+		logf(&cell.MigrationLog, "plan: %v", err)
+		return
+	}
+	// The plan line is deterministic — a pure function of seed and
+	// geometry — so it lives in Events with the fault timelines.
+	logf(&cell.Events, "%v %s", (cfg.Duration / 4).Round(time.Millisecond), plan)
+	throttle, err := repair.NewThrottle(cfg.MigrateRate, 0)
+	if err != nil {
+		logf(&cell.MigrationLog, "throttle: %v", err)
+		return
+	}
+	mctx, mcancel := context.WithTimeout(context.Background(), 4*cfg.Duration+2*time.Second)
+	defer mcancel()
+	mstart := time.Now()
+	stats, err := cluster.Migrate(mctx, cluster.MigrateConfig{
+		Plan:      plan,
+		Endpoints: h.URLs(),
+		Throttle:  throttle,
+		Router:    h.Router(),
+		Obs:       cfg.Obs,
+	})
+	if err != nil {
+		logf(&cell.MigrationLog, "%s aborted after %d buckets: %v", scenario, stats.Buckets, err)
+		return
+	}
+	logf(&cell.MigrationLog, "%s: epoch %d → %d, %d buckets (%d records) in %v, %d retries",
+		scenario, plan.From.Epoch(), plan.To.Epoch(), stats.Buckets, stats.Records,
+		time.Since(mstart).Round(time.Millisecond), stats.Retries)
 }
 
 // Table renders the cluster soak: one row per placement × scenario.

@@ -7,7 +7,6 @@ import (
 	"decluster/internal/datagen"
 	"decluster/internal/disksim"
 	"decluster/internal/grid"
-	"decluster/internal/gridfile"
 	"decluster/internal/query"
 	"decluster/internal/stats"
 	"decluster/internal/table"
@@ -97,11 +96,8 @@ func EndToEnd(cfg EndToEndConfig, opt Options) (*EndToEndResult, error) {
 		Records:  cfg.Records,
 	}
 	for _, m := range methods {
-		f, err := gridfile.New(gridfile.Config{Method: m, PageCapacity: cfg.PageCapacity})
+		f, err := populated(m, cfg.PageCapacity, records)
 		if err != nil {
-			return nil, err
-		}
-		if err := f.InsertAll(records); err != nil {
 			return nil, err
 		}
 		var worst time.Duration

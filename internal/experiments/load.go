@@ -108,11 +108,8 @@ func Load(cfg LoadConfig, opt Options) (*LoadResult, error) {
 	traces := map[string][]gridfile.Trace{}
 	res := &LoadResult{Methods: methodNames(methods)}
 	for _, m := range methods {
-		f, err := gridfile.New(gridfile.Config{Method: m})
+		f, err := populated(m, 0, records)
 		if err != nil {
-			return nil, err
-		}
-		if err := f.InsertAll(records); err != nil {
 			return nil, err
 		}
 		name := lineName(m)

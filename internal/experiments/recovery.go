@@ -2,14 +2,11 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"decluster/internal/alloc"
@@ -22,7 +19,6 @@ import (
 	"decluster/internal/repair"
 	"decluster/internal/replica"
 	"decluster/internal/serve"
-	"decluster/internal/stats"
 	"decluster/internal/table"
 )
 
@@ -64,12 +60,6 @@ type RecoveryConfig struct {
 	Offset int
 	// FailDisk is the disk permanently failed mid-run (default 1).
 	FailDisk int
-	// QueryDeadline bounds each foreground query end to end (default
-	// 500 × BaseLatency).
-	QueryDeadline time.Duration
-	// MaxInFlight and MaxQueue are the admission bounds (defaults
-	// Clients/4 and Clients, both at least 2).
-	MaxInFlight, MaxQueue int
 	// Methods optionally restricts the declustering method set by name
 	// (default HCAM only: ER varies the replication scheme and throttle,
 	// not the allocation).
@@ -116,18 +106,6 @@ func (c RecoveryConfig) withDefaults() RecoveryConfig {
 	}
 	if c.FailDisk == 0 {
 		c.FailDisk = 1
-	}
-	if c.QueryDeadline == 0 {
-		c.QueryDeadline = 500 * c.BaseLatency
-	}
-	if c.MaxInFlight == 0 {
-		// A quarter of the client count, so admission is the scarce
-		// resource a running rebuild read visibly occupies — the
-		// contention the throttle exists to bound.
-		c.MaxInFlight = max(2, c.Clients/4)
-	}
-	if c.MaxQueue == 0 {
-		c.MaxQueue = max(2, c.Clients)
 	}
 	if len(c.Methods) == 0 {
 		c.Methods = []string{"HCAM"}
@@ -185,42 +163,19 @@ func Recovery(cfg RecoveryConfig, opt Options) (*RecoveryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	methods, err := opt.methods(g, cfg.Disks)
+	methods, err := opt.namedMethods(g, cfg.Disks, cfg.Methods)
 	if err != nil {
 		return nil, err
-	}
-	var keep []alloc.Method
-	for _, m := range methods {
-		for _, want := range cfg.Methods {
-			if strings.EqualFold(lineName(m), want) || strings.EqualFold(m.Name(), want) {
-				keep = append(keep, m)
-				break
-			}
-		}
-	}
-	if len(keep) == 0 {
-		return nil, fmt.Errorf("experiments: no method matches filter %v", cfg.Methods)
 	}
 
 	res := &RecoveryResult{
 		Disks: cfg.Disks, Clients: cfg.Clients, BaseLatency: cfg.BaseLatency,
 		CorruptProb: cfg.CorruptProb, FailDisk: cfg.FailDisk, Offset: cfg.Offset,
 	}
-	for _, m := range keep {
-		chain, err := replica.NewChained(m)
+	for _, m := range methods {
+		schemes, err := replicaSchemes(m, cfg.Offset)
 		if err != nil {
 			return nil, err
-		}
-		offset, err := replica.NewOffset(m, cfg.Offset)
-		if err != nil {
-			return nil, err
-		}
-		schemes := []struct {
-			name string
-			rep  *replica.Replicated
-		}{
-			{"chain", chain},
-			{fmt.Sprintf("offset+%d", cfg.Offset), offset},
 		}
 		for _, sc := range schemes {
 			for _, rate := range cfg.RebuildRates {
@@ -248,11 +203,8 @@ const (
 // runRecoveryCell drives one corruption → scrub → fail → rebuild
 // lifecycle under closed-loop foreground load.
 func runRecoveryCell(m alloc.Method, rep *replica.Replicated, rate float64, cfg RecoveryConfig, seed int64) (*RecoveryCell, error) {
-	f, err := gridfile.New(gridfile.Config{Method: m, PageCapacity: cfg.PageCapacity})
+	f, err := populated(m, cfg.PageCapacity, datagen.Uniform{K: 2, Seed: seed}.Generate(cfg.Records))
 	if err != nil {
-		return nil, err
-	}
-	if err := f.InsertAll(datagen.Uniform{K: 2, Seed: seed}.Generate(cfg.Records)); err != nil {
 		return nil, err
 	}
 	store, err := gridfile.NewStore(f, func(b int) []int {
@@ -276,8 +228,12 @@ func runRecoveryCell(m alloc.Method, rep *replica.Replicated, rate float64, cfg 
 		serve.WithRetry(exec.RetryPolicy{MaxAttempts: 6, BaseBackoff: 50 * time.Microsecond, MaxBackoff: time.Millisecond}),
 		serve.WithBaseLatency(cfg.BaseLatency),
 		serve.WithReadWrapper(rr.Wrap),
+		// In-flight slots are a quarter of the client count, so
+		// admission is the scarce resource a running rebuild read
+		// visibly occupies — the contention the throttle exists to
+		// bound.
 		serve.WithAdmission(serve.AdmissionConfig{
-			MaxInFlight: cfg.MaxInFlight, MaxQueue: cfg.MaxQueue, DropExpired: true,
+			MaxInFlight: max(2, cfg.Clients/4), MaxQueue: max(2, cfg.Clients), DropExpired: true,
 		}),
 		serve.WithDrainTimeout(10 * time.Second),
 	}
@@ -287,129 +243,76 @@ func runRecoveryCell(m alloc.Method, rep *replica.Replicated, rate float64, cfg 
 		rr.Observe(cfg.Obs)
 		opts = append(opts, serve.WithObserver(cfg.Obs))
 	}
-	s, err := serve.New(f, opts...)
+	sched, err := serve.New(f, opts...)
 	if err != nil {
 		return nil, err
 	}
-
 	sc, err := repair.NewScrubber(store, repair.ScrubConfig{Tracker: &tracker, Faults: inj, Obs: cfg.Obs})
 	if err != nil {
 		return nil, err
 	}
 
-	g := f.Grid()
-	phase := atomic.Int32{} // phaseSteady
-	var issued, completed, failed atomic.Uint64
-	var latMu sync.Mutex
-	lats := map[int32][]time.Duration{}
-
-	ctx, cancelRun := context.WithCancel(context.Background())
-	defer cancelRun()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed*2029 + int64(c)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				w := 1 + rng.Intn(max(1, g.Dim(0)/2))
-				h := 1 + rng.Intn(max(1, g.Dim(1)/2))
-				x, y := rng.Intn(g.Dim(0)-w+1), rng.Intn(g.Dim(1)-h+1)
-				q := g.MustRect(grid.Coord{x, y}, grid.Coord{x + w - 1, y + h - 1})
-
-				p := phase.Load()
-				issued.Add(1)
-				qctx, cancel := context.WithTimeout(ctx, cfg.QueryDeadline)
-				start := time.Now()
-				_, err := s.Do(qctx, serve.Query{Rect: q})
-				elapsed := time.Since(start)
-				cancel()
-				switch {
-				case err == nil:
-					completed.Add(1)
-					latMu.Lock()
-					lats[p] = append(lats[p], elapsed)
-					latMu.Unlock()
-				case errors.Is(err, serve.ErrClosed):
-					return
-				default:
-					failed.Add(1)
-				}
-				// Jittered think time (0.5–1.5× of 20 × BaseLatency, ≈50%
-				// admission utilization at the defaults) keeps offered load
-				// well below saturation, or a strict-priority background
-				// rebuild starves: it is the headroom rebuild reads compete for.
-				think := 20 * cfg.BaseLatency
-				think = think/2 + time.Duration(rng.Int63n(int64(think)))
-				select {
-				case <-stop:
-					return
-				case <-time.After(think):
-				}
-			}
-		}(c)
-	}
-
-	// First half of the steady phase runs over the still-rotten store —
-	// foreground reads that trip a checksum are repaired inline. Then a
-	// scrub sweep clears the residue (backup copies no query touched)
-	// before the disk loss makes any remaining rot unrepairable.
-	time.Sleep(cfg.Steady / 2)
-	srep, err := sc.RunOnce(ctx)
-	if err != nil {
-		cancelRun()
-		close(stop)
-		wg.Wait()
-		s.Close()
-		return nil, err
-	}
-	if srep.Unrepairable > 0 {
-		cancelRun()
-		close(stop)
-		wg.Wait()
-		s.Close()
-		return nil, fmt.Errorf("experiments: scrub left %d unrepairable copies", srep.Unrepairable)
-	}
-	cell.ScrubRepaired = srep.Repaired
-	time.Sleep(cfg.Steady / 2)
-	inj.FailPermanent(cfg.FailDisk)
-	phase.Store(phaseRebuild)
-	// Burst of a tenth of a second — the default (a full second of
-	// rate) would let mid-range throttles finish inside their burst and
-	// measure nothing. Four parallel reads let an open throttle actually
-	// contend with foreground admission instead of idling sequentially.
-	rb, err := repair.NewRebuilder(store, s, inj, repair.RebuildConfig{
-		PagesPerSec: rate, Burst: rate / 10, Parallel: 4, Tracker: &tracker,
-		Obs: cfg.Obs,
+	// Each foreground query is bounded end to end at 500 × BaseLatency.
+	s := newSoak(500*cfg.BaseLatency, func(ctx context.Context, q grid.Rect) outcome {
+		_, err := sched.Do(ctx, serve.Query{Rect: q})
+		return serveOutcome(err)
 	})
+	// Jittered think time (0.5–1.5× of 20 × BaseLatency, ≈50% admission
+	// utilization at the defaults) keeps offered load well below
+	// saturation, or a strict-priority background rebuild starves: it is
+	// the headroom rebuild reads compete for.
+	think := 20 * cfg.BaseLatency
+	s.clients(cfg.Clients, seed*2029, uniformRects(f.Grid()), func(_ outcome, _ time.Duration, rng *rand.Rand) time.Duration {
+		return think/2 + time.Duration(rng.Int63n(int64(think)))
+	})
+
+	// The script runs beside the clients; however it ends, the clients
+	// stop and the scheduler closes before its verdict is read.
+	var rrep *repair.RebuildReport
+	err = func() error {
+		// First half of the steady phase runs over the still-rotten
+		// store — foreground reads that trip a checksum are repaired
+		// inline. Then a scrub sweep clears the residue (backup copies
+		// no query touched) before the disk loss makes any remaining rot
+		// unrepairable.
+		s.sleep(cfg.Steady / 2)
+		srep, err := sc.RunOnce(s.ctx)
+		if err != nil {
+			return err
+		}
+		if srep.Unrepairable > 0 {
+			return fmt.Errorf("experiments: scrub left %d unrepairable copies", srep.Unrepairable)
+		}
+		cell.ScrubRepaired = srep.Repaired
+		s.sleep(cfg.Steady / 2)
+		inj.FailPermanent(cfg.FailDisk)
+		s.phase.Store(phaseRebuild)
+		// Burst of a tenth of a second — the default (a full second of
+		// rate) would let mid-range throttles finish inside their burst
+		// and measure nothing. Four parallel reads let an open throttle
+		// actually contend with foreground admission instead of idling
+		// sequentially.
+		rb, err := repair.NewRebuilder(store, sched, inj, repair.RebuildConfig{
+			PagesPerSec: rate, Burst: rate / 10, Parallel: 4, Tracker: &tracker,
+			Obs: cfg.Obs,
+		})
+		if err != nil {
+			return err
+		}
+		if rrep, err = rb.Rebuild(s.ctx, cfg.FailDisk); err != nil {
+			return fmt.Errorf("experiments: rebuild at %.0f pages/s: %w", rate, err)
+		}
+		s.phase.Store(phasePost)
+		s.sleep(cfg.Cooldown)
+		return nil
+	}()
+	s.halt()
+	s.wait()
+	if _, cerr := sched.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("experiments: recovery drain: %w", cerr)
+	}
 	if err != nil {
-		cancelRun()
-		close(stop)
-		wg.Wait()
-		s.Close()
 		return nil, err
-	}
-	rrep, err := rb.Rebuild(ctx, cfg.FailDisk)
-	if err != nil {
-		cancelRun()
-		close(stop)
-		wg.Wait()
-		s.Close()
-		return nil, fmt.Errorf("experiments: rebuild at %.0f pages/s: %w", rate, err)
-	}
-	phase.Store(phasePost)
-	time.Sleep(cfg.Cooldown)
-	close(stop)
-	wg.Wait()
-	cancelRun()
-	if _, err := s.Close(); err != nil {
-		return nil, fmt.Errorf("experiments: recovery drain: %w", err)
 	}
 
 	if bad := store.VerifyAll(); len(bad) > 0 {
@@ -421,13 +324,15 @@ func runRecoveryCell(m alloc.Method, rep *replica.Replicated, rate float64, cfg 
 	cell.BucketsRebuilt = rrep.Buckets
 	cell.Sheds = rrep.Sheds
 	cell.ReadRepairs = rr.Repairs()
-	cell.Issued = issued.Load()
-	cell.Completed = completed.Load()
-	cell.Failed = failed.Load()
-	cell.SteadyP50 = stats.NearestRank(lats[phaseSteady], 0.50)
-	cell.SteadyP99 = stats.NearestRank(lats[phaseSteady], 0.99)
-	cell.RebuildP50 = stats.NearestRank(lats[phaseRebuild], 0.50)
-	cell.RebuildP99 = stats.NearestRank(lats[phaseRebuild], 0.99)
+	cell.Issued = s.issued.Load()
+	cell.Completed = s.total(answered)
+	// Shed and unavailable queries are failures here: ER has no column
+	// of their own for them.
+	cell.Failed = s.total(shed, unavailable, failed)
+	cell.SteadyP50 = s.percentile(phaseSteady, 0.50)
+	cell.SteadyP99 = s.percentile(phaseSteady, 0.99)
+	cell.RebuildP50 = s.percentile(phaseRebuild, 0.50)
+	cell.RebuildP99 = s.percentile(phaseRebuild, 0.99)
 	return cell, nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"decluster/internal/datagen"
 	"decluster/internal/disksim"
 	"decluster/internal/grid"
-	"decluster/internal/gridfile"
 	"decluster/internal/query"
 	"decluster/internal/stats"
 	"decluster/internal/table"
@@ -106,11 +105,8 @@ func Skew(cfg SkewConfig, opt Options) (*SkewResult, error) {
 		records := gen.Generate(cfg.Records)
 		row := SkewRow{Population: gen.Name(), MeanMillis: map[string]float64{}}
 		for _, m := range methods {
-			f, err := gridfile.New(gridfile.Config{Method: m})
+			f, err := populated(m, 0, records)
 			if err != nil {
-				return nil, err
-			}
-			if err := f.InsertAll(records); err != nil {
 				return nil, err
 			}
 			times := make([]float64, 0, len(qs))
