@@ -37,7 +37,7 @@ func MethodBucketAllocator(m Method) (BucketAllocator, error) {
 }
 
 // GridObserver receives a dynamic grid file's structural-change
-// notifications — cell disk moves and directory reshapes.
+// notifications — cell disk moves and directory doublings.
 type GridObserver = dyngrid.Observer
 
 // MaintainedEvaluator is a response-time kernel kept incrementally
@@ -56,17 +56,19 @@ func (o maintainObserver) CellMoved(cell []int, from, to int) {
 	}
 }
 
-func (o maintainObserver) GridReshaped() { o.me.GridReshaped() }
+func (o maintainObserver) LayerInserted(axis, p int) { o.me.LayerInserted(axis, p) }
 
 // NewDynamicEvaluator attaches a delta-maintained response-time kernel
 // to a dynamic grid file: bucket splits fold into the kernel's tables
-// as cell moves in O(axis-suffix) each, and a directory doubling
-// re-tiles the kernel for the new shape on the next query — queries
-// between inserts never see stale loads and never pay a per-query
-// rebuild. The evaluator observes the file from this call on (it
-// replaces any observer installed earlier); kernel and budget choose
-// tables as in NewKernelEvaluator. Not safe for concurrent use, like
-// the file itself.
+// as cell moves in O(axis-suffix) each, and a directory doubling as one
+// in-place layer insert on the same tables (O(table), no rebuild from
+// the directory) — queries between inserts never see stale loads and
+// never pay a rebuild. Only a doubling the prefix kernel cannot follow
+// (walk kernel live, tables past the budget or unrepresentable)
+// re-tiles on the next query. The evaluator observes the file from
+// this call on (it replaces any observer installed earlier); kernel and
+// budget choose tables as in NewKernelEvaluator. Not safe for
+// concurrent use, like the file itself.
 func NewDynamicEvaluator(f *DynamicGridFile, name string, k EvalKernel, tableBudget int64) (*MaintainedEvaluator, error) {
 	me, err := cost.NewMaintainedEvaluator(f.AsMethod(name), k, tableBudget)
 	if err != nil {

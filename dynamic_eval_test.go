@@ -8,7 +8,7 @@ import (
 
 // FuzzDynamicEvaluatorMaintenance is the end-to-end differential proof
 // of delta maintenance: an evaluator attached to a live dynamic grid
-// file — fed only the observer's CellMoved/GridReshaped stream as
+// file — fed only the observer's CellMoved/LayerInserted stream as
 // inserts trigger splits and directory doublings — must hold summed-area
 // tables bit-identical to a from-scratch rebuild over the file's
 // current directory at every checkpoint. This closes the gap the
@@ -58,4 +58,41 @@ func FuzzDynamicEvaluatorMaintenance(f *testing.F) {
 		}
 		check("end of stream")
 	})
+}
+
+// TestDynamicEvaluatorNeverRebuilds pins "maintain, never rebuild" end
+// to end: across every doubling and split of a growing file the live
+// prefix kernel is the one built at attach time — updated in place,
+// not re-tiled — and still equals a from-scratch rebuild.
+func TestDynamicEvaluatorNeverRebuilds(t *testing.T) {
+	file, err := decluster.NewDynamicGridFile(decluster.DynamicConfig{K: 2, Disks: 5, Capacity: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	me, err := decluster.NewDynamicEvaluator(file, "dyn", decluster.KernelAuto, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attached := me.Prefix()
+	if attached == nil {
+		t.Fatal("auto kernel on a 1×1 directory is not the prefix kernel")
+	}
+	for i, rec := range (decluster.UniformRecords{K: 2, Seed: 3}).Generate(2000) {
+		if err := file.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+		if me.Prefix() != attached {
+			t.Fatalf("insert %d (%d doublings): the live kernel was replaced", i, file.DirectoryDoublings())
+		}
+	}
+	if file.DirectoryDoublings() == 0 || file.Splits() == 0 {
+		t.Fatal("fixture never grew")
+	}
+	rebuilt, err := decluster.NewPrefixEvaluator(file.AsMethod("rebuild"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !attached.TablesEqual(rebuilt) {
+		t.Fatal("in-place maintained tables diverge from rebuild")
+	}
 }

@@ -12,16 +12,20 @@ import (
 // like dyngrid, whose splits move cells between disks and whose
 // directory doublings change the grid shape outright.
 //
-// Same-shape mutations are folded in place: a cell moving disks is two
-// PrefixEvaluator.ApplyDelta suffix-box updates on the prefix kernel
-// (O(∏ axis-suffix) each) or a single table write on the walk kernel.
-// A shape change (dyngrid doubling an axis) invalidates every table
-// index, so the evaluator re-arbitrates and re-tiles through the same
-// budgeted kernel selection as NewKernelEvaluator on the next use —
-// never silently serving loads for a grid that no longer exists. If the
-// grown grid pushes a forced prefix kernel past what its tables can
-// represent, the evaluator degrades to the walk kernel rather than
-// failing queries.
+// Both of dyngrid's structural changes are folded in place. A cell
+// moving disks is one PrefixEvaluator.MoveCell suffix-box walk on the
+// prefix kernel (O(∏ axis-suffix)) or a single table write on the walk
+// kernel. A directory doubling is one PrefixEvaluator.InsertLayer pass
+// over the live tables (LayerInserted) as long as kernel selection
+// would pick the prefix kernel again for the grown shape. Any other
+// shape change — a doubling the prefix kernel cannot follow, one under
+// the walk kernel, or an arbitrary reshape signalled by GridReshaped or
+// merely detected — invalidates every table index, so the evaluator
+// re-arbitrates and re-tiles through the same budgeted kernel selection
+// as NewKernelEvaluator on the next use, never silently serving loads
+// for a grid that no longer exists. If the grown grid pushes a forced
+// prefix kernel past what its tables can represent, the evaluator
+// degrades to the walk kernel rather than failing queries.
 //
 // Like the kernels it wraps, a MaintainedEvaluator is not safe for
 // concurrent use.
@@ -42,6 +46,9 @@ type MaintainedEvaluator struct {
 // view of the mutating store: after mutations, its Grid and DiskOf
 // reflect the current mapping, which re-tiling reads.
 func NewMaintainedEvaluator(m alloc.Method, k Kernel, tableBudget int64) (*MaintainedEvaluator, error) {
+	if tableBudget <= 0 {
+		tableBudget = DefaultTableBudget
+	}
 	e := &MaintainedEvaluator{method: m, kernel: k, budget: tableBudget}
 	if err := e.retile(); err != nil {
 		return nil, err
@@ -109,13 +116,31 @@ func (e *MaintainedEvaluator) CellMoved(cell grid.Coord, from, to int) error {
 		return nil
 	}
 	if e.prefix != nil {
-		if err := e.prefix.ApplyDelta(cell, from, -1); err != nil {
-			return err
-		}
-		return e.prefix.ApplyDelta(cell, to, +1)
+		return e.prefix.MoveCell(cell, from, to)
 	}
 	e.walk.setDisk(e.method.Grid().Linearize(cell), to)
 	return nil
+}
+
+// LayerInserted folds a directory doubling — cell layer p of the axis
+// duplicated, the method already reporting the grown grid — into the
+// live prefix tables in place, when kernel selection would choose the
+// prefix kernel again for the grown shape (KernelPrefix: representable;
+// KernelAuto: within the budget). Otherwise it is GridReshaped: the
+// next query re-tiles, or degrades a forced prefix kernel to the walk.
+func (e *MaintainedEvaluator) LayerInserted(axis, p int) {
+	if e.stale || e.prefix == nil || !e.prefixFits() || e.prefix.InsertLayer(axis, p) != nil {
+		e.stale = true
+		return
+	}
+	e.dims[axis]++
+}
+
+// prefixFits reports whether KernelAuto's budget admits prefix tables
+// for the method's current grid; a forced prefix kernel has no budget.
+func (e *MaintainedEvaluator) prefixFits() bool {
+	return e.kernel == KernelPrefix ||
+		PrefixTableBytes(e.method.Grid(), e.method.Disks()) <= e.budget
 }
 
 // GridReshaped marks the kernel stale; the next query re-arbitrates and

@@ -40,13 +40,13 @@ type PrefixEvaluator struct {
 	// by disks so corner offsets index sat directly.
 	pstrides []int
 	// paddedDims are the padded per-axis extents (d_i + 1) — the loop
-	// bounds of ApplyDelta's suffix-box update.
+	// bounds of the suffix-box updates.
 	paddedDims []int
 	loads      []int // scratch, len disks
 	// corners is the reusable corner-term buffer rectLoads fills by
 	// doubling (cap 2^k), replacing the per-mask offset recomputation.
 	corners []cornerTerm
-	// dcoord is ApplyDelta's odometer scratch, len k.
+	// dcoord is the suffix-box walk's odometer scratch, len k.
 	dcoord []int
 }
 
@@ -168,8 +168,10 @@ func (e *PrefixEvaluator) TableBytes() int64 { return int64(len(e.sat)) * 4 }
 
 // Clone returns an independent evaluator sharing the summed-area
 // tables — the cheap way to hand one per goroutine. The tables are
-// shared, not copied: an ApplyDelta through any clone is visible to all
-// of them, and must not run concurrently with queries on any clone.
+// shared, not copied: an ApplyDelta or MoveCell through any clone is
+// visible to all of them, and must not run concurrently with queries on
+// any clone. An InsertLayer is not shared — it invalidates every clone
+// taken before it.
 func (e *PrefixEvaluator) Clone() *PrefixEvaluator {
 	cp := *e
 	cp.loads = make([]int, e.disks)
@@ -251,39 +253,80 @@ func (e *PrefixEvaluator) rectLoads(r grid.Rect) {
 
 // ApplyDelta folds a load change at one bucket into the summed-area
 // tables in place: the bucket at coordinate cell gains delta on disk
-// (negative delta removes load — a cell moving between disks is one −1
-// and one +1). Only the table entries whose exclusive-prefix box
-// contains the cell change: the suffix box x with x_i > cell_i on every
-// padded axis, so the cost is O(∏_i (d_i − cell_i)) — cheapest for
-// cells near the grid's high corner, worst O(∏ d_i) for cell 0 — and
-// always beats the O(k·∏(d_i+1)·disks) full rebuild. The update is
-// exact in integers, so a delta-maintained table is bit-identical to a
-// from-scratch rebuild (fuzz-verified by FuzzPrefixApplyDelta).
+// (negative delta removes load). Only the table entries whose
+// exclusive-prefix box contains the cell change: the suffix box x with
+// x_i > cell_i on every padded axis, so the cost is
+// O(∏_i (d_i − cell_i)) — cheapest for cells near the grid's high
+// corner, worst O(∏ d_i) for cell 0 — and always beats the
+// O(k·∏(d_i+1)·disks) full rebuild. The update is exact in integers, so
+// a delta-maintained table is bit-identical to a from-scratch rebuild
+// (fuzz-verified by FuzzPrefixApplyDelta). A cell changing disks is
+// MoveCell, which makes both updates in one walk of the box.
 //
 // ApplyDelta mutates the tables shared by every Clone and must not run
 // concurrently with queries on this evaluator or any clone.
 func (e *PrefixEvaluator) ApplyDelta(cell grid.Coord, disk, delta int) error {
+	if err := e.checkCell("ApplyDelta", cell, disk); err != nil {
+		return err
+	}
+	e.addSuffix(cell, disk, int32(delta), disk, 0)
+	return nil
+}
+
+// MoveCell folds the bucket at coordinate cell moving from disk from to
+// disk to: exactly ApplyDelta(cell, from, −1) then ApplyDelta(cell, to,
+// +1), but walking the suffix box once — the two counters of one table
+// entry sit within disks·4 bytes of each other, so the second update
+// rides the cache line the first one fetched. Like ApplyDelta it
+// mutates the tables shared by every Clone.
+func (e *PrefixEvaluator) MoveCell(cell grid.Coord, from, to int) error {
+	if err := e.checkCell("MoveCell", cell, from); err != nil {
+		return err
+	}
+	if to < 0 || to >= e.disks {
+		return fmt.Errorf("cost: MoveCell disk %d outside [0,%d)", to, e.disks)
+	}
+	e.addSuffix(cell, from, -1, to, +1)
+	return nil
+}
+
+// checkCell validates a delta's cell and disk against the tables' shape.
+func (e *PrefixEvaluator) checkCell(op string, cell grid.Coord, disk int) error {
 	if len(cell) != e.k {
-		return fmt.Errorf("cost: ApplyDelta cell %v has %d axes for %d-attribute grid", cell, len(cell), e.k)
+		return fmt.Errorf("cost: %s cell %v has %d axes for %d-attribute grid", op, cell, len(cell), e.k)
 	}
 	for i, v := range cell {
 		if v < 0 || v >= e.paddedDims[i]-1 {
-			return fmt.Errorf("cost: ApplyDelta cell %v outside grid %v on axis %d", cell, e.g, i)
+			return fmt.Errorf("cost: %s cell %v outside grid %v on axis %d", op, cell, e.g, i)
 		}
 	}
 	if disk < 0 || disk >= e.disks {
-		return fmt.Errorf("cost: ApplyDelta disk %d outside [0,%d)", disk, e.disks)
+		return fmt.Errorf("cost: %s disk %d outside [0,%d)", op, disk, e.disks)
 	}
+	return nil
+}
+
+// addSuffix adds da to disk a's counter and db to disk b's in every
+// table entry of the suffix box above cell (a == b with db == 0 is the
+// one-column update). The last axis is a plain strided loop; only the
+// outer axes step through the odometer.
+func (e *PrefixEvaluator) addSuffix(cell grid.Coord, a int, da int32, b int, db int32) {
+	last := e.k - 1
+	step := e.pstrides[last]
+	run := (e.paddedDims[last] - cell[last] - 1) * step
 	cur := e.dcoord
 	off := 0
 	for i, v := range cell {
 		cur[i] = v + 1
 		off += (v + 1) * e.pstrides[i]
 	}
-	d32 := int32(delta)
 	for {
-		e.sat[off+disk] += d32
-		i := e.k - 1
+		row := e.sat[off : off+run]
+		for o := 0; o < run; o += step {
+			row[o+a] += da
+			row[o+b] += db
+		}
+		i := last - 1
 		for ; i >= 0; i-- {
 			cur[i]++
 			off += e.pstrides[i]
@@ -294,9 +337,93 @@ func (e *PrefixEvaluator) ApplyDelta(cell grid.Coord, disk, delta int) error {
 			cur[i] = cell[i] + 1
 		}
 		if i < 0 {
-			return nil
+			return
 		}
 	}
+}
+
+// InsertLayer grows the tables for a grid that duplicated cell layer p
+// of the axis (cells p and p+1 of the grown axis hold what cell p
+// held, everything above shifts up by one) — a dynamic grid file's
+// directory doubling — without reading the allocation. Viewed as
+// [outer][d_axis+1][row] with row = the counters sharing one axis
+// coordinate, each block gains one row, and on exclusive prefix sums
+// the duplication is exact: S'[j] = S[j] for j ≤ p+1 and
+// S'[j] = S[j−1] + (S[p+1] − S[p]) for j ≥ p+2. That is one contiguous
+// O(table) pass — no allocation table, no scatter, no k prefix passes —
+// made in place from the back, so no second table is ever live; the
+// backing array grows by doubling, so a sequence of inserts allocates
+// O(log growth) times. The result is bit-identical to NewPrefixEvaluator
+// over the grown allocation (FuzzPrefixInsertLayer).
+//
+// The method must already report the grown grid. InsertLayer returns an
+// error, leaving the tables untouched, when it does not, or when the
+// grown tables hit the limits NewPrefixEvaluator enforces.
+//
+// The backing array may move and the strides change: every Clone taken
+// before the call is invalidated and must be dropped, not queried.
+func (e *PrefixEvaluator) InsertLayer(axis, p int) error {
+	if axis < 0 || axis >= e.k {
+		return fmt.Errorf("cost: InsertLayer axis %d outside [0,%d)", axis, e.k)
+	}
+	pd := e.paddedDims[axis]
+	if p < 0 || p >= pd-1 {
+		return fmt.Errorf("cost: InsertLayer layer %d outside [0,%d) on axis %d", p, pd-1, axis)
+	}
+	g := e.method.Grid()
+	if g.K() != e.k {
+		return fmt.Errorf("cost: InsertLayer: method grid %v has %d axes, tables %d", g, g.K(), e.k)
+	}
+	for i, d := range e.paddedDims {
+		if i == axis {
+			d++
+		}
+		if g.Dim(i) != d-1 {
+			return fmt.Errorf("cost: InsertLayer: method grid %v is not the tables' shape grown on axis %d", g, axis)
+		}
+	}
+	if int64(g.Buckets()) > math.MaxInt32 {
+		return fmt.Errorf("cost: prefix kernel: %d buckets exceed int32 counters", g.Buckets())
+	}
+	if bytes := PrefixTableBytes(g, e.disks); bytes == math.MaxInt64 || bytes/4 > math.MaxInt-1 {
+		return fmt.Errorf("cost: prefix kernel: table for grid %v × %d disks overflows", g, e.disks)
+	}
+
+	row := e.pstrides[axis]
+	block := row * pd
+	outer := len(e.sat) / block
+	n := len(e.sat) + outer*row
+	src, dst := e.sat, e.sat
+	if n <= cap(dst) {
+		dst = dst[:n]
+	} else {
+		dst = make([]int32, n, max(n, 2*cap(dst)))
+	}
+	// Back to front, every read of an old row comes before the write
+	// that lands on it: new row o·(pd+1)+j reads old rows o·pd+j−1,
+	// o·pd+p and o·pd+p+1, none of them past it.
+	head := (p + 2) * row
+	for o := outer - 1; o >= 0; o-- {
+		old := src[o*block : (o+1)*block]
+		grown := dst[o*(block+row) : (o+1)*(block+row)]
+		lo := old[p*row : (p+1)*row]
+		hi := old[(p+1)*row : head]
+		for j := pd; j >= p+2; j-- {
+			d := grown[j*row : (j+1)*row]
+			s := old[(j-1)*row : j*row]
+			for i := range d {
+				d[i] = s[i] + hi[i] - lo[i]
+			}
+		}
+		copy(grown[:head], old[:head])
+	}
+	e.sat = dst
+	e.g = g
+	e.paddedDims[axis]++
+	for i := axis - 1; i >= 0; i-- {
+		e.pstrides[i] = e.pstrides[i+1] * e.paddedDims[i+1]
+	}
+	return nil
 }
 
 // TablesEqual reports whether e and o hold bit-identical summed-area

@@ -14,7 +14,6 @@ package dyngrid
 
 import (
 	"fmt"
-	"sort"
 
 	"decluster/internal/datagen"
 	"decluster/internal/gridfile"
@@ -32,13 +31,13 @@ type Region struct {
 	Lo, Hi []int
 }
 
-// clone deep-copies the region.
+// clone deep-copies the region into one backing array.
 func (r Region) clone() Region {
-	lo := make([]int, len(r.Lo))
-	hi := make([]int, len(r.Hi))
-	copy(lo, r.Lo)
-	copy(hi, r.Hi)
-	return Region{Lo: lo, Hi: hi}
+	k := len(r.Lo)
+	c := make([]int, 2*k)
+	copy(c, r.Lo)
+	copy(c[k:], r.Hi)
+	return Region{Lo: c[:k:k], Hi: c[k:]}
 }
 
 // contains reports whether the cell lies inside the region.
@@ -57,7 +56,8 @@ func (r Region) span(a int) int { return r.Hi[a] - r.Lo[a] }
 // Allocator chooses the disk for a freshly created bucket from its
 // value-space bounding box (lo inclusive, hi exclusive, per attribute).
 // The box is stable under later directory reshaping, unlike cell
-// indexes. Implementations must return a value in [0, disks).
+// indexes; the slices are the file's scratch, valid only during the
+// call. Implementations must return a value in [0, disks).
 type Allocator func(lo, hi []float64, disks int) int
 
 // RoundRobin returns an allocator dealing disks in creation order —
@@ -111,6 +111,11 @@ type File struct {
 	// obs, when set, receives structural-change notifications (see
 	// Observer).
 	obs Observer
+	// Split scratch, so a split allocates only what the new bucket
+	// keeps: the cell handed to CellMoved and the value box handed to
+	// the allocator.
+	cell         []int
+	boxLo, boxHi []float64
 }
 
 // New creates an empty dynamic grid file with a single bucket covering
@@ -140,12 +145,14 @@ func New(cfg Config) (*File, error) {
 		allocate: allocate,
 		scales:   make([][]float64, cfg.K),
 		dims:     make([]int, cfg.K),
+		cell:     make([]int, cfg.K),
+		boxLo:    make([]float64, cfg.K),
+		boxHi:    make([]float64, cfg.K),
 	}
 	for i := range f.dims {
 		f.dims[i] = 1
 	}
-	root := &bucket{region: f.fullRegion()}
-	root.disk = f.checkedDisk(root.region)
+	root := f.newBucket(f.fullRegion())
 	f.buckets = []*bucket{root}
 	f.dir = []int{0}
 	return f, nil
@@ -159,28 +166,20 @@ func (f *File) fullRegion() Region {
 	return Region{Lo: lo, Hi: hi}
 }
 
-// regionBounds converts a region to its value-space bounding box under
-// the current scales.
-func (f *File) regionBounds(r Region) (lo, hi []float64) {
-	lo = make([]float64, f.k)
-	hi = make([]float64, f.k)
+// newBucket creates the bucket owning region r: the allocator picks its
+// disk from r's value-space bounding box under the current scales, and
+// its record slice is sized for the capacity+1 records it can hold
+// before it splits, so filling it never reallocates.
+func (f *File) newBucket(r Region) *bucket {
 	for a := 0; a < f.k; a++ {
-		l, _ := f.cellBounds(a, r.Lo[a])
-		_, h := f.cellBounds(a, r.Hi[a]-1)
-		lo[a], hi[a] = l, h
+		f.boxLo[a], _ = f.cellBounds(a, r.Lo[a])
+		_, f.boxHi[a] = f.cellBounds(a, r.Hi[a]-1)
 	}
-	return lo, hi
-}
-
-// checkedDisk invokes the allocator on the region's value box and
-// validates its answer.
-func (f *File) checkedDisk(r Region) int {
-	lo, hi := f.regionBounds(r)
-	d := f.allocate(lo, hi, f.disks)
+	d := f.allocate(f.boxLo, f.boxHi, f.disks)
 	if d < 0 || d >= f.disks {
 		panic(fmt.Sprintf("dyngrid: allocator returned disk %d outside [0,%d)", d, f.disks))
 	}
-	return d
+	return &bucket{region: r, disk: d, records: make([]datagen.Record, 0, f.capacity+1)}
 }
 
 // K returns the number of attributes.
@@ -215,15 +214,26 @@ func (f *File) Splits() int { return f.splits }
 // DirectoryDoublings returns how many axis doublings have occurred.
 func (f *File) DirectoryDoublings() int { return f.doubles }
 
-// cellOf locates the directory cell containing the values.
-func (f *File) cellOf(values []float64) []int {
-	cell := make([]int, f.k)
-	for i, v := range values {
-		// First split point strictly greater than v.
-		cell[i] = sort.SearchFloat64s(f.scales[i], v)
-		if cell[i] < len(f.scales[i]) && f.scales[i][cell[i]] == v {
-			cell[i]++ // split points belong to the right cell
+// axisCell locates v on an axis: its cell index is the number of split
+// points ≤ v (split points belong to the right cell).
+func (f *File) axisCell(axis int, v float64) int {
+	s := f.scales[axis]
+	lo, hi := 0, len(s)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] <= v {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
+	}
+	return lo
+}
+
+// cellOf writes the directory cell containing the values into cell.
+func (f *File) cellOf(cell []int, values []float64) []int {
+	for i, v := range values {
+		cell[i] = f.axisCell(i, v)
 	}
 	return cell
 }
@@ -259,12 +269,14 @@ func (f *File) Insert(rec datagen.Record) error {
 	if len(rec.Values) != f.k {
 		return fmt.Errorf("dyngrid: record has %d attributes; file has %d", len(rec.Values), f.k)
 	}
+	idx := 0
 	for i, v := range rec.Values {
-		if v < 0 || v >= 1 {
+		if !(v >= 0 && v < 1) { // in this form NaN fails too
 			return fmt.Errorf("dyngrid: attribute %d value %v outside [0,1)", i, v)
 		}
+		idx = idx*f.dims[i] + f.axisCell(i, v)
 	}
-	id := f.bucketAt(f.cellOf(rec.Values))
+	id := f.dir[idx]
 	b := f.buckets[id]
 	b.records = append(b.records, rec)
 	f.count++
@@ -339,24 +351,33 @@ func (f *File) splitRegion(id, axis int) {
 	upper.Lo[axis] = mid
 	b.region.Hi[axis] = mid
 
-	nb := &bucket{region: upper}
-	nb.disk = f.checkedDisk(upper)
+	nb := f.newBucket(upper)
 	newID := len(f.buckets)
 	f.buckets = append(f.buckets, nb)
 	f.splits++
 
-	// Repoint directory cells in the upper half, telling the observer
+	// Repoint the upper half's directory rows, telling the observer
 	// about each cell whose owning disk actually changed.
-	f.eachCell(upper, func(cell []int) {
-		f.dir[f.dirIndex(cell)] = newID
-		if f.obs != nil && nb.disk != b.disk {
-			f.obs.CellMoved(cell, b.disk, nb.disk)
+	last := f.k - 1
+	moved := f.obs != nil && nb.disk != b.disk
+	f.eachRow(f.cell, upper, func(row []int) {
+		for i := range row {
+			row[i] = newID
+		}
+		if !moved {
+			return
+		}
+		for c := upper.Lo[last]; c < upper.Hi[last]; c++ {
+			f.cell[last] = c
+			f.obs.CellMoved(f.cell, b.disk, nb.disk)
 		}
 	})
-	// Redistribute records.
+	// Redistribute records: a record's cell on the axis is ≥ mid exactly
+	// when its value has reached split point mid−1.
+	split := f.scales[axis][mid-1]
 	keep := b.records[:0]
 	for _, rec := range b.records {
-		if f.cellOf(rec.Values)[axis] >= mid {
+		if rec.Values[axis] >= split {
 			nb.records = append(nb.records, rec)
 		} else {
 			keep = append(keep, rec)
@@ -365,13 +386,18 @@ func (f *File) splitRegion(id, axis int) {
 	b.records = keep
 }
 
-// eachCell visits every directory cell of a region.
-func (f *File) eachCell(r Region, fn func(cell []int)) {
-	cell := make([]int, f.k)
+// eachRow visits a region one directory row at a time — the run of
+// cells along the last axis, contiguous in dir — with cell (scratch,
+// len k) holding the row's coordinates on the other axes; its last
+// entry is the callback's to overwrite.
+func (f *File) eachRow(cell []int, r Region, fn func(row []int)) {
+	last := f.k - 1
 	copy(cell, r.Lo)
 	for {
-		fn(cell)
-		a := f.k - 1
+		cell[last] = r.Lo[last]
+		base := f.dirIndex(cell)
+		fn(f.dir[base : base+r.span(last)])
+		a := last - 1
 		for ; a >= 0; a-- {
 			cell[a]++
 			if cell[a] < r.Hi[a] {
@@ -394,35 +420,18 @@ func (f *File) addScale(axis, p int, v float64) {
 	copy(f.scales[axis][p+1:], f.scales[axis][p:])
 	f.scales[axis][p] = v
 
-	oldDims := make([]int, f.k)
-	copy(oldDims, f.dims)
-	f.dims[axis]++
-	newDir := make([]int, product(f.dims))
-
-	// Copy the old directory, duplicating layer p on the axis.
-	cell := make([]int, f.k)
-	var fill func(a int)
-	fill = func(a int) {
-		if a == f.k {
-			old := make([]int, f.k)
-			copy(old, cell)
-			if old[axis] > p {
-				old[axis]--
-			}
-			oldIdx := 0
-			for i, c := range old {
-				oldIdx = oldIdx*oldDims[i] + c
-			}
-			newDir[f.dirIndex(cell)] = f.dir[oldIdx]
-			return
-		}
-		for c := 0; c < f.dims[a]; c++ {
-			cell[a] = c
-			fill(a + 1)
-		}
+	// Copy the old directory, duplicating layer p on the axis: seen as
+	// [outer][dims[axis]][inner], each block is its layers 0..p, then
+	// its layers p..end again.
+	inner := product(f.dims[axis+1:])
+	block := f.dims[axis] * inner
+	newDir := make([]int, len(f.dir)+len(f.dir)/block*inner)
+	for src, dst := 0, 0; src < len(f.dir); src, dst = src+block, dst+block+inner {
+		n := copy(newDir[dst:], f.dir[src:src+(p+1)*inner])
+		copy(newDir[dst+n:], f.dir[src+p*inner:src+block])
 	}
-	fill(0)
 	f.dir = newDir
+	f.dims[axis]++
 	f.doubles++
 
 	// Re-index bucket regions: indexes past the inserted layer shift
@@ -436,7 +445,7 @@ func (f *File) addScale(axis, p int, v float64) {
 		}
 	}
 	if f.obs != nil {
-		f.obs.GridReshaped()
+		f.obs.LayerInserted(axis, p)
 	}
 }
 
@@ -456,42 +465,41 @@ func (f *File) RangeSearch(lo, hi []float64) (*gridfile.ResultSet, error) {
 		return nil, fmt.Errorf("dyngrid: bounds arity %d/%d for %d attributes", len(lo), len(hi), f.k)
 	}
 	for i := range lo {
-		if lo[i] > hi[i] || lo[i] < 0 || hi[i] >= 1 {
+		if !(lo[i] <= hi[i] && lo[i] >= 0 && hi[i] < 1) { // in this form NaN fails too
 			return nil, fmt.Errorf("dyngrid: invalid bounds [%v, %v] on attribute %d", lo[i], hi[i], i)
 		}
 	}
-	loCell := f.cellOf(lo)
-	hiCell := f.cellOf(hi)
-	region := Region{Lo: loCell, Hi: make([]int, f.k)}
-	for i := range hiCell {
-		region.Hi[i] = hiCell[i] + 1
+	region := Region{Lo: f.cellOf(make([]int, f.k), lo), Hi: f.cellOf(make([]int, f.k), hi)}
+	for i := range region.Hi {
+		region.Hi[i]++
 	}
 
 	rs := &gridfile.ResultSet{Trace: gridfile.Trace{PerDisk: make([][]gridfile.Access, f.disks)}}
 	seen := make(map[int]bool)
-	f.eachCell(region, func(cell []int) {
-		id := f.bucketAt(cell)
-		if seen[id] {
-			return
-		}
-		seen[id] = true
-		b := f.buckets[id]
-		if len(b.records) == 0 {
-			return
-		}
-		pages := (len(b.records) + f.capacity - 1) / f.capacity
-		rs.Trace.PerDisk[b.disk] = append(rs.Trace.PerDisk[b.disk],
-			gridfile.Access{Bucket: id, Pages: pages})
-		for _, rec := range b.records {
-			inside := true
-			for i, v := range rec.Values {
-				if v < lo[i] || v > hi[i] {
-					inside = false
-					break
-				}
+	f.eachRow(make([]int, f.k), region, func(row []int) {
+		for _, id := range row {
+			if seen[id] {
+				continue
 			}
-			if inside {
-				rs.Records = append(rs.Records, rec)
+			seen[id] = true
+			b := f.buckets[id]
+			if len(b.records) == 0 {
+				continue
+			}
+			pages := (len(b.records) + f.capacity - 1) / f.capacity
+			rs.Trace.PerDisk[b.disk] = append(rs.Trace.PerDisk[b.disk],
+				gridfile.Access{Bucket: id, Pages: pages})
+			for _, rec := range b.records {
+				inside := true
+				for i, v := range rec.Values {
+					if v < lo[i] || v > hi[i] {
+						inside = false
+						break
+					}
+				}
+				if inside {
+					rs.Records = append(rs.Records, rec)
+				}
 			}
 		}
 	})
@@ -539,10 +547,11 @@ func (f *File) CheckInvariants() error {
 	if err := walk(0); err != nil {
 		return err
 	}
+	c := make([]int, f.k)
 	for id, b := range f.buckets {
 		total += len(b.records)
 		for _, rec := range b.records {
-			c := f.cellOf(rec.Values)
+			f.cellOf(c, rec.Values)
 			if !b.region.contains(c) {
 				return fmt.Errorf("bucket %d holds record %d whose cell %v is outside region %v",
 					id, rec.ID, c, b.region)

@@ -1,6 +1,7 @@
 package dyngrid
 
 import (
+	"math"
 	"testing"
 
 	"decluster/internal/datagen"
@@ -32,6 +33,18 @@ func TestInsertValidation(t *testing.T) {
 	}
 	if err := f.Insert(datagen.Record{Values: []float64{1.0, 0.5}}); err == nil {
 		t.Error("out-of-range value accepted")
+	}
+	// NaN compares false with everything, so a range check written as
+	// "v < 0 || v >= 1" lets it through — and a stored NaN then matches
+	// every range search that reads its bucket.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1} {
+		for pos := 0; pos < 2; pos++ {
+			values := []float64{0.5, 0.5}
+			values[pos] = v
+			if err := f.Insert(datagen.Record{Values: values}); err == nil {
+				t.Errorf("value %v accepted on attribute %d", v, pos)
+			}
+		}
 	}
 	if f.Len() != 0 {
 		t.Error("failed insert counted")
@@ -148,6 +161,59 @@ func TestRangeSearchValidation(t *testing.T) {
 	if _, err := f.RangeSearch([]float64{0, 0}, []float64{1.0, 0.9}); err == nil {
 		t.Error("bound ≥ 1 accepted")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := f.RangeSearch([]float64{v, 0}, []float64{0.9, 0.9}); err == nil {
+			t.Errorf("low bound %v accepted", v)
+		}
+		if _, err := f.RangeSearch([]float64{0, 0}, []float64{0.9, v}); err == nil {
+			t.Errorf("high bound %v accepted", v)
+		}
+	}
+}
+
+// countingObserver tallies notifications; the alloc gate attaches it to
+// show the notification path itself allocates nothing.
+type countingObserver struct{ moved, layers int }
+
+func (o *countingObserver) CellMoved([]int, int, int) { o.moved++ }
+func (o *countingObserver) LayerInserted(int, int)    { o.layers++ }
+
+// TestInsertZeroAllocs gates the file's hot path: every bucket is born
+// with the capacity+1 record slice it can fill before splitting, and
+// locating a record's cell needs no scratch, so an Insert that does not
+// split allocates nothing — observer attached or not.
+func TestInsertZeroAllocs(t *testing.T) {
+	for _, observed := range []bool{false, true} {
+		f, err := New(Config{K: 2, Disks: 4, Capacity: 400})
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs := &countingObserver{}
+		if observed {
+			f.SetObserver(obs)
+		}
+		recs := datagen.Uniform{K: 2, Seed: 5}.Generate(1200)
+		if err := f.InsertAll(recs[:1000]); err != nil {
+			t.Fatal(err)
+		}
+		splits := f.Splits()
+		if splits == 0 || (observed && obs.layers == 0) {
+			t.Fatalf("observed=%v: fixture never split (%d splits, %d doublings seen)", observed, splits, obs.layers)
+		}
+		next := 1000
+		avg := testing.AllocsPerRun(100, func() {
+			if err := f.Insert(recs[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		if f.Splits() != splits {
+			t.Fatalf("observed=%v: a measured insert split a bucket; the fixture must not", observed)
+		}
+		if avg > 0 {
+			t.Errorf("observed=%v: non-splitting Insert allocates %.1f allocs/op, want 0", observed, avg)
+		}
+	}
 }
 
 func TestDuplicateValuesOverflowGracefully(t *testing.T) {
@@ -238,5 +304,26 @@ func TestScalesAccessorCopies(t *testing.T) {
 	s[0] = -1
 	if f.Scales(0)[0] == -1 {
 		t.Fatal("Scales exposes internal state")
+	}
+}
+
+// TestSplitAllocsOnlyTheNewBucket gates the structural path: a split
+// allocates what the new bucket keeps — the bucket, its region's
+// coordinates, its record slice — and a doubling the new directory;
+// everything transient lives in the file's scratch. The slack covers
+// the amortised growth of the bucket list and the scales.
+func TestSplitAllocsOnlyTheNewBucket(t *testing.T) {
+	recs := datagen.Uniform{K: 2, Seed: 5}.Generate(20000)
+	var f *File
+	avg := testing.AllocsPerRun(1, func() {
+		f, _ = New(Config{K: 2, Disks: 4, Capacity: 32})
+		f.SetObserver(&countingObserver{})
+		if err := f.InsertAll(recs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := 3*f.Splits() + f.DirectoryDoublings() + 64; int(avg) > limit {
+		t.Errorf("%d inserts allocated %.0f objects over %d splits and %d doublings, want ≤ %d",
+			len(recs), avg, f.Splits(), f.DirectoryDoublings(), limit)
 	}
 }

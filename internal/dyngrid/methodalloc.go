@@ -20,11 +20,11 @@ func MethodAllocator(m alloc.Method) (Allocator, error) {
 		return nil, fmt.Errorf("dyngrid: nil method")
 	}
 	g := m.Grid()
+	cell := make(grid.Coord, g.K()) // the allocator's own scratch
 	return func(lo, hi []float64, disks int) int {
 		if disks != m.Disks() {
 			panic(fmt.Sprintf("dyngrid: method declusterers %d disks, file has %d", m.Disks(), disks))
 		}
-		cell := make(grid.Coord, g.K())
 		for a := 0; a < g.K(); a++ {
 			center := lo[a] + (hi[a]-lo[a])/2
 			c := int(center * float64(g.Dim(a)))

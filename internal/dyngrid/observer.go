@@ -1,8 +1,6 @@
 package dyngrid
 
 import (
-	"slices"
-
 	"decluster/internal/alloc"
 	"decluster/internal/grid"
 )
@@ -15,16 +13,20 @@ import (
 // CellMoved fires once per directory cell whose owning disk changed
 // (a split repointing the upper half to a bucket on another disk). The
 // cell slice is the iteration scratch: use it during the call, do not
-// retain it. GridReshaped fires after a directory doubling re-indexes
-// every cell — cell coordinates from before the call are meaningless
-// after it, so any per-cell state must be rebuilt against the new
-// shape. During one Insert, a doubling fires GridReshaped first and the
-// follow-up split's CellMoved calls refer to the new shape.
+// retain it. LayerInserted fires after a directory doubling — the only
+// way the file ever changes shape: cell layer p of the axis now exists
+// twice, as layers p and p+1 owned by the same buckets, and every layer
+// above has shifted up by one. Cell coordinates from before the call
+// are meaningless after it, but the change is exact, so per-cell state
+// can be shifted rather than rebuilt (a summed-area table takes it as
+// one in-place pass, cost.PrefixEvaluator.InsertLayer). During one
+// Insert, a doubling fires LayerInserted first and the follow-up
+// split's CellMoved calls refer to the new shape.
 //
 // Callbacks run synchronously inside Insert on its goroutine.
 type Observer interface {
 	CellMoved(cell []int, fromDisk, toDisk int)
-	GridReshaped()
+	LayerInserted(axis, p int)
 }
 
 // SetObserver installs o (nil detaches). The observer starts receiving
@@ -41,8 +43,10 @@ func (f *File) SetObserver(o Observer) { f.obs = o }
 type methodView struct {
 	f    *File
 	name string
-	g    *grid.Grid
-	dims []int
+	// g is the grid of the directory as it stood after doubles
+	// doublings — the only event that changes its shape.
+	g       *grid.Grid
+	doubles int
 }
 
 // AsMethod returns a live alloc.Method view of the file's directory.
@@ -53,11 +57,11 @@ func (f *File) AsMethod(name string) alloc.Method {
 func (m *methodView) Name() string { return m.name }
 
 // Grid returns the directory's current shape, rebuilding the cached
-// grid only when a doubling changed the dims.
+// grid only after a doubling.
 func (m *methodView) Grid() *grid.Grid {
-	if m.g == nil || !slices.Equal(m.dims, m.f.dims) {
+	if m.g == nil || m.doubles != m.f.doubles {
 		m.g = grid.MustNew(m.f.dims...)
-		m.dims = append(m.dims[:0], m.f.dims...)
+		m.doubles = m.f.doubles
 	}
 	return m.g
 }
