@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"decluster"
 	"decluster/internal/alloc"
@@ -138,11 +139,13 @@ func TestResultReleaseIsTerminal(t *testing.T) {
 // TestClusterResultNoAliasing extends the audit across the wire. A
 // gathered RouterResult is built from record frames: each node encodes
 // its answer from a pooled executor result into a pooled buffer and
-// releases both, and the router's records share per-leg value slabs. A
-// held result must therefore (a) stay bit-identical to the single-file
-// answer while concurrent searches recycle every one of those pools, and
-// (b) keep its records apart — appending to one record's Values must
-// reallocate, not write into the record decoded next to it.
+// releases both; the router reads each leg into a pooled body, decodes
+// every record from there into one value slab of the result's own, and
+// gives the bodies back. A held result must therefore (a) stay
+// bit-identical to the single-file answer while concurrent searches
+// recycle every one of those pools, and (b) keep its records apart —
+// appending to one record's Values must reallocate, not write into the
+// record decoded next to it.
 func TestClusterResultNoAliasing(t *testing.T) {
 	g := grid.MustNew(16, 16)
 	m, err := alloc.NewHCAM(g, 4)
@@ -209,4 +212,73 @@ func TestClusterResultNoAliasing(t *testing.T) {
 		_ = append(held.Records[i].Values, -1)
 	}
 	check("after appending to every record's values")
+}
+
+// TestClusterHedgedResultNoAliasing is the same audit with losers in
+// play: node 2 answers 50 ms late and the router hedges after 3 ms, so
+// every search abandons a leg, which ends whenever its cancellation
+// reaches it, while four searchers recycle the body and key pools. A
+// loser's body is never put back while anything reads it, so the result
+// held from the first search stays bit-identical throughout.
+func TestClusterHedgedResultNoAliasing(t *testing.T) {
+	g := grid.MustNew(16, 16)
+	m, err := alloc.NewHCAM(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := decluster.UniformRecords{K: 2, Seed: 21}.Generate(3000)
+	sm, err := decluster.NewChainShardMap(g, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := decluster.StartClusterHarness(decluster.ClusterHarnessConfig{
+		Map: sm, Method: m, Records: recs, SlowUnit: 5 * time.Millisecond,
+		Router: decluster.RouterConfig{HedgeAfter: 3 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if err := h.Faults().SetNodeSlow(2, 11); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+
+	held, err := h.Router().Search(ctx, g.FullRect())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(held.Records) != len(recs) || held.Hedges == 0 {
+		t.Fatalf("%d of %d records over %d hedges; want all of them, some hedged", len(held.Records), len(recs), held.Hedges)
+	}
+	check := func(when string) {
+		t.Helper()
+		for i, rec := range held.Records { // generated IDs are 0..n-1
+			if rec.ID != i || len(rec.Values) != len(recs[i].Values) {
+				t.Fatalf("%s: record %d is ID %d with %d values", when, i, rec.ID, len(rec.Values))
+			}
+			for a, v := range rec.Values {
+				if v != recs[i].Values[a] {
+					t.Fatalf("%s: record %d attribute %d = %v, want %v", when, i, a, v, recs[i].Values[a])
+				}
+			}
+		}
+	}
+	check("as gathered")
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 16; i++ {
+				if _, err := h.Router().Search(ctx, g.FullRect()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	check("after hedged pool churn")
 }

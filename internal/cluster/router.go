@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -327,10 +328,12 @@ type legOp[R any] struct {
 	body  func(rect grid.Rect, epoch uint64, prio int) any
 }
 
-var searchOp = legOp[recordPage]{
+// searchOp's legs come back as views over pooled bodies, which searchEpoch
+// releases after the merge. Request bodies view the rect: only marshalled.
+var searchOp = legOp[pageLeg]{
 	path: "/v1/query", span: "shard", limit: recordPayloadLimit,
 	body: func(rect grid.Rect, epoch uint64, prio int) any {
-		return queryRequest{Rect: toWireRect(rect), Epoch: epoch, Priority: prio}
+		return queryRequest{Rect: wireRect{Lo: rect.Lo, Hi: rect.Hi}, Epoch: epoch, Priority: prio}
 	},
 }
 
@@ -340,7 +343,7 @@ func aggregateOp(q batch.AggregateQuery) legOp[aggregateResponse] {
 	return legOp[aggregateResponse]{
 		path: "/v1/aggregate", span: "agg shard", limit: smallPayloadLimit,
 		body: func(rect grid.Rect, epoch uint64, _ int) any {
-			return aggregateRequest{Rect: toWireRect(rect), Op: q.Op.String(), Attr: q.Attr, Epoch: epoch}
+			return aggregateRequest{Rect: wireRect{Lo: rect.Lo, Hi: rect.Hi}, Op: q.Op.String(), Attr: q.Attr, Epoch: epoch}
 		},
 	}
 }
@@ -485,37 +488,25 @@ func (rt *Router) searchEpoch(ctx context.Context, q grid.Rect, sm *ShardMap, pa
 	if g == nil {
 		return nil, err
 	}
+	// Whatever this round returns — full, partial, a stale epoch to follow
+	// — the answer below is a copy, so the leg bodies go back to the pool.
+	defer func() {
+		for _, o := range g.outs {
+			o.resp.release() // nil for a failed leg
+		}
+	}()
 	res := &Result{
 		SubQueries: len(g.outs), Retries: g.retries, Hedges: g.hedges, HedgeWins: g.hedgeWins,
 		PerNode: make([]int, sm.MaxMember()+1), Epoch: sm.Epoch(),
 	}
-	// Deterministic merge: ascending record ID. Within a bucket records
-	// sit in insertion order (ascending ID for generated datasets), and
-	// shards are disjoint, so a global ID sort is a total order
-	// independent of node scheduling. What is sorted is one pointer-free
-	// key per record; the records themselves move once, to their place.
-	total := 0
 	for _, o := range g.outs {
 		if o.err == nil {
-			total += len(o.resp.Records)
+			res.Covered++
+			res.PerNode[o.node]++ // a shard member, so at most sm.MaxMember()
+			res.Degraded = res.Degraded || o.resp.degraded
 		}
 	}
-	keys := make([]mergeKey, 0, 2*total) // the spare half is sortKeys' scratch
-	for leg, o := range g.outs {
-		if o.err != nil {
-			continue
-		}
-		res.Covered++
-		res.PerNode[o.node]++ // a shard member, so at most sm.MaxMember()
-		res.Degraded = res.Degraded || o.resp.Degraded
-		for i, rec := range o.resp.Records {
-			keys = append(keys, mergeKey{uint64(rec.ID) ^ 1<<63, uint64(leg)<<32 | uint64(i)})
-		}
-	}
-	res.Records = make([]datagen.Record, total)
-	for i, key := range sortKeys(keys, keys[total:2*total]) {
-		res.Records[i] = g.outs[key.at>>32].resp.Records[uint32(key.at)]
-	}
+	res.Records = gather(g.outs)
 	var pe *PartialError
 	if errors.As(err, &pe) {
 		if observe {
@@ -526,23 +517,62 @@ func (rt *Router) searchEpoch(ctx context.Context, q grid.Rect, sm *ShardMap, pa
 	return res, err
 }
 
+// gather merges the answered legs' records in ascending ID order. Within
+// a bucket records sit in insertion order (ascending ID for generated
+// datasets), and shards are disjoint, so a global ID sort is a total
+// order independent of node scheduling. What is sorted is one
+// pointer-free key per record, read from the leg bodies; what is
+// allocated is what the caller keeps — the records and one value slab —
+// and every record is decoded once, into its sorted place.
+func gather(outs []subOutcome[pageLeg]) []datagen.Record {
+	total, values := 0, 0
+	for _, o := range outs {
+		if o.err == nil {
+			total, values = total+o.resp.n, values+o.resp.n*o.resp.k
+		}
+	}
+	kp := mergeKeys.Get().(*[]mergeKey)
+	defer mergeKeys.Put(kp)
+	*kp = slices.Grow((*kp)[:0], 2*total) // the spare half is sortKeys' scratch
+	keys := (*kp)[:0]
+	for leg, o := range outs {
+		for i := 0; o.err == nil && i < o.resp.n; i++ {
+			keys = append(keys, mergeKey{uint64(o.resp.id(i)) ^ 1<<63, uint64(leg)<<32 | uint64(i)})
+		}
+	}
+	records, slab := make([]datagen.Record, total), make([]float64, values)
+	for i, key := range sortKeys(keys, keys[total:2*total]) {
+		f := outs[key.at>>32].resp
+		records[i], slab = f.record(int(uint32(key.at)), slab[:f.k:f.k]), slab[f.k:]
+	}
+	return records
+}
+
 // mergeKey stands for one gathered record in the merge sort: its ID with
 // the sign bit flipped, so unsigned order is ID order for any int, and
 // where it sits — leg<<32 | index in the leg's page.
 type mergeKey struct{ id, at uint64 }
 
+// mergeKeys recycles gather's key arrays; nothing outlives the gather.
+var mergeKeys = sync.Pool{New: func() any { return new([]mergeKey) }}
+
 // sortKeys orders keys by id: an LSD radix sort, a byte a pass, between
 // keys and tmp (same length), returning whichever ends up sorted. It is
 // stable, so equal IDs stay as keyed — by leg, then page position — and
-// it skips a byte all keys share: small IDs cost two or three passes.
+// only a byte on which keys differ is counted and scattered at all: small
+// IDs cost two or three passes on top of the one that finds those bytes.
 func sortKeys(keys, tmp []mergeKey) []mergeKey {
-	for shift := 0; shift < 64 && len(keys) > 1; shift += 8 {
+	var differ uint64
+	for _, k := range keys {
+		differ |= k.id ^ keys[0].id
+	}
+	for shift := 0; differ>>shift != 0; shift += 8 {
+		if byte(differ>>shift) == 0 {
+			continue
+		}
 		var next [256]int
 		for _, k := range keys {
 			next[byte(k.id>>shift)]++
-		}
-		if next[byte(keys[0].id>>shift)] == len(keys) {
-			continue
 		}
 		at := 0
 		for d, c := range next {
@@ -637,13 +667,19 @@ func scatter[R any](ctx context.Context, rt *Router, op legOp[R], q grid.Rect, s
 // a partial result, so a shard with no live replica fails fast. Only
 // typed refusals (below) prove another round is pointless.
 func runSub[R any](ctx context.Context, rt *Router, op legOp[R], sq SubQuery, sm *ShardMap, parent *obs.Span, prio int) subOutcome[R] {
-	span := parent.Child(fmt.Sprintf("%s %d %v", op.span, sq.Shard, sq.Rect))
+	var span *obs.Span // labels are formatted only for a live trace
+	if parent != nil {
+		span = parent.Child(fmt.Sprintf("%s %d %v", op.span, sq.Shard, sq.Rect))
+	}
 	leg := func(ctx context.Context, node int, hedgeLeg bool) (*R, error) {
-		kind := "leg"
-		if hedgeLeg {
-			kind = "hedge"
+		var s *obs.Span
+		if span != nil {
+			kind := "leg"
+			if hedgeLeg {
+				kind = "hedge"
+			}
+			s = span.Child(fmt.Sprintf("%s node %d", kind, node))
 		}
-		s := span.Child(fmt.Sprintf("%s node %d", kind, node))
 		resp, err := callNode(ctx, rt, op, node, sq.Rect, sm.Epoch(), prio)
 		s.FinishErr(err)
 		return resp, err
@@ -673,7 +709,9 @@ func runSub[R any](ctx context.Context, rt *Router, op legOp[R], sq SubQuery, sm
 		if err == nil {
 			o.resp, o.node = resp, winner
 			o.hedgeWon = hedged && winner == backup
-			span.Annotate(fmt.Sprintf("node %d", winner))
+			if span != nil {
+				span.Annotate(fmt.Sprintf("node %d", winner))
+			}
 			span.Finish()
 			return o
 		}

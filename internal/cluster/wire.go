@@ -63,7 +63,9 @@ import (
 // Every client in the package (router legs, rebuilder, migrator, health
 // probe) talks to a node through exchange, and every handler answers
 // through writePage / writeJSON / writeError: a change of wire format
-// edits those four functions.
+// edits those four functions. Every frame received, by a node or a
+// client, passes parseFrame — the one validation — whether it is then
+// materialised (decode) or gathered from in place (the router's legs).
 
 // Payload size caps, chosen per call site: record-carrying payloads
 // (query, bucket, migration ingest) versus fixed-size ones. exchange
@@ -124,45 +126,104 @@ func (p *recordPage) appendTo(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// decode validates one frame — content type, magic and version, flags,
-// and a length that is exactly header + cell + n·(8+8k), computed in 64
-// bits — before it allocates anything, then materialises the page in two
-// allocations: the records and one value slab. Each record's Values is
-// capped at its own k values, so a caller's append reallocates instead
-// of writing into the next record.
-func (p *recordPage) decode(contentType string, data []byte) error {
+// frame is a validated record frame viewed in place: the header fields,
+// and the cell and record regions still as the bytes they arrived as.
+type frame struct {
+	epoch    uint64
+	buckets  int
+	degraded bool
+	k, n     int    // values per record, records
+	cell     []byte // 4 bytes an axis
+	recs     []byte // n·(8+8k) bytes
+}
+
+// parseFrame is the one validation every received frame passes — content
+// type, magic and version, flags, and a length that is exactly header +
+// cell + n·(8+8k), computed in 64 bits — and it allocates nothing: the
+// view it returns reads data in place.
+func parseFrame(contentType string, data []byte) (frame, error) {
 	if contentType != frameContentType || len(data) < frameHeaderLen || string(data[:4]) != frameMagic {
-		return fmt.Errorf("not a record frame (%q, %d bytes)", contentType, len(data))
+		return frame{}, fmt.Errorf("not a record frame (%q, %d bytes)", contentType, len(data))
 	}
 	flags, c, k, n := data[4], int(data[5]), int(le.Uint16(data[6:])), int(le.Uint32(data[20:]))
 	body := data[frameHeaderLen:]
 	if flags > 1 || len(body) < 4*c || (n == 0 && k != 0) || uint64(len(body)-4*c) != uint64(n)*uint64(8+8*k) {
-		return fmt.Errorf("malformed record frame: flags %#x, %d bytes after the header for %d cell axes and %d records of %d values", flags, len(body), c, n, k)
+		return frame{}, fmt.Errorf("malformed record frame: flags %#x, %d bytes after the header for %d cell axes and %d records of %d values", flags, len(body), c, n, k)
 	}
-	*p = recordPage{Epoch: le.Uint64(data[8:]), Buckets: int(le.Uint32(data[16:])), Degraded: flags == 1, Records: make([]datagen.Record, n)}
-	for ; c > 0; c, body = c-1, body[4:] {
-		p.Cell = append(p.Cell, int(le.Uint32(body)))
+	return frame{
+		epoch: le.Uint64(data[8:]), buckets: int(le.Uint32(data[16:])), degraded: flags == 1,
+		k: k, n: n, cell: body[:4*c], recs: body[4*c:],
+	}, nil
+}
+
+// id is record i's ID.
+func (f *frame) id(i int) int { return int(int64(le.Uint64(f.recs[i*(8+8*f.k):]))) }
+
+// record decodes record i into vals, which must be f.k long and capped
+// there, so a caller's append to the record's Values reallocates instead
+// of writing into whatever lies behind them.
+func (f *frame) record(i int, vals []float64) datagen.Record {
+	rec := f.recs[i*(8+8*f.k):]
+	for j := range vals {
+		vals[j] = math.Float64frombits(le.Uint64(rec[8+8*j:]))
 	}
-	slab := make([]float64, n*k)
+	return datagen.Record{ID: int(int64(le.Uint64(rec))), Values: vals}
+}
+
+// decode is parseFrame plus materialising the page in two allocations,
+// the records and one value slab, for the callers that keep a whole page
+// (rebuild, migration ingest).
+func (p *recordPage) decode(contentType string, data []byte) error {
+	f, err := parseFrame(contentType, data)
+	if err != nil {
+		return err
+	}
+	*p = recordPage{Epoch: f.epoch, Buckets: f.buckets, Degraded: f.degraded, Records: make([]datagen.Record, f.n)}
+	for cell := f.cell; len(cell) > 0; cell = cell[4:] {
+		p.Cell = append(p.Cell, int(le.Uint32(cell)))
+	}
+	slab := make([]float64, f.n*f.k)
 	for i := range p.Records {
-		rec, vals := body[i*(8+8*k):], slab[i*k:(i+1)*k:(i+1)*k]
-		for j := range vals {
-			vals[j] = math.Float64frombits(le.Uint64(rec[8+8*j:]))
-		}
-		p.Records[i] = datagen.Record{ID: int(int64(le.Uint64(rec))), Values: vals}
+		p.Records[i] = f.record(i, slab[i*f.k:(i+1)*f.k:(i+1)*f.k])
 	}
 	return nil
+}
+
+// pageLeg is a search leg's answer as the router holds it until the
+// merge: the frame view and the legBodies buffer it reads (nil when the
+// body came without a Content-Length and was not pooled).
+type pageLeg struct {
+	frame
+	body *[]byte
+}
+
+// legBodies recycles search-leg response bodies. A body is Put once, by
+// release, by whoever holds the only reference to its leg; a leg nobody
+// merges (a hedge or dual-read loser) is left to the collector instead.
+var legBodies = sync.Pool{New: func() any { return new([]byte) }}
+
+// release returns the leg's body to the pool; the view is dead after it.
+// A nil leg (a failed one; exchange's, when out is not one) has none.
+func (l *pageLeg) release() {
+	if l == nil {
+		return
+	}
+	if l.body != nil {
+		legBodies.Put(l.body)
+	}
+	*l = pageLeg{}
 }
 
 // exchange performs one HTTP round trip against a node. A non-nil in is
 // POSTed — a *recordPage as a record frame, anything else as JSON —
 // otherwise the request is a GET; a positive timeout bounds this call on
 // top of ctx. The response is read whole, sized from its Content-Length,
-// and refused when longer than limit bytes. A non-200 answer decodes
-// through decodeErrorBody into the typed error the node raised; a 200
-// decodes into out — a *recordPage from a record frame, anything else
-// from JSON, nil discards it.
-func exchange(ctx context.Context, client *http.Client, timeout time.Duration, url string, in, out any, limit int64) error {
+// and refused when longer than limit bytes — smallPayloadLimit for a
+// non-200 answer, whatever the call site's cap: an error envelope is
+// small. A non-200 answer decodes through decodeErrorBody into the typed
+// error the node raised; a 200 decodes into out — a *recordPage or a
+// *pageLeg from a record frame, anything else from JSON, nil discards it.
+func exchange(ctx context.Context, client *http.Client, timeout time.Duration, url string, in, out any, limit int64) (err error) {
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
@@ -203,6 +264,17 @@ func exchange(ctx context.Context, client *http.Client, timeout time.Duration, u
 		return err
 	}
 	defer resp.Body.Close()
+	// A search leg's 200 is read into a pooled body the leg keeps; whatever
+	// fails from here on gives it back.
+	leg, _ := out.(*pageLeg)
+	defer func() {
+		if err != nil {
+			leg.release()
+		}
+	}()
+	if resp.StatusCode != http.StatusOK {
+		limit, leg = min(limit, smallPayloadLimit), nil
+	}
 	// A body past the cap is refused, never cut at it: a truncated answer
 	// would pass for a corrupt peer, or for a shorter page.
 	var data []byte
@@ -211,7 +283,13 @@ func exchange(ctx context.Context, client *http.Client, timeout time.Duration, u
 		data, err = io.ReadAll(io.LimitReader(resp.Body, limit+1))
 		size = int64(len(data))
 	} else if size <= limit {
-		data = make([]byte, size)
+		if leg != nil {
+			leg.body = legBodies.Get().(*[]byte)
+			*leg.body = slices.Grow((*leg.body)[:0], int(size))[:size]
+			data = *leg.body
+		} else {
+			data = make([]byte, size)
+		}
 		_, err = io.ReadFull(resp.Body, data)
 	}
 	if err != nil {
@@ -227,6 +305,8 @@ func exchange(ctx context.Context, client *http.Client, timeout time.Duration, u
 	case nil:
 	case *recordPage:
 		err = out.decode(resp.Header.Get("Content-Type"), data)
+	case *pageLeg:
+		out.frame, err = parseFrame(resp.Header.Get("Content-Type"), data)
 	default:
 		err = json.Unmarshal(data, out)
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -116,7 +118,9 @@ func TestFrameRoundTrip(t *testing.T) {
 // must not allocate more than a small multiple of its input (a header
 // claiming 2³² records of 2¹⁶ values is refused, not provisioned for),
 // and whatever it accepts must frame back to the very same bytes — so
-// no two byte strings mean the same page.
+// no two byte strings mean the same page. The in-place view the router
+// gathers from refuses exactly what decode refuses, and on every
+// accepted frame reads the same IDs and value bits.
 func FuzzFrameDecode(f *testing.F) {
 	f.Add(framePage(f, randomPage(rand.New(rand.NewSource(1)), 3, 2)))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -128,11 +132,23 @@ func FuzzFrameDecode(f *testing.F) {
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*len(data)+1<<16); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), got, limit)
 		}
+		view, verr := parseFrame(frameContentType, data)
+		if (err == nil) != (verr == nil) {
+			t.Fatalf("decode says %v, parseFrame %v", err, verr)
+		}
 		if err != nil {
 			return
 		}
 		if again := framePage(t, &p); !bytes.Equal(again, data) {
 			t.Fatalf("accepted frame re-encodes differently:\n in %x\nout %x", data, again)
+		}
+		if view.n != len(p.Records) || view.epoch != p.Epoch || view.buckets != p.Buckets || view.degraded != p.Degraded || len(view.cell) != 4*len(p.Cell) {
+			t.Fatalf("view header %+v, decoded page %+v", view, p)
+		}
+		for i, want := range p.Records {
+			if got := view.record(i, make([]float64, view.k)); view.id(i) != want.ID || !sameRecord(got, want) {
+				t.Fatalf("record %d: view reads id %d, %+v; decode %+v", i, view.id(i), got, want)
+			}
 		}
 	})
 }
@@ -247,6 +263,40 @@ func TestExchangeRefusesOverCapResponse(t *testing.T) {
 	}
 }
 
+// TestExchangeHoldsErrorBodiesSmall: a non-200 answer is an error
+// envelope, so it is held to smallPayloadLimit whatever the op's cap —
+// the router does not provision 64 MB for a JSON error — and an envelope
+// of ordinary size still decodes to its typed sentinel.
+func TestExchangeHoldsErrorBodiesSmall(t *testing.T) {
+	huge := bytes.Repeat([]byte{' '}, 2<<20)
+	for _, withLength := range []bool{true, false} {
+		for _, oversized := range []bool{true, false} {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if !oversized {
+					writeError(w, fmt.Errorf("%w: disk 3", fault.ErrUnavailable))
+					return
+				}
+				if withLength {
+					w.Header().Set("Content-Length", fmt.Sprint(len(huge)))
+				}
+				w.WriteHeader(http.StatusInternalServerError)
+				_, _ = w.Write(huge)
+			}))
+			var leg pageLeg
+			err := exchange(context.Background(), srv.Client(), 0, srv.URL+"/v1/query", queryRequest{Epoch: 1}, &leg, recordPayloadLimit)
+			srv.Close()
+			switch {
+			case leg.body != nil:
+				t.Errorf("Content-Length %v: a failed leg kept a pooled body", withLength)
+			case oversized && (err == nil || !strings.Contains(err.Error(), fmt.Sprintf("response exceeds %d bytes", smallPayloadLimit))):
+				t.Errorf("Content-Length %v: a 2 MB error body drew %v, want the exceeds refusal at the small cap", withLength, err)
+			case !oversized && !errors.Is(err, fault.ErrUnavailable):
+				t.Errorf("Content-Length %v: an ordinary envelope decoded to %v, want ErrUnavailable", withLength, err)
+			}
+		}
+	}
+}
+
 // TestNodeRefusesOversizedRequestBody: a POST body past its route's cap
 // draws the typed bad-request envelope — the handler neither hangs nor
 // reads it all — also when the slow-node fault pre-reads the body.
@@ -290,12 +340,29 @@ func TestNodeRefusesOversizedRequestBody(t *testing.T) {
 
 // inprocTransport serves each request by calling the addressed node's
 // handler on the caller's goroutine: the whole wire path but the socket.
+// Like a socket it keeps no answer: the response body sits in a pooled
+// buffer, given back when the client closes it — so what the gates below
+// count is the node handlers and the router, not the transport's copy.
 type inprocTransport map[string]http.Handler
 
+var inprocBodies = sync.Pool{New: func() any { return new(inprocBody) }}
+
+type inprocBody struct {
+	bytes.Buffer
+	header http.Header
+	status int
+}
+
+func (b *inprocBody) Header() http.Header  { return b.header }
+func (b *inprocBody) WriteHeader(code int) { b.status = code }
+func (b *inprocBody) Close() error         { inprocBodies.Put(b); return nil }
+
 func (t inprocTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	rec := httptest.NewRecorder()
-	t[req.URL.Host].ServeHTTP(rec, req)
-	return rec.Result(), nil
+	b := inprocBodies.Get().(*inprocBody)
+	b.Reset()
+	b.header, b.status = http.Header{}, http.StatusOK
+	t[req.URL.Host].ServeHTTP(b, req)
+	return &http.Response{StatusCode: b.status, Header: b.header, Body: b, ContentLength: int64(b.Len()), Request: req}, nil
 }
 
 // allocFixture is the benchmark's canonical cluster in-process: 64×64
@@ -356,7 +423,7 @@ func (w *nullResponse) Write(p []byte) (int, error) {
 const (
 	perRecordSlack     = 64
 	nodeQueryBudget    = 38
-	routerSearchBudget = 374
+	routerSearchBudget = 273
 )
 
 // TestNodeQueryZeroAllocsPerRecord gates one node's handleQuery.
@@ -406,6 +473,41 @@ func TestRouterSearchZeroAllocsPerRecord(t *testing.T) {
 		}
 	}
 	checkAllocBudget(t, "Router.Search", search(large), search(small), routerSearchBudget)
+}
+
+// TestRouterSearchZeroAllocsBytesPerRecord is the byte gate beside the
+// object gate: a 48×48 search may allocate the answer the caller keeps —
+// 32 bytes of Record and 8k of values a record — a quarter on top, and
+// 64 KB of per-request overhead. A second materialisation of the records,
+// or unpooled leg bodies, does not fit.
+func TestRouterSearchZeroAllocsBytesPerRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime allocates in goroutine bookkeeping; the alloc gate runs in the no-race CI step")
+	}
+	_, rt, large, _ := allocFixture(t)
+	var records, k int
+	search := func() {
+		res, err := rt.Search(context.Background(), large)
+		if err != nil || res.SubQueries != 4 || len(res.Records) == 0 {
+			t.Fatalf("search %v: %v, %+v", large, err, res)
+		}
+		records, k = len(res.Records), len(res.Records[0].Values)
+	}
+	for i := 0; i < 8; i++ { // warm the pools
+		search()
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		search()
+	}
+	runtime.ReadMemStats(&after)
+	got, budget := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(records*(32+8*k))*5/4+64<<10
+	t.Logf("Router.Search: %d bytes for %d records of %d values (budget %d)", got, records, k, budget)
+	if got > budget {
+		t.Errorf("Router.Search allocates %d bytes for %d records of %d values; the budget is %d", got, records, k, budget)
+	}
 }
 
 func checkAllocBudget(t *testing.T, what string, large, small func(), budget float64) {
