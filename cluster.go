@@ -104,11 +104,12 @@ func StartClusterHarness(cfg ClusterHarnessConfig) (*ClusterHarness, error) {
 
 // MigrationPlan is one membership change compiled to minimal bucket
 // moves: the From and To maps (To's epoch is From's plus one) and the
-// coalesced rectangles each destination must receive.
+// bucket lists each destination must receive.
 type MigrationPlan = cluster.MigrationPlan
 
-// Move is one planned transfer: a rectangle of buckets bound for one
-// destination member, with the From-epoch replica holders as donors.
+// Move is one planned transfer: the ascending row-major bucket numbers
+// bound for one destination member from one donor set, the From-epoch
+// replica holders of all of them.
 type Move = cluster.Move
 
 // PlanClusterJoin plans growing the cluster by one member: the joiner

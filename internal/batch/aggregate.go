@@ -140,7 +140,8 @@ type AggregateIndex struct {
 	bucketCount []int64
 	bucketMin   [][]float64 // per attribute, valid iff bucketCount > 0
 	bucketMax   [][]float64
-	// dcoord is ApplyInsert's odometer scratch, len k.
+	// dcoord is ApplyInsert's scratch, len 2k: the inserted record's
+	// cell, then the odometer walking the suffix above it.
 	dcoord []int
 }
 
@@ -181,7 +182,7 @@ func BuildAggregateIndex(f *gridfile.File) (*AggregateIndex, error) {
 		bucketCount: make([]int64, g.Buckets()),
 		bucketMin:   make([][]float64, k),
 		bucketMax:   make([][]float64, k),
-		dcoord:      make([]int, k),
+		dcoord:      make([]int, 2*k),
 	}
 	for i := range cellStrides {
 		ix.pstrides[i] = cellStrides[i] * disks
@@ -278,12 +279,11 @@ func (ix *AggregateIndex) Records() int64 { return ix.records }
 // ApplyInsert mutates tables concurrent Aggregate calls read: the
 // holder must serialize it against queries.
 func (ix *AggregateIndex) ApplyInsert(rec datagen.Record) error {
-	c, err := ix.f.CellOf(rec.Values)
+	b, err := ix.f.BucketOf(rec.Values)
 	if err != nil {
 		return err
 	}
-	b := ix.g.Linearize(c)
-	d := ix.f.Method().DiskOf(c)
+	d := ix.f.DiskOf(b)
 	if ix.bucketCount[b] == 0 {
 		for a := 0; a < ix.k; a++ {
 			ix.bucketMin[a][b] = rec.Values[a]
@@ -301,7 +301,8 @@ func (ix *AggregateIndex) ApplyInsert(rec datagen.Record) error {
 	ix.bucketCount[b]++
 	ix.records++
 
-	cur := ix.dcoord
+	c := ix.g.Delinearize(b, ix.dcoord[:ix.k])
+	cur := ix.dcoord[ix.k:]
 	off := 0
 	for i, v := range c {
 		cur[i] = v + 1

@@ -494,12 +494,11 @@ func (g *group) execute() {
 			degraded = true
 		}
 		for _, rec := range res.Records {
-			c, err := e.f.CellOf(rec.Values)
+			b, err := e.f.BucketOf(rec.Values)
 			if err != nil {
 				groupErr = fmt.Errorf("batch: record %d maps to no cell: %w", rec.ID, err)
 				break
 			}
-			b := e.g.Linearize(c)
 			perBucket[b] = append(perBucket[b], rec)
 		}
 		if groupErr != nil {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"decluster/internal/datagen"
 	"decluster/internal/grid"
 	"decluster/internal/obs"
 	"decluster/internal/repair"
@@ -31,14 +32,11 @@ type MigrateConfig struct {
 	// FetchTimeout bounds each donor fetch and each migration POST
 	// (2s when 0).
 	FetchTimeout time.Duration
-	// FetchAttempts bounds donor-rotation rounds per bucket (8 when 0).
+	// FetchAttempts bounds donor-rotation rounds per bucket and cutover
+	// retries per member (8 when 0).
 	FetchAttempts int
 	// PageCapacity converts record counts into throttle pages (32 when 0).
 	PageCapacity int
-	// Priority is the admission priority donor reads are tagged with;
-	// zero selects serve.MigrationPriority — below every foreground
-	// query, above background repair.
-	Priority int
 	// Obs optionally counts migration progress:
 	// cluster.migrate.buckets / .records / .retries.
 	Obs *obs.Sink
@@ -81,7 +79,8 @@ type MigrateStats struct {
 //	         buckets will accumulate in a staging file, invisible to
 //	         the live stack.
 //	COPY     every planned bucket streams from a From-epoch donor to
-//	         its destination's staging file, at migration priority,
+//	         its destination's staging file, at serve.MigrationPriority
+//	         (below every foreground query, above background repair),
 //	         paced by the throttle. Reads keep flowing the whole time:
 //	         the From epoch stays authoritative, and the router (when
 //	         wired) races an opportunistic To-epoch leg that succeeds
@@ -111,28 +110,12 @@ func Migrate(ctx context.Context, cfg MigrateConfig) (MigrateStats, error) {
 			return st, fmt.Errorf("cluster: no endpoint for member %d", m)
 		}
 	}
-	if cfg.FetchTimeout <= 0 {
-		cfg.FetchTimeout = 2 * time.Second
-	}
-	if cfg.FetchAttempts <= 0 {
-		cfg.FetchAttempts = 8
-	}
-	if cfg.PageCapacity <= 0 {
-		cfg.PageCapacity = 32
-	}
-	if cfg.Priority == 0 {
-		cfg.Priority = serve.MigrationPriority
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
-	}
-	var mBuckets, mRecords, mRetries *obs.Counter
-	if cfg.Obs != nil {
-		r := cfg.Obs.Registry()
-		mBuckets = r.Counter("cluster.migrate.buckets")
-		mRecords = r.Counter("cluster.migrate.records")
-		mRetries = r.Counter("cluster.migrate.retries")
-	}
+	cp := newCopier(copier{
+		g: p.To.Grid(), client: cfg.Client, endpoints: cfg.Endpoints,
+		timeout: cfg.FetchTimeout, attempts: cfg.FetchAttempts,
+		priority: serve.MigrationPriority, epoch: p.From.Epoch(),
+		capacity: cfg.PageCapacity, throttle: cfg.Throttle,
+	}, cfg.Obs, "cluster.migrate")
 	progress := cfg.Progress
 	if progress == nil {
 		progress = func(MigrateEvent) {}
@@ -140,7 +123,7 @@ func Migrate(ctx context.Context, cfg MigrateConfig) (MigrateStats, error) {
 	abort := func(cause error) (MigrateStats, error) {
 		st.Aborted = true
 		st.Elapsed = time.Since(start)
-		abortAll(cfg, members, p.To.Epoch())
+		abortAll(cp, cfg.Router, members, p.To.Epoch())
 		progress(MigrateEvent{Phase: "abort", Buckets: st.Buckets})
 		return st, fmt.Errorf("cluster: migration to epoch %d aborted: %w", p.To.Epoch(), cause)
 	}
@@ -148,7 +131,7 @@ func Migrate(ctx context.Context, cfg MigrateConfig) (MigrateStats, error) {
 	// PREPARE.
 	wm := toWireMap(p.To)
 	for _, m := range members {
-		if err := postMigrate(ctx, cfg, m, "prepare", prepareRequest{Map: wm}); err != nil {
+		if err := cp.post(ctx, m, "prepare", prepareRequest{Map: wm}); err != nil {
 			return abort(fmt.Errorf("prepare member %d: %w", m, err))
 		}
 		progress(MigrateEvent{Phase: "prepare", Member: m})
@@ -158,46 +141,19 @@ func Migrate(ctx context.Context, cfg MigrateConfig) (MigrateStats, error) {
 	}
 
 	// COPY.
-	for _, mv := range p.Moves {
-		var cells []grid.Coord
-		grid.EachRect(mv.Rect, func(c grid.Coord) bool {
-			cells = append(cells, c.Clone())
-			return true
-		})
-		for _, c := range cells {
-			if ctx.Err() != nil {
-				return abort(ctx.Err())
-			}
-			recs, retries, err := fetchBucket(ctx, mv.Sources, c, fetchOpts{
-				client:    cfg.Client,
-				endpoints: cfg.Endpoints,
-				timeout:   cfg.FetchTimeout,
-				attempts:  cfg.FetchAttempts,
-				priority:  cfg.Priority,
-				epoch:     p.From.Epoch(),
-			})
-			st.Retries += retries
-			mRetries.Add(uint64(retries))
-			if err != nil {
-				return abort(fmt.Errorf("copy shard %d cell %v to member %d: %w", mv.Shard, c, mv.Dest, err))
-			}
-			if err := postMigrate(ctx, cfg, mv.Dest, "bucket", &recordPage{
-				Epoch: p.To.Epoch(), Buckets: 1, Cell: c, Records: recs,
-			}); err != nil {
-				return abort(fmt.Errorf("ingest shard %d cell %v on member %d: %w", mv.Shard, c, mv.Dest, err))
-			}
-			pages := max(1, (len(recs)+cfg.PageCapacity-1)/cfg.PageCapacity)
-			st.Buckets++
-			st.Records += len(recs)
-			st.Pages += pages
-			mBuckets.Inc()
-			mRecords.Add(uint64(len(recs)))
-			progress(MigrateEvent{Phase: "copy", Member: mv.Dest, Buckets: st.Buckets})
-			if err := cfg.Throttle.Take(ctx, float64(pages)); err != nil {
-				return abort(err)
-			}
+	err := cp.run(ctx, p.Moves, func(dest int, cell grid.Coord, recs []datagen.Record) error {
+		if err := cp.post(ctx, dest, "bucket", &recordPage{
+			Epoch: p.To.Epoch(), Buckets: 1, Cell: cell, Records: recs,
+		}); err != nil {
+			return fmt.Errorf("ingest cell %v on member %d: %w", cell, dest, err)
 		}
-		st.Moves++
+		// The copier counts a bucket once deliver returns: this one is next.
+		progress(MigrateEvent{Phase: "copy", Member: dest, Buckets: cp.buckets + 1})
+		return nil
+	})
+	st.Moves, st.Buckets, st.Records, st.Pages, st.Retries = cp.moves, cp.buckets, cp.records, cp.pages, cp.retries
+	if err != nil {
+		return abort(err)
 	}
 
 	// CUTOVER. Before the first ack a failure aborts cleanly; after it,
@@ -206,8 +162,8 @@ func Migrate(ctx context.Context, cfg MigrateConfig) (MigrateStats, error) {
 	acked := 0
 	for _, m := range members {
 		var err error
-		for round := 0; round < cfg.FetchAttempts; round++ {
-			if err = postMigrate(ctx, cfg, m, "cutover", epochRequest{Epoch: p.To.Epoch()}); err == nil {
+		for round := 0; round < cp.attempts; round++ {
+			if err = cp.post(ctx, m, "cutover", epochRequest{Epoch: p.To.Epoch()}); err == nil {
 				break
 			}
 			if ctx.Err() != nil || acked == 0 {
@@ -241,14 +197,14 @@ func Migrate(ctx context.Context, cfg MigrateConfig) (MigrateStats, error) {
 // fresh short-lived context: the caller's context is typically already
 // cancelled (that may be exactly why we are aborting), and the rollback
 // must still go out.
-func abortAll(cfg MigrateConfig, members []int, epoch uint64) {
+func abortAll(cp *copier, rt *Router, members []int, epoch uint64) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	for _, m := range members {
-		_ = postMigrate(ctx, cfg, m, "abort", epochRequest{Epoch: epoch})
+		_ = cp.post(ctx, m, "abort", epochRequest{Epoch: epoch})
 	}
-	if cfg.Router != nil {
-		cfg.Router.ClearPending()
+	if rt != nil {
+		rt.ClearPending()
 	}
 }
 
@@ -268,8 +224,8 @@ func unionMembers(a, b *ShardMap) []int {
 	return out
 }
 
-// postMigrate performs one POST /v1/migrate/<step> exchange.
-func postMigrate(ctx context.Context, cfg MigrateConfig, member int, step string, payload any) error {
-	url := strings.TrimRight(cfg.Endpoints[member], "/") + "/v1/migrate/" + step
-	return exchange(ctx, cfg.Client, cfg.FetchTimeout, url, payload, nil, recordPayloadLimit)
+// post performs one POST /v1/migrate/<step> exchange.
+func (c *copier) post(ctx context.Context, member int, step string, payload any) error {
+	url := strings.TrimRight(c.endpoints[member], "/") + "/v1/migrate/" + step
+	return exchange(ctx, c.client, c.timeout, url, payload, nil, recordPayloadLimit)
 }

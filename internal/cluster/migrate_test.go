@@ -59,7 +59,10 @@ func startElasticCluster(t *testing.T, nodes, replicas, standbys int) *testClust
 // verifyPlan asserts a plan's exactness invariants against its own From
 // and To maps: every (bucket, destination) pair the To map requires and
 // From does not provide is covered by exactly one move, no move copies
-// anything else, and every donor actually holds the buckets it donates.
+// anything else, every donor actually holds the buckets it donates, and
+// Buckets() equals the need set — plus the bucket-list shape: ascending
+// buckets, one donor set (one From shard) per move, at most one move per
+// destination and donor set.
 func verifyPlan(t *testing.T, p *MigrationPlan) {
 	t.Helper()
 	from, to, g := p.From, p.To, p.To.Grid()
@@ -68,33 +71,41 @@ func verifyPlan(t *testing.T, p *MigrationPlan) {
 	}
 	type pair struct{ dest, bucket int }
 	need := map[pair]bool{}
-	for _, sh := range to.Shards() {
-		for _, dest := range to.ShardMembers(sh.ID) {
-			grid.EachRect(sh.Rect, func(c grid.Coord) bool {
-				if !memberHolds(from, dest, c) {
-					need[pair{dest, g.Linearize(c)}] = true
-				}
-				return true
-			})
+	for _, dest := range to.Members() {
+		for b := 0; b < g.Buckets(); b++ {
+			if to.Holds(dest, b) && !from.Holds(dest, b) {
+				need[pair{dest, b}] = true
+			}
 		}
 	}
 	got := map[pair]int{}
+	seen := map[pair]bool{} // (dest, From shard) already has a move
 	for _, mv := range p.Moves {
-		grid.EachRect(mv.Rect, func(c grid.Coord) bool {
-			got[pair{mv.Dest, g.Linearize(c)}]++
-			if len(mv.Sources) == 0 {
-				t.Fatalf("move %+v has no donors", mv)
+		if len(mv.Sources) == 0 || len(mv.Buckets) == 0 {
+			t.Fatalf("move %+v has no donors or no buckets", mv)
+		}
+		if !sort.IntsAreSorted(mv.Buckets) {
+			t.Fatalf("move %+v: buckets not ascending", mv)
+		}
+		fs := from.ShardOf(g.Delinearize(mv.Buckets[0], nil))
+		if seen[pair{mv.Dest, fs}] {
+			t.Fatalf("two moves carry From shard %d to member %d", fs, mv.Dest)
+		}
+		seen[pair{mv.Dest, fs}] = true
+		for _, b := range mv.Buckets {
+			got[pair{mv.Dest, b}]++
+			if s := from.ShardOf(g.Delinearize(b, nil)); s != fs {
+				t.Fatalf("move %+v spans From shards %d and %d: two donor sets", mv, fs, s)
 			}
 			for _, src := range mv.Sources {
 				if src == mv.Dest {
 					t.Fatalf("move %+v donates to itself", mv)
 				}
-				if !memberHolds(from, src, c) {
-					t.Fatalf("move %+v: donor %d does not hold %v under From", mv, src, c)
+				if !from.Holds(src, b) {
+					t.Fatalf("move %+v: donor %d does not hold bucket %d under From", mv, src, b)
 				}
 			}
-			return true
-		})
+		}
 	}
 	for pr := range need {
 		if got[pr] != 1 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -146,19 +147,16 @@ func (n *Node) buildStack(recs []datagen.Record, maps ...*ShardMap) (*gridfile.F
 	if err != nil {
 		return nil, nil, err
 	}
+	views := make([]holder, len(maps))
+	for i, sm := range maps {
+		views[i] = sm.holder(n.id)
+	}
 	for _, r := range recs {
-		c, err := file.CellOf(r.Values)
+		b, err := file.BucketOf(r.Values)
 		if err != nil {
 			return nil, nil, fmt.Errorf("cluster: node %d: record %d: %w", n.id, r.ID, err)
 		}
-		keep := false
-		for _, sm := range maps {
-			if sm != nil && n.hostsShardIn(sm, sm.ShardOf(c)) {
-				keep = true
-				break
-			}
-		}
-		if !keep {
+		if !slices.ContainsFunc(views, func(h holder) bool { return h.holds(b) }) {
 			continue
 		}
 		if err := file.Insert(r); err != nil {
@@ -234,44 +232,6 @@ func (n *Node) Close() error {
 	return err
 }
 
-// hostsShardIn reports whether this member holds a copy of shard s
-// under sm.
-func (n *Node) hostsShardIn(sm *ShardMap, s int) bool {
-	idx, ok := sm.NodeOfMember(n.id)
-	if !ok {
-		return false
-	}
-	for _, h := range sm.HostedShards(idx) {
-		if h == s {
-			return true
-		}
-	}
-	return false
-}
-
-// hostsRectIn reports whether r falls entirely inside one shard this
-// member hosts under sm.
-func (n *Node) hostsRectIn(sm *ShardMap, r grid.Rect) bool {
-	idx, ok := sm.NodeOfMember(n.id)
-	if !ok {
-		return false
-	}
-	for _, s := range sm.HostedShards(idx) {
-		sh := sm.Shard(s).Rect
-		inside := true
-		for i := range r.Lo {
-			if r.Lo[i] < sh.Lo[i] || r.Hi[i] > sh.Hi[i] {
-				inside = false
-				break
-			}
-		}
-		if inside {
-			return true
-		}
-	}
-	return false
-}
-
 // resolveEpoch picks the map a request epoch addresses: the current
 // epoch serves against cur; the previous epoch — one cutover ago — still
 // serves against prev; the staged pending epoch selects the dual-read
@@ -295,10 +255,11 @@ func (n *Node) resolveEpoch(epoch uint64) (sm *ShardMap, isPending bool, err err
 
 // admit is the admission preamble every data endpoint runs before its
 // own work: the rect must fit the grid, the epoch must name a map the
-// node serves, the rect must sit inside a shard the node hosts under
-// that map, and the node must not be mid-rebuild. The epoch check runs
-// before the hostedness check: a router on the wrong map must learn the
-// right one, not be told "not hosted" against a map it isn't using.
+// node serves, the node must hold every bucket of the rect under that
+// map (one shard's or several's), and it must not be mid-rebuild. The
+// epoch check runs before the hostedness check: a router on the wrong
+// map must learn the right one, not be told "not hosted" against a map
+// it isn't using.
 func (n *Node) admit(rect grid.Rect, epoch uint64) (sm *ShardMap, isPending bool, sched *serve.Scheduler, err error) {
 	if err := n.g.CheckRect(rect); err != nil {
 		return nil, false, nil, badRequestError{err}
@@ -306,7 +267,7 @@ func (n *Node) admit(rect grid.Rect, epoch uint64) (sm *ShardMap, isPending bool
 	if sm, isPending, err = n.resolveEpoch(epoch); err != nil {
 		return nil, false, nil, err
 	}
-	if !n.hostsRectIn(sm, rect) {
+	if !n.g.EachBucket(rect, sm.holder(n.id).holds) {
 		return nil, false, nil, fmt.Errorf("%w: node %d does not host %v at epoch %d", ErrNotHosted, n.id, rect, sm.Epoch())
 	}
 	n.mu.RLock()
@@ -402,24 +363,10 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer res.Release() // back to the scheduler's pool once the answer is framed
 	records := res.Records
 	if isPending {
-		// Dual-read merge: the live leg covers the rect's buckets this
-		// member holds under cur; staging covers the migrated ones. The
-		// two are disjoint by plan construction (no move targets a bucket
-		// the destination holds under cur) — but only after trimming the
-		// live results to cur hosting, because a post-cutover file keeps
-		// the previous epoch's buckets for the grace window, and those
-		// leftovers may be exactly the buckets staging just received.
-		live, err := n.curHeldRecords(records)
-		if err != nil {
+		if records, err = n.pendingMerge(rect, sm, records); err != nil {
 			writeError(w, err)
 			return
 		}
-		extra, err := n.stagingRecords(rect, sm)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		records = append(live, extra...)
 	}
 	writePage(w, &recordPage{Epoch: sm.Epoch(), Buckets: rect.Volume(), Degraded: res.Degraded, Records: records})
 }
@@ -500,74 +447,56 @@ func (n *Node) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// curHeldRecords keeps only the records whose bucket this member hosts
-// under the current map. The live file can hold more than that — after
-// a cutover it retains the previous epoch's buckets so the grace window
-// stays answerable — and a dual-read merge must not return those
-// leftovers alongside their freshly staged copies.
-func (n *Node) curHeldRecords(recs []datagen.Record) ([]datagen.Record, error) {
-	n.mu.RLock()
-	cur, file := n.cur, n.file
-	n.mu.RUnlock()
-	out := make([]datagen.Record, 0, len(recs))
-	for _, r := range recs {
-		c, err := file.CellOf(r.Values)
-		if err != nil {
-			return nil, err
-		}
-		if n.hostsShardIn(cur, cur.ShardOf(c)) {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
-// stagingRecords answers the staging-file half of a pending-epoch read,
-// after verifying readiness: every bucket of rect must either be held
-// live under cur or be ingested into staging. A bucket still in flight
-// makes the whole read unavailable — the router's authoritative
-// old-epoch leg covers it; the pending leg is strictly opportunistic
-// and must never return a silently incomplete answer.
-func (n *Node) stagingRecords(rect grid.Rect, pending *ShardMap) ([]datagen.Record, error) {
+// pendingMerge turns the live answer for rect into the pending-epoch
+// answer, the node-side half of the dual-read handoff. The live leg
+// answers for the buckets this member holds under cur, staging for the
+// rest, so each leg is trimmed to its side: the live file keeps the
+// previous epoch's buckets through the grace window, a rejoining member
+// is re-sent buckets it still holds, and either overlap would otherwise
+// return a record twice. Every bucket of rect must be held under cur or
+// already ingested; one still in flight makes the whole read
+// unavailable — the router's authoritative old-epoch leg covers it, and
+// this opportunistic leg must never answer silently incomplete.
+func (n *Node) pendingMerge(rect grid.Rect, pending *ShardMap, live []datagen.Record) ([]datagen.Record, error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	if n.pending == nil || n.pending.Epoch() != pending.Epoch() || n.staging == nil {
 		return nil, fmt.Errorf("%w: node %d: pending epoch %d gone", fault.ErrUnavailable, n.id, pending.Epoch())
 	}
-	var notReady grid.Coord
-	complete := true
-	grid.EachRect(rect, func(c grid.Coord) bool {
-		if n.hostsShardIn(n.cur, n.cur.ShardOf(c)) {
+	cur := n.cur.holder(n.id)
+	notReady := -1
+	if !n.g.EachBucket(rect, func(b int) bool {
+		if cur.holds(b) || n.ready[b] {
 			return true
 		}
-		if n.ready[n.g.Linearize(c)] {
-			return true
-		}
-		notReady = c.Clone()
-		complete = false
+		notReady = b
 		return false
-	})
-	if !complete {
+	}) {
 		return nil, fmt.Errorf("%w: node %d: bucket %v not yet migrated for epoch %d",
-			fault.ErrUnavailable, n.id, notReady, pending.Epoch())
+			fault.ErrUnavailable, n.id, n.g.Delinearize(notReady, nil), pending.Epoch())
 	}
-	rs, err := n.staging.CellRangeSearch(rect)
+	staged, err := n.staging.CellRangeSearch(rect)
 	if err != nil {
 		return nil, err
 	}
-	// The live leg already answers for buckets held under cur; drop any
-	// staged copy of those (a member rejoining after a leave is re-sent
-	// everything, including buckets it still holds) so the merge never
-	// double-counts.
-	out := make([]datagen.Record, 0, len(rs.Records))
-	for _, rec := range rs.Records {
-		c, err := n.staging.CellOf(rec.Values)
-		if err != nil {
-			return nil, err
+	out := make([]datagen.Record, 0, len(live)+len(staged.Records))
+	keep := func(leg []datagen.Record, held bool) error {
+		for _, rec := range leg {
+			b, err := n.staging.BucketOf(rec.Values)
+			if err != nil {
+				return err
+			}
+			if cur.holds(b) == held {
+				out = append(out, rec)
+			}
 		}
-		if !n.hostsShardIn(n.cur, n.cur.ShardOf(c)) {
-			out = append(out, rec)
-		}
+		return nil
+	}
+	if err := keep(live, true); err != nil {
+		return nil, err
+	}
+	if err := keep(staged.Records, false); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -612,12 +541,10 @@ func (n *Node) handleBucket(w http.ResponseWriter, r *http.Request) {
 	defer res.Release()
 	records := res.Records
 	if isPending {
-		extra, err := n.stagingRecords(rect, sm)
-		if err != nil {
+		if records, err = n.pendingMerge(rect, sm, records); err != nil {
 			writeError(w, err)
 			return
 		}
-		records = append(append([]datagen.Record(nil), records...), extra...)
 	}
 	writePage(w, &recordPage{Epoch: sm.Epoch(), Buckets: 1, Records: records})
 }
@@ -699,12 +626,12 @@ func (n *Node) handleMigrateBucket(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &StaleEpochError{RequestEpoch: req.Epoch, NodeEpoch: n.cur.Epoch(), Map: n.cur})
 		return
 	}
-	if !n.hostsShardIn(n.pending, n.pending.ShardOf(cell)) {
+	key := n.g.Linearize(cell)
+	if !n.pending.Holds(n.id, key) {
 		writeError(w, fmt.Errorf("%w: node %d does not host cell %v at pending epoch %d",
 			ErrNotHosted, n.id, cell, req.Epoch))
 		return
 	}
-	key := n.g.Linearize(cell)
 	if !n.ready[key] {
 		if err := n.staging.InsertAll(req.Records); err != nil {
 			writeError(w, err)
@@ -741,25 +668,21 @@ func (n *Node) handleCutover(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	// Readiness invariant: every bucket hosted under pending must be
-	// held live or ingested.
-	if idx, ok := n.pending.NodeOfMember(n.id); ok {
-		missing := 0
-		for _, sid := range n.pending.HostedShards(idx) {
-			grid.EachRect(n.pending.Shard(sid).Rect, func(c grid.Coord) bool {
-				if !n.hostsShardIn(n.cur, n.cur.ShardOf(c)) && !n.ready[n.g.Linearize(c)] {
-					missing++
-				}
-				return true
-			})
+	// Readiness invariant: every bucket held under pending must be held
+	// live or ingested.
+	next, cur := n.pending.holder(n.id), n.cur.holder(n.id)
+	missing := 0
+	for b := 0; b < n.g.Buckets(); b++ {
+		if next.holds(b) && !cur.holds(b) && !n.ready[b] {
+			missing++
 		}
-		if missing > 0 {
-			err := fmt.Errorf("%w: node %d: cutover to epoch %d refused, %d buckets not migrated",
-				fault.ErrUnavailable, n.id, req.Epoch, missing)
-			n.mu.Unlock()
-			writeError(w, err)
-			return
-		}
+	}
+	if missing > 0 {
+		err := fmt.Errorf("%w: node %d: cutover to epoch %d refused, %d buckets not migrated",
+			fault.ErrUnavailable, n.id, req.Epoch, missing)
+		n.mu.Unlock()
+		writeError(w, err)
+		return
 	}
 	// Merge from the old file only what this member hosts under the
 	// outgoing epoch AND did not just receive a fresh copy of: older
@@ -770,13 +693,13 @@ func (n *Node) handleCutover(w http.ResponseWriter, r *http.Request) {
 	// either would plant duplicate records in the rebuilt file.
 	var held []datagen.Record
 	for _, rec := range dumpRecords(n.file) {
-		c, err := n.file.CellOf(rec.Values)
+		b, err := n.file.BucketOf(rec.Values)
 		if err != nil {
 			n.mu.Unlock()
 			writeError(w, err)
 			return
 		}
-		if n.hostsShardIn(n.cur, n.cur.ShardOf(c)) && !n.ready[n.g.Linearize(c)] {
+		if cur.holds(b) && !n.ready[b] {
 			held = append(held, rec)
 		}
 	}

@@ -1,21 +1,16 @@
 package cluster
 
-import (
-	"fmt"
-	"sort"
-
-	"decluster/internal/grid"
-)
+import "fmt"
 
 // A MigrationPlan is the declarative half of an elastic membership
 // change: the From and To shard maps (To at the next epoch), and the
-// minimal set of bucket-range moves that carries the cluster from one
-// to the other while every replica-placement invariant of the To map
-// holds the moment it is installed. "Minimal" is exact at bucket
-// granularity: no move copies a bucket its destination already holds
-// under From, and the union of the moves is exactly the set of
-// (bucket, destination) pairs the To map requires and From does not
-// provide. The Migrator (migrate.go) is the imperative half.
+// minimal set of bucket moves that carries the cluster from one to the
+// other while every replica-placement invariant of the To map holds the
+// moment it is installed. "Minimal" is exact at bucket granularity: no
+// move copies a bucket its destination already holds under From, and
+// the union of the moves is exactly the set of (bucket, destination)
+// pairs the To map requires and From does not provide. The Migrator
+// (migrate.go) is the imperative half.
 type MigrationPlan struct {
 	// From is the live map; To is the same cluster one epoch later.
 	From, To *ShardMap
@@ -23,31 +18,29 @@ type MigrationPlan struct {
 	Kind string
 	// Member is the joining member's fresh ID, or the leaving member's.
 	Member int
-	// Moves are the bucket-range copies, grouped so each move has one
-	// destination and one donor set, ordered by (destination, shard).
+	// Moves are the bucket copies, one per destination and donor set,
+	// destinations in To-map node order.
 	Moves []Move
 }
 
-// Move is one contiguous bucket range a destination member must copy
-// before the To map can serve.
+// Move is the bucket set one destination member must copy from one
+// donor set before the To map can serve.
 type Move struct {
-	// Shard is the To-map shard the range belongs to.
-	Shard int
 	// Dest is the destination's stable member ID.
 	Dest int
-	// Rect is the bucket range to copy; all its buckets fall in one
-	// From-map shard, so one donor set covers the whole move.
-	Rect grid.Rect
-	// Sources are the donor member IDs holding Rect under From,
-	// From-primary first. The Migrator rotates through them.
+	// Sources are the donor member IDs holding every bucket of the move
+	// under From, From-primary first. The copier rotates through them.
 	Sources []int
+	// Buckets are the row-major bucket numbers to copy, ascending; they
+	// all fall in one From-map shard, whatever shape they make.
+	Buckets []int
 }
 
 // Buckets returns the total bucket count across all moves.
 func (p *MigrationPlan) Buckets() int {
 	total := 0
 	for _, mv := range p.Moves {
-		total += mv.Rect.Volume()
+		total += len(mv.Buckets)
 	}
 	return total
 }
@@ -113,155 +106,41 @@ func PlanLeave(from *ShardMap, member int) (*MigrationPlan, error) {
 }
 
 // computeMoves derives the minimal (bucket, destination) transfer set
-// between two maps of the same grid. For every To-shard copy it
-// subtracts the buckets its member already holds under From, then
-// coalesces what remains into rectangles — grouped by the From shard
-// each bucket lives in, so every move has a single donor set.
+// between two maps of the same grid: for every To member, the buckets
+// it holds under To and does not hold under From.
 func computeMoves(from, to *ShardMap) []Move {
-	g := to.Grid()
 	var moves []Move
-	for _, sh := range to.Shards() {
-		for _, dest := range to.ShardMembers(sh.ID) {
-			// Buckets dest needs for this shard copy, keyed by the From
-			// shard that donates them.
-			needed := map[int][]grid.Coord{}
-			grid.EachRect(sh.Rect, func(c grid.Coord) bool {
-				if memberHolds(from, dest, c) {
-					return true
-				}
-				fs := from.ShardOf(c)
-				needed[fs] = append(needed[fs], c.Clone())
-				return true
-			})
-			fromShards := make([]int, 0, len(needed))
-			for fs := range needed {
-				fromShards = append(fromShards, fs)
-			}
-			sort.Ints(fromShards)
-			for _, fs := range fromShards {
-				sources := make([]int, 0, from.Replicas())
-				for _, src := range from.ShardMembers(fs) {
-					if src != dest {
-						sources = append(sources, src)
-					}
-				}
-				for _, r := range coalesce(g, needed[fs]) {
-					moves = append(moves, Move{Shard: sh.ID, Dest: dest, Rect: r, Sources: sources})
-				}
-			}
-		}
+	for _, dest := range to.Members() {
+		moves = append(moves, fill(from, to, dest, false)...)
 	}
-	sort.SliceStable(moves, func(i, j int) bool {
-		if moves[i].Dest != moves[j].Dest {
-			return moves[i].Dest < moves[j].Dest
-		}
-		return moves[i].Shard < moves[j].Shard
-	})
 	return moves
 }
 
-// memberHolds reports whether member already stores bucket c under sm
-// (i.e. some shard it hosts contains c).
-func memberHolds(sm *ShardMap, member int, c grid.Coord) bool {
-	i, ok := sm.NodeOfMember(member)
-	if !ok {
-		return false
-	}
-	s := sm.ShardOf(c)
-	for _, h := range sm.HostedShards(i) {
-		if h == s {
-			return true
+// fill lists the copies that give dest every bucket it holds under to:
+// all of them when dest was wiped (a rebuild, from == to), otherwise
+// only those it does not already hold under from. Buckets group by the
+// from shard they live in, so each move has one donor set — that
+// shard's from members other than dest, possibly none.
+func fill(from, to *ShardMap, dest int, wiped bool) []Move {
+	want, have := to.holder(dest), from.holder(dest)
+	need := make([][]int, len(from.shards)) // from shard → buckets, ascending
+	for b, s := range from.shardOf {
+		if want.holds(b) && (wiped || !have.holds(b)) {
+			need[s] = append(need[s], b)
 		}
 	}
-	return false
-}
-
-// coalesce merges a bucket set into disjoint rectangles: first maximal
-// runs along the last axis, then greedy merging of identical runs along
-// each earlier axis. The result is not guaranteed globally minimal
-// (rectangle cover is NP-hard) but is exact — disjoint, union equal to
-// the input — and collapses the common contiguous slabs a re-tiling
-// produces into a handful of ranges.
-func coalesce(g *grid.Grid, cells []grid.Coord) []grid.Rect {
-	if len(cells) == 0 {
-		return nil
-	}
-	k := g.K()
-	sort.Slice(cells, func(i, j int) bool {
-		for a := 0; a < k; a++ {
-			if cells[i][a] != cells[j][a] {
-				return cells[i][a] < cells[j][a]
-			}
-		}
-		return false
-	})
-	// Runs along the last axis.
-	var rects []grid.Rect
-	for i := 0; i < len(cells); {
-		j := i + 1
-		for j < len(cells) && sameRunPrefix(cells[j-1], cells[j], k) {
-			j++
-		}
-		rects = append(rects, grid.Rect{Lo: cells[i].Clone(), Hi: cells[j-1].Clone()})
-		i = j
-	}
-	// Greedy pairwise merging along every earlier axis until stable.
-	for axis := k - 2; axis >= 0; axis-- {
-		rects = mergeAlong(rects, axis)
-	}
-	return rects
-}
-
-// sameRunPrefix reports whether b directly extends a's run along the
-// last axis (equal on all earlier axes, consecutive on the last).
-func sameRunPrefix(a, b grid.Coord, k int) bool {
-	for x := 0; x < k-1; x++ {
-		if a[x] != b[x] {
-			return false
-		}
-	}
-	return b[k-1] == a[k-1]+1
-}
-
-// mergeAlong repeatedly merges rect pairs that are identical on every
-// axis except the given one, where they are adjacent.
-func mergeAlong(rects []grid.Rect, axis int) []grid.Rect {
-	for {
-		merged := false
-		for i := 0; i < len(rects) && !merged; i++ {
-			for j := i + 1; j < len(rects); j++ {
-				if r, ok := tryMerge(rects[i], rects[j], axis); ok {
-					rects[i] = r
-					rects = append(rects[:j], rects[j+1:]...)
-					merged = true
-					break
-				}
-			}
-		}
-		if !merged {
-			return rects
-		}
-	}
-}
-
-// tryMerge merges a and b along axis when they agree everywhere else
-// and abut on axis.
-func tryMerge(a, b grid.Rect, axis int) (grid.Rect, bool) {
-	for x := range a.Lo {
-		if x == axis {
+	var moves []Move
+	for s, buckets := range need {
+		if len(buckets) == 0 {
 			continue
 		}
-		if a.Lo[x] != b.Lo[x] || a.Hi[x] != b.Hi[x] {
-			return grid.Rect{}, false
+		var sources []int
+		for _, m := range from.ShardMembers(s) {
+			if m != dest {
+				sources = append(sources, m)
+			}
 		}
+		moves = append(moves, Move{Dest: dest, Sources: sources, Buckets: buckets})
 	}
-	switch {
-	case a.Hi[axis]+1 == b.Lo[axis]:
-		r := grid.Rect{Lo: a.Lo.Clone(), Hi: b.Hi.Clone()}
-		return r, true
-	case b.Hi[axis]+1 == a.Lo[axis]:
-		r := grid.Rect{Lo: b.Lo.Clone(), Hi: a.Hi.Clone()}
-		return r, true
-	}
-	return grid.Rect{}, false
+	return moves
 }

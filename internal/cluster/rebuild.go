@@ -99,103 +99,112 @@ func RebuildNode(ctx context.Context, cfg RebuildConfig, target *Node) (RebuildS
 	if len(cfg.Endpoints) <= cfg.Map.MaxMember() {
 		return st, fmt.Errorf("cluster: %d endpoints for members up to %d", len(cfg.Endpoints), cfg.Map.MaxMember())
 	}
-	if cfg.FetchTimeout <= 0 {
-		cfg.FetchTimeout = 2 * time.Second
-	}
-	if cfg.FetchAttempts <= 0 {
-		cfg.FetchAttempts = 8
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
-	}
-	var mBuckets, mRecords, mRetries *obs.Counter
-	if cfg.Obs != nil {
-		r := cfg.Obs.Registry()
-		mBuckets = r.Counter("cluster.rebuild.buckets")
-		mRecords = r.Counter("cluster.rebuild.records")
-		mRetries = r.Counter("cluster.rebuild.retries")
-	}
-	opts := fetchOpts{
-		client:    cfg.Client,
-		endpoints: cfg.Endpoints,
-		timeout:   cfg.FetchTimeout,
-		attempts:  cfg.FetchAttempts,
-		priority:  repair.BackgroundPriority,
-		epoch:     cfg.Map.Epoch(),
-	}
+	cp := newCopier(copier{
+		g: cfg.Map.Grid(), client: cfg.Client, endpoints: cfg.Endpoints,
+		timeout: cfg.FetchTimeout, attempts: cfg.FetchAttempts,
+		priority: repair.BackgroundPriority, epoch: cfg.Map.Epoch(),
+		capacity: target.cfg.PageCapacity, throttle: cfg.Throttle,
+	}, cfg.Obs, "cluster.rebuild")
 
 	start := time.Now()
 	if err := target.BeginRebuild(); err != nil {
 		return st, err
 	}
-	capacity := target.cfg.PageCapacity
-	if capacity <= 0 {
-		capacity = 32
-	}
-	for _, sid := range cfg.Map.HostedShardsOfMember(target.ID()) {
-		sh := cfg.Map.Shard(sid)
-		donors := donorsFor(cfg.Map, sid, target.ID())
-		if len(donors) == 0 {
-			return st, fmt.Errorf("%w: shard %d has no replica beyond member %d",
-				fault.ErrUnavailable, sid, target.ID())
-		}
-		var fetchErr error
-		grid.EachRect(sh.Rect, func(c grid.Coord) bool {
-			recs, retries, err := fetchBucket(ctx, donors, c, opts)
-			st.Retries += retries
-			mRetries.Add(uint64(retries))
-			if err != nil {
-				fetchErr = fmt.Errorf("cluster: rebuild shard %d cell %v: %w", sid, c, err)
-				return false
-			}
-			if len(recs) > 0 {
-				if err := target.RebuildInsert(recs); err != nil {
-					fetchErr = err
-					return false
-				}
-			}
-			pages := max(1, (len(recs)+capacity-1)/capacity)
-			st.Buckets++
-			st.Records += len(recs)
-			st.Pages += pages
-			mBuckets.Inc()
-			mRecords.Add(uint64(len(recs)))
-			if err := cfg.Throttle.Take(ctx, float64(pages)); err != nil {
-				fetchErr = err
-				return false
-			}
-			return true
-		})
-		if fetchErr != nil {
-			return st, fetchErr
-		}
-		st.Shards++
+	// A wiped node's hosted shards are one move each: same map on both
+	// sides, nothing already held.
+	err := cp.run(ctx, fill(cfg.Map, cfg.Map, target.ID(), true),
+		func(_ int, _ grid.Coord, recs []datagen.Record) error { return target.RebuildInsert(recs) })
+	st.Shards, st.Buckets, st.Records, st.Pages, st.Retries = cp.moves, cp.buckets, cp.records, cp.pages, cp.retries
+	if err != nil {
+		return st, fmt.Errorf("cluster: rebuild member %d: %w", target.ID(), err)
 	}
 	target.FinishRebuild()
 	st.Elapsed = time.Since(start)
 	return st, nil
 }
 
-// donorsFor lists a shard's replica-holding members other than the
-// target.
-func donorsFor(sm *ShardMap, shard, target int) []int {
-	var donors []int
-	for _, m := range sm.ShardMembers(shard) {
-		if m != target {
-			donors = append(donors, m)
-		}
-	}
-	return donors
+// copier is the one per-bucket copy loop, behind both RebuildNode and
+// Migrate's COPY phase: fetch a bucket from its move's donors, hand it
+// to the caller's deliver, count it, charge the throttle.
+type copier struct {
+	g         *grid.Grid
+	client    *http.Client  // &http.Client{} when nil
+	endpoints []string      // base URL per member, indexed by stable member ID
+	timeout   time.Duration // per exchange; 2s when 0
+	attempts  int           // donor-rotation rounds per bucket; 8 when 0
+	priority  int           // admission priority of donor reads
+	epoch     uint64        // the epoch donor reads are stamped with
+	capacity  int           // records per throttle page; 32 when 0
+	throttle  *repair.Throttle
+
+	mBuckets, mRecords, mRetries *obs.Counter
+
+	// The running tally: moves completed, buckets and records copied,
+	// pages charged to the throttle, donor fetches retried.
+	moves, buckets, records, pages, retries int
 }
 
-// fetchOpts parameterises one bucket-fetch loop.
-type fetchOpts struct {
-	client    *http.Client
-	endpoints []string // base URL per member, indexed by stable member ID
-	timeout   time.Duration
-	attempts  int
-	priority  int
-	epoch     uint64
+// newCopier fills c's defaults and, given a sink, registers the
+// <prefix>.buckets / .records / .retries counters.
+func newCopier(c copier, sink *obs.Sink, prefix string) *copier {
+	if c.timeout <= 0 {
+		c.timeout = 2 * time.Second
+	}
+	if c.attempts <= 0 {
+		c.attempts = 8
+	}
+	if c.capacity <= 0 {
+		c.capacity = 32
+	}
+	if c.client == nil {
+		c.client = &http.Client{}
+	}
+	if sink != nil {
+		r := sink.Registry()
+		c.mBuckets = r.Counter(prefix + ".buckets")
+		c.mRecords = r.Counter(prefix + ".records")
+		c.mRetries = r.Counter(prefix + ".retries")
+	}
+	return &c
+}
+
+// run copies every bucket of every move, in order. A bucket counts once
+// deliver has accepted it; the first error — a move nobody else holds
+// (fault.ErrUnavailable: the data exists nowhere), a failed fetch, a
+// refused delivery, a cancelled context — stops the run.
+func (c *copier) run(ctx context.Context, moves []Move, deliver func(dest int, cell grid.Coord, recs []datagen.Record) error) error {
+	for _, mv := range moves {
+		if len(mv.Sources) == 0 {
+			return fmt.Errorf("%w: %d buckets of member %d have no other holder",
+				fault.ErrUnavailable, len(mv.Buckets), mv.Dest)
+		}
+		for _, b := range mv.Buckets {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			cell := c.g.Delinearize(b, nil)
+			recs, retries, err := c.fetchBucket(ctx, mv.Sources, cell)
+			c.retries += retries
+			c.mRetries.Add(uint64(retries))
+			if err != nil {
+				return fmt.Errorf("copy cell %v to member %d: %w", cell, mv.Dest, err)
+			}
+			if err := deliver(mv.Dest, cell, recs); err != nil {
+				return err
+			}
+			pages := max(1, (len(recs)+c.capacity-1)/c.capacity)
+			c.buckets++
+			c.records += len(recs)
+			c.pages += pages
+			c.mBuckets.Inc()
+			c.mRecords.Add(uint64(len(recs)))
+			if err := c.throttle.Take(ctx, float64(pages)); err != nil {
+				return err
+			}
+		}
+		c.moves++
+	}
+	return nil
 }
 
 // fetchBucket reads one bucket from the first donor that answers,
@@ -206,11 +215,11 @@ type fetchOpts struct {
 // timeout — silence, not shedding) counts toward a short fuse: after
 // noDonorRounds consecutive all-hard rounds the fetch fails fast with
 // ErrNoDonor. Returns the records and how many fetches failed first.
-func fetchBucket(ctx context.Context, donors []int, c grid.Coord, o fetchOpts) ([]datagen.Record, int, error) {
+func (c *copier) fetchBucket(ctx context.Context, donors []int, cell grid.Coord) ([]datagen.Record, int, error) {
 	var lastErr error
 	retries := 0
 	allHardRounds := 0
-	for round := 0; round < o.attempts; round++ {
+	for round := 0; round < c.attempts; round++ {
 		if round > 0 {
 			if err := donorBackoff.Wait(ctx, round); err != nil {
 				return nil, retries, err
@@ -221,11 +230,11 @@ func fetchBucket(ctx context.Context, donors []int, c grid.Coord, o fetchOpts) (
 			if round > 0 || i > 0 {
 				retries++
 			}
-			if donor >= len(o.endpoints) || o.endpoints[donor] == "" {
+			if donor >= len(c.endpoints) || c.endpoints[donor] == "" {
 				lastErr = fmt.Errorf("cluster: no endpoint for member %d", donor)
 				continue
 			}
-			recs, err := fetchBucketFrom(ctx, o.endpoints[donor], c, o)
+			recs, err := c.fetchBucketFrom(ctx, c.endpoints[donor], cell)
 			if err == nil {
 				return recs, retries, nil
 			}
@@ -248,7 +257,7 @@ func fetchBucket(ctx context.Context, donors []int, c grid.Coord, o fetchOpts) (
 		}
 	}
 	return nil, retries, fmt.Errorf("%w: %d donors failed %d rounds (last: %v)",
-		fault.ErrUnavailable, len(donors), o.attempts, lastErr)
+		fault.ErrUnavailable, len(donors), c.attempts, lastErr)
 }
 
 // donorHardDown classifies one donor fetch failure: hard means the
@@ -260,16 +269,16 @@ func donorHardDown(err error) bool {
 	return breakerCountable(err)
 }
 
-// fetchBucketFrom performs one GET /v1/bucket exchange at the loop's
+// fetchBucketFrom performs one GET /v1/bucket exchange at the copier's
 // priority, stamped with its epoch.
-func fetchBucketFrom(ctx context.Context, base string, c grid.Coord, o fetchOpts) ([]datagen.Record, error) {
-	parts := make([]string, len(c))
-	for i, v := range c {
+func (c *copier) fetchBucketFrom(ctx context.Context, base string, cell grid.Coord) ([]datagen.Record, error) {
+	parts := make([]string, len(cell))
+	for i, v := range cell {
 		parts[i] = strconv.Itoa(v)
 	}
 	url := fmt.Sprintf("%s/v1/bucket?cell=%s&priority=%d&epoch=%d",
-		strings.TrimRight(base, "/"), strings.Join(parts, ","), o.priority, o.epoch)
+		strings.TrimRight(base, "/"), strings.Join(parts, ","), c.priority, c.epoch)
 	var page recordPage
-	err := exchange(ctx, o.client, o.timeout, url, nil, &page, recordPayloadLimit)
+	err := exchange(ctx, c.client, c.timeout, url, nil, &page, recordPayloadLimit)
 	return page.Records, err
 }

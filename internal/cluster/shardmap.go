@@ -40,7 +40,9 @@ type Shard struct {
 	// ID is the shard's index in ShardMap.Shards().
 	ID int
 	// Rect is the shard's bucket rectangle; shard rects tile the grid
-	// exactly (disjoint, union = whole grid).
+	// exactly (disjoint, union = whole grid). Only Decompose and the
+	// /v1/shards listing read it: which member stores which bucket is
+	// ShardMap.Holds, which never assumes a shard is a rectangle.
 	Rect grid.Rect
 	// Nodes lists the nodes holding the shard's data: Nodes[0] is the
 	// primary, the rest replicas, all distinct.
@@ -285,6 +287,36 @@ func (sm *ShardMap) MaxMember() int {
 		}
 	}
 	return max
+}
+
+// Holds reports whether member stores the row-major bucket under this
+// map: whether some copy of the shard the bucket falls in lives on the
+// member's node (R comparisons). It is the one statement of hostedness — a shard
+// is the bucket set shardOf assigns it, whatever its shape — and a
+// member absent from the map (a standby, a leaver) holds nothing.
+func (sm *ShardMap) Holds(member, bucket int) bool {
+	return sm.holder(member).holds(bucket)
+}
+
+// holder is Holds with the member's node index resolved once, for loops
+// that ask about many buckets.
+type holder struct {
+	sm   *ShardMap
+	node int // -1: not a member of sm
+}
+
+func (sm *ShardMap) holder(member int) holder {
+	node, _ := sm.NodeOfMember(member)
+	return holder{sm, node}
+}
+
+func (h holder) holds(bucket int) bool {
+	for _, n := range h.sm.shards[h.sm.shardOf[bucket]].Nodes {
+		if n == h.node {
+			return true
+		}
+	}
+	return false
 }
 
 // HostedShardsOfMember returns the shards a stable member holds a copy

@@ -604,3 +604,34 @@ func TestCurveRanks(t *testing.T) {
 		}
 	}
 }
+
+// TestEachBucketMatchesAppendRect pins the callback walk to the slice
+// walk: same buckets, same order, stops at the first false and says so,
+// and allocates nothing.
+func TestEachBucketMatchesAppendRect(t *testing.T) {
+	for _, dims := range [][]int{{8, 8}, {5, 7}, {4, 4, 4}, {2, 3, 2, 2, 3, 2, 2, 2, 3}} {
+		g := MustNew(dims...)
+		g.Placements(g.FullRect().Hi, func(r Rect) bool { // sides d_i−1: 2^k placements
+			var got []int
+			if !g.EachBucket(r, func(b int) bool { got = append(got, b); return true }) {
+				t.Fatalf("grid %v rect %v: full walk reported an early stop", g, r)
+			}
+			want := g.AppendRect(nil, r)
+			if !slices.Equal(got, want) {
+				t.Fatalf("grid %v rect %v: EachBucket = %v, AppendRect = %v", g, r, got, want)
+			}
+			stopAt, seen := want[len(want)/2], 0
+			if g.EachBucket(r, func(b int) bool { seen++; return b != stopAt }) || seen != len(want)/2+1 {
+				t.Fatalf("grid %v rect %v: stop at bucket %d visited %d, want %d and false", g, r, stopAt, seen, len(want)/2+1)
+			}
+			return true
+		})
+	}
+	g := MustNew(64, 64)
+	r, sum := g.FullRect(), 0
+	if avg := testing.AllocsPerRun(100, func() {
+		g.EachBucket(r, func(b int) bool { sum += b; return true })
+	}); avg > 0 {
+		t.Errorf("EachBucket allocates %.1f allocs/op, want 0", avg)
+	}
+}

@@ -88,27 +88,25 @@ func (f *File) cellIndex(a int, v float64) int {
 	return c
 }
 
-// cellOf maps a record's values to its grid cell.
-func (f *File) cellOf(values []float64) (grid.Coord, error) {
+// BucketOf maps a record's attribute values to the row-major number of
+// the bucket that stores them under the file's partition boundaries —
+// exported so data placement layers (e.g. a cluster sharding records
+// across nodes) decide ownership with the file's own geometry instead
+// of re-implementing it. The index is accumulated axis by axis; no
+// Coord is built.
+func (f *File) BucketOf(values []float64) (int, error) {
 	if len(values) != f.g.K() {
-		return nil, fmt.Errorf("gridfile: record has %d attributes; grid %v has %d", len(values), f.g, f.g.K())
+		return 0, fmt.Errorf("gridfile: record has %d attributes; grid %v has %d", len(values), f.g, f.g.K())
 	}
-	c := make(grid.Coord, f.g.K())
+	b := 0
 	for i, v := range values {
 		if v < 0 || v >= 1 {
-			return nil, fmt.Errorf("gridfile: attribute %d value %v outside [0,1)", i, v)
+			return 0, fmt.Errorf("gridfile: attribute %d value %v outside [0,1)", i, v)
 		}
-		c[i] = f.cellIndex(i, v)
+		b = b*f.g.Dim(i) + f.cellIndex(i, v)
 	}
-	return c, nil
+	return b, nil
 }
-
-// CellOf maps a record's attribute values to the grid cell that stores
-// them under the file's partition boundaries — exported so data
-// placement layers (e.g. a cluster sharding records across nodes) can
-// decide ownership with the file's own geometry instead of
-// re-implementing it.
-func (f *File) CellOf(values []float64) (grid.Coord, error) { return f.cellOf(values) }
 
 // Grid returns the file's grid.
 func (f *File) Grid() *grid.Grid { return f.g }
@@ -133,11 +131,10 @@ func (f *File) PageCapacity() int { return f.capacity }
 
 // Insert stores one record in the bucket containing its values.
 func (f *File) Insert(r datagen.Record) error {
-	c, err := f.cellOf(r.Values)
+	b, err := f.BucketOf(r.Values)
 	if err != nil {
 		return err
 	}
-	b := f.g.Linearize(c)
 	f.buckets[b] = append(f.buckets[b], r)
 	f.count++
 	return nil
@@ -158,11 +155,10 @@ func (f *File) InsertAll(rs []datagen.Record) error {
 // required because the bucket is located by them — the grid file has no
 // secondary index on IDs.
 func (f *File) Delete(rec datagen.Record) (bool, error) {
-	c, err := f.cellOf(rec.Values)
+	b, err := f.BucketOf(rec.Values)
 	if err != nil {
 		return false, err
 	}
-	b := f.g.Linearize(c)
 	for i, r := range f.buckets[b] {
 		if r.ID == rec.ID {
 			last := len(f.buckets[b]) - 1

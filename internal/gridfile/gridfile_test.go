@@ -309,3 +309,31 @@ func TestTraceAccountsPagesExactly(t *testing.T) {
 		t.Fatalf("TotalPages = %d, want 50", rs.Trace.TotalPages())
 	}
 }
+
+// TestBucketOfIsRowMajorCell pins BucketOf to the per-axis rule it
+// folds: the bucket number is the row-major index of the cell made of
+// each axis's partition, on square, ragged and 3-d grids, and bad
+// records draw Insert's errors.
+func TestBucketOfIsRowMajorCell(t *testing.T) {
+	for _, dims := range [][]int{{4, 4}, {16, 3}, {3, 5, 2}} {
+		f := newTestFile(t, dims, 2, 2)
+		g := f.Grid()
+		for _, rec := range (datagen.Uniform{K: len(dims), Seed: 7}).Generate(300) {
+			c := make(grid.Coord, len(dims))
+			for a, v := range rec.Values {
+				c[a] = int(v * float64(dims[a]))
+			}
+			b, err := f.BucketOf(rec.Values)
+			if err != nil || b != g.Linearize(c) {
+				t.Fatalf("grid %v: BucketOf(%v) = %d, %v; cell %v is bucket %d", g, rec.Values, b, err, c, g.Linearize(c))
+			}
+		}
+	}
+	f := newTestFile(t, []int{4, 4}, 2, 2)
+	if _, err := f.BucketOf([]float64{0.5}); err == nil {
+		t.Error("wrong arity accepted")
+	}
+	if _, err := f.BucketOf([]float64{0.5, 1}); err == nil {
+		t.Error("out-of-range value accepted")
+	}
+}
