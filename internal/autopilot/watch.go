@@ -49,8 +49,8 @@ func newWatcher(rt *cluster.Router, endpoints []string, client *http.Client,
 		window:    window,
 	}
 	if sink != nil {
-		// Same name/label/size the router registered, so this resolves
-		// the existing family rather than creating a second one.
+		// Resolves the family the router registered; collect reads its
+		// width each tick.
 		w.lat = sink.Registry().HistogramFamily("cluster.node.latency", "node", len(endpoints))
 	}
 	return w

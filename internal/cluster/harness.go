@@ -64,10 +64,6 @@ func StartHarness(cfg HarnessConfig) (*Harness, error) {
 	}
 	h := &Harness{faults: cfg.Faults}
 	total := cfg.Map.Nodes() + cfg.Standbys
-	// Per-node obs families are fixed-size, so size them once for the
-	// whole pool: the largest member ID any node (standbys included)
-	// will carry, plus one.
-	metricMembers := cfg.Map.MaxMember() + 1 + cfg.Standbys
 	for i := 0; i < total; i++ {
 		member := i
 		if i < cfg.Map.Nodes() {
@@ -76,16 +72,15 @@ func StartHarness(cfg HarnessConfig) (*Harness, error) {
 			member = cfg.Map.MaxMember() + 1 + (i - cfg.Map.Nodes())
 		}
 		n, err := NewNode(NodeConfig{
-			ID:            member,
-			Map:           cfg.Map,
-			Method:        cfg.Method,
-			PageCapacity:  cfg.PageCapacity,
-			Records:       cfg.Records,
-			Faults:        cfg.Faults,
-			SlowUnit:      cfg.SlowUnit,
-			Obs:           cfg.Obs,
-			MetricMembers: metricMembers,
-			ServeOptions:  cfg.ServeOptions,
+			ID:           member,
+			Map:          cfg.Map,
+			Method:       cfg.Method,
+			PageCapacity: cfg.PageCapacity,
+			Records:      cfg.Records,
+			Faults:       cfg.Faults,
+			SlowUnit:     cfg.SlowUnit,
+			Obs:          cfg.Obs,
+			ServeOptions: cfg.ServeOptions,
 		})
 		if err != nil {
 			h.Close()

@@ -49,15 +49,10 @@ type NodeConfig struct {
 	// request: a node at factor f sleeps (f-1)·SlowUnit before
 	// answering. Zero selects 2ms.
 	SlowUnit time.Duration
-	// Obs optionally observes the node's scheduler.
+	// Obs optionally observes the node's scheduler, and mirrors its queue
+	// depth and shed count into the per-node families at slot ID
+	// (serve.WithNodeMetrics).
 	Obs *obs.Sink
-	// MetricMembers, when positive, also mirrors this node's queue
-	// depth and shed count into the shared per-node obs families
-	// (serve.WithNodeMetrics), sized MetricMembers wide. Every node
-	// sharing a sink must pass the same value — the largest member ID
-	// the process will host plus one, standbys included — because obs
-	// families refuse to grow. Requires Obs.
-	MetricMembers int
 	// ServeOptions passes extra options (base latency, admission,
 	// breakers, hedging, local disk faults…) to the node's scheduler.
 	ServeOptions []serve.Option
@@ -165,10 +160,7 @@ func (n *Node) buildStack(recs []datagen.Record, maps ...*ShardMap) (*gridfile.F
 	}
 	opts := n.cfg.ServeOptions
 	if n.cfg.Obs != nil {
-		opts = append(append([]serve.Option(nil), opts...), serve.WithObserver(n.cfg.Obs))
-		if n.cfg.MetricMembers > n.id {
-			opts = append(opts, serve.WithNodeMetrics(n.id, n.cfg.MetricMembers))
-		}
+		opts = append(append([]serve.Option(nil), opts...), serve.WithObserver(n.cfg.Obs), serve.WithNodeMetrics(n.id))
 	}
 	sched, err := serve.New(file, opts...)
 	if err != nil {

@@ -903,10 +903,9 @@ func (rt *Router) Aggregate(ctx context.Context, q batch.AggregateQuery) (*Aggre
 }
 
 // nodeObserve records one attempt against a member in the per-member
-// metric families (absent without an obs sink, and for members that
-// joined after construction — the families cannot grow).
+// metric families (absent without an obs sink).
 func (rt *Router) nodeObserve(node int, lat time.Duration, err error) {
-	if rt.mNodeReqs == nil || node < 0 || node >= rt.brkSize {
+	if rt.mNodeReqs == nil {
 		return
 	}
 	rt.mNodeReqs.At(node).Inc()

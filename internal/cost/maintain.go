@@ -19,8 +19,8 @@ import (
 // over the live tables (LayerInserted) as long as kernel selection
 // would pick the prefix kernel again for the grown shape. Any other
 // shape change — a doubling the prefix kernel cannot follow, one under
-// the walk kernel, or an arbitrary reshape signalled by GridReshaped or
-// merely detected — invalidates every table index, so the evaluator
+// the walk kernel, or any other reshape the dims check detects —
+// invalidates every table index, so the evaluator
 // re-arbitrates and re-tiles through the same budgeted kernel selection
 // as NewKernelEvaluator on the next use, never silently serving loads
 // for a grid that no longer exists. If the grown grid pushes a forced
@@ -93,10 +93,10 @@ func (e *MaintainedEvaluator) shapeChanged() bool {
 	return false
 }
 
-// ensure re-tiles if a reshape was signalled or detected. Detection is
-// defensive: even a caller that forgets to forward GridReshaped cannot
-// make the evaluator serve loads tiled for a stale shape, because every
-// query re-checks the dims (k integer compares).
+// ensure re-tiles if a reshape was signalled or detected. Detection
+// covers every reshape no LayerInserted announced: the evaluator never
+// serves loads tiled for a stale shape, because every query re-checks
+// the dims (k integer compares).
 func (e *MaintainedEvaluator) ensure() {
 	if !e.stale && !e.shapeChanged() {
 		return
@@ -126,8 +126,9 @@ func (e *MaintainedEvaluator) CellMoved(cell grid.Coord, from, to int) error {
 // duplicated, the method already reporting the grown grid — into the
 // live prefix tables in place, when kernel selection would choose the
 // prefix kernel again for the grown shape (KernelPrefix: representable;
-// KernelAuto: within the budget). Otherwise it is GridReshaped: the
-// next query re-tiles, or degrades a forced prefix kernel to the walk.
+// KernelAuto: within the budget). Otherwise the kernel is marked stale:
+// the next query re-tiles, or degrades a forced prefix kernel to the
+// walk.
 func (e *MaintainedEvaluator) LayerInserted(axis, p int) {
 	if e.stale || e.prefix == nil || !e.prefixFits() || e.prefix.InsertLayer(axis, p) != nil {
 		e.stale = true
@@ -142,10 +143,6 @@ func (e *MaintainedEvaluator) prefixFits() bool {
 	return e.kernel == KernelPrefix ||
 		PrefixTableBytes(e.method.Grid(), e.method.Disks()) <= e.budget
 }
-
-// GridReshaped marks the kernel stale; the next query re-arbitrates and
-// re-tiles for the new shape.
-func (e *MaintainedEvaluator) GridReshaped() { e.stale = true }
 
 // Method returns the evaluated method.
 func (e *MaintainedEvaluator) Method() alloc.Method { return e.method }

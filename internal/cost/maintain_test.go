@@ -186,15 +186,14 @@ func TestMaintainedEvaluator(t *testing.T) {
 			t.Fatalf("kernel %v after moves: maintained %d, naive %d", kernel, got, want)
 		}
 
-		// Reshape: swap in a bigger grid behind the method's back and
-		// signal it. The evaluator must re-tile, not serve stale loads.
+		// Reshape: swap in a bigger grid behind the method's back. The
+		// evaluator must re-tile, not serve stale loads.
 		g2 := grid.MustNew(16, 16)
 		m.g = g2
 		m.table = make([]int, g2.Buckets())
 		for i := range m.table {
 			m.table[i] = rng.Intn(4)
 		}
-		me.GridReshaped()
 		r2 := g2.MustRect(grid.Coord{3, 0}, grid.Coord{14, 15})
 		if got, want := me.ResponseTime(r2), ResponseTime(m, r2); got != want {
 			t.Fatalf("kernel %v after reshape: maintained %d, naive %d", kernel, got, want)
@@ -202,8 +201,8 @@ func TestMaintainedEvaluator(t *testing.T) {
 	}
 }
 
-// TestMaintainedEvaluatorDetectsReshape drops the GridReshaped signal
-// on purpose: the defensive shape check alone must trigger the re-tile.
+// TestMaintainedEvaluatorDetectsReshape reshapes with no signal at
+// all: the shape check alone must trigger the re-tile.
 func TestMaintainedEvaluatorDetectsReshape(t *testing.T) {
 	g := grid.MustNew(4, 4)
 	m := newMutMethod(g, 2, 7)

@@ -82,8 +82,8 @@ type ClusterChaosConfig struct {
 	// blinking-partition (a rapidly flapping partition adversarially
 	// aimed at the controller's anti-thrash defenses).
 	Scenarios []string
-	// Obs optionally receives router and node metrics; all cells share
-	// the sink.
+	// Obs optionally receives router and node metrics; every cell but
+	// the autopilot ones shares the sink.
 	Obs *obs.Sink
 }
 
@@ -303,10 +303,10 @@ func runClusterCell(sm *cluster.ShardMap, method alloc.Method, records []datagen
 	if scenario == "join" || autopiloted {
 		standbys = 1 // the node a migration could bring in
 	}
-	// Autopilot cells get their own sink: the controller reads the
-	// router's live cluster.node.latency family for its windowed p99
-	// signal, and the family widths (members + standby) must not clash
-	// with whatever other cells registered on a shared sink.
+	// Autopilot cells get their own sink: the controller windows the
+	// router's live cluster.node.latency family for its p99 signal, and
+	// must read only this cell's router — on a shared sink the family
+	// also holds every earlier cell's traffic.
 	sink := cfg.Obs
 	if autopiloted {
 		sink = obs.NewSink()

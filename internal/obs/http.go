@@ -68,21 +68,21 @@ func (r *Registry) jsonSnapshot() map[string]any {
 	}
 	for name, f := range r.cfams {
 		m := map[string]uint64{}
-		for i := range f.cs {
-			m[f.label+strconv.Itoa(i)] = f.cs[i].Value()
+		for i, c := range f.list() {
+			m[f.label+strconv.Itoa(i)] = c.Value()
 		}
 		out[name] = m
 	}
 	for name, f := range r.gfams {
 		m := map[string]int64{}
-		for i := range f.gs {
-			m[f.label+strconv.Itoa(i)] = f.gs[i].Value()
+		for i, g := range f.list() {
+			m[f.label+strconv.Itoa(i)] = g.Value()
 		}
 		out[name] = m
 	}
 	for name, f := range r.hfams {
 		m := map[string]any{}
-		for i, h := range f.hs {
+		for i, h := range f.list() {
 			m[f.label+strconv.Itoa(i)] = histJSON(h)
 		}
 		out[name] = m

@@ -10,7 +10,8 @@
 // Three pieces:
 //
 //   - Registry: named atomic counters, gauges, and fixed-bucket latency
-//     histograms (p50/p95/p99/max), plus per-disk labeled families.
+//     histograms (p50/p95/p99/max), plus per-disk and per-node labeled
+//     families that grow in place, so no caller has to size them.
 //     Metric handles are resolved once at construction; the hot path
 //     touches only the atomics.
 //

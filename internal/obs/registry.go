@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -202,24 +201,33 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 	if p >= 100 {
 		return h.Max()
 	}
-	rank := p / 100 * float64(n-1)
+	count := func(b int) uint64 { return h.counts[b].Load() }
+	if v, ok := interpolate(len(h.counts), count, h.bucketEdges, p/100*float64(n-1)); ok {
+		return h.clamp(v)
+	}
+	return h.Max()
+}
+
+// interpolate is the bucket-interpolation loop behind both Percentile
+// methods: it walks the nb bucket counts to the one covering rank and
+// interpolates linearly by position between that bucket's edges. It
+// reports false when the counts run out first (observations racing
+// the read).
+func interpolate(nb int, count func(b int) uint64, edges func(b int) (lo, hi int64), rank float64) (time.Duration, bool) {
 	var cum uint64
-	for b := range h.counts {
-		c := h.counts[b].Load()
+	for b := 0; b < nb; b++ {
+		c := count(b)
 		if c == 0 {
-			cum += c
 			continue
 		}
 		if float64(cum+c) > rank {
-			// The rank falls in bucket b: interpolate by position.
 			frac := (rank - float64(cum)) / float64(c)
-			lo, hi := h.bucketEdges(b)
-			v := float64(lo) + frac*float64(hi-lo)
-			return h.clamp(time.Duration(v))
+			lo, hi := edges(b)
+			return time.Duration(float64(lo) + frac*float64(hi-lo)), true
 		}
 		cum += c
 	}
-	return h.Max()
+	return 0, false
 }
 
 // bucketEdges returns bucket b's value range, tightened by the observed
@@ -329,136 +337,127 @@ func (s HistogramSnapshot) Percentile(p float64) time.Duration {
 	if p > 100 {
 		p = 100
 	}
-	rank := p / 100 * float64(s.Count-1)
-	var cum uint64
-	for b, c := range s.Counts {
-		if c == 0 {
-			continue
-		}
-		if float64(cum+c) > rank {
-			frac := (rank - float64(cum)) / float64(c)
-			var lo, hi int64
-			if b > 0 {
-				lo = s.Bounds[b-1]
-			}
-			if b < len(s.Bounds) {
-				hi = s.Bounds[b]
-			} else if len(s.Bounds) > 0 {
-				// Overflow bucket: extend one last-bound width.
-				hi = 2 * s.Bounds[len(s.Bounds)-1]
-			}
-			return time.Duration(float64(lo) + frac*float64(hi-lo))
-		}
-		cum += c
+	count := func(b int) uint64 { return s.Counts[b] }
+	if v, ok := interpolate(len(s.Counts), count, s.bucketEdges, p/100*float64(s.Count-1)); ok {
+		return v
 	}
-	if len(s.Bounds) > 0 {
-		return time.Duration(2 * s.Bounds[len(s.Bounds)-1])
-	}
-	return 0
+	_, hi := s.bucketEdges(len(s.Bounds))
+	return time.Duration(hi)
 }
 
-// CounterFamily is a fixed-size family of counters labeled by a small
-// integer — one per disk, in this codebase.
-type CounterFamily struct {
-	label string
-	cs    []Counter
+// bucketEdges returns bucket b's value range from the bounds alone; the
+// overflow bucket extends one last-bound width.
+func (s HistogramSnapshot) bucketEdges(b int) (lo, hi int64) {
+	if b > 0 {
+		lo = s.Bounds[b-1]
+	}
+	if b < len(s.Bounds) {
+		hi = s.Bounds[b]
+	} else if len(s.Bounds) > 0 {
+		hi = 2 * s.Bounds[len(s.Bounds)-1]
+	}
+	return lo, hi
 }
+
+// family is the one implementation behind CounterFamily, GaugeFamily
+// and HistogramFamily: metrics labeled by a small integer — one per
+// disk or per cluster node, in this codebase — that grow in place. A
+// member is allocated once and never moves, so a handle resolved before
+// a growth keeps counting into the same member; growth publishes a
+// longer copy of the pointer list, so a lookup is one atomic load.
+type family[M any] struct {
+	label   string
+	newM    func() *M
+	members atomic.Pointer[[]*M]
+}
+
+// list returns the current members (none for a nil family).
+func (f *family[M]) list() []*M {
+	if f == nil {
+		return nil
+	}
+	if ms := f.members.Load(); ms != nil {
+		return *ms
+	}
+	return nil
+}
+
+func (f *family[M]) at(i int) *M {
+	ms := f.list()
+	if i < 0 || i >= len(ms) {
+		return nil
+	}
+	return ms[i]
+}
+
+// grow widens the family to at least n members. Callers hold the
+// registry lock, which serialises growers (and dumps) against each
+// other; At never takes it.
+func (f *family[M]) grow(n int) {
+	ms := f.list()
+	if n <= len(ms) {
+		return
+	}
+	grown := make([]*M, n)
+	copy(grown, ms)
+	for i := len(ms); i < n; i++ {
+		grown[i] = f.newM()
+	}
+	f.members.Store(&grown)
+}
+
+// CounterFamily is a family of counters labeled by a small integer.
+type CounterFamily family[Counter]
 
 // At returns the counter of label value i (nil when out of range or
 // the family is nil, keeping call sites branch-free).
-func (f *CounterFamily) At(i int) *Counter {
-	if f == nil || i < 0 || i >= len(f.cs) {
-		return nil
-	}
-	return &f.cs[i]
-}
+func (f *CounterFamily) At(i int) *Counter { return (*family[Counter])(f).at(i) }
 
 // Len returns the family size.
-func (f *CounterFamily) Len() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.cs)
-}
+func (f *CounterFamily) Len() int { return len((*family[Counter])(f).list()) }
 
 // Sum totals the family's counters.
 func (f *CounterFamily) Sum() uint64 {
-	if f == nil {
-		return 0
-	}
 	var s uint64
-	for i := range f.cs {
-		s += f.cs[i].Value()
+	for _, c := range (*family[Counter])(f).list() {
+		s += c.Value()
 	}
 	return s
 }
 
-// GaugeFamily is a fixed-size family of gauges labeled by a small
-// integer — one per cluster node, in this codebase.
-type GaugeFamily struct {
-	label string
-	gs    []Gauge
-}
+// GaugeFamily is a family of gauges labeled by a small integer.
+type GaugeFamily family[Gauge]
 
 // At returns the gauge of label value i (nil when out of range or the
 // family is nil, keeping call sites branch-free).
-func (f *GaugeFamily) At(i int) *Gauge {
-	if f == nil || i < 0 || i >= len(f.gs) {
-		return nil
-	}
-	return &f.gs[i]
-}
+func (f *GaugeFamily) At(i int) *Gauge { return (*family[Gauge])(f).at(i) }
 
 // Len returns the family size.
-func (f *GaugeFamily) Len() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.gs)
-}
+func (f *GaugeFamily) Len() int { return len((*family[Gauge])(f).list()) }
 
 // Sum totals the family's gauges.
 func (f *GaugeFamily) Sum() int64 {
-	if f == nil {
-		return 0
-	}
 	var s int64
-	for i := range f.gs {
-		s += f.gs[i].Value()
+	for _, g := range (*family[Gauge])(f).list() {
+		s += g.Value()
 	}
 	return s
 }
 
-// HistogramFamily is a fixed-size family of histograms labeled by a
-// small integer.
-type HistogramFamily struct {
-	label string
-	hs    []*Histogram
-}
+// HistogramFamily is a family of histograms labeled by a small integer.
+type HistogramFamily family[Histogram]
 
-// At returns the histogram of label value i (nil when out of range).
-func (f *HistogramFamily) At(i int) *Histogram {
-	if f == nil || i < 0 || i >= len(f.hs) {
-		return nil
-	}
-	return f.hs[i]
-}
+// At returns the histogram of label value i (nil when out of range or
+// the family is nil).
+func (f *HistogramFamily) At(i int) *Histogram { return (*family[Histogram])(f).at(i) }
 
 // Len returns the family size.
-func (f *HistogramFamily) Len() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.hs)
-}
+func (f *HistogramFamily) Len() int { return len((*family[Histogram])(f).list()) }
 
 // Count totals the family's observation counts.
 func (f *HistogramFamily) Count() uint64 {
-	if f == nil {
-		return 0
-	}
 	var s uint64
-	for _, h := range f.hs {
+	for _, h := range (*family[Histogram])(f).list() {
 		s += h.Count()
 	}
 	return s
@@ -472,9 +471,9 @@ type Registry struct {
 	cs    map[string]*Counter
 	gs    map[string]*Gauge
 	hs    map[string]*Histogram
-	cfams map[string]*CounterFamily
-	gfams map[string]*GaugeFamily
-	hfams map[string]*HistogramFamily
+	cfams map[string]*family[Counter]
+	gfams map[string]*family[Gauge]
+	hfams map[string]*family[Histogram]
 }
 
 // NewRegistry returns an empty registry.
@@ -483,10 +482,33 @@ func NewRegistry() *Registry {
 		cs:    make(map[string]*Counter),
 		gs:    make(map[string]*Gauge),
 		hs:    make(map[string]*Histogram),
-		cfams: make(map[string]*CounterFamily),
-		gfams: make(map[string]*GaugeFamily),
-		hfams: make(map[string]*HistogramFamily),
+		cfams: make(map[string]*family[Counter]),
+		gfams: make(map[string]*family[Gauge]),
+		hfams: make(map[string]*family[Histogram]),
 	}
+}
+
+// lookup is the registry's one get-or-create: the metric named name in
+// m, made by mk on first use.
+func lookup[M any](r *Registry, m map[string]*M, name string, mk func() *M) *M {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := m[name]
+	if !ok {
+		v = mk()
+		m[name] = v
+	}
+	return v
+}
+
+// lookupFamily resolves the named family — created labeled label, its
+// members made by newM — and grows it to at least n members.
+func lookupFamily[M any](r *Registry, m map[string]*family[M], name, label string, n int, newM func() *M) *family[M] {
+	f := lookup(r, m, name, func() *family[M] { return &family[M]{label: label, newM: newM} })
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f.grow(n)
+	return f
 }
 
 // Counter returns the named counter, creating it on first use. A nil
@@ -495,14 +517,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.cs[name]
-	if !ok {
-		c = &Counter{}
-		r.cs[name] = c
-	}
-	return c
+	return lookup(r, r.cs, name, newZero[Counter])
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -510,14 +525,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gs[name]
-	if !ok {
-		g = &Gauge{}
-		r.gs[name] = g
-	}
-	return g
+	return lookup(r, r.gs, name, newZero[Gauge])
 }
 
 // Histogram returns the named histogram, creating it with the given
@@ -527,79 +535,44 @@ func (r *Registry) Histogram(name string, bounds ...time.Duration) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hs[name]
-	if !ok {
-		h = newHistogram(bounds)
-		r.hs[name] = h
-	}
-	return h
+	return lookup(r, r.hs, name, func() *Histogram { return newHistogram(bounds) })
 }
 
-// CounterFamily returns the named counter family of n members labeled
-// label+index, creating it on first use. Later calls ignore label and
-// n; asking for a larger n than the existing family panics, since a
-// too-small family would silently drop per-disk counts.
+// CounterFamily returns the named counter family labeled label+index,
+// creating it on first use and growing it in place to at least n
+// members. Later calls ignore label.
 func (r *Registry) CounterFamily(name, label string, n int) *CounterFamily {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f, ok := r.cfams[name]
-	if !ok {
-		f = &CounterFamily{label: label, cs: make([]Counter, n)}
-		r.cfams[name] = f
-	} else if n > len(f.cs) {
-		panic(fmt.Sprintf("obs: counter family %q has %d members; %d requested", name, len(f.cs), n))
-	}
-	return f
+	return (*CounterFamily)(lookupFamily(r, r.cfams, name, label, n, newZero[Counter]))
 }
 
-// GaugeFamily returns the named gauge family of n members labeled
-// label+index, creating it on first use. Later calls ignore label and
-// n; asking for a larger n than the existing family panics, since a
-// too-small family would silently drop per-node values.
+// GaugeFamily returns the named gauge family labeled label+index,
+// creating it on first use and growing it in place to at least n
+// members. Later calls ignore label.
 func (r *Registry) GaugeFamily(name, label string, n int) *GaugeFamily {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f, ok := r.gfams[name]
-	if !ok {
-		f = &GaugeFamily{label: label, gs: make([]Gauge, n)}
-		r.gfams[name] = f
-	} else if n > len(f.gs) {
-		panic(fmt.Sprintf("obs: gauge family %q has %d members; %d requested", name, len(f.gs), n))
-	}
-	return f
+	return (*GaugeFamily)(lookupFamily(r, r.gfams, name, label, n, newZero[Gauge]))
 }
 
-// HistogramFamily returns the named histogram family of n members,
-// creating it on first use with the given bounds.
+// HistogramFamily returns the named histogram family labeled
+// label+index, creating it on first use and growing it in place to at
+// least n members. Every member gets the bounds of the creating call.
 func (r *Registry) HistogramFamily(name, label string, n int, bounds ...time.Duration) *HistogramFamily {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f, ok := r.hfams[name]
-	if !ok {
-		f = &HistogramFamily{label: label, hs: make([]*Histogram, n)}
-		for i := range f.hs {
-			f.hs[i] = newHistogram(bounds)
-		}
-		r.hfams[name] = f
-	} else if n > len(f.hs) {
-		panic(fmt.Sprintf("obs: histogram family %q has %d members; %d requested", name, len(f.hs), n))
-	}
-	return f
+	newM := func() *Histogram { return newHistogram(bounds) }
+	return (*HistogramFamily)(lookupFamily(r, r.hfams, name, label, n, newM))
 }
 
-// names returns the sorted metric names of one kind, for deterministic
-// dumps.
+func newZero[M any]() *M { return new(M) }
+
+// sortedKeys returns the sorted metric names of one kind, for
+// deterministic dumps.
 func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -186,31 +188,95 @@ func TestCounterFamily(t *testing.T) {
 	if f.Sum() != 3 {
 		t.Errorf("Sum = %d, want 3", f.Sum())
 	}
-	if r.CounterFamily("fam", "ignored", 2) != f {
-		t.Error("get-or-create returned a different family")
+	if r.CounterFamily("fam", "ignored", 2) != f || f.Len() != 4 {
+		t.Error("get-or-create returned a different family or shrank it")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("growing a family did not panic")
-		}
-	}()
-	r.CounterFamily("fam", "disk", 8)
+
+	// Growing extends in place: the family, and every handle resolved
+	// before the growth, stay live.
+	early := f.At(3)
+	if g := r.CounterFamily("fam", "ignored", 6); g != f || f.Len() != 6 {
+		t.Fatalf("grown family: same %v, Len %d; want the same family, 6 members", g == f, f.Len())
+	}
+	early.Inc()
+	f.At(5).Add(7)
+	if f.At(3).Value() != 2 || f.Sum() != 11 {
+		t.Errorf("after growth: member 3 = %d, Sum = %d; want 2, 11", f.At(3).Value(), f.Sum())
+	}
+	var buf bytes.Buffer
+	if err := r.WriteTable(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := "disk0=2 disk1=0 disk2=0 disk3=2 disk4=0 disk5=7 (sum=11)"; !strings.Contains(buf.String(), want) {
+		t.Errorf("dump missing %q:\n%s", want, buf.String())
+	}
 }
 
 func TestHistogramFamily(t *testing.T) {
 	r := NewRegistry()
 	f := r.HistogramFamily("hfam", "disk", 2)
-	f.At(1).Observe(time.Millisecond)
+	early := f.At(1)
+	early.Observe(time.Millisecond)
 	f.At(9).Observe(time.Millisecond) // out of range: no-op
 	if f.Count() != 1 || f.Len() != 2 {
 		t.Errorf("Count/Len = %d/%d", f.Count(), f.Len())
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("growing a histogram family did not panic")
-		}
-	}()
-	r.HistogramFamily("hfam", "disk", 3)
+	if g := r.HistogramFamily("hfam", "disk", 3); g != f || f.Len() != 3 {
+		t.Fatalf("grown family: same %v, Len %d; want the same family, 3 members", g == f, f.Len())
+	}
+	early.Observe(2 * time.Millisecond)
+	f.At(2).Observe(time.Millisecond)
+	if f.At(1).Count() != 2 || f.Count() != 3 {
+		t.Errorf("after growth: member 1 count %d, family count %d; want 2, 3", f.At(1).Count(), f.Count())
+	}
+	var buf bytes.Buffer
+	if err := r.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := "histogram_family,hfam,disk2,count,1\n"; !strings.Contains(buf.String(), want) {
+		t.Errorf("dump missing %q:\n%s", want, buf.String())
+	}
+}
+
+// TestFamilyGrowthRace grows families while goroutines hammer the
+// members they resolved through At: under -race this is the test that
+// growth only publishes, never moves, a member — and no increment made
+// before, during or after a growth is lost.
+func TestFamilyGrowthRace(t *testing.T) {
+	r := NewRegistry()
+	const workers, per, width = 4, 2000, 64
+	cf := r.CounterFamily("c", "node", 1)
+	hf := r.HistogramFamily("h", "node", 1)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				cf.At(0).Inc()
+				hf.At(0).Observe(time.Microsecond)
+				cf.At(1 + i%(width-1)).Inc() // nil until grown that far: a no-op
+				_ = hf.Len()
+			}
+		}()
+	}
+	for n := 2; n <= width; n++ {
+		r.CounterFamily("c", "node", n)
+		r.HistogramFamily("h", "node", n)
+	}
+	wg.Wait()
+	if cf.Len() != width || hf.Len() != width {
+		t.Fatalf("Len = %d/%d, want %d", cf.Len(), hf.Len(), width)
+	}
+	if got := cf.At(0).Value(); got != workers*per {
+		t.Errorf("member 0 = %d, want %d: increments were lost across a growth", got, workers*per)
+	}
+	if rest := cf.Sum() - cf.At(0).Value(); rest > workers*per {
+		t.Errorf("members 1.. hold %d, more than the %d increments aimed at them", rest, workers*per)
+	}
+	if got := hf.At(0).Count(); got != workers*per {
+		t.Errorf("histogram member 0 count = %d, want %d", got, workers*per)
+	}
 }
 
 func TestRegistryGetOrCreate(t *testing.T) {

@@ -35,23 +35,23 @@ func (r *Registry) WriteTable(w io.Writer) error {
 	}
 	for _, name := range sortedKeys(r.cfams) {
 		f := r.cfams[name]
-		parts := make([]string, len(f.cs))
-		for i := range f.cs {
-			parts[i] = fmt.Sprintf("%s%d=%d", f.label, i, f.cs[i].Value())
+		var parts []string
+		for i, c := range f.list() {
+			parts = append(parts, fmt.Sprintf("%s%d=%d", f.label, i, c.Value()))
 		}
-		tw.printf("%-44s %s (sum=%d)\n", name, strings.Join(parts, " "), f.Sum())
+		tw.printf("%-44s %s (sum=%d)\n", name, strings.Join(parts, " "), (*CounterFamily)(f).Sum())
 	}
 	for _, name := range sortedKeys(r.gfams) {
 		f := r.gfams[name]
-		parts := make([]string, len(f.gs))
-		for i := range f.gs {
-			parts[i] = fmt.Sprintf("%s%d=%d", f.label, i, f.gs[i].Value())
+		var parts []string
+		for i, g := range f.list() {
+			parts = append(parts, fmt.Sprintf("%s%d=%d", f.label, i, g.Value()))
 		}
-		tw.printf("%-44s %s (sum=%d)\n", name, strings.Join(parts, " "), f.Sum())
+		tw.printf("%-44s %s (sum=%d)\n", name, strings.Join(parts, " "), (*GaugeFamily)(f).Sum())
 	}
 	for _, name := range sortedKeys(r.hfams) {
 		f := r.hfams[name]
-		for i, h := range f.hs {
+		for i, h := range f.list() {
 			tw.printf("%-44s count=%d p50=%s p99=%s max=%s\n",
 				fmt.Sprintf("%s{%s%d}", name, f.label, i),
 				h.Count(), fmtDur(h.Percentile(50)), fmtDur(h.Percentile(99)), fmtDur(h.Max()))
@@ -88,19 +88,19 @@ func (r *Registry) WriteCSV(w io.Writer) error {
 	}
 	for _, name := range sortedKeys(r.cfams) {
 		f := r.cfams[name]
-		for i := range f.cs {
-			tw.printf("counter_family,%s,%s%d,value,%d\n", name, f.label, i, f.cs[i].Value())
+		for i, c := range f.list() {
+			tw.printf("counter_family,%s,%s%d,value,%d\n", name, f.label, i, c.Value())
 		}
 	}
 	for _, name := range sortedKeys(r.gfams) {
 		f := r.gfams[name]
-		for i := range f.gs {
-			tw.printf("gauge_family,%s,%s%d,value,%d\n", name, f.label, i, f.gs[i].Value())
+		for i, g := range f.list() {
+			tw.printf("gauge_family,%s,%s%d,value,%d\n", name, f.label, i, g.Value())
 		}
 	}
 	for _, name := range sortedKeys(r.hfams) {
 		f := r.hfams[name]
-		for i, h := range f.hs {
+		for i, h := range f.list() {
 			tw.printf("histogram_family,%s,%s%d,count,%d\n", name, f.label, i, h.Count())
 			tw.printf("histogram_family,%s,%s%d,p99_ns,%d\n", name, f.label, i, int64(h.Percentile(99)))
 		}

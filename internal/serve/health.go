@@ -123,9 +123,14 @@ type diskTracker struct {
 	trips      uint64
 }
 
-// health tracks per-disk EWMA latency and error rate and drives one
-// circuit breaker per disk. All methods are safe for concurrent use.
-type health struct {
+// Breakers tracks per-endpoint EWMA latency and error rate and drives
+// one circuit breaker per endpoint: the scheduler breaks per disk, and
+// the cluster router holds the same type to break per *node*, so both
+// share one state machine (EWMA latency, consecutive-error trips,
+// cooldown, half-open probes). Endpoints are indexed 0..n-1; what an
+// endpoint is, is the caller's business. All methods are safe for
+// concurrent use.
+type Breakers struct {
 	cfg   BreakerConfig
 	disks []*diskTracker
 	trips atomic.Uint64
@@ -134,21 +139,38 @@ type health struct {
 	opened, halfOpened, reclosed *obs.Counter
 }
 
-// attachObs installs the breaker transition counters.
-func (h *health) attachObs(opened, halfOpened, reclosed *obs.Counter) {
-	h.opened, h.halfOpened, h.reclosed = opened, halfOpened, reclosed
-}
-
-func newHealth(cfg BreakerConfig, disks int) (*health, error) {
+// NewBreakers builds a breaker set over n endpoints. The zero
+// BreakerConfig selects the documented defaults.
+func NewBreakers(cfg BreakerConfig, n int) (*Breakers, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	h := &health{cfg: cfg, disks: make([]*diskTracker, disks)}
+	h := &Breakers{cfg: cfg, disks: make([]*diskTracker, n)}
 	for d := range h.disks {
 		h.disks[d] = &diskTracker{}
 	}
 	return h, nil
+}
+
+// attachObs installs the breaker transition counters.
+func (h *Breakers) attachObs(opened, halfOpened, reclosed *obs.Counter) {
+	h.opened, h.halfOpened, h.reclosed = opened, halfOpened, reclosed
+}
+
+// AttachObserver registers the set's state-transition counters under
+// the given metric name prefix (e.g. "cluster.node.breaker") in the
+// sink's registry:
+//
+//	<prefix>.opened  <prefix>.halfopened  <prefix>.closed
+//
+// A nil sink is a no-op. Call before traffic starts.
+func (h *Breakers) AttachObserver(s *obs.Sink, prefix string) {
+	if s == nil {
+		return
+	}
+	r := s.Registry()
+	h.attachObs(r.Counter(prefix+".opened"), r.Counter(prefix+".halfopened"), r.Counter(prefix+".closed"))
 }
 
 // observable reports whether err should count against the disk's
@@ -164,9 +186,10 @@ func observable(err error) bool {
 	return true
 }
 
-// Observe records the outcome of one read against disk d and advances
-// that disk's breaker state machine.
-func (h *health) Observe(d int, lat time.Duration, err error) {
+// Observe records the outcome of one call against endpoint d and
+// advances its breaker state machine. Context cancellations are not
+// counted (see observable).
+func (h *Breakers) Observe(d int, lat time.Duration, err error) {
 	if d < 0 || d >= len(h.disks) || !observable(err) {
 		return
 	}
@@ -228,7 +251,7 @@ func (t *diskTracker) setState(s BreakerState) {
 func (t *diskTracker) latency() float64 { return math.Float64frombits(t.ewma.Load()) }
 
 // tripLocked opens the breaker of t.
-func (h *health) tripLocked(t *diskTracker) {
+func (h *Breakers) tripLocked(t *diskTracker) {
 	t.setState(BreakerOpen)
 	t.openedAt = time.Now()
 	t.probes = 0
@@ -238,7 +261,7 @@ func (h *health) tripLocked(t *diskTracker) {
 }
 
 // tickLocked advances open → half-open once the cooldown elapses.
-func (h *health) tickLocked(t *diskTracker) {
+func (h *Breakers) tickLocked(t *diskTracker) {
 	if t.state == BreakerOpen && time.Since(t.openedAt) >= h.cfg.Cooldown {
 		t.setState(BreakerHalfOpen)
 		t.probes = 0
@@ -251,7 +274,7 @@ func (h *health) tickLocked(t *diskTracker) {
 // (hedges): open disks may not, half-open and closed disks may. A closed
 // breaker — the healthy case, asked on every hedged read — answers from
 // one atomic load; only a closed breaker has no clock to tick.
-func (h *health) Allow(d int) bool {
+func (h *Breakers) Allow(d int) bool {
 	if d < 0 || d >= len(h.disks) {
 		return false
 	}
@@ -265,10 +288,10 @@ func (h *health) Allow(d int) bool {
 	return t.state != BreakerOpen
 }
 
-// OpenDisks lists the disks whose breaker is currently open — the set
+// Open lists the endpoints whose breaker is currently open — the set
 // the executor's router proactively avoids. Half-open disks are not
 // listed: their probe traffic is how they prove recovery.
-func (h *health) OpenDisks() []int {
+func (h *Breakers) Open() []int {
 	var out []int
 	for d, t := range h.disks {
 		t.mu.Lock()
@@ -282,11 +305,11 @@ func (h *health) OpenDisks() []int {
 }
 
 // Trips returns the total breaker trips across all disks.
-func (h *health) Trips() uint64 { return h.trips.Load() }
+func (h *Breakers) Trips() uint64 { return h.trips.Load() }
 
 // EWMALatency returns disk d's smoothed observed latency (zero before
 // any sample, and freshly zeroed when a breaker recloses).
-func (h *health) EWMALatency(d int) time.Duration {
+func (h *Breakers) EWMALatency(d int) time.Duration {
 	if d < 0 || d >= len(h.disks) {
 		return 0
 	}
@@ -294,7 +317,7 @@ func (h *health) EWMALatency(d int) time.Duration {
 }
 
 // Snapshot copies every disk's health.
-func (h *health) Snapshot() []DiskHealth {
+func (h *Breakers) Snapshot() []DiskHealth {
 	out := make([]DiskHealth, len(h.disks))
 	for d, t := range h.disks {
 		t.mu.Lock()

@@ -10,7 +10,7 @@ import (
 
 // Allow and EWMALatency answer from atomics that Observe and the
 // cooldown tick keep in step with the locked state. Hammer them, with
-// Snapshot and OpenDisks, against a driver that walks one breaker
+// Snapshot and Open, against a driver that walks one breaker
 // through trip → cooldown → half-open → reclose over and over: under
 // -race this is the test that the lock-free reads are reads of atomics,
 // and at every quiet point of the cycle the two views must agree.
@@ -22,7 +22,7 @@ func TestHealthLockFreeReadsThroughBreakerCycle(t *testing.T) {
 		slow      = 5 * time.Millisecond
 		fast      = 50 * time.Microsecond
 	)
-	h, err := newHealth(BreakerConfig{ErrorThreshold: threshold, Cooldown: 200 * time.Microsecond, HalfOpenProbes: probes}, 2)
+	h, err := NewBreakers(BreakerConfig{ErrorThreshold: threshold, Cooldown: 200 * time.Microsecond, HalfOpenProbes: probes}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestHealthLockFreeReadsThroughBreakerCycle(t *testing.T) {
 					t.Error("Allow refused a disk whose breaker never tripped")
 					return
 				}
-				if !h.Allow(0) || h.EWMALatency(0) != 0 || len(h.OpenDisks()) > 1 {
+				if !h.Allow(0) || h.EWMALatency(0) != 0 || len(h.Open()) > 1 {
 					t.Error("the untouched disk 0 was disturbed")
 					return
 				}

@@ -61,11 +61,8 @@ func newServeMetrics(r *obs.Registry) serveMetrics {
 }
 
 // attachNodeMetrics resolves this scheduler's slots in the shared
-// per-node families. The family is sized nodes wide on first
-// registration, so the first caller must pass the largest node ID the
-// process will ever host (standbys included) — obs families refuse to
-// grow.
-func (m *serveMetrics) attachNodeMetrics(r *obs.Registry, node, nodes int) {
-	m.nodeQueueDepth = r.GaugeFamily("serve.node.queue.depth", "node", nodes).At(node)
-	m.nodeShed = r.CounterFamily("serve.node.shed", "node", nodes).At(node)
+// per-node families, growing them to cover node.
+func (m *serveMetrics) attachNodeMetrics(r *obs.Registry, node int) {
+	m.nodeQueueDepth = r.GaugeFamily("serve.node.queue.depth", "node", node+1).At(node)
+	m.nodeShed = r.CounterFamily("serve.node.shed", "node", node+1).At(node)
 }

@@ -168,7 +168,7 @@ type Scheduler struct {
 	ex     *exec.Executor
 	rep    *replica.Replicated
 	inj    *fault.Injector
-	health *health
+	health *Breakers
 	hedge  HedgeConfig
 	adm    AdmissionConfig
 	drain  time.Duration
@@ -209,7 +209,6 @@ type config struct {
 	wraps       []func(exec.BucketReader) exec.BucketReader
 	obs         *obs.Sink
 	node        int
-	nodeCount   int
 	nodeSet     bool
 }
 
@@ -288,12 +287,9 @@ func WithObserver(s *obs.Sink) Option { return func(c *config) { c.obs = s } }
 // serve.node.queue.depth and serve.node.shed at slot node, so a
 // process hosting many schedulers (a cluster harness, a multi-node
 // sim) exposes live per-node backpressure — the signal the autopilot
-// controller scales on. nodes sizes the families and must be the
-// largest member count the process will ever host (standbys included):
-// obs families are fixed-size and refuse to grow. Requires
-// WithObserver; no-op without it.
-func WithNodeMetrics(node, nodes int) Option {
-	return func(c *config) { c.node, c.nodeCount, c.nodeSet = node, nodes, true }
+// controller scales on. Requires WithObserver; no-op without it.
+func WithNodeMetrics(node int) Option {
+	return func(c *config) { c.node, c.nodeSet = node, true }
 }
 
 // New builds a scheduler over the grid file.
@@ -321,7 +317,7 @@ func New(f *gridfile.File, opts ...Option) (*Scheduler, error) {
 	case c.drain == 0:
 		c.drain = 5 * time.Second
 	}
-	h, err := newHealth(c.brk, f.Disks())
+	h, err := NewBreakers(c.brk, f.Disks())
 	if err != nil {
 		return nil, err
 	}
@@ -339,10 +335,10 @@ func New(f *gridfile.File, opts ...Option) (*Scheduler, error) {
 		s.metrics = newServeMetrics(c.obs.Registry())
 		h.attachObs(s.metrics.breakerOpened, s.metrics.breakerHalfOpened, s.metrics.breakerClosed)
 		if c.nodeSet {
-			if c.node < 0 || c.node >= c.nodeCount {
-				return nil, fmt.Errorf("serve: node metrics slot %d outside family size %d", c.node, c.nodeCount)
+			if c.node < 0 {
+				return nil, fmt.Errorf("serve: negative node metrics slot %d", c.node)
 			}
-			s.metrics.attachNodeMetrics(c.obs.Registry(), c.node, c.nodeCount)
+			s.metrics.attachNodeMetrics(c.obs.Registry(), c.node)
 		}
 	}
 
@@ -367,7 +363,7 @@ func New(f *gridfile.File, opts ...Option) (*Scheduler, error) {
 	}
 	execOpts := []exec.Option{
 		exec.WithBucketReader(reader),
-		exec.WithAvoid(s.health.OpenDisks),
+		exec.WithAvoid(s.health.Open),
 	}
 	// User wrappers first, then the scheduler's observation/hedging
 	// wrapper: exec applies later wrappers outermost, so servedReader

@@ -598,7 +598,7 @@ func TestOpenBreakerStillBacksUpFailedPrimary(t *testing.T) {
 // cooldown → half-open → HalfOpenProbes fast reads like an error trip.
 func TestBreakerLatencyTrip(t *testing.T) {
 	const slow, fast = 10 * time.Millisecond, 100 * time.Microsecond
-	h, err := newHealth(BreakerConfig{
+	h, err := NewBreakers(BreakerConfig{
 		ErrorThreshold:   -1,
 		LatencyThreshold: time.Millisecond,
 		MinSamples:       4,
