@@ -702,7 +702,7 @@ func runSub[R any](ctx context.Context, rt *Router, op legOp[R], sq SubQuery, sm
 		}
 		node := rt.pickNode(candidates, attempt)
 		backup, after := rt.hedgeCandidate(candidates, node)
-		resp, winner, hedged, err := racer.Race(ctx, after, node, backup, leg, preferLegError)
+		resp, winner, hedged, err := racer.Race(ctx, hedge.Now(), after, node, backup, leg, preferLegError)
 		if hedged {
 			o.hedges++
 		}

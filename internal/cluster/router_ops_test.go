@@ -304,7 +304,10 @@ func TestDoublyFailedAttemptPrefersLegError(t *testing.T) {
 			}
 			return nil, tc.backup
 		}
-		if _, _, _, err := hedge.Race(context.Background(), time.Hour, 0, 1, leg, preferLegError); err != tc.want {
+		var r hedge.Racer[*recordPage]
+		_, _, _, err := r.Race(context.Background(), hedge.Now(), time.Hour, 0, 1, leg, preferLegError)
+		r.Release()
+		if err != tc.want {
 			t.Errorf("primary %v, backup %v: reported %v, want %v", tc.primary, tc.backup, err, tc.want)
 		}
 	}

@@ -419,7 +419,9 @@ func (w *nullResponse) Write(p []byte) (int, error) {
 // (~28k records) may cost at most perRecordSlack objects more than a
 // 6×6 one (~440 records) over the same four legs — as JSON the
 // difference was ≈ 57k. The absolute figures are the 6×6 measurements
-// plus 10 %.
+// plus 10 %: 35 and 248 when they were set, 36 and 252 since each node
+// query's bucket reader carries a per-disk stamp chain (one object per
+// node query, four legs per search).
 const (
 	perRecordSlack     = 64
 	nodeQueryBudget    = 38

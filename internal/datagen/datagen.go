@@ -207,7 +207,7 @@ func Cell(g *grid.Grid, r Record) (grid.Coord, error) {
 	}
 	c := make(grid.Coord, g.K())
 	for i, v := range r.Values {
-		if v < 0 || v >= 1 {
+		if !(v >= 0 && v < 1) { // in this form NaN fails too
 			return nil, fmt.Errorf("datagen: attribute %d value %v outside [0,1)", i, v)
 		}
 		c[i] = int(v * float64(g.Dim(i)))

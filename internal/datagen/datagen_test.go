@@ -176,6 +176,15 @@ func TestCellErrors(t *testing.T) {
 	if _, err := Cell(g, Record{Values: []float64{-0.1, 0.5}}); err == nil {
 		t.Error("negative value accepted")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for pos := 0; pos < 2; pos++ {
+			values := []float64{0.5, 0.5}
+			values[pos] = v
+			if _, err := Cell(g, Record{Values: values}); err == nil {
+				t.Errorf("value %v accepted on attribute %d", v, pos)
+			}
+		}
+	}
 }
 
 func TestCellCoversAllPartitions(t *testing.T) {

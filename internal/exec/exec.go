@@ -32,6 +32,7 @@ import (
 	"decluster/internal/fault"
 	"decluster/internal/grid"
 	"decluster/internal/gridfile"
+	"decluster/internal/hedge"
 	"decluster/internal/obs"
 	"decluster/internal/replica"
 )
@@ -176,6 +177,12 @@ type readTally struct {
 	calls, callsOK, callsErr, cancelled uint64
 	attempts, attemptsOK, attemptsErr   uint64
 	retried                             uint64
+	// stamp is where the worker's next timed attempt starts: the
+	// hedge.Now stamp its last clean attempt ended at, or 0 to take a
+	// fresh one (first attempt, or after an error and its backoff). One
+	// clock read per attempt, and the worker's loop between two reads
+	// counts toward the second.
+	stamp int64
 }
 
 // flush folds one worker's tally into the shared counters: eight
@@ -717,14 +724,20 @@ func (e *Executor) readWithRetry(ctx context.Context, reader BucketReader, dsp *
 			asp = dsp.Child(fmt.Sprintf("read b%d attempt %d", bucket, attempt))
 			rctx = obs.ContextWithSpan(ctx, asp)
 		}
-		var start time.Time
 		if t != nil {
-			start = time.Now()
+			if t.stamp == 0 {
+				t.stamp = hedge.Now()
+			}
 			t.attempts++
 		}
 		recs, err := reader.ReadBucket(rctx, disk, bucket)
 		if t != nil {
-			lat.Observe(time.Since(start))
+			end := hedge.Now()
+			lat.Observe(time.Duration(end - t.stamp))
+			t.stamp = 0 // an error's backoff is not read time
+			if err == nil {
+				t.stamp = end
+			}
 		}
 		if err == nil {
 			asp.Finish()
@@ -755,29 +768,15 @@ func (e *Executor) readWithRetry(ctx context.Context, reader BucketReader, dsp *
 }
 
 // RangeSearchValues runs RangeSearch over the cell rectangle covering
-// the inclusive value bounds and filters records to them, mirroring
-// gridfile.RangeSearch but concurrent.
+// the inclusive value bounds under the file's partition boundaries and
+// filters records to them, mirroring gridfile.RangeSearch but
+// concurrent.
 func (e *Executor) RangeSearchValues(ctx context.Context, lo, hi []float64) (*Result, error) {
-	g := e.file.Grid()
-	if len(lo) != g.K() || len(hi) != g.K() {
-		return nil, fmt.Errorf("exec: bounds arity %d/%d for %d-attribute grid", len(lo), len(hi), g.K())
+	r, err := e.file.ValueRect(lo, hi)
+	if err != nil {
+		return nil, err
 	}
-	rl := make(grid.Coord, g.K())
-	rh := make(grid.Coord, g.K())
-	for i := range lo {
-		if lo[i] > hi[i] || lo[i] < 0 || hi[i] >= 1 {
-			return nil, fmt.Errorf("exec: invalid bounds [%v, %v] on attribute %d", lo[i], hi[i], i)
-		}
-		rl[i] = int(lo[i] * float64(g.Dim(i)))
-		rh[i] = int(hi[i] * float64(g.Dim(i)))
-		if rl[i] >= g.Dim(i) {
-			rl[i] = g.Dim(i) - 1
-		}
-		if rh[i] >= g.Dim(i) {
-			rh[i] = g.Dim(i) - 1
-		}
-	}
-	res, err := e.RangeSearch(ctx, grid.Rect{Lo: rl, Hi: rh})
+	res, err := e.RangeSearch(ctx, r)
 	if err != nil {
 		return nil, err
 	}

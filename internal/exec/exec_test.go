@@ -2,12 +2,14 @@ package exec
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"decluster/internal/alloc"
 	"decluster/internal/datagen"
 	"decluster/internal/grid"
 	"decluster/internal/gridfile"
+	"decluster/internal/partition"
 )
 
 func newLoadedFile(t *testing.T, disks, records int) *gridfile.File {
@@ -169,6 +171,59 @@ func TestRangeSearchValuesFilters(t *testing.T) {
 	}
 }
 
+// On a file with equi-depth boundaries a value is not in cell ⌊v·d⌋: the
+// concurrent value search must map bounds with the file's own geometry,
+// or it reads the wrong buckets and silently drops records. Brute force
+// over the inserted records is the oracle.
+func TestRangeSearchValuesHonoursBoundaries(t *testing.T) {
+	g := grid.MustNew(4, 4)
+	m, err := alloc.NewHCAM(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := datagen.Zipf{K: 2, Seed: 1, S: 2}.Generate(2000)
+	sample := make([][]float64, len(recs))
+	for i, r := range recs {
+		sample[i] = r.Values
+	}
+	bounds, err := partition.EquiDepth(sample, g.Dims())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := gridfile.New(gridfile.Config{Method: m, Boundaries: bounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.InsertAll(recs); err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range [][2]float64{{0.001, 0.02}, {0, 0.1}, {0.05, 0.5}, {0.3, 0.99}} {
+		lo, hi := []float64{q[0], q[0]}, []float64{q[1], q[1]}
+		want := map[int]bool{}
+		for _, r := range recs {
+			if r.Values[0] >= q[0] && r.Values[0] <= q[1] && r.Values[1] >= q[0] && r.Values[1] <= q[1] {
+				want[r.ID] = true
+			}
+		}
+		res, err := e.RangeSearchValues(context.Background(), lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Records) != len(want) {
+			t.Fatalf("[%v, %v]²: RangeSearchValues returned %d records, brute force %d", q[0], q[1], len(res.Records), len(want))
+		}
+		for _, r := range res.Records {
+			if !want[r.ID] {
+				t.Fatalf("[%v, %v]²: record %d returned, brute force excludes it", q[0], q[1], r.ID)
+			}
+		}
+	}
+}
+
 func TestRangeSearchValuesValidation(t *testing.T) {
 	f := newLoadedFile(t, 4, 10)
 	e, _ := New(f)
@@ -178,5 +233,14 @@ func TestRangeSearchValuesValidation(t *testing.T) {
 	}
 	if _, err := e.RangeSearchValues(ctx, []float64{0.9, 0}, []float64{0.1, 0.5}); err == nil {
 		t.Error("inverted bounds accepted")
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for pos := 0; pos < 4; pos++ { // lo[0], lo[1], hi[0], hi[1]
+			bounds := []float64{0.1, 0.1, 0.5, 0.5}
+			bounds[pos] = v
+			if _, err := e.RangeSearchValues(ctx, bounds[:2], bounds[2:]); err == nil {
+				t.Errorf("bound %v accepted at position %d", v, pos)
+			}
+		}
 	}
 }

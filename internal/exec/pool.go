@@ -148,22 +148,29 @@ func (t *diskTask) run() {
 		tally = &t.tally
 		defer qs.m.flush(t.disk, &t.tally)
 	}
+	// The query's cancellation is looked up once: per bucket it is a
+	// receive that does not block, where ctx.Err() would take the
+	// context's mutex, which every worker of the query shares.
 	ctx := qs.ctx
+	done := ctx.Done()
 	if t.useSem {
 		select {
 		case <-qs.sem:
 			defer qs.releaseSem()
-		case <-ctx.Done():
+		case <-done:
 			dsp.FinishErr(ctx.Err())
 			qs.fail(ctx.Err())
 			return
 		}
 	}
 	for _, p := range t.buckets {
-		if err := ctx.Err(); err != nil {
+		select {
+		case <-done:
+			err := ctx.Err()
 			dsp.FinishErr(err)
 			qs.fail(err)
 			return
+		default:
 		}
 		if e.file.BucketLen(p.bucket) == 0 {
 			qs.slots[p.rank] = nil // the grid directory knows the bucket is empty

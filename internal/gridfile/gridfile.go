@@ -100,7 +100,7 @@ func (f *File) BucketOf(values []float64) (int, error) {
 	}
 	b := 0
 	for i, v := range values {
-		if v < 0 || v >= 1 {
+		if !(v >= 0 && v < 1) { // in this form NaN fails too
 			return 0, fmt.Errorf("gridfile: attribute %d value %v outside [0,1)", i, v)
 		}
 		b = b*f.g.Dim(i) + f.cellIndex(i, v)
@@ -301,7 +301,7 @@ func (f *File) CellRangeSearch(r grid.Rect) (*ResultSet, error) {
 // together with the access trace of the buckets read. Buckets are read
 // whole; records are filtered to the exact bounds.
 func (f *File) RangeSearch(lo, hi []float64) (*ResultSet, error) {
-	rect, err := f.valueRect(lo, hi)
+	rect, err := f.ValueRect(lo, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -332,7 +332,7 @@ func (f *File) PartialMatchSearch(vals []float64, specified []bool) (*ResultSet,
 	hi := make(grid.Coord, f.g.K())
 	for i := range vals {
 		if specified[i] {
-			if vals[i] < 0 || vals[i] >= 1 {
+			if !(vals[i] >= 0 && vals[i] < 1) { // in this form NaN fails too
 				return nil, fmt.Errorf("gridfile: attribute %d value %v outside [0,1)", i, vals[i])
 			}
 			p := f.cellIndex(i, vals[i])
@@ -344,9 +344,11 @@ func (f *File) PartialMatchSearch(vals []float64, specified []bool) (*ResultSet,
 	return f.CellRangeSearch(grid.Rect{Lo: lo, Hi: hi})
 }
 
-// valueRect converts inclusive value bounds to the cell rectangle
-// covering them.
-func (f *File) valueRect(lo, hi []float64) (grid.Rect, error) {
+// ValueRect converts inclusive value bounds to the cell rectangle
+// covering them under the file's partition boundaries — exported so a
+// concurrent search (exec) maps values with the file's own geometry
+// instead of re-implementing it.
+func (f *File) ValueRect(lo, hi []float64) (grid.Rect, error) {
 	if len(lo) != f.g.K() || len(hi) != f.g.K() {
 		return grid.Rect{}, fmt.Errorf("gridfile: bounds arity %d/%d for %d-attribute grid",
 			len(lo), len(hi), f.g.K())
@@ -357,7 +359,7 @@ func (f *File) valueRect(lo, hi []float64) (grid.Rect, error) {
 		if lo[i] > hi[i] {
 			return grid.Rect{}, fmt.Errorf("gridfile: bounds inverted on attribute %d: %v > %v", i, lo[i], hi[i])
 		}
-		if lo[i] < 0 || hi[i] >= 1 {
+		if !(lo[i] >= 0 && hi[i] < 1) { // in this form NaN fails too
 			return grid.Rect{}, fmt.Errorf("gridfile: bounds [%v,%v] on attribute %d outside [0,1)", lo[i], hi[i], i)
 		}
 		rl[i] = f.cellIndex(i, lo[i])

@@ -1,6 +1,7 @@
 package gridfile
 
 import (
+	"math"
 	"testing"
 
 	"decluster/internal/alloc"
@@ -59,13 +60,37 @@ func TestInsertAndBucketPlacement(t *testing.T) {
 	}
 }
 
+// nonFiniteRows places NaN, +Inf and -Inf at every position of an
+// otherwise valid k-attribute vector. NaN compares false with
+// everything, so a range check written "v < 0 || v >= 1" lets it
+// through.
+func nonFiniteRows(k int) [][]float64 {
+	var rows [][]float64
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for pos := 0; pos < k; pos++ {
+			row := make([]float64, k)
+			for i := range row {
+				row[i] = 0.5
+			}
+			row[pos] = v
+			rows = append(rows, row)
+		}
+	}
+	return rows
+}
+
 func TestInsertRejectsBadRecord(t *testing.T) {
-	f := newTestFile(t, []int{4, 4}, 2, 2)
+	f := newTestFile(t, []int{8, 8}, 2, 2)
 	if err := f.Insert(datagen.Record{Values: []float64{0.5}}); err == nil {
 		t.Error("wrong arity accepted")
 	}
 	if err := f.Insert(datagen.Record{Values: []float64{1.5, 0.5}}); err == nil {
 		t.Error("out-of-range value accepted")
+	}
+	for _, row := range nonFiniteRows(2) {
+		if err := f.Insert(datagen.Record{Values: row}); err == nil {
+			t.Errorf("value vector %v accepted", row)
+		}
 	}
 	if f.Len() != 0 {
 		t.Error("failed insert counted")
@@ -194,6 +219,11 @@ func TestRangeSearchBoundsValidation(t *testing.T) {
 	if _, err := f.RangeSearch([]float64{0, 0}, []float64{1.0, 0.5}); err == nil {
 		t.Error("bound ≥ 1 accepted")
 	}
+	for _, row := range nonFiniteRows(4) { // lo[0], lo[1], hi[0], hi[1]
+		if _, err := f.RangeSearch(row[:2], row[2:]); err == nil {
+			t.Errorf("bounds %v..%v accepted", row[:2], row[2:])
+		}
+	}
 }
 
 func TestPartialMatchSearch(t *testing.T) {
@@ -232,6 +262,11 @@ func TestPartialMatchValidation(t *testing.T) {
 	if _, err := f.PartialMatchSearch([]float64{1.5, 0}, []bool{true, false}); err == nil {
 		t.Error("out-of-range specified value accepted")
 	}
+	for _, row := range nonFiniteRows(2) {
+		if _, err := f.PartialMatchSearch(row, []bool{true, true}); err == nil {
+			t.Errorf("specified values %v accepted", row)
+		}
+	}
 }
 
 func TestDelete(t *testing.T) {
@@ -268,6 +303,11 @@ func TestDelete(t *testing.T) {
 	// Bad values rejected.
 	if _, err := f.Delete(datagen.Record{ID: 9, Values: []float64{2, 0}}); err == nil {
 		t.Error("out-of-range delete accepted")
+	}
+	for _, row := range nonFiniteRows(2) {
+		if _, err := f.Delete(datagen.Record{ID: 1, Values: row}); err == nil {
+			t.Errorf("delete of %v accepted", row)
+		}
 	}
 }
 
@@ -335,5 +375,10 @@ func TestBucketOfIsRowMajorCell(t *testing.T) {
 	}
 	if _, err := f.BucketOf([]float64{0.5, 1}); err == nil {
 		t.Error("out-of-range value accepted")
+	}
+	for _, row := range nonFiniteRows(2) {
+		if _, err := f.BucketOf(row); err == nil {
+			t.Errorf("value vector %v accepted", row)
+		}
 	}
 }

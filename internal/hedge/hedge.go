@@ -27,11 +27,11 @@ func Worth(after, primary, backup time.Duration) bool {
 	return backup <= after || after+2*backup < primary
 }
 
-// Racer runs hedged races one after another: the race of
-// [Race], without that function's per-read context, timer and result
-// holder. A bucket read or node call that answers inside the delay —
-// nearly all of them — costs a clock read, an atomic store and a
-// compare-and-swap, because everything a race needs outlives it:
+// Racer runs hedged races one after another, without a per-race
+// context, timer or result holder. A bucket read or node call that
+// answers inside the delay — nearly all of them — costs an atomic store
+// and a compare-and-swap and reads no clock (its start stamp is the
+// caller's), because everything a race needs outlives it:
 //
 //   - one watchdog timer serves every race. It is armed lazily and when
 //     it fires it looks at the race in flight: none — it lapses, and the
@@ -98,12 +98,17 @@ const (
 	hedging   = 2
 )
 
-// epoch anchors the stamps: monotonic nanoseconds since the process
-// loaded this package, so a stamp is positive and fits the 62 bits
-// state leaves it for the next century and a half.
+// epoch anchors the stamps.
 var epoch = time.Now()
 
-func now() int64 { return int64(time.Since(epoch)) }
+// Now returns a stamp: monotonic nanoseconds since the process loaded
+// this package, one read of the monotonic clock and none of the wall
+// clock. A stamp is positive and fits the 62 bits a Racer's state word
+// leaves it for the next century and a half. Stamps from this one clock
+// are what [Racer.Race] starts from, and what a caller that times its
+// reads back to back can chain: the end stamp of one read is the start
+// stamp of the next.
+func Now() int64 { return int64(time.Since(epoch)) }
 
 // Race runs leg against primary on the caller's goroutine and, when the
 // primary is still unanswered after the delay, a second leg against
@@ -118,10 +123,16 @@ func now() int64 { return int64(time.Since(epoch)) }
 // cancelled caller gets ctx.Err(). backup < 0 means there is nothing to
 // race: the primary runs inline.
 //
+// start is the [Now] stamp the read began at, and the delay runs from
+// it: a caller that already holds one (the end of its previous read)
+// passes it, and one that does not passes Now(). A stamp already a delay
+// old launches the backup at once. Stamps need not increase from call to
+// call; the Racer moves one that does not just past its previous race's.
+//
 // Legs must return promptly once their context is cancelled. ctx is
 // compared with the previous race's, so its dynamic type must be
 // comparable (every context of the standard library is).
-func (r *Racer[T]) Race(ctx context.Context, after time.Duration, primary, backup int,
+func (r *Racer[T]) Race(ctx context.Context, start int64, after time.Duration, primary, backup int,
 	leg func(ctx context.Context, target int, hedge bool) (T, error),
 	prefer func(cur, next error) error) (val T, winner int, hedged bool, err error) {
 	if backup < 0 {
@@ -144,7 +155,7 @@ func (r *Racer[T]) Race(ctx context.Context, after time.Duration, primary, backu
 		if r.after.Load() != int64(after) {
 			r.after.Store(int64(after))
 		}
-		start := max(now(), r.last+1)
+		start = max(start, r.last+1)
 		r.last = start
 		race := uint64(start)<<phaseBits | reading
 		r.state.Store(race)
@@ -206,7 +217,7 @@ func (r *Racer[T]) watch() {
 		if r.state.Load() != race {
 			continue // after may be a later race's
 		}
-		if due := dueAt(int64(race>>phaseBits), after); due > now() {
+		if due := dueAt(int64(race>>phaseBits), after); due > Now() {
 			r.arm(race, due)
 			return
 		}
@@ -246,7 +257,7 @@ func (r *Racer[T]) arm(race uint64, due int64) {
 	// fireAt before the timer: the fire's own store of zero must come
 	// second, or a spent watchdog would read as pending for good.
 	r.fireAt.Store(due)
-	wait := time.Duration(due - now())
+	wait := time.Duration(due - Now())
 	if r.timer == nil {
 		r.done = make(chan struct{}, 1) // one send per hedged race, received before the next race starts
 		r.timer = time.AfterFunc(wait, r.watch)
@@ -277,17 +288,4 @@ func (r *Racer[T]) Release() {
 	}
 	r.mu.Unlock()
 	r.dropLegCtx()
-}
-
-// Race is one race on a Racer of its own; see [Racer.Race].
-func Race[T any](ctx context.Context, after time.Duration, primary, backup int,
-	leg func(ctx context.Context, target int, hedge bool) (T, error),
-	prefer func(cur, next error) error) (val T, winner int, hedged bool, err error) {
-	if backup < 0 { // before the Racer exists: nothing to race allocates nothing
-		val, err = leg(ctx, primary, false)
-		return val, primary, false, err
-	}
-	r := new(Racer[T])
-	defer r.Release()
-	return r.Race(ctx, after, primary, backup, leg, prefer)
 }

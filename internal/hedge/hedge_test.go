@@ -83,7 +83,7 @@ var (
 
 // preferSecond and preferFirst are the two directions a caller's rule
 // can take; serve's preferTransient and cluster's preferLegError are
-// each pinned through Race in their own packages.
+// each pinned through a Racer in their own packages.
 func preferFirst(cur, _ error) error   { return cur }
 func preferSecond(_, next error) error { return next }
 
@@ -175,7 +175,9 @@ func TestRace(t *testing.T) {
 				}
 				return p.run(ctx, target, hedge)
 			}
-			val, winner, hedged, err := Race(ctx, tc.after, primary, backup, leg, tc.prefer)
+			var r Racer[int]
+			val, winner, hedged, err := r.Race(ctx, Now(), tc.after, primary, backup, leg, tc.prefer)
+			r.Release()
 
 			// Whatever ran has returned: Race waits for the loser.
 			for _, s := range []*script{p, b} {
@@ -220,8 +222,9 @@ func TestRace(t *testing.T) {
 func TestRaceNoBackupAllocatesNothing(t *testing.T) {
 	ctx := context.Background()
 	leg := func(_ context.Context, target int, _ bool) (int, error) { return target, nil }
+	var r Racer[int]
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, winner, hedged, err := Race(ctx, never, primary, -1, leg, nil); winner != primary || hedged || err != nil {
+		if _, winner, hedged, err := r.Race(ctx, Now(), never, primary, -1, leg, nil); winner != primary || hedged || err != nil {
 			t.Fatalf("winner %d hedged %v err %v", winner, hedged, err)
 		}
 	})

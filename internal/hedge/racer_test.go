@@ -64,7 +64,7 @@ func TestRacerHedgesFromTheRaceStart(t *testing.T) {
 	leg := instant(&backupCalls)
 	armed := time.Now()
 	for i := 0; i < 1000 || time.Since(armed) < after/2; i++ {
-		if _, winner, hedged, err := r.Race(ctx, after, primary, backup, leg, nil); winner != primary || hedged || err != nil {
+		if _, winner, hedged, err := r.Race(ctx, Now(), after, primary, backup, leg, nil); winner != primary || hedged || err != nil {
 			t.Fatalf("instant race %d: winner %d hedged %v err %v", i, winner, hedged, err)
 		}
 	}
@@ -76,7 +76,7 @@ func TestRacerHedgesFromTheRaceStart(t *testing.T) {
 	p, b := newScript(make(chan struct{}), nil), newScript(nil, nil)
 	var launched time.Time
 	start := time.Now()
-	val, winner, hedged, err := r.Race(ctx, after, primary, backup, func(ctx context.Context, target int, hedge bool) (int, error) {
+	val, winner, hedged, err := r.Race(ctx, Now(), after, primary, backup, func(ctx context.Context, target int, hedge bool) (int, error) {
 		if target == backup {
 			launched = time.Now()
 		}
@@ -87,6 +87,43 @@ func TestRacerHedgesFromTheRaceStart(t *testing.T) {
 	}
 	if waited := launched.Sub(start); waited < after {
 		t.Fatalf("backup launched %v into its race, before the %v delay", waited, after)
+	}
+	settle(t, baseline)
+}
+
+// The delay runs from the caller's stamp, not from the call: a read
+// whose stamp is already a delay old launches its backup at once, and
+// the backup's win cancels the primary, which would never answer.
+func TestRacerOverdueStampHedgesAtOnce(t *testing.T) {
+	const after = 30 * time.Millisecond
+	baseline := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var r Racer[int]
+	defer r.Release()
+
+	// The read "began" a delay ago: the one delay this test waits out.
+	stamp := Now()
+	for Now()-stamp <= int64(after) {
+		runtime.Gosched()
+	}
+	p, b := newScript(make(chan struct{}), nil), newScript(nil, nil)
+	var launched int64
+	called := Now()
+	val, winner, hedged, err := r.Race(ctx, stamp, after, primary, backup, func(ctx context.Context, target int, hedge bool) (int, error) {
+		if target == backup {
+			launched = Now()
+		}
+		return legs(p, b)(ctx, target, hedge)
+	}, preferFirst)
+	if err != nil || winner != backup || val != backup || !hedged {
+		t.Fatalf("overdue race: value %d winner %d hedged %v err %v, want the backup's", val, winner, hedged, err)
+	}
+	if !errors.Is(p.ctxErr, context.Canceled) {
+		t.Fatalf("the losing primary returned on %v, want a cancelled context", p.ctxErr)
+	}
+	if waited := time.Duration(launched - called); waited >= after {
+		t.Fatalf("backup launched %v after the call although its stamp was already %v old: the delay ran from the call", waited, after)
 	}
 	settle(t, baseline)
 }
@@ -103,7 +140,7 @@ func TestRacerStaleWatchdogFire(t *testing.T) {
 
 	// A first race, so that the Racer has a watchdog and a past.
 	backupCalls := 0
-	if _, _, hedged, err := r.Race(ctx, never, primary, backup, instant(&backupCalls), nil); hedged || err != nil {
+	if _, _, hedged, err := r.Race(ctx, Now(), never, primary, backup, instant(&backupCalls), nil); hedged || err != nil {
 		t.Fatalf("first race: hedged %v err %v", hedged, err)
 	}
 	r.watch() // idle
@@ -119,7 +156,7 @@ func TestRacerStaleWatchdogFire(t *testing.T) {
 		r.watch()
 		close(gate)
 	}()
-	val, winner, hedged, err := r.Race(ctx, never, primary, backup, legs(p, b), nil)
+	val, winner, hedged, err := r.Race(ctx, Now(), never, primary, backup, legs(p, b), nil)
 	if err != nil || winner != primary || val != primary || hedged {
 		t.Fatalf("value %d winner %d hedged %v err %v, want the primary's, unhedged", val, winner, hedged, err)
 	}
@@ -145,7 +182,7 @@ func TestRacerFreshLegContextAfterHedge(t *testing.T) {
 	defer r.Release()
 
 	p, b := newScript(block, nil), newScript(nil, nil)
-	if _, winner, hedged, err := r.Race(ctx, soon, primary, backup, legs(p, b), nil); winner != backup || !hedged || err != nil {
+	if _, winner, hedged, err := r.Race(ctx, Now(), soon, primary, backup, legs(p, b), nil); winner != backup || !hedged || err != nil {
 		t.Fatalf("first race: winner %d hedged %v err %v, want the backup's", winner, hedged, err)
 	}
 	if !errors.Is(p.ctxErr, context.Canceled) {
@@ -153,7 +190,7 @@ func TestRacerFreshLegContextAfterHedge(t *testing.T) {
 	}
 
 	var legErr error
-	_, winner, hedged, err := r.Race(ctx, never, primary, backup, func(ctx context.Context, target int, _ bool) (int, error) {
+	_, winner, hedged, err := r.Race(ctx, Now(), never, primary, backup, func(ctx context.Context, target int, _ bool) (int, error) {
 		legErr = ctx.Err()
 		return target, nil
 	}, nil)
@@ -191,7 +228,7 @@ func TestRacerParentContextChanges(t *testing.T) {
 		if tc.want == "b" {
 			cancelA() // the previous races' parent; nothing of it may reach this race
 		}
-		if _, _, _, err := r.Race(tc.ctx, never, primary, backup, look, nil); err != nil {
+		if _, _, _, err := r.Race(tc.ctx, Now(), never, primary, backup, look, nil); err != nil {
 			t.Fatal(err)
 		}
 		if saw != tc.want || sawErr != nil {
@@ -205,7 +242,7 @@ func TestRacerParentContextChanges(t *testing.T) {
 		<-p.started
 		cancelB()
 	}()
-	if _, _, _, err := r.Race(ctxB, never, primary, backup, legs(p, newScript(nil, nil)), nil); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := r.Race(ctxB, Now(), never, primary, backup, legs(p, newScript(nil, nil)), nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v after the caller cancelled, want context.Canceled", err)
 	}
 	if !errors.Is(p.ctxErr, context.Canceled) {
@@ -224,7 +261,7 @@ func TestRacerCancelMidRaceOnReusedRacer(t *testing.T) {
 	warm, cancelWarm := context.WithCancel(context.Background())
 	backupCalls := 0
 	for i := 0; i < 100; i++ {
-		if _, _, hedged, err := r.Race(warm, never, primary, backup, instant(&backupCalls), nil); hedged || err != nil {
+		if _, _, hedged, err := r.Race(warm, Now(), never, primary, backup, instant(&backupCalls), nil); hedged || err != nil {
 			t.Fatalf("warm-up race %d: hedged %v err %v", i, hedged, err)
 		}
 	}
@@ -238,7 +275,7 @@ func TestRacerCancelMidRaceOnReusedRacer(t *testing.T) {
 		<-b.started
 		cancel()
 	}()
-	_, winner, hedged, err := r.Race(ctx, soon, primary, backup, legs(p, b), preferFirst)
+	_, winner, hedged, err := r.Race(ctx, Now(), soon, primary, backup, legs(p, b), preferFirst)
 	for _, s := range []*script{p, b} {
 		select {
 		case <-s.done:
@@ -266,7 +303,7 @@ func TestRacerUnhedgedRaceAllocatesNothing(t *testing.T) {
 	defer r.Release()
 	leg := func(_ context.Context, target int, _ bool) (int, error) { return target, nil }
 	race := func() {
-		if _, winner, hedged, err := r.Race(ctx, never, primary, backup, leg, nil); winner != primary || hedged || err != nil {
+		if _, winner, hedged, err := r.Race(ctx, Now(), never, primary, backup, leg, nil); winner != primary || hedged || err != nil {
 			t.Fatalf("winner %d hedged %v err %v", winner, hedged, err)
 		}
 	}
@@ -308,7 +345,7 @@ func TestRacerWatchdogRacesThePrimary(t *testing.T) {
 		spins = i % 7
 		backups.Store(0)
 		inRace.Store(true)
-		val, winner, hedged, err := r.Race(ctx, soon, primary, backup, leg, nil)
+		val, winner, hedged, err := r.Race(ctx, Now(), soon, primary, backup, leg, nil)
 		inRace.Store(false)
 		if err != nil || val != winner {
 			t.Fatalf("race %d: value %d winner %d err %v", i, val, winner, err)

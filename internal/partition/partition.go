@@ -33,7 +33,7 @@ func EquiDepth(sample [][]float64, dims []int) ([][]float64, error) {
 			return nil, fmt.Errorf("partition: sample row %d has %d attributes; want %d", r, len(row), k)
 		}
 		for i, v := range row {
-			if v < 0 || v >= 1 {
+			if !(v >= 0 && v < 1) { // in this form NaN fails too
 				return nil, fmt.Errorf("partition: sample row %d attribute %d = %v outside [0,1)", r, i, v)
 			}
 		}

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -19,6 +20,15 @@ func TestEquiDepthValidation(t *testing.T) {
 	}
 	if _, err := EquiDepth([][]float64{{1.5}}, []int{2}); err == nil {
 		t.Error("out-of-range sample value accepted")
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for pos := 0; pos < 2; pos++ {
+			row := []float64{0.5, 0.5}
+			row[pos] = v
+			if _, err := EquiDepth([][]float64{{0.2, 0.2}, row}, []int{2, 2}); err == nil {
+				t.Errorf("sample value %v accepted on attribute %d", v, pos)
+			}
+		}
 	}
 	if _, err := EquiDepth([][]float64{{0.5}}, []int{0}); err == nil {
 		t.Error("zero partitions accepted")

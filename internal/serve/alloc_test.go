@@ -15,8 +15,9 @@ import (
 
 // hedgedSearchBudget bounds the objects one hedged Search may allocate
 // whatever its size, on two Ps: the query's own contexts, its reader and
-// one leg context per pooled Racer in use (about one per P). Measured 8
-// for the 6×6 rect and for the 48×48; doubled, because how many Racers
+// the reader's per-disk stamp chain, and one leg context per pooled
+// Racer in use (about one per P). Measured 9 for the 6×6 rect and for
+// the 48×48 (8 before the stamp chain); doubled, because how many Racers
 // a query draws depends on how its sixteen workers were scheduled.
 const hedgedSearchBudget = 16
 

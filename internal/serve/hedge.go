@@ -32,9 +32,23 @@ type HedgeConfig struct {
 // speculative backup read against slow primaries. It is outermost, so
 // it sees injected faults; reads it issues itself (the hedge leg) go
 // back through the per-query fault layer via inner.
+//
+// A healthy read costs one clock read, its end: chain[d] holds the stamp
+// disk d's next read starts at, the end of its last read. The executor
+// reads disk d only from d's worker, one read at a time, so each entry
+// has one writer and the gap between two reads (the worker's loop, well
+// under a microsecond) counts toward the second. A read that erred or
+// was hedged leaves 0, and the next read takes a fresh stamp: a retry
+// backoff or a race's second leg never counts as read time. Hedge legs
+// take stamps of their own and never write the chain.
 type servedReader struct {
 	s     *Scheduler
 	inner exec.BucketReader
+	chain []int64
+}
+
+func (s *Scheduler) newServedReader(inner exec.BucketReader) *servedReader {
+	return &servedReader{s: s, inner: inner, chain: make([]int64, len(s.health.disks))}
 }
 
 // ReadBucket serves one bucket read with observation and optional
@@ -44,13 +58,25 @@ type servedReader struct {
 // against its disk.
 func (r *servedReader) ReadBucket(ctx context.Context, disk, bucket int) ([]datagen.Record, error) {
 	s := r.s
+	start := r.chain[disk]
+	if start == 0 {
+		start = hedge.Now()
+	}
+	r.chain[disk] = 0 // until this read ends clean
 	alt, after := s.altDisk(disk, bucket)
 	if alt < 0 {
-		return r.observe(ctx, disk, bucket)
+		recs, end, err := r.observe(ctx, disk, bucket, start)
+		if err == nil {
+			r.chain[disk] = end
+		}
+		return recs, err
 	}
 	br := bucketRaces.Get().(*bucketRace)
-	br.r, br.bucket = r, bucket
-	recs, winner, hedged, err := br.racer.Race(ctx, after, disk, alt, br.leg, preferTransient)
+	br.r, br.bucket, br.start = r, bucket, start
+	recs, winner, hedged, err := br.racer.Race(ctx, start, after, disk, alt, br.leg, preferTransient)
+	if err == nil && !hedged {
+		r.chain[disk] = br.end
+	}
 	br.r = nil
 	bucketRaces.Put(br)
 	if hedged && err == nil && winner == alt {
@@ -71,6 +97,9 @@ type bucketRace struct {
 	leg    func(ctx context.Context, disk int, hedgeLeg bool) ([]datagen.Record, error)
 	r      *servedReader
 	bucket int
+	// start is the read's stamp; end, the primary leg's end stamp, is
+	// written by that leg on the caller's goroutine.
+	start, end int64
 }
 
 var bucketRaces = sync.Pool{New: func() any {
@@ -83,7 +112,9 @@ var bucketRaces = sync.Pool{New: func() any {
 func (br *bucketRace) read(ctx context.Context, d int, hedgeLeg bool) ([]datagen.Record, error) {
 	r := br.r
 	if !hedgeLeg {
-		return r.observe(ctx, d, br.bucket)
+		recs, end, err := r.observe(ctx, d, br.bucket, br.start)
+		br.end = end
+		return recs, err
 	}
 	s := r.s
 	s.stats.HedgesIssued.Add(1)
@@ -94,7 +125,7 @@ func (br *bucketRace) read(ctx context.Context, d int, hedgeLeg bool) ([]datagen
 	if s.obs.Tracing() {
 		sp = obs.SpanFromContext(ctx).Child(fmt.Sprintf("hedge d%d", d))
 	}
-	recs, err := r.observe(ctx, d, br.bucket)
+	recs, _, err := r.observe(ctx, d, br.bucket, hedge.Now())
 	sp.FinishErr(err)
 	return recs, err
 }
@@ -111,19 +142,20 @@ func preferTransient(cur, next error) error {
 	return cur
 }
 
-// observe times one read against the inner (fault-injecting) reader
-// and records the outcome in the health tracker.
-func (r *servedReader) observe(ctx context.Context, disk, bucket int) ([]datagen.Record, error) {
-	start := time.Now()
+// observe times one read that began at the stamp start against the
+// inner (fault-injecting) reader, records the outcome in the health
+// tracker, and returns the read's end stamp.
+func (r *servedReader) observe(ctx context.Context, disk, bucket int, start int64) ([]datagen.Record, int64, error) {
 	recs, err := r.inner.ReadBucket(ctx, disk, bucket)
-	elapsed := time.Since(start)
+	end := hedge.Now()
+	elapsed := time.Duration(end - start)
 	r.s.health.Observe(disk, elapsed, err)
 	m := &r.s.metrics
 	m.legs.Inc()
 	if m.legLatency != nil {
 		m.legLatency.Observe(elapsed)
 	}
-	return recs, err
+	return recs, end, err
 }
 
 // altDisk returns the other replica of bucket — the hedge target — and

@@ -372,7 +372,7 @@ func New(f *gridfile.File, opts ...Option) (*Scheduler, error) {
 		execOpts = append(execOpts, exec.WithReadWrapper(wrap))
 	}
 	execOpts = append(execOpts, exec.WithReadWrapper(func(inner exec.BucketReader) exec.BucketReader {
-		return &servedReader{s: s, inner: inner}
+		return s.newServedReader(inner)
 	}))
 	if c.inj != nil {
 		execOpts = append(execOpts, exec.WithFaults(c.inj))

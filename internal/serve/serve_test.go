@@ -17,6 +17,7 @@ import (
 	"decluster/internal/grid"
 	"decluster/internal/gridfile"
 	"decluster/internal/hedge"
+	"decluster/internal/obs"
 	"decluster/internal/replica"
 )
 
@@ -511,6 +512,73 @@ func TestHedgeSuppressedUnderSaturation(t *testing.T) {
 	}
 }
 
+// failFirstReader fails the first read it serves with a transient error
+// and remembers that read's disk.
+type failFirstReader struct {
+	inner  exec.BucketReader
+	failed atomic.Bool
+	disk   atomic.Int64
+}
+
+func (r *failFirstReader) ReadBucket(ctx context.Context, disk, bucket int) ([]datagen.Record, error) {
+	if r.failed.CompareAndSwap(false, true) {
+		r.disk.Store(int64(disk))
+		return nil, fmt.Errorf("first read: %w", fault.ErrTransient)
+	}
+	return r.inner.ReadBucket(ctx, disk, bucket)
+}
+
+// A read's latency is its own: a read chains its start to the end of the
+// disk's previous read, but an attempt that failed breaks the chain, so
+// the executor's backoff before the retry is never booked as read time —
+// not in the disk's EWMA, not in the leg histogram, not in the
+// executor's per-disk latency.
+func TestReadLatencyExcludesRetryBackoff(t *testing.T) {
+	const backoff = 30 * time.Millisecond
+	f := newLoadedFile(t, 4, 1000)
+	bucket := -1
+	for b := 0; b < f.Grid().Buckets() && bucket < 0; b++ {
+		if f.BucketLen(b) > 0 {
+			bucket = b
+		}
+	}
+	if bucket < 0 {
+		t.Fatal("fixture has no occupied bucket")
+	}
+	fr := &failFirstReader{inner: exec.NewFileReader(f)}
+	sink := obs.NewSink()
+	s, err := New(f,
+		WithBucketReader(fr),
+		WithRetry(exec.RetryPolicy{MaxAttempts: 2, BaseBackoff: backoff}),
+		WithObserver(sink))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c := f.Grid().Delinearize(bucket, nil)
+	res, err := s.Search(context.Background(), f.Grid().MustRect(c, c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fr.failed.Load() || res.Retries != 1 {
+		t.Fatalf("failed first read %v, retries %d: want the one retried read", fr.failed.Load(), res.Retries)
+	}
+	d := int(fr.disk.Load())
+	reg := sink.Registry()
+	for _, lat := range []struct {
+		name string
+		d    time.Duration
+	}{
+		{"disk EWMA", s.health.EWMALatency(d)},
+		{"serve.read.leg.latency max", reg.Histogram("serve.read.leg.latency").Max()},
+		{"exec.disk.read.latency max", reg.HistogramFamily("exec.disk.read.latency", "disk", f.Disks()).At(d).Max()},
+	} {
+		if lat.d >= backoff {
+			t.Errorf("%s = %v after a read retried once: the %v backoff was booked as read time", lat.name, lat.d, backoff)
+		}
+	}
+}
+
 // injectedReader is the slice of the executor's fault layer a
 // servedReader unit test needs: reads of a fail-stop disk error, the
 // rest reach the file.
@@ -574,7 +642,7 @@ func TestOpenBreakerStillBacksUpFailedPrimary(t *testing.T) {
 	if alt, after := s.altDisk(a, bucket); alt != b || after != 0 {
 		t.Errorf("backup breaker open: altDisk = (%d, %v), want (%d, 0): failover kept, timed hedge closed", alt, after, b)
 	}
-	r := &servedReader{s: s, inner: injectedReader{inner: exec.NewFileReader(f), inj: inj}}
+	r := s.newServedReader(injectedReader{inner: exec.NewFileReader(f), inj: inj})
 	recs, err := r.ReadBucket(context.Background(), a, bucket)
 	if err != nil {
 		t.Fatalf("read with a fail-stop primary and a breaker-open backup failed: %v", err)
@@ -671,7 +739,10 @@ func TestDoublyFailedReadPrefersTransient(t *testing.T) {
 			}
 			return nil, tc.backup
 		}
-		if _, _, _, err := hedge.Race(context.Background(), time.Hour, 1, 3, leg, preferTransient); err != tc.want {
+		var r hedge.Racer[[]datagen.Record]
+		_, _, _, err := r.Race(context.Background(), hedge.Now(), time.Hour, 1, 3, leg, preferTransient)
+		r.Release()
+		if err != tc.want {
 			t.Errorf("primary %v, backup %v: reported %v, want %v", tc.primary, tc.backup, err, tc.want)
 		}
 	}
