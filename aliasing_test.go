@@ -136,16 +136,53 @@ func TestResultReleaseIsTerminal(t *testing.T) {
 	r2.Release()
 }
 
+// singleFileAnswer is what the single-node executor answers for q over
+// recs, order included: the records of one grid file, by CellRangeSearch.
+func singleFileAnswer(t *testing.T, m decluster.Method, recs []decluster.Record, q decluster.Rect) []decluster.Record {
+	t.Helper()
+	f, err := decluster.NewGridFile(decluster.GridFileConfig{Method: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.InsertAll(recs); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := f.CellRangeSearch(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs.Records
+}
+
+// sameAnswer fails t unless got is want element for element: the same
+// IDs in the same order, the same values.
+func sameAnswer(t *testing.T, when string, got, want []decluster.Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records, the single-file answer has %d", when, len(got), len(want))
+	}
+	for i, rec := range got {
+		if rec.ID != want[i].ID || len(rec.Values) != len(want[i].Values) {
+			t.Fatalf("%s: record %d is ID %d with %d values, the single-file answer's is ID %d", when, i, rec.ID, len(rec.Values), want[i].ID)
+		}
+		for a, v := range rec.Values {
+			if v != want[i].Values[a] {
+				t.Fatalf("%s: record %d attribute %d = %v, want %v", when, i, a, v, want[i].Values[a])
+			}
+		}
+	}
+}
+
 // TestClusterResultNoAliasing extends the audit across the wire. A
 // gathered RouterResult is built from record frames: each node encodes
 // its answer from a pooled executor result into a pooled buffer and
 // releases both; the router reads each leg into a pooled body, decodes
 // every record from there into one value slab of the result's own, and
 // gives the bodies back. A held result must therefore (a) stay
-// bit-identical to the single-file answer while concurrent searches
-// recycle every one of those pools, and (b) keep its records apart —
-// appending to one record's Values must reallocate, not write into the
-// record decoded next to it.
+// identical to the single-file answer, order included, while concurrent
+// searches recycle every one of those pools, and (b) keep its records
+// apart — appending to one record's Values must reallocate, not write
+// into the record decoded next to it.
 func TestClusterResultNoAliasing(t *testing.T) {
 	g := grid.MustNew(16, 16)
 	m, err := alloc.NewHCAM(g, 4)
@@ -172,23 +209,10 @@ func TestClusterResultNoAliasing(t *testing.T) {
 	if len(held.Records) == 0 {
 		t.Fatal("no records")
 	}
-	byID := make(map[int][]float64, len(recs))
-	for _, rec := range recs {
-		byID[rec.ID] = rec.Values
-	}
+	want := singleFileAnswer(t, m, recs, q)
 	check := func(when string) {
 		t.Helper()
-		for i, rec := range held.Records {
-			want := byID[rec.ID]
-			if len(rec.Values) != len(want) || (i > 0 && held.Records[i-1].ID >= rec.ID) {
-				t.Fatalf("%s: record %d (ID %d) malformed or out of order", when, i, rec.ID)
-			}
-			for a, v := range rec.Values {
-				if v != want[a] {
-					t.Fatalf("%s: record %d attribute %d = %v, want %v", when, rec.ID, a, v, want[a])
-				}
-			}
-		}
+		sameAnswer(t, when, held.Records, want)
 	}
 	check("as gathered")
 
@@ -251,18 +275,10 @@ func TestClusterHedgedResultNoAliasing(t *testing.T) {
 	if len(held.Records) != len(recs) || held.Hedges == 0 {
 		t.Fatalf("%d of %d records over %d hedges; want all of them, some hedged", len(held.Records), len(recs), held.Hedges)
 	}
+	want := singleFileAnswer(t, m, recs, g.FullRect())
 	check := func(when string) {
 		t.Helper()
-		for i, rec := range held.Records { // generated IDs are 0..n-1
-			if rec.ID != i || len(rec.Values) != len(recs[i].Values) {
-				t.Fatalf("%s: record %d is ID %d with %d values", when, i, rec.ID, len(rec.Values))
-			}
-			for a, v := range rec.Values {
-				if v != recs[i].Values[a] {
-					t.Fatalf("%s: record %d attribute %d = %v, want %v", when, i, a, v, recs[i].Values[a])
-				}
-			}
-		}
+		sameAnswer(t, when, held.Records, want)
 	}
 	check("as gathered")
 

@@ -3,6 +3,7 @@ package decluster_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -169,5 +170,48 @@ func TestClusterFacadeNodeFaultSchedules(t *testing.T) {
 	in.Restart(2)
 	if got := in.CrashedNodes(); len(got) != 0 {
 		t.Errorf("CrashedNodes after restart = %v", got)
+	}
+}
+
+// TestClusterRebuildAnswersInOrder: a node rebuilt from its peers holds
+// each bucket's records in the order its donors did, so searches the
+// rebuilt node answers equal the single-file answer, order included.
+func TestClusterRebuildAnswersInOrder(t *testing.T) {
+	g, err := decluster.UniformGrid(2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm, err := decluster.NewChainShardMap(g, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	method, err := decluster.NewHCAM(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := decluster.UniformRecords{K: 2, Seed: 27}.Generate(3000)
+	h, err := decluster.StartClusterHarness(decluster.ClusterHarnessConfig{Map: sm, Method: method, Records: recs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	h.Faults().Crash(1)
+	if _, err := decluster.RebuildClusterNode(context.Background(), decluster.NodeRebuildConfig{Map: sm, Endpoints: h.URLs()}, h.Node(1)); err != nil {
+		t.Fatal(err)
+	}
+	h.Faults().Restart(1)
+	for _, q := range []decluster.Rect{
+		g.FullRect(),
+		g.MustRect(decluster.Coord{3, 5}, decluster.Coord{12, 14}),
+		g.MustRect(decluster.Coord{0, 9}, decluster.Coord{15, 9}),
+	} {
+		res, err := h.Router().Search(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PerNode[1] == 0 {
+			t.Fatalf("query %v: the rebuilt node answered nothing", q)
+		}
+		sameAnswer(t, fmt.Sprintf("query %v after rebuild", q), res.Records, singleFileAnswer(t, method, recs, q))
 	}
 }

@@ -3,7 +3,9 @@ package cluster
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -179,7 +181,8 @@ func TestPlanInvariants(t *testing.T) {
 }
 
 // startQueriers launches background clients that continuously compare
-// the cluster's answers to the single-node oracle until done closes.
+// the cluster's answers, order included, to the single-node oracle until
+// done closes.
 // The returned check function must be called after the queriers stop.
 func startQueriers(tc *testCluster, done chan struct{}) (wait func() []error) {
 	var wg sync.WaitGroup
@@ -197,7 +200,6 @@ func startQueriers(tc *testCluster, done chan struct{}) (wait func() []error) {
 		for j, r := range rs.Records {
 			ids[j] = r.ID
 		}
-		sort.Ints(ids)
 		want[i] = ids
 	}
 	for w := 0; w < 2; w++ {
@@ -218,9 +220,7 @@ func startQueriers(tc *testCluster, done chan struct{}) (wait func() []error) {
 					mu.Unlock()
 					return
 				}
-				got := resultIDs(res)
-				sort.Ints(got)
-				if !equalInts(got, want[qi]) {
+				if !equalInts(resultIDs(res), want[qi]) {
 					mu.Lock()
 					errs = append(errs, errors.New("answer diverged from single-node oracle mid-migration"))
 					mu.Unlock()
@@ -493,5 +493,88 @@ func TestRebuildNoDonorFailsFast(t *testing.T) {
 	// generous bound proves the fast path was taken.
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("no-donor rebuild took %v; fuse did not fire", elapsed)
+	}
+}
+
+// TestMigrateBucketRefusesForeignRecords: a /v1/migrate/bucket page names
+// its bucket, and one carrying a record of another bucket is refused
+// with 400 before staging is touched. Node 0 of a two-node unreplicated
+// cluster takes over member 1's buckets in a leave; the first page it is
+// sent carries one extra copy of a record from bucket 0, which node 0
+// holds live. Ingested, that copy would outlive cutover as record 1,501.
+func TestMigrateBucketRefusesForeignRecords(t *testing.T) {
+	tc := startTestCluster(t, 2, 1, RouterConfig{})
+	ctx := context.Background()
+	plan, err := PlanLeave(tc.h.Map(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plan.From.Holds(0, 0) || tc.ref.BucketLen(0) == 0 {
+		t.Fatal("node 0 does not hold a record in bucket 0: not the scenario under test")
+	}
+	stray := tc.ref.Bucket(0)[0]
+	cp := newCopier(copier{g: tc.g, endpoints: tc.h.URLs(), epoch: plan.From.Epoch()}, nil, "")
+	if err := cp.post(ctx, 0, "prepare", prepareRequest{Map: toWireMap(plan.To)}); err != nil {
+		t.Fatal(err)
+	}
+	refused := false
+	err = cp.run(ctx, plan.Moves, func(dest int, cell grid.Coord, recs []datagen.Record) error {
+		page := &recordPage{Epoch: plan.To.Epoch(), Buckets: 1, Cell: cell, Records: recs}
+		if !refused {
+			refused = true
+			bad := *page
+			bad.Records = append(slices.Clone(recs), stray)
+			if err := cp.post(ctx, dest, "bucket", &bad); err == nil || !strings.Contains(err.Error(), CodeBadRequest) {
+				t.Errorf("a page for cell %v carrying record %d of bucket 0 drew %v, want a bad_request refusal", cell, stray.ID, err)
+			}
+		}
+		return cp.post(ctx, dest, "bucket", page)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.post(ctx, 0, "cutover", epochRequest{Epoch: plan.To.Epoch()}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tc.h.Node(0).Records(); got != len(tc.recs) {
+		t.Fatalf("after cutover node 0 holds %d records, want %d", got, len(tc.recs))
+	}
+}
+
+// TestRebuildSkipsDonorWithForeignRecords: a donor whose /v1/bucket page
+// carries a record of another bucket has failed, and the rebuild takes
+// the bucket from the next donor instead of planting the stray copy.
+func TestRebuildSkipsDonorWithForeignRecords(t *testing.T) {
+	tc := startTestCluster(t, 4, 3, RouterConfig{})
+	target := tc.h.Node(1)
+	want := target.Records()
+	liar := fill(tc.h.Map(), tc.h.Map(), target.ID(), true)[0].Sources[0]
+	a := tc.recs[0]
+	ba, err := tc.ref.BucketOf(a.Values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := tc.recs[slices.IndexFunc(tc.recs, func(r datagen.Record) bool {
+		br, _ := tc.ref.BucketOf(r.Values)
+		return br != ba
+	})]
+	urls := tc.h.URLs()
+	urls[liar] = tamper(t, tc.h.Node(liar).Handler(), "/v1/bucket", func(p *recordPage) {
+		stray := a // foreign to every bucket but a's, whose page holds a
+		if slices.ContainsFunc(p.Records, func(r datagen.Record) bool { return r.ID == a.ID }) {
+			stray = b
+		}
+		p.Records = append(p.Records, stray)
+	})
+	tc.h.Faults().Crash(1)
+	st, err := RebuildNode(context.Background(), RebuildConfig{Map: tc.h.Map(), Endpoints: urls}, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := target.Records(); got != want {
+		t.Fatalf("rebuilt node holds %d records, want %d", got, want)
+	}
+	if st.Retries == 0 {
+		t.Errorf("no fetch from member %d was refused", liar)
 	}
 }

@@ -353,14 +353,14 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer res.Release() // back to the scheduler's pool once the answer is framed
-	records := res.Records
+	records, counts := res.Records, res.RecordsPerBucket
 	if isPending {
-		if records, err = n.pendingMerge(rect, sm, records); err != nil {
+		if records, counts, err = n.pendingMerge(rect, sm, records, counts); err != nil {
 			writeError(w, err)
 			return
 		}
 	}
-	writePage(w, &recordPage{Epoch: sm.Epoch(), Buckets: rect.Volume(), Degraded: res.Degraded, Records: records})
+	writePage(w, &recordPage{Epoch: sm.Epoch(), Buckets: rect.Volume(), Degraded: res.Degraded, Counts: counts, Records: records})
 }
 
 // aggregateIndex returns the node's aggregate index, rebuilding it when
@@ -439,58 +439,51 @@ func (n *Node) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// pendingMerge turns the live answer for rect into the pending-epoch
-// answer, the node-side half of the dual-read handoff. The live leg
-// answers for the buckets this member holds under cur, staging for the
-// rest, so each leg is trimmed to its side: the live file keeps the
-// previous epoch's buckets through the grace window, a rejoining member
-// is re-sent buckets it still holds, and either overlap would otherwise
-// return a record twice. Every bucket of rect must be held under cur or
-// already ingested; one still in flight makes the whole read
-// unavailable — the router's authoritative old-epoch leg covers it, and
-// this opportunistic leg must never answer silently incomplete.
-func (n *Node) pendingMerge(rect grid.Rect, pending *ShardMap, live []datagen.Record) ([]datagen.Record, error) {
+// pendingMerge turns the live answer for rect — its records and their
+// per-bucket counts, row-major — into the pending-epoch answer and its
+// counts, the node-side half of the dual-read handoff. Each bucket's run
+// comes whole from one side: the live answer's for a bucket this member
+// holds under cur, staging's for the rest. The live file keeps the
+// previous epoch's buckets through the grace window and a rejoining
+// member is re-sent buckets it still holds, so taking a bucket from both
+// sides would return its records twice. Every bucket of rect must be
+// held under cur or already ingested; one still in flight makes the
+// whole read unavailable — the router's authoritative old-epoch leg
+// covers it, and this opportunistic leg must never answer silently
+// incomplete.
+func (n *Node) pendingMerge(rect grid.Rect, pending *ShardMap, live []datagen.Record, liveCounts []int) ([]datagen.Record, []int, error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	if n.pending == nil || n.pending.Epoch() != pending.Epoch() || n.staging == nil {
-		return nil, fmt.Errorf("%w: node %d: pending epoch %d gone", fault.ErrUnavailable, n.id, pending.Epoch())
+		return nil, nil, fmt.Errorf("%w: node %d: pending epoch %d gone", fault.ErrUnavailable, n.id, pending.Epoch())
 	}
 	cur := n.cur.holder(n.id)
-	notReady := -1
+	notReady, staged := -1, 0
 	if !n.g.EachBucket(rect, func(b int) bool {
-		if cur.holds(b) || n.ready[b] {
-			return true
+		switch {
+		case cur.holds(b):
+		case n.ready[b]:
+			staged += n.staging.BucketLen(b)
+		default:
+			notReady = b
+			return false
 		}
-		notReady = b
-		return false
+		return true
 	}) {
-		return nil, fmt.Errorf("%w: node %d: bucket %v not yet migrated for epoch %d",
+		return nil, nil, fmt.Errorf("%w: node %d: bucket %v not yet migrated for epoch %d",
 			fault.ErrUnavailable, n.id, n.g.Delinearize(notReady, nil), pending.Epoch())
 	}
-	staged, err := n.staging.CellRangeSearch(rect)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]datagen.Record, 0, len(live)+len(staged.Records))
-	keep := func(leg []datagen.Record, held bool) error {
-		for _, rec := range leg {
-			b, err := n.staging.BucketOf(rec.Values)
-			if err != nil {
-				return err
-			}
-			if cur.holds(b) == held {
-				out = append(out, rec)
-			}
+	out, counts := make([]datagen.Record, 0, len(live)+staged), make([]int, 0, len(liveCounts))
+	n.g.EachBucket(rect, func(b int) bool {
+		run := live[:liveCounts[len(counts)]]
+		live = live[len(run):]
+		if !cur.holds(b) {
+			run = n.staging.Bucket(b)
 		}
-		return nil
-	}
-	if err := keep(live, true); err != nil {
-		return nil, err
-	}
-	if err := keep(staged.Records, false); err != nil {
-		return nil, err
-	}
-	return out, nil
+		out, counts = append(out, run...), append(counts, len(run))
+		return true
+	})
+	return out, counts, nil
 }
 
 // handleBucket serves one bucket's records for cross-node rebuild and
@@ -533,7 +526,7 @@ func (n *Node) handleBucket(w http.ResponseWriter, r *http.Request) {
 	defer res.Release()
 	records := res.Records
 	if isPending {
-		if records, err = n.pendingMerge(rect, sm, records); err != nil {
+		if records, _, err = n.pendingMerge(rect, sm, records, res.RecordsPerBucket); err != nil {
 			writeError(w, err)
 			return
 		}
@@ -588,7 +581,9 @@ func (n *Node) handlePrepare(w http.ResponseWriter, r *http.Request) {
 // handleMigrateBucket ingests one bucket's records into the staging
 // file for the pending epoch (COPY). Re-delivery of a bucket already
 // marked ready is a no-op: records are immutable, so the first copy is
-// as good as any.
+// as good as any. A page carrying a record of another bucket is refused
+// before staging is touched: ingesting it would plant a second copy of
+// that record wherever its values fall.
 func (n *Node) handleMigrateBucket(w http.ResponseWriter, r *http.Request) {
 	var req recordPage
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, recordPayloadLimit))
@@ -622,6 +617,10 @@ func (n *Node) handleMigrateBucket(w http.ResponseWriter, r *http.Request) {
 	if !n.pending.Holds(n.id, key) {
 		writeError(w, fmt.Errorf("%w: node %d does not host cell %v at pending epoch %d",
 			ErrNotHosted, n.id, cell, req.Epoch))
+		return
+	}
+	if err := inBucket(req.Records, key, n.staging.BucketOf); err != nil {
+		writeError(w, badRequestError{fmt.Errorf("cell %v: %w", cell, err)})
 		return
 	}
 	if !n.ready[key] {
@@ -741,6 +740,21 @@ func (n *Node) pendingEpochLocked() uint64 {
 		return 0
 	}
 	return n.pending.Epoch()
+}
+
+// inBucket checks that every record of a page naming bucket b belongs to
+// b under bucketOf.
+func inBucket(recs []datagen.Record, b int, bucketOf func(values []float64) (int, error)) error {
+	for _, rec := range recs {
+		got, err := bucketOf(rec.Values)
+		if err != nil {
+			return fmt.Errorf("record %d: %w", rec.ID, err)
+		}
+		if got != b {
+			return fmt.Errorf("record %d belongs to bucket %d, not %d", rec.ID, got, b)
+		}
+	}
+	return nil
 }
 
 // dumpRecords returns every record in f (nil-safe).

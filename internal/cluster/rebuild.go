@@ -99,11 +99,14 @@ func RebuildNode(ctx context.Context, cfg RebuildConfig, target *Node) (RebuildS
 	if len(cfg.Endpoints) <= cfg.Map.MaxMember() {
 		return st, fmt.Errorf("cluster: %d endpoints for members up to %d", len(cfg.Endpoints), cfg.Map.MaxMember())
 	}
+	target.mu.RLock()
+	bucketOf := target.file.BucketOf // the node's partition, which a rebuild keeps
+	target.mu.RUnlock()
 	cp := newCopier(copier{
 		g: cfg.Map.Grid(), client: cfg.Client, endpoints: cfg.Endpoints,
 		timeout: cfg.FetchTimeout, attempts: cfg.FetchAttempts,
 		priority: repair.BackgroundPriority, epoch: cfg.Map.Epoch(),
-		capacity: target.cfg.PageCapacity, throttle: cfg.Throttle,
+		capacity: target.cfg.PageCapacity, throttle: cfg.Throttle, bucketOf: bucketOf,
 	}, cfg.Obs, "cluster.rebuild")
 
 	start := time.Now()
@@ -136,6 +139,11 @@ type copier struct {
 	epoch     uint64        // the epoch donor reads are stamped with
 	capacity  int           // records per throttle page; 32 when 0
 	throttle  *repair.Throttle
+	// bucketOf, when set, is the destination's value → bucket mapping: a
+	// donor whose page carries a record of another bucket has failed, and
+	// the next donor is tried. Migrate leaves it nil — the nodes'
+	// partition is theirs alone — and the destination refuses such a page.
+	bucketOf func(values []float64) (int, error)
 
 	mBuckets, mRecords, mRetries *obs.Counter
 
@@ -279,6 +287,13 @@ func (c *copier) fetchBucketFrom(ctx context.Context, base string, cell grid.Coo
 	url := fmt.Sprintf("%s/v1/bucket?cell=%s&priority=%d&epoch=%d",
 		strings.TrimRight(base, "/"), strings.Join(parts, ","), c.priority, c.epoch)
 	var page recordPage
-	err := exchange(ctx, c.client, c.timeout, url, nil, &page, recordPayloadLimit)
-	return page.Records, err
+	if err := exchange(ctx, c.client, c.timeout, url, nil, &page, recordPayloadLimit); err != nil {
+		return nil, err
+	}
+	if c.bucketOf != nil {
+		if err := inBucket(page.Records, c.g.Linearize(cell), c.bucketOf); err != nil {
+			return nil, fmt.Errorf("cluster: %s: %w", url, err)
+		}
+	}
+	return page.Records, nil
 }

@@ -69,9 +69,14 @@ type RouterConfig struct {
 
 // Result is a gathered range-query answer.
 type Result struct {
-	// Records are the qualifying records in ascending ID order — the
-	// cluster's deterministic merge order, independent of which node or
-	// replica answered each piece.
+	// Records are the qualifying records as the single-node executor
+	// returns them, order included: the query's buckets row-major, each
+	// bucket's records in storage order — whichever node or replica
+	// answered each piece. Every copy of a bucket holds its records in
+	// one order: nodes load theirs from one record stream, in stream
+	// order, and every later copy (a rebuild, a migration's staging, a
+	// cutover's reload) is filled verbatim from an existing copy, in its
+	// order. A partial answer leaves out the uncovered pieces' buckets.
 	Records []datagen.Record
 	// SubQueries is how many per-shard pieces the query decomposed
 	// into; Covered of them were answered.
@@ -326,14 +331,26 @@ type legOp[R any] struct {
 	span  string // sub-query span label
 	limit int64  // response size cap
 	body  func(rect grid.Rect, epoch uint64, prio int) any
+	// vet, when set, checks a decoded answer against the rect it answers;
+	// an answer it refuses fails the leg like a bad body.
+	vet func(resp *R, rect grid.Rect) error
 }
 
 // searchOp's legs come back as views over pooled bodies, which searchEpoch
 // releases after the merge. Request bodies view the rect: only marshalled.
+// A leg must count its records per bucket of the rect it was asked for:
+// those counts are what gather walks.
 var searchOp = legOp[pageLeg]{
 	path: "/v1/query", span: "shard", limit: recordPayloadLimit,
 	body: func(rect grid.Rect, epoch uint64, prio int) any {
 		return queryRequest{Rect: wireRect{Lo: rect.Lo, Hi: rect.Hi}, Epoch: epoch, Priority: prio}
+	},
+	vet: func(leg *pageLeg, rect grid.Rect) error {
+		if !leg.counted || leg.buckets != rect.Volume() {
+			leg.release()
+			return fmt.Errorf("cluster: malformed answer for %v: %d buckets, counted %v", rect, leg.buckets, leg.counted)
+		}
+		return nil
 	},
 }
 
@@ -357,9 +374,10 @@ type subOutcome[R any] struct {
 	err             error
 }
 
-// gathered is one scatter round: every sub-query's outcome in
-// decomposition order, plus the round's attempt accounting.
+// gathered is one scatter round: the sub-queries and every one's outcome,
+// in decomposition order, plus the round's attempt accounting.
 type gathered[R any] struct {
+	subs                       []SubQuery
 	outs                       []subOutcome[R]
 	retries, hedges, hedgeWins int
 }
@@ -506,7 +524,7 @@ func (rt *Router) searchEpoch(ctx context.Context, q grid.Rect, sm *ShardMap, pa
 			res.Degraded = res.Degraded || o.resp.degraded
 		}
 	}
-	res.Records = gather(g.outs)
+	res.Records = gather(q, g.subs, g.outs)
 	var pe *PartialError
 	if errors.As(err, &pe) {
 		if observe {
@@ -517,74 +535,51 @@ func (rt *Router) searchEpoch(ctx context.Context, q grid.Rect, sm *ShardMap, pa
 	return res, err
 }
 
-// gather merges the answered legs' records in ascending ID order. Within
-// a bucket records sit in insertion order (ascending ID for generated
-// datasets), and shards are disjoint, so a global ID sort is a total
-// order independent of node scheduling. What is sorted is one
-// pointer-free key per record, read from the leg bodies; what is
-// allocated is what the caller keeps — the records and one value slab —
-// and every record is decoded once, into its sorted place.
-func gather(outs []subOutcome[pageLeg]) []datagen.Record {
+// gather builds the answer in the single-node executor's order: q's
+// buckets row-major, each bucket's records in storage order. Each
+// answered leg holds its sub-rectangle's buckets in that same order and
+// counts their records, so the walk goes along q in runs on the last
+// axis — a run is the next buckets of the one sub-rectangle covering it,
+// and its records are that leg's next records. A failed leg's runs are
+// skipped. What is allocated is what the caller keeps — the records and
+// one value slab — and every record is decoded once, in sequence, into
+// its place. The walk consumes the legs' views.
+func gather(q grid.Rect, subs []SubQuery, outs []subOutcome[pageLeg]) []datagen.Record {
 	total, values := 0, 0
 	for _, o := range outs {
 		if o.err == nil {
 			total, values = total+o.resp.n, values+o.resp.n*o.resp.k
 		}
 	}
-	kp := mergeKeys.Get().(*[]mergeKey)
-	defer mergeKeys.Put(kp)
-	*kp = slices.Grow((*kp)[:0], 2*total) // the spare half is sortKeys' scratch
-	keys := (*kp)[:0]
-	for leg, o := range outs {
-		for i := 0; o.err == nil && i < o.resp.n; i++ {
-			keys = append(keys, mergeKey{uint64(o.resp.id(i)) ^ 1<<63, uint64(leg)<<32 | uint64(i)})
+	records, slab := make([]datagen.Record, 0, total), make([]float64, values)
+	last := len(q.Lo) - 1
+	var scratch [8]int
+	cell := append(scratch[:0], q.Lo...) // the walk's position; cell[last] is a run's start
+	for {
+		for cell[last] <= q.Hi[last] {
+			i := slices.IndexFunc(subs, func(sq SubQuery) bool { return sq.Rect.Contains(cell) })
+			end := subs[i].Rect.Hi[last]
+			if o := outs[i]; o.err == nil {
+				f := &o.resp.frame
+				for range f.take(end - cell[last] + 1) {
+					records = append(records, f.next(slab[:f.k:f.k]))
+					slab = slab[f.k:]
+				}
+			}
+			cell[last] = end + 1
+		}
+		cell[last] = q.Lo[last]
+		i := last - 1
+		for ; i >= 0; i-- {
+			if cell[i]++; cell[i] <= q.Hi[i] {
+				break
+			}
+			cell[i] = q.Lo[i]
+		}
+		if i < 0 {
+			return records
 		}
 	}
-	records, slab := make([]datagen.Record, total), make([]float64, values)
-	for i, key := range sortKeys(keys, keys[total:2*total]) {
-		f := outs[key.at>>32].resp
-		records[i], slab = f.record(int(uint32(key.at)), slab[:f.k:f.k]), slab[f.k:]
-	}
-	return records
-}
-
-// mergeKey stands for one gathered record in the merge sort: its ID with
-// the sign bit flipped, so unsigned order is ID order for any int, and
-// where it sits — leg<<32 | index in the leg's page.
-type mergeKey struct{ id, at uint64 }
-
-// mergeKeys recycles gather's key arrays; nothing outlives the gather.
-var mergeKeys = sync.Pool{New: func() any { return new([]mergeKey) }}
-
-// sortKeys orders keys by id: an LSD radix sort, a byte a pass, between
-// keys and tmp (same length), returning whichever ends up sorted. It is
-// stable, so equal IDs stay as keyed — by leg, then page position — and
-// only a byte on which keys differ is counted and scattered at all: small
-// IDs cost two or three passes on top of the one that finds those bytes.
-func sortKeys(keys, tmp []mergeKey) []mergeKey {
-	var differ uint64
-	for _, k := range keys {
-		differ |= k.id ^ keys[0].id
-	}
-	for shift := 0; differ>>shift != 0; shift += 8 {
-		if byte(differ>>shift) == 0 {
-			continue
-		}
-		var next [256]int
-		for _, k := range keys {
-			next[byte(k.id>>shift)]++
-		}
-		at := 0
-		for d, c := range next {
-			next[d], at = at, at+c
-		}
-		for _, k := range keys {
-			tmp[next[byte(k.id>>shift)]] = k
-			next[byte(k.id>>shift)]++
-		}
-		keys, tmp = tmp, keys
-	}
-	return keys
 }
 
 // scatter decomposes q under sm, runs every per-shard sub-query
@@ -601,7 +596,7 @@ func scatter[R any](ctx context.Context, rt *Router, op legOp[R], q grid.Rect, s
 	if err != nil {
 		return nil, err
 	}
-	g := &gathered[R]{outs: make([]subOutcome[R], len(subs))}
+	g := &gathered[R]{subs: subs, outs: make([]subOutcome[R], len(subs))}
 	var wg sync.WaitGroup
 	for i, sq := range subs {
 		wg.Add(1)
@@ -802,6 +797,9 @@ func callNode[R any](ctx context.Context, rt *Router, op legOp[R], node int, rec
 	var err error
 	if url, ok := rt.urlOf(node); ok {
 		err = exchange(ctx, rt.client, rt.deadline, url+op.path, op.body(rect, epoch, prio), resp, op.limit)
+		if err == nil && op.vet != nil {
+			err = op.vet(resp, rect)
+		}
 	} else {
 		err = fmt.Errorf("cluster: no endpoint for member %d", node)
 	}

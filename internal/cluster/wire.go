@@ -31,16 +31,22 @@ import (
 //
 // Record frame (Content-Type frameContentType), little-endian:
 //
-//	offset  size      field
-//	0       4         magic "DGP" + version 1
-//	4       1         flags (bit 0: degraded; the rest must be 0)
-//	5       1         c, cell axes (0 except on /v1/migrate/bucket)
-//	6       2         k, values per record (0 when n is 0)
-//	8       8         epoch
-//	16      4         buckets
-//	20      4         n, records
-//	24      4·c       cell coordinates, uint32 each
-//	24+4·c  n·(8+8k)  records: int64 id, then k float64 bit patterns
+//	offset  size       field
+//	0       4          magic "DGP" + version 1
+//	4       1          flags (bit 0: degraded; bit 1: counted; the rest must be 0)
+//	5       1          c, cell axes (0 except on /v1/migrate/bucket)
+//	6       2          k, values per record (0 when n is 0)
+//	8       8          epoch
+//	16      4          buckets
+//	20      4          n, records
+//	24      4·c        cell coordinates, uint32 each
+//	24+4·c  4·buckets  counted only: records per bucket, uint32 each, row-major; they sum to n
+//	…       n·(8+8k)   records: int64 id, then k float64 bit patterns
+//
+// A /v1/query answer is always counted: its records are its buckets'
+// runs, row-major, and the counts say where each run ends — what lets the
+// router stitch legs without mapping a value. /v1/bucket and
+// /v1/migrate/bucket frames are one bucket and never counted.
 //
 // Endpoints:
 //
@@ -85,10 +91,14 @@ var le = binary.LittleEndian
 // bucket for a rebuild or migration, one bucket for a staging file.
 type recordPage struct {
 	Epoch    uint64 // map epoch the page was read, or is to be staged, under
-	Buckets  int    // grid buckets the page covers (observability)
+	Buckets  int    // grid buckets the page covers
 	Degraded bool   // some bucket came from a replica disk, not its primary
 	Cell     []int  // the bucket a /v1/migrate/bucket page belongs to
-	Records  []datagen.Record
+	// Counts, when not nil, makes a counted frame: Buckets entries, how
+	// many of Records each bucket holds, row-major, summing to
+	// len(Records) — or the receiver refuses the frame.
+	Counts  []int
+	Records []datagen.Record
 }
 
 // appendTo frames p onto buf[:0]. A record set that is not k values wide
@@ -101,17 +111,23 @@ func (p *recordPage) appendTo(buf []byte) ([]byte, error) {
 	if uint64(p.Buckets) > math.MaxUint32 || len(p.Cell) > math.MaxUint8 || k > math.MaxUint16 || uint64(len(p.Records)) > math.MaxUint32 {
 		return nil, fmt.Errorf("cluster: page of %d records × %d values over %d buckets does not fit a record frame", len(p.Records), k, p.Buckets)
 	}
-	buf = slices.Grow(buf[:0], frameHeaderLen+4*len(p.Cell)+len(p.Records)*(8+8*k))
 	flags := byte(0)
 	if p.Degraded {
-		flags = 1
+		flags |= 1
 	}
+	if p.Counts != nil {
+		flags |= 2
+	}
+	buf = slices.Grow(buf[:0], frameHeaderLen+4*len(p.Cell)+4*len(p.Counts)+len(p.Records)*(8+8*k))
 	buf = append(append(buf, frameMagic...), flags, byte(len(p.Cell)))
 	buf = le.AppendUint16(buf, uint16(k))
 	buf = le.AppendUint64(buf, p.Epoch)
 	buf = le.AppendUint32(buf, uint32(p.Buckets))
 	buf = le.AppendUint32(buf, uint32(len(p.Records)))
 	for _, c := range p.Cell {
+		buf = le.AppendUint32(buf, uint32(c))
+	}
+	for _, c := range p.Counts {
 		buf = le.AppendUint32(buf, uint32(c))
 	}
 	for _, r := range p.Records {
@@ -127,46 +143,69 @@ func (p *recordPage) appendTo(buf []byte) ([]byte, error) {
 }
 
 // frame is a validated record frame viewed in place: the header fields,
-// and the cell and record regions still as the bytes they arrived as.
+// and the cell, count and record regions still as the bytes they arrived
+// as.
 type frame struct {
-	epoch    uint64
-	buckets  int
-	degraded bool
-	k, n     int    // values per record, records
-	cell     []byte // 4 bytes an axis
-	recs     []byte // n·(8+8k) bytes
+	epoch             uint64
+	buckets           int
+	degraded, counted bool
+	k, n              int    // values per record, records
+	cell              []byte // 4 bytes an axis
+	counts            []byte // 4 bytes a bucket when counted, else empty
+	recs              []byte // n·(8+8k) bytes
 }
 
 // parseFrame is the one validation every received frame passes — content
-// type, magic and version, flags, and a length that is exactly header +
-// cell + n·(8+8k), computed in 64 bits — and it allocates nothing: the
-// view it returns reads data in place.
+// type, magic and version, flags, a length that is exactly header + cell
+// + counts + n·(8+8k), computed in 64 bits, and counts that sum to n —
+// and it allocates nothing: the view it returns reads data in place.
 func parseFrame(contentType string, data []byte) (frame, error) {
 	if contentType != frameContentType || len(data) < frameHeaderLen || string(data[:4]) != frameMagic {
 		return frame{}, fmt.Errorf("not a record frame (%q, %d bytes)", contentType, len(data))
 	}
 	flags, c, k, n := data[4], int(data[5]), int(le.Uint16(data[6:])), int(le.Uint32(data[20:]))
+	buckets, counted := int(le.Uint32(data[16:])), flags&2 != 0
 	body := data[frameHeaderLen:]
-	if flags > 1 || len(body) < 4*c || (n == 0 && k != 0) || uint64(len(body)-4*c) != uint64(n)*uint64(8+8*k) {
-		return frame{}, fmt.Errorf("malformed record frame: flags %#x, %d bytes after the header for %d cell axes and %d records of %d values", flags, len(body), c, n, k)
+	head := uint64(4 * c) // cell, then counts when counted
+	if counted {
+		head += 4 * uint64(buckets)
 	}
-	return frame{
-		epoch: le.Uint64(data[8:]), buckets: int(le.Uint32(data[16:])), degraded: flags == 1,
-		k: k, n: n, cell: body[:4*c], recs: body[4*c:],
-	}, nil
+	if flags > 3 || uint64(len(body)) < head || (n == 0 && k != 0) || uint64(len(body))-head != uint64(n)*uint64(8+8*k) {
+		return frame{}, fmt.Errorf("malformed record frame: flags %#x, %d bytes after the header for %d cell axes, %d buckets and %d records of %d values", flags, len(body), c, buckets, n, k)
+	}
+	f := frame{
+		epoch: le.Uint64(data[8:]), buckets: buckets, degraded: flags&1 != 0, counted: counted,
+		k: k, n: n, cell: body[:4*c], counts: body[4*c : head], recs: body[head:],
+	}
+	// The sum cannot wrap: it is below 2³² per 4 bytes of a frame capped
+	// at recordPayloadLimit.
+	if rest := f; counted && rest.take(buckets) != n {
+		return frame{}, fmt.Errorf("malformed record frame: %d bucket counts do not sum to its %d records", buckets, n)
+	}
+	return f, nil
 }
 
-// id is record i's ID.
-func (f *frame) id(i int) int { return int(int64(le.Uint64(f.recs[i*(8+8*f.k):]))) }
+// take drops the view's next buckets counts and returns their sum: how
+// many of its next records those buckets hold.
+func (f *frame) take(buckets int) int {
+	n := 0
+	for ; buckets > 0; buckets-- {
+		n += int(le.Uint32(f.counts))
+		f.counts = f.counts[4:]
+	}
+	return n
+}
 
-// record decodes record i into vals, which must be f.k long and capped
-// there, so a caller's append to the record's Values reallocates instead
-// of writing into whatever lies behind them.
-func (f *frame) record(i int, vals []float64) datagen.Record {
-	rec := f.recs[i*(8+8*f.k):]
+// next decodes the view's next record into vals and drops it from the
+// view. vals must be f.k long and capped there, so a caller's append to
+// the record's Values reallocates instead of writing into whatever lies
+// behind them.
+func (f *frame) next(vals []float64) datagen.Record {
+	rec := f.recs
 	for j := range vals {
 		vals[j] = math.Float64frombits(le.Uint64(rec[8+8*j:]))
 	}
+	f.recs = rec[8+8*f.k:]
 	return datagen.Record{ID: int(int64(le.Uint64(rec))), Values: vals}
 }
 
@@ -182,9 +221,15 @@ func (p *recordPage) decode(contentType string, data []byte) error {
 	for cell := f.cell; len(cell) > 0; cell = cell[4:] {
 		p.Cell = append(p.Cell, int(le.Uint32(cell)))
 	}
+	if f.counted {
+		p.Counts = make([]int, f.buckets)
+		for i := range p.Counts {
+			p.Counts[i] = f.take(1)
+		}
+	}
 	slab := make([]float64, f.n*f.k)
 	for i := range p.Records {
-		p.Records[i] = f.record(i, slab[i*f.k:(i+1)*f.k:(i+1)*f.k])
+		p.Records[i] = f.next(slab[i*f.k : (i+1)*f.k : (i+1)*f.k])
 	}
 	return nil
 }

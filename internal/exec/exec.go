@@ -352,8 +352,14 @@ func (e *Executor) queryReader() BucketReader {
 // Release simply opt out of reuse.
 type Result struct {
 	// Records are the qualifying records, in deterministic (bucket,
-	// insertion) order regardless of worker scheduling.
+	// insertion) order regardless of worker scheduling: the query's
+	// buckets ascending, each bucket's records in storage order.
 	Records []datagen.Record
+	// RecordsPerBucket has one entry per bucket of the query, ascending —
+	// Records order: entry i is how many of Records came from the i-th
+	// bucket, 0 for an empty one. Records is their concatenation, so a
+	// consumer can cut it back into buckets without mapping a value.
+	RecordsPerBucket []int
 	// BucketsPerDisk counts buckets each worker read.
 	BucketsPerDisk []int
 	// Retries counts transient read errors that were retried to
@@ -578,8 +584,13 @@ func (e *Executor) run(ctx context.Context, qs *queryState, buckets, rank []int)
 	// records are copied out of the read path's views into the Result's
 	// own backing, so the Result aliases neither the grid file nor any
 	// pooled buffer.
+	if cap(out.RecordsPerBucket) < len(qs.slots) {
+		out.RecordsPerBucket = make([]int, len(qs.slots))
+	}
+	out.RecordsPerBucket = out.RecordsPerBucket[:len(qs.slots)]
 	recs := out.Records[:0]
-	for _, page := range qs.slots {
+	for i, page := range qs.slots {
+		out.RecordsPerBucket[i] = len(page)
 		recs = append(recs, page...)
 	}
 	out.Records = recs
@@ -770,7 +781,7 @@ func (e *Executor) readWithRetry(ctx context.Context, reader BucketReader, dsp *
 // RangeSearchValues runs RangeSearch over the cell rectangle covering
 // the inclusive value bounds under the file's partition boundaries and
 // filters records to them, mirroring gridfile.RangeSearch but
-// concurrent.
+// concurrent. RecordsPerBucket counts the records that pass.
 func (e *Executor) RangeSearchValues(ctx context.Context, lo, hi []float64) (*Result, error) {
 	r, err := e.file.ValueRect(lo, hi)
 	if err != nil {
@@ -780,18 +791,22 @@ func (e *Executor) RangeSearchValues(ctx context.Context, lo, hi []float64) (*Re
 	if err != nil {
 		return nil, err
 	}
-	filtered := res.Records[:0]
-	for _, rec := range res.Records {
-		ok := true
-		for i := range rec.Values {
-			if rec.Values[i] < lo[i] || rec.Values[i] > hi[i] {
-				ok = false
-				break
+	filtered, rest := res.Records[:0], res.Records
+	for b, n := range res.RecordsPerBucket {
+		kept := len(filtered)
+		for _, rec := range rest[:n] {
+			ok := true
+			for i := range rec.Values {
+				if rec.Values[i] < lo[i] || rec.Values[i] > hi[i] {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				filtered = append(filtered, rec)
 			}
 		}
-		if ok {
-			filtered = append(filtered, rec)
-		}
+		rest, res.RecordsPerBucket[b] = rest[n:], len(filtered)-kept
 	}
 	res.Records = filtered
 	return res, nil

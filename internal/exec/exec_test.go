@@ -66,6 +66,16 @@ func TestRangeSearchMatchesSequential(t *testing.T) {
 			t.Fatalf("record %d: parallel ID %d, sequential ID %d", i, par.Records[i].ID, seq.Records[i].ID)
 		}
 	}
+	// One count per bucket of r, row-major, empty buckets included.
+	buckets := g.AppendRect(nil, r)
+	if len(par.RecordsPerBucket) != len(buckets) {
+		t.Fatalf("%d per-bucket counts for %d buckets", len(par.RecordsPerBucket), len(buckets))
+	}
+	for i, b := range buckets {
+		if par.RecordsPerBucket[i] != f.BucketLen(b) {
+			t.Fatalf("bucket %d: counted %d records, the file holds %d", b, par.RecordsPerBucket[i], f.BucketLen(b))
+		}
+	}
 }
 
 func TestRangeSearchDeterministicAcrossRuns(t *testing.T) {
@@ -168,6 +178,24 @@ func TestRangeSearchValuesFilters(t *testing.T) {
 	}
 	if len(res.Records) != len(seq.Records) {
 		t.Fatalf("parallel %d records, sequential %d", len(res.Records), len(seq.Records))
+	}
+	// The per-bucket counts follow the filter: each counts the records of
+	// its bucket that passed.
+	r, err := f.ValueRect([]float64{0.25, 0.25}, []float64{0.5, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := 0
+	for i, b := range f.Grid().AppendRect(nil, r) {
+		for _, rec := range res.Records[at : at+res.RecordsPerBucket[i]] {
+			if got, _ := f.BucketOf(rec.Values); got != b {
+				t.Fatalf("record %d counted in bucket %d, lives in %d", rec.ID, b, got)
+			}
+		}
+		at += res.RecordsPerBucket[i]
+	}
+	if at != len(res.Records) {
+		t.Fatalf("per-bucket counts sum to %d, %d records passed", at, len(res.Records))
 	}
 }
 

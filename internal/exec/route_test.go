@@ -89,6 +89,9 @@ func TestRectAndBucketSetRouteAlike(t *testing.T) {
 				if !reflect.DeepEqual(byRect.Records, bySet.Records) {
 					t.Errorf("rect %v: %d records by rect, %d by set (or order differs)", r, len(byRect.Records), len(bySet.Records))
 				}
+				if !slices.Equal(byRect.RecordsPerBucket, bySet.RecordsPerBucket) {
+					t.Errorf("rect %v: RecordsPerBucket %v by rect, %v by set", r, byRect.RecordsPerBucket, bySet.RecordsPerBucket)
+				}
 				if !slices.Equal(byRect.BucketsPerDisk, bySet.BucketsPerDisk) {
 					t.Errorf("rect %v: BucketsPerDisk %v by rect, %v by set", r, byRect.BucketsPerDisk, bySet.BucketsPerDisk)
 				}
@@ -161,9 +164,11 @@ func TestBucketSetValidationOnPooledState(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d, %s: %v", round, tc.name, err)
 			}
-			if !reflect.DeepEqual(got.Records, want.Records) || !slices.Equal(got.BucketsPerDisk, want.BucketsPerDisk) {
-				t.Fatalf("round %d, %s: %d records, per disk %v; the sorted set gave %d, %v (or order differs)",
-					round, tc.name, len(got.Records), got.BucketsPerDisk, len(want.Records), want.BucketsPerDisk)
+			if !reflect.DeepEqual(got.Records, want.Records) || !slices.Equal(got.BucketsPerDisk, want.BucketsPerDisk) ||
+				!slices.Equal(got.RecordsPerBucket, want.RecordsPerBucket) {
+				t.Fatalf("round %d, %s: %d records, per disk %v, per bucket %v; the sorted set gave %d, %v, %v (or order differs)",
+					round, tc.name, len(got.Records), got.BucketsPerDisk, got.RecordsPerBucket,
+					len(want.Records), want.BucketsPerDisk, want.RecordsPerBucket)
 			}
 		}
 	}
