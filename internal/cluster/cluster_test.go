@@ -221,7 +221,9 @@ func TestRouterHedgeSuppressedUnderSaturation(t *testing.T) {
 	// Warm-up: EWMAs start cold at zero, so hedging is still allowed —
 	// and every leg that answers records a ~20ms sample. A leg that loses
 	// its hedge race is cancelled without leaving one, so a single search
-	// does not always reach all four nodes.
+	// does not always reach all four nodes. A lead so overtaken goes on
+	// probation instead: the next searches lead with its replica until a
+	// probe, one breaker cooldown on, lets it lead — and answer — again.
 	for warm := 0; ; warm++ {
 		if _, err := tc.h.Router().Search(context.Background(), q); err != nil {
 			t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"decluster/internal/batch"
@@ -127,12 +128,21 @@ type Router struct {
 	hedge    time.Duration
 	sink     *obs.Sink
 
+	// probation holds one hedge.Now stamp per breaker slot: 0 while the
+	// member is in good standing, otherwise the member is on probation and
+	// the stamp is the earliest its next probe may lead (see passOver).
+	// A probation lasts one breaker cooldown.
+	probation []atomic.Int64
+	cooldown  int64
+	now       func() int64 // hedge.Now; read only for a member on probation
+
 	mu      sync.RWMutex
 	sm      *ShardMap
 	pending *ShardMap
 	urls    map[int]string // member ID → base URL
 
 	mQueries, mPartial, mHedges, mHedgeWins, mRetries *obs.Counter
+	mProbations                                       *obs.Counter
 	mStale, mAdopts, mPendingWins                     *obs.Counter
 	mAggregates, mAggErrors                           *obs.Counter
 	mLatency                                          *obs.Histogram
@@ -178,6 +188,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		deadline: cfg.NodeDeadline, retry: cfg.Retry,
 		brk: brk, brkSize: len(cfg.Endpoints),
 		hedge: cfg.HedgeAfter, sink: cfg.Obs,
+		probation: make([]atomic.Int64, len(cfg.Endpoints)),
+		cooldown:  int64(brk.Cooldown()), now: hedge.Now,
 	}
 	if s := cfg.Obs; s != nil {
 		r := s.Registry()
@@ -185,6 +197,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		rt.mPartial = r.Counter("cluster.router.partial")
 		rt.mHedges = r.Counter("cluster.router.hedges")
 		rt.mHedgeWins = r.Counter("cluster.router.hedgewins")
+		rt.mProbations = r.Counter("cluster.router.probations")
 		rt.mRetries = r.Counter("cluster.router.retries")
 		rt.mStale = r.Counter("cluster.router.stale")
 		rt.mAdopts = r.Counter("cluster.router.adopts")
@@ -203,6 +216,19 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 
 // Breakers exposes the per-member breaker set (harness and tests).
 func (rt *Router) Breakers() *serve.Breakers { return rt.brk }
+
+// OnProbation lists the members on probation: overtaken by a hedge as a
+// sub-query's lead and not yet answering as one again (see passOver).
+// Probation is routing only — a member on it keeps its breaker state.
+func (rt *Router) OnProbation() []int {
+	var out []int
+	for m := range rt.probation {
+		if rt.onProbation(m) {
+			out = append(out, m)
+		}
+	}
+	return out
+}
 
 // Epoch returns the epoch the router currently routes under.
 func (rt *Router) Epoch() uint64 { return rt.Map().Epoch() }
@@ -647,9 +673,10 @@ func scatter[R any](ctx context.Context, rt *Router, op legOp[R], q grid.Rect, s
 
 // runSub answers one sub-query: Retry.MaxAttempts attempts, each
 // against the next replica in rotation (skipping open breakers when a
-// closed one exists), each a race (one hedge.Racer serves them all)
-// against hedgeCandidate's replica, Retry.Wait apart. Candidates are
-// stable member IDs.
+// closed one exists, and on the first attempt members on probation),
+// each a race (one hedge.Racer serves them all) against hedgeCandidate's
+// replica, Retry.Wait apart. A lead overtaken by its timed hedge goes on
+// probation (settleLead). Candidates are stable member IDs.
 //
 // The configured attempt budget is a floor, not a ceiling: when the
 // caller set a deadline, that deadline is the real budget, and node
@@ -666,7 +693,7 @@ func runSub[R any](ctx context.Context, rt *Router, op legOp[R], sq SubQuery, sm
 	if parent != nil {
 		span = parent.Child(fmt.Sprintf("%s %d %v", op.span, sq.Shard, sq.Rect))
 	}
-	leg := func(ctx context.Context, node int, hedgeLeg bool) (*R, error) {
+	leg := func(lctx context.Context, node int, hedgeLeg bool) (*R, error) {
 		var s *obs.Span
 		if span != nil {
 			kind := "leg"
@@ -675,8 +702,13 @@ func runSub[R any](ctx context.Context, rt *Router, op legOp[R], sq SubQuery, sm
 			}
 			s = span.Child(fmt.Sprintf("%s node %d", kind, node))
 		}
-		resp, err := callNode(ctx, rt, op, node, sq.Rect, sm.Epoch(), prio)
+		resp, err := callNode(lctx, rt, op, node, sq.Rect, sm.Epoch(), prio)
 		s.FinishErr(err)
+		if !hedgeLeg {
+			// A lead whose leg context was cancelled while the sub-query
+			// lives was overtaken by its timed hedge.
+			rt.settleLead(node, err == nil, err != nil && lctx.Err() != nil && ctx.Err() == nil)
+		}
 		return resp, err
 	}
 	var racer hedge.Racer[*R]
@@ -730,43 +762,124 @@ func runSub[R any](ctx context.Context, rt *Router, op legOp[R], sq SubQuery, sm
 // pickNode returns the attempt's replica: rotation position attempt mod
 // replicas, advanced past open breakers when any candidate is allowed
 // (when every breaker is open the rotation choice stands — a probe has
-// to go somewhere or an open breaker could never heal).
+// to go somewhere or an open breaker could never heal). The first
+// attempt is also advanced past members on probation (passOver) when an
+// allowed holder in good standing exists; when none does, the first
+// allowed holder leads anyway — probation never leaves a sub-query
+// without a lead it could have had.
 func (rt *Router) pickNode(candidates []int, attempt int) int {
 	n := len(candidates)
+	lead := -1
 	for off := 0; off < n; off++ {
 		c := candidates[(attempt+off)%n]
-		if rt.allowMember(c) {
+		if !rt.allowMember(c) {
+			continue
+		}
+		if attempt > 0 || !rt.passOver(c) {
 			return c
 		}
+		if lead < 0 {
+			lead = c
+		}
+	}
+	if lead >= 0 {
+		return lead
 	}
 	return candidates[attempt%n]
 }
 
 // hedgeCandidate returns the replica a hedge leg should target — the
-// first allowed candidate differing from primary, or -1 when hedging is
-// off or none exists (single replica, everything else broken) — and the
-// delay to arm it with: HedgeAfter when the shared gate (hedge.Worth,
-// on the members' smoothed latencies) says a timed hedge is worth
-// issuing, 0 when it is not. The gate is what keeps hedging from
-// amplifying overload: under a flash crowd slow → hedge → slower tips a
-// saturated-but-stable cluster into breaker trips and retry storms, so
-// once every replica of a shard reports sick latency the router stops
-// hedging that shard and lets single legs drain the queues. A closed
-// gate still leaves the backup as the failover target of a leg that
-// fails outright.
+// first allowed candidate differing from primary, preferring one not on
+// probation, or -1 when hedging is off or none exists (single replica,
+// everything else broken) — and the delay to arm it with: HedgeAfter
+// when the shared gate (hedge.Worth, on the members' smoothed latencies)
+// says a timed hedge is worth issuing, 0 when it is not or the backup is
+// on probation. The gate is what keeps hedging from amplifying overload:
+// under a flash crowd slow → hedge → slower tips a saturated-but-stable
+// cluster into breaker trips and retry storms, so once every replica of
+// a shard reports sick latency the router stops hedging that shard and
+// lets single legs drain the queues. A closed gate, like probation,
+// still leaves the backup as the failover target of a leg that fails
+// outright. Probation ranks holders against one in good standing: a
+// primary on probation itself (pickNode found no better lead) races
+// its backup as if nobody were on probation.
 func (rt *Router) hedgeCandidate(candidates []int, primary int) (backup int, after time.Duration) {
 	if rt.hedge <= 0 {
 		return -1, 0
 	}
+	backup = -1
+	suspect := rt.onProbation(primary)
 	for _, c := range candidates {
-		if c != primary && rt.allowMember(c) {
-			if hedge.Worth(rt.hedge, rt.brk.EWMALatency(primary), rt.brk.EWMALatency(c)) {
-				return c, rt.hedge
+		if c == primary || !rt.allowMember(c) {
+			continue
+		}
+		if !suspect && rt.onProbation(c) {
+			if backup < 0 {
+				backup = c
 			}
-			return c, 0
+			continue
+		}
+		if hedge.Worth(rt.hedge, rt.brk.EWMALatency(primary), rt.brk.EWMALatency(c)) {
+			return c, rt.hedge
+		}
+		return c, 0
+	}
+	return backup, 0
+}
+
+// probationOf returns member m's probation stamp; nil for a member
+// beyond the breaker set (joined after construction), which is never on
+// probation.
+func (rt *Router) probationOf(m int) *atomic.Int64 {
+	if m < 0 || m >= len(rt.probation) {
+		return nil
+	}
+	return &rt.probation[m]
+}
+
+// onProbation reports whether member m is on probation: one atomic load.
+func (rt *Router) onProbation(m int) bool {
+	p := rt.probationOf(m)
+	return p != nil && p.Load() != 0
+}
+
+// passOver reports whether a first attempt should look past member m for
+// its lead. A member in good standing costs one atomic load and no clock
+// read. A member on probation is passed over until its stamp comes due;
+// then exactly one caller wins a compare-and-swap that pushes the stamp
+// a cooldown out and leads with m — the probe — and every other caller
+// keeps away for that cooldown.
+func (rt *Router) passOver(m int) bool {
+	p := rt.probationOf(m)
+	if p == nil {
+		return false
+	}
+	due := p.Load()
+	if due == 0 {
+		return false
+	}
+	now := rt.now()
+	return now < due || !p.CompareAndSwap(due, now+rt.cooldown)
+}
+
+// settleLead books how member m's lead leg ended. Overtaken by its timed
+// hedge, m goes on probation — or stays on it — for one cooldown: the
+// router learns its straggler from the one race that proves it, because
+// the cancelled leg leaves no latency sample. Answering, m is in good
+// standing again.
+func (rt *Router) settleLead(m int, won, overtaken bool) {
+	p := rt.probationOf(m)
+	switch {
+	case p == nil:
+	case won:
+		if due := p.Load(); due != 0 {
+			p.CompareAndSwap(due, 0)
+		}
+	case overtaken:
+		if p.Swap(rt.now()+rt.cooldown) == 0 {
+			rt.mProbations.Inc()
 		}
 	}
-	return -1, 0
 }
 
 // preferLegError picks which failed leg's error a doubly failed hedged

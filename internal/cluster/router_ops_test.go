@@ -254,7 +254,9 @@ func TestRouterHedgingBeatsStraggler(t *testing.T) {
 				}
 			}
 			// Warm every member's EWMA with raw legs: in a hedged query the
-			// straggler's leg loses its race and leaves no sample.
+			// straggler's leg loses its race and leaves no sample. The router
+			// puts a lead so overtaken on probation instead — later queries
+			// lead with its replica — which steers but teaches the gate nothing.
 			rt, sm := tc.h.Router(), tc.h.Map()
 			for n := 0; n < 4; n++ {
 				rect := sm.Shard(sm.HostedShardsOfMember(n)[0]).Rect

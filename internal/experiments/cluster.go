@@ -78,9 +78,10 @@ type ClusterChaosConfig struct {
 	// (default: node-loss, rolling-restart, partition, join, leave).
 	// Also available by name: flash-crowd (load surge, static
 	// membership), flash-crowd+autopilot (same surge with the
-	// load-driven membership controller attached), and
+	// load-driven membership controller attached),
 	// blinking-partition (a rapidly flapping partition adversarially
-	// aimed at the controller's anti-thrash defenses).
+	// aimed at the controller's anti-thrash defenses), and slow-node (one
+	// node answers 10 base latencies late for the middle half).
 	Scenarios []string
 	// Obs optionally receives router and node metrics; every cell but
 	// the autopilot ones shares the sink.
@@ -175,6 +176,11 @@ type ClusterChaosCell struct {
 	// victim's breaker opens while it is unreachable and must close
 	// again — half-open probe admitted — once the partition heals.
 	BreakersOpenAtEnd int
+
+	// ProbationAtEnd counts members the router still routes around as
+	// stragglers when the soak ended. The slow-node scenario asserts the
+	// healed victim leads its shards again through it.
+	ProbationAtEnd int
 
 	// MigrationLog records the online membership change's outcome
 	// (join/leave scenarios): epoch transition, buckets and records
@@ -316,6 +322,7 @@ func runClusterCell(sm *cluster.ShardMap, method alloc.Method, records []datagen
 		Method:   method,
 		Records:  records,
 		Standbys: standbys,
+		SlowUnit: cfg.BaseLatency, // a slow factor counts base latencies
 		Obs:      sink,
 		ServeOptions: []serve.Option{
 			serve.WithBaseLatency(cfg.BaseLatency),
@@ -350,6 +357,8 @@ func runClusterCell(sm *cluster.ShardMap, method alloc.Method, records []datagen
 		schedule = fault.PartitionSchedule(seed, sm.Nodes(), cfg.Duration)
 	case "blinking-partition":
 		schedule = fault.BlinkingPartitionSchedule(seed, sm.Nodes(), cfg.Duration, 4)
+	case "slow-node":
+		schedule = fault.SlowNodeSchedule(seed, sm.Nodes(), cfg.Duration, 11)
 	case "join", "leave":
 		// Membership changes are the chaos: no fault schedule, the
 		// migration itself runs against live traffic.
@@ -518,19 +527,21 @@ func runClusterCell(sm *cluster.ShardMap, method alloc.Method, records []datagen
 	cell.FinalEpoch = h.Router().Epoch()
 
 	// Recovery sweep: every schedule ends healed, so the cluster must
-	// converge to zero open breakers without any manual reset — but the
-	// soak can end mid-cooldown, before the half-open probe that would
-	// close the last breaker fires. Drive light traffic for a bounded
-	// grace (a few cooldowns) and record the verdict.
+	// converge to zero open breakers and no member on probation without
+	// any manual reset — but the soak can end mid-cooldown, before the
+	// probe that would close the last breaker or end the last probation
+	// fires. Drive light traffic for a bounded grace (a few cooldowns) and
+	// record the verdict.
 	cooldown := cfg.Duration / 10
 	recoverBy := time.Now().Add(4 * cooldown)
-	for len(h.Router().Breakers().Open()) > 0 && time.Now().Before(recoverBy) {
+	for (len(h.Router().Breakers().Open()) > 0 || len(h.Router().OnProbation()) > 0) && time.Now().Before(recoverBy) {
 		qctx, qcancel := context.WithTimeout(context.Background(), deadline)
 		_, _ = h.Router().Search(qctx, g.FullRect())
 		qcancel()
 		time.Sleep(cooldown / 4)
 	}
 	cell.BreakersOpenAtEnd = len(h.Router().Breakers().Open())
+	cell.ProbationAtEnd = len(h.Router().OnProbation())
 	cell.Hedges = hedges.Load()
 	cell.HedgeWins = hedgeWins.Load()
 	cell.Retries = retries.Load()

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"decluster/internal/obs"
 )
 
 // fastClusterChaos keeps the soak short enough for the unit-test suite
@@ -328,5 +330,38 @@ func TestAutopilotBlinkingPartitionZeroThrash(t *testing.T) {
 		if len(c.Events) == 0 {
 			t.Errorf("%s/blinking-partition: no blink events recorded", c.Placement)
 		}
+	}
+}
+
+// TestClusterChaosSlowNode: a node slowed for the middle half of the soak
+// costs no coverage — every cell answers 100% of its sub-queries — the
+// replicated routers put it on probation instead of waiting out the hedge
+// delay on every query, and after the ¾-run heal it leads its shards
+// again: no member is left on probation.
+func TestClusterChaosSlowNode(t *testing.T) {
+	cfg := fastClusterChaos()
+	cfg.Duration = 300 * time.Millisecond
+	cfg.Scenarios = []string{"slow-node"}
+	cfg.Obs = obs.NewSink()
+	res, err := ClusterChaos(cfg, Options{Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Log("\n" + res.Table().String())
+	for i := range res.Cells {
+		c := &res.Cells[i]
+		if c.Completeness() != 1 || c.Partial != 0 || c.Failed != 0 {
+			t.Errorf("%s/slow-node: %.2f%% complete, %d partial, %d failed: %v",
+				c.Placement, 100*c.Completeness(), c.Partial, c.Failed, c.PartialLog)
+		}
+		if len(c.Events) != 2 || !strings.Contains(c.Events[0], "slow") || !strings.Contains(c.Events[1], "fast") {
+			t.Errorf("%s/slow-node: events %v, want the slow-down and the heal", c.Placement, c.Events)
+		}
+		if c.ProbationAtEnd != 0 {
+			t.Errorf("%s/slow-node: %d members still on probation after the heal", c.Placement, c.ProbationAtEnd)
+		}
+	}
+	if n := cfg.Obs.Registry().Counter("cluster.router.probations").Value(); n == 0 {
+		t.Error("no member went on probation; the slowed node never lost a hedge race")
 	}
 }

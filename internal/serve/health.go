@@ -304,6 +304,9 @@ func (h *Breakers) Open() []int {
 	return out
 }
 
+// Cooldown is how long an open breaker waits before going half-open.
+func (h *Breakers) Cooldown() time.Duration { return h.cfg.Cooldown }
+
 // Trips returns the total breaker trips across all disks.
 func (h *Breakers) Trips() uint64 { return h.trips.Load() }
 
