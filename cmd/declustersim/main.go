@@ -23,7 +23,8 @@
 //	             are byte-identical at any setting)
 //	-kernel      response-time kernel: auto, walk, or prefix (default
 //	             auto — prefix summed-area tables when they fit the
-//	             memory budget, table walk otherwise)
+//	             memory budget and cost less than walking the
+//	             method's queries, table walk otherwise)
 //	-fail-disks  availability: maximum simultaneously failed disks
 //	             (default 2; 0 disables the failure sweep)
 //	-fail-prob   availability: transient read-error probability of the

@@ -130,7 +130,9 @@ type RTEvaluator = cost.RTEvaluator
 // Kernel choices for NewKernelEvaluator.
 const (
 	// KernelAuto picks prefix tables when they fit the memory budget,
-	// the table walk otherwise.
+	// the table walk otherwise. NewKernelEvaluator knows no workload, so
+	// its choice is budget-only; the experiment sweeps also require the
+	// tables to cost less than walking their queries.
 	KernelAuto = cost.KernelAuto
 	// KernelWalk forces the table-walk Evaluator.
 	KernelWalk = cost.KernelWalk

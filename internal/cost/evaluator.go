@@ -24,8 +24,9 @@ type Evaluator struct {
 	disks  int
 	table  []int
 	loads  []int
-	// strides mirror the grid's row-major linearization so the hot loop
-	// can walk bucket numbers incrementally instead of re-linearizing.
+	// strides mirror the grid's row-major linearization so the outer
+	// axes can step bucket numbers incrementally instead of
+	// re-linearizing; the last axis's stride is 1.
 	strides []int
 	// cur is the rectangle walk's odometer scratch, reused across
 	// queries so ResponseTime allocates nothing.
@@ -73,27 +74,26 @@ func (e *Evaluator) Method() alloc.Method { return e.method }
 // ResponseTime returns the parallel response time of the query in
 // bucket accesses, using the materialized table.
 func (e *Evaluator) ResponseTime(r grid.Rect) int {
-	for i := range e.loads {
-		e.loads[i] = 0
+	loads := e.loads
+	for i := range loads {
+		loads[i] = 0
 	}
-	// Walk the rectangle in row-major order, maintaining the bucket
-	// number incrementally.
-	k := len(r.Lo)
-	cur := e.cur[:k]
-	base := 0
-	for i := 0; i < k; i++ {
+	// The last axis has stride 1, so each row of the rectangle is one
+	// contiguous run of the table; only the outer axes step through the
+	// odometer, which carries the row's first bucket number along.
+	last := len(r.Lo) - 1
+	w := r.Hi[last] - r.Lo[last] + 1
+	cur := e.cur[:last+1]
+	n := 0
+	for i := range cur {
 		cur[i] = r.Lo[i]
-		base += r.Lo[i] * e.strides[i]
+		n += r.Lo[i] * e.strides[i]
 	}
-	max := 0
-	n := base
 	for {
-		d := e.table[n]
-		e.loads[d]++
-		if e.loads[d] > max {
-			max = e.loads[d]
+		for _, d := range e.table[n : n+w] {
+			loads[d]++
 		}
-		i := k - 1
+		i := last - 1
 		for ; i >= 0; i-- {
 			cur[i]++
 			n += e.strides[i]
@@ -104,9 +104,16 @@ func (e *Evaluator) ResponseTime(r grid.Rect) int {
 			cur[i] = r.Lo[i]
 		}
 		if i < 0 {
-			return max
+			break
 		}
 	}
+	max := 0
+	for _, v := range loads {
+		if v > max {
+			max = v
+		}
+	}
+	return max
 }
 
 // Evaluate measures the method over a workload with the same aggregates

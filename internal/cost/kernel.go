@@ -2,6 +2,7 @@ package cost
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"decluster/internal/alloc"
@@ -14,7 +15,9 @@ type Kernel int
 
 const (
 	// KernelAuto picks the prefix kernel when its tables fit the memory
-	// budget and the table walk otherwise.
+	// budget and the table walk otherwise. A caller that knows the work
+	// ahead (the experiment sweeps) narrows it further with AutoKernel:
+	// prefix only where the tables also cost less than walking.
 	KernelAuto Kernel = iota
 	// KernelWalk forces the table-walk Evaluator (O(volume) per query).
 	KernelWalk
@@ -81,10 +84,7 @@ func NewKernelEvaluator(m alloc.Method, k Kernel, tableBudget int64) (RTEvaluato
 	case KernelPrefix:
 		return NewPrefixEvaluator(m)
 	case KernelAuto:
-		if tableBudget <= 0 {
-			tableBudget = DefaultTableBudget
-		}
-		if PrefixTableBytes(m.Grid(), m.Disks()) <= tableBudget {
+		if prefixFitsBudget(m.Grid(), m.Disks(), tableBudget) {
 			if e, err := NewPrefixEvaluator(m); err == nil {
 				return e, nil
 			}
@@ -95,4 +95,53 @@ func NewKernelEvaluator(m alloc.Method, k Kernel, tableBudget int64) (RTEvaluato
 	default:
 		return nil, fmt.Errorf("cost: unknown kernel %v", k)
 	}
+}
+
+// prefixFitsBudget reports whether prefix tables for a method over g on
+// disks disks fit tableBudget (≤ 0 selects DefaultTableBudget).
+func prefixFitsBudget(g *grid.Grid, disks int, tableBudget int64) bool {
+	if tableBudget <= 0 {
+		tableBudget = DefaultTableBudget
+	}
+	return PrefixTableBytes(g, disks) <= tableBudget
+}
+
+// Work is what a kernel will be asked to answer: a number of queries
+// and their total volume Σ|Q|, the walk kernel's bucket probes.
+type Work struct {
+	Queries int64
+	Buckets int64
+}
+
+// WorkOf measures a workload.
+func WorkOf(w query.Workload) Work {
+	out := Work{Queries: int64(len(w.Queries))}
+	for _, q := range w.Queries {
+		out.Buckets += int64(q.Volume())
+	}
+	return out
+}
+
+// Add returns the combined work of w and o.
+func (w Work) Add(o Work) Work {
+	return Work{Queries: w.Queries + o.Queries, Buckets: w.Buckets + o.Buckets}
+}
+
+// AutoKernel is KernelAuto for a caller that knows the work ahead: it
+// returns KernelPrefix when a method over g on disks disks gets prefix
+// tables that fit tableBudget (≤ 0 selects DefaultTableBudget) and cost
+// less than walking, KernelWalk otherwise. Building the tables is
+// (k+1)·M·Π(d_i+1) counter updates (the scatter plus k prefix passes)
+// and each query adds M·2^k counters; the walk probes Σ|Q| buckets.
+// The two sides are compared 1:1, with no tuning constant.
+func AutoKernel(g *grid.Grid, disks int, work Work, tableBudget int64) Kernel {
+	if !prefixFitsBudget(g, disks, tableBudget) {
+		return KernelWalk
+	}
+	counters := float64(PrefixTableBytes(g, disks) / 4)
+	prefix := float64(g.K()+1)*counters + float64(disks)*math.Ldexp(float64(work.Queries), g.K())
+	if prefix < float64(work.Buckets) {
+		return KernelPrefix
+	}
+	return KernelWalk
 }

@@ -26,10 +26,12 @@ func eachRectOf(g *grid.Grid, fn func(r grid.Rect)) {
 	})
 }
 
-// The prefix kernel must agree with the reference walk on every
-// rectangle of every method — exhaustively on small grids.
+// The prefix and walk kernels must agree with the reference walk on
+// every rectangle of every method — exhaustively on small grids. The
+// one-axis grid is there because the walk reads the last axis as one
+// contiguous run.
 func TestPrefixMatchesReferenceExhaustive(t *testing.T) {
-	for _, dims := range [][]int{{8, 8}, {5, 7}, {4, 4, 4}, {3, 4, 2, 3}} {
+	for _, dims := range [][]int{{9}, {8, 8}, {5, 7}, {4, 4, 4}, {3, 4, 2, 3}} {
 		g := grid.MustNew(dims...)
 		for _, m := range alloc.PaperSet(g, 5) {
 			e, err := NewPrefixEvaluator(m)
@@ -39,9 +41,14 @@ func TestPrefixMatchesReferenceExhaustive(t *testing.T) {
 			if e.Method() != m {
 				t.Fatal("Method accessor wrong")
 			}
+			walk := NewEvaluator(m)
 			eachRectOf(g, func(r grid.Rect) {
-				if got, want := e.ResponseTime(r), ResponseTime(m, r); got != want {
+				want := ResponseTime(m, r)
+				if got := e.ResponseTime(r); got != want {
 					t.Fatalf("%s on %v grid, %v: prefix %d, reference %d", m.Name(), g, r, got, want)
+				}
+				if got := walk.ResponseTime(r); got != want {
+					t.Fatalf("%s on %v grid, %v: walk %d, reference %d", m.Name(), g, r, got, want)
 				}
 			})
 		}
@@ -229,6 +236,41 @@ func TestKernelSelection(t *testing.T) {
 
 	if _, err := NewKernelEvaluator(m, Kernel(99), 0); err == nil {
 		t.Error("unknown kernel accepted")
+	}
+}
+
+// AutoKernel gives prefix tables only to work that pays for them, and
+// only within the budget.
+func TestAutoKernelResolution(t *testing.T) {
+	// DatabaseSize-like: a 257² table per disk to answer 2,000 8×8
+	// queries — building costs far more than walking 128,000 buckets.
+	big := grid.MustNew(256, 256)
+	small, err := query.Placements(big, []int{8, 8}, 2000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := AutoKernel(big, 16, WorkOf(query.Workload{Queries: small}), 0); k != KernelWalk {
+		t.Errorf("256×256, M=16, 2000 8×8 queries: %v, want walk", k)
+	}
+
+	// DisksLarge-like: sides 16..48 put ~2.2M bucket probes against a
+	// 65² table per disk.
+	g := grid.MustNew(64, 64)
+	large, err := query.RandomRange(g, 16, 48, 2000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := WorkOf(large)
+	if k := AutoKernel(g, 16, work, 0); k != KernelPrefix {
+		t.Errorf("64×64, M=16, sides 16..48: %v, want prefix", k)
+	}
+	if k := AutoKernel(g, 16, work, PrefixTableBytes(g, 16)-1); k != KernelWalk {
+		t.Errorf("budget below the tables: %v, want walk", k)
+	}
+
+	// No work never pays for tables.
+	if k := AutoKernel(g, 16, Work{}, 0); k != KernelWalk {
+		t.Errorf("no work: %v, want walk", k)
 	}
 }
 

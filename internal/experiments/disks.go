@@ -79,11 +79,11 @@ func disksSweep(id, title string, band [2]int, cfg DisksConfig, opt Options) (*E
 				colSet = append(colSet, name)
 			}
 			cellIdx[row] = append(cellIdx[row], len(cells))
-			cells = append(cells, evalCell{method: len(methods), w: w})
+			cells = append(cells, evalCell{method: len(methods)})
 			methods = append(methods, mm)
 		}
 	}
-	evaluated, err := opt.evaluateCells(methods, cells)
+	evaluated, err := opt.evaluateCells(methods, []query.Workload{w}, cells)
 	if err != nil {
 		return nil, err
 	}

@@ -42,9 +42,10 @@ type Options struct {
 	// available CPU; 1 serializes). Results are byte-identical at any
 	// setting.
 	Parallel int
-	// Kernel selects the response-time kernel per evaluation cell
-	// (default cost.KernelAuto: prefix tables when they fit TableBudget,
-	// table walk otherwise).
+	// Kernel selects the response-time kernel per method (default
+	// cost.KernelAuto: prefix tables when they fit TableBudget and
+	// cost.AutoKernel finds them cheaper than walking all of the
+	// method's queries, table walk otherwise).
 	Kernel cost.Kernel
 	// TableBudget caps one evaluator's prefix-table memory under the
 	// auto kernel (≤ 0 selects cost.DefaultTableBudget).

@@ -20,16 +20,18 @@ import (
 // once per call, by the first worker to reach one of its cells; every
 // cell evaluates through a Clone (cost.Evaluator/PrefixEvaluator share
 // their immutable tables and keep scratch per clone), and the kernel is
-// dropped when the method's last cell finishes. The kernel choice (walk
-// vs prefix tables, Options.Kernel) is per method, so a method whose
-// prefix tables would bust the budget falls back to the walk without
-// affecting its neighbours.
+// dropped when the method's last cell finishes. The kernel choice
+// (walk vs prefix tables, Options.Kernel) is per method: under the auto
+// kernel, cost.AutoKernel weighs the method's prefix tables against
+// walking all of its cells' queries, so a method whose tables would
+// bust the budget or cost more than they save walks without affecting
+// its neighbours.
 
-// evalCell is one unit of sweep work: one method, by its index in the
-// method list handed to evaluateCells, over one workload.
+// evalCell is one unit of sweep work: one method and one workload, by
+// their indices in the lists handed to evaluateCells.
 type evalCell struct {
-	method int
-	w      query.Workload
+	method   int
+	workload int
 }
 
 // sharedKernel is one method's kernel for the length of one
@@ -41,10 +43,18 @@ type sharedKernel struct {
 	left  atomic.Int32 // cells of this method not yet evaluated
 }
 
-// newKernelCloner builds the chosen kernel for m and returns the
-// function that hands out clones sharing its tables.
-func (o Options) newKernelCloner(m alloc.Method) (func() cost.RTEvaluator, error) {
-	ev, err := cost.NewKernelEvaluator(m, o.Kernel, o.TableBudget)
+// newKernelCloner builds the chosen kernel for m, which will answer
+// work, and returns the function that hands out clones sharing its
+// tables. Under the auto kernel a method whose work does not pay for
+// prefix tables walks; otherwise the budget-only auto of
+// cost.NewKernelEvaluator decides, falling back to the walk should the
+// tables prove unrepresentable.
+func (o Options) newKernelCloner(m alloc.Method, work cost.Work) (func() cost.RTEvaluator, error) {
+	kernel := o.Kernel
+	if kernel == cost.KernelAuto && cost.AutoKernel(m.Grid(), m.Disks(), work, o.TableBudget) == cost.KernelWalk {
+		kernel = cost.KernelWalk
+	}
+	ev, err := cost.NewKernelEvaluator(m, kernel, o.TableBudget)
 	if err != nil {
 		return nil, err
 	}
@@ -62,11 +72,17 @@ func (o Options) newKernelCloner(m alloc.Method) (func() cost.RTEvaluator, error
 // one Result per cell, aligned to the input order. The first kernel
 // construction error aborts the sweep (remaining queued cells are
 // drained unevaluated).
-func (o Options) evaluateCells(methods []alloc.Method, cells []evalCell) ([]cost.Result, error) {
+func (o Options) evaluateCells(methods []alloc.Method, workloads []query.Workload, cells []evalCell) ([]cost.Result, error) {
 	out := make([]cost.Result, len(cells))
 	kernels := make([]sharedKernel, len(methods))
+	perWorkload := make([]cost.Work, len(workloads))
+	for i, w := range workloads {
+		perWorkload[i] = cost.WorkOf(w)
+	}
+	work := make([]cost.Work, len(methods)) // summed over each method's cells
 	for _, c := range cells {
 		kernels[c.method].left.Add(1)
+		work[c.method] = work[c.method].Add(perWorkload[c.workload])
 	}
 	par := o.parallel()
 	if par > len(cells) {
@@ -94,7 +110,7 @@ func (o Options) evaluateCells(methods []alloc.Method, cells []evalCell) ([]cost
 				}
 				c := cells[idx]
 				k := &kernels[c.method]
-				k.build.Do(func() { k.clone, k.err = o.newKernelCloner(methods[c.method]) })
+				k.build.Do(func() { k.clone, k.err = o.newKernelCloner(methods[c.method], work[c.method]) })
 				if k.err != nil {
 					mu.Lock()
 					if firstErr == nil {
@@ -103,7 +119,7 @@ func (o Options) evaluateCells(methods []alloc.Method, cells []evalCell) ([]cost
 					mu.Unlock()
 					continue
 				}
-				out[idx] = k.clone().Evaluate(c.w)
+				out[idx] = k.clone().Evaluate(workloads[c.workload])
 				if k.left.Add(-1) == 0 {
 					k.clone = nil // last cell: release the tables
 				}
@@ -126,12 +142,12 @@ func (o Options) evaluateCells(methods []alloc.Method, cells []evalCell) ([]cost
 // input order.
 func evaluateGrid(methods []alloc.Method, workloads []query.Workload, opt Options) ([]Row, error) {
 	cells := make([]evalCell, 0, len(methods)*len(workloads))
-	for _, w := range workloads {
+	for i := range workloads {
 		for j := range methods {
-			cells = append(cells, evalCell{method: j, w: w})
+			cells = append(cells, evalCell{method: j, workload: i})
 		}
 	}
-	res, err := opt.evaluateCells(methods, cells)
+	res, err := opt.evaluateCells(methods, workloads, cells)
 	if err != nil {
 		return nil, err
 	}

@@ -79,6 +79,33 @@ func TestSweepAutoKernelBudgetFallback(t *testing.T) {
 	}
 }
 
+// Under the auto kernel the engine builds what a method's work calls
+// for: the same method walks DisksSmall's queries and gets prefix
+// tables for DisksLarge's.
+func TestSweepAutoKernelFollowsWork(t *testing.T) {
+	g := grid.MustNew(64, 64)
+	m, err := alloc.NewHCAM(g, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		lo, hi int
+		prefix bool
+	}{{1, 4, false}, {16, 48, true}} {
+		w, err := query.RandomRange(g, tc.lo, tc.hi, 2000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clone, err := Options{}.newKernelCloner(m, cost.WorkOf(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, got := clone().(*cost.PrefixEvaluator); got != tc.prefix {
+			t.Errorf("sides %d..%d: built %T, want prefix %v", tc.lo, tc.hi, clone(), tc.prefix)
+		}
+	}
+}
+
 // An explicitly exhaustive disk sweep cannot be honoured (the band is
 // open-ended); the experiment must say so instead of silently handing
 // back sampled data — and the data must equal the sampled run it

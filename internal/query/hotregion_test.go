@@ -28,6 +28,10 @@ func TestHotRegionValidation(t *testing.T) {
 	if _, err := HotRegion(g, bad, 0.5, 1, 2, 10, 1); err == nil {
 		t.Error("out-of-range hot region accepted")
 	}
+	inverted := grid.Rect{Lo: grid.Coord{10, 10}, Hi: grid.Coord{3, 3}}
+	if w, err := HotRegion(g, inverted, 1, 1, 4, 5, 1); err == nil {
+		t.Errorf("inverted hot region accepted: %v", w.Queries)
+	}
 }
 
 func TestHotRegionConcentrates(t *testing.T) {

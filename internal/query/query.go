@@ -351,8 +351,8 @@ func RandomRange(g *grid.Grid, minSide, maxSide, n int, seed int64) (Workload, e
 // skewed query loci of interactive workloads, where declustering
 // quality over the hot region dominates.
 func HotRegion(g *grid.Grid, hot grid.Rect, heat float64, minSide, maxSide, n int, seed int64) (Workload, error) {
-	if len(hot.Lo) != g.K() || !g.Contains(hot.Lo) || !g.Contains(hot.Hi) {
-		return Workload{}, fmt.Errorf("query: hot region %v invalid for grid %v", hot, g)
+	if err := g.CheckRect(hot); err != nil {
+		return Workload{}, fmt.Errorf("query: hot region: %w", err)
 	}
 	if heat < 0 || heat > 1 {
 		return Workload{}, fmt.Errorf("query: heat %v outside [0,1]", heat)
