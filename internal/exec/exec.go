@@ -272,7 +272,11 @@ func WithObserver(s *obs.Sink) Option {
 // wrappers outermost (a health observer added after a read-repairer
 // sees the repaired, error-free reads). fn is called once per query and
 // must return a reader safe for concurrent use by that query's disk
-// workers.
+// workers. A disk's reads come from one worker, one at a time; when the
+// outermost wrapper's reader is a RunEnder, that worker calls
+// EndRun(disk) after its last read of the query, before the query
+// returns — where a reader that batches per-disk bookkeeping (the
+// scheduler's health tracker) flushes it.
 func WithReadWrapper(fn func(BucketReader) BucketReader) Option {
 	return func(e *Executor) { e.wraps = append(e.wraps, fn) }
 }
@@ -537,6 +541,7 @@ func (e *Executor) run(ctx context.Context, qs *queryState, buckets, rank []int)
 	}
 
 	qs.reader = e.queryReader()
+	qs.ender, _ = qs.reader.(RunEnder)
 	qs.wg.Add(active)
 	for d := 0; d < disks; d++ {
 		if len(qs.perDisk[d]) == 0 {

@@ -138,6 +138,9 @@ type diskTask struct {
 func (t *diskTask) run() {
 	qs := t.qs
 	e := qs.ex
+	if qs.ender != nil {
+		defer qs.ender.EndRun(t.disk)
+	}
 	var dsp *obs.Span
 	if qs.qsp != nil {
 		dsp = qs.qsp.Child(diskSpanName(t.disk))
@@ -196,6 +199,7 @@ type queryState struct {
 	ex     *Executor
 	ctx    context.Context
 	reader BucketReader
+	ender  RunEnder // reader's EndRun, nil when it has none
 	m      *execMetrics
 	qsp    *obs.Span
 
@@ -257,6 +261,7 @@ func (e *Executor) getState() *queryState {
 func (e *Executor) putState(qs *queryState) {
 	qs.ctx = nil
 	qs.reader = nil
+	qs.ender = nil
 	qs.qsp = nil
 	qs.m = nil
 	qs.firstErr = nil
@@ -386,6 +391,12 @@ func (qc *queryCtx) begin(parent context.Context, deadline time.Duration) contex
 		}
 	}
 	if parent.Done() != nil {
+		// A caller already gone is not left to the watcher: the workers
+		// could finish the query before it runs.
+		if err := parent.Err(); err != nil {
+			qc.cancelCurrent(err)
+			return qc
+		}
 		if qc.stop == nil {
 			qc.stop = make(chan struct{}, 1)
 		}

@@ -22,6 +22,16 @@ type BucketReader interface {
 	ReadBucket(ctx context.Context, disk, bucket int) ([]datagen.Record, error)
 }
 
+// RunEnder is implemented by a query's reader that keeps per-disk state
+// across a run: the reads one disk worker makes for one query, one after
+// another. The worker calls EndRun(disk) when its run ends, on every
+// exit path, on its own goroutine, before the query returns, so whatever
+// the reader deferred has landed by the time the caller sees the result.
+// Only the outermost reader — the last WithReadWrapper's — is asked.
+type RunEnder interface {
+	EndRun(disk int)
+}
+
 // NewFileReader returns the default grid-file BucketReader — the one an
 // Executor uses when no WithBucketReader option is given — so callers
 // composing their own reader stacks (latency simulation, caching,

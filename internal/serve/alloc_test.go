@@ -15,10 +15,12 @@ import (
 
 // hedgedSearchBudget bounds the objects one hedged Search may allocate
 // whatever its size, on two Ps: the query's own contexts, its reader and
-// the reader's per-disk stamp chain, and one leg context per pooled
-// Racer in use (about one per P). Measured 9 for the 6×6 rect and for
-// the 48×48 (8 before the stamp chain); doubled, because how many Racers
-// a query draws depends on how its sixteen workers were scheduled.
+// the reader's per-disk slots (one allocation), and one leg context per
+// pooled Racer the query draws — a disk worker holds one for its run,
+// and over in-memory reads about one worker per P runs at a time.
+// Measured 9 for the 6×6 rect and for the 48×48 (8 before the stamp
+// chain); doubled, because how many Racers a query draws depends on how
+// its sixteen workers were scheduled.
 const hedgedSearchBudget = 16
 
 // TestSchedulerHedgedSearchZeroAllocsPerRead is the hedged read's

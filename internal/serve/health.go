@@ -107,8 +107,8 @@ type DiskHealth struct {
 
 // diskTracker is the per-disk mutable health state. Everything is
 // written under mu; unsettled and ewma are atomics so that what every
-// hedged read asks — is the breaker closed, how slow is the disk — is
-// answered without it.
+// read asks — is the breaker closed, and for a hedged read how slow is
+// the disk — is answered without it.
 type diskTracker struct {
 	mu         sync.Mutex
 	state      BreakerState
@@ -224,8 +224,7 @@ func (h *Breakers) Observe(d int, lat time.Duration, err error) {
 	t.samples++
 	switch t.state {
 	case BreakerClosed:
-		if h.cfg.LatencyThreshold > 0 && t.samples >= h.cfg.MinSamples &&
-			ewma > float64(h.cfg.LatencyThreshold) {
+		if h.slowLocked(t, ewma) {
 			h.tripLocked(t)
 		}
 	case BreakerHalfOpen:
@@ -240,6 +239,65 @@ func (h *Breakers) Observe(d int, lat time.Duration, err error) {
 		}
 	}
 }
+
+// cleanRun is a run of clean reads of one endpoint awaiting fold: its n
+// latency samples x₁…xₙ in closed form, so that booking them costs one
+// EWMA step whatever n is. Unrolled, n steps of Observe's EWMA from e are
+// (1−α)ⁿ·e + Σ α(1−α)ⁿ⁻ⁱ·xᵢ, and seeding e with x₁ reproduces Observe's
+// first sample exactly.
+type cleanRun struct {
+	n     int
+	sum   float64 // Σ α(1−α)ⁿ⁻ⁱ·xᵢ
+	decay float64 // (1−α)ⁿ
+	first float64 // x₁
+}
+
+// add appends the sample x under the smoothing factor alpha.
+func (r *cleanRun) add(x, alpha float64) {
+	if r.n == 0 {
+		r.decay, r.first = 1, x
+	}
+	r.sum = (1-alpha)*r.sum + alpha*x
+	r.decay *= 1 - alpha
+	r.n++
+}
+
+// fold books run against endpoint d under one lock, as n clean Observe
+// calls would on a closed breaker — the EWMA by the closed form, reads
+// and samples up by n, the error streak broken — and empties run. The
+// latency trip is checked once, at the fold. Probes are not counted:
+// callers fold only reads they made while the breaker was closed, and
+// observe the others one by one.
+func (h *Breakers) fold(d int, run *cleanRun) {
+	if run.n == 0 {
+		return
+	}
+	t := h.disks[d]
+	t.mu.Lock()
+	h.tickLocked(t)
+	ewma := t.latency()
+	if t.samples == 0 {
+		ewma = run.first
+	}
+	ewma = run.decay*ewma + run.sum
+	t.ewma.Store(math.Float64bits(ewma))
+	t.reads += uint64(run.n)
+	t.samples += run.n
+	t.consecErrs = 0
+	if t.state == BreakerClosed && h.slowLocked(t, ewma) {
+		h.tripLocked(t)
+	}
+	t.mu.Unlock()
+	*run = cleanRun{}
+}
+
+// slowLocked reports whether t, at EWMA ewma, meets the latency trip.
+func (h *Breakers) slowLocked(t *diskTracker, ewma float64) bool {
+	return h.cfg.LatencyThreshold > 0 && t.samples >= h.cfg.MinSamples && ewma > float64(h.cfg.LatencyThreshold)
+}
+
+// closed reports whether d's breaker is closed, from one atomic load.
+func (h *Breakers) closed(d int) bool { return !h.disks[d].unsettled.Load() }
 
 // setState moves the breaker; callers hold mu.
 func (t *diskTracker) setState(s BreakerState) {

@@ -27,28 +27,50 @@ type HedgeConfig struct {
 }
 
 // servedReader is the per-query reader the scheduler installs via
-// exec.WithReadWrapper: it observes every read's latency and outcome
-// into the health tracker and — when hedging is configured — races a
+// exec.WithReadWrapper: it books every read's latency and outcome in
+// the health tracker and — when hedging is configured — races a
 // speculative backup read against slow primaries. It is outermost, so
 // it sees injected faults; reads it issues itself (the hedge leg) go
 // back through the per-query fault layer via inner.
 //
-// A healthy read costs one clock read, its end: chain[d] holds the stamp
-// disk d's next read starts at, the end of its last read. The executor
-// reads disk d only from d's worker, one read at a time, so each entry
-// has one writer and the gap between two reads (the worker's loop, well
-// under a microsecond) counts toward the second. A read that erred or
-// was hedged leaves 0, and the next read takes a fresh stamp: a retry
-// backoff or a race's second leg never counts as read time. Hedge legs
-// take stamps of their own and never write the chain.
+// The executor reads disk d only from d's worker, one read at a time,
+// and ends that worker's run — its reads of d for this query — with
+// EndRun before the query returns. So slots[d] has one writer, and what
+// a healthy read costs is kept there across the run:
+//
+//   - one clock read, its end. The chain stamp is where d's next read
+//     starts, the end of its last read, so the gap between two reads
+//     (the worker's loop, well under a microsecond) counts toward the
+//     second. A read that erred or was hedged leaves 0, and the next read
+//     takes a fresh stamp: a retry backoff or a race's second leg never
+//     counts as read time.
+//   - no lock. A clean read on a closed breaker joins the slot's pending
+//     run, which is folded into the tracker in one locked step (see
+//     observe for when); the tracker's lock and cache line are touched
+//     once per run, not by every read of every in-flight query.
+//   - no pool round trip. The run draws its bucketRace at its first race
+//     and keeps it until EndRun.
+//
+// Hedge and failover legs take stamps of their own, are observed one by
+// one and never touch a slot.
 type servedReader struct {
 	s     *Scheduler
 	inner exec.BucketReader
-	chain []int64
+	slots []diskSlot
+}
+
+// diskSlot is one disk's run state, written only by that disk's worker
+// and padded to a cache line so that no two workers write one line.
+type diskSlot struct {
+	chain int64       // the stamp the disk's next read starts at, 0 for a fresh one
+	since int64       // the start stamp of the run's first pending read
+	run   cleanRun    // clean reads not yet folded into the tracker
+	race  *bucketRace // the run's race state, nil until its first race
+	_     [8]byte
 }
 
 func (s *Scheduler) newServedReader(inner exec.BucketReader) *servedReader {
-	return &servedReader{s: s, inner: inner, chain: make([]int64, len(s.health.disks))}
+	return &servedReader{s: s, inner: inner, slots: make([]diskSlot, len(s.health.disks))}
 }
 
 // ReadBucket serves one bucket read with observation and optional
@@ -58,27 +80,30 @@ func (s *Scheduler) newServedReader(inner exec.BucketReader) *servedReader {
 // against its disk.
 func (r *servedReader) ReadBucket(ctx context.Context, disk, bucket int) ([]datagen.Record, error) {
 	s := r.s
-	start := r.chain[disk]
+	sl := &r.slots[disk]
+	start := sl.chain
 	if start == 0 {
 		start = hedge.Now()
 	}
-	r.chain[disk] = 0 // until this read ends clean
+	sl.chain = 0 // until this read ends clean
 	alt, after := s.altDisk(disk, bucket)
 	if alt < 0 {
-		recs, end, err := r.observe(ctx, disk, bucket, start)
+		recs, end, err := r.observe(ctx, disk, bucket, start, sl)
 		if err == nil {
-			r.chain[disk] = end
+			sl.chain = end
 		}
 		return recs, err
 	}
-	br := bucketRaces.Get().(*bucketRace)
-	br.r, br.bucket, br.start = r, bucket, start
+	br := sl.race
+	if br == nil {
+		br = bucketRaces.Get().(*bucketRace)
+		br.r, sl.race = r, br
+	}
+	br.bucket, br.start = bucket, start
 	recs, winner, hedged, err := br.racer.Race(ctx, start, after, disk, alt, br.leg, preferTransient)
 	if err == nil && !hedged {
-		r.chain[disk] = br.end
+		sl.chain = br.end
 	}
-	br.r = nil
-	bucketRaces.Put(br)
 	if hedged && err == nil && winner == alt {
 		s.stats.HedgesWon.Add(1)
 		s.metrics.hedgesWon.Inc()
@@ -86,12 +111,24 @@ func (r *servedReader) ReadBucket(ctx context.Context, disk, bucket int) ([]data
 	return recs, err
 }
 
-// bucketRace is what one hedged bucket read needs beyond its arguments,
-// pooled: the Racer with its watchdog and leg context, and the leg
-// function, bound to this struct once so that a read builds no closure.
-// A disk worker reads its buckets one after another under one query
-// context and keeps drawing the Racer it just put back, so the leg
-// context is made about once per worker per query, not once per read.
+// EndRun implements exec.RunEnder: disk's worker has made its last read
+// of the query. The run's pending clean reads are folded into the
+// tracker, and its bucketRace goes back to the pool.
+func (r *servedReader) EndRun(disk int) {
+	sl := &r.slots[disk]
+	r.s.health.fold(disk, &sl.run)
+	if br := sl.race; br != nil {
+		sl.race, br.r = nil, nil
+		bucketRaces.Put(br)
+	}
+}
+
+// bucketRace is what a run's hedged bucket reads need beyond their
+// arguments, pooled: the Racer with its watchdog and leg context, and
+// the leg function, bound to this struct once so that a read builds no
+// closure. A disk worker reads its buckets one after another under one
+// query context, so the leg context is made once per run, and only when
+// the run's worker draws a Racer that last served another query.
 type bucketRace struct {
 	racer  hedge.Racer[[]datagen.Record]
 	leg    func(ctx context.Context, disk int, hedgeLeg bool) ([]datagen.Record, error)
@@ -112,7 +149,7 @@ var bucketRaces = sync.Pool{New: func() any {
 func (br *bucketRace) read(ctx context.Context, d int, hedgeLeg bool) ([]datagen.Record, error) {
 	r := br.r
 	if !hedgeLeg {
-		recs, end, err := r.observe(ctx, d, br.bucket, br.start)
+		recs, end, err := r.observe(ctx, d, br.bucket, br.start, &r.slots[d])
 		br.end = end
 		return recs, err
 	}
@@ -125,7 +162,7 @@ func (br *bucketRace) read(ctx context.Context, d int, hedgeLeg bool) ([]datagen
 	if s.obs.Tracing() {
 		sp = obs.SpanFromContext(ctx).Child(fmt.Sprintf("hedge d%d", d))
 	}
-	recs, _, err := r.observe(ctx, d, br.bucket, hedge.Now())
+	recs, _, err := r.observe(ctx, d, br.bucket, hedge.Now(), nil)
 	sp.FinishErr(err)
 	return recs, err
 }
@@ -143,13 +180,40 @@ func preferTransient(cur, next error) error {
 }
 
 // observe times one read that began at the stamp start against the
-// inner (fault-injecting) reader, records the outcome in the health
-// tracker, and returns the read's end stamp.
-func (r *servedReader) observe(ctx context.Context, disk, bucket int, start int64) ([]datagen.Record, int64, error) {
+// inner (fault-injecting) reader, books the outcome in the health
+// tracker, and returns the read's end stamp. sl is the disk's slot when
+// the read is its worker's own, nil for a hedge or failover leg, which
+// is observed on its own. A worker's clean read on a closed breaker joins
+// the slot's pending run instead, and the run is folded
+//
+//   - at EndRun;
+//   - before any other outcome on the disk is observed, so that a streak
+//     of errors keeps its order against the clean reads before it;
+//   - once it spans foldSpan, so that within one long query the disk's
+//     EWMA — the hedge gate's input — lags by at most that span.
+//
+// While the breaker is not closed every read is observed one by one, so
+// half-open probes count exactly as they always did.
+func (r *servedReader) observe(ctx context.Context, disk, bucket int, start int64, sl *diskSlot) ([]datagen.Record, int64, error) {
 	recs, err := r.inner.ReadBucket(ctx, disk, bucket)
 	end := hedge.Now()
 	elapsed := time.Duration(end - start)
-	r.s.health.Observe(disk, elapsed, err)
+	h := r.s.health
+	switch {
+	case sl == nil:
+		h.Observe(disk, elapsed, err)
+	case err == nil && h.closed(disk):
+		if sl.run.n == 0 {
+			sl.since = start
+		}
+		sl.run.add(float64(elapsed), h.cfg.Alpha)
+		if end-sl.since >= r.s.foldSpan {
+			h.fold(disk, &sl.run)
+		}
+	default:
+		h.fold(disk, &sl.run)
+		h.Observe(disk, elapsed, err)
+	}
 	m := &r.s.metrics
 	m.legs.Inc()
 	if m.legLatency != nil {

@@ -190,6 +190,12 @@ type Scheduler struct {
 	// base latency clamped up to the host timer floor); immutable after
 	// New.
 	warnings []string
+
+	// foldSpan bounds, in hedge.Now nanoseconds, the time a disk's pending
+	// clean reads may cover before servedReader folds them: the hedge
+	// delay, whose gate reads the EWMA they feed, or the breaker cooldown
+	// when hedging is off.
+	foldSpan int64
 }
 
 // config collects the options of New.
@@ -329,6 +335,10 @@ func New(f *gridfile.File, opts ...Option) (*Scheduler, error) {
 		adm:     adm,
 		drain:   c.drain,
 		drained: make(chan struct{}),
+	}
+	s.foldSpan = int64(h.Cooldown())
+	if c.hedge.After > 0 {
+		s.foldSpan = int64(c.hedge.After)
 	}
 	if c.obs != nil {
 		s.obs = c.obs
@@ -532,7 +542,7 @@ func (s *Scheduler) admit(ctx context.Context, prio int) error {
 	}
 	if s.inFlight < s.adm.MaxInFlight && len(s.waiters) == 0 {
 		s.inFlight++
-		m.inFlight.Set(int64(s.inFlight))
+		m.inFlight.Add(1)
 		s.mu.Unlock()
 		return nil
 	}
@@ -556,7 +566,7 @@ func (s *Scheduler) admit(ctx context.Context, prio int) error {
 	w := &waiter{prio: prio, seq: s.seq, ctx: ctx, outcome: make(chan error, 1)}
 	s.seq++
 	heap.Push(&s.waiters, w)
-	m.queueDepth.Set(int64(len(s.waiters)))
+	m.queueDepth.Add(1)
 	m.nodeQueueDepth.Set(int64(len(s.waiters)))
 	s.mu.Unlock()
 	var qstart time.Time
@@ -575,7 +585,7 @@ func (s *Scheduler) admit(ctx context.Context, prio int) error {
 		if !w.decided {
 			heap.Remove(&s.waiters, w.idx)
 			w.decided = true
-			m.queueDepth.Set(int64(len(s.waiters)))
+			m.queueDepth.Add(-1)
 			m.nodeQueueDepth.Set(int64(len(s.waiters)))
 			s.mu.Unlock()
 			s.stats.Abandoned.Add(1)
@@ -603,6 +613,7 @@ func (s *Scheduler) admit(ctx context.Context, prio int) error {
 func (s *Scheduler) release() {
 	s.mu.Lock()
 	s.inFlight--
+	s.metrics.inFlight.Add(-1)
 	s.dispatchLocked()
 	s.mu.Unlock()
 }
@@ -610,23 +621,29 @@ func (s *Scheduler) release() {
 // dispatchLocked grants freed slots to the best waiters, applying the
 // expired-drop policy, and completes the drain once the scheduler is
 // closed and idle. Callers hold s.mu.
+//
+// The scalar gauges serve.queue.depth and serve.inflight move by deltas,
+// here and at every other site that changes what they count, because
+// schedulers sharing one sink share them: each gauge is the sum over its
+// schedulers, where a Set would hold whichever wrote last.
 func (s *Scheduler) dispatchLocked() {
+	m := &s.metrics
 	for s.inFlight < s.adm.MaxInFlight && len(s.waiters) > 0 {
 		w := heap.Pop(&s.waiters).(*waiter)
 		w.decided = true
+		m.queueDepth.Add(-1)
 		if s.adm.DropExpired && w.ctx.Err() != nil {
 			s.stats.Expired.Add(1)
-			s.metrics.expired.Inc()
-			s.metrics.nodeShed.Inc()
+			m.expired.Inc()
+			m.nodeShed.Inc()
 			w.outcome <- w.ctx.Err()
 			continue
 		}
 		s.inFlight++
+		m.inFlight.Add(1)
 		w.outcome <- nil
 	}
-	s.metrics.queueDepth.Set(int64(len(s.waiters)))
-	s.metrics.nodeQueueDepth.Set(int64(len(s.waiters)))
-	s.metrics.inFlight.Set(int64(s.inFlight))
+	m.nodeQueueDepth.Set(int64(len(s.waiters)))
 	if s.closed && s.inFlight == 0 {
 		select {
 		case <-s.drained:
@@ -641,7 +658,7 @@ func (s *Scheduler) dispatchLocked() {
 func (s *Scheduler) decideLocked(w *waiter, err error) {
 	heap.Remove(&s.waiters, w.idx)
 	w.decided = true
-	s.metrics.queueDepth.Set(int64(len(s.waiters)))
+	s.metrics.queueDepth.Add(-1)
 	s.metrics.nodeQueueDepth.Set(int64(len(s.waiters)))
 	w.outcome <- err
 }
@@ -670,6 +687,7 @@ func (s *Scheduler) Close() (*Snapshot, error) {
 		return s.snapshot(), ErrClosed
 	}
 	s.closed = true
+	s.metrics.queueDepth.Add(-int64(len(s.waiters)))
 	for len(s.waiters) > 0 {
 		w := heap.Pop(&s.waiters).(*waiter)
 		w.decided = true
@@ -677,7 +695,6 @@ func (s *Scheduler) Close() (*Snapshot, error) {
 		s.metrics.nodeShed.Inc()
 		w.outcome <- ErrClosed
 	}
-	s.metrics.queueDepth.Set(0)
 	s.metrics.nodeQueueDepth.Set(0)
 	if s.inFlight == 0 {
 		close(s.drained)
