@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"decluster/internal/datagen"
+	"decluster/internal/exec"
 	"decluster/internal/grid"
 	"decluster/internal/obs"
 	"decluster/internal/repair"
@@ -72,6 +73,10 @@ type MigrateStats struct {
 	// Aborted reports the migration rolled back to the From epoch.
 	Aborted bool
 }
+
+// cutoverBackoff paces a committed migration's cutover retries to one
+// member: 5ms doubling, capped at 40ms.
+var cutoverBackoff = exec.RetryPolicy{BaseBackoff: 5 * time.Millisecond, MaxBackoff: 40 * time.Millisecond}
 
 // Migrate executes a membership change online:
 //
@@ -169,7 +174,7 @@ func Migrate(ctx context.Context, cfg MigrateConfig) (MigrateStats, error) {
 			if ctx.Err() != nil || acked == 0 {
 				break
 			}
-			if sleepCtx(ctx, time.Duration(round+1)*5*time.Millisecond) != nil {
+			if cutoverBackoff.Wait(ctx, round+1) != nil {
 				break
 			}
 		}

@@ -45,9 +45,9 @@ func startStragglerCluster(t *testing.T, cooldown time.Duration) (*testCluster, 
 		t.Fatal(err)
 	}
 	res := searchExact(t, tc, sm.Shard(0).Rect)
-	if res.HedgeWins == 0 || probations(sink) != 1 || rt.probation[straggler].Load() == 0 {
-		t.Fatalf("first search: %d hedge wins, %d probations, stamp %d; the straggler was not overtaken",
-			res.HedgeWins, probations(sink), rt.probation[straggler].Load())
+	if res.HedgeWins == 0 || probations(sink) != 1 || !slices.Contains(rt.OnProbation(), straggler) {
+		t.Fatalf("first search: %d hedge wins, %d probations, on probation %v; the straggler was not overtaken",
+			res.HedgeWins, probations(sink), rt.OnProbation())
 	}
 	return tc, sink
 }
@@ -194,66 +194,5 @@ func TestRouterProbationNeverStrandsAShard(t *testing.T) {
 				t.Errorf("breaker trips %d → %d with no member failing", trips, brk.Trips())
 			}
 		})
-	}
-}
-
-// TestRouterHealthyPickReadsNoClock: with no member on probation, choosing
-// a lead and a hedge target costs an atomic load per candidate — no clock
-// read, no allocation. A member on probation costs the clock read that
-// times its probe, and exactly one caller wins each probe.
-func TestRouterHealthyPickReadsNoClock(t *testing.T) {
-	sm, err := NewChainShardMap(grid.MustNew(8, 8), 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := NewRouter(RouterConfig{
-		Map: sm, Endpoints: []string{"http://n0", "http://n1", "http://n2", "http://n3"}, HedgeAfter: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reads := 0
-	rt.now = func() int64 { reads++; return 1 << 40 }
-	var shards [][]int
-	for s := range sm.Shards() {
-		shards = append(shards, sm.ShardMembers(s))
-	}
-	pick := func() {
-		for _, c := range shards {
-			if lead := rt.pickNode(c, 0); lead != c[0] {
-				t.Fatalf("healthy shard %v led by %d", c, lead)
-			}
-			if backup, after := rt.hedgeCandidate(c, c[0]); backup != c[1] || after == 0 {
-				t.Fatalf("healthy shard %v hedges to %d after %v", c, backup, after)
-			}
-		}
-	}
-	if allocs := testing.AllocsPerRun(100, pick); allocs != 0 || reads != 0 {
-		t.Fatalf("healthy picks: %.0f allocs, %d clock reads; want none", allocs, reads)
-	}
-
-	// Member 0 leads shard 0 and backs up shard 3.
-	lead, back := shards[0], shards[len(shards)-1]
-	rt.probation[0].Store(1<<40 + 1) // due after now
-	if got := rt.pickNode(lead, 0); got != lead[1] || reads != 1 {
-		t.Fatalf("member on probation: lead %d after %d clock reads, want %d after 1", got, reads, lead[1])
-	}
-	if backup, after := rt.hedgeCandidate(back, back[0]); backup != 0 || after != 0 {
-		t.Fatalf("timed hedge to a member on probation: backup %d after %v", backup, after)
-	}
-	rt.probation[lead[1]].Store(1<<40 + 1) // every holder of shard 0 on probation: 0 leads, timed hedge as ever
-	if got, backup, after := rt.pickNode(lead, 0), lead[1], time.Duration(0); got != 0 {
-		t.Fatalf("every holder on probation: lead %d, want rotation's 0", got)
-	} else if backup, after = rt.hedgeCandidate(lead, got); backup != lead[1] || after == 0 {
-		t.Fatalf("lead on probation: hedge to %d after %v, want a timed hedge to %d", backup, after, lead[1])
-	}
-	rt.probation[lead[1]].Store(0)
-	rt.probation[0].Store(1) // due: the next first attempt probes it, the one after keeps away
-	if a, b := rt.pickNode(lead, 0), rt.pickNode(lead, 0); a != 0 || b != lead[1] {
-		t.Fatalf("due probation: leads %d then %d, want one probe of 0 then %d", a, b, lead[1])
-	}
-	rt.settleLead(0, true, false)
-	if due := rt.probation[0].Load(); due != 0 {
-		t.Fatalf("a won lead left the stamp at %d", due)
 	}
 }

@@ -67,8 +67,8 @@ func (p RetryPolicy) Delay(retry int) time.Duration {
 
 // Wait sleeps Delay(retry), returning early with ctx.Err() when the
 // context ends first. Every backoff in the repository — bucket reads,
-// router rotation, epoch follows, rebuild sheds, donor rounds — is this
-// schedule under its own policy.
+// router rotation, epoch follows, rebuild sheds, donor rounds, cutover
+// retries — is this schedule under its own policy.
 func (p RetryPolicy) Wait(ctx context.Context, retry int) error {
 	d := p.Delay(retry)
 	if d <= 0 {

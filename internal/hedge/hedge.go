@@ -1,6 +1,8 @@
-// Package hedge holds the one decision the serving stack makes at two
-// levels — disks under a scheduler, nodes under a router: when is a
-// second replica read worth issuing, and how do the two legs end.
+// Package hedge holds the race the serving stack runs at two levels —
+// disks under a scheduler, nodes under a router: whether a second
+// replica read is worth issuing, and how the two legs end. Which holder
+// leads and which backs it up is not decided here: serve.Breakers
+// chooses both, for disks and nodes alike, and asks Worth for the delay.
 package hedge
 
 import (

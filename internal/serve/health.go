@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"decluster/internal/hedge"
 	"decluster/internal/obs"
 )
 
@@ -105,16 +106,21 @@ type DiskHealth struct {
 	Trips       uint64 // closed/half-open → open transitions
 }
 
-// diskTracker is the per-disk mutable health state. Everything is
+// diskTracker is the per-disk mutable health state. The breaker is
 // written under mu; unsettled and ewma are atomics so that what every
 // read asks — is the breaker closed, and for a hedged read how slow is
-// the disk — is answered without it.
+// the disk — is answered without it. standing is routing state, which
+// the breaker never reads, and only ever moved atomically.
 type diskTracker struct {
-	mu         sync.Mutex
-	state      BreakerState
-	unsettled  atomic.Bool   // state != BreakerClosed; setState keeps the two in step
-	ewma       atomic.Uint64 // float64 bits, nanoseconds
-	openedAt   time.Time
+	mu        sync.Mutex
+	state     BreakerState
+	unsettled atomic.Bool   // state != BreakerClosed; setState keeps the two in step
+	ewma      atomic.Uint64 // float64 bits, nanoseconds
+	// standing is 0 while the endpoint is in good standing; otherwise it
+	// is on probation and the stamp is the earliest its next probe may
+	// lead (see Lead).
+	standing   atomic.Int64
+	openedAt   int64 // the clock's stamp of the last trip
 	samples    int
 	reads      uint64
 	errs       uint64
@@ -127,12 +133,16 @@ type diskTracker struct {
 // one circuit breaker per endpoint: the scheduler breaks per disk, and
 // the cluster router holds the same type to break per *node*, so both
 // share one state machine (EWMA latency, consecutive-error trips,
-// cooldown, half-open probes). Endpoints are indexed 0..n-1; what an
-// endpoint is, is the caller's business. All methods are safe for
-// concurrent use.
+// cooldown, half-open probes) and one holder-choice rule (Lead, Backup,
+// Settle). Endpoints are indexed 0..n-1; what an endpoint is, is the
+// caller's business. An endpoint the set does not track — a cluster
+// member that joined after the set was built — is allowed, in good
+// standing and at EWMA 0, and its outcomes are not booked. All methods
+// are safe for concurrent use.
 type Breakers struct {
 	cfg   BreakerConfig
 	disks []*diskTracker
+	now   func() int64 // hedge.Now: cooldowns and probation run on its stamps
 	trips atomic.Uint64
 	// Breaker state-transition counters; nil (no-op) until attachObs,
 	// which runs before any traffic.
@@ -146,7 +156,7 @@ func NewBreakers(cfg BreakerConfig, n int) (*Breakers, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &Breakers{cfg: cfg, disks: make([]*diskTracker, n)}
+	h := &Breakers{cfg: cfg, disks: make([]*diskTracker, n), now: hedge.Now}
 	for d := range h.disks {
 		h.disks[d] = &diskTracker{}
 	}
@@ -190,10 +200,10 @@ func observable(err error) bool {
 // advances its breaker state machine. Context cancellations are not
 // counted (see observable).
 func (h *Breakers) Observe(d int, lat time.Duration, err error) {
-	if d < 0 || d >= len(h.disks) || !observable(err) {
+	t := h.tracker(d)
+	if t == nil || !observable(err) {
 		return
 	}
-	t := h.disks[d]
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	h.tickLocked(t)
@@ -306,12 +316,17 @@ func (t *diskTracker) setState(s BreakerState) {
 }
 
 // latency is the disk's EWMA read latency in nanoseconds.
-func (t *diskTracker) latency() float64 { return math.Float64frombits(t.ewma.Load()) }
+func (t *diskTracker) latency() float64 {
+	if t == nil {
+		return 0
+	}
+	return math.Float64frombits(t.ewma.Load())
+}
 
 // tripLocked opens the breaker of t.
 func (h *Breakers) tripLocked(t *diskTracker) {
 	t.setState(BreakerOpen)
-	t.openedAt = time.Now()
+	t.openedAt = h.now()
 	t.probes = 0
 	t.trips++
 	h.trips.Add(1)
@@ -320,7 +335,7 @@ func (h *Breakers) tripLocked(t *diskTracker) {
 
 // tickLocked advances open → half-open once the cooldown elapses.
 func (h *Breakers) tickLocked(t *diskTracker) {
-	if t.state == BreakerOpen && time.Since(t.openedAt) >= h.cfg.Cooldown {
+	if t.state == BreakerOpen && h.now()-t.openedAt >= int64(h.cfg.Cooldown) {
 		t.setState(BreakerHalfOpen)
 		t.probes = 0
 		t.consecErrs = 0
@@ -328,16 +343,25 @@ func (h *Breakers) tickLocked(t *diskTracker) {
 	}
 }
 
+// tracker returns endpoint d's tracker, nil for one the set does not
+// track; allow, latency and onProbation read nil as an untracked
+// endpoint: allowed, at EWMA 0 and in good standing.
+func (h *Breakers) tracker(d int) *diskTracker {
+	if d < 0 || d >= len(h.disks) {
+		return nil
+	}
+	return h.disks[d]
+}
+
 // Allow reports whether disk d may be targeted by new speculative work
 // (hedges): open disks may not, half-open and closed disks may. A closed
 // breaker — the healthy case, asked on every hedged read — answers from
 // one atomic load; only a closed breaker has no clock to tick.
-func (h *Breakers) Allow(d int) bool {
-	if d < 0 || d >= len(h.disks) {
-		return false
-	}
-	t := h.disks[d]
-	if !t.unsettled.Load() {
+func (h *Breakers) Allow(d int) bool { return h.allow(h.tracker(d)) }
+
+// allow is Allow on a resolved tracker.
+func (h *Breakers) allow(t *diskTracker) bool {
+	if t == nil || !t.unsettled.Load() {
 		return true
 	}
 	t.mu.Lock()
@@ -371,10 +395,7 @@ func (h *Breakers) Trips() uint64 { return h.trips.Load() }
 // EWMALatency returns disk d's smoothed observed latency (zero before
 // any sample, and freshly zeroed when a breaker recloses).
 func (h *Breakers) EWMALatency(d int) time.Duration {
-	if d < 0 || d >= len(h.disks) {
-		return 0
-	}
-	return time.Duration(h.disks[d].latency())
+	return time.Duration(h.tracker(d).latency())
 }
 
 // Snapshot copies every disk's health.
@@ -395,3 +416,116 @@ func (h *Breakers) Snapshot() []DiskHealth {
 	}
 	return out
 }
+
+// Lead returns the holder that leads attempt number attempt (from 0) of a
+// read that any of holders can answer: rotation position attempt mod
+// len(holders), advanced past open breakers when any holder is allowed
+// (when none is, the rotation's choice stands — a probe has to go
+// somewhere or an open breaker could never heal). A first attempt is
+// also advanced past holders on probation when an allowed holder in good
+// standing exists; when none does, the first allowed holder leads anyway,
+// so probation never leaves a read without a lead it could have had. A
+// holder in good standing costs one atomic load and no clock read.
+func (h *Breakers) Lead(holders []int, attempt int) int {
+	n := len(holders)
+	lead := -1
+	for off := 0; off < n; off++ {
+		c := holders[(attempt+off)%n]
+		t := h.tracker(c)
+		if !h.allow(t) {
+			continue
+		}
+		if attempt > 0 || t == nil {
+			return c
+		}
+		// On probation, c is passed over until its stamp comes due; then
+		// exactly one caller wins the compare-and-swap that pushes the stamp
+		// a cooldown out and leads with c — the probe — and every other
+		// caller keeps away for that cooldown.
+		due := t.standing.Load()
+		if due == 0 {
+			return c
+		}
+		if now := h.now(); now >= due && t.standing.CompareAndSwap(due, now+int64(h.cfg.Cooldown)) {
+			return c
+		}
+		if lead < 0 {
+			lead = c
+		}
+	}
+	if lead >= 0 {
+		return lead
+	}
+	return holders[attempt%n]
+}
+
+// Backup returns the holder that a read led by lead races — the first
+// allowed holder other than lead, preferring one in good standing; -1
+// when after <= 0 (hedging off) or none exists — and the delay to arm the
+// race with: after when hedge.Worth, on the two holders' EWMA latencies,
+// says a timed hedge is worth issuing, 0 when it does not or the backup
+// is on probation. A zero delay still leaves the backup as the failover
+// target of a lead that fails outright. Probation ranks holders against
+// one in good standing: a lead on probation itself (Lead found no better
+// one) races its backup as if nobody were on probation.
+func (h *Breakers) Backup(holders []int, lead int, after time.Duration) (b int, delay time.Duration) {
+	if after <= 0 {
+		return -1, 0
+	}
+	b = -1
+	tl := h.tracker(lead)
+	for _, c := range holders {
+		t := h.tracker(c)
+		if c == lead || !h.allow(t) {
+			continue
+		}
+		if t.onProbation() && !tl.onProbation() {
+			if b < 0 {
+				b = c
+			}
+			continue
+		}
+		if hedge.Worth(after, time.Duration(tl.latency()), time.Duration(t.latency())) {
+			return c, after
+		}
+		return c, 0
+	}
+	return b, 0
+}
+
+// Settle books how endpoint d's lead ended and reports whether d went on
+// probation. Overtaken by its timed hedge, d goes on probation — or stays
+// on it — for one Cooldown: the one race that proves a straggler is what
+// it is learnt from, because the cancelled leg leaves no latency sample.
+// Having won, d is in good standing again. An endpoint nobody settles is
+// never on probation.
+func (h *Breakers) Settle(d int, won, overtaken bool) (entered bool) {
+	t := h.tracker(d)
+	switch {
+	case t == nil:
+	case won:
+		if due := t.standing.Load(); due != 0 {
+			t.standing.CompareAndSwap(due, 0)
+		}
+	case overtaken:
+		return t.standing.Swap(h.now()+int64(h.cfg.Cooldown)) == 0
+	}
+	return false
+}
+
+// OnProbation lists the endpoints on probation: overtaken as a lead and
+// not yet answering as one again. Probation is routing only — Allow, Open
+// and Trips never see it.
+func (h *Breakers) OnProbation() []int {
+	var out []int
+	for d, t := range h.disks {
+		if t.standing.Load() != 0 {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// onProbation reports whether the endpoint is on probation: one atomic
+// load.
+func (t *diskTracker) onProbation() bool { return t != nil && t.standing.Load() != 0 }

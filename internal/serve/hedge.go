@@ -225,10 +225,10 @@ func (r *servedReader) observe(ctx context.Context, disk, bucket int, start int6
 // altDisk returns the other replica of bucket — the hedge target — and
 // the delay after which to hedge to it; -1 when hedging is off or no
 // other live replica exists (it is the serving disk itself, or
-// fail-stop). A zero delay leaves only the on-error failover: the timed
-// hedge is a bet on latency, closed when hedge.Worth says the backup
-// would lose it and when the backup's breaker is open. An open breaker
-// does not make the replica unreadable, though, so it stays the backup
+// fail-stop: no holder at all). The delay is Breakers.Backup's, the rule
+// the router follows over nodes; a zero delay leaves only the on-error
+// failover. Backup offers no holder behind an open breaker, but an open
+// breaker does not make the replica unreadable, so it stays the backup
 // for a primary that fails outright (a disk that went fail-stop after
 // routing) — the rule exec.route states: avoidance must never turn an
 // answerable read into a failed one.
@@ -243,9 +243,8 @@ func (s *Scheduler) altDisk(disk, bucket int) (alt int, after time.Duration) {
 	if alt == disk || (s.inj != nil && s.inj.DiskFailed(alt)) {
 		return -1, 0
 	}
-	if s.health.Allow(alt) && hedge.Worth(s.hedge.After, s.health.EWMALatency(disk), s.health.EWMALatency(alt)) {
-		after = s.hedge.After
-	}
+	holders := [2]int{disk, alt}
+	_, after = s.health.Backup(holders[:], disk, s.hedge.After)
 	return alt, after
 }
 
