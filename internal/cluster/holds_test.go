@@ -81,14 +81,14 @@ func TestHoldsAdmitsAcrossShards(t *testing.T) {
 	if g.CheckRect(span) != nil || span.Volume() != a.Volume()+b.Volume() {
 		t.Fatalf("shards %v and %v do not make one rectangle; pick another fixture", a, b)
 	}
-	if _, _, _, err := n.admit(span, sm.Epoch()); err != nil {
+	if _, _, err := n.admit(span, sm.Epoch()); err != nil {
 		t.Fatalf("admit(%v), every bucket hosted across two shards: %v", span, err)
 	}
 	search := routerOps[0]
 	if err := search.leg(context.Background(), tc.h.Router(), n.ID(), span, sm.Epoch()); err != nil {
 		t.Fatalf("search leg over %v: %v", span, err)
 	}
-	if avg := testing.AllocsPerRun(50, func() { _, _, _, _ = n.admit(span, sm.Epoch()) }); avg != 0 {
+	if avg := testing.AllocsPerRun(50, func() { _, _, _ = n.admit(span, sm.Epoch()) }); avg != 0 {
 		t.Errorf("admit allocates %.1f times per call, want 0", avg)
 	}
 
@@ -106,7 +106,7 @@ func TestHoldsAdmitsAcrossShards(t *testing.T) {
 	if held != foreign.Volume()-1 {
 		t.Fatalf("rect %v holds %d of %d buckets, want all but one", foreign, held, foreign.Volume())
 	}
-	if _, _, _, err := n.admit(foreign, sm.Epoch()); !errors.Is(err, ErrNotHosted) {
+	if _, _, err := n.admit(foreign, sm.Epoch()); !errors.Is(err, ErrNotHosted) {
 		t.Fatalf("admit(%v) with one foreign bucket: err = %v, want ErrNotHosted", foreign, err)
 	}
 }

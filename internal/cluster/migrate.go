@@ -80,28 +80,29 @@ var cutoverBackoff = exec.RetryPolicy{BaseBackoff: 5 * time.Millisecond, MaxBack
 
 // Migrate executes a membership change online:
 //
-//	PREPARE  every member of both maps stages the To map; incoming
-//	         buckets will accumulate in a staging file, invisible to
-//	         the live stack.
-//	COPY     every planned bucket streams from a From-epoch donor to
-//	         its destination's staging file, at serve.MigrationPriority
-//	         (below every foreground query, above background repair),
-//	         paced by the throttle. Reads keep flowing the whole time:
-//	         the From epoch stays authoritative, and the router (when
-//	         wired) races an opportunistic To-epoch leg that succeeds
-//	         exactly when every bucket it needs has landed.
+//	PREPARE  every member of both maps stages the To map.
+//	COPY     every planned bucket streams from a From-epoch donor into
+//	         its destination's live file — inserted only where absent,
+//	         and unread by any From-epoch query — at
+//	         serve.MigrationPriority (below every foreground query,
+//	         above background repair), paced by the throttle. Reads
+//	         keep flowing the whole time: the From epoch stays
+//	         authoritative, and the router (when wired) races an
+//	         opportunistic To-epoch leg that succeeds exactly when every
+//	         bucket it needs has landed.
 //	CUTOVER  every member atomically promotes the To map; each node
 //	         refuses unless all its newly hosted buckets arrived, so a
 //	         lost bucket aborts loudly instead of vanishing silently.
 //	ADOPT    the router switches to the To epoch.
 //
 // Any error — or context cancellation — before the first cutover ack
-// rolls everything back with ABORT: staging files are dropped, the From
-// epoch remains the one and only truth, and a later re-run starts
-// cleanly. After some member has cut over, Migrate keeps retrying the
-// remaining cutovers (they are idempotent) rather than aborting, since
-// a cutover cannot be undone; nodes left behind still answer the old
-// epoch via their prev map until a re-run finishes the job.
+// rolls everything back with ABORT: the staged To map is dropped, the
+// From epoch remains the one and only truth, and a later re-run carries
+// the change through without inserting an ingested bucket twice. After
+// some member has cut over, Migrate keeps retrying the remaining
+// cutovers (they are idempotent) rather than aborting, since a cutover
+// cannot be undone; nodes left behind still answer the old epoch via
+// their prev map until a re-run finishes the job.
 func Migrate(ctx context.Context, cfg MigrateConfig) (MigrateStats, error) {
 	var st MigrateStats
 	start := time.Now()

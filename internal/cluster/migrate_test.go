@@ -463,6 +463,53 @@ func TestMigrateRejoinAfterLeave(t *testing.T) {
 	}
 }
 
+// TestRebuildDropsPrevEpoch: a rebuild restores the current epoch's
+// buckets only, so the rebuilt member must stop serving its previous
+// epoch. After a 3→4-node join member 0 still answers the pre-join epoch
+// for ⟨0,4⟩, a bucket the join moved off it; once rebuilt it must send
+// a leg stamped with that epoch to the current map — not answer it,
+// counted and valid, with none of the bucket's records.
+func TestRebuildDropsPrevEpoch(t *testing.T) {
+	tc := startElasticCluster(t, 3, 2, 1)
+	ctx := context.Background()
+	from := tc.h.Map()
+	join, err := PlanJoin(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Migrate(ctx, MigrateConfig{Plan: join, Endpoints: tc.h.URLs(), Router: tc.h.Router()}); err != nil {
+		t.Fatal(err)
+	}
+	cell := grid.Rect{Lo: grid.Coord{0, 4}, Hi: grid.Coord{0, 4}}
+	if b := tc.g.Linearize(cell.Lo); !from.Holds(0, b) || tc.h.Map().Holds(0, b) {
+		t.Fatalf("member 0 does not lose %v in the join: not the scenario under test", cell.Lo)
+	}
+	want := len(tc.refIDs(t, cell))
+	leg, err := callNode(ctx, tc.h.Router(), searchOp, 0, cell, from.Epoch(), 0)
+	if err != nil {
+		t.Fatalf("epoch %d leg before the rebuild: %v", from.Epoch(), err)
+	}
+	if got := leg.n; got != want || want == 0 {
+		t.Fatalf("epoch %d leg before the rebuild: %d records, oracle %d", from.Epoch(), got, want)
+	}
+	leg.release()
+
+	if _, err := RebuildNode(ctx, RebuildConfig{Map: tc.h.Map(), Endpoints: tc.h.URLs()}, tc.h.Node(0)); err != nil {
+		t.Fatal(err)
+	}
+	leg, err = callNode(ctx, tc.h.Router(), searchOp, 0, cell, from.Epoch(), 0)
+	var stale *StaleEpochError
+	if !errors.As(err, &stale) || stale.NodeEpoch != join.To.Epoch() {
+		n := -1
+		if leg != nil {
+			n = leg.n
+			leg.release()
+		}
+		t.Fatalf("epoch %d leg after the rebuild: err = %v (%d records), want StaleEpoch naming epoch %d",
+			from.Epoch(), err, n, join.To.Epoch())
+	}
+}
+
 // TestRebuildNoDonorFailsFast is the regression for the donor-rotation
 // cap: when every replica holder of a shard is hard-down, the rebuild
 // must fail quickly with the typed ErrNoDonor — which also matches

@@ -58,20 +58,24 @@ type NodeConfig struct {
 	ServeOptions []serve.Option
 }
 
-// Node is one cluster member: a serve.Scheduler over a grid file
-// holding the node's hosted shards, plus the HTTP surface the router
-// talks to. The scheduler and file swap atomically during a rebuild or
-// a migration cutover.
+// Node is one cluster member: a serve.Scheduler over one grid file
+// holding the node's buckets, plus the HTTP surface the router talks
+// to. The scheduler and file swap atomically during a rebuild or a
+// migration cutover.
 //
 // Epoch state: cur is the map the node serves; prev (when set) is the
 // map one cutover ago, still answerable because cutover never removes
 // records a prev shard needs — so routers one epoch behind keep getting
-// complete answers while they catch up. pending (when set) is the
-// staged next-epoch map mid-migration: its incoming buckets accumulate
-// in a separate staging file, and pending-epoch reads merge live +
-// staging only once every bucket they touch is present — the node-side
-// half of the dual-read handoff. An abort simply drops pending and
-// staging; nothing ever touched the live stack.
+// complete answers while they catch up. pending (when set) is the next
+// epoch's map mid-migration. One invariant keeps every epoch exact: a
+// bucket's records are in the file at most once, and a bucket is there
+// iff cur or prev holds it or it is in ready (ingested since the last
+// cutover or rebuild). A migration inserts an incoming bucket only when
+// it is absent, and a pending-epoch read is admitted only once every
+// bucket it touches is present, so the live answer is the pending
+// answer — the node-side half of the dual-read handoff. An abort drops
+// pending alone: ingested buckets stay, and ready keeps a re-run from
+// inserting them twice.
 type Node struct {
 	id       int
 	g        *grid.Grid
@@ -91,14 +95,14 @@ type Node struct {
 	cur        *ShardMap
 	prev       *ShardMap
 	pending    *ShardMap
-	staging    *gridfile.File // pending-epoch ingest; read/written under mu
-	ready      map[int]bool   // linearized bucket → ingested into staging
+	ready      map[int]bool // linearized bucket → ingested since the last cutover or rebuild
 	file       *gridfile.File
 	sched      *serve.Scheduler
 	rebuilding bool
 	// aggIx is the node's lazily built aggregate index, valid while
 	// aggFile still is the live file at the record count the index
-	// snapshotted — a cutover swap or a rebuild insert invalidates it.
+	// snapshotted — a cutover swap or any insert (rebuild, migration)
+	// invalidates it.
 	aggIx   *batch.AggregateIndex
 	aggFile *gridfile.File
 }
@@ -121,7 +125,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		cfg.SlowUnit = 2 * time.Millisecond
 	}
 	n := &Node{
-		id: cfg.ID, g: cfg.Map.Grid(), cfg: cfg, cur: cfg.Map,
+		id: cfg.ID, g: cfg.Map.Grid(), cfg: cfg, cur: cfg.Map, ready: map[int]bool{},
 		faults: cfg.Faults, slowUnit: cfg.SlowUnit,
 		lat: obs.NewRegistry().Histogram("cluster.node.query.latency"),
 	}
@@ -138,9 +142,13 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 // Passing two maps (cutover) keeps the union, so the previous epoch
 // stays fully answerable for one more migration.
 func (n *Node) buildStack(recs []datagen.Record, maps ...*ShardMap) (*gridfile.File, *serve.Scheduler, error) {
-	file, err := n.newFile()
+	file, err := gridfile.New(gridfile.Config{
+		Method:       n.cfg.Method,
+		PageCapacity: n.cfg.PageCapacity,
+		Boundaries:   n.cfg.Boundaries,
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("cluster: node %d: %w", n.id, err)
 	}
 	views := make([]holder, len(maps))
 	for i, sm := range maps {
@@ -169,23 +177,11 @@ func (n *Node) buildStack(recs []datagen.Record, maps ...*ShardMap) (*gridfile.F
 	return file, sched, nil
 }
 
-// newFile creates an empty grid file with the node's layout.
-func (n *Node) newFile() (*gridfile.File, error) {
-	file, err := gridfile.New(gridfile.Config{
-		Method:       n.cfg.Method,
-		PageCapacity: n.cfg.PageCapacity,
-		Boundaries:   n.cfg.Boundaries,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("cluster: node %d: %w", n.id, err)
-	}
-	return file, nil
-}
-
 // ID returns the node's stable member ID.
 func (n *Node) ID() int { return n.id }
 
-// Records returns the node's current record count.
+// Records returns the node's current record count, buckets ingested
+// mid-migration included.
 func (n *Node) Records() int {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -224,51 +220,55 @@ func (n *Node) Close() error {
 	return err
 }
 
-// resolveEpoch picks the map a request epoch addresses: the current
-// epoch serves against cur; the previous epoch — one cutover ago — still
-// serves against prev; the staged pending epoch selects the dual-read
-// merge path. Anything else (zero and absent included: maps are born at
-// epoch 1) draws a *StaleEpochError carrying the current map, the gossip
-// that lets the sender catch up in one round-trip.
-func (n *Node) resolveEpoch(epoch uint64) (sm *ShardMap, isPending bool, err error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	switch {
-	case epoch == n.cur.Epoch():
-		return n.cur, false, nil
-	case n.prev != nil && epoch == n.prev.Epoch():
-		return n.prev, false, nil
-	case n.pending != nil && epoch == n.pending.Epoch():
-		return n.pending, true, nil
-	default:
-		return nil, false, &StaleEpochError{RequestEpoch: epoch, NodeEpoch: n.cur.Epoch(), Map: n.cur}
-	}
-}
-
 // admit is the admission preamble every data endpoint runs before its
 // own work: the rect must fit the grid, the epoch must name a map the
 // node serves, the node must hold every bucket of the rect under that
-// map (one shard's or several's), and it must not be mid-rebuild. The
-// epoch check runs before the hostedness check: a router on the wrong
-// map must learn the right one, not be told "not hosted" against a map
-// it isn't using.
-func (n *Node) admit(rect grid.Rect, epoch uint64) (sm *ShardMap, isPending bool, sched *serve.Scheduler, err error) {
+// map (one shard's or several's), it must not be mid-rebuild, and at the
+// pending epoch every bucket of the rect must be present in the live
+// file — one still in flight makes the read unavailable, never silently
+// incomplete (the router's authoritative old-epoch leg covers it).
+//
+// The current epoch serves against cur, the previous one (one cutover
+// ago) against prev, the pending one against pending. Anything else
+// (zero and absent included: maps are born at epoch 1) draws a
+// *StaleEpochError carrying the current map, the gossip that lets the
+// sender catch up in one round-trip. The epoch check runs before the
+// hostedness check: a router on the wrong map must learn the right one,
+// not be told "not hosted" against a map it isn't using.
+func (n *Node) admit(rect grid.Rect, epoch uint64) (*ShardMap, *serve.Scheduler, error) {
 	if err := n.g.CheckRect(rect); err != nil {
-		return nil, false, nil, badRequestError{err}
-	}
-	if sm, isPending, err = n.resolveEpoch(epoch); err != nil {
-		return nil, false, nil, err
-	}
-	if !n.g.EachBucket(rect, sm.holder(n.id).holds) {
-		return nil, false, nil, fmt.Errorf("%w: node %d does not host %v at epoch %d", ErrNotHosted, n.id, rect, sm.Epoch())
+		return nil, nil, badRequestError{err}
 	}
 	n.mu.RLock()
-	sched, rebuilding := n.sched, n.rebuilding
-	n.mu.RUnlock()
-	if rebuilding {
-		return nil, false, nil, fmt.Errorf("%w: node %d is rebuilding", fault.ErrUnavailable, n.id)
+	defer n.mu.RUnlock()
+	var sm *ShardMap
+	switch {
+	case epoch == n.cur.Epoch():
+		sm = n.cur
+	case n.prev != nil && epoch == n.prev.Epoch():
+		sm = n.prev
+	case n.pending != nil && epoch == n.pending.Epoch():
+		sm = n.pending
+	default:
+		return nil, nil, &StaleEpochError{RequestEpoch: epoch, NodeEpoch: n.cur.Epoch(), Map: n.cur}
 	}
-	return sm, isPending, sched, nil
+	if !n.g.EachBucket(rect, sm.holder(n.id).holds) {
+		return nil, nil, fmt.Errorf("%w: node %d does not host %v at epoch %d", ErrNotHosted, n.id, rect, sm.Epoch())
+	}
+	if n.rebuilding {
+		return nil, nil, fmt.Errorf("%w: node %d is rebuilding", fault.ErrUnavailable, n.id)
+	}
+	if sm == n.pending && !n.g.EachBucket(rect, n.present) {
+		return nil, nil, fmt.Errorf("%w: node %d: %v not yet migrated for epoch %d", fault.ErrUnavailable, n.id, rect, sm.Epoch())
+	}
+	return sm, n.sched, nil
+}
+
+// present reports whether bucket b's records are in the live file: held
+// under cur or prev, or ingested since the last cutover or rebuild
+// (caller holds mu).
+func (n *Node) present(b int) bool {
+	return n.cur.Holds(n.id, b) || (n.prev != nil && n.prev.Holds(n.id, b)) || n.ready[b]
 }
 
 // Handler returns the node's HTTP surface with fault injection applied
@@ -337,7 +337,7 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rect := req.Rect.rect()
-	sm, isPending, sched, err := n.admit(rect, req.Epoch)
+	sm, sched, err := n.admit(rect, req.Epoch)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -353,20 +353,14 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer res.Release() // back to the scheduler's pool once the answer is framed
-	records, counts := res.Records, res.RecordsPerBucket
-	if isPending {
-		if records, counts, err = n.pendingMerge(rect, sm, records, counts); err != nil {
-			writeError(w, err)
-			return
-		}
-	}
-	writePage(w, &recordPage{Epoch: sm.Epoch(), Buckets: rect.Volume(), Degraded: res.Degraded, Counts: counts, Records: records})
+	writePage(w, &recordPage{Epoch: sm.Epoch(), Buckets: rect.Volume(), Degraded: res.Degraded, Counts: res.RecordsPerBucket, Records: res.Records})
 }
 
 // aggregateIndex returns the node's aggregate index, rebuilding it when
-// the live file was swapped (cutover, rebuild) or grew (rebuild insert)
-// since the last snapshot. The index is immutable once built, so the
-// double-checked rebuild races safely with concurrent aggregate reads.
+// the live file was swapped (cutover, rebuild) or grew (a rebuild or
+// migration insert) since the last snapshot. The index is immutable once
+// built, so the double-checked rebuild races safely with concurrent
+// aggregate reads.
 func (n *Node) aggregateIndex() (*batch.AggregateIndex, error) {
 	n.mu.RLock()
 	ix, file, live := n.aggIx, n.aggFile, n.file
@@ -389,10 +383,8 @@ func (n *Node) aggregateIndex() (*batch.AggregateIndex, error) {
 
 // handleAggregate answers one aggregate sub-query from the node's
 // summed-area index — zero bucket reads, no scheduler admission.
-// Admission matches handleQuery except that the staged pending epoch is
-// refused: the dual-read merge dedups records by bucket hosting, which
-// an index over two files cannot reproduce, and the router's
-// authoritative old-epoch leg covers the window.
+// Admission matches handleQuery, pending epoch included: admit's
+// readiness check leaves every bucket of the rect in the file once.
 func (n *Node) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	var req aggregateRequest
 	if err := decodeJSONBody(w, r, &req); err != nil {
@@ -405,14 +397,9 @@ func (n *Node) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rect := req.Rect.rect()
-	sm, isPending, _, err := n.admit(rect, req.Epoch)
+	sm, _, err := n.admit(rect, req.Epoch)
 	if err != nil {
 		writeError(w, err)
-		return
-	}
-	if isPending {
-		writeError(w, fmt.Errorf("%w: node %d: aggregates not served at pending epoch %d",
-			fault.ErrUnavailable, n.id, sm.Epoch()))
 		return
 	}
 	ix, err := n.aggregateIndex()
@@ -437,53 +424,6 @@ func (n *Node) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		Buckets: res.Buckets,
 		Epoch:   sm.Epoch(),
 	})
-}
-
-// pendingMerge turns the live answer for rect — its records and their
-// per-bucket counts, row-major — into the pending-epoch answer and its
-// counts, the node-side half of the dual-read handoff. Each bucket's run
-// comes whole from one side: the live answer's for a bucket this member
-// holds under cur, staging's for the rest. The live file keeps the
-// previous epoch's buckets through the grace window and a rejoining
-// member is re-sent buckets it still holds, so taking a bucket from both
-// sides would return its records twice. Every bucket of rect must be
-// held under cur or already ingested; one still in flight makes the
-// whole read unavailable — the router's authoritative old-epoch leg
-// covers it, and this opportunistic leg must never answer silently
-// incomplete.
-func (n *Node) pendingMerge(rect grid.Rect, pending *ShardMap, live []datagen.Record, liveCounts []int) ([]datagen.Record, []int, error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if n.pending == nil || n.pending.Epoch() != pending.Epoch() || n.staging == nil {
-		return nil, nil, fmt.Errorf("%w: node %d: pending epoch %d gone", fault.ErrUnavailable, n.id, pending.Epoch())
-	}
-	cur := n.cur.holder(n.id)
-	notReady, staged := -1, 0
-	if !n.g.EachBucket(rect, func(b int) bool {
-		switch {
-		case cur.holds(b):
-		case n.ready[b]:
-			staged += n.staging.BucketLen(b)
-		default:
-			notReady = b
-			return false
-		}
-		return true
-	}) {
-		return nil, nil, fmt.Errorf("%w: node %d: bucket %v not yet migrated for epoch %d",
-			fault.ErrUnavailable, n.id, n.g.Delinearize(notReady, nil), pending.Epoch())
-	}
-	out, counts := make([]datagen.Record, 0, len(live)+staged), make([]int, 0, len(liveCounts))
-	n.g.EachBucket(rect, func(b int) bool {
-		run := live[:liveCounts[len(counts)]]
-		live = live[len(run):]
-		if !cur.holds(b) {
-			run = n.staging.Bucket(b)
-		}
-		out, counts = append(out, run...), append(counts, len(run))
-		return true
-	})
-	return out, counts, nil
 }
 
 // handleBucket serves one bucket's records for cross-node rebuild and
@@ -513,7 +453,7 @@ func (n *Node) handleBucket(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	rect := grid.Rect{Lo: cell, Hi: cell.Clone()}
-	sm, isPending, sched, err := n.admit(rect, epoch)
+	sm, sched, err := n.admit(rect, epoch)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -524,14 +464,7 @@ func (n *Node) handleBucket(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer res.Release()
-	records := res.Records
-	if isPending {
-		if records, _, err = n.pendingMerge(rect, sm, records, res.RecordsPerBucket); err != nil {
-			writeError(w, err)
-			return
-		}
-	}
-	writePage(w, &recordPage{Epoch: sm.Epoch(), Buckets: 1, Records: records})
+	writePage(w, &recordPage{Epoch: sm.Epoch(), Buckets: 1, Records: res.Records})
 }
 
 // handlePrepare stages the next-epoch map (PREPARE). Idempotent for the
@@ -562,28 +495,26 @@ func (n *Node) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &StaleEpochError{RequestEpoch: sm.Epoch(), NodeEpoch: n.cur.Epoch(), Map: n.cur})
 		return
 	case n.pending != nil && n.pending.Epoch() == sm.Epoch():
-		// Already staged; keep accumulated staging progress.
+		// Already staged.
 	case n.pending != nil:
 		writeError(w, fmt.Errorf("cluster: node %d: migration to epoch %d already staged, refusing epoch %d",
 			n.id, n.pending.Epoch(), sm.Epoch()))
 		return
 	default:
-		staging, err := n.newFile()
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		n.pending, n.staging, n.ready = sm, staging, map[int]bool{}
+		n.pending = sm
 	}
 	writeJSON(w, epochResponse{Epoch: n.cur.Epoch(), Pending: n.pendingEpochLocked()})
 }
 
-// handleMigrateBucket ingests one bucket's records into the staging
-// file for the pending epoch (COPY). Re-delivery of a bucket already
-// marked ready is a no-op: records are immutable, so the first copy is
-// as good as any. A page carrying a record of another bucket is refused
-// before staging is touched: ingesting it would plant a second copy of
-// that record wherever its values fall.
+// handleMigrateBucket ingests one bucket's records for the pending epoch
+// (COPY) and marks the bucket ready. The page goes into the live file
+// only when the bucket is absent from it: records are immutable, so a
+// copy already there — held under cur or prev, or ingested before — is
+// as good as this one. The insert is safe beside running queries: no
+// epoch the node serves can read an absent bucket (admit refuses it),
+// and a read touches only its own buckets. A page carrying a record of
+// another bucket is refused before the file is touched: ingesting it
+// would plant a second copy of that record wherever its values fall.
 func (n *Node) handleMigrateBucket(w http.ResponseWriter, r *http.Request) {
 	var req recordPage
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, recordPayloadLimit))
@@ -619,27 +550,28 @@ func (n *Node) handleMigrateBucket(w http.ResponseWriter, r *http.Request) {
 			ErrNotHosted, n.id, cell, req.Epoch))
 		return
 	}
-	if err := inBucket(req.Records, key, n.staging.BucketOf); err != nil {
+	if err := inBucket(req.Records, key, n.file.BucketOf); err != nil {
 		writeError(w, badRequestError{fmt.Errorf("cell %v: %w", cell, err)})
 		return
 	}
-	if !n.ready[key] {
-		if err := n.staging.InsertAll(req.Records); err != nil {
+	if !n.present(key) {
+		if err := n.file.InsertAll(req.Records); err != nil {
 			writeError(w, err)
 			return
 		}
-		n.ready[key] = true
 	}
+	n.ready[key] = true
 	writeJSON(w, epochResponse{Epoch: n.cur.Epoch(), Pending: req.Epoch})
 }
 
 // handleCutover promotes the pending map to current (CUTOVER). The node
-// refuses unless every bucket it newly hosts has arrived — the
-// invariant that makes "no lost buckets" structural rather than
+// refuses unless every bucket it hosts under pending is present — the
+// check that makes "no lost buckets" structural rather than
 // probabilistic. On success the live stack is rebuilt as the union of
-// what the new and old maps host, the old map becomes prev (still
-// answerable), and staging is gone. Idempotent for the already-current
-// epoch.
+// what the new and old maps host, so buckets past their grace window
+// (held under neither) drop out, the old map becomes prev (still
+// answerable), and ready starts empty. Idempotent for the
+// already-current epoch.
 func (n *Node) handleCutover(w http.ResponseWriter, r *http.Request) {
 	var req epochRequest
 	if err := decodeJSONBody(w, r, &req); err != nil {
@@ -659,12 +591,9 @@ func (n *Node) handleCutover(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	// Readiness invariant: every bucket held under pending must be held
-	// live or ingested.
-	next, cur := n.pending.holder(n.id), n.cur.holder(n.id)
-	missing := 0
+	next, missing := n.pending.holder(n.id), 0
 	for b := 0; b < n.g.Buckets(); b++ {
-		if next.holds(b) && !cur.holds(b) && !n.ready[b] {
+		if next.holds(b) && !n.present(b) {
 			missing++
 		}
 	}
@@ -675,27 +604,7 @@ func (n *Node) handleCutover(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	// Merge from the old file only what this member hosts under the
-	// outgoing epoch AND did not just receive a fresh copy of: older
-	// records are leftovers from the previous grace window, already past
-	// their answerable life, and a bucket in the ready set has its
-	// authoritative copy in staging (a member rejoining after a leave is
-	// re-sent everything, including buckets it still holds). Keeping
-	// either would plant duplicate records in the rebuilt file.
-	var held []datagen.Record
-	for _, rec := range dumpRecords(n.file) {
-		b, err := n.file.BucketOf(rec.Values)
-		if err != nil {
-			n.mu.Unlock()
-			writeError(w, err)
-			return
-		}
-		if cur.holds(b) && !n.ready[b] {
-			held = append(held, rec)
-		}
-	}
-	recs := append(held, dumpRecords(n.staging)...)
-	file, sched, err := n.buildStack(recs, n.pending, n.cur)
+	file, sched, err := n.buildStack(dumpRecords(n.file), n.pending, n.cur)
 	if err != nil {
 		n.mu.Unlock()
 		writeError(w, err)
@@ -703,7 +612,7 @@ func (n *Node) handleCutover(w http.ResponseWriter, r *http.Request) {
 	}
 	old := n.sched
 	n.prev, n.cur, n.pending = n.cur, n.pending, nil
-	n.staging, n.ready = nil, nil
+	clear(n.ready)
 	n.file, n.sched = file, sched
 	resp := epochResponse{Epoch: n.cur.Epoch()}
 	n.mu.Unlock()
@@ -711,11 +620,13 @@ func (n *Node) handleCutover(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// handleAbort drops the staged epoch (ABORT): staging and its readiness
-// set vanish, the live stack is untouched, and the node is exactly
-// where it was before PREPARE. A no-op when nothing (or a different
-// epoch) is staged; an error when the epoch already cut over — a
-// cutover cannot be undone, and the migrator must know.
+// handleAbort drops the staged epoch (ABORT): the node serves exactly
+// the epochs it served before PREPARE. Buckets ingested meanwhile stay
+// in the file, where no served epoch reads them, and stay ready, so a
+// re-run never inserts them twice; the next cutover or rebuild drops
+// whatever no map holds. A no-op when nothing (or a different epoch) is
+// staged; an error when the epoch already cut over — a cutover cannot
+// be undone, and the migrator must know.
 func (n *Node) handleAbort(w http.ResponseWriter, r *http.Request) {
 	var req epochRequest
 	if err := decodeJSONBody(w, r, &req); err != nil {
@@ -729,7 +640,7 @@ func (n *Node) handleAbort(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if n.pending != nil && n.pending.Epoch() == req.Epoch {
-		n.pending, n.staging, n.ready = nil, nil, nil
+		n.pending = nil
 	}
 	writeJSON(w, epochResponse{Epoch: n.cur.Epoch(), Pending: n.pendingEpochLocked()})
 }
@@ -757,9 +668,9 @@ func inBucket(recs []datagen.Record, b int, bucketOf func(values []float64) (int
 	return nil
 }
 
-// dumpRecords returns every record in f (nil-safe).
+// dumpRecords returns every record in f.
 func dumpRecords(f *gridfile.File) []datagen.Record {
-	if f == nil || f.Len() == 0 {
+	if f.Len() == 0 {
 		return nil
 	}
 	rs, err := f.CellRangeSearch(f.Grid().FullRect())
@@ -833,9 +744,12 @@ func (n *Node) handleShards(w http.ResponseWriter, r *http.Request) {
 
 // BeginRebuild wipes the node's data and marks it rebuilding: a fresh
 // empty grid file and scheduler replace the old stack (which is
-// drained), and any in-flight migration state is dropped — a node being
-// rebuilt lost its memory, staging included. Queries are refused with
-// CodeUnavailable until FinishRebuild.
+// drained). A node being rebuilt lost its memory: any in-flight
+// migration and its ready set are dropped, and so is prev — the rebuild
+// restores cur's buckets only, so a router one epoch behind must draw
+// StaleEpoch and adopt cur, not be answered from a file that no longer
+// holds prev's buckets. Queries are refused with CodeUnavailable until
+// FinishRebuild.
 func (n *Node) BeginRebuild() error {
 	n.mu.RLock()
 	cur := n.cur
@@ -848,7 +762,8 @@ func (n *Node) BeginRebuild() error {
 	old := n.sched
 	n.file, n.sched = file, sched
 	n.rebuilding = true
-	n.pending, n.staging, n.ready = nil, nil, nil
+	n.prev, n.pending = nil, nil
+	clear(n.ready)
 	n.mu.Unlock()
 	_, err = old.Close()
 	return err

@@ -74,7 +74,7 @@ type Result struct {
 	// bucket's records in storage order — whichever node or replica
 	// answered each piece. Every copy of a bucket holds its records in
 	// one order: nodes load theirs from one record stream, in stream
-	// order, and every later copy (a rebuild, a migration's staging, a
+	// order, and every later copy (a rebuild, a migration's ingest, a
 	// cutover's reload) is filled verbatim from an existing copy, in its
 	// order. A partial answer leaves out the uncovered pieces' buckets.
 	Records []datagen.Record
@@ -801,12 +801,11 @@ type AggregateResult struct {
 // cluster: the rect decomposes into per-shard pieces, each piece is
 // answered by a shard member's disk-free summed-area index through the
 // same scatter as Search (rotation, backoff, hedging, breakers), and
-// the partials merge exactly. Only the current epoch is asked — nodes
-// refuse aggregates at a pending epoch. Unlike Search, any uncovered
-// piece fails the whole query: a partial sum or count is not a degraded
-// answer, it is a wrong one — the *PartialError names the uncovered
-// sub-rectangles. Stale-epoch adoption follows the same gossip path as
-// Search.
+// the partials merge exactly. Only the current epoch is asked. Unlike
+// Search, any uncovered piece fails the whole query: a partial sum or
+// count is not a degraded answer, it is a wrong one — the *PartialError
+// names the uncovered sub-rectangles. Stale-epoch adoption follows the
+// same gossip path as Search.
 func (rt *Router) Aggregate(ctx context.Context, q batch.AggregateQuery) (*AggregateResult, error) {
 	rt.mAggregates.Inc()
 	start := time.Now()

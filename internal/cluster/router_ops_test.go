@@ -365,37 +365,55 @@ func TestRouterCancellationNoLeak(t *testing.T) {
 	}
 }
 
-// TestNodeAggregateRefusesPendingEpoch stages a migration epoch on a
-// node and checks the aggregate endpoint refuses it as unavailable (the
-// dual-read merge is records-only) while a search leg is admitted.
+// TestNodeAggregateRefusesPendingEpoch stages a leave's To map on a
+// member that gains buckets in it, with nothing ingested yet, and asks
+// its aggregate endpoint at the pending epoch: over a rect the member
+// holds under both maps the answer equals the current epoch's, and a
+// rect taking in a gained bucket is refused as unavailable — never
+// answered low.
 func TestNodeAggregateRefusesPendingEpoch(t *testing.T) {
-	tc := startTestCluster(t, 2, 2, RouterConfig{})
-	n := tc.h.Node(0)
+	tc := startTestCluster(t, 4, 2, RouterConfig{})
 	cur := tc.h.Map()
-	next, err := newShardMapAt(cur.Grid(), cur.Nodes(), cur.Replicas(), cur.Stride(),
-		cur.Epoch()+1, cur.Members())
+	plan, err := PlanLeave(cur, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dest := plan.Moves[0].Dest
+	gained := tc.g.Delinearize(plan.Moves[0].Buckets[0], nil)
+	var held grid.Rect
+	for _, s := range cur.HostedShardsOfMember(dest) {
+		if r := cur.Shard(s).Rect; tc.g.EachBucket(r, func(b int) bool { return plan.To.Holds(dest, b) }) {
+			held = r
+			break
+		}
+	}
+	if held.Lo == nil {
+		t.Fatalf("member %d keeps no whole shard through the leave: not the scenario under test", dest)
+	}
+	n := tc.h.Node(dest)
 	n.mu.Lock()
-	staging, err := n.newFile()
-	if err != nil {
-		n.mu.Unlock()
-		t.Fatal(err)
-	}
-	n.pending, n.staging, n.ready = next, staging, map[int]bool{}
+	n.pending = plan.To
 	n.mu.Unlock()
 
 	ctx := context.Background()
-	rect := cur.Shard(0).Rect // two nodes, two replicas: node 0 hosts every shard
-	search, aggregate := routerOps[0], routerOps[1]
-	if err := aggregate.leg(ctx, tc.h.Router(), n.ID(), rect, next.Epoch()); !errors.Is(err, fault.ErrUnavailable) {
-		t.Fatalf("pending-epoch aggregate err = %v, want ErrUnavailable", err)
+	sum := func(rect grid.Rect, epoch uint64) (*aggregateResponse, error) {
+		q := batch.AggregateQuery{Rect: rect, Op: batch.OpSum, Attr: 1}
+		return callNode(ctx, tc.h.Router(), aggregateOp(q), dest, rect, epoch, 0)
 	}
-	if err := aggregate.leg(ctx, tc.h.Router(), n.ID(), rect, cur.Epoch()); err != nil {
+	want, err := sum(held, cur.Epoch())
+	if err != nil {
 		t.Fatalf("current-epoch aggregate: %v", err)
 	}
-	if err := search.leg(ctx, tc.h.Router(), n.ID(), rect, next.Epoch()); err != nil {
-		t.Fatalf("pending-epoch search (nothing migrating, so trivially ready): %v", err)
+	got, err := sum(held, plan.To.Epoch())
+	if err != nil {
+		t.Fatalf("pending-epoch aggregate over held buckets: %v", err)
+	}
+	if got.Count != want.Count || got.Sum != want.Sum || want.Count == 0 {
+		t.Fatalf("pending-epoch aggregate over %v: count %d sum %g, current epoch count %d sum %g",
+			held, got.Count, got.Sum, want.Count, want.Sum)
+	}
+	inFlight := grid.Rect{Lo: gained, Hi: gained.Clone()}
+	if _, err := sum(inFlight, plan.To.Epoch()); !errors.Is(err, fault.ErrUnavailable) {
+		t.Fatalf("pending-epoch aggregate over un-ingested %v: err = %v, want ErrUnavailable", inFlight, err)
 	}
 }

@@ -87,10 +87,11 @@ const (
 
 var le = binary.LittleEndian
 
-// recordPage is a record-carrying payload: a sub-query's answer, one
-// bucket for a rebuild or migration, one bucket for a staging file.
+// recordPage is a record-carrying payload: a sub-query's answer, or one
+// bucket read for a rebuild or migration, or one bucket sent to a
+// migration's destination.
 type recordPage struct {
-	Epoch    uint64 // map epoch the page was read, or is to be staged, under
+	Epoch    uint64 // map epoch the page was read, or is to be ingested, under
 	Buckets  int    // grid buckets the page covers
 	Degraded bool   // some bucket came from a replica disk, not its primary
 	Cell     []int  // the bucket a /v1/migrate/bucket page belongs to

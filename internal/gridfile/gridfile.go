@@ -205,8 +205,9 @@ func (f *File) BucketLen(b int) int { return len(f.buckets[b]) }
 // Bucket returns the records of the row-major bucket b as a read-only
 // view of the file's internal storage — the zero-copy accessor behind
 // the executor's hot read path. Callers must not mutate the returned
-// slice or hold it across an Insert or Delete; copy anything that
-// outlives the read (the executor copies during its merge).
+// slice or hold it across an Insert or Delete into bucket b; copy
+// anything that outlives the read (the executor copies during its
+// merge). A write to another bucket leaves the view intact.
 func (f *File) Bucket(b int) []datagen.Record { return f.buckets[b] }
 
 // BucketPages returns the number of pages bucket b occupies:

@@ -95,17 +95,7 @@ func (r *repairingReader) ReadBucket(ctx context.Context, disk, bucket int) ([]d
 	if rr.obsSink.Tracing() {
 		sp = obs.SpanFromContext(ctx).Child(fmt.Sprintf("read-repair d%d b%d", ce.Disk, ce.Bucket))
 	}
-	for _, src := range rr.store.Holders(ce.Bucket) {
-		if src == ce.Disk || !rr.store.HasCopy(src, ce.Bucket) {
-			continue
-		}
-		if rr.faults != nil && rr.faults.DiskFailed(src) {
-			continue
-		}
-		clean, cerr := rr.store.ReadVerified(src, ce.Bucket)
-		if cerr != nil {
-			continue // that sibling is corrupt or missing too
-		}
+	if clean, ok := cleanSibling(rr.store, rr.faults, ce.Bucket, ce.Disk); ok {
 		rr.store.Repair(ce.Disk, ce.Bucket, clean)
 		rr.repairs.Add(1)
 		rr.obsRepairs.Inc()

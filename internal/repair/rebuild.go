@@ -79,7 +79,7 @@ type Rebuilder struct {
 	sched *serve.Scheduler // optional
 	inj   *fault.Injector
 	cfg   RebuildConfig
-	tb    *tokenBucket
+	tb    *Throttle
 	m     *rebuildMetrics
 }
 
@@ -101,7 +101,7 @@ func NewRebuilder(store *gridfile.Store, sched *serve.Scheduler, inj *fault.Inje
 	if cfg.Parallel == 0 {
 		cfg.Parallel = 1
 	}
-	tb, err := newTokenBucket(cfg.PagesPerSec, cfg.Burst)
+	tb, err := NewThrottle(cfg.PagesPerSec, cfg.Burst)
 	if err != nil {
 		return nil, err
 	}
@@ -114,9 +114,7 @@ func NewRebuilder(store *gridfile.Store, sched *serve.Scheduler, inj *fault.Inje
 			pages:    reg.Counter("repair.rebuild.pages"),
 			sheds:    reg.Counter("repair.rebuild.sheds"),
 		}
-		if tb != nil {
-			tb.taken = reg.Counter("repair.rebuild.throttle.tokens")
-		}
+		tb.AttachObserver(cfg.Obs, "repair.rebuild.throttle.tokens")
 	}
 	return r, nil
 }
@@ -162,7 +160,7 @@ func (r *Rebuilder) Rebuild(ctx context.Context, disk int) (*RebuildReport, erro
 				if weight < 1 {
 					weight = 1 // empty buckets still cost one admission round
 				}
-				if err := r.tb.take(wctx, weight); err != nil {
+				if err := r.tb.Take(wctx, weight); err != nil {
 					r.fail(&mu, &firstErr, cancel, err)
 					return
 				}
@@ -232,13 +230,8 @@ func (r *Rebuilder) fail(mu *sync.Mutex, firstErr *error, cancel context.CancelF
 // directly from a clean live copy in the store.
 func (r *Rebuilder) readSurvivor(ctx context.Context, b int) ([]datagen.Record, int, error) {
 	if r.sched == nil {
-		for _, d := range r.store.Holders(b) {
-			if !r.store.HasCopy(d, b) || r.inj.DiskFailed(d) {
-				continue
-			}
-			if recs, err := r.store.ReadVerified(d, b); err == nil {
-				return recs, 0, nil
-			}
+		if recs, ok := cleanSibling(r.store, r.inj, b, -1); ok {
+			return recs, 0, nil
 		}
 		return nil, 0, fmt.Errorf("repair: no clean surviving copy of bucket %d", b)
 	}

@@ -34,6 +34,7 @@ import (
 	"sort"
 	"sync"
 
+	"decluster/internal/datagen"
 	"decluster/internal/fault"
 	"decluster/internal/gridfile"
 	"decluster/internal/obs"
@@ -138,6 +139,22 @@ func (t *Tracker) NonHealthy() []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// cleanSibling reads bucket b from its first copy that can serve a
+// repair: a holder other than disk skip, still holding a copy, not
+// failed under inj (nil: none failed), and verifying clean end to end.
+// It reports false when no such copy exists.
+func cleanSibling(s *gridfile.Store, inj *fault.Injector, b, skip int) ([]datagen.Record, bool) {
+	for _, d := range s.Holders(b) {
+		if d == skip || !s.HasCopy(d, b) || (inj != nil && inj.DiskFailed(d)) {
+			continue
+		}
+		if recs, err := s.ReadVerified(d, b); err == nil {
+			return recs, true
+		}
+	}
+	return nil, false
 }
 
 // SeedCorruption applies an injector's seeded corruption plan

@@ -177,24 +177,24 @@ func TestScrubberSkipsFailedDisks(t *testing.T) {
 }
 
 func TestTokenBucketPaces(t *testing.T) {
-	if _, err := newTokenBucket(-1, 0); err == nil {
+	if _, err := NewThrottle(-1, 0); err == nil {
 		t.Error("negative rate accepted")
 	}
-	tb, err := newTokenBucket(0, 0)
+	tb, err := NewThrottle(0, 0)
 	if err != nil || tb != nil {
 		t.Fatalf("rate 0 should disable throttling, got %v, %v", tb, err)
 	}
-	if err := tb.take(context.Background(), 100); err != nil {
+	if err := tb.Take(context.Background(), 100); err != nil {
 		t.Errorf("nil bucket blocked: %v", err)
 	}
 	// 1000 pages/sec with burst 1: taking ~50 tokens must cost ~50ms.
-	tb, err = newTokenBucket(1000, 1)
+	tb, err = NewThrottle(1000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
 	for i := 0; i < 50; i++ {
-		if err := tb.take(context.Background(), 1); err != nil {
+		if err := tb.Take(context.Background(), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,7 +204,7 @@ func TestTokenBucketPaces(t *testing.T) {
 	// Cancellation interrupts a blocked take.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	if err := tb.take(ctx, 10000); !errors.Is(err, context.DeadlineExceeded) {
+	if err := tb.Take(ctx, 10000); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("cancelled take returned %v", err)
 	}
 }

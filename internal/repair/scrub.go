@@ -60,13 +60,13 @@ type ScrubReport struct {
 type Scrubber struct {
 	store *gridfile.Store
 	cfg   ScrubConfig
-	tb    *tokenBucket
+	tb    *Throttle
 	m     *scrubMetrics
 }
 
 // NewScrubber builds a scrubber over the store.
 func NewScrubber(s *gridfile.Store, cfg ScrubConfig) (*Scrubber, error) {
-	tb, err := newTokenBucket(cfg.PagesPerSec, cfg.Burst)
+	tb, err := NewThrottle(cfg.PagesPerSec, cfg.Burst)
 	if err != nil {
 		return nil, err
 	}
@@ -80,9 +80,7 @@ func NewScrubber(s *gridfile.Store, cfg ScrubConfig) (*Scrubber, error) {
 			repaired:     r.Counter("repair.scrub.repaired"),
 			unrepairable: r.Counter("repair.scrub.unrepairable"),
 		}
-		if tb != nil {
-			tb.taken = r.Counter("repair.scrub.throttle.tokens")
-		}
+		tb.AttachObserver(cfg.Obs, "repair.scrub.throttle.tokens")
 	}
 	return sc, nil
 }
@@ -111,7 +109,7 @@ func (sc *Scrubber) RunOnce(ctx context.Context) (*ScrubReport, error) {
 				skipped[d] = true
 				continue
 			}
-			if err := sc.tb.take(ctx, float64(pages)); err != nil {
+			if err := sc.tb.Take(ctx, float64(pages)); err != nil {
 				rep.Elapsed = time.Since(start)
 				return rep, err
 			}
@@ -133,7 +131,8 @@ func (sc *Scrubber) RunOnce(ctx context.Context) (*ScrubReport, error) {
 				if sc.cfg.Tracker != nil {
 					sc.cfg.Tracker.Suspect(d)
 				}
-				if sc.repairFrom(d, b) {
+				if recs, ok := cleanSibling(sc.store, sc.cfg.Faults, b, d); ok {
+					sc.store.Repair(d, b, recs)
 					rep.Repaired++
 					if sc.m != nil {
 						sc.m.repaired.Inc()
@@ -166,24 +165,4 @@ func (sc *Scrubber) RunOnce(ctx context.Context) (*ScrubReport, error) {
 	}
 	rep.Elapsed = time.Since(start)
 	return rep, nil
-}
-
-// repairFrom rewrites disk d's corrupt copy of bucket b from a clean,
-// live sibling copy, reporting success.
-func (sc *Scrubber) repairFrom(d, b int) bool {
-	for _, src := range sc.store.Holders(b) {
-		if src == d || !sc.store.HasCopy(src, b) {
-			continue
-		}
-		if sc.cfg.Faults != nil && sc.cfg.Faults.DiskFailed(src) {
-			continue
-		}
-		recs, err := sc.store.ReadVerified(src, b)
-		if err != nil {
-			continue // sibling is corrupt too; keep looking
-		}
-		sc.store.Repair(d, b, recs)
-		return true
-	}
-	return false
 }

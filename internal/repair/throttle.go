@@ -9,16 +9,17 @@ import (
 	"decluster/internal/obs"
 )
 
-// tokenBucket paces page I/O: take(n) blocks until n tokens are
-// available, where tokens accrue at rate per second up to burst. A nil
-// bucket never blocks (unthrottled). Debt-based: a take larger than the
-// current balance sleeps exactly the refill time of the shortfall, so
-// pacing is smooth even when bucket sizes vary.
-type tokenBucket struct {
+// Throttle paces page I/O with a token bucket: Take(n) blocks until n
+// tokens are available, where tokens accrue at rate per second up to
+// burst. Debt-based: a take larger than the current balance sleeps
+// exactly the refill time of the shortfall, so pacing is smooth even
+// when bucket sizes vary. The disk rebuilder and the scrubber pace with
+// it, and so do the cluster-level node rebuild and migration copy. A
+// nil Throttle never blocks (unthrottled).
+type Throttle struct {
 	rate  float64 // tokens per second
 	burst float64
-	// taken counts tokens granted; nil (no-op) until the owner
-	// attaches an observer.
+	// taken counts tokens granted; nil (no-op) until AttachObserver.
 	taken *obs.Counter
 
 	mu     sync.Mutex
@@ -26,8 +27,10 @@ type tokenBucket struct {
 	last   time.Time
 }
 
-// newTokenBucket builds a bucket; rate 0 returns nil (unthrottled).
-func newTokenBucket(rate, burst float64) (*tokenBucket, error) {
+// NewThrottle builds a throttle granting rate tokens per second with
+// the given burst headroom (≤ 0 selects one second of rate). Rate 0
+// returns a nil, never-blocking throttle.
+func NewThrottle(rate, burst float64) (*Throttle, error) {
 	if rate < 0 {
 		return nil, fmt.Errorf("repair: negative throttle rate %v", rate)
 	}
@@ -40,71 +43,44 @@ func newTokenBucket(rate, burst float64) (*tokenBucket, error) {
 	if burst < 1 {
 		burst = 1
 	}
-	return &tokenBucket{rate: rate, burst: burst, tokens: burst, last: time.Now()}, nil
-}
-
-// Throttle is the rebuilder's token bucket exported for other recovery
-// engines — the cluster-level node rebuild paces its cross-node replica
-// reads with the exact same debt-based pacing the disk rebuilder uses.
-// A zero-rate Throttle (and a nil one) never blocks.
-type Throttle struct {
-	tb *tokenBucket
-}
-
-// NewThrottle builds a throttle granting rate tokens per second with
-// the given burst headroom (≤ 0 selects one second of rate). Rate 0
-// returns an unthrottled (never-blocking) throttle.
-func NewThrottle(rate, burst float64) (*Throttle, error) {
-	tb, err := newTokenBucket(rate, burst)
-	if err != nil {
-		return nil, err
-	}
-	return &Throttle{tb: tb}, nil
+	return &Throttle{rate: rate, burst: burst, tokens: burst, last: time.Now()}, nil
 }
 
 // AttachObserver counts granted tokens on the named counter in the
 // sink's registry. A nil sink (or unthrottled throttle) is a no-op.
 func (t *Throttle) AttachObserver(s *obs.Sink, name string) {
-	if t == nil || t.tb == nil || s == nil {
+	if t == nil || s == nil {
 		return
 	}
-	t.tb.taken = s.Registry().Counter(name)
+	t.taken = s.Registry().Counter(name)
 }
 
 // Take blocks until n tokens are available or ctx ends.
 func (t *Throttle) Take(ctx context.Context, n float64) error {
-	if t == nil {
+	if t == nil || n <= 0 {
 		return nil
 	}
-	return t.tb.take(ctx, n)
-}
-
-// take blocks until n tokens are available or ctx ends.
-func (tb *tokenBucket) take(ctx context.Context, n float64) error {
-	if tb == nil || n <= 0 {
-		return nil
-	}
-	tb.mu.Lock()
+	t.mu.Lock()
 	now := time.Now()
-	tb.tokens += now.Sub(tb.last).Seconds() * tb.rate
-	if tb.tokens > tb.burst {
-		tb.tokens = tb.burst
+	t.tokens += now.Sub(t.last).Seconds() * t.rate
+	if t.tokens > t.burst {
+		t.tokens = t.burst
 	}
-	tb.last = now
-	tb.tokens -= n
-	debt := -tb.tokens
-	tb.mu.Unlock()
-	tb.taken.Add(uint64(n))
+	t.last = now
+	t.tokens -= n
+	debt := -t.tokens
+	t.mu.Unlock()
+	t.taken.Add(uint64(n))
 	if debt <= 0 {
 		return nil
 	}
-	wait := time.Duration(debt / tb.rate * float64(time.Second))
-	t := time.NewTimer(wait)
-	defer t.Stop()
+	wait := time.Duration(debt / t.rate * float64(time.Second))
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
-	case <-t.C:
+	case <-timer.C:
 		return nil
 	}
 }
