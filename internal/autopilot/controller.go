@@ -15,8 +15,8 @@ import (
 // Config wires a Controller to a live cluster.
 type Config struct {
 	// Router is the scatter/gather client whose map the controller
-	// grows and shrinks; migrations are staged through it so dual-read
-	// holds during every handoff (required).
+	// grows and shrinks; every migration has it adopt the new map after
+	// the last cutover ack (required).
 	Router *cluster.Router
 	// Endpoints holds one base URL per member ID — the same slice the
 	// router was built over, standbys included (required).

@@ -45,7 +45,8 @@ const (
 	// node no longer (or does not yet) serve; the error envelope carries
 	// the node's current map so the caller can adopt it and retry.
 	CodeStaleEpoch = "stale_epoch"
-	// CodeBadRequest: malformed query (bad rect, bad JSON).
+	// CodeBadRequest: malformed request (bad rect, bad JSON, a migration
+	// or rebuild page carrying a record of another bucket).
 	CodeBadRequest = "bad_request"
 	// CodeInternal: anything else.
 	CodeInternal = "internal"
@@ -60,6 +61,11 @@ var ErrPartial = errors.New("cluster: partial result")
 // ErrNotHosted is returned by a node asked for a rectangle outside its
 // hosted shards.
 var ErrNotHosted = errors.New("cluster: rect not hosted by this node")
+
+// ErrBadRequest marks a request the node refused as malformed: every
+// badRequestError, and every bad_request decoded off the wire, matches
+// it. The copier reads it as its donor's fault and tries the next donor.
+var ErrBadRequest = errors.New("cluster: bad request")
 
 // ErrStaleEpoch marks a request stamped with a shard-map epoch the node
 // does not serve: every *StaleEpochError satisfies
@@ -135,6 +141,9 @@ type badRequestError struct{ err error }
 
 func (e badRequestError) Error() string { return e.err.Error() }
 func (e badRequestError) Unwrap() error { return e.err }
+
+// Is makes errors.Is(err, ErrBadRequest) true for every badRequestError.
+func (e badRequestError) Is(target error) bool { return target == ErrBadRequest }
 
 // ErrorCode maps an error to its stable wire code.
 func ErrorCode(err error) string {
@@ -228,6 +237,8 @@ func DecodeError(code, msg string) error {
 		// (decodeErrorBody) reconstructs the richer *StaleEpochError with
 		// the node's map attached.
 		sentinel = ErrStaleEpoch
+	case CodeBadRequest:
+		sentinel = ErrBadRequest
 	default:
 		return fmt.Errorf("cluster: remote error %q: %s", code, msg)
 	}

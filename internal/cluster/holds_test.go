@@ -151,7 +151,7 @@ func TestPendingEpochReadsMatchOracle(t *testing.T) {
 			t.Fatalf("prepare member %d: %v", m, err)
 		}
 	}
-	defer abortAll(cp, nil, unionMembers(leave.From, leave.To), pending)
+	defer abortAll(cp, unionMembers(leave.From, leave.To), pending)
 	sent := map[[2]int]int{} // (dest, bucket) → records the donor sent
 	if err := cp.run(ctx, leave.Moves, func(dest int, cell grid.Coord, recs []datagen.Record) error {
 		sent[[2]int{dest, tc.g.Linearize(cell)}] = len(recs)

@@ -41,9 +41,9 @@ type MigrateConfig struct {
 	// Obs optionally counts migration progress:
 	// cluster.migrate.buckets / .records / .retries.
 	Obs *obs.Sink
-	// Router, when set, is kept in lockstep: the To map is staged for
-	// dual-read before the first copy and adopted after the last
-	// cutover ack, so reads race both epochs throughout the handoff.
+	// Router, when set, adopts the To map after the last cutover ack;
+	// until then it keeps reading the From epoch, which stays
+	// authoritative throughout the handoff.
 	Router *Router
 	// Progress, when set, observes every step — tests use it to inject
 	// a crash (cancel the context) at an exact point mid-migration.
@@ -85,11 +85,10 @@ var cutoverBackoff = exec.RetryPolicy{BaseBackoff: 5 * time.Millisecond, MaxBack
 //	         its destination's live file — inserted only where absent,
 //	         and unread by any From-epoch query — at
 //	         serve.MigrationPriority (below every foreground query,
-//	         above background repair), paced by the throttle. Reads
-//	         keep flowing the whole time: the From epoch stays
-//	         authoritative, and the router (when wired) races an
-//	         opportunistic To-epoch leg that succeeds exactly when every
-//	         bucket it needs has landed.
+//	         above background repair), paced by the throttle. A donor
+//	         whose page the destination refuses has failed, and the next
+//	         donor is tried. Reads keep flowing the whole time: the From
+//	         epoch stays authoritative.
 //	CUTOVER  every member atomically promotes the To map; each node
 //	         refuses unless all its newly hosted buckets arrived, so a
 //	         lost bucket aborts loudly instead of vanishing silently.
@@ -129,7 +128,7 @@ func Migrate(ctx context.Context, cfg MigrateConfig) (MigrateStats, error) {
 	abort := func(cause error) (MigrateStats, error) {
 		st.Aborted = true
 		st.Elapsed = time.Since(start)
-		abortAll(cp, cfg.Router, members, p.To.Epoch())
+		abortAll(cp, members, p.To.Epoch())
 		progress(MigrateEvent{Phase: "abort", Buckets: st.Buckets})
 		return st, fmt.Errorf("cluster: migration to epoch %d aborted: %w", p.To.Epoch(), cause)
 	}
@@ -142,16 +141,13 @@ func Migrate(ctx context.Context, cfg MigrateConfig) (MigrateStats, error) {
 		}
 		progress(MigrateEvent{Phase: "prepare", Member: m})
 	}
-	if cfg.Router != nil {
-		cfg.Router.StagePending(p.To)
-	}
 
 	// COPY.
 	err := cp.run(ctx, p.Moves, func(dest int, cell grid.Coord, recs []datagen.Record) error {
 		if err := cp.post(ctx, dest, "bucket", &recordPage{
 			Epoch: p.To.Epoch(), Buckets: 1, Cell: cell, Records: recs,
 		}); err != nil {
-			return fmt.Errorf("ingest cell %v on member %d: %w", cell, dest, err)
+			return err
 		}
 		// The copier counts a bucket once deliver returns: this one is next.
 		progress(MigrateEvent{Phase: "copy", Member: dest, Buckets: cp.buckets + 1})
@@ -203,14 +199,11 @@ func Migrate(ctx context.Context, cfg MigrateConfig) (MigrateStats, error) {
 // fresh short-lived context: the caller's context is typically already
 // cancelled (that may be exactly why we are aborting), and the rollback
 // must still go out.
-func abortAll(cp *copier, rt *Router, members []int, epoch uint64) {
+func abortAll(cp *copier, members []int, epoch uint64) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	for _, m := range members {
 		_ = cp.post(ctx, m, "abort", epochRequest{Epoch: epoch})
-	}
-	if rt != nil {
-		rt.ClearPending()
 	}
 }
 

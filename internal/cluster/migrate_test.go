@@ -485,7 +485,7 @@ func TestRebuildDropsPrevEpoch(t *testing.T) {
 		t.Fatalf("member 0 does not lose %v in the join: not the scenario under test", cell.Lo)
 	}
 	want := len(tc.refIDs(t, cell))
-	leg, err := callNode(ctx, tc.h.Router(), searchOp, 0, cell, from.Epoch(), 0)
+	leg, err := callNode(ctx, tc.h.Router(), searchOp, 0, cell, from.Epoch())
 	if err != nil {
 		t.Fatalf("epoch %d leg before the rebuild: %v", from.Epoch(), err)
 	}
@@ -497,7 +497,7 @@ func TestRebuildDropsPrevEpoch(t *testing.T) {
 	if _, err := RebuildNode(ctx, RebuildConfig{Map: tc.h.Map(), Endpoints: tc.h.URLs()}, tc.h.Node(0)); err != nil {
 		t.Fatal(err)
 	}
-	leg, err = callNode(ctx, tc.h.Router(), searchOp, 0, cell, from.Epoch(), 0)
+	leg, err = callNode(ctx, tc.h.Router(), searchOp, 0, cell, from.Epoch())
 	var stale *StaleEpochError
 	if !errors.As(err, &stale) || stale.NodeEpoch != join.To.Epoch() {
 		n := -1
@@ -623,5 +623,132 @@ func TestRebuildSkipsDonorWithForeignRecords(t *testing.T) {
 	}
 	if st.Retries == 0 {
 		t.Errorf("no fetch from member %d was refused", liar)
+	}
+}
+
+// TestMigrateSkipsDonorWithForeignRecords is the migration twin of
+// TestRebuildSkipsDonorWithForeignRecords: every /v1/bucket page of the
+// first donor of the join's first move carries one record of another
+// bucket. The destination refuses each such page as a bad request, the
+// copier counts that donor as failed and takes the bucket from the next
+// one, and the join completes with the oracle's answers.
+func TestMigrateSkipsDonorWithForeignRecords(t *testing.T) {
+	tc := startElasticCluster(t, 4, 2, 1)
+	plan, err := PlanJoin(tc.h.Map())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Moves[0].Sources) < 2 {
+		t.Fatalf("move %+v has one donor: not the scenario under test", plan.Moves[0])
+	}
+	liar := plan.Moves[0].Sources[0]
+	a := tc.recs[0]
+	ba, err := tc.ref.BucketOf(a.Values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := tc.recs[slices.IndexFunc(tc.recs, func(r datagen.Record) bool {
+		br, _ := tc.ref.BucketOf(r.Values)
+		return br != ba
+	})]
+	urls := tc.h.URLs()
+	urls[liar] = tamper(t, tc.h.Node(liar).Handler(), "/v1/bucket", func(p *recordPage) {
+		stray := a // foreign to every bucket but a's, whose page holds a
+		if slices.ContainsFunc(p.Records, func(r datagen.Record) bool { return r.ID == a.ID }) {
+			stray = b
+		}
+		p.Records = append(p.Records, stray)
+	})
+	st, err := Migrate(context.Background(), MigrateConfig{Plan: plan, Endpoints: urls, Router: tc.h.Router()})
+	if err != nil {
+		t.Fatalf("join past a donor with foreign records: %v", err)
+	}
+	if st.Retries == 0 {
+		t.Errorf("no page from member %d was refused", liar)
+	}
+	if got := tc.h.Router().Epoch(); got != plan.To.Epoch() {
+		t.Fatalf("router epoch after join = %d, want %d", got, plan.To.Epoch())
+	}
+	for _, q := range append(testQueries(tc.g), tc.g.FullRect()) {
+		res, err := tc.h.Router().Search(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%v: %v", q, err)
+		}
+		if got, want := resultIDs(res), tc.refIDs(t, q); !equalInts(got, want) {
+			t.Fatalf("%v after the join: %d records, oracle %d", q, len(got), len(want))
+		}
+	}
+}
+
+// TestMigrateLostCutoverAckServesPendingEpoch covers the one reader of a
+// node's pending epoch: a router that learnt the To map — by gossip from
+// a member that cut over — while another member's cutover ack was lost.
+// Member 2 is partitioned once member 0 has cut over, so Migrate stops
+// with the cutover incomplete and member 2 still on the From epoch, the
+// To map only pending there. Healed, member 2 answers a To-epoch leg in
+// full, and a router built over the To map gets the oracle's answers.
+func TestMigrateLostCutoverAckServesPendingEpoch(t *testing.T) {
+	tc := startElasticCluster(t, 4, 2, 1)
+	ctx := context.Background()
+	plan, err := PlanJoin(tc.h.Map())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lost = 2
+	st, err := Migrate(ctx, MigrateConfig{
+		Plan:          plan,
+		Endpoints:     tc.h.URLs(),
+		FetchTimeout:  300 * time.Millisecond,
+		FetchAttempts: 2,
+		Progress: func(ev MigrateEvent) {
+			if ev.Phase == "cutover" && ev.Member == 0 {
+				tc.h.Faults().Partition(lost)
+			}
+		},
+	})
+	if err == nil || st.Aborted || !strings.Contains(err.Error(), "incomplete") {
+		t.Fatalf("join with member %d partitioned at cutover: err = %v, stats %+v; want cutover incomplete", lost, err, st)
+	}
+	tc.h.Faults().Heal(lost)
+	if got := tc.h.Node(lost).Epoch(); got != plan.From.Epoch() {
+		t.Fatalf("member %d at epoch %d, want it left at %d", lost, got, plan.From.Epoch())
+	}
+
+	rt, err := NewRouter(RouterConfig{
+		Map:          plan.To,
+		Endpoints:    tc.h.URLs(),
+		Retry:        exec.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond},
+		NodeDeadline: 300 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legs := 0
+	for _, sh := range plan.To.Shards() {
+		if !slices.Contains(plan.To.ShardMembers(sh.ID), lost) {
+			continue
+		}
+		leg, err := callNode(ctx, rt, searchOp, lost, sh.Rect, plan.To.Epoch())
+		if err != nil {
+			t.Fatalf("member %d, shard %d at pending epoch %d: %v", lost, sh.ID, plan.To.Epoch(), err)
+		}
+		if got, want := leg.n, len(tc.refIDs(t, sh.Rect)); got != want {
+			t.Fatalf("member %d, shard %d at pending epoch %d: %d records, oracle %d", lost, sh.ID, plan.To.Epoch(), got, want)
+		}
+		leg.release()
+		legs++
+	}
+	if legs == 0 {
+		t.Fatalf("member %d hosts nothing under the To map: not the scenario under test", lost)
+	}
+	res, err := rt.Search(ctx, tc.g.FullRect())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Epoch != plan.To.Epoch() || res.EpochFollows != 0 {
+		t.Fatalf("answer routed under epoch %d after %d follows, want %d after none", res.Epoch, res.EpochFollows, plan.To.Epoch())
+	}
+	if got, want := resultIDs(res), tc.refIDs(t, tc.g.FullRect()); !equalInts(got, want) {
+		t.Fatalf("To-map router answer %d records, oracle %d", len(got), len(want))
 	}
 }

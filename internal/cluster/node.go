@@ -73,9 +73,11 @@ type NodeConfig struct {
 // cutover or rebuild). A migration inserts an incoming bucket only when
 // it is absent, and a pending-epoch read is admitted only once every
 // bucket it touches is present, so the live answer is the pending
-// answer — the node-side half of the dual-read handoff. An abort drops
-// pending alone: ingested buckets stay, and ready keeps a re-run from
-// inserting them twice.
+// answer. The migrating router never sends one — it reads the old epoch
+// until cutover — but a router that learnt the new map by gossip from a
+// member that cut over, while this one's cutover ack was lost, does. An
+// abort drops pending alone: ingested buckets stay, and ready keeps a
+// re-run from inserting them twice.
 type Node struct {
 	id       int
 	g        *grid.Grid
@@ -188,22 +190,8 @@ func (n *Node) Records() int {
 	return n.file.Len()
 }
 
-// Scheduler returns the node's current scheduler (tests and stats).
-func (n *Node) Scheduler() *serve.Scheduler {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.sched
-}
-
 // Epoch returns the node's current map epoch.
 func (n *Node) Epoch() uint64 { return n.CurrentMap().Epoch() }
-
-// PendingEpoch returns the staged next epoch, or 0 when none.
-func (n *Node) PendingEpoch() uint64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.pendingEpochLocked()
-}
 
 // CurrentMap returns the map the node serves.
 func (n *Node) CurrentMap() *ShardMap {
@@ -226,7 +214,7 @@ func (n *Node) Close() error {
 // map (one shard's or several's), it must not be mid-rebuild, and at the
 // pending epoch every bucket of the rect must be present in the live
 // file — one still in flight makes the read unavailable, never silently
-// incomplete (the router's authoritative old-epoch leg covers it).
+// incomplete.
 //
 // The current epoch serves against cur, the previous one (one cutover
 // ago) against prev, the pending one against pending. Anything else
@@ -343,7 +331,7 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	res, err := sched.Do(r.Context(), serve.Query{Rect: rect, Priority: req.Priority})
+	res, err := sched.Do(r.Context(), serve.Query{Rect: rect})
 	// Failures count too: a shed or timed-out query is the latency
 	// signal at its loudest, and dropping it would hide exactly the
 	// overload a health-probing controller is looking for.
@@ -769,12 +757,17 @@ func (n *Node) BeginRebuild() error {
 	return err
 }
 
-// RebuildInsert loads recovered records during a rebuild.
-func (n *Node) RebuildInsert(recs []datagen.Record) error {
+// RebuildInsert loads one recovered bucket during a rebuild. A page
+// carrying a record of another bucket is refused, as handleMigrateBucket
+// refuses one, before the file is touched.
+func (n *Node) RebuildInsert(cell grid.Coord, recs []datagen.Record) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if !n.rebuilding {
 		return fmt.Errorf("cluster: node %d: RebuildInsert outside a rebuild", n.id)
+	}
+	if err := inBucket(recs, n.g.Linearize(cell), n.file.BucketOf); err != nil {
+		return badRequestError{fmt.Errorf("cluster: node %d: cell %v: %w", n.id, cell, err)}
 	}
 	return n.file.InsertAll(recs)
 }

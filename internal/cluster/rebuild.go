@@ -99,14 +99,11 @@ func RebuildNode(ctx context.Context, cfg RebuildConfig, target *Node) (RebuildS
 	if len(cfg.Endpoints) <= cfg.Map.MaxMember() {
 		return st, fmt.Errorf("cluster: %d endpoints for members up to %d", len(cfg.Endpoints), cfg.Map.MaxMember())
 	}
-	target.mu.RLock()
-	bucketOf := target.file.BucketOf // the node's partition, which a rebuild keeps
-	target.mu.RUnlock()
 	cp := newCopier(copier{
 		g: cfg.Map.Grid(), client: cfg.Client, endpoints: cfg.Endpoints,
 		timeout: cfg.FetchTimeout, attempts: cfg.FetchAttempts,
 		priority: repair.BackgroundPriority, epoch: cfg.Map.Epoch(),
-		capacity: target.cfg.PageCapacity, throttle: cfg.Throttle, bucketOf: bucketOf,
+		capacity: target.cfg.PageCapacity, throttle: cfg.Throttle,
 	}, cfg.Obs, "cluster.rebuild")
 
 	start := time.Now()
@@ -116,7 +113,7 @@ func RebuildNode(ctx context.Context, cfg RebuildConfig, target *Node) (RebuildS
 	// A wiped node's hosted shards are one move each: same map on both
 	// sides, nothing already held.
 	err := cp.run(ctx, fill(cfg.Map, cfg.Map, target.ID(), true),
-		func(_ int, _ grid.Coord, recs []datagen.Record) error { return target.RebuildInsert(recs) })
+		func(_ int, cell grid.Coord, recs []datagen.Record) error { return target.RebuildInsert(cell, recs) })
 	st.Shards, st.Buckets, st.Records, st.Pages, st.Retries = cp.moves, cp.buckets, cp.records, cp.pages, cp.retries
 	if err != nil {
 		return st, fmt.Errorf("cluster: rebuild member %d: %w", target.ID(), err)
@@ -128,7 +125,10 @@ func RebuildNode(ctx context.Context, cfg RebuildConfig, target *Node) (RebuildS
 
 // copier is the one per-bucket copy loop, behind both RebuildNode and
 // Migrate's COPY phase: fetch a bucket from its move's donors, hand it
-// to the caller's deliver, count it, charge the throttle.
+// to the caller's deliver, count it, charge the throttle. The
+// destination alone checks a page against its partition: a delivery it
+// refuses as a bad request (ErrBadRequest) fails that donor, and the next
+// one is tried.
 type copier struct {
 	g         *grid.Grid
 	client    *http.Client  // &http.Client{} when nil
@@ -139,11 +139,6 @@ type copier struct {
 	epoch     uint64        // the epoch donor reads are stamped with
 	capacity  int           // records per throttle page; 32 when 0
 	throttle  *repair.Throttle
-	// bucketOf, when set, is the destination's value → bucket mapping: a
-	// donor whose page carries a record of another bucket has failed, and
-	// the next donor is tried. Migrate leaves it nil — the nodes'
-	// partition is theirs alone — and the destination refuses such a page.
-	bucketOf func(values []float64) (int, error)
 
 	mBuckets, mRecords, mRetries *obs.Counter
 
@@ -178,8 +173,9 @@ func newCopier(c copier, sink *obs.Sink, prefix string) *copier {
 
 // run copies every bucket of every move, in order. A bucket counts once
 // deliver has accepted it; the first error — a move nobody else holds
-// (fault.ErrUnavailable: the data exists nowhere), a failed fetch, a
-// refused delivery, a cancelled context — stops the run.
+// (fault.ErrUnavailable: the data exists nowhere), a bucket no donor
+// could supply, a delivery refused other than as a bad request, a
+// cancelled context — stops the run.
 func (c *copier) run(ctx context.Context, moves []Move, deliver func(dest int, cell grid.Coord, recs []datagen.Record) error) error {
 	for _, mv := range moves {
 		if len(mv.Sources) == 0 {
@@ -191,21 +187,20 @@ func (c *copier) run(ctx context.Context, moves []Move, deliver func(dest int, c
 				return err
 			}
 			cell := c.g.Delinearize(b, nil)
-			recs, retries, err := c.fetchBucket(ctx, mv.Sources, cell)
+			n, retries, err := c.copyBucket(ctx, mv.Sources, cell, func(recs []datagen.Record) error {
+				return deliver(mv.Dest, cell, recs)
+			})
 			c.retries += retries
 			c.mRetries.Add(uint64(retries))
 			if err != nil {
 				return fmt.Errorf("copy cell %v to member %d: %w", cell, mv.Dest, err)
 			}
-			if err := deliver(mv.Dest, cell, recs); err != nil {
-				return err
-			}
-			pages := max(1, (len(recs)+c.capacity-1)/c.capacity)
+			pages := max(1, (n+c.capacity-1)/c.capacity)
 			c.buckets++
-			c.records += len(recs)
+			c.records += n
 			c.pages += pages
 			c.mBuckets.Inc()
-			c.mRecords.Add(uint64(len(recs)))
+			c.mRecords.Add(uint64(n))
 			if err := c.throttle.Take(ctx, float64(pages)); err != nil {
 				return err
 			}
@@ -215,22 +210,24 @@ func (c *copier) run(ctx context.Context, moves []Move, deliver func(dest int, c
 	return nil
 }
 
-// fetchBucket reads one bucket from the first donor that answers,
-// rotating through donors on failure and backing off between rounds —
-// donors legitimately shed background reads under foreground load, so
-// a failed round means "later", not "lost", until the attempt budget
-// runs out. A round in which every donor fails hard (transport error or
-// timeout — silence, not shedding) counts toward a short fuse: after
-// noDonorRounds consecutive all-hard rounds the fetch fails fast with
-// ErrNoDonor. Returns the records and how many fetches failed first.
-func (c *copier) fetchBucket(ctx context.Context, donors []int, cell grid.Coord) ([]datagen.Record, int, error) {
+// copyBucket reads one bucket from the first donor that answers with a
+// page deliver accepts, rotating through donors on failure and backing
+// off between rounds — donors legitimately shed background reads under
+// foreground load, so a failed round means "later", not "lost", until
+// the attempt budget runs out. A delivery refused as a bad request fails
+// its donor like a refused read; any other refusal stops the copy. A
+// round in which every donor fails hard (transport error or timeout —
+// silence, not shedding) counts toward a short fuse: after noDonorRounds
+// consecutive all-hard rounds the copy fails fast with ErrNoDonor.
+// Returns the records delivered and how many tries failed first.
+func (c *copier) copyBucket(ctx context.Context, donors []int, cell grid.Coord, deliver func([]datagen.Record) error) (int, int, error) {
 	var lastErr error
 	retries := 0
 	allHardRounds := 0
 	for round := 0; round < c.attempts; round++ {
 		if round > 0 {
 			if err := donorBackoff.Wait(ctx, round); err != nil {
-				return nil, retries, err
+				return 0, retries, err
 			}
 		}
 		allHard := true
@@ -244,10 +241,15 @@ func (c *copier) fetchBucket(ctx context.Context, donors []int, cell grid.Coord)
 			}
 			recs, err := c.fetchBucketFrom(ctx, c.endpoints[donor], cell)
 			if err == nil {
-				return recs, retries, nil
+				if err = deliver(recs); err == nil {
+					return len(recs), retries, nil
+				}
+				if !errors.Is(err, ErrBadRequest) {
+					return 0, retries, err
+				}
 			}
 			if ctx.Err() != nil {
-				return nil, retries, ctx.Err()
+				return 0, retries, ctx.Err()
 			}
 			if !donorHardDown(err) {
 				allHard = false
@@ -257,22 +259,22 @@ func (c *copier) fetchBucket(ctx context.Context, donors []int, cell grid.Coord)
 		if allHard {
 			allHardRounds++
 			if allHardRounds >= noDonorRounds {
-				return nil, retries, fmt.Errorf("%w: %w: %d donors silent for %d rounds (last: %v)",
+				return 0, retries, fmt.Errorf("%w: %w: %d donors silent for %d rounds (last: %v)",
 					ErrNoDonor, fault.ErrUnavailable, len(donors), allHardRounds, lastErr)
 			}
 		} else {
 			allHardRounds = 0
 		}
 	}
-	return nil, retries, fmt.Errorf("%w: %d donors failed %d rounds (last: %v)",
+	return 0, retries, fmt.Errorf("%w: %d donors failed %d rounds (last: %v)",
 		fault.ErrUnavailable, len(donors), c.attempts, lastErr)
 }
 
 // donorHardDown classifies one donor fetch failure: hard means the
 // donor never answered (transport failure, deadline) — the same errors
 // that count against a node breaker — while a typed refusal (overload,
-// draining, its own unavailability) means the donor is alive and worth
-// retrying patiently.
+// draining, its own unavailability, a page the destination refused)
+// means the donor is alive and worth retrying patiently.
 func donorHardDown(err error) bool {
 	return breakerCountable(err)
 }
@@ -289,11 +291,6 @@ func (c *copier) fetchBucketFrom(ctx context.Context, base string, cell grid.Coo
 	var page recordPage
 	if err := exchange(ctx, c.client, c.timeout, url, nil, &page, recordPayloadLimit); err != nil {
 		return nil, err
-	}
-	if c.bucketOf != nil {
-		if err := inBucket(page.Records, c.g.Linearize(cell), c.bucketOf); err != nil {
-			return nil, fmt.Errorf("cluster: %s: %w", url, err)
-		}
 	}
 	return page.Records, nil
 }

@@ -96,9 +96,6 @@ type Result struct {
 	PerNode []int
 	// Epoch is the shard-map epoch the answer was routed under.
 	Epoch uint64
-	// PendingWins counts answers taken from the opportunistic
-	// pending-epoch leg of a dual-read (mid-migration only).
-	PendingWins int
 	// EpochFollows counts stale-epoch adoptions this query chased.
 	EpochFollows int
 }
@@ -113,11 +110,10 @@ type Result struct {
 // The router follows map epochs without a coordination service: every
 // request is stamped with the epoch it was routed under, a node that no
 // longer serves that epoch answers with its current map, and the router
-// adopts any strictly newer map and retries (capped). During a
-// migration the Migrator stages the next-epoch map here, and every
-// Search races an opportunistic new-epoch leg against the authoritative
-// old-epoch scatter — first complete answer wins, so the handoff never
-// blocks reads. Safe for concurrent use.
+// adopts any strictly newer map and retries (capped). A router reads
+// only the epoch it routes under: mid-migration that is the old epoch,
+// authoritative until cutover, and the Migrator has it adopt the new map
+// after the last cutover ack. Safe for concurrent use.
 type Router struct {
 	client   *http.Client
 	deadline time.Duration
@@ -125,15 +121,13 @@ type Router struct {
 	brk      *serve.Breakers // health and the holder choice, one slot per endpoint
 	hedge    time.Duration
 	sink     *obs.Sink
+	urls     map[int]string // member ID → base URL, fixed at NewRouter
 
-	mu      sync.RWMutex
-	sm      *ShardMap
-	pending *ShardMap
-	urls    map[int]string // member ID → base URL
+	mu sync.RWMutex
+	sm *ShardMap
 
 	mQueries, mPartial, mHedges, mHedgeWins, mRetries *obs.Counter
-	mProbations                                       *obs.Counter
-	mStale, mAdopts, mPendingWins                     *obs.Counter
+	mProbations, mStale, mAdopts                      *obs.Counter
 	mAggregates, mAggErrors                           *obs.Counter
 	mLatency                                          *obs.Histogram
 	mNodeReqs, mNodeErrs                              *obs.CounterFamily
@@ -188,7 +182,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		rt.mRetries = r.Counter("cluster.router.retries")
 		rt.mStale = r.Counter("cluster.router.stale")
 		rt.mAdopts = r.Counter("cluster.router.adopts")
-		rt.mPendingWins = r.Counter("cluster.router.pendingwins")
 		rt.mAggregates = r.Counter("cluster.router.aggregates")
 		rt.mAggErrors = r.Counter("cluster.router.aggregate.errors")
 		rt.mLatency = r.Histogram("cluster.router.latency")
@@ -213,13 +206,13 @@ func (rt *Router) Epoch() uint64 { return rt.Map().Epoch() }
 
 // Map returns the shard map the router currently routes under.
 func (rt *Router) Map() *ShardMap {
-	sm, _ := rt.view()
-	return sm
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
+	return rt.sm
 }
 
 // Adopt installs a strictly newer map as the routing map, returning
-// whether it was adopted. A pending map at or below the new epoch is
-// cleared — the migration it belonged to has concluded.
+// whether it was adopted.
 func (rt *Router) Adopt(sm *ShardMap) bool {
 	if sm == nil {
 		return false
@@ -230,63 +223,18 @@ func (rt *Router) Adopt(sm *ShardMap) bool {
 		return false
 	}
 	rt.sm = sm
-	if rt.pending != nil && rt.pending.Epoch() <= sm.Epoch() {
-		rt.pending = nil
-	}
 	if rt.mAdopts != nil {
 		rt.mAdopts.Inc()
 	}
 	return true
 }
 
-// StagePending installs the next-epoch map for dual-read: until Adopt
-// or ClearPending, every Search races an opportunistic leg at this
-// epoch against the authoritative current-epoch scatter.
-func (rt *Router) StagePending(sm *ShardMap) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if sm != nil && sm.Epoch() <= rt.sm.Epoch() {
-		return
-	}
-	rt.pending = sm
-}
-
-// ClearPending drops the staged dual-read map (migration aborted).
-func (rt *Router) ClearPending() {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.pending = nil
-}
-
-// SetEndpoint registers (or replaces) a member's base URL — how a
-// standby joiner becomes addressable before the epoch that includes it.
-func (rt *Router) SetEndpoint(member int, url string) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.urls[member] = strings.TrimRight(url, "/")
-}
-
-// view snapshots the routing state.
-func (rt *Router) view() (sm, pending *ShardMap) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.sm, rt.pending
-}
-
-// urlOf resolves a member's endpoint.
-func (rt *Router) urlOf(member int) (string, bool) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	u, ok := rt.urls[member]
-	return u, ok
-}
-
 // breakerCountable classifies an attempt error for node health. An
 // error the node itself produced while answering — overload shedding,
 // draining, local unavailability, corruption, a stale epoch, a routing
-// miss — proves the node is alive and must not accumulate toward a
-// trip; only silence (the per-node deadline) and transport failures
-// indict the node itself. This is what lets a healed partition recover
+// miss, a refused request — proves the node is alive and must not
+// accumulate toward a trip; only silence (the per-node deadline) and
+// transport failures indict the node itself. This is what lets a healed partition recover
 // promptly: during the partition only timeouts counted, so the breaker
 // opens, and the first successful half-open probe after heal closes it
 // — while a node merely shedding load under overload never opens at
@@ -301,6 +249,7 @@ func breakerCountable(err error) bool {
 		errors.Is(err, gridfile.ErrCorrupt),
 		errors.Is(err, ErrNotHosted),
 		errors.Is(err, ErrStaleEpoch),
+		errors.Is(err, ErrBadRequest),
 		errors.Is(err, ErrPartial):
 		return false
 	}
@@ -325,7 +274,7 @@ type legOp[R any] struct {
 	path  string // endpoint under the member's base URL
 	span  string // sub-query span label
 	limit int64  // response size cap
-	body  func(rect grid.Rect, epoch uint64, prio int) any
+	body  func(rect grid.Rect, epoch uint64) any
 	// vet, when set, checks a decoded answer against the rect it answers;
 	// an answer it refuses fails the leg like a bad body.
 	vet func(resp *R, rect grid.Rect) error
@@ -337,8 +286,8 @@ type legOp[R any] struct {
 // those counts are what gather walks.
 var searchOp = legOp[pageLeg]{
 	path: "/v1/query", span: "shard", limit: recordPayloadLimit,
-	body: func(rect grid.Rect, epoch uint64, prio int) any {
-		return queryRequest{Rect: wireRect{Lo: rect.Lo, Hi: rect.Hi}, Epoch: epoch, Priority: prio}
+	body: func(rect grid.Rect, epoch uint64) any {
+		return queryRequest{Rect: wireRect{Lo: rect.Lo, Hi: rect.Hi}, Epoch: epoch}
 	},
 	vet: func(leg *pageLeg, rect grid.Rect) error {
 		if !leg.counted || leg.buckets != rect.Volume() {
@@ -349,12 +298,11 @@ var searchOp = legOp[pageLeg]{
 	},
 }
 
-// aggregateOp is the leg op of one aggregate query (aggregates bypass
-// scheduler admission, so the priority goes unsent).
+// aggregateOp is the leg op of one aggregate query.
 func aggregateOp(q batch.AggregateQuery) legOp[aggregateResponse] {
 	return legOp[aggregateResponse]{
 		path: "/v1/aggregate", span: "agg shard", limit: smallPayloadLimit,
-		body: func(rect grid.Rect, epoch uint64, _ int) any {
+		body: func(rect grid.Rect, epoch uint64) any {
 			return aggregateRequest{Rect: wireRect{Lo: rect.Lo, Hi: rect.Hi}, Op: q.Op.String(), Attr: q.Attr, Epoch: epoch}
 		},
 	}
@@ -382,15 +330,15 @@ type gathered[R any] struct {
 // stay invisible in p99.
 var followBackoff = exec.RetryPolicy{BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond}
 
-// followEpochs runs one query round under the current routing view and,
+// followEpochs runs one query round under the current routing map and,
 // while the round fails on a stale epoch with a strictly newer map
 // attached, adopts that map and re-runs — up to maxEpochFollows times,
 // followBackoff apart. It returns the last round's answer and how many
 // adoptions it chased.
-func followEpochs[T any](ctx context.Context, rt *Router, root *obs.Span, round func(cur, pending *ShardMap) (T, error)) (T, int, error) {
+func followEpochs[T any](ctx context.Context, rt *Router, root *obs.Span, round func(cur *ShardMap) (T, error)) (T, int, error) {
 	for follow := 0; ; follow++ {
-		cur, pending := rt.view()
-		res, err := round(cur, pending)
+		cur := rt.Map()
+		res, err := round(cur)
 		var stale *StaleEpochError
 		if errors.As(err, &stale) {
 			rt.mStale.Inc()
@@ -427,8 +375,8 @@ func (rt *Router) Search(ctx context.Context, q grid.Rect) (*Result, error) {
 	}
 	defer func() { rt.mLatency.Observe(time.Since(start)) }()
 
-	res, follows, err := followEpochs(ctx, rt, root, func(cur, pending *ShardMap) (*Result, error) {
-		return rt.searchView(ctx, q, cur, pending, root)
+	res, follows, err := followEpochs(ctx, rt, root, func(cur *ShardMap) (*Result, error) {
+		return rt.searchEpoch(ctx, q, cur, root)
 	})
 	if res != nil {
 		res.EpochFollows = follows
@@ -436,68 +384,9 @@ func (rt *Router) Search(ctx context.Context, q grid.Rect) (*Result, error) {
 	return res, err
 }
 
-// searchView runs one scatter round: just the authoritative epoch, or —
-// when a pending map is staged — a dual-read race between the
-// authoritative old-epoch scatter and an opportunistic new-epoch leg.
-// The first full success wins; the pending leg failing for any reason
-// (buckets still in flight, epoch gone) silently falls back to the
-// authoritative answer. Records are immutable, so whichever epoch
-// answers, the answer is the same — racing trades no correctness for
-// handoff latency.
-func (rt *Router) searchView(ctx context.Context, q grid.Rect, cur, pending *ShardMap, root *obs.Span) (*Result, error) {
-	if pending == nil {
-		return rt.searchEpoch(ctx, q, cur, root, true, 0)
-	}
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type legOut struct {
-		res     *Result
-		err     error
-		pending bool
-	}
-	out := make(chan legOut, 2)
-	go func() {
-		res, err := rt.searchEpoch(sctx, q, cur, root, true, 0)
-		out <- legOut{res, err, false}
-	}()
-	go func() {
-		// The speculative leg rides at migration priority: under load the
-		// nodes shed it (and the router falls back to the authoritative
-		// answer) instead of letting a doubled scatter starve foreground
-		// reads.
-		res, err := rt.searchEpoch(sctx, q, pending, root, false, serve.MigrationPriority)
-		out <- legOut{res, err, true}
-	}()
-	var authoritative legOut
-	for i := 0; i < 2; i++ {
-		o := <-out
-		if o.err == nil {
-			if o.pending {
-				rt.mPendingWins.Inc()
-				o.res.PendingWins = 1
-			}
-			// The deferred cancel aborts the losing leg; the buffered
-			// channel holds its send.
-			return o.res, nil
-		}
-		if !o.pending {
-			authoritative = o
-		}
-	}
-	// Both legs failed; the authoritative epoch's verdict stands (the
-	// pending leg is allowed to fail mid-migration, so its error says
-	// nothing about the query).
-	return authoritative.res, authoritative.err
-}
-
 // searchEpoch scatters q under one map and merges the gathered records.
-// observe controls whether router-level outcome metrics are recorded:
-// the opportunistic dual-read leg stays out of the books, its failures
-// are expected mid-migration. prio is the admission priority every
-// sub-query is stamped with (0 foreground; the dual-read leg uses
-// serve.MigrationPriority).
-func (rt *Router) searchEpoch(ctx context.Context, q grid.Rect, sm *ShardMap, parent *obs.Span, observe bool, prio int) (*Result, error) {
-	g, err := scatter(ctx, rt, searchOp, q, sm, parent, observe, prio)
+func (rt *Router) searchEpoch(ctx context.Context, q grid.Rect, sm *ShardMap, parent *obs.Span) (*Result, error) {
+	g, err := scatter(ctx, rt, searchOp, q, sm, parent)
 	if g == nil {
 		return nil, err
 	}
@@ -522,9 +411,7 @@ func (rt *Router) searchEpoch(ctx context.Context, q grid.Rect, sm *ShardMap, pa
 	res.Records = gather(q, g.subs, g.outs)
 	var pe *PartialError
 	if errors.As(err, &pe) {
-		if observe {
-			rt.mPartial.Inc()
-		}
+		rt.mPartial.Inc()
 		parent.Annotate(fmt.Sprintf("partial, %d uncovered (first: %v)", len(pe.Uncovered), pe.Cause))
 	}
 	return res, err
@@ -586,7 +473,7 @@ func gather(q grid.Rect, subs []SubQuery, outs []subOutcome[pageLeg]) []datagen.
 // sub-rectangles otherwise. A cancelled caller gets (nil, ctx.Err()),
 // not a synthetic partial result. Each leg's HTTP request derives from
 // ctx, so a caller giving up aborts everything in flight.
-func scatter[R any](ctx context.Context, rt *Router, op legOp[R], q grid.Rect, sm *ShardMap, parent *obs.Span, observe bool, prio int) (*gathered[R], error) {
+func scatter[R any](ctx context.Context, rt *Router, op legOp[R], q grid.Rect, sm *ShardMap, parent *obs.Span) (*gathered[R], error) {
 	subs, err := sm.Decompose(q)
 	if err != nil {
 		return nil, err
@@ -597,7 +484,7 @@ func scatter[R any](ctx context.Context, rt *Router, op legOp[R], q grid.Rect, s
 		wg.Add(1)
 		go func(i int, sq SubQuery) {
 			defer wg.Done()
-			g.outs[i] = runSub(ctx, rt, op, sq, sm, parent, prio)
+			g.outs[i] = runSub(ctx, rt, op, sq, sm, parent)
 		}(i, sq)
 	}
 	wg.Wait()
@@ -626,11 +513,9 @@ func scatter[R any](ctx context.Context, rt *Router, op legOp[R], q grid.Rect, s
 			subErr = o.err
 		}
 	}
-	if observe {
-		rt.mRetries.Add(uint64(g.retries))
-		rt.mHedges.Add(uint64(g.hedges))
-		rt.mHedgeWins.Add(uint64(g.hedgeWins))
-	}
+	rt.mRetries.Add(uint64(g.retries))
+	rt.mHedges.Add(uint64(g.hedges))
+	rt.mHedgeWins.Add(uint64(g.hedgeWins))
 	switch {
 	case stale != nil:
 		return g, stale
@@ -658,7 +543,7 @@ func scatter[R any](ctx context.Context, rt *Router, op legOp[R], q grid.Rect, s
 // Without a deadline the budget exhausts and the sub-query degrades to
 // a partial result, so a shard with no live replica fails fast. Only
 // typed refusals (below) prove another round is pointless.
-func runSub[R any](ctx context.Context, rt *Router, op legOp[R], sq SubQuery, sm *ShardMap, parent *obs.Span, prio int) subOutcome[R] {
+func runSub[R any](ctx context.Context, rt *Router, op legOp[R], sq SubQuery, sm *ShardMap, parent *obs.Span) subOutcome[R] {
 	var span *obs.Span // labels are formatted only for a live trace
 	if parent != nil {
 		span = parent.Child(fmt.Sprintf("%s %d %v", op.span, sq.Shard, sq.Rect))
@@ -672,7 +557,7 @@ func runSub[R any](ctx context.Context, rt *Router, op legOp[R], sq SubQuery, sm
 			}
 			s = span.Child(fmt.Sprintf("%s node %d", kind, node))
 		}
-		resp, err := callNode(lctx, rt, op, node, sq.Rect, sm.Epoch(), prio)
+		resp, err := callNode(lctx, rt, op, node, sq.Rect, sm.Epoch())
 		s.FinishErr(err)
 		if !hedgeLeg {
 			// A lead whose leg context was cancelled while the sub-query
@@ -753,12 +638,12 @@ func preferLegError(cur, next error) error {
 // per-node deadline on top of ctx (the leg's context: hedge-race and
 // caller cancellation both arrive through it). Node health only
 // integrates errors that indict the node itself — see breakerCountable.
-func callNode[R any](ctx context.Context, rt *Router, op legOp[R], node int, rect grid.Rect, epoch uint64, prio int) (*R, error) {
+func callNode[R any](ctx context.Context, rt *Router, op legOp[R], node int, rect grid.Rect, epoch uint64) (*R, error) {
 	resp := new(R)
 	start := time.Now()
 	var err error
-	if url, ok := rt.urlOf(node); ok {
-		err = exchange(ctx, rt.client, rt.deadline, url+op.path, op.body(rect, epoch, prio), resp, op.limit)
+	if url, ok := rt.urls[node]; ok {
+		err = exchange(ctx, rt.client, rt.deadline, url+op.path, op.body(rect, epoch), resp, op.limit)
 		if err == nil && op.vet != nil {
 			err = op.vet(resp, rect)
 		}
@@ -817,8 +702,8 @@ func (rt *Router) Aggregate(ctx context.Context, q batch.AggregateQuery) (*Aggre
 	}
 	defer func() { rt.mLatency.Observe(time.Since(start)) }()
 
-	res, follows, err := followEpochs(ctx, rt, root, func(cur, _ *ShardMap) (*AggregateResult, error) {
-		g, err := scatter(ctx, rt, aggregateOp(q), q.Rect, cur, root, true, 0)
+	res, follows, err := followEpochs(ctx, rt, root, func(cur *ShardMap) (*AggregateResult, error) {
+		g, err := scatter(ctx, rt, aggregateOp(q), q.Rect, cur, root)
 		if err != nil {
 			var pe *PartialError
 			if errors.As(err, &pe) {

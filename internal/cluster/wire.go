@@ -245,7 +245,7 @@ type pageLeg struct {
 
 // legBodies recycles search-leg response bodies. A body is Put once, by
 // release, by whoever holds the only reference to its leg; a leg nobody
-// merges (a hedge or dual-read loser) is left to the collector instead.
+// merges (a hedge loser) is left to the collector instead.
 var legBodies = sync.Pool{New: func() any { return new([]byte) }}
 
 // release returns the leg's body to the pool; the view is dead after it.
@@ -381,9 +381,6 @@ func (w wireRect) rect() grid.Rect { return grid.Rect{Lo: w.Lo, Hi: w.Hi} }
 // under the map at Epoch.
 type queryRequest struct {
 	Rect wireRect `json:"rect"`
-	// Priority feeds the node's admission queue (higher first;
-	// repair.BackgroundPriority for rebuild traffic).
-	Priority int `json:"priority,omitempty"`
 	// Epoch is the shard-map epoch the sender routed against.
 	Epoch uint64 `json:"epoch,omitempty"`
 }

@@ -248,8 +248,8 @@ type ClusterChaosResult struct {
 // and drives the seeded schedule against it. Node-loss cells with
 // replication also rebuild the dead node's shards from peer replicas
 // mid-run, throttled, at background priority. Join and leave cells run
-// the full online migration — prepare, throttled copy, dual-read
-// handoff, cutover — under the same query load.
+// the full online migration — prepare, throttled copy, cutover,
+// adopt — under the same query load.
 func ClusterChaos(cfg ClusterChaosConfig, opt Options) (*ClusterChaosResult, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Nodes < 2 {
@@ -555,8 +555,8 @@ func runClusterCell(sm *cluster.ShardMap, method alloc.Method, records []datagen
 
 // runClusterMigration is the join/leave scenarios' timeline action: at
 // ¼ of the soak it plans the membership change from the router's live
-// map and executes it online — prepare, throttled copy, dual-read
-// handoff, cutover, adopt — while the closed-loop clients keep
+// map and executes it online — prepare, throttled copy, cutover,
+// adopt — while the closed-loop clients keep
 // querying. The migration runs on its own deadline rather than the
 // soak's: queries stop at the end of the run, but an in-flight handoff
 // is left to converge (or abort on its own) so the cell reports the
