@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 
@@ -145,107 +146,98 @@ func (e badRequestError) Unwrap() error { return e.err }
 // Is makes errors.Is(err, ErrBadRequest) true for every badRequestError.
 func (e badRequestError) Is(target error) bool { return target == ErrBadRequest }
 
+// errorRow is one code of the wire taxonomy: the sentinel errors.Is
+// matches it by (nil for internal: what matches no other row), the HTTP
+// status a node answers it with, and whether the error proves the node
+// answered — shedding, draining, its own unavailability, a refused
+// request — and so must not count against its breaker. Silence (a
+// deadline), transport failures and errors the node cannot name do.
+type errorRow struct {
+	code     string
+	sentinel error
+	status   int
+	answered bool
+}
+
+// errorCodes is the taxonomy, in match order: an error takes the code of
+// the first row whose sentinel it matches, internal when none does. The
+// statuses let generic HTTP clients degrade sensibly (429 means back
+// off, 503 means try a replica) while the code stays the source of
+// truth for typed decoding.
+var errorCodes = []errorRow{
+	{CodeBadRequest, ErrBadRequest, http.StatusBadRequest, true},
+	{CodeUnavailable, fault.ErrUnavailable, http.StatusServiceUnavailable, true},
+	{CodeOverloaded, serve.ErrOverloaded, http.StatusTooManyRequests, true},
+	{CodeClosed, serve.ErrClosed, http.StatusServiceUnavailable, true},
+	{CodeCorrupt, gridfile.ErrCorrupt, http.StatusInternalServerError, true},
+	{CodeDeadline, context.DeadlineExceeded, http.StatusGatewayTimeout, false},
+	{CodeCanceled, context.Canceled, 499, false}, // the client went away: nginx's 499
+	{CodePartial, ErrPartial, http.StatusPartialContent, true},
+	{CodeNotHosted, ErrNotHosted, http.StatusMisdirectedRequest, true},
+	{CodeStaleEpoch, ErrStaleEpoch, http.StatusConflict, true}, // a version conflict
+	{CodeInternal, nil, http.StatusInternalServerError, false},
+}
+
 // ErrorCode maps an error to its stable wire code.
 func ErrorCode(err error) string {
-	var bad badRequestError
-	switch {
-	case err == nil:
+	if err == nil {
 		return ""
-	case errors.As(err, &bad):
-		return CodeBadRequest
-	case errors.Is(err, fault.ErrUnavailable):
-		return CodeUnavailable
-	case errors.Is(err, serve.ErrOverloaded):
-		return CodeOverloaded
-	case errors.Is(err, serve.ErrClosed):
-		return CodeClosed
-	case errors.Is(err, gridfile.ErrCorrupt):
-		return CodeCorrupt
-	case errors.Is(err, context.DeadlineExceeded):
-		return CodeDeadline
-	case errors.Is(err, context.Canceled):
-		return CodeCanceled
-	case errors.Is(err, ErrPartial):
-		return CodePartial
-	case errors.Is(err, ErrNotHosted):
-		return CodeNotHosted
-	case errors.Is(err, ErrStaleEpoch):
-		return CodeStaleEpoch
-	default:
-		return CodeInternal
 	}
+	for _, row := range errorCodes {
+		if errors.Is(err, row.sentinel) {
+			return row.code
+		}
+	}
+	return CodeInternal
+}
+
+// codeRow returns the row of a wire code, internal's for an unknown one.
+func codeRow(code string) errorRow {
+	i := slices.IndexFunc(errorCodes, func(row errorRow) bool { return row.code == code })
+	if i < 0 {
+		i = len(errorCodes) - 1
+	}
+	return errorCodes[i]
 }
 
 // HTTPStatus maps a wire code to the HTTP status a node responds with.
-// The mapping is chosen so generic HTTP clients degrade sensibly (429
-// means back off, 503 means try a replica) while the code header stays
-// the source of truth for typed decoding.
-func HTTPStatus(code string) int {
-	switch code {
-	case CodeOverloaded:
-		return http.StatusTooManyRequests
-	case CodeUnavailable, CodeClosed:
-		return http.StatusServiceUnavailable
-	case CodeDeadline:
-		return http.StatusGatewayTimeout
-	case CodeCanceled:
-		// Client went away; 499 by nginx convention, but any 4xx works —
-		// the code header carries the meaning.
-		return 499
-	case CodeNotHosted:
-		return http.StatusMisdirectedRequest
-	case CodeStaleEpoch:
-		// The request names an epoch the node doesn't serve: a version
-		// conflict, so 409.
-		return http.StatusConflict
-	case CodeBadRequest:
-		return http.StatusBadRequest
-	case CodePartial:
-		return http.StatusPartialContent
-	default:
-		return http.StatusInternalServerError
-	}
-}
+func HTTPStatus(code string) int { return codeRow(code).status }
 
 // DecodeError turns a wire (code, message) pair back into a typed
 // error: the sentinel for the code wrapped with the remote message, so
 // errors.Is on the decoded error matches exactly what matched on the
-// node. Unknown codes decode to a plain error.
+// node. Internal and unknown codes decode to a plain error. A bare
+// stale_epoch decodes to the sentinel alone; the full envelope path
+// (decodeErrorBody) rebuilds the *StaleEpochError with the node's map.
 func DecodeError(code, msg string) error {
-	var sentinel error
-	switch code {
-	case "":
+	row := codeRow(code)
+	switch {
+	case code == "":
 		return nil
-	case CodeUnavailable:
-		sentinel = fault.ErrUnavailable
-	case CodeOverloaded:
-		sentinel = serve.ErrOverloaded
-	case CodeClosed:
-		sentinel = serve.ErrClosed
-	case CodeCorrupt:
-		sentinel = gridfile.ErrCorrupt
-	case CodeDeadline:
-		sentinel = context.DeadlineExceeded
-	case CodeCanceled:
-		sentinel = context.Canceled
-	case CodePartial:
-		sentinel = ErrPartial
-	case CodeNotHosted:
-		sentinel = ErrNotHosted
-	case CodeStaleEpoch:
-		// Bare decode keeps the sentinel identity; the full envelope path
-		// (decodeErrorBody) reconstructs the richer *StaleEpochError with
-		// the node's map attached.
-		sentinel = ErrStaleEpoch
-	case CodeBadRequest:
-		sentinel = ErrBadRequest
-	default:
+	case row.sentinel == nil:
 		return fmt.Errorf("cluster: remote error %q: %s", code, msg)
+	case msg == "":
+		return row.sentinel
 	}
-	if msg == "" {
-		return sentinel
+	return &wireError{code: code, msg: msg, sentinel: row.sentinel}
+}
+
+// breakerCountable classifies an attempt or donor-fetch error for node
+// health: it counts unless it matches a sentinel the node answers with.
+// This is what lets a healed partition recover promptly: during the
+// partition only timeouts counted, so the breaker opens, and the first
+// successful half-open probe after heal closes it — while a node merely
+// shedding load never opens at all.
+func breakerCountable(err error) bool {
+	if err == nil {
+		return false
 	}
-	return &wireError{code: code, msg: msg, sentinel: sentinel}
+	for _, row := range errorCodes {
+		if row.answered && errors.Is(err, row.sentinel) {
+			return false
+		}
+	}
+	return true
 }
 
 // wireError carries a remote error message while delegating identity to

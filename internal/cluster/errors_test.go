@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"syscall"
 	"testing"
 
 	"decluster/internal/fault"
@@ -17,31 +19,39 @@ import (
 
 // TestErrorTaxonomyRoundTrip drives every typed error through the full
 // wire cycle — encode to a stable code, map to an HTTP status, decode
-// back — and asserts errors.Is matches the same sentinel on both sides.
+// back — and asserts errors.Is matches the same sentinel on both sides,
+// the decoded error re-encodes to the same code, and the breaker counts
+// the error, before and after the hop, exactly when it says so: the
+// table's "node answered" column pinned from outside.
 func TestErrorTaxonomyRoundTrip(t *testing.T) {
 	cases := []struct {
-		name     string
-		err      error
-		code     string
-		status   int
-		sentinel error
+		name      string
+		err       error
+		code      string
+		status    int
+		sentinel  error
+		countable bool
 	}{
-		{"unavailable", fmt.Errorf("wrapped: %w", fault.ErrUnavailable), CodeUnavailable, http.StatusServiceUnavailable, fault.ErrUnavailable},
-		{"unavailable typed", &fault.UnavailableError{Buckets: []int{3}, FailedDisks: []int{1}}, CodeUnavailable, http.StatusServiceUnavailable, fault.ErrUnavailable},
-		{"overloaded", serve.ErrOverloaded, CodeOverloaded, http.StatusTooManyRequests, serve.ErrOverloaded},
-		{"closed", serve.ErrClosed, CodeClosed, http.StatusServiceUnavailable, serve.ErrClosed},
-		{"corrupt", &gridfile.CorruptError{}, CodeCorrupt, http.StatusInternalServerError, gridfile.ErrCorrupt},
-		{"deadline", context.DeadlineExceeded, CodeDeadline, http.StatusGatewayTimeout, context.DeadlineExceeded},
-		{"canceled", context.Canceled, CodeCanceled, 499, context.Canceled},
-		{"partial", &PartialError{Uncovered: []grid.Rect{{Lo: grid.Coord{0, 0}, Hi: grid.Coord{1, 1}}}, Shards: []int{2}}, CodePartial, http.StatusPartialContent, ErrPartial},
-		{"not hosted", fmt.Errorf("%w: node 3", ErrNotHosted), CodeNotHosted, http.StatusMisdirectedRequest, ErrNotHosted},
-		{"stale epoch", &StaleEpochError{RequestEpoch: 1, NodeEpoch: 2}, CodeStaleEpoch, http.StatusConflict, ErrStaleEpoch},
+		{"unavailable", fmt.Errorf("wrapped: %w", fault.ErrUnavailable), CodeUnavailable, http.StatusServiceUnavailable, fault.ErrUnavailable, false},
+		{"unavailable typed", &fault.UnavailableError{Buckets: []int{3}, FailedDisks: []int{1}}, CodeUnavailable, http.StatusServiceUnavailable, fault.ErrUnavailable, false},
+		{"overloaded", serve.ErrOverloaded, CodeOverloaded, http.StatusTooManyRequests, serve.ErrOverloaded, false},
+		{"closed", serve.ErrClosed, CodeClosed, http.StatusServiceUnavailable, serve.ErrClosed, false},
+		{"corrupt", &gridfile.CorruptError{}, CodeCorrupt, http.StatusInternalServerError, gridfile.ErrCorrupt, false},
+		{"deadline", context.DeadlineExceeded, CodeDeadline, http.StatusGatewayTimeout, context.DeadlineExceeded, true},
+		{"canceled", context.Canceled, CodeCanceled, 499, context.Canceled, true},
+		{"partial", &PartialError{Uncovered: []grid.Rect{{Lo: grid.Coord{0, 0}, Hi: grid.Coord{1, 1}}}, Shards: []int{2}}, CodePartial, http.StatusPartialContent, ErrPartial, false},
+		{"not hosted", fmt.Errorf("%w: node 3", ErrNotHosted), CodeNotHosted, http.StatusMisdirectedRequest, ErrNotHosted, false},
+		{"stale epoch", &StaleEpochError{RequestEpoch: 1, NodeEpoch: 2}, CodeStaleEpoch, http.StatusConflict, ErrStaleEpoch, false},
 		// ErrNoDonor double-wraps fault.ErrUnavailable (fetchBucket's
 		// shape), so on the wire it rides the unavailable code; the
 		// no-donor distinction is local to the rebuilding side.
-		{"no donor", fmt.Errorf("%w: %w: 3 donors silent", ErrNoDonor, fault.ErrUnavailable), CodeUnavailable, http.StatusServiceUnavailable, fault.ErrUnavailable},
-		{"bad request", badRequestError{errors.New("bad rect")}, CodeBadRequest, http.StatusBadRequest, nil},
-		{"internal", errors.New("something else"), CodeInternal, http.StatusInternalServerError, nil},
+		{"no donor", fmt.Errorf("%w: %w: 3 donors silent", ErrNoDonor, fault.ErrUnavailable), CodeUnavailable, http.StatusServiceUnavailable, fault.ErrUnavailable, false},
+		{"bad request", badRequestError{errors.New("bad rect")}, CodeBadRequest, http.StatusBadRequest, ErrBadRequest, false},
+		{"internal", errors.New("something else"), CodeInternal, http.StatusInternalServerError, nil, true},
+		// Neither crosses the wire as itself — a node never sends one — so
+		// both ride internal, and both count: silence indicts the node.
+		{"transport", &net.OpError{Op: "dial", Net: "tcp", Err: syscall.ECONNREFUSED}, CodeInternal, http.StatusInternalServerError, nil, true},
+		{"node timeout", fmt.Errorf("%w: node 2 after 2s", errNodeTimeout), CodeInternal, http.StatusInternalServerError, nil, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -59,20 +69,15 @@ func TestErrorTaxonomyRoundTrip(t *testing.T) {
 			if tc.sentinel != nil && !errors.Is(decoded, tc.sentinel) {
 				t.Fatalf("decoded error %v does not match sentinel %v", decoded, tc.sentinel)
 			}
-			// The decoded error re-encodes to the same code: the
-			// taxonomy is a fixed point across arbitrarily many hops,
-			// except codes that decode to plain errors (bad_request,
-			// internal) which collapse to internal.
-			re := ErrorCode(decoded)
-			switch tc.code {
-			case CodeBadRequest, CodeInternal:
-				if re != CodeInternal {
-					t.Fatalf("re-encoded code = %q", re)
-				}
-			default:
-				if re != tc.code {
-					t.Fatalf("re-encoded code = %q, want %q", re, tc.code)
-				}
+			// The taxonomy is a fixed point across arbitrarily many hops.
+			if re := ErrorCode(decoded); re != tc.code {
+				t.Fatalf("re-encoded code = %q, want %q", re, tc.code)
+			}
+			if got := breakerCountable(tc.err); got != tc.countable {
+				t.Errorf("breakerCountable(%v) = %v, want %v", tc.err, got, tc.countable)
+			}
+			if got := breakerCountable(decoded); got != tc.countable {
+				t.Errorf("breakerCountable(decoded %v) = %v, want %v", decoded, got, tc.countable)
 			}
 		})
 	}
@@ -81,6 +86,9 @@ func TestErrorTaxonomyRoundTrip(t *testing.T) {
 	}
 	if DecodeError("", "") != nil {
 		t.Error("DecodeError of empty code not nil")
+	}
+	if breakerCountable(nil) {
+		t.Error("breakerCountable(nil)")
 	}
 }
 

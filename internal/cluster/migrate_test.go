@@ -1,8 +1,13 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"sort"
 	"strings"
@@ -17,6 +22,7 @@ import (
 	"decluster/internal/grid"
 	"decluster/internal/gridfile"
 	"decluster/internal/repair"
+	"decluster/internal/serve"
 )
 
 // startElasticCluster is startTestCluster plus standbys: the empty
@@ -588,7 +594,7 @@ func TestMigrateBucketRefusesForeignRecords(t *testing.T) {
 	}
 }
 
-// TestRebuildSkipsDonorWithForeignRecords: a donor whose /v1/bucket page
+// TestRebuildSkipsDonorWithForeignRecords: a donor whose /v1/query page
 // carries a record of another bucket has failed, and the rebuild takes
 // the bucket from the next donor instead of planting the stray copy.
 func TestRebuildSkipsDonorWithForeignRecords(t *testing.T) {
@@ -606,12 +612,15 @@ func TestRebuildSkipsDonorWithForeignRecords(t *testing.T) {
 		return br != ba
 	})]
 	urls := tc.h.URLs()
-	urls[liar] = tamper(t, tc.h.Node(liar).Handler(), "/v1/bucket", func(p *recordPage) {
+	urls[liar] = tamper(t, tc.h.Node(liar).Handler(), "/v1/query", func(p *recordPage) {
 		stray := a // foreign to every bucket but a's, whose page holds a
 		if slices.ContainsFunc(p.Records, func(r datagen.Record) bool { return r.ID == a.ID }) {
 			stray = b
 		}
+		// Counted with the page's last bucket, the frame stays valid: the
+		// destination's partition check is what must refuse it.
 		p.Records = append(p.Records, stray)
+		p.Counts[len(p.Counts)-1]++
 	})
 	tc.h.Faults().Crash(1)
 	st, err := RebuildNode(context.Background(), RebuildConfig{Map: tc.h.Map(), Endpoints: urls}, target)
@@ -627,7 +636,7 @@ func TestRebuildSkipsDonorWithForeignRecords(t *testing.T) {
 }
 
 // TestMigrateSkipsDonorWithForeignRecords is the migration twin of
-// TestRebuildSkipsDonorWithForeignRecords: every /v1/bucket page of the
+// TestRebuildSkipsDonorWithForeignRecords: every /v1/query page of the
 // first donor of the join's first move carries one record of another
 // bucket. The destination refuses each such page as a bad request, the
 // copier counts that donor as failed and takes the bucket from the next
@@ -652,12 +661,15 @@ func TestMigrateSkipsDonorWithForeignRecords(t *testing.T) {
 		return br != ba
 	})]
 	urls := tc.h.URLs()
-	urls[liar] = tamper(t, tc.h.Node(liar).Handler(), "/v1/bucket", func(p *recordPage) {
+	urls[liar] = tamper(t, tc.h.Node(liar).Handler(), "/v1/query", func(p *recordPage) {
 		stray := a // foreign to every bucket but a's, whose page holds a
 		if slices.ContainsFunc(p.Records, func(r datagen.Record) bool { return r.ID == a.ID }) {
 			stray = b
 		}
+		// Counted with the page's last bucket, the frame stays valid: the
+		// destination's partition check is what must refuse it.
 		p.Records = append(p.Records, stray)
+		p.Counts[len(p.Counts)-1]++
 	})
 	st, err := Migrate(context.Background(), MigrateConfig{Plan: plan, Endpoints: urls, Router: tc.h.Router()})
 	if err != nil {
@@ -677,6 +689,122 @@ func TestMigrateSkipsDonorWithForeignRecords(t *testing.T) {
 		if got, want := resultIDs(res), tc.refIDs(t, q); !equalInts(got, want) {
 			t.Fatalf("%v after the join: %d records, oracle %d", q, len(got), len(want))
 		}
+	}
+}
+
+// prioLog counts, by priority, the /v1/query bodies its proxies saw.
+type prioLog struct {
+	mu sync.Mutex
+	n  map[int]int
+}
+
+// proxy fronts h with a server that logs every /v1/query body's priority.
+func (l *prioLog) proxy(t *testing.T, h http.Handler) string {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/query" {
+			body, _ := io.ReadAll(r.Body)
+			var req queryRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Errorf("/v1/query body %q: %v", body, err)
+			}
+			l.mu.Lock()
+			l.n[req.Priority]++
+			l.mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	return srv.URL
+}
+
+// take returns the counts so far and starts afresh.
+func (l *prioLog) take() map[int]int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := l.n
+	l.n = map[int]int{}
+	return n
+}
+
+// TestCopierReadsAtOwnPriority: a join reads its buckets through
+// /v1/query at serve.MigrationPriority and a rebuild at
+// repair.BackgroundPriority, while the router legs running beside them
+// carry 0, the foreground tier. Every member sits behind two logging
+// proxies, one the router's and one the copier's.
+func TestCopierReadsAtOwnPriority(t *testing.T) {
+	tc := startElasticCluster(t, 3, 2, 1)
+	ctx := context.Background()
+	legs, copies := &prioLog{n: map[int]int{}}, &prioLog{n: map[int]int{}}
+	legURLs, copyURLs := tc.h.URLs(), tc.h.URLs()
+	for m := range legURLs {
+		legURLs[m] = legs.proxy(t, tc.h.Node(m).Handler())
+		copyURLs[m] = copies.proxy(t, tc.h.Node(m).Handler())
+	}
+	rt, err := NewRouter(RouterConfig{
+		Map:          tc.h.Map(),
+		Endpoints:    legURLs,
+		Retry:        exec.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond},
+		NodeDeadline: 300 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop, searching := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		qs := testQueries(tc.g)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_, _ = rt.Search(ctx, qs[i%len(qs)]) // a leg's priority is logged whatever the answer
+			if i == 0 {
+				close(searching)
+			}
+		}
+	}()
+	<-searching
+
+	join, err := PlanJoin(rt.Map())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mig, err := Migrate(ctx, MigrateConfig{Plan: join, Endpoints: copyURLs, Router: rt})
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	joinReads := copies.take()
+	tc.h.Faults().Crash(0)
+	reb, err := RebuildNode(ctx, RebuildConfig{Map: rt.Map(), Endpoints: copyURLs}, tc.h.Node(0))
+	if err != nil {
+		t.Fatalf("rebuild: %v", err)
+	}
+	rebuildReads := copies.take()
+	close(stop)
+	wg.Wait()
+
+	for _, c := range []struct {
+		name    string
+		reads   map[int]int
+		prio    int
+		buckets int
+	}{
+		{"join", joinReads, serve.MigrationPriority, mig.Buckets},
+		{"rebuild", rebuildReads, repair.BackgroundPriority, reb.Buckets},
+	} {
+		if c.buckets == 0 || len(c.reads) != 1 || c.reads[c.prio] < c.buckets {
+			t.Errorf("%s copied %d buckets through /v1/query reads at priorities %v, want each at %d", c.name, c.buckets, c.reads, c.prio)
+		}
+	}
+	if got := legs.take(); len(got) != 1 || got[0] == 0 {
+		t.Errorf("router legs at priorities %v, want every one at 0", got)
 	}
 }
 

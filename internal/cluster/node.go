@@ -7,8 +7,6 @@ import (
 	"io"
 	"net/http"
 	"slices"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -265,7 +263,6 @@ func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/query", n.handleQuery)
 	mux.HandleFunc("POST /v1/aggregate", n.handleAggregate)
-	mux.HandleFunc("GET /v1/bucket", n.handleBucket)
 	mux.HandleFunc("GET /v1/health", n.handleHealth)
 	mux.HandleFunc("GET /v1/shards", n.handleShards)
 	mux.HandleFunc("POST /v1/migrate/prepare", n.handlePrepare)
@@ -317,7 +314,9 @@ func (n *Node) faultMiddleware(next http.Handler) http.Handler {
 	})
 }
 
-// handleQuery answers one sub-rectangle of a range query.
+// handleQuery answers one sub-rectangle of a range query, a router
+// leg's or a copier's one-bucket read, admitted at the request's
+// priority.
 func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if err := decodeJSONBody(w, r, &req); err != nil {
@@ -331,11 +330,15 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	res, err := sched.Do(r.Context(), serve.Query{Rect: rect})
-	// Failures count too: a shed or timed-out query is the latency
-	// signal at its loudest, and dropping it would hide exactly the
-	// overload a health-probing controller is looking for.
-	n.lat.Observe(time.Since(start))
+	res, err := sched.Do(r.Context(), serve.Query{Rect: rect, Priority: req.Priority})
+	// Only foreground reads are the node's serving latency: a copier's
+	// below-zero reads queue behind them by design. Failures count too: a
+	// shed or timed-out query is the latency signal at its loudest, and
+	// dropping it would hide exactly the overload a health-probing
+	// controller is looking for.
+	if req.Priority >= 0 {
+		n.lat.Observe(time.Since(start))
+	}
 	if err != nil {
 		writeError(w, err)
 		return
@@ -412,47 +415,6 @@ func (n *Node) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		Buckets: res.Buckets,
 		Epoch:   sm.Epoch(),
 	})
-}
-
-// handleBucket serves one bucket's records for cross-node rebuild and
-// migration: GET /v1/bucket?cell=1,2,0&epoch=N[&priority=P]. It reads
-// through the node's scheduler at the caller's priority so background
-// traffic competes (and loses) fairly against foreground queries.
-func (n *Node) handleBucket(w http.ResponseWriter, r *http.Request) {
-	cell, err := parseCell(r.URL.Query().Get("cell"), n.g)
-	if err != nil {
-		writeError(w, badRequestError{err})
-		return
-	}
-	prio := 0
-	if p := r.URL.Query().Get("priority"); p != "" {
-		prio, err = strconv.Atoi(p)
-		if err != nil {
-			writeError(w, badRequestError{fmt.Errorf("bad priority %q", p)})
-			return
-		}
-	}
-	var epoch uint64
-	if e := r.URL.Query().Get("epoch"); e != "" {
-		epoch, err = strconv.ParseUint(e, 10, 64)
-		if err != nil {
-			writeError(w, badRequestError{fmt.Errorf("bad epoch %q", e)})
-			return
-		}
-	}
-	rect := grid.Rect{Lo: cell, Hi: cell.Clone()}
-	sm, sched, err := n.admit(rect, epoch)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	res, err := sched.Do(r.Context(), serve.Query{Rect: rect, Priority: prio})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	defer res.Release()
-	writePage(w, &recordPage{Epoch: sm.Epoch(), Buckets: 1, Records: res.Records})
 }
 
 // handlePrepare stages the next-epoch map (PREPARE). Idempotent for the
@@ -656,16 +618,14 @@ func inBucket(recs []datagen.Record, b int, bucketOf func(values []float64) (int
 	return nil
 }
 
-// dumpRecords returns every record in f.
+// dumpRecords returns every record in f, bucket by bucket in ascending
+// order, each bucket's records in storage order.
 func dumpRecords(f *gridfile.File) []datagen.Record {
-	if f.Len() == 0 {
-		return nil
+	recs := make([]datagen.Record, 0, f.Len())
+	for b := range f.Grid().Buckets() {
+		recs = append(recs, f.Bucket(b)...)
 	}
-	rs, err := f.CellRangeSearch(f.Grid().FullRect())
-	if err != nil {
-		return nil
-	}
-	return rs.Records
+	return recs
 }
 
 // handleHealth summarises the node.
@@ -692,20 +652,16 @@ func (n *Node) handleHealth(w http.ResponseWriter, r *http.Request) {
 		// (and operators) discover spare capacity by probing.
 		state = "standby"
 	}
-	snap := n.lat.Snapshot()
-	writeJSON(w, healthResponse{
-		Node:          n.id,
-		Shards:        shards,
-		Records:       count,
-		State:         state,
-		Epoch:         cur.Epoch(),
-		Pending:       pending,
-		QueueDepth:    sched.QueueDepth(),
-		Shed:          sched.Stats().Shed(),
-		LatencyBounds: snap.Bounds,
-		LatencyCounts: snap.Counts,
-		LatencyCount:  snap.Count,
-		LatencySum:    snap.Sum,
+	writeJSON(w, Health{
+		Node:       n.id,
+		Shards:     shards,
+		Records:    count,
+		State:      state,
+		Epoch:      cur.Epoch(),
+		Pending:    pending,
+		QueueDepth: sched.QueueDepth(),
+		Shed:       sched.Stats().Shed(),
+		Latency:    n.lat.Snapshot(),
 	})
 }
 
@@ -786,27 +742,4 @@ func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) error {
 		return badRequestError{fmt.Errorf("bad request body: %w", err)}
 	}
 	return nil
-}
-
-// parseCell parses "1,2,0" into a validated grid coordinate.
-func parseCell(s string, g *grid.Grid) (grid.Coord, error) {
-	if s == "" {
-		return nil, fmt.Errorf("missing cell parameter")
-	}
-	parts := strings.Split(s, ",")
-	if len(parts) != g.K() {
-		return nil, fmt.Errorf("cell %q has %d axes for %d-attribute grid", s, len(parts), g.K())
-	}
-	c := make(grid.Coord, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("cell %q: axis %d: %w", s, i, err)
-		}
-		c[i] = v
-	}
-	if !g.Contains(c) {
-		return nil, fmt.Errorf("cell %v outside grid %v", c, g)
-	}
-	return c, nil
 }

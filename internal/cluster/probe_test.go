@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 )
@@ -63,9 +64,11 @@ func TestStandbyHealthProbe(t *testing.T) {
 // a node serves queries, its health reply carries a non-empty latency
 // histogram with a sane window percentile, so a standalone controller
 // (whose own router serves nothing) can still see serving latency by
-// diffing successive probes.
+// diffing successive probes. Copier reads are not serving latency: a
+// join and a rebuild with no foreground traffic leave every member's
+// histogram as it was.
 func TestHealthProbeCarriesLatency(t *testing.T) {
-	tc := startElasticCluster(t, 3, 2, 0)
+	tc := startElasticCluster(t, 3, 2, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
@@ -97,5 +100,33 @@ func TestHealthProbeCarriesLatency(t *testing.T) {
 	}
 	if p99 := win.Percentile(99); p99 <= 0 {
 		t.Errorf("windowed p99 %v, want > 0", p99)
+	}
+
+	served := func() []uint64 {
+		counts := make([]uint64, tc.h.Nodes())
+		for m := range counts {
+			h, err := ProbeHealth(ctx, nil, tc.h.URL(m))
+			if err != nil {
+				t.Fatalf("probe member %d: %v", m, err)
+			}
+			counts[m] = h.Latency.Count
+		}
+		return counts
+	}
+	was := served()
+	join, err := PlanJoin(tc.h.Map())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Migrate(ctx, MigrateConfig{Plan: join, Endpoints: tc.h.URLs(), Router: tc.h.Router()}); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	tc.h.Faults().Crash(0)
+	if _, err := RebuildNode(ctx, RebuildConfig{Map: tc.h.Map(), Endpoints: tc.h.URLs()}, tc.h.Node(0)); err != nil {
+		t.Fatalf("rebuild: %v", err)
+	}
+	tc.h.Faults().Restart(0)
+	if now := served(); !slices.Equal(now, was) {
+		t.Fatalf("query latency counts per member %v after a join and a rebuild, %v before", now, was)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -251,7 +250,7 @@ func (c *copier) copyBucket(ctx context.Context, donors []int, cell grid.Coord, 
 			if ctx.Err() != nil {
 				return 0, retries, ctx.Err()
 			}
-			if !donorHardDown(err) {
+			if !breakerCountable(err) { // the donor answered: alive, worth another round
 				allHard = false
 			}
 			lastErr = err
@@ -270,26 +269,12 @@ func (c *copier) copyBucket(ctx context.Context, donors []int, cell grid.Coord, 
 		fault.ErrUnavailable, len(donors), c.attempts, lastErr)
 }
 
-// donorHardDown classifies one donor fetch failure: hard means the
-// donor never answered (transport failure, deadline) — the same errors
-// that count against a node breaker — while a typed refusal (overload,
-// draining, its own unavailability, a page the destination refused)
-// means the donor is alive and worth retrying patiently.
-func donorHardDown(err error) bool {
-	return breakerCountable(err)
-}
-
-// fetchBucketFrom performs one GET /v1/bucket exchange at the copier's
-// priority, stamped with its epoch.
+// fetchBucketFrom reads one bucket from a donor: a one-cell /v1/query
+// at the copier's priority, stamped with its epoch.
 func (c *copier) fetchBucketFrom(ctx context.Context, base string, cell grid.Coord) ([]datagen.Record, error) {
-	parts := make([]string, len(cell))
-	for i, v := range cell {
-		parts[i] = strconv.Itoa(v)
-	}
-	url := fmt.Sprintf("%s/v1/bucket?cell=%s&priority=%d&epoch=%d",
-		strings.TrimRight(base, "/"), strings.Join(parts, ","), c.priority, c.epoch)
 	var page recordPage
-	if err := exchange(ctx, c.client, c.timeout, url, nil, &page, recordPayloadLimit); err != nil {
+	req := queryRequest{Rect: wireRect{Lo: cell, Hi: cell}, Epoch: c.epoch, Priority: c.priority}
+	if err := exchange(ctx, c.client, c.timeout, strings.TrimRight(base, "/")+"/v1/query", req, &page, recordPayloadLimit); err != nil {
 		return nil, err
 	}
 	return page.Records, nil

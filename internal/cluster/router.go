@@ -13,9 +13,7 @@ import (
 	"decluster/internal/batch"
 	"decluster/internal/datagen"
 	"decluster/internal/exec"
-	"decluster/internal/fault"
 	"decluster/internal/grid"
-	"decluster/internal/gridfile"
 	"decluster/internal/hedge"
 	"decluster/internal/obs"
 	"decluster/internal/serve"
@@ -225,33 +223,6 @@ func (rt *Router) Adopt(sm *ShardMap) bool {
 	rt.sm = sm
 	if rt.mAdopts != nil {
 		rt.mAdopts.Inc()
-	}
-	return true
-}
-
-// breakerCountable classifies an attempt error for node health. An
-// error the node itself produced while answering — overload shedding,
-// draining, local unavailability, corruption, a stale epoch, a routing
-// miss, a refused request — proves the node is alive and must not
-// accumulate toward a trip; only silence (the per-node deadline) and
-// transport failures indict the node itself. This is what lets a healed partition recover
-// promptly: during the partition only timeouts counted, so the breaker
-// opens, and the first successful half-open probe after heal closes it
-// — while a node merely shedding load under overload never opens at
-// all.
-func breakerCountable(err error) bool {
-	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, serve.ErrOverloaded),
-		errors.Is(err, serve.ErrClosed),
-		errors.Is(err, fault.ErrUnavailable),
-		errors.Is(err, gridfile.ErrCorrupt),
-		errors.Is(err, ErrNotHosted),
-		errors.Is(err, ErrStaleEpoch),
-		errors.Is(err, ErrBadRequest),
-		errors.Is(err, ErrPartial):
-		return false
 	}
 	return true
 }

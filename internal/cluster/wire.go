@@ -21,8 +21,8 @@ import (
 )
 
 // Wire shapes for the node HTTP API. The rule: records are frames,
-// everything else and every error is JSON. The three record-carrying
-// payloads — the 200 answers of /v1/query and /v1/bucket and the body of
+// everything else and every error is JSON. The two record-carrying
+// payloads — the 200 answer of /v1/query and the body of
 // /v1/migrate/bucket — travel as one binary record frame, the bucket
 // page as gridfile already holds it; errors travel as an errorBody whose
 // Code round-trips through DecodeError back into the typed sentinel the
@@ -45,15 +45,14 @@ import (
 //
 // A /v1/query answer is always counted: its records are its buckets'
 // runs, row-major, and the counts say where each run ends — what lets the
-// router stitch legs without mapping a value. /v1/bucket and
-// /v1/migrate/bucket frames are one bucket and never counted.
+// router stitch legs without mapping a value. A /v1/migrate/bucket frame
+// is one bucket and never counted.
 //
 // Endpoints:
 //
-//	POST /v1/query            queryRequest  → record frame
+//	POST /v1/query            queryRequest  → record frame (router legs; rebuild/migration bucket reads)
 //	POST /v1/aggregate        aggregateRequest → aggregateResponse (disk-free kernel)
-//	GET  /v1/bucket?cell=1,2,0              → record frame (rebuild/migration source)
-//	GET  /v1/health                         → healthResponse
+//	GET  /v1/health                         → Health
 //	GET  /v1/shards                         → shardsResponse
 //	POST /v1/migrate/prepare  prepareRequest → epochResponse
 //	POST /v1/migrate/bucket   record frame  → epochResponse
@@ -74,7 +73,7 @@ import (
 // materialised (decode) or gathered from in place (the router's legs).
 
 // Payload size caps, chosen per call site: record-carrying payloads
-// (query, bucket, migration ingest) versus fixed-size ones. exchange
+// (query, migration ingest) versus fixed-size ones. exchange
 // holds responses to them, the node's handlers request bodies.
 const (
 	recordPayloadLimit = 64 << 20
@@ -87,8 +86,8 @@ const (
 
 var le = binary.LittleEndian
 
-// recordPage is a record-carrying payload: a sub-query's answer, or one
-// bucket read for a rebuild or migration, or one bucket sent to a
+// recordPage is a record-carrying payload: a sub-query's answer — one
+// bucket's, for a rebuild or migration read — or one bucket sent to a
 // migration's destination.
 type recordPage struct {
 	Epoch    uint64 // map epoch the page was read, or is to be ingested, under
@@ -377,12 +376,16 @@ func toWireRect(r grid.Rect) wireRect {
 func (w wireRect) rect() grid.Rect { return grid.Rect{Lo: w.Lo, Hi: w.Hi} }
 
 // queryRequest asks a node to answer one sub-rectangle of a range
-// query. The rect must fall entirely inside one shard the node hosts
-// under the map at Epoch.
+// query: a router leg, or one bucket a rebuild or migration copies. The
+// node must hold every bucket of the rect under the map at Epoch.
 type queryRequest struct {
 	Rect wireRect `json:"rect"`
 	// Epoch is the shard-map epoch the sender routed against.
 	Epoch uint64 `json:"epoch,omitempty"`
+	// Priority is the read's admission priority: 0 for a router leg, the
+	// copier's below-zero tier (serve.MigrationPriority,
+	// repair.BackgroundPriority) for a bucket it copies.
+	Priority int `json:"priority,omitempty"`
 }
 
 // aggregateRequest asks a node to answer one aggregate over a
@@ -408,33 +411,6 @@ type aggregateResponse struct {
 	Max     float64 `json:"max,omitempty"`
 	Buckets int     `json:"buckets"`
 	Epoch   uint64  `json:"epoch,omitempty"`
-}
-
-// healthResponse summarises a node for operators and the harness.
-type healthResponse struct {
-	Node    int    `json:"node"`
-	Shards  []int  `json:"shards"`
-	Records int    `json:"records"`
-	State   string `json:"state"` // "serving" | "rebuilding" | "migrating" | "standby"
-	// Epoch is the node's current map epoch; Pending is the staged
-	// next epoch mid-migration (0 when none).
-	Epoch   uint64 `json:"epoch,omitempty"`
-	Pending uint64 `json:"pending,omitempty"`
-	// QueueDepth and Shed expose live admission backpressure — the
-	// autopilot's scale signals, also mirrored into the
-	// serve.node.queue.depth / serve.node.shed obs families.
-	QueueDepth int    `json:"queue_depth"`
-	Shed       uint64 `json:"shed"`
-	// Latency* serialize the node's lifetime query-latency histogram:
-	// ascending bucket upper bounds in nanoseconds, one count per
-	// bucket plus the overflow bucket, and the total count/sum. The
-	// reply is cumulative — a watcher windows it by diffing successive
-	// probes — and is the autopilot's p99 source when its own router
-	// is not the one carrying the query traffic.
-	LatencyBounds []int64  `json:"latency_bounds,omitempty"`
-	LatencyCounts []uint64 `json:"latency_counts,omitempty"`
-	LatencyCount  uint64   `json:"latency_count,omitempty"`
-	LatencySum    int64    `json:"latency_sum,omitempty"`
 }
 
 // wireMap is a ShardMap in JSON clothing. A map is a pure function of
