@@ -4,11 +4,83 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"decluster/internal/batch"
+	"decluster/internal/exec"
 	"decluster/internal/grid"
 )
+
+// tamperAggregate serves h, passing every answer through except a 200
+// aggregate answer, which it decodes, hands to edit and encodes again.
+func tamperAggregate(t *testing.T, h http.Handler, edit func(a *aggregateResponse)) string {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		var a aggregateResponse
+		if rec.Code == http.StatusOK && a.decode(rec.Header().Get("Content-Type"), rec.Body.Bytes()) == nil {
+			edit(&a)
+			writePage(w, &a)
+			return
+		}
+		for key, vals := range rec.Header() {
+			w.Header()[key] = vals
+		}
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(rec.Body.Bytes())
+	}))
+	t.Cleanup(srv.Close)
+	return srv.URL
+}
+
+// TestRouterRetriesMalformedAggregateLeg: an aggregate answer for another
+// op, or over another number of buckets than its rect holds, fails its
+// leg like a bad body. The router retries it on a replica, so every merged
+// answer stays the healthy cluster's. Each tampering also miscounts, so
+// merging a single tampered leg would show in Count.
+func TestRouterRetriesMalformedAggregateLeg(t *testing.T) {
+	tc := startTestCluster(t, 4, 2, RouterConfig{})
+	ctx := context.Background()
+	for name, edit := range map[string]func(a *aggregateResponse){
+		"op differs": func(a *aggregateResponse) {
+			a.Op, a.Count, a.Sum, a.Min, a.Max = (a.Op+1)%(batch.OpMax+1), a.Count+1, a.Sum+1, a.Max, a.Min-1
+		},
+		"buckets differ": func(a *aggregateResponse) { a.Buckets, a.Count = a.Buckets+1, a.Count+1 },
+	} {
+		urls := tc.h.URLs()
+		urls[0] = tamperAggregate(t, tc.h.Node(0).Handler(), edit)
+		rt, err := NewRouter(RouterConfig{Map: tc.h.Map(), Endpoints: urls, Retry: exec.RetryPolicy{MaxAttempts: 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		retries := 0
+		for _, r := range testQueries(tc.g) {
+			for _, op := range []batch.AggregateOp{batch.OpCount, batch.OpSum, batch.OpMin, batch.OpMax} {
+				q := batch.AggregateQuery{Rect: r, Op: op, Attr: 1}
+				got, err := rt.Aggregate(ctx, q)
+				if err != nil {
+					t.Fatalf("%s: %v over %v: %v", name, op, r, err)
+				}
+				want, err := tc.h.Router().Aggregate(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Op != op || got.Count != want.Count || got.Buckets != want.Buckets ||
+					math.Abs(got.Sum-want.Sum) > 1e-9*math.Max(1, math.Abs(want.Sum)) ||
+					(want.Count > 0 && (got.Min != want.Min || got.Max != want.Max)) {
+					t.Fatalf("%s: %v over %v: %+v, healthy cluster %+v", name, op, r, got.AggregateResult, want.AggregateResult)
+				}
+				retries += got.Retries
+			}
+		}
+		if retries == 0 {
+			t.Errorf("%s: no leg was retried", name)
+		}
+	}
+}
 
 // TestClusterAggregate scatters aggregate queries across a replicated
 // cluster and checks the merged answers against the single-node

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -704,9 +703,9 @@ func (l *prioLog) proxy(t *testing.T, h http.Handler) string {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/query" {
 			body, _ := io.ReadAll(r.Body)
-			var req queryRequest
-			if err := json.Unmarshal(body, &req); err != nil {
-				t.Errorf("/v1/query body %q: %v", body, err)
+			req, err := decodeRequest(r.Header.Get("Content-Type"), bytes.NewReader(body), false)
+			if err != nil {
+				t.Errorf("/v1/query body %x: %v", body, err)
 			}
 			l.mu.Lock()
 			l.n[req.Priority]++

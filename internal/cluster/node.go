@@ -318,19 +318,18 @@ func (n *Node) faultMiddleware(next http.Handler) http.Handler {
 // leg's or a copier's one-bucket read, admitted at the request's
 // priority.
 func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if err := decodeJSONBody(w, r, &req); err != nil {
+	req, err := decodeRequest(r.Header.Get("Content-Type"), r.Body, false)
+	if err != nil {
 		writeError(w, err)
 		return
 	}
-	rect := req.Rect.rect()
-	sm, sched, err := n.admit(rect, req.Epoch)
+	sm, sched, err := n.admit(req.Rect, req.Epoch)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	start := time.Now()
-	res, err := sched.Do(r.Context(), serve.Query{Rect: rect, Priority: req.Priority})
+	res, err := sched.Do(r.Context(), serve.Query{Rect: req.Rect, Priority: req.Priority})
 	// Only foreground reads are the node's serving latency: a copier's
 	// below-zero reads queue behind them by design. Failures count too: a
 	// shed or timed-out query is the latency signal at its loudest, and
@@ -344,7 +343,7 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer res.Release() // back to the scheduler's pool once the answer is framed
-	writePage(w, &recordPage{Epoch: sm.Epoch(), Buckets: rect.Volume(), Degraded: res.Degraded, Counts: res.RecordsPerBucket, Records: res.Records})
+	writePage(w, &recordPage{Epoch: sm.Epoch(), Buckets: req.Rect.Volume(), Degraded: res.Degraded, Counts: res.RecordsPerBucket, Records: res.Records})
 }
 
 // aggregateIndex returns the node's aggregate index, rebuilding it when
@@ -377,18 +376,12 @@ func (n *Node) aggregateIndex() (*batch.AggregateIndex, error) {
 // Admission matches handleQuery, pending epoch included: admit's
 // readiness check leaves every bucket of the rect in the file once.
 func (n *Node) handleAggregate(w http.ResponseWriter, r *http.Request) {
-	var req aggregateRequest
-	if err := decodeJSONBody(w, r, &req); err != nil {
+	req, err := decodeRequest(r.Header.Get("Content-Type"), r.Body, true)
+	if err != nil {
 		writeError(w, err)
 		return
 	}
-	op, err := batch.ParseAggregateOp(req.Op)
-	if err != nil {
-		writeError(w, badRequestError{err})
-		return
-	}
-	rect := req.Rect.rect()
-	sm, _, err := n.admit(rect, req.Epoch)
+	sm, _, err := n.admit(req.Rect, req.Epoch)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -399,22 +392,13 @@ func (n *Node) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	res, err := ix.Aggregate(batch.AggregateQuery{Rect: rect, Op: op, Attr: req.Attr})
+	res, err := ix.Aggregate(batch.AggregateQuery{Rect: req.Rect, Op: batch.AggregateOp(req.Kind - 1), Attr: req.Attr})
 	n.lat.Observe(time.Since(start))
 	if err != nil {
 		writeError(w, badRequestError{err})
 		return
 	}
-	writeJSON(w, aggregateResponse{
-		Op:      op.String(),
-		Attr:    req.Attr,
-		Count:   res.Count,
-		Sum:     res.Sum,
-		Min:     res.Min,
-		Max:     res.Max,
-		Buckets: res.Buckets,
-		Epoch:   sm.Epoch(),
-	})
+	writePage(w, &aggregateResponse{AggregateResult: res, Epoch: sm.Epoch()})
 }
 
 // handlePrepare stages the next-epoch map (PREPARE). Idempotent for the
@@ -677,11 +661,7 @@ func (n *Node) handleShards(w http.ResponseWriter, r *http.Request) {
 		Grid:      sm.Grid().Dims(),
 	}
 	for _, sh := range sm.Shards() {
-		resp.Shards = append(resp.Shards, struct {
-			ID    int      `json:"id"`
-			Rect  wireRect `json:"rect"`
-			Nodes []int    `json:"nodes"`
-		}{ID: sh.ID, Rect: toWireRect(sh.Rect), Nodes: append([]int(nil), sh.Nodes...)})
+		resp.Shards = append(resp.Shards, wireShard{ID: sh.ID, Rect: toWireRect(sh.Rect), Nodes: append([]int(nil), sh.Nodes...)})
 	}
 	writeJSON(w, resp)
 }

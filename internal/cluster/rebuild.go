@@ -273,7 +273,7 @@ func (c *copier) copyBucket(ctx context.Context, donors []int, cell grid.Coord, 
 // at the copier's priority, stamped with its epoch.
 func (c *copier) fetchBucketFrom(ctx context.Context, base string, cell grid.Coord) ([]datagen.Record, error) {
 	var page recordPage
-	req := queryRequest{Rect: wireRect{Lo: cell, Hi: cell}, Epoch: c.epoch, Priority: c.priority}
+	req := &readRequest{Epoch: c.epoch, Priority: c.priority, Rect: grid.Rect{Lo: cell, Hi: cell}}
 	if err := exchange(ctx, c.client, c.timeout, strings.TrimRight(base, "/")+"/v1/query", req, &page, recordPayloadLimit); err != nil {
 		return nil, err
 	}

@@ -242,24 +242,20 @@ func retryTransient(err error) bool {
 // leg is sent, what it carries and — through R — what comes back. The
 // scatter machinery below never looks at which op it serves.
 type legOp[R any] struct {
-	path  string // endpoint under the member's base URL
-	span  string // sub-query span label
-	limit int64  // response size cap
-	body  func(rect grid.Rect, epoch uint64) any
-	// vet, when set, checks a decoded answer against the rect it answers;
-	// an answer it refuses fails the leg like a bad body.
+	path  string      // endpoint under the member's base URL
+	span  string      // sub-query span label
+	limit int64       // response size cap
+	req   readRequest // every leg's request, but for the rect and epoch each leg fills in
+	// vet checks a decoded answer against the rect it answers; an answer
+	// it refuses fails the leg like a bad body.
 	vet func(resp *R, rect grid.Rect) error
 }
 
 // searchOp's legs come back as views over pooled bodies, which searchEpoch
-// releases after the merge. Request bodies view the rect: only marshalled.
-// A leg must count its records per bucket of the rect it was asked for:
-// those counts are what gather walks.
+// releases after the merge. A leg must count its records per bucket of
+// the rect it was asked for: those counts are what gather walks.
 var searchOp = legOp[pageLeg]{
 	path: "/v1/query", span: "shard", limit: recordPayloadLimit,
-	body: func(rect grid.Rect, epoch uint64) any {
-		return queryRequest{Rect: wireRect{Lo: rect.Lo, Hi: rect.Hi}, Epoch: epoch}
-	},
 	vet: func(leg *pageLeg, rect grid.Rect) error {
 		if !leg.counted || leg.buckets != rect.Volume() {
 			leg.release()
@@ -269,12 +265,18 @@ var searchOp = legOp[pageLeg]{
 	},
 }
 
-// aggregateOp is the leg op of one aggregate query.
+// aggregateOp is the leg op of one aggregate query. A leg must answer the
+// op asked, over every bucket of its rect (a node's index always covers
+// the rect's volume): merged, any other answer is a wrong number.
 func aggregateOp(q batch.AggregateQuery) legOp[aggregateResponse] {
 	return legOp[aggregateResponse]{
 		path: "/v1/aggregate", span: "agg shard", limit: smallPayloadLimit,
-		body: func(rect grid.Rect, epoch uint64) any {
-			return aggregateRequest{Rect: wireRect{Lo: rect.Lo, Hi: rect.Hi}, Op: q.Op.String(), Attr: q.Attr, Epoch: epoch}
+		req: readRequest{Kind: byte(q.Op) + 1, Attr: q.Attr},
+		vet: func(a *aggregateResponse, rect grid.Rect) error {
+			if a.Op != q.Op || a.Buckets != rect.Volume() {
+				return fmt.Errorf("cluster: malformed answer for %v: %s over %d buckets, asked %s", rect, a.Op, a.Buckets, q.Op)
+			}
+			return nil
 		},
 	}
 }
@@ -436,7 +438,9 @@ func gather(q grid.Rect, subs []SubQuery, outs []subOutcome[pageLeg]) []datagen.
 }
 
 // scatter decomposes q under sm, runs every per-shard sub-query
-// concurrently, and gathers the outcomes. With every piece answered it
+// concurrently — the last on the caller's goroutine, so a one-leg query
+// spawns nothing and that leg's deep call chain runs on a stack already
+// grown — and gathers the outcomes. With every piece answered it
 // returns (g, nil). With pieces missing it returns what was gathered
 // alongside a *StaleEpochError when any node gossiped a newer epoch — the
 // follow loop should adopt and re-scatter rather than surface a partial
@@ -451,13 +455,15 @@ func scatter[R any](ctx context.Context, rt *Router, op legOp[R], q grid.Rect, s
 	}
 	g := &gathered[R]{subs: subs, outs: make([]subOutcome[R], len(subs))}
 	var wg sync.WaitGroup
-	for i, sq := range subs {
+	last := len(subs) - 1 // a rect decomposes into at least one piece
+	for i, sq := range subs[:last] {
 		wg.Add(1)
-		go func(i int, sq SubQuery) {
+		go func() {
 			defer wg.Done()
 			g.outs[i] = runSub(ctx, rt, op, sq, sm, parent)
-		}(i, sq)
+		}()
 	}
+	g.outs[last] = runSub(ctx, rt, op, subs[last], sm, parent)
 	wg.Wait()
 
 	var missed []SubQuery
@@ -614,8 +620,10 @@ func callNode[R any](ctx context.Context, rt *Router, op legOp[R], node int, rec
 	start := time.Now()
 	var err error
 	if url, ok := rt.urls[node]; ok {
-		err = exchange(ctx, rt.client, rt.deadline, url+op.path, op.body(rect, epoch), resp, op.limit)
-		if err == nil && op.vet != nil {
+		req := op.req
+		req.Rect, req.Epoch = rect, epoch
+		err = exchange(ctx, rt.client, rt.deadline, url+op.path, &req, resp, op.limit)
+		if err == nil {
 			err = op.vet(resp, rect)
 		}
 	} else {
@@ -684,10 +692,7 @@ func (rt *Router) Aggregate(ctx context.Context, q batch.AggregateQuery) (*Aggre
 		}
 		parts := make([]batch.AggregateResult, len(g.outs))
 		for i, o := range g.outs {
-			r := o.resp
-			parts[i] = batch.AggregateResult{
-				Op: q.Op, Attr: q.Attr, Count: r.Count, Sum: r.Sum, Min: r.Min, Max: r.Max, Buckets: r.Buckets,
-			}
+			parts[i] = o.resp.AggregateResult
 		}
 		return &AggregateResult{
 			AggregateResult: batch.MergeAggregates(q.Op, q.Attr, parts),

@@ -395,14 +395,7 @@ func intersectRect(a, b grid.Rect) (grid.Rect, bool) {
 	lo := make(grid.Coord, len(a.Lo))
 	hi := make(grid.Coord, len(a.Hi))
 	for i := range lo {
-		lo[i] = a.Lo[i]
-		if b.Lo[i] > lo[i] {
-			lo[i] = b.Lo[i]
-		}
-		hi[i] = a.Hi[i]
-		if b.Hi[i] < hi[i] {
-			hi[i] = b.Hi[i]
-		}
+		lo[i], hi[i] = max(a.Lo[i], b.Lo[i]), min(a.Hi[i], b.Hi[i])
 		if lo[i] > hi[i] {
 			return grid.Rect{}, false
 		}

@@ -16,20 +16,39 @@ import (
 	"sync"
 	"time"
 
+	"decluster/internal/batch"
 	"decluster/internal/datagen"
 	"decluster/internal/grid"
 )
 
-// Wire shapes for the node HTTP API. The rule: records are frames,
-// everything else and every error is JSON. The two record-carrying
-// payloads — the 200 answer of /v1/query and the body of
-// /v1/migrate/bucket — travel as one binary record frame, the bucket
-// page as gridfile already holds it; errors travel as an errorBody whose
-// Code round-trips through DecodeError back into the typed sentinel the
-// node matched (see errors.go). Each payload has exactly one encoding,
-// picked by its Go type and verified by Content-Type on receipt.
+// Wire shapes for the node HTTP API. The rule: records are frames, reads
+// are fixed binary layouts, everything else and every error is JSON. The
+// two record-carrying payloads — the 200 answer of /v1/query and the body
+// of /v1/migrate/bucket — are one record frame, the bucket page as
+// gridfile already holds it. The request both read endpoints take and the
+// aggregate answer are fixed layouts, so a leg pays for its reads, not
+// its envelope. Errors travel as an errorBody whose Code round-trips
+// through DecodeError into the typed sentinel the node matched (see
+// errors.go). Each payload has exactly one encoding, picked by its Go
+// type and verified by Content-Type on receipt. Layouts are little-endian.
 //
-// Record frame (Content-Type frameContentType), little-endian:
+// Read request (requestContentType), the body of /v1/query and /v1/aggregate:
+//
+//	offset  size  field
+//	0       4     magic "DGQ" + version 1
+//	4       1     kind: 0 records, on /v1/query; 1–4 COUNT/SUM/MIN/MAX, on /v1/aggregate
+//	5       1     k, rect axes (at least 1)
+//	6       2     attr, the attribute an aggregate reduces
+//	8       8     epoch
+//	16      4     priority, int32
+//	20      4     bucket-list count: 0, the section is reserved
+//	24      8·k   lo[k], then hi[k], uint32 each, at most MaxInt32
+//
+// Aggregate answer (aggregateContentType), 48 bytes: uint32 op (as the
+// request's kind), uint32 buckets, int64 count, float64 bits of sum, min
+// and max (min and max mean something only when count > 0), uint64 epoch.
+//
+// Record frame (frameContentType):
 //
 //	offset  size       field
 //	0       4          magic "DGP" + version 1
@@ -50,27 +69,26 @@ import (
 //
 // Endpoints:
 //
-//	POST /v1/query            queryRequest  → record frame (router legs; rebuild/migration bucket reads)
-//	POST /v1/aggregate        aggregateRequest → aggregateResponse (disk-free kernel)
-//	GET  /v1/health                         → Health
-//	GET  /v1/shards                         → shardsResponse
-//	POST /v1/migrate/prepare  prepareRequest → epochResponse
-//	POST /v1/migrate/bucket   record frame  → epochResponse
-//	POST /v1/migrate/cutover  epochRequest  → epochResponse
-//	POST /v1/migrate/abort    epochRequest  → epochResponse
+//	POST /v1/query            read request (kind 0)   → record frame (router legs; rebuild/migration bucket reads)
+//	POST /v1/aggregate        read request (kind 1–4) → aggregate answer (disk-free kernel)
+//	GET  /v1/health                                   → Health
+//	GET  /v1/shards                                   → shardsResponse
+//	POST /v1/migrate/prepare  prepareRequest          → epochResponse
+//	POST /v1/migrate/bucket   record frame            → epochResponse
+//	POST /v1/migrate/cutover  epochRequest            → epochResponse
+//	POST /v1/migrate/abort    epochRequest            → epochResponse
 //
 // Epochs: every data request carries the sender's map epoch (maps are
-// born at epoch 1). An epoch the node does not serve — absent and zero
-// included — draws CodeStaleEpoch with the node's current map attached,
-// so the caller can adopt it and retry — the gossip path that lets
-// routers follow migrations without a coordination service.
+// born at epoch 1). An epoch the node does not serve — zero included —
+// draws CodeStaleEpoch with the node's current map attached, so the
+// caller can adopt it and retry — the gossip path that lets routers
+// follow migrations without a coordination service.
 //
 // Every client in the package (router legs, rebuilder, migrator, health
 // probe) talks to a node through exchange, and every handler answers
-// through writePage / writeJSON / writeError: a change of wire format
-// edits those four functions. Every frame received, by a node or a
-// client, passes parseFrame — the one validation — whether it is then
-// materialised (decode) or gathered from in place (the router's legs).
+// through writePage / writeJSON / writeError. Every frame received passes
+// parseFrame, whether it is then materialised (decode) or gathered from
+// in place (the router's legs); every read request passes decodeRequest.
 
 // Payload size caps, chosen per call site: record-carrying payloads
 // (query, migration ingest) versus fixed-size ones. exchange
@@ -82,9 +100,27 @@ const (
 	frameContentType = "application/x-decluster-page"
 	frameMagic       = "DGP\x01"
 	frameHeaderLen   = 24
+
+	requestContentType = "application/x-decluster-request"
+	requestMagic       = "DGQ\x01"
+	requestHeaderLen   = 24
+	maxRequestLen      = requestHeaderLen + 8*math.MaxUint8
+
+	aggregateContentType = "application/x-decluster-aggregate"
 )
 
 var le = binary.LittleEndian
+
+// binaryBody is a record frame, a read request or an aggregate answer:
+// what exchange POSTs and writePage answers in its binary layout.
+type binaryBody interface {
+	appendTo(buf []byte) ([]byte, error)
+	contentType() string
+}
+
+func (*recordPage) contentType() string        { return frameContentType }
+func (*readRequest) contentType() string       { return requestContentType }
+func (*aggregateResponse) contentType() string { return aggregateContentType }
 
 // recordPage is a record-carrying payload: a sub-query's answer — one
 // bucket's, for a rebuild or migration read — or one bucket sent to a
@@ -260,14 +296,15 @@ func (l *pageLeg) release() {
 }
 
 // exchange performs one HTTP round trip against a node. A non-nil in is
-// POSTed — a *recordPage as a record frame, anything else as JSON —
-// otherwise the request is a GET; a positive timeout bounds this call on
-// top of ctx. The response is read whole, sized from its Content-Length,
-// and refused when longer than limit bytes — smallPayloadLimit for a
-// non-200 answer, whatever the call site's cap: an error envelope is
-// small. A non-200 answer decodes through decodeErrorBody into the typed
-// error the node raised; a 200 decodes into out — a *recordPage or a
-// *pageLeg from a record frame, anything else from JSON, nil discards it.
+// POSTed — a binaryBody in its layout, anything else as JSON — otherwise
+// the request is a GET; a positive timeout bounds this call on top of
+// ctx. The response is read whole, sized from its Content-Length, and
+// refused when longer than limit bytes — smallPayloadLimit for a non-200
+// answer, whatever the call site's cap: an error envelope is small. A
+// non-200 answer decodes through decodeErrorBody into the typed error
+// the node raised; a 200 decodes into out — a *recordPage, *pageLeg or
+// *aggregateResponse from its layout, anything else from JSON, nil
+// discards it.
 func exchange(ctx context.Context, client *http.Client, timeout time.Duration, url string, in, out any, limit int64) (err error) {
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -278,9 +315,9 @@ func exchange(ctx context.Context, client *http.Client, timeout time.Duration, u
 	if in != nil {
 		var data []byte
 		var err error
-		if page, ok := in.(*recordPage); ok {
-			contentType = frameContentType
-			data, err = page.appendTo(nil)
+		if b, ok := in.(binaryBody); ok {
+			contentType = b.contentType()
+			data, err = b.appendTo(nil)
 		} else {
 			data, err = json.Marshal(in)
 		}
@@ -348,7 +385,7 @@ func exchange(ctx context.Context, client *http.Client, timeout time.Duration, u
 	}
 	switch out := out.(type) {
 	case nil:
-	case *recordPage:
+	case interface{ decode(string, []byte) error }: // *recordPage, *aggregateResponse
 		err = out.decode(resp.Header.Get("Content-Type"), data)
 	case *pageLeg:
 		out.frame, err = parseFrame(resp.Header.Get("Content-Type"), data)
@@ -371,46 +408,100 @@ func toWireRect(r grid.Rect) wireRect {
 	return wireRect{Lo: []int(r.Lo.Clone()), Hi: []int(r.Hi.Clone())}
 }
 
-// rect views the coordinates in place: a wireRect is decoded afresh for
-// every request, so nothing else holds its slices.
-func (w wireRect) rect() grid.Rect { return grid.Rect{Lo: w.Lo, Hi: w.Hi} }
-
-// queryRequest asks a node to answer one sub-rectangle of a range
-// query: a router leg, or one bucket a rebuild or migration copies. The
-// node must hold every bucket of the rect under the map at Epoch.
-type queryRequest struct {
-	Rect wireRect `json:"rect"`
-	// Epoch is the shard-map epoch the sender routed against.
-	Epoch uint64 `json:"epoch,omitempty"`
-	// Priority is the read's admission priority: 0 for a router leg, the
-	// copier's below-zero tier (serve.MigrationPriority,
-	// repair.BackgroundPriority) for a bucket it copies.
-	Priority int `json:"priority,omitempty"`
+// readRequest is the node's one read request: a router leg or a copier's
+// one-bucket read on /v1/query, an aggregate leg on /v1/aggregate. The
+// node must hold every bucket of Rect under the map at Epoch.
+type readRequest struct {
+	Kind     byte   // 0 for the rect's records, 1 + the batch.AggregateOp for an aggregate
+	Attr     int    // the attribute an aggregate reduces
+	Epoch    uint64 // the shard-map epoch the sender routed against
+	Priority int    // admission tier: 0 for a router leg, below 0 for a copier's read
+	Rect     grid.Rect
 }
 
-// aggregateRequest asks a node to answer one aggregate over a
-// sub-rectangle it hosts. Op travels as the batch.AggregateOp wire
-// string ("count", "sum", "min", "max").
-type aggregateRequest struct {
-	Rect wireRect `json:"rect"`
-	Op   string   `json:"op"`
-	Attr int      `json:"attr,omitempty"`
-	// Epoch is the shard-map epoch the sender routed against.
-	Epoch uint64 `json:"epoch,omitempty"`
+// appendTo encodes q onto buf[:0]. A request the layout cannot carry is
+// refused as the bad request the node would refuse it as.
+func (q *readRequest) appendTo(buf []byte) ([]byte, error) {
+	k := len(q.Rect.Lo)
+	fits := k > 0 && k <= math.MaxUint8 && len(q.Rect.Hi) == k && uint(q.Attr) <= math.MaxUint16 && int(int32(q.Priority)) == q.Priority
+	buf = append(slices.Grow(buf[:0], requestHeaderLen+8*k), requestMagic...)
+	buf = le.AppendUint16(append(buf, q.Kind, byte(k)), uint16(q.Attr))
+	buf = le.AppendUint32(le.AppendUint32(le.AppendUint64(buf, q.Epoch), uint32(int32(q.Priority))), 0)
+	for _, corner := range [2]grid.Coord{q.Rect.Lo, q.Rect.Hi} {
+		for _, c := range corner {
+			fits = fits && uint(c) <= math.MaxInt32
+			buf = le.AppendUint32(buf, uint32(c))
+		}
+	}
+	if !fits {
+		return nil, badRequestError{fmt.Errorf("cluster: read of %v (attr %d, priority %d) does not fit a read request", q.Rect, q.Attr, q.Priority)}
+	}
+	return buf, nil
+}
+
+// decodeRequest reads a read request POSTed to /v1/aggregate (aggregate
+// set) or /v1/query. It checks the content type, the smallPayloadLimit
+// cap, magic and version, exact length, a kind the endpoint serves, no
+// bucket list and coordinates ≤ MaxInt32, refusing as a bad request. It
+// allocates only the rect's coordinates.
+func decodeRequest(contentType string, body io.Reader, aggregate bool) (readRequest, error) {
+	bp := pageBufs.Get().(*[]byte)
+	defer pageBufs.Put(bp)
+	*bp = slices.Grow((*bp)[:0], maxRequestLen+1)
+	data := (*bp)[:maxRequestLen+1]
+	n, err := io.ReadFull(body, data)
+	if err == nil { // longer than any request; read on only to the cap
+		rest, _ := io.Copy(io.Discard, io.LimitReader(body, smallPayloadLimit))
+		if n, err = n+int(rest), nil; n > smallPayloadLimit {
+			return readRequest{}, badRequestError{fmt.Errorf("request body too large: over %d bytes", smallPayloadLimit)}
+		}
+	} else if err != io.EOF && err != io.ErrUnexpectedEOF {
+		return readRequest{}, badRequestError{fmt.Errorf("bad request body: %w", err)}
+	}
+	data = data[:min(n, len(data))]
+	if contentType != requestContentType || n < requestHeaderLen || string(data[:4]) != requestMagic ||
+		data[4] > byte(batch.OpMax)+1 || (data[4] > 0) != aggregate || data[5] == 0 || n != requestHeaderLen+8*int(data[5]) || le.Uint32(data[20:]) != 0 {
+		return readRequest{}, badRequestError{fmt.Errorf("not a read request for this endpoint (%q, %d bytes)", contentType, n)}
+	}
+	k := int(data[5])
+	coords := make([]int, 2*k)
+	for i := range coords {
+		if coords[i] = int(le.Uint32(data[requestHeaderLen+4*i:])); coords[i] > math.MaxInt32 {
+			return readRequest{}, badRequestError{fmt.Errorf("read request coordinate %d out of range", coords[i])}
+		}
+	}
+	return readRequest{
+		Kind: data[4], Attr: int(le.Uint16(data[6:])), Epoch: le.Uint64(data[8:]), Priority: int(int32(le.Uint32(data[16:]))),
+		Rect: grid.Rect{Lo: coords[:k:k], Hi: coords[k:]},
+	}, nil
 }
 
 // aggregateResponse carries one partial aggregate, ready for
-// batch.MergeAggregates at the router. Min/Max are meaningful only
-// when Count > 0.
+// batch.MergeAggregates at the router. Attr and PerDisk stay node-side.
 type aggregateResponse struct {
-	Op      string  `json:"op"`
-	Attr    int     `json:"attr,omitempty"`
-	Count   int64   `json:"count"`
-	Sum     float64 `json:"sum,omitempty"`
-	Min     float64 `json:"min,omitempty"`
-	Max     float64 `json:"max,omitempty"`
-	Buckets int     `json:"buckets"`
-	Epoch   uint64  `json:"epoch,omitempty"`
+	batch.AggregateResult
+	Epoch uint64
+}
+
+func (a *aggregateResponse) appendTo(buf []byte) ([]byte, error) {
+	buf = le.AppendUint64(le.AppendUint32(le.AppendUint32(buf[:0], uint32(a.Op)+1), uint32(a.Buckets)), uint64(a.Count))
+	for _, v := range [3]float64{a.Sum, a.Min, a.Max} {
+		buf = le.AppendUint64(buf, math.Float64bits(v))
+	}
+	return le.AppendUint64(buf, a.Epoch), nil
+}
+
+// decode reads an aggregate answer, checking content type, length and op.
+func (a *aggregateResponse) decode(contentType string, data []byte) error {
+	if contentType != aggregateContentType || len(data) != 48 || le.Uint32(data)-1 > uint32(batch.OpMax) {
+		return fmt.Errorf("not an aggregate answer (%q, %d bytes)", contentType, len(data))
+	}
+	*a = aggregateResponse{Epoch: le.Uint64(data[40:]), AggregateResult: batch.AggregateResult{
+		Op: batch.AggregateOp(le.Uint32(data) - 1), Buckets: int(le.Uint32(data[4:])), Count: int64(le.Uint64(data[8:])),
+		Sum: math.Float64frombits(le.Uint64(data[16:])), Min: math.Float64frombits(le.Uint64(data[24:])),
+		Max: math.Float64frombits(le.Uint64(data[32:])),
+	}}
+	return nil
 }
 
 // wireMap is a ShardMap in JSON clothing. A map is a pure function of
@@ -468,15 +559,18 @@ type epochResponse struct {
 
 // shardsResponse describes the node's view of the shard map.
 type shardsResponse struct {
-	Nodes     int        `json:"nodes"`
-	Replicas  int        `json:"replicas"`
-	Placement string     `json:"placement"`
-	Grid      []int      `json:"grid"`
-	Shards    []struct { // inline; only marshalled, never parsed by us
-		ID    int      `json:"id"`
-		Rect  wireRect `json:"rect"`
-		Nodes []int    `json:"nodes"`
-	} `json:"shards"`
+	Nodes     int         `json:"nodes"`
+	Replicas  int         `json:"replicas"`
+	Placement string      `json:"placement"`
+	Grid      []int       `json:"grid"`
+	Shards    []wireShard `json:"shards"`
+}
+
+// wireShard is one shard of a shardsResponse; only marshalled.
+type wireShard struct {
+	ID    int      `json:"id"`
+	Rect  wireRect `json:"rect"`
+	Nodes []int    `json:"nodes"`
 }
 
 // errorBody is the uniform error envelope. Code is the stable taxonomy
@@ -510,14 +604,15 @@ func writeError(w http.ResponseWriter, err error) {
 	_ = json.NewEncoder(w).Encode(eb)
 }
 
-// pageBufs recycles writePage's encode buffers; being a sync.Pool, the
-// collector may drop them, so no node retains its largest answer.
+// pageBufs recycles writePage's and decodeRequest's buffers; being a
+// sync.Pool, the collector may drop them, so no node retains its largest
+// answer.
 var pageBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// writePage answers 200 with p as one record frame, encoded into a
-// pooled buffer and written once under its Content-Length. A page that
-// cannot be framed draws the JSON error envelope, not a half-written 200.
-func writePage(w http.ResponseWriter, p *recordPage) {
+// writePage answers 200 with p encoded into a pooled buffer, written once
+// under its Content-Length. A page that cannot be encoded draws the JSON
+// error envelope, not a half-written 200.
+func writePage(w http.ResponseWriter, p binaryBody) {
 	bp := pageBufs.Get().(*[]byte)
 	defer pageBufs.Put(bp)
 	buf, err := p.appendTo(*bp)
@@ -526,7 +621,7 @@ func writePage(w http.ResponseWriter, p *recordPage) {
 		return
 	}
 	*bp = buf
-	w.Header().Set("Content-Type", frameContentType)
+	w.Header().Set("Content-Type", p.contentType())
 	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
 	_, _ = w.Write(buf)
 }

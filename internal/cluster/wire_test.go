@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"decluster/internal/alloc"
+	"decluster/internal/batch"
 	"decluster/internal/datagen"
 	"decluster/internal/fault"
 	"decluster/internal/grid"
@@ -254,6 +255,142 @@ func TestFrameRecordsDoNotAlias(t *testing.T) {
 	}
 }
 
+// encodeRequest encodes q or fails the test.
+func encodeRequest(t testing.TB, q *readRequest) []byte {
+	t.Helper()
+	data, err := q.appendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestRequestRoundTrip: a read request of 1 to 4 axes and of every kind,
+// at priorities down to MinInt32 and coordinates up to MaxInt32, decodes
+// on its endpoint to what was encoded and encodes back to the same bytes.
+// A request the layout cannot carry is refused by the encoder as the bad
+// request the node would refuse it as.
+func TestRequestRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for k := 1; k <= 4; k++ {
+		for kind := byte(0); kind <= byte(batch.OpMax)+1; kind++ {
+			for _, prio := range []int{0, -500, -1000, math.MinInt32, math.MaxInt32} {
+				want := readRequest{Kind: kind, Attr: rng.Intn(1 << 16), Epoch: rng.Uint64(), Priority: prio,
+					Rect: grid.Rect{Lo: make(grid.Coord, k), Hi: make(grid.Coord, k)}}
+				for i := range want.Rect.Lo {
+					want.Rect.Lo[i], want.Rect.Hi[i] = rng.Intn(1<<31), rng.Intn(1<<31)
+				}
+				want.Rect.Hi[k-1] = math.MaxInt32
+				data := encodeRequest(t, &want)
+				got, err := decodeRequest(requestContentType, bytes.NewReader(data), kind > 0)
+				if err != nil {
+					t.Fatalf("k=%d kind=%d priority=%d: %v", k, kind, prio, err)
+				}
+				if got.Kind != want.Kind || got.Attr != want.Attr || got.Epoch != want.Epoch || got.Priority != want.Priority ||
+					!slices.Equal(got.Rect.Lo, want.Rect.Lo) || !slices.Equal(got.Rect.Hi, want.Rect.Hi) {
+					t.Fatalf("k=%d kind=%d: decoded %+v, want %+v", k, kind, got, want)
+				}
+				if again := encodeRequest(t, &got); !bytes.Equal(again, data) {
+					t.Fatalf("k=%d kind=%d: decoded request encodes to different bytes", k, kind)
+				}
+			}
+		}
+	}
+	one := grid.Rect{Lo: grid.Coord{1, 2}, Hi: grid.Coord{3, 4}}
+	for name, q := range map[string]readRequest{
+		"no axes":               {},
+		"ragged rect":           {Rect: grid.Rect{Lo: grid.Coord{1, 2}, Hi: grid.Coord{3}}},
+		"256 axes":              {Rect: grid.Rect{Lo: make(grid.Coord, 256), Hi: make(grid.Coord, 256)}},
+		"attr past uint16":      {Attr: 1 << 16, Rect: one},
+		"negative attr":         {Attr: -1, Rect: one},
+		"priority past int32":   {Priority: math.MaxInt32 + 1, Rect: one},
+		"negative coordinate":   {Rect: grid.Rect{Lo: grid.Coord{-1, 2}, Hi: grid.Coord{3, 4}}},
+		"coordinate past int32": {Rect: grid.Rect{Lo: grid.Coord{1, 2}, Hi: grid.Coord{3, math.MaxInt32 + 1}}},
+	} {
+		if _, err := q.appendTo(nil); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: encoder says %v, want a bad request", name, err)
+		}
+	}
+}
+
+// TestRequestDecodeRefusals names the malformed read requests a node must
+// answer with bad_request (the fuzz corpus carries the same shapes).
+func TestRequestDecodeRefusals(t *testing.T) {
+	valid := encodeRequest(t, &readRequest{Epoch: 1, Rect: grid.Rect{Lo: grid.Coord{2, 3}, Hi: grid.Coord{4, 5}}})
+	mutate := func(f func(b []byte)) []byte {
+		b := bytes.Clone(valid)
+		f(b)
+		return b
+	}
+	cases := []struct {
+		name, contentType string
+		body              []byte
+		aggregate         bool
+	}{
+		{"wrong content type", "application/json", valid, false},
+		{"empty", requestContentType, nil, false},
+		{"short header", requestContentType, valid[:requestHeaderLen-1], false},
+		{"cut short", requestContentType, valid[:len(valid)-1], false},
+		{"trailing byte", requestContentType, append(bytes.Clone(valid), 0), false},
+		{"too large", requestContentType, append(bytes.Clone(valid), make([]byte, smallPayloadLimit)...), false},
+		{"bad magic", requestContentType, mutate(func(b []byte) { b[0] = 'X' }), false},
+		{"wrong version", requestContentType, mutate(func(b []byte) { b[3] = 2 }), false},
+		{"unknown kind", requestContentType, mutate(func(b []byte) { b[4] = byte(batch.OpMax) + 2 }), true},
+		{"aggregate kind on /v1/query", requestContentType, mutate(func(b []byte) { b[4] = 1 }), false},
+		{"records kind on /v1/aggregate", requestContentType, valid, true},
+		{"no axes", requestContentType, mutate(func(b []byte) { b[5] = 0 })[:requestHeaderLen], false},
+		{"axes overstated", requestContentType, mutate(func(b []byte) { b[5] = 3 }), false},
+		{"bucket list", requestContentType, mutate(func(b []byte) { le.PutUint32(b[20:], 1) }), false},
+		{"coordinate past MaxInt32", requestContentType, mutate(func(b []byte) { le.PutUint32(b[requestHeaderLen+4:], math.MaxInt32+1) }), false},
+	}
+	for _, c := range cases {
+		_, err := decodeRequest(c.contentType, bytes.NewReader(c.body), c.aggregate)
+		if ErrorCode(err) != CodeBadRequest {
+			t.Errorf("%s: %v, want %s", c.name, err, CodeBadRequest)
+		}
+		if c.name == "too large" && (err == nil || !strings.Contains(err.Error(), "request body too large")) {
+			t.Errorf("too large: %v", err)
+		}
+	}
+	if _, err := decodeRequest(requestContentType, bytes.NewReader(valid), false); err != nil {
+		t.Fatalf("a valid request: %v", err)
+	}
+}
+
+// FuzzRequestDecode feeds decodeRequest arbitrary bytes on both read
+// endpoints. It must never panic and must refuse only as a bad request;
+// whatever it accepts must encode back to the very same bytes, so no two
+// byte strings mean the same request; and no input is accepted by both
+// endpoints — its kind names one.
+//
+// The committed corpus (testdata/fuzz/FuzzRequestDecode) pins one verdict
+// per shape: four valid requests (a router leg, a copier's one-bucket read
+// at −1000, a one-axis MAX aggregate, a four-axis COUNT) and the refusal
+// table of TestRequestDecodeRefusals but for its content-type and size
+// rows.
+func FuzzRequestDecode(f *testing.F) {
+	f.Add(encodeRequest(f, &readRequest{Epoch: 1, Priority: -500, Rect: grid.Rect{Lo: grid.Coord{3, 3}, Hi: grid.Coord{3, 3}}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		accepted := 0
+		for _, aggregate := range []bool{false, true} {
+			req, err := decodeRequest(requestContentType, bytes.NewReader(data), aggregate)
+			if err != nil {
+				if !errors.Is(err, ErrBadRequest) {
+					t.Fatalf("aggregate=%v: refused as %v, not as a bad request", aggregate, err)
+				}
+				continue
+			}
+			accepted++
+			if again, err := req.appendTo(nil); err != nil || !bytes.Equal(again, data) {
+				t.Fatalf("accepted request re-encodes differently (%v):\n in %x\nout %x", err, data, again)
+			}
+		}
+		if accepted > 1 {
+			t.Fatalf("both read endpoints accepted %x", data)
+		}
+	})
+}
+
 // TestRaggedPageDrawsErrorEnvelope: a record set that is not k values
 // wide throughout is refused by the encoder, and the handler's writer
 // answers with the JSON error envelope — never a half-written 200.
@@ -325,7 +462,8 @@ func TestExchangeHoldsErrorBodiesSmall(t *testing.T) {
 				_, _ = w.Write(huge)
 			}))
 			var leg pageLeg
-			err := exchange(context.Background(), srv.Client(), 0, srv.URL+"/v1/query", queryRequest{Epoch: 1}, &leg, recordPayloadLimit)
+			req := &readRequest{Epoch: 1, Rect: grid.Rect{Lo: grid.Coord{0}, Hi: grid.Coord{0}}}
+			err := exchange(context.Background(), srv.Client(), 0, srv.URL+"/v1/query", req, &leg, recordPayloadLimit)
 			srv.Close()
 			switch {
 			case leg.body != nil:
@@ -352,9 +490,14 @@ func TestNodeRefusesOversizedRequestBody(t *testing.T) {
 			}
 		}
 		for _, path := range []string{"/v1/query", "/v1/aggregate", "/v1/migrate/prepare", "/v1/migrate/cutover", "/v1/migrate/abort"} {
-			// Valid JSON for every endpoint's decoder, a megabyte of
-			// leading blanks too long.
-			resp, err := http.Post(tc.h.URL(0)+path, "application/json", strings.NewReader(pad+`{"epoch":1}`))
+			// Valid JSON for every control endpoint's decoder, a megabyte
+			// of leading blanks too long; to the read endpoints, a
+			// megabyte and a byte under the request content type.
+			contentType, body := "application/json", pad+`{"epoch":1}`
+			if path == "/v1/query" || path == "/v1/aggregate" {
+				contentType, body = requestContentType, pad+" "
+			}
+			resp, err := http.Post(tc.h.URL(0)+path, contentType, strings.NewReader(body))
 			if err != nil {
 				t.Fatalf("slow=%v %s: %v", slow, path, err)
 			}
@@ -465,11 +608,15 @@ func (w *nullResponse) Write(p []byte) (int, error) {
 // query's bucket reader carries a per-disk stamp chain (one object per
 // node query, four legs per search). Counted frames and the run-walk
 // gather left them there: 36 for either node query, 252 for the 6×6
-// search and 254 for the 48×48.
+// search and 254 for the 48×48. The binary read request and a last leg
+// run on the caller's goroutine took them to 23 for either node query,
+// 187 for the 6×6 search and 189 for the 48×48; a four-leg aggregate
+// measured 157 for either rect.
 const (
-	perRecordSlack     = 64
-	nodeQueryBudget    = 38
-	routerSearchBudget = 273
+	perRecordSlack        = 64
+	nodeQueryBudget       = 25
+	routerSearchBudget    = 205
+	routerAggregateBudget = 172
 )
 
 // TestNodeQueryZeroAllocsPerRecord gates one node's handleQuery.
@@ -491,11 +638,16 @@ func TestNodeQueryZeroAllocsPerRecord(t *testing.T) {
 				sub = sq.Rect
 			}
 		}
-		body := []byte(fmt.Sprintf(`{"rect":{"lo":[%d,%d],"hi":[%d,%d]},"epoch":1}`, sub.Lo[0], sub.Lo[1], sub.Hi[0], sub.Hi[1]))
+		body, err := (&readRequest{Epoch: 1, Rect: sub}).appendTo(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		w := &nullResponse{header: http.Header{}}
 		return func() {
 			*w = nullResponse{header: w.header}
-			handler.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+			req := httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body))
+			req.Header.Set("Content-Type", requestContentType)
+			handler.ServeHTTP(w, req)
 			if w.status != 0 || w.n <= frameHeaderLen {
 				t.Fatalf("query answered status %d with %d bytes", w.status, w.n)
 			}
@@ -519,6 +671,25 @@ func TestRouterSearchZeroAllocsPerRecord(t *testing.T) {
 		}
 	}
 	checkAllocBudget(t, "Router.Search", search(large), search(small), routerSearchBudget)
+}
+
+// TestRouterAggregateZeroAllocsPerBucket gates a four-node
+// Router.Aggregate: its legs carry no records, so the 48×48 rect costs
+// what the 6×6 one does.
+func TestRouterAggregateZeroAllocsPerBucket(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime allocates in goroutine bookkeeping; the alloc gate runs in the no-race CI step")
+	}
+	_, rt, large, small := allocFixture(t)
+	aggregate := func(q grid.Rect) func() {
+		return func() {
+			res, err := rt.Aggregate(context.Background(), batch.AggregateQuery{Rect: q, Op: batch.OpSum, Attr: 1})
+			if err != nil || res.SubQueries != 4 || res.Count == 0 {
+				t.Fatalf("aggregate %v: %v, %+v", q, err, res)
+			}
+		}
+	}
+	checkAllocBudget(t, "Router.Aggregate", aggregate(large), aggregate(small), routerAggregateBudget)
 }
 
 // TestRouterSearchZeroAllocsBytesPerRecord is the byte gate beside the
