@@ -225,6 +225,13 @@ func unionMembers(a, b *ShardMap) []int {
 
 // post performs one POST /v1/migrate/<step> exchange.
 func (c *copier) post(ctx context.Context, member int, step string, payload any) error {
-	url := strings.TrimRight(c.endpoints[member], "/") + "/v1/migrate/" + step
-	return exchange(ctx, c.client, c.timeout, url, payload, nil, recordPayloadLimit)
+	body, contentType, err := encodeBody(payload)
+	if err != nil {
+		return err
+	}
+	to, err := newRoute(strings.TrimRight(c.endpoints[member], "/")+"/v1/migrate/"+step, contentType)
+	if err != nil {
+		return err
+	}
+	return exchange(ctx, c.client, c.timeout, &to, body, nil, recordPayloadLimit)
 }

@@ -490,7 +490,7 @@ func TestRebuildDropsPrevEpoch(t *testing.T) {
 		t.Fatalf("member 0 does not lose %v in the join: not the scenario under test", cell.Lo)
 	}
 	want := len(tc.refIDs(t, cell))
-	leg, err := callNode(ctx, tc.h.Router(), searchOp, 0, cell, from.Epoch())
+	leg, err := callNode(ctx, tc.h.Router(), searchOp, 0, []grid.Rect{cell}, from.Epoch())
 	if err != nil {
 		t.Fatalf("epoch %d leg before the rebuild: %v", from.Epoch(), err)
 	}
@@ -502,7 +502,7 @@ func TestRebuildDropsPrevEpoch(t *testing.T) {
 	if _, err := RebuildNode(ctx, RebuildConfig{Map: tc.h.Map(), Endpoints: tc.h.URLs()}, tc.h.Node(0)); err != nil {
 		t.Fatal(err)
 	}
-	leg, err = callNode(ctx, tc.h.Router(), searchOp, 0, cell, from.Epoch())
+	leg, err = callNode(ctx, tc.h.Router(), searchOp, 0, []grid.Rect{cell}, from.Epoch())
 	var stale *StaleEpochError
 	if !errors.As(err, &stale) || stale.NodeEpoch != join.To.Epoch() {
 		n := -1
@@ -855,7 +855,7 @@ func TestMigrateLostCutoverAckServesPendingEpoch(t *testing.T) {
 		if !slices.Contains(plan.To.ShardMembers(sh.ID), lost) {
 			continue
 		}
-		leg, err := callNode(ctx, rt, searchOp, lost, sh.Rect, plan.To.Epoch())
+		leg, err := callNode(ctx, rt, searchOp, lost, []grid.Rect{sh.Rect}, plan.To.Epoch())
 		if err != nil {
 			t.Fatalf("member %d, shard %d at pending epoch %d: %v", lost, sh.ID, plan.To.Epoch(), err)
 		}

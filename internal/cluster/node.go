@@ -323,13 +323,14 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	sm, sched, err := n.admit(req.Rect, req.Epoch)
+	rect := req.Rects[0] // a query carries one
+	sm, sched, err := n.admit(rect, req.Epoch)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	start := time.Now()
-	res, err := sched.Do(r.Context(), serve.Query{Rect: req.Rect, Priority: req.Priority})
+	res, err := sched.Do(r.Context(), serve.Query{Rect: rect, Priority: req.Priority})
 	// Only foreground reads are the node's serving latency: a copier's
 	// below-zero reads queue behind them by design. Failures count too: a
 	// shed or timed-out query is the latency signal at its loudest, and
@@ -343,7 +344,7 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer res.Release() // back to the scheduler's pool once the answer is framed
-	writePage(w, &recordPage{Epoch: sm.Epoch(), Buckets: req.Rect.Volume(), Degraded: res.Degraded, Counts: res.RecordsPerBucket, Records: res.Records})
+	writePage(w, &recordPage{Epoch: sm.Epoch(), Buckets: rect.Volume(), Degraded: res.Degraded, Counts: res.RecordsPerBucket, Records: res.Records})
 }
 
 // aggregateIndex returns the node's aggregate index, rebuilding it when
@@ -371,20 +372,23 @@ func (n *Node) aggregateIndex() (*batch.AggregateIndex, error) {
 	return ix, nil
 }
 
-// handleAggregate answers one aggregate sub-query from the node's
-// summed-area index — zero bucket reads, no scheduler admission.
-// Admission matches handleQuery, pending epoch included: admit's
-// readiness check leaves every bucket of the rect in the file once.
+// handleAggregate answers an aggregate leg from the node's summed-area
+// index — zero bucket reads, no scheduler admission. Each of the leg's
+// rects is admitted as handleQuery admits its one, pending epoch
+// included: admit's readiness check leaves every bucket of the rect in
+// the file once. The rects' partials merge into the one answer.
 func (n *Node) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	req, err := decodeRequest(r.Header.Get("Content-Type"), r.Body, true)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	sm, _, err := n.admit(req.Rect, req.Epoch)
-	if err != nil {
-		writeError(w, err)
-		return
+	var sm *ShardMap
+	for _, rect := range req.Rects {
+		if sm, _, err = n.admit(rect, req.Epoch); err != nil {
+			writeError(w, err)
+			return
+		}
 	}
 	ix, err := n.aggregateIndex()
 	if err != nil {
@@ -392,13 +396,20 @@ func (n *Node) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	res, err := ix.Aggregate(batch.AggregateQuery{Rect: req.Rect, Op: batch.AggregateOp(req.Kind - 1), Attr: req.Attr})
+	q := batch.AggregateQuery{Op: batch.AggregateOp(req.Kind - 1), Attr: req.Attr}
+	parts := make([]batch.AggregateResult, len(req.Rects), maxRequestRects)
+	for i, rect := range req.Rects {
+		q.Rect = rect
+		if parts[i], err = ix.Aggregate(q); err != nil {
+			break
+		}
+	}
 	n.lat.Observe(time.Since(start))
 	if err != nil {
 		writeError(w, badRequestError{err})
 		return
 	}
-	writePage(w, &aggregateResponse{AggregateResult: res, Epoch: sm.Epoch()})
+	writePage(w, &aggregateResponse{AggregateResult: batch.MergeAggregates(q.Op, q.Attr, parts), Epoch: sm.Epoch()})
 }
 
 // handlePrepare stages the next-epoch map (PREPARE). Idempotent for the

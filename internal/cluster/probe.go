@@ -51,7 +51,11 @@ func ProbeHealth(ctx context.Context, client *http.Client, base string) (Health,
 		client = http.DefaultClient
 	}
 	var h Health
-	if err := exchange(ctx, client, 0, base+"/v1/health", nil, &h, smallPayloadLimit); err != nil {
+	to, err := newRoute(base+"/v1/health", "")
+	if err == nil {
+		err = exchange(ctx, client, 0, &to, nil, &h, smallPayloadLimit)
+	}
+	if err != nil {
 		return Health{}, fmt.Errorf("cluster: health probe of %s: %w", base, err)
 	}
 	return h, nil

@@ -273,8 +273,16 @@ func (c *copier) copyBucket(ctx context.Context, donors []int, cell grid.Coord, 
 // at the copier's priority, stamped with its epoch.
 func (c *copier) fetchBucketFrom(ctx context.Context, base string, cell grid.Coord) ([]datagen.Record, error) {
 	var page recordPage
-	req := &readRequest{Epoch: c.epoch, Priority: c.priority, Rect: grid.Rect{Lo: cell, Hi: cell}}
-	if err := exchange(ctx, c.client, c.timeout, strings.TrimRight(base, "/")+"/v1/query", req, &page, recordPayloadLimit); err != nil {
+	req := &readRequest{Epoch: c.epoch, Priority: c.priority, Rects: []grid.Rect{{Lo: cell, Hi: cell}}}
+	body, err := req.appendTo(nil)
+	if err != nil {
+		return nil, err
+	}
+	to, err := newRoute(strings.TrimRight(base, "/")+"/v1/query", requestContentType)
+	if err != nil {
+		return nil, err
+	}
+	if err := exchange(ctx, c.client, c.timeout, &to, body, &page, recordPayloadLimit); err != nil {
 		return nil, err
 	}
 	return page.Records, nil

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"decluster/internal/batch"
@@ -119,7 +120,8 @@ type Router struct {
 	brk      *serve.Breakers // health and the holder choice, one slot per endpoint
 	hedge    time.Duration
 	sink     *obs.Sink
-	urls     map[int]string // member ID → base URL, fixed at NewRouter
+	routes   map[int]*[2]route // member ID → its queryRoute and aggregateRoute, fixed at NewRouter
+	turn     atomic.Uint32     // rotates aggregate covers (planCover)
 
 	mu sync.RWMutex
 	sm *ShardMap
@@ -140,7 +142,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Endpoints) < cfg.Map.Nodes() {
 		return nil, fmt.Errorf("cluster: %d endpoints for %d nodes", len(cfg.Endpoints), cfg.Map.Nodes())
 	}
-	urls := make(map[int]string, len(cfg.Endpoints))
+	routes := make(map[int]*[2]route, len(cfg.Endpoints))
 	for i, u := range cfg.Endpoints {
 		if u == "" {
 			return nil, fmt.Errorf("cluster: empty endpoint at index %d", i)
@@ -149,7 +151,14 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		if i < cfg.Map.Nodes() {
 			member = cfg.Map.MemberAt(i)
 		}
-		urls[member] = strings.TrimRight(u, "/")
+		var rs [2]route
+		for r, path := range readPaths {
+			var err error
+			if rs[r], err = newRoute(strings.TrimRight(u, "/")+path, requestContentType); err != nil {
+				return nil, err
+			}
+		}
+		routes[member] = &rs
 	}
 	brk, err := serve.NewBreakers(cfg.Breaker, len(cfg.Endpoints))
 	if err != nil {
@@ -166,7 +175,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		client = &http.Client{}
 	}
 	rt := &Router{
-		sm: cfg.Map, urls: urls, client: client,
+		sm: cfg.Map, routes: routes, client: client,
 		deadline: cfg.NodeDeadline, retry: cfg.Retry,
 		brk: brk, hedge: cfg.HedgeAfter, sink: cfg.Obs,
 	}
@@ -238,51 +247,68 @@ func retryTransient(err error) bool {
 		errors.Is(err, serve.ErrClosed)
 }
 
-// legOp is what distinguishes one kind of scatter from another: where a
-// leg is sent, what it carries and — through R — what comes back. The
-// scatter machinery below never looks at which op it serves.
+// The two read routes, as legOp.route names them.
+const (
+	queryRoute = iota
+	aggregateRoute
+)
+
+var readPaths = [...]string{queryRoute: "/v1/query", aggregateRoute: "/v1/aggregate"}
+
+// legOp is what distinguishes one kind of scatter from another: how its
+// legs are planned, where a leg is sent, what it carries and — through R
+// — what comes back. The scatter machinery below never looks at which op
+// it serves.
 type legOp[R any] struct {
-	path  string      // endpoint under the member's base URL
+	route int         // queryRoute or aggregateRoute
+	cover bool        // planCover's legs, one per covering holder; else planShards's, one per piece
 	span  string      // sub-query span label
 	limit int64       // response size cap
-	req   readRequest // every leg's request, but for the rect and epoch each leg fills in
-	// vet checks a decoded answer against the rect it answers; an answer
+	req   readRequest // every leg's request, but for the rects and epoch each leg fills in
+	// vet checks a decoded answer against the rects it answers; an answer
 	// it refuses fails the leg like a bad body.
-	vet func(resp *R, rect grid.Rect) error
+	vet func(resp *R, rects []grid.Rect) error
 }
 
 // searchOp's legs come back as views over pooled bodies, which searchEpoch
 // releases after the merge. A leg must count its records per bucket of
 // the rect it was asked for: those counts are what gather walks.
 var searchOp = legOp[pageLeg]{
-	path: "/v1/query", span: "shard", limit: recordPayloadLimit,
-	vet: func(leg *pageLeg, rect grid.Rect) error {
-		if !leg.counted || leg.buckets != rect.Volume() {
+	route: queryRoute, span: "shard", limit: recordPayloadLimit,
+	vet: func(leg *pageLeg, rects []grid.Rect) error {
+		if !leg.counted || leg.buckets != rects[0].Volume() {
 			leg.release()
-			return fmt.Errorf("cluster: malformed answer for %v: %d buckets, counted %v", rect, leg.buckets, leg.counted)
+			return fmt.Errorf("cluster: malformed answer for %v: %d buckets, counted %v", rects[0], leg.buckets, leg.counted)
 		}
 		return nil
 	},
 }
 
 // aggregateOp is the leg op of one aggregate query. A leg must answer the
-// op asked, over every bucket of its rect (a node's index always covers
-// the rect's volume): merged, any other answer is a wrong number.
+// op asked, over every bucket of its rects (a node's index always covers
+// a rect's volume): merged, any other answer is a wrong number.
 func aggregateOp(q batch.AggregateQuery) legOp[aggregateResponse] {
 	return legOp[aggregateResponse]{
-		path: "/v1/aggregate", span: "agg shard", limit: smallPayloadLimit,
+		route: aggregateRoute, cover: true, span: "agg shard", limit: smallPayloadLimit,
 		req: readRequest{Kind: byte(q.Op) + 1, Attr: q.Attr},
-		vet: func(a *aggregateResponse, rect grid.Rect) error {
-			if a.Op != q.Op || a.Buckets != rect.Volume() {
-				return fmt.Errorf("cluster: malformed answer for %v: %s over %d buckets, asked %s", rect, a.Op, a.Buckets, q.Op)
+		vet: func(a *aggregateResponse, rects []grid.Rect) error {
+			buckets := 0
+			for _, r := range rects {
+				buckets += r.Volume()
+			}
+			if a.Op != q.Op || a.Buckets != buckets {
+				return fmt.Errorf("cluster: malformed answer for %v: %s over %d buckets, asked %s over %d", rects, a.Op, a.Buckets, q.Op, buckets)
 			}
 			return nil
 		},
 	}
 }
 
-// subOutcome is one sub-query's answer (resp is nil iff err is set).
+// subOutcome is one leg's answer (resp is nil iff err is set): of a
+// one-piece leg, or of a merged leg that answered whole. A zero outcome,
+// subs nil, is an empty slot.
 type subOutcome[R any] struct {
+	subs            []SubQuery // the pieces it answers
 	resp            *R
 	node            int // answering member
 	retries, hedges int
@@ -290,8 +316,12 @@ type subOutcome[R any] struct {
 	err             error
 }
 
-// gathered is one scatter round: the sub-queries and every one's outcome,
-// in decomposition order, plus the round's attempt accounting.
+// gathered is one scatter round: the sub-queries in decomposition order,
+// and one slot per sub-query for the outcomes, plus the round's attempt
+// accounting. A leg owns the slots from its first, one per piece: a
+// merged leg that answers fills the first, one split back fills them
+// all. A search's legs are one per piece in decomposition order, so its
+// outcomes line up with subs.
 type gathered[R any] struct {
 	subs                       []SubQuery
 	outs                       []subOutcome[R]
@@ -437,7 +467,7 @@ func gather(q grid.Rect, subs []SubQuery, outs []subOutcome[pageLeg]) []datagen.
 	}
 }
 
-// scatter decomposes q under sm, runs every per-shard sub-query
+// scatter decomposes q under sm, plans its legs (legOp.cover), runs them
 // concurrently — the last on the caller's goroutine, so a one-leg query
 // spawns nothing and that leg's deep call chain runs on a stack already
 // grown — and gathers the outcomes. With every piece answered it
@@ -453,23 +483,29 @@ func scatter[R any](ctx context.Context, rt *Router, op legOp[R], q grid.Rect, s
 	if err != nil {
 		return nil, err
 	}
+	var legs []legPlan
+	if op.cover {
+		legs = planCover(subs, sm, rt.brk, rt.hedge, int(rt.turn.Add(1)-1))
+	} else {
+		legs = planShards(subs, sm)
+	}
 	g := &gathered[R]{subs: subs, outs: make([]subOutcome[R], len(subs))}
 	var wg sync.WaitGroup
-	last := len(subs) - 1 // a rect decomposes into at least one piece
-	for i, sq := range subs[:last] {
+	last := len(legs) - 1 // a rect decomposes into at least one piece
+	for _, l := range legs[:last] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			g.outs[i] = runSub(ctx, rt, op, sq, sm, parent)
+			runLeg(ctx, rt, op, l, sm, parent, g.outs)
 		}()
 	}
-	g.outs[last] = runSub(ctx, rt, op, subs[last], sm, parent)
+	runLeg(ctx, rt, op, legs[last], sm, parent, g.outs)
 	wg.Wait()
 
 	var missed []SubQuery
 	var subErr error
 	var stale *StaleEpochError
-	for i, o := range g.outs {
+	for _, o := range g.outs {
 		g.retries += o.retries
 		g.hedges += o.hedges
 		if o.hedgeWon {
@@ -485,7 +521,7 @@ func scatter[R any](ctx context.Context, rt *Router, op legOp[R], q grid.Rect, s
 		if errors.As(o.err, &se) && (stale == nil || se.NodeEpoch > stale.NodeEpoch) {
 			stale = se
 		}
-		missed = append(missed, subs[i])
+		missed = append(missed, o.subs...)
 		if subErr == nil {
 			subErr = o.err
 		}
@@ -502,13 +538,50 @@ func scatter[R any](ctx context.Context, rt *Router, op legOp[R], q grid.Rect, s
 	return g, nil
 }
 
-// runSub answers one sub-query: Retry.MaxAttempts attempts, each led by
-// Breakers.Lead's replica (the next in rotation, skipping open breakers
-// when a closed one exists, and on the first attempt members on
-// probation), each a race (one hedge.Racer serves them all) against
-// Breakers.Backup's replica, Retry.Wait apart. A lead overtaken by its
-// timed hedge goes on probation (Breakers.Settle). Candidates are stable
-// member IDs.
+// runLeg answers one planned leg into its slots of outs. A merged leg
+// that fails splits back into one-piece sub-queries, run concurrently,
+// each as runSub runs a piece from its second attempt on, the merged
+// leg's failure its first: its shard's holders in rotation from the
+// failed lead, so the first retry goes to another holder, with the retry
+// budget, hedges and backoff of any piece. Only a stale epoch — every
+// piece would draw it, and the follow loop adopts the newer map — or a
+// caller gone leaves the merged failure standing.
+func runLeg[R any](ctx context.Context, rt *Router, op legOp[R], l legPlan, sm *ShardMap, parent *obs.Span, outs []subOutcome[R]) {
+	o := runSub(ctx, rt, op, l, sm, parent, nil)
+	if o.err == nil || !l.merged() || ctx.Err() != nil || errors.Is(o.err, ErrStaleEpoch) {
+		outs[l.first] = o
+		return
+	}
+	cause := errors.Unwrap(o.err) // the attempt's own error, not runSub's summary
+	var wg sync.WaitGroup
+	last := len(l.subs) - 1
+	for i, sq := range l.subs {
+		piece := legPlan{first: l.first + i, subs: l.subs[i : i+1], rects: l.rects[i : i+1],
+			holders: leadFirst(sm.ShardMembers(sq.Shard), l.holders[0])}
+		if i == last {
+			outs[piece.first] = runSub(ctx, rt, op, piece, sm, parent, cause)
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[piece.first] = runSub(ctx, rt, op, piece, sm, parent, cause)
+		}()
+	}
+	wg.Wait()
+}
+
+// runSub answers one leg. A fresh leg (failed nil) starts at attempt 0; a
+// piece split back from a merged leg that failed with failed continues
+// at attempt 1, failed standing as its last error. A one-piece leg
+// gets Retry.MaxAttempts attempts, each led by Breakers.Lead's holder
+// (the next in rotation, skipping open breakers when a closed one exists,
+// and on the first attempt members on probation), each a race (one
+// hedge.Racer serves them all) against Breakers.Backup's holder,
+// Retry.Wait apart. A lead overtaken by its timed hedge goes on
+// probation (Breakers.Settle). A merged leg gets one attempt, at its one
+// holder, with no backup: runLeg splits a failure back into its pieces.
+// Candidates are stable member IDs.
 //
 // The configured attempt budget is a floor, not a ceiling: when the
 // caller set a deadline, that deadline is the real budget, and node
@@ -520,10 +593,10 @@ func scatter[R any](ctx context.Context, rt *Router, op legOp[R], q grid.Rect, s
 // Without a deadline the budget exhausts and the sub-query degrades to
 // a partial result, so a shard with no live replica fails fast. Only
 // typed refusals (below) prove another round is pointless.
-func runSub[R any](ctx context.Context, rt *Router, op legOp[R], sq SubQuery, sm *ShardMap, parent *obs.Span) subOutcome[R] {
+func runSub[R any](ctx context.Context, rt *Router, op legOp[R], l legPlan, sm *ShardMap, parent *obs.Span, failed error) subOutcome[R] {
 	var span *obs.Span // labels are formatted only for a live trace
 	if parent != nil {
-		span = parent.Child(fmt.Sprintf("%s %d %v", op.span, sq.Shard, sq.Rect))
+		span = parent.Child(l.label(op.span))
 	}
 	leg := func(lctx context.Context, node int, hedgeLeg bool) (*R, error) {
 		var s *obs.Span
@@ -534,7 +607,7 @@ func runSub[R any](ctx context.Context, rt *Router, op legOp[R], sq SubQuery, sm
 			}
 			s = span.Child(fmt.Sprintf("%s node %d", kind, node))
 		}
-		resp, err := callNode(lctx, rt, op, node, sq.Rect, sm.Epoch())
+		resp, err := callNode(lctx, rt, op, node, l.rects, sm.Epoch())
 		s.FinishErr(err)
 		if !hedgeLeg {
 			// A lead whose leg context was cancelled while the sub-query
@@ -547,12 +620,18 @@ func runSub[R any](ctx context.Context, rt *Router, op legOp[R], sq SubQuery, sm
 	}
 	var racer hedge.Racer[*R]
 	defer racer.Release()
-	candidates := sm.ShardMembers(sq.Shard)
-	var o subOutcome[R]
-	_, hasDeadline := ctx.Deadline()
-	var lastErr error
-	attempt := 0
-	for ; attempt < rt.retry.MaxAttempts || hasDeadline; attempt++ {
+	o := subOutcome[R]{subs: l.subs}
+	budget, hasDeadline := rt.retry.MaxAttempts, false
+	if l.merged() {
+		budget = 1
+	} else {
+		_, hasDeadline = ctx.Deadline()
+	}
+	attempt, lastErr := 0, failed
+	if failed != nil {
+		attempt = 1
+	}
+	for ; attempt < budget || hasDeadline; attempt++ {
 		if attempt > 0 {
 			o.retries++
 			if err := rt.retry.Wait(ctx, attempt); err != nil {
@@ -561,8 +640,8 @@ func runSub[R any](ctx context.Context, rt *Router, op legOp[R], sq SubQuery, sm
 				return o
 			}
 		}
-		node := rt.brk.Lead(candidates, attempt)
-		backup, after := rt.brk.Backup(candidates, node, rt.hedge)
+		node := rt.brk.Lead(l.holders, attempt)
+		backup, after := rt.brk.Backup(l.holders, node, rt.hedge)
 		resp, winner, hedged, err := racer.Race(ctx, hedge.Now(), after, node, backup, leg, preferLegError)
 		if hedged {
 			o.hedges++
@@ -588,7 +667,7 @@ func runSub[R any](ctx context.Context, rt *Router, op legOp[R], sq SubQuery, sm
 			break
 		}
 	}
-	o.err = fmt.Errorf("cluster: %s %d exhausted %d attempts: %w", op.span, sq.Shard, attempt, lastErr)
+	o.err = fmt.Errorf("cluster: %s exhausted %d attempts: %w", l.label(op.span), attempt, lastErr)
 	span.FinishErr(o.err)
 	return o
 }
@@ -615,16 +694,19 @@ func preferLegError(cur, next error) error {
 // per-node deadline on top of ctx (the leg's context: hedge-race and
 // caller cancellation both arrive through it). Node health only
 // integrates errors that indict the node itself — see breakerCountable.
-func callNode[R any](ctx context.Context, rt *Router, op legOp[R], node int, rect grid.Rect, epoch uint64) (*R, error) {
+func callNode[R any](ctx context.Context, rt *Router, op legOp[R], node int, rects []grid.Rect, epoch uint64) (*R, error) {
 	resp := new(R)
 	start := time.Now()
 	var err error
-	if url, ok := rt.urls[node]; ok {
+	if routes, ok := rt.routes[node]; ok {
 		req := op.req
-		req.Rect, req.Epoch = rect, epoch
-		err = exchange(ctx, rt.client, rt.deadline, url+op.path, &req, resp, op.limit)
+		req.Rects, req.Epoch = rects, epoch
+		var body []byte
+		if body, err = req.appendTo(nil); err == nil {
+			err = exchange(ctx, rt.client, rt.deadline, &routes[op.route], body, resp, op.limit)
+		}
 		if err == nil {
-			err = op.vet(resp, rect)
+			err = op.vet(resp, rects)
 		}
 	} else {
 		err = fmt.Errorf("cluster: no endpoint for member %d", node)
@@ -662,14 +744,16 @@ type AggregateResult struct {
 }
 
 // Aggregate answers COUNT/SUM/MIN/MAX over a rectangle across the
-// cluster: the rect decomposes into per-shard pieces, each piece is
-// answered by a shard member's disk-free summed-area index through the
-// same scatter as Search (rotation, backoff, hedging, breakers), and
-// the partials merge exactly. Only the current epoch is asked. Unlike
-// Search, any uncovered piece fails the whole query: a partial sum or
-// count is not a degraded answer, it is a wrong one — the *PartialError
-// names the uncovered sub-rectangles. Stale-epoch adoption follows the
-// same gossip path as Search.
+// cluster: the rect decomposes into per-shard pieces, the fewest holders
+// that cover them each answer theirs in one leg from a disk-free
+// summed-area index (planCover), and the partials merge exactly. Every
+// leg runs the same scatter as Search (rotation, backoff, hedging,
+// breakers); a merged leg that fails splits back into one leg per piece.
+// Only the current epoch is asked. Unlike Search, any uncovered piece
+// fails the whole query: a partial sum or count is not a degraded
+// answer, it is a wrong one — the *PartialError names the uncovered
+// sub-rectangles. Stale-epoch adoption follows the same gossip path as
+// Search.
 func (rt *Router) Aggregate(ctx context.Context, q batch.AggregateQuery) (*AggregateResult, error) {
 	rt.mAggregates.Inc()
 	start := time.Now()
@@ -690,13 +774,15 @@ func (rt *Router) Aggregate(ctx context.Context, q batch.AggregateQuery) (*Aggre
 			}
 			return nil, err
 		}
-		parts := make([]batch.AggregateResult, len(g.outs))
-		for i, o := range g.outs {
-			parts[i] = o.resp.AggregateResult
+		parts := make([]batch.AggregateResult, 0, len(g.outs))
+		for _, o := range g.outs {
+			if o.resp != nil { // an empty slot has none
+				parts = append(parts, o.resp.AggregateResult)
+			}
 		}
 		return &AggregateResult{
 			AggregateResult: batch.MergeAggregates(q.Op, q.Attr, parts),
-			SubQueries:      len(g.outs), Retries: g.retries, Epoch: cur.Epoch(),
+			SubQueries:      len(g.subs), Retries: g.retries, Epoch: cur.Epoch(),
 		}, nil
 	})
 	if err != nil {

@@ -48,7 +48,7 @@ var routerOps = []routerOp{
 			return res.Retries, res.EpochFollows, nil
 		},
 		leg: func(ctx context.Context, rt *Router, member int, rect grid.Rect, epoch uint64) error {
-			_, err := callNode(ctx, rt, searchOp, member, rect, epoch)
+			_, err := callNode(ctx, rt, searchOp, member, []grid.Rect{rect}, epoch)
 			return err
 		},
 	},
@@ -75,7 +75,7 @@ var routerOps = []routerOp{
 		},
 		leg: func(ctx context.Context, rt *Router, member int, rect grid.Rect, epoch uint64) error {
 			q := batch.AggregateQuery{Rect: rect, Op: batch.OpCount}
-			_, err := callNode(ctx, rt, aggregateOp(q), member, rect, epoch)
+			_, err := callNode(ctx, rt, aggregateOp(q), member, []grid.Rect{rect}, epoch)
 			return err
 		},
 	},
@@ -398,7 +398,7 @@ func TestNodeAggregateRefusesPendingEpoch(t *testing.T) {
 	ctx := context.Background()
 	sum := func(rect grid.Rect, epoch uint64) (*aggregateResponse, error) {
 		q := batch.AggregateQuery{Rect: rect, Op: batch.OpSum, Attr: 1}
-		return callNode(ctx, tc.h.Router(), aggregateOp(q), dest, rect, epoch)
+		return callNode(ctx, tc.h.Router(), aggregateOp(q), dest, []grid.Rect{rect}, epoch)
 	}
 	want, err := sum(held, cur.Epoch())
 	if err != nil {

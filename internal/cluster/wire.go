@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	neturl "net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -34,15 +35,21 @@ import (
 //
 // Read request (requestContentType), the body of /v1/query and /v1/aggregate:
 //
-//	offset  size  field
-//	0       4     magic "DGQ" + version 1
-//	4       1     kind: 0 records, on /v1/query; 1–4 COUNT/SUM/MIN/MAX, on /v1/aggregate
-//	5       1     k, rect axes (at least 1)
-//	6       2     attr, the attribute an aggregate reduces
-//	8       8     epoch
-//	16      4     priority, int32
-//	20      4     bucket-list count: 0, the section is reserved
-//	24      8·k   lo[k], then hi[k], uint32 each, at most MaxInt32
+//	offset  size    field
+//	0       4       magic "DGQ" + version 2 (version 1 had no rect count and one rect)
+//	4       1       kind: 0 records, on /v1/query; 1–4 COUNT/SUM/MIN/MAX, on /v1/aggregate
+//	5       1       k, rect axes (at least 1)
+//	6       2       attr, the attribute an aggregate reduces
+//	8       8       epoch
+//	16      4       priority, int32
+//	20      4       bucket-list count: 0, the section is reserved
+//	24      4       n, rects: 1 to maxRequestRects; exactly 1 on /v1/query
+//	28      8·k·n   rects, each lo[k] then hi[k], uint32 each, at most MaxInt32
+//
+// The length is exactly 28 + 8·k·n: n is read, never derived from the
+// length. The rects must be pairwise disjoint — a bucket in two of them
+// would be counted twice. An aggregate's answer folds every rect into
+// one partial; a /v1/query leg still carries one rect.
 //
 // Aggregate answer (aggregateContentType), 48 bytes: uint32 op (as the
 // request's kind), uint32 buckets, int64 count, float64 bits of sum, min
@@ -69,14 +76,14 @@ import (
 //
 // Endpoints:
 //
-//	POST /v1/query            read request (kind 0)   → record frame (router legs; rebuild/migration bucket reads)
-//	POST /v1/aggregate        read request (kind 1–4) → aggregate answer (disk-free kernel)
-//	GET  /v1/health                                   → Health
-//	GET  /v1/shards                                   → shardsResponse
-//	POST /v1/migrate/prepare  prepareRequest          → epochResponse
-//	POST /v1/migrate/bucket   record frame            → epochResponse
-//	POST /v1/migrate/cutover  epochRequest            → epochResponse
-//	POST /v1/migrate/abort    epochRequest            → epochResponse
+//	POST /v1/query            read request, kind 0, one rect      → record frame (router legs; rebuild/migration bucket reads)
+//	POST /v1/aggregate        read request, kind 1–4, 1–16 rects  → aggregate answer over all its rects (disk-free kernel)
+//	GET  /v1/health                                               → Health
+//	GET  /v1/shards                                               → shardsResponse
+//	POST /v1/migrate/prepare  prepareRequest                      → epochResponse
+//	POST /v1/migrate/bucket   record frame                        → epochResponse
+//	POST /v1/migrate/cutover  epochRequest                        → epochResponse
+//	POST /v1/migrate/abort    epochRequest                        → epochResponse
 //
 // Epochs: every data request carries the sender's map epoch (maps are
 // born at epoch 1). An epoch the node does not serve — zero included —
@@ -85,7 +92,8 @@ import (
 // follow migrations without a coordination service.
 //
 // Every client in the package (router legs, rebuilder, migrator, health
-// probe) talks to a node through exchange, and every handler answers
+// probe) talks to a node through exchange, on a route it parsed once —
+// the router at NewRouter, the others per call — and every handler answers
 // through writePage / writeJSON / writeError. Every frame received passes
 // parseFrame, whether it is then materialised (decode) or gathered from
 // in place (the router's legs); every read request passes decodeRequest.
@@ -102,9 +110,12 @@ const (
 	frameHeaderLen   = 24
 
 	requestContentType = "application/x-decluster-request"
-	requestMagic       = "DGQ\x01"
-	requestHeaderLen   = 24
-	maxRequestLen      = requestHeaderLen + 8*math.MaxUint8
+	requestMagic       = "DGQ\x02"
+	requestHeaderLen   = 28
+	// maxRequestRects caps a read request's rect count: an aggregate leg
+	// carries one rect per shard its holder answers, at most the map's
+	// replica count, and the router splits a larger group.
+	maxRequestRects = 16
 
 	aggregateContentType = "application/x-decluster-aggregate"
 )
@@ -295,53 +306,75 @@ func (l *pageLeg) release() {
 	*l = pageLeg{}
 }
 
-// exchange performs one HTTP round trip against a node. A non-nil in is
-// POSTed — a binaryBody in its layout, anything else as JSON — otherwise
-// the request is a GET; a positive timeout bounds this call on top of
-// ctx. The response is read whole, sized from its Content-Length, and
-// refused when longer than limit bytes — smallPayloadLimit for a non-200
-// answer, whatever the call site's cap: an error envelope is small. A
-// non-200 answer decodes through decodeErrorBody into the typed error
-// the node raised; a 200 decodes into out — a *recordPage, *pageLeg or
+// route is a node endpoint as exchange sends to it: its URL, parsed
+// once, and the header set of every request to it. The header set is
+// shared by every request on the route and written by none; exchange
+// gives a client with a cookie jar, which adds its cookies to the
+// request's header, a copy.
+type route struct {
+	url    *neturl.URL
+	header http.Header
+}
+
+// newRoute parses a node endpoint's URL. A route that takes POSTs names
+// the content type of the bodies it is sent; a GET route passes "".
+// Every POST in the protocol is idempotent by design — queries and
+// aggregates are reads; prepare, bucket ingest, cutover and abort all
+// tolerate replays. The Idempotency-Key header (its value is the
+// endpoint's last path segment) marks the POST replayable so the
+// transport transparently retries when a pooled keep-alive connection —
+// closed by a node that restarted since — surfaces EOF on first reuse,
+// instead of burning a whole attempt on a dead conn.
+func newRoute(rawURL, contentType string) (route, error) {
+	u, err := neturl.Parse(rawURL)
+	if err != nil {
+		return route{}, fmt.Errorf("cluster: endpoint %q: %w", rawURL, err)
+	}
+	header := http.Header{}
+	if contentType != "" {
+		header = http.Header{"Content-Type": {contentType}, "Idempotency-Key": {rawURL[strings.LastIndexByte(rawURL, '/')+1:]}}
+	}
+	return route{url: u, header: header}, nil
+}
+
+// encodeBody encodes a POST body: a binaryBody in its layout, anything
+// else as JSON. It returns the content type to send it as.
+func encodeBody(in any) ([]byte, string, error) {
+	if b, ok := in.(binaryBody); ok {
+		data, err := b.appendTo(nil)
+		return data, b.contentType(), err
+	}
+	data, err := json.Marshal(in)
+	return data, "application/json", err
+}
+
+// exchange performs one HTTP round trip against a node, through
+// client.Do. A non-nil body is POSTed under the route's header set —
+// its content type the one the route was built for — otherwise the
+// request is a GET; a positive timeout bounds this call on top of ctx.
+// The response is read whole, sized from its Content-Length, and refused
+// when longer than limit bytes — smallPayloadLimit for a non-200 answer,
+// whatever the call site's cap: an error envelope is small. A non-200
+// answer decodes through decodeErrorBody into the typed error the node
+// raised; a 200 decodes into out — a *recordPage, *pageLeg or
 // *aggregateResponse from its layout, anything else from JSON, nil
 // discards it.
-func exchange(ctx context.Context, client *http.Client, timeout time.Duration, url string, in, out any, limit int64) (err error) {
+func exchange(ctx context.Context, client *http.Client, timeout time.Duration, to *route, body []byte, out any, limit int64) (err error) {
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	method, body, contentType := http.MethodGet, io.Reader(nil), "application/json"
-	if in != nil {
-		var data []byte
-		var err error
-		if b, ok := in.(binaryBody); ok {
-			contentType = b.contentType()
-			data, err = b.appendTo(nil)
-		} else {
-			data, err = json.Marshal(in)
-		}
-		if err != nil {
-			return err
-		}
-		method, body = http.MethodPost, bytes.NewReader(data)
+	req := http.Request{Method: http.MethodGet, URL: to.url, Host: to.url.Host, Header: to.header}
+	if body != nil {
+		req.Method, req.ContentLength = http.MethodPost, int64(len(body))
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
 	}
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
-	if err != nil {
-		return err
+	if client.Jar != nil {
+		req.Header = req.Header.Clone()
 	}
-	if in != nil {
-		req.Header.Set("Content-Type", contentType)
-		// Every POST in the protocol is idempotent by design — queries and
-		// aggregates are reads; prepare, bucket ingest, cutover and abort
-		// all tolerate replays. The header (its value is the endpoint's
-		// last path segment) marks the POST replayable so the transport
-		// transparently retries when a pooled keep-alive connection —
-		// closed by a node that restarted since — surfaces EOF on first
-		// reuse, instead of burning a whole attempt on a dead conn.
-		req.Header.Set("Idempotency-Key", url[strings.LastIndexByte(url, '/')+1:])
-	}
-	resp, err := client.Do(req)
+	resp, err := client.Do(req.WithContext(ctx))
 	if err != nil {
 		return err
 	}
@@ -378,7 +411,7 @@ func exchange(ctx context.Context, client *http.Client, timeout time.Duration, u
 		return err
 	}
 	if size > limit {
-		return fmt.Errorf("cluster: %s: response exceeds %d bytes", url, limit)
+		return fmt.Errorf("cluster: %s: response exceeds %d bytes", to.url, limit)
 	}
 	if resp.StatusCode != http.StatusOK {
 		return decodeErrorBody(resp.StatusCode, data)
@@ -393,7 +426,7 @@ func exchange(ctx context.Context, client *http.Client, timeout time.Duration, u
 		err = json.Unmarshal(data, out)
 	}
 	if err != nil {
-		return fmt.Errorf("cluster: %s: bad response body: %w", url, err)
+		return fmt.Errorf("cluster: %s: bad response body: %w", to.url, err)
 	}
 	return nil
 }
@@ -410,47 +443,66 @@ func toWireRect(r grid.Rect) wireRect {
 
 // readRequest is the node's one read request: a router leg or a copier's
 // one-bucket read on /v1/query, an aggregate leg on /v1/aggregate. The
-// node must hold every bucket of Rect under the map at Epoch.
+// node must hold every bucket of every rect under the map at Epoch.
 type readRequest struct {
 	Kind     byte   // 0 for the rect's records, 1 + the batch.AggregateOp for an aggregate
 	Attr     int    // the attribute an aggregate reduces
 	Epoch    uint64 // the shard-map epoch the sender routed against
 	Priority int    // admission tier: 0 for a router leg, below 0 for a copier's read
-	Rect     grid.Rect
+	Rects    []grid.Rect
 }
 
 // appendTo encodes q onto buf[:0]. A request the layout cannot carry is
 // refused as the bad request the node would refuse it as.
 func (q *readRequest) appendTo(buf []byte) ([]byte, error) {
-	k := len(q.Rect.Lo)
-	fits := k > 0 && k <= math.MaxUint8 && len(q.Rect.Hi) == k && uint(q.Attr) <= math.MaxUint16 && int(int32(q.Priority)) == q.Priority
-	buf = append(slices.Grow(buf[:0], requestHeaderLen+8*k), requestMagic...)
+	k := 0
+	if len(q.Rects) > 0 {
+		k = len(q.Rects[0].Lo)
+	}
+	fits := k > 0 && k <= math.MaxUint8 && len(q.Rects) <= maxRequestRects && uint(q.Attr) <= math.MaxUint16 && int(int32(q.Priority)) == q.Priority
+	buf = append(slices.Grow(buf[:0], requestHeaderLen+8*k*len(q.Rects)), requestMagic...)
 	buf = le.AppendUint16(append(buf, q.Kind, byte(k)), uint16(q.Attr))
 	buf = le.AppendUint32(le.AppendUint32(le.AppendUint64(buf, q.Epoch), uint32(int32(q.Priority))), 0)
-	for _, corner := range [2]grid.Coord{q.Rect.Lo, q.Rect.Hi} {
-		for _, c := range corner {
-			fits = fits && uint(c) <= math.MaxInt32
-			buf = le.AppendUint32(buf, uint32(c))
+	buf = le.AppendUint32(buf, uint32(len(q.Rects)))
+	for _, r := range q.Rects {
+		fits = fits && len(r.Lo) == k && len(r.Hi) == k
+		for _, corner := range [2]grid.Coord{r.Lo, r.Hi} {
+			for _, c := range corner {
+				fits = fits && uint(c) <= math.MaxInt32
+				buf = le.AppendUint32(buf, uint32(c))
+			}
 		}
 	}
 	if !fits {
-		return nil, badRequestError{fmt.Errorf("cluster: read of %v (attr %d, priority %d) does not fit a read request", q.Rect, q.Attr, q.Priority)}
+		return nil, badRequestError{fmt.Errorf("cluster: read of %v (attr %d, priority %d) does not fit a read request", q.Rects, q.Attr, q.Priority)}
 	}
 	return buf, nil
 }
 
 // decodeRequest reads a read request POSTed to /v1/aggregate (aggregate
 // set) or /v1/query. It checks the content type, the smallPayloadLimit
-// cap, magic and version, exact length, a kind the endpoint serves, no
-// bucket list and coordinates ≤ MaxInt32, refusing as a bad request. It
-// allocates only the rect's coordinates.
+// cap, magic and version, a kind the endpoint serves, no bucket list, a
+// rect count from 1 to maxRequestRects (exactly 1 on /v1/query), the
+// exact length that count makes, coordinates ≤ MaxInt32 and pairwise
+// disjoint rects, refusing as a bad request. It allocates only the rects
+// and their coordinates.
 func decodeRequest(contentType string, body io.Reader, aggregate bool) (readRequest, error) {
 	bp := pageBufs.Get().(*[]byte)
 	defer pageBufs.Put(bp)
-	*bp = slices.Grow((*bp)[:0], maxRequestLen+1)
-	data := (*bp)[:maxRequestLen+1]
+	// The header sizes the read: the rects it announces (no more than the
+	// cap allows) and one byte more, which must not come.
+	*bp = slices.Grow((*bp)[:0], requestHeaderLen)
+	data := (*bp)[:requestHeaderLen]
 	n, err := io.ReadFull(body, data)
-	if err == nil { // longer than any request; read on only to the cap
+	if err == nil {
+		size := requestHeaderLen + 8*int(data[5])*int(min(le.Uint32(data[24:]), maxRequestRects))
+		*bp = slices.Grow(data, size+1-len(data))
+		data = (*bp)[:size+1]
+		var m int
+		m, err = io.ReadFull(body, data[requestHeaderLen:])
+		n += m
+	}
+	if err == nil { // longer than its header says; read on only to the cap
 		rest, _ := io.Copy(io.Discard, io.LimitReader(body, smallPayloadLimit))
 		if n, err = n+int(rest), nil; n > smallPayloadLimit {
 			return readRequest{}, badRequestError{fmt.Errorf("request body too large: over %d bytes", smallPayloadLimit)}
@@ -459,21 +511,50 @@ func decodeRequest(contentType string, body io.Reader, aggregate bool) (readRequ
 		return readRequest{}, badRequestError{fmt.Errorf("bad request body: %w", err)}
 	}
 	data = data[:min(n, len(data))]
+	if contentType == requestContentType && n >= 4 && string(data[:3]) == requestMagic[:3] && data[3] != requestMagic[3] {
+		return readRequest{}, badRequestError{fmt.Errorf("read request version %d; this node reads version %d", data[3], requestMagic[3])}
+	}
 	if contentType != requestContentType || n < requestHeaderLen || string(data[:4]) != requestMagic ||
-		data[4] > byte(batch.OpMax)+1 || (data[4] > 0) != aggregate || data[5] == 0 || n != requestHeaderLen+8*int(data[5]) || le.Uint32(data[20:]) != 0 {
+		data[4] > byte(batch.OpMax)+1 || (data[4] > 0) != aggregate || data[5] == 0 || le.Uint32(data[20:]) != 0 {
 		return readRequest{}, badRequestError{fmt.Errorf("not a read request for this endpoint (%q, %d bytes)", contentType, n)}
 	}
-	k := int(data[5])
-	coords := make([]int, 2*k)
+	k, count := int(data[5]), le.Uint32(data[24:])
+	if count == 0 || count > maxRequestRects || (count > 1 && !aggregate) {
+		return readRequest{}, badRequestError{fmt.Errorf("read request of %d rects: an aggregate takes 1 to %d, a query 1", count, maxRequestRects)}
+	}
+	if n != requestHeaderLen+8*k*int(count) {
+		return readRequest{}, badRequestError{fmt.Errorf("read request of %d rects of %d axes is %d bytes long", count, k, n)}
+	}
+	coords, rects := make([]int, 2*k*int(count)), make([]grid.Rect, count)
 	for i := range coords {
 		if coords[i] = int(le.Uint32(data[requestHeaderLen+4*i:])); coords[i] > math.MaxInt32 {
 			return readRequest{}, badRequestError{fmt.Errorf("read request coordinate %d out of range", coords[i])}
 		}
 	}
+	for i := range rects {
+		c := coords[2*k*i:]
+		rects[i] = grid.Rect{Lo: c[:k:k], Hi: c[k : 2*k : 2*k]}
+		for _, prev := range rects[:i] {
+			if overlap(prev, rects[i]) {
+				return readRequest{}, badRequestError{fmt.Errorf("read request rects %v and %v overlap", prev, rects[i])}
+			}
+		}
+	}
 	return readRequest{
 		Kind: data[4], Attr: int(le.Uint16(data[6:])), Epoch: le.Uint64(data[8:]), Priority: int(int32(le.Uint32(data[16:]))),
-		Rect: grid.Rect{Lo: coords[:k:k], Hi: coords[k:]},
+		Rects: rects,
 	}, nil
+}
+
+// overlap reports whether rects a and b, of one dimensionality, share a
+// bucket.
+func overlap(a, b grid.Rect) bool {
+	for i := range a.Lo {
+		if a.Lo[i] > b.Hi[i] || b.Lo[i] > a.Hi[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // aggregateResponse carries one partial aggregate, ready for

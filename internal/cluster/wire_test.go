@@ -9,11 +9,17 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/cookiejar"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -265,29 +271,40 @@ func encodeRequest(t testing.TB, q *readRequest) []byte {
 	return data
 }
 
-// TestRequestRoundTrip: a read request of 1 to 4 axes and of every kind,
-// at priorities down to MinInt32 and coordinates up to MaxInt32, decodes
-// on its endpoint to what was encoded and encodes back to the same bytes.
-// A request the layout cannot carry is refused by the encoder as the bad
+// TestRequestRoundTrip: a read request of 1 to 4 axes and of every kind
+// — an aggregate of 1 to maxRequestRects disjoint rects — at priorities
+// down to MinInt32 and coordinates up to MaxInt32, decodes on its
+// endpoint to what was encoded and encodes back to the same bytes. A
+// request the layout cannot carry is refused by the encoder as the bad
 // request the node would refuse it as.
 func TestRequestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	for k := 1; k <= 4; k++ {
 		for kind := byte(0); kind <= byte(batch.OpMax)+1; kind++ {
 			for _, prio := range []int{0, -500, -1000, math.MinInt32, math.MaxInt32} {
-				want := readRequest{Kind: kind, Attr: rng.Intn(1 << 16), Epoch: rng.Uint64(), Priority: prio,
-					Rect: grid.Rect{Lo: make(grid.Coord, k), Hi: make(grid.Coord, k)}}
-				for i := range want.Rect.Lo {
-					want.Rect.Lo[i], want.Rect.Hi[i] = rng.Intn(1<<31), rng.Intn(1<<31)
+				n := 1
+				if kind > 0 {
+					n = 1 + rng.Intn(maxRequestRects)
 				}
-				want.Rect.Hi[k-1] = math.MaxInt32
+				want := readRequest{Kind: kind, Attr: rng.Intn(1 << 16), Epoch: rng.Uint64(), Priority: prio, Rects: make([]grid.Rect, n)}
+				for j := range want.Rects {
+					r := grid.Rect{Lo: make(grid.Coord, k), Hi: make(grid.Coord, k)}
+					for i := range r.Lo {
+						r.Lo[i], r.Hi[i] = rng.Intn(1<<31), rng.Intn(1<<31)
+					}
+					// Disjoint on axis 0: rect j within [j·2²⁷, (j+1)·2²⁷).
+					r.Lo[0] = j<<27 + rng.Intn(1<<26)
+					r.Hi[0] = r.Lo[0] + rng.Intn(1<<26)
+					want.Rects[j] = r
+				}
+				want.Rects[n-1].Hi[k-1] = math.MaxInt32
 				data := encodeRequest(t, &want)
 				got, err := decodeRequest(requestContentType, bytes.NewReader(data), kind > 0)
 				if err != nil {
 					t.Fatalf("k=%d kind=%d priority=%d: %v", k, kind, prio, err)
 				}
 				if got.Kind != want.Kind || got.Attr != want.Attr || got.Epoch != want.Epoch || got.Priority != want.Priority ||
-					!slices.Equal(got.Rect.Lo, want.Rect.Lo) || !slices.Equal(got.Rect.Hi, want.Rect.Hi) {
+					!slices.EqualFunc(got.Rects, want.Rects, func(a, b grid.Rect) bool { return slices.Equal(a.Lo, b.Lo) && slices.Equal(a.Hi, b.Hi) }) {
 					t.Fatalf("k=%d kind=%d: decoded %+v, want %+v", k, kind, got, want)
 				}
 				if again := encodeRequest(t, &got); !bytes.Equal(again, data) {
@@ -297,15 +314,21 @@ func TestRequestRoundTrip(t *testing.T) {
 		}
 	}
 	one := grid.Rect{Lo: grid.Coord{1, 2}, Hi: grid.Coord{3, 4}}
+	overCap := make([]grid.Rect, maxRequestRects+1)
+	for i := range overCap {
+		overCap[i] = grid.Rect{Lo: grid.Coord{i, 0}, Hi: grid.Coord{i, 0}}
+	}
 	for name, q := range map[string]readRequest{
 		"no axes":               {},
-		"ragged rect":           {Rect: grid.Rect{Lo: grid.Coord{1, 2}, Hi: grid.Coord{3}}},
-		"256 axes":              {Rect: grid.Rect{Lo: make(grid.Coord, 256), Hi: make(grid.Coord, 256)}},
-		"attr past uint16":      {Attr: 1 << 16, Rect: one},
-		"negative attr":         {Attr: -1, Rect: one},
-		"priority past int32":   {Priority: math.MaxInt32 + 1, Rect: one},
-		"negative coordinate":   {Rect: grid.Rect{Lo: grid.Coord{-1, 2}, Hi: grid.Coord{3, 4}}},
-		"coordinate past int32": {Rect: grid.Rect{Lo: grid.Coord{1, 2}, Hi: grid.Coord{3, math.MaxInt32 + 1}}},
+		"ragged rect":           {Rects: []grid.Rect{{Lo: grid.Coord{1, 2}, Hi: grid.Coord{3}}}},
+		"256 axes":              {Rects: []grid.Rect{{Lo: make(grid.Coord, 256), Hi: make(grid.Coord, 256)}}},
+		"attr past uint16":      {Attr: 1 << 16, Rects: []grid.Rect{one}},
+		"negative attr":         {Attr: -1, Rects: []grid.Rect{one}},
+		"priority past int32":   {Priority: math.MaxInt32 + 1, Rects: []grid.Rect{one}},
+		"negative coordinate":   {Rects: []grid.Rect{{Lo: grid.Coord{-1, 2}, Hi: grid.Coord{3, 4}}}},
+		"coordinate past int32": {Rects: []grid.Rect{{Lo: grid.Coord{1, 2}, Hi: grid.Coord{3, math.MaxInt32 + 1}}}},
+		"rects of unequal axes": {Kind: 1, Rects: []grid.Rect{one, {Lo: grid.Coord{5}, Hi: grid.Coord{6}}}},
+		"rects over the cap":    {Kind: 1, Rects: overCap},
 	} {
 		if _, err := q.appendTo(nil); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("%s: encoder says %v, want a bad request", name, err)
@@ -316,11 +339,28 @@ func TestRequestRoundTrip(t *testing.T) {
 // TestRequestDecodeRefusals names the malformed read requests a node must
 // answer with bad_request (the fuzz corpus carries the same shapes).
 func TestRequestDecodeRefusals(t *testing.T) {
-	valid := encodeRequest(t, &readRequest{Epoch: 1, Rect: grid.Rect{Lo: grid.Coord{2, 3}, Hi: grid.Coord{4, 5}}})
+	valid := encodeRequest(t, &readRequest{Epoch: 1, Rects: []grid.Rect{{Lo: grid.Coord{2, 3}, Hi: grid.Coord{4, 5}}}})
 	mutate := func(f func(b []byte)) []byte {
 		b := bytes.Clone(valid)
 		f(b)
 		return b
+	}
+	sum := func(rects ...grid.Rect) []byte {
+		return encodeRequest(t, &readRequest{Kind: byte(batch.OpSum) + 1, Epoch: 1, Rects: rects})
+	}
+	cells := make([]grid.Rect, maxRequestRects+1)
+	for i := range cells {
+		cells[i] = grid.Rect{Lo: grid.Coord{i, 0}, Hi: grid.Coord{i, 0}}
+	}
+	three, atCap := sum(cells[:3]...), sum(cells[:maxRequestRects]...)
+	recount := func(b []byte, n uint32) []byte {
+		b = bytes.Clone(b)
+		le.PutUint32(b[24:], n)
+		return b
+	}
+	overCap := recount(atCap, maxRequestRects+1) // and one cell more than the encoder would carry
+	for _, c := range append(cells[maxRequestRects].Lo, cells[maxRequestRects].Hi...) {
+		overCap = le.AppendUint32(overCap, uint32(c))
 	}
 	cases := []struct {
 		name, contentType string
@@ -334,7 +374,8 @@ func TestRequestDecodeRefusals(t *testing.T) {
 		{"trailing byte", requestContentType, append(bytes.Clone(valid), 0), false},
 		{"too large", requestContentType, append(bytes.Clone(valid), make([]byte, smallPayloadLimit)...), false},
 		{"bad magic", requestContentType, mutate(func(b []byte) { b[0] = 'X' }), false},
-		{"wrong version", requestContentType, mutate(func(b []byte) { b[3] = 2 }), false},
+		{"version 1", requestContentType, mutate(func(b []byte) { b[3] = 1 }), false},
+		{"version 3", requestContentType, mutate(func(b []byte) { b[3] = 3 }), false},
 		{"unknown kind", requestContentType, mutate(func(b []byte) { b[4] = byte(batch.OpMax) + 2 }), true},
 		{"aggregate kind on /v1/query", requestContentType, mutate(func(b []byte) { b[4] = 1 }), false},
 		{"records kind on /v1/aggregate", requestContentType, valid, true},
@@ -342,6 +383,14 @@ func TestRequestDecodeRefusals(t *testing.T) {
 		{"axes overstated", requestContentType, mutate(func(b []byte) { b[5] = 3 }), false},
 		{"bucket list", requestContentType, mutate(func(b []byte) { le.PutUint32(b[20:], 1) }), false},
 		{"coordinate past MaxInt32", requestContentType, mutate(func(b []byte) { le.PutUint32(b[requestHeaderLen+4:], math.MaxInt32+1) }), false},
+		{"no rects", requestContentType, recount(valid, 0)[:requestHeaderLen], false},
+		{"no rects on /v1/aggregate", requestContentType, recount(three, 0)[:requestHeaderLen], true},
+		{"rect count overstated", requestContentType, recount(three, 4), true},
+		{"rect count understated", requestContentType, recount(three, 2), true},
+		{"rects over the cap", requestContentType, overCap, true},
+		{"overlapping rects", requestContentType, sum(tcRect(0, 0, 3, 3), tcRect(3, 3, 5, 5)), true},
+		{"a rect twice", requestContentType, sum(cells[1], cells[2], cells[1]), true},
+		{"two rects on /v1/query", requestContentType, encodeRequest(t, &readRequest{Epoch: 1, Rects: cells[:2]}), false},
 	}
 	for _, c := range cases {
 		_, err := decodeRequest(c.contentType, bytes.NewReader(c.body), c.aggregate)
@@ -355,6 +404,54 @@ func TestRequestDecodeRefusals(t *testing.T) {
 	if _, err := decodeRequest(requestContentType, bytes.NewReader(valid), false); err != nil {
 		t.Fatalf("a valid request: %v", err)
 	}
+	for _, ok := range [][]byte{three, atCap} {
+		if req, err := decodeRequest(requestContentType, bytes.NewReader(ok), true); err != nil || len(req.Rects) != int(le.Uint32(ok[24:])) {
+			t.Fatalf("an aggregate of %d disjoint rects: %v", le.Uint32(ok[24:]), err)
+		}
+	}
+}
+
+// tcRect is the two-axis rect lo..hi.
+func tcRect(x0, y0, x1, y1 int) grid.Rect {
+	return grid.Rect{Lo: grid.Coord{x0, y0}, Hi: grid.Coord{x1, y1}}
+}
+
+// TestRequestCorpusVerdicts pins the committed FuzzRequestDecode corpus's
+// verdicts: an entry named valid-… is accepted by exactly one read
+// endpoint, every other entry by neither.
+func TestRequestCorpusVerdicts(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzRequestDecode")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || err != nil {
+			t.Fatalf("%s: not a one-[]byte corpus entry (%v)", e.Name(), err)
+		}
+		accepted := 0
+		for _, aggregate := range []bool{false, true} {
+			_, err := decodeRequest(requestContentType, strings.NewReader(data), aggregate)
+			if err == nil {
+				accepted++
+			} else if e.Name() == "wrong-version" && !strings.Contains(err.Error(), "version 1;") {
+				t.Errorf("%s: refused as %v, want the version named", e.Name(), err)
+			}
+		}
+		want := 0
+		if strings.HasPrefix(e.Name(), "valid-") {
+			want = 1
+		}
+		if accepted != want {
+			t.Errorf("%s: accepted by %d read endpoints, want %d", e.Name(), accepted, want)
+		}
+	}
 }
 
 // FuzzRequestDecode feeds decodeRequest arbitrary bytes on both read
@@ -364,12 +461,17 @@ func TestRequestDecodeRefusals(t *testing.T) {
 // endpoints — its kind names one.
 //
 // The committed corpus (testdata/fuzz/FuzzRequestDecode) pins one verdict
-// per shape: four valid requests (a router leg, a copier's one-bucket read
-// at −1000, a one-axis MAX aggregate, a four-axis COUNT) and the refusal
+// per shape, as TestRequestCorpusVerdicts checks: five valid requests (a
+// router leg, a copier's one-bucket read at −1000, a one-axis MAX
+// aggregate, a four-axis COUNT, a three-rect SUM) and refusals — the
 // table of TestRequestDecodeRefusals but for its content-type and size
-// rows.
+// rows, and the multi-rect shapes: no rects, a count past the cap, an
+// overstated count, overlapping rects, two rects on /v1/query. Its
+// wrong-version entry is a version-1 router leg, the one-rect layout
+// before the rect count: an older peer's request is refused by its
+// version, not its length.
 func FuzzRequestDecode(f *testing.F) {
-	f.Add(encodeRequest(f, &readRequest{Epoch: 1, Priority: -500, Rect: grid.Rect{Lo: grid.Coord{3, 3}, Hi: grid.Coord{3, 3}}}))
+	f.Add(encodeRequest(f, &readRequest{Epoch: 1, Priority: -500, Rects: []grid.Rect{{Lo: grid.Coord{3, 3}, Hi: grid.Coord{3, 3}}}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		accepted := 0
 		for _, aggregate := range []bool{false, true} {
@@ -410,6 +512,61 @@ func TestRaggedPageDrawsErrorEnvelope(t *testing.T) {
 	}
 }
 
+// routeTo parses url as a route for contentType ("" for a GET route).
+func routeTo(t *testing.T, url, contentType string) *route {
+	t.Helper()
+	to, err := newRoute(url, contentType)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &to
+}
+
+// TestExchangeKeepsRouteHeaderForCookieJar: a client with a cookie jar
+// adds its cookies to each request's header. Concurrent exchanges on one
+// route get the node's cookie back, each on its own copy: the route's
+// shared header set stays as newRoute built it.
+func TestExchangeKeepsRouteHeaderForCookieJar(t *testing.T) {
+	var cookies atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if _, err := r.Cookie("session"); err == nil {
+			cookies.Add(1)
+		}
+		http.SetCookie(w, &http.Cookie{Name: "session", Value: "1"})
+		writeJSON(w, epochResponse{Epoch: 1})
+	}))
+	defer srv.Close()
+	jar, err := cookiejar.New(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := srv.Client()
+	client.Jar = jar
+	body, contentType, err := encodeBody(epochRequest{Epoch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	to := routeTo(t, srv.URL+"/v1/migrate/abort", contentType)
+	want := to.header.Clone()
+	if err := exchange(context.Background(), client, 0, to, body, nil, smallPayloadLimit); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := exchange(context.Background(), client, 0, to, body, nil, smallPayloadLimit); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(to.header, want) || cookies.Load() != 8 {
+		t.Fatalf("route header %v after the jar's exchanges (built %v); %d of 8 carried the cookie", to.header, want, cookies.Load())
+	}
+}
+
 // TestExchangeRefusesOverCapResponse: an answer longer than the call
 // site's cap is refused by name — with a Content-Length before a byte is
 // read, without one as soon as the extra byte arrives — instead of being
@@ -430,7 +587,7 @@ func TestExchangeRefusesOverCapResponse(t *testing.T) {
 			_, _ = w.Write(body[limit/2:])
 		}))
 		var out epochResponse
-		err := exchange(context.Background(), srv.Client(), 0, srv.URL+"/v1/health", nil, &out, limit)
+		err := exchange(context.Background(), srv.Client(), 0, routeTo(t, srv.URL+"/v1/health", ""), nil, &out, limit)
 		srv.Close()
 		want := fmt.Sprintf("cluster: %s/v1/health: response exceeds %d bytes", srv.URL, limit)
 		if err == nil || err.Error() != want {
@@ -462,8 +619,8 @@ func TestExchangeHoldsErrorBodiesSmall(t *testing.T) {
 				_, _ = w.Write(huge)
 			}))
 			var leg pageLeg
-			req := &readRequest{Epoch: 1, Rect: grid.Rect{Lo: grid.Coord{0}, Hi: grid.Coord{0}}}
-			err := exchange(context.Background(), srv.Client(), 0, srv.URL+"/v1/query", req, &leg, recordPayloadLimit)
+			body := encodeRequest(t, &readRequest{Epoch: 1, Rects: []grid.Rect{{Lo: grid.Coord{0}, Hi: grid.Coord{0}}}})
+			err := exchange(context.Background(), srv.Client(), 0, routeTo(t, srv.URL+"/v1/query", requestContentType), body, &leg, recordPayloadLimit)
 			srv.Close()
 			switch {
 			case leg.body != nil:
@@ -611,7 +768,11 @@ func (w *nullResponse) Write(p []byte) (int, error) {
 // search and 254 for the 48×48. The binary read request and a last leg
 // run on the caller's goroutine took them to 23 for either node query,
 // 187 for the 6×6 search and 189 for the 48×48; a four-leg aggregate
-// measured 157 for either rect.
+// measured 157 for either rect. Legs built on routes parsed once, and
+// aggregates sent as one leg per covering holder (two, for either rect),
+// measure 24 for either node query (the request's rect list is one more
+// object), 169 for the 6×6 search and 170 or 171 for the 48×48, and 106 for
+// either aggregate.
 const (
 	perRecordSlack        = 64
 	nodeQueryBudget       = 25
@@ -638,7 +799,7 @@ func TestNodeQueryZeroAllocsPerRecord(t *testing.T) {
 				sub = sq.Rect
 			}
 		}
-		body, err := (&readRequest{Epoch: 1, Rect: sub}).appendTo(nil)
+		body, err := (&readRequest{Epoch: 1, Rects: []grid.Rect{sub}}).appendTo(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -696,7 +857,7 @@ func TestRouterAggregateZeroAllocsPerBucket(t *testing.T) {
 // object gate: a 48×48 search may allocate the answer the caller keeps —
 // 32 bytes of Record and 8k of values a record — a quarter on top, and
 // 64 KB of per-request overhead. A second materialisation of the records,
-// or unpooled leg bodies, does not fit. Measured: 1,484,408 bytes for
+// or unpooled leg bodies, does not fit. Measured: 1,425,316 bytes for
 // 28,194 records of 2 values against a budget of 1,757,176.
 func TestRouterSearchZeroAllocsBytesPerRecord(t *testing.T) {
 	if raceEnabled {

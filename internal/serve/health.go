@@ -459,6 +459,15 @@ func (h *Breakers) Lead(holders []int, attempt int) int {
 	return holders[attempt%n]
 }
 
+// Leads reports whether endpoint d, listed first, leads a first attempt
+// (Lead): its breaker allows it and it is in good standing. Unlike Lead
+// it never claims a probation probe; a healthy endpoint costs one atomic
+// load.
+func (h *Breakers) Leads(d int) bool {
+	t := h.tracker(d)
+	return h.allow(t) && !t.onProbation()
+}
+
 // Backup returns the holder that a read led by lead races — the first
 // allowed holder other than lead, preferring one in good standing; -1
 // when after <= 0 (hedging off) or none exists — and the delay to arm the
