@@ -25,9 +25,8 @@ type Config struct {
 	// probes and migration traffic.
 	Client *http.Client
 	// Obs optionally receives the controller's own metric set
-	// (autopilot.*) and supplies the router's cluster.node.latency
-	// family for the windowed p99 signal; without it the controller
-	// scales on queue depth and shed rate alone.
+	// (autopilot.*). The signals do not depend on it: they come from the
+	// nodes' health replies and the router's breakers.
 	Obs *obs.Sink
 	// Tick is the control-loop period (default 50ms).
 	Tick time.Duration
@@ -132,8 +131,8 @@ func New(cfg Config) (*Controller, error) {
 	c := &Controller{
 		cfg:     cfg,
 		machine: NewMachine(cfg.Policy),
-		watch: newWatcher(cfg.Router, cfg.Endpoints, cfg.Client,
-			max(cfg.Tick, minProbeTimeout), cfg.Obs, windowTicks),
+		watch: &watcher{router: cfg.Router, endpoints: cfg.Endpoints, client: cfg.Client,
+			timeout: max(cfg.Tick, minProbeTimeout), window: windowTicks},
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}

@@ -128,9 +128,9 @@ const (
 )
 
 // Signals is one tick's windowed view of cluster health — everything
-// the machine is allowed to know. The controller assembles it from the
-// router's per-node latency family and /v1/health probes; tests
-// assemble it by hand.
+// the machine is allowed to know. The controller assembles it from
+// /v1/health probes (each node's latency histogram, queue, sheds, epochs,
+// standby state) and the router's breakers; tests assemble it by hand.
 type Signals struct {
 	// P99 is the worst per-node p99 latency over the sliding window.
 	P99 time.Duration

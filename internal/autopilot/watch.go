@@ -11,49 +11,29 @@ import (
 )
 
 // tickSample is one tick's cumulative observations — the ring of these
-// is what turns the registry's lifetime counters into sliding windows.
+// is what turns the nodes' lifetime counters into sliding windows. Both
+// are kept per member, not summed, so one member's counter reset after a
+// restart re-anchors only that member instead of corrupting the
+// cluster-wide window (see window.go).
 type tickSample struct {
 	at      time.Time
-	lat     []obs.HistogramSnapshot // per member, from cluster.node.latency
-	nodeLat []obs.HistogramSnapshot // per member, node-reported via /v1/health
-	// shedPer holds each member's cumulative shed count. Kept per member
-	// — not summed — so one member's counter reset after a restart
-	// re-anchors only that member instead of corrupting the cluster-wide
-	// window (see window.go).
+	latency []obs.HistogramSnapshot // per member, node-reported via /v1/health
 	shedPer []uint64
 }
 
 // watcher assembles Signals each tick: windowed per-node p99 from the
-// router's latency family (falling back, per member, to the latency
-// histogram the node itself reports in health replies — the signal a
-// standalone controller lives on, since its own router serves no
-// queries), live queue depth / shed / epoch / standby state from
-// parallel /v1/health probes, breaker state straight from the router.
+// latency histogram each node reports in its health reply, live queue
+// depth / shed / epoch / standby state from the same parallel
+// /v1/health probes, breaker state straight from the router. The nodes'
+// own histograms are the one latency source, so an embedded controller
+// and a standalone one (whose router serves no queries) read the same.
 type watcher struct {
 	router    *cluster.Router
 	endpoints []string
 	client    *http.Client
 	timeout   time.Duration
-	lat       *obs.HistogramFamily // nil without a sink
 	window    int
 	ring      []tickSample // oldest first, ≤ window entries
-}
-
-func newWatcher(rt *cluster.Router, endpoints []string, client *http.Client,
-	timeout time.Duration, sink *obs.Sink, window int) *watcher {
-	w := &watcher{
-		router:    rt,
-		endpoints: endpoints,
-		client:    client,
-		timeout:   timeout,
-		window:    window,
-	}
-	if sink != nil {
-		// Resolves the family the router registered; collect reads its
-		// width each tick.
-		w.lat = sink.Registry().HistogramFamily("cluster.node.latency", "node", len(endpoints))
-	}
-	return w
 }
 
 // probe is one endpoint's health answer (or its absence).
@@ -64,8 +44,8 @@ type probe struct {
 }
 
 // collect gathers one tick's Signals. It probes every endpoint in
-// parallel under the probe timeout, snapshots the latency family, and
-// differences against the oldest ring entry for the windowed view.
+// parallel under the probe timeout and differences against the oldest
+// ring entry for the windowed view.
 func (w *watcher) collect(now time.Time) Signals {
 	sm := w.router.Map()
 	var sig Signals
@@ -96,7 +76,7 @@ func (w *watcher) collect(now time.Time) Signals {
 	}
 	joiner := sm.MaxMember() + 1 // the member ID PlanJoin will assign
 	shedPer := make([]uint64, len(w.endpoints))
-	nodeLat := make([]obs.HistogramSnapshot, len(w.endpoints))
+	latency := make([]obs.HistogramSnapshot, len(w.endpoints))
 	epochs := make(map[uint64]bool)
 	for i := range probes {
 		p := &probes[i]
@@ -116,7 +96,7 @@ func (w *watcher) collect(now time.Time) Signals {
 			continue
 		}
 		shedPer[i] = p.h.Shed
-		nodeLat[i] = p.h.Latency
+		latency[i] = p.h.Latency
 		if p.h.Pending != 0 {
 			sig.MigrationInFlight = true
 		}
@@ -138,13 +118,7 @@ func (w *watcher) collect(now time.Time) Signals {
 	// Windowed latency and shed rate: current cumulative sample minus
 	// the oldest retained one, re-anchored per member when a node
 	// restart reset its counters (window.go).
-	cur := tickSample{at: now, shedPer: shedPer, nodeLat: nodeLat}
-	if w.lat != nil {
-		cur.lat = make([]obs.HistogramSnapshot, w.lat.Len())
-		for i := 0; i < w.lat.Len(); i++ {
-			cur.lat[i] = w.lat.At(i).Snapshot()
-		}
-	}
+	cur := tickSample{at: now, latency: latency, shedPer: shedPer}
 	if len(w.ring) > 0 {
 		old := w.ring[0]
 		if span := now.Sub(old.at); span > 0 {
@@ -159,36 +133,15 @@ func (w *watcher) collect(now time.Time) Signals {
 			if shed > 0 {
 				sig.ShedRate = float64(shed) / span.Seconds()
 			}
-			for m := range cur.nodeLat {
+			for m := range cur.latency {
 				if !inMap[m] {
 					continue
 				}
-				var win obs.HistogramSnapshot
-				if m < len(cur.lat) {
-					// The router-side family lives in this process, so
-					// it never resets under a probed node's restart;
-					// plain Sub is safe here.
-					var prev obs.HistogramSnapshot
-					if m < len(old.lat) {
-						prev = old.lat[m]
-					}
-					win = cur.lat[m].Sub(prev)
+				var prev obs.HistogramSnapshot
+				if m < len(old.latency) {
+					prev = old.latency[m]
 				}
-				if win.Count == 0 {
-					// The router this watcher shares a sink with saw no
-					// traffic to m this window — typically a standalone
-					// controller whose router only plans and migrates,
-					// never serves. Fall back to the histogram the node
-					// itself reported in its health replies, windowed
-					// the same way. Node-reported counters DO reset when
-					// the node restarts mid-window.
-					var prev obs.HistogramSnapshot
-					if m < len(old.nodeLat) {
-						prev = old.nodeLat[m]
-					}
-					win = windowHistogram(cur.nodeLat[m], prev)
-				}
-				if p99 := win.Percentile(99); p99 > sig.P99 {
+				if p99 := windowHistogram(cur.latency[m], prev).Percentile(99); p99 > sig.P99 {
 					sig.P99 = p99
 				}
 			}

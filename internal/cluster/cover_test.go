@@ -21,13 +21,14 @@ import (
 // TestCoverPlanIsMinimal: on healthy breakers an aggregate's plan is one
 // leg per holder of a minimum cover — checked against brute force for
 // every NewShardMap of up to 8 nodes and 3 replicas, every stride the
-// constructor accepts and every subset of shards a query could meet —
+// constructor accepts and every subset of shards a query could meet, and
+// for every such map of 9 to 12 nodes over all its shards at every turn —
 // and a well-formed one: every piece in exactly one leg, the legs' slots
 // tiling the outcomes, a merged leg naming only its lead, a one-piece leg
 // its shard's holders with its lead first.
 func TestCoverPlanIsMinimal(t *testing.T) {
 	cases := 0
-	for nodes := 1; nodes <= 8; nodes++ {
+	for nodes := 1; nodes <= 12; nodes++ {
 		g := grid.MustNew(nodes, 1)
 		brk, err := serve.NewBreakers(serve.BreakerConfig{}, nodes)
 		if err != nil {
@@ -37,6 +38,18 @@ func TestCoverPlanIsMinimal(t *testing.T) {
 			for stride := 0; stride < nodes; stride++ {
 				sm, err := NewShardMap(g, nodes, replicas, stride)
 				if err != nil {
+					continue
+				}
+				if nodes > 8 {
+					subs, err := sm.Decompose(g.FullRect())
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := minCover(sm, subs)
+					for turn := range nodes {
+						checkCoverPlan(t, sm, subs, planCover(subs, sm, brk, 0, turn), want)
+						cases++
+					}
 					continue
 				}
 				for set := 1; set < 1<<nodes; set++ {

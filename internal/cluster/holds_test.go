@@ -147,7 +147,7 @@ func TestPendingEpochReadsMatchOracle(t *testing.T) {
 	pending := leave.To.Epoch()
 	cp := newCopier(copier{g: tc.g, endpoints: tc.h.URLs(), epoch: leave.From.Epoch()}, nil, "")
 	for _, m := range unionMembers(leave.From, leave.To) {
-		if err := cp.post(ctx, m, "prepare", prepareRequest{Map: toWireMap(leave.To)}); err != nil {
+		if err := cp.post(ctx, m, "prepare", prepareRequest{Map: toWireMap(leave.To)}, nil); err != nil {
 			t.Fatalf("prepare member %d: %v", m, err)
 		}
 	}
@@ -155,7 +155,7 @@ func TestPendingEpochReadsMatchOracle(t *testing.T) {
 	sent := map[[2]int]int{} // (dest, bucket) → records the donor sent
 	if err := cp.run(ctx, leave.Moves, func(dest int, cell grid.Coord, recs []datagen.Record) error {
 		sent[[2]int{dest, tc.g.Linearize(cell)}] = len(recs)
-		return cp.post(ctx, dest, "bucket", &recordPage{Epoch: pending, Buckets: 1, Cell: cell, Records: recs})
+		return cp.post(ctx, dest, "bucket", &recordPage{Epoch: pending, Buckets: 1, Cell: cell, Records: recs}, nil)
 	}); err != nil {
 		t.Fatalf("copy: %v", err)
 	}

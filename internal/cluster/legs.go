@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -60,12 +61,11 @@ func planShards(subs []SubQuery, sm *ShardMap) []legPlan {
 // leads, keeps its own leg, planned as planShards plans it, so hedged
 // aggregates and R = 1 maps run as searches do. A covering holder that
 // answers one piece leads that piece's own leg, its shard's other
-// holders behind it. A cover search that runs out of budget plans every
-// piece its own leg, as planShards does.
+// holders behind it. A cover search that finds no cover within its
+// budget plans every piece its own leg, as planShards does.
 func planCover(subs []SubQuery, sm *ShardMap, brk *serve.Breakers, hedgeAfter time.Duration, turn int) []legPlan {
 	n := len(subs)
-	c := coverSearch{members: sm.MaxMember() + 1, turn: turn, elig: make([][]int, n)}
-	holders := make([][]int, n)
+	holders, elig := make([][]int, n), make([][]int, n)
 	for i, sq := range subs {
 		hs := sm.ShardMembers(sq.Shard)
 		holders[i] = hs
@@ -81,11 +81,11 @@ func planCover(subs []SubQuery, sm *ShardMap, brk *serve.Breakers, hedgeAfter ti
 				continue
 			}
 			if _, delay := brk.Backup(hs, h, hedgeAfter); delay == 0 {
-				c.elig[i] = append(c.elig[i], h)
+				elig[i] = append(elig[i], h)
 			}
 		}
 	}
-	assign := c.solve()
+	chosen, assign := smallestCover(elig, turn)
 	if assign == nil {
 		return planShards(subs, sm)
 	}
@@ -118,7 +118,7 @@ func planCover(subs []SubQuery, sm *ShardMap, brk *serve.Breakers, hedgeAfter ti
 			add([]int{i}, -1)
 		}
 	}
-	for _, h := range c.chosen {
+	for _, h := range chosen {
 		var idx []int
 		for i, a := range assign {
 			if a == h {
@@ -144,142 +144,79 @@ func leadFirst(hs []int, lead int) []int {
 	return hs
 }
 
-// coverBudget bounds the exact cover search, in search steps. Covers
-// over the few shards a rect meets in a small cluster take tens; past
-// the budget an aggregate sends one leg per piece, as a search does.
+// coverBudget bounds the cover search, in holder subsets tried: every
+// subset of up to 12 holders fits (2¹² − 1 of them), so over up to 12
+// eligible holders the cover found is always a minimum. Past the budget
+// an aggregate sends one leg per piece, as a search does.
 const coverBudget = 1 << 12
 
-// coverSearch finds the fewest holders such that every piece in the
-// problem has an eligible holder among them: minimum set cover, exact by
-// iterative deepening with a counting bound. Greedy alone is not enough:
-// on an 8-node map with replicas at stride 3 or 5 it can take one holder
-// more than needed.
-type coverSearch struct {
-	elig    [][]int // piece → the holders that may answer it; nil: not in the problem
-	all     []int   // every holder eligible for some piece
-	members int     // member IDs are below it
-	turn    int     // the rotation among equally small covers
-	covered []int   // piece → chosen holders eligible for it
-	left    int     // pieces in the problem not yet covered
-	chosen  []int   // the holders chosen, in order
-	steps   int
-}
-
-// solve returns, per piece, the chosen holder that answers it (-1 for a
-// piece outside the problem), or nil when the search ran out of budget.
-// The search branches on the uncovered piece with the fewest holders,
-// trying holders in rotated member order; ties between pieces go to the
-// rotated piece order. Rotating both by turn walks the equally small
-// covers from call to call.
-func (c *coverSearch) solve() []int {
-	n := len(c.elig)
-	c.covered = make([]int, n)
-	for _, hs := range c.elig {
-		if len(hs) > 0 {
-			c.left++
+// smallestCover finds the fewest holders such that every piece with an
+// eligible holder has one among them. It tries subsets of the distinct
+// eligible holders smallest first, each size in lexicographic order of
+// the holders' places in ascending member order rotated by turn, so
+// equally small covers take turns from call to call. It returns the
+// holders chosen, in rotated order, and per piece the first of them
+// eligible for it (-1 for a piece with none); nil when there is no
+// eligible holder, more than 64 of them, or no cover within coverBudget
+// subsets.
+func smallestCover(elig [][]int, turn int) (chosen, assign []int) {
+	var hs []int
+	for _, e := range elig {
+		hs = append(hs, e...)
+	}
+	slices.Sort(hs)
+	if hs = slices.Compact(hs); len(hs) == 0 || len(hs) > 64 {
+		return nil, nil
+	}
+	hs = leadFirst(hs, hs[turn%len(hs)])
+	masks := make([]uint64, len(elig)) // piece → its eligible holders' places
+	for i, e := range elig {
+		for _, h := range e {
+			masks[i] |= 1 << slices.Index(hs, h)
 		}
-		slices.SortFunc(hs, func(a, b int) int { return c.rank(a) - c.rank(b) })
-		for _, h := range hs {
-			if !slices.Contains(c.all, h) {
-				c.all = append(c.all, h)
+	}
+	places, tried := make([]int, 0, len(hs)), 0
+	for size := 1; size <= len(hs); size++ {
+		places = places[:size]
+		for i := range places {
+			places[i] = i
+		}
+		for {
+			if tried++; tried > coverBudget {
+				return nil, nil
 			}
-		}
-	}
-	found := c.left == 0
-	for limit := 1; !found && c.steps < coverBudget; limit++ {
-		found = c.deepen(limit)
-	}
-	if !found {
-		return nil
-	}
-	assign := make([]int, n)
-	for i, hs := range c.elig {
-		assign[i] = -1
-		for _, h := range c.chosen {
-			if slices.Contains(hs, h) {
-				assign[i] = h
+			var set uint64
+			for _, j := range places {
+				set |= 1 << j
+			}
+			if !slices.ContainsFunc(masks, func(m uint64) bool { return m != 0 && m&set == 0 }) {
+				chosen = make([]int, size)
+				for k, j := range places {
+					chosen[k] = hs[j]
+				}
+				assign = make([]int, len(elig))
+				for i, m := range masks {
+					assign[i] = -1
+					if m != 0 {
+						assign[i] = hs[bits.TrailingZeros64(m&set)]
+					}
+				}
+				return chosen, assign
+			}
+			// The next subset of this size: advance the last place that
+			// can move, and set the places after it right behind it.
+			i := size - 1
+			for i >= 0 && places[i] == len(hs)-size+i {
+				i--
+			}
+			if i < 0 {
 				break
 			}
+			places[i]++
+			for j := i + 1; j < size; j++ {
+				places[j] = places[j-1] + 1
+			}
 		}
 	}
-	return assign
-}
-
-// rank is member h's place in the rotated member order.
-func (c *coverSearch) rank(h int) int { return ((h-c.turn)%c.members + c.members) % c.members }
-
-// deepen looks for a cover of at most limit holders extending the
-// chosen ones, leaving it chosen when it finds one.
-func (c *coverSearch) deepen(limit int) bool {
-	if c.left == 0 {
-		return true
-	}
-	if c.steps++; c.steps > coverBudget || len(c.chosen) >= limit {
-		return false
-	}
-	// No holder covers more than most of what is left: fewer holders than
-	// left/most cannot finish.
-	most := 0
-	for _, h := range c.all {
-		most = max(most, c.gain(h))
-	}
-	if len(c.chosen)+(c.left+most-1)/most > limit {
-		return false
-	}
-	p := c.branchPiece()
-	for _, h := range c.elig[p] {
-		c.take(h, 1)
-		if c.deepen(limit) {
-			return true
-		}
-		c.take(h, -1)
-	}
-	return false
-}
-
-// gain counts the uncovered pieces h is eligible for.
-func (c *coverSearch) gain(h int) int {
-	g := 0
-	for i, hs := range c.elig {
-		if c.covered[i] == 0 && slices.Contains(hs, h) {
-			g++
-		}
-	}
-	return g
-}
-
-// branchPiece picks the uncovered piece with the fewest eligible
-// holders, ties in rotated piece order.
-func (c *coverSearch) branchPiece() int {
-	n := len(c.elig)
-	best := -1
-	for off := range n {
-		i := (c.turn%n + off) % n
-		if hs := c.elig[i]; len(hs) > 0 && c.covered[i] == 0 && (best < 0 || len(hs) < len(c.elig[best])) {
-			best = i
-		}
-	}
-	return best
-}
-
-// take chooses h (d = 1) or drops it again (d = -1), the last chosen.
-func (c *coverSearch) take(h, d int) {
-	for i, hs := range c.elig {
-		if !slices.Contains(hs, h) {
-			continue
-		}
-		was := c.covered[i]
-		c.covered[i] += d
-		switch {
-		case was == 0:
-			c.left--
-		case c.covered[i] == 0:
-			c.left++
-		}
-	}
-	if d > 0 {
-		c.chosen = append(c.chosen, h)
-	} else {
-		c.chosen = c.chosen[:len(c.chosen)-1]
-	}
+	return nil, nil
 }

@@ -101,7 +101,12 @@ var cutoverBackoff = exec.RetryPolicy{BaseBackoff: 5 * time.Millisecond, MaxBack
 // some member has cut over, Migrate keeps retrying the remaining
 // cutovers (they are idempotent) rather than aborting, since a cutover
 // cannot be undone; nodes left behind still answer the old epoch via
-// their prev map until a re-run finishes the job.
+// their prev map until a re-run finishes the job. A re-run of the same
+// plan learns at PREPARE that some member is already at the To epoch;
+// no cutover starts before COPY is done, so it skips COPY and resumes
+// at CUTOVER (a plan every member has cut over to re-runs as a no-op).
+// A plan whose To epoch a member is at under another map — one made
+// from a map the cluster has left — is refused at PREPARE and aborted.
 func Migrate(ctx context.Context, cfg MigrateConfig) (MigrateStats, error) {
 	var st MigrateStats
 	start := time.Now()
@@ -135,18 +140,23 @@ func Migrate(ctx context.Context, cfg MigrateConfig) (MigrateStats, error) {
 
 	// PREPARE.
 	wm := toWireMap(p.To)
+	moves := p.Moves
 	for _, m := range members {
-		if err := cp.post(ctx, m, "prepare", prepareRequest{Map: wm}); err != nil {
+		var ack epochResponse
+		if err := cp.post(ctx, m, "prepare", prepareRequest{Map: wm}, &ack); err != nil {
 			return abort(fmt.Errorf("prepare member %d: %w", m, err))
+		}
+		if ack.Epoch == p.To.Epoch() {
+			moves = nil // m cut over, so COPY is done: this is a re-run
 		}
 		progress(MigrateEvent{Phase: "prepare", Member: m})
 	}
 
 	// COPY.
-	err := cp.run(ctx, p.Moves, func(dest int, cell grid.Coord, recs []datagen.Record) error {
+	err := cp.run(ctx, moves, func(dest int, cell grid.Coord, recs []datagen.Record) error {
 		if err := cp.post(ctx, dest, "bucket", &recordPage{
 			Epoch: p.To.Epoch(), Buckets: 1, Cell: cell, Records: recs,
-		}); err != nil {
+		}, nil); err != nil {
 			return err
 		}
 		// The copier counts a bucket once deliver returns: this one is next.
@@ -165,7 +175,7 @@ func Migrate(ctx context.Context, cfg MigrateConfig) (MigrateStats, error) {
 	for _, m := range members {
 		var err error
 		for round := 0; round < cp.attempts; round++ {
-			if err = cp.post(ctx, m, "cutover", epochRequest{Epoch: p.To.Epoch()}); err == nil {
+			if err = cp.post(ctx, m, "cutover", epochRequest{Epoch: p.To.Epoch()}, nil); err == nil {
 				break
 			}
 			if ctx.Err() != nil || acked == 0 {
@@ -203,7 +213,7 @@ func abortAll(cp *copier, members []int, epoch uint64) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	for _, m := range members {
-		_ = cp.post(ctx, m, "abort", epochRequest{Epoch: epoch})
+		_ = cp.post(ctx, m, "abort", epochRequest{Epoch: epoch}, nil)
 	}
 }
 
@@ -223,8 +233,9 @@ func unionMembers(a, b *ShardMap) []int {
 	return out
 }
 
-// post performs one POST /v1/migrate/<step> exchange.
-func (c *copier) post(ctx context.Context, member int, step string, payload any) error {
+// post performs one POST /v1/migrate/<step> exchange, decoding the
+// answer into out unless it is nil.
+func (c *copier) post(ctx context.Context, member int, step string, payload, out any) error {
 	body, contentType, err := encodeBody(payload)
 	if err != nil {
 		return err
@@ -233,5 +244,5 @@ func (c *copier) post(ctx context.Context, member int, step string, payload any)
 	if err != nil {
 		return err
 	}
-	return exchange(ctx, c.client, c.timeout, &to, body, nil, recordPayloadLimit)
+	return exchange(ctx, c.client, c.timeout, &to, body, out, recordPayloadLimit)
 }

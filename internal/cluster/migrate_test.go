@@ -566,7 +566,7 @@ func TestMigrateBucketRefusesForeignRecords(t *testing.T) {
 	}
 	stray := tc.ref.Bucket(0)[0]
 	cp := newCopier(copier{g: tc.g, endpoints: tc.h.URLs(), epoch: plan.From.Epoch()}, nil, "")
-	if err := cp.post(ctx, 0, "prepare", prepareRequest{Map: toWireMap(plan.To)}); err != nil {
+	if err := cp.post(ctx, 0, "prepare", prepareRequest{Map: toWireMap(plan.To)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	refused := false
@@ -576,16 +576,16 @@ func TestMigrateBucketRefusesForeignRecords(t *testing.T) {
 			refused = true
 			bad := *page
 			bad.Records = append(slices.Clone(recs), stray)
-			if err := cp.post(ctx, dest, "bucket", &bad); err == nil || !strings.Contains(err.Error(), CodeBadRequest) {
+			if err := cp.post(ctx, dest, "bucket", &bad, nil); err == nil || !strings.Contains(err.Error(), CodeBadRequest) {
 				t.Errorf("a page for cell %v carrying record %d of bucket 0 drew %v, want a bad_request refusal", cell, stray.ID, err)
 			}
 		}
-		return cp.post(ctx, dest, "bucket", page)
+		return cp.post(ctx, dest, "bucket", page, nil)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.post(ctx, 0, "cutover", epochRequest{Epoch: plan.To.Epoch()}); err != nil {
+	if err := cp.post(ctx, 0, "cutover", epochRequest{Epoch: plan.To.Epoch()}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := tc.h.Node(0).Records(); got != len(tc.recs) {
@@ -877,5 +877,103 @@ func TestMigrateLostCutoverAckServesPendingEpoch(t *testing.T) {
 	}
 	if got, want := resultIDs(res), tc.refIDs(t, tc.g.FullRect()); !equalInts(got, want) {
 		t.Fatalf("To-map router answer %d records, oracle %d", len(got), len(want))
+	}
+}
+
+// TestMigrateRerunFinishesIncompleteCutover: a cutover stopped part-way
+// — member 2 partitioned once member 0 has cut over — is finished by
+// re-running the same plan after the heal, as Migrate's error says. The
+// re-run must not copy again (member 0 no longer has the To map staged)
+// nor abort (that would drop the staged map on the members behind): it
+// resumes at CUTOVER, and every member, the router and the answers end
+// up at the To epoch.
+func TestMigrateRerunFinishesIncompleteCutover(t *testing.T) {
+	tc := startElasticCluster(t, 4, 2, 1)
+	ctx := context.Background()
+	plan, err := PlanJoin(tc.h.Map())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lost = 2
+	cfg := MigrateConfig{
+		Plan:          plan,
+		Endpoints:     tc.h.URLs(),
+		FetchTimeout:  300 * time.Millisecond,
+		FetchAttempts: 2,
+		Router:        tc.h.Router(),
+		Progress: func(ev MigrateEvent) {
+			if ev.Phase == "cutover" && ev.Member == 0 {
+				tc.h.Faults().Partition(lost)
+			}
+		},
+	}
+	st, err := Migrate(ctx, cfg)
+	if err == nil || st.Aborted || !strings.Contains(err.Error(), "incomplete") {
+		t.Fatalf("join with member %d partitioned at cutover: err = %v, stats %+v; want cutover incomplete", lost, err, st)
+	}
+	tc.h.Faults().Heal(lost)
+
+	cfg.Progress = nil
+	if st, err := Migrate(ctx, cfg); err != nil || st.Aborted {
+		t.Fatalf("re-run after the heal: err = %v, stats %+v", err, st)
+	}
+	for _, m := range unionMembers(plan.From, plan.To) {
+		if got := tc.h.Node(m).Epoch(); got != plan.To.Epoch() {
+			t.Errorf("member %d at epoch %d after the re-run, want %d", m, got, plan.To.Epoch())
+		}
+	}
+	if got := tc.h.Router().Epoch(); got != plan.To.Epoch() {
+		t.Fatalf("router at epoch %d after the re-run, want %d", got, plan.To.Epoch())
+	}
+	res, err := tc.h.Router().Search(ctx, tc.g.FullRect())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := resultIDs(res), tc.refIDs(t, tc.g.FullRect()); res.Epoch != plan.To.Epoch() || !equalInts(got, want) {
+		t.Fatalf("full grid at epoch %d: %d records, oracle %d at epoch %d", res.Epoch, len(got), len(want), plan.To.Epoch())
+	}
+}
+
+// TestMigrateOutdatedPlanAbortsCleanly: a change planned from a map the
+// cluster has left — a leave planned from the boot map after a join took
+// its epoch — names the epoch the cluster is already at, under another
+// map. It is refused and rolled back: no member, nor the router, takes
+// the planned map, and the answers stay the oracle's.
+func TestMigrateOutdatedPlanAbortsCleanly(t *testing.T) {
+	tc := startElasticCluster(t, 3, 2, 1)
+	ctx := context.Background()
+	boot := tc.h.Map()
+	join, err := PlanJoin(boot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Migrate(ctx, MigrateConfig{Plan: join, Endpoints: tc.h.URLs(), Router: tc.h.Router()}); err != nil {
+		t.Fatal(err)
+	}
+	leave, err := PlanLeave(boot, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leave.To.Epoch() != join.To.Epoch() {
+		t.Fatalf("leave planned to epoch %d, join at %d: not the scenario under test", leave.To.Epoch(), join.To.Epoch())
+	}
+	st, err := Migrate(ctx, MigrateConfig{Plan: leave, Endpoints: tc.h.URLs(), Router: tc.h.Router()})
+	if err == nil || !st.Aborted || !strings.Contains(err.Error(), "re-plan from the current map") {
+		t.Fatalf("leave planned from the boot map: err = %v, stats %+v; want an abort asking for a re-plan", err, st)
+	}
+	for _, m := range unionMembers(join.From, join.To) {
+		if got := tc.h.Node(m).CurrentMap(); got.Nodes() != join.To.Nodes() || got.Epoch() != join.To.Epoch() {
+			t.Errorf("member %d on a %d-node map at epoch %d, want the join's %d nodes at %d", m, got.Nodes(), got.Epoch(), join.To.Nodes(), join.To.Epoch())
+		}
+	}
+	if got := tc.h.Router().Map(); got.Nodes() != join.To.Nodes() {
+		t.Fatalf("router on a %d-node map, want the join's %d", got.Nodes(), join.To.Nodes())
+	}
+	res, err := tc.h.Router().Search(ctx, tc.g.FullRect())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := resultIDs(res), tc.refIDs(t, tc.g.FullRect()); !equalInts(got, want) {
+		t.Fatalf("full grid: %d records, oracle %d", len(got), len(want))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"slices"
 	"sync"
 	"time"
@@ -414,8 +415,10 @@ func (n *Node) handleAggregate(w http.ResponseWriter, r *http.Request) {
 
 // handlePrepare stages the next-epoch map (PREPARE). Idempotent for the
 // already-staged and already-current epochs, so a migrator retrying
-// after a partial round is safe; a genuinely old epoch draws stale, and
-// a second concurrent migration draws a conflict.
+// after a partial round is safe; a genuinely old epoch draws stale, the
+// current epoch under another map (a plan made from a map the cluster
+// has left) draws a re-plan error, and a second concurrent migration
+// draws a conflict.
 func (n *Node) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	var req prepareRequest
 	if err := decodeJSONBody(w, r, &req); err != nil {
@@ -434,6 +437,10 @@ func (n *Node) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	switch {
+	case sm.Epoch() == n.cur.Epoch() && !reflect.DeepEqual(toWireMap(sm), toWireMap(n.cur)):
+		writeError(w, fmt.Errorf("cluster: node %d: already at epoch %d under another map; re-plan from the current map",
+			n.id, sm.Epoch()))
+		return
 	case sm.Epoch() == n.cur.Epoch():
 		// Already cut over (a retry after a partial cutover round).
 	case sm.Epoch() < n.cur.Epoch():

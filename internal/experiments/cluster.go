@@ -83,8 +83,8 @@ type ClusterChaosConfig struct {
 	// aimed at the controller's anti-thrash defenses), and slow-node (one
 	// node answers 10 base latencies late for the middle half).
 	Scenarios []string
-	// Obs optionally receives router and node metrics; every cell but
-	// the autopilot ones shares the sink.
+	// Obs optionally receives router, node and autopilot metrics; every
+	// cell shares the sink.
 	Obs *obs.Sink
 }
 
@@ -309,21 +309,13 @@ func runClusterCell(sm *cluster.ShardMap, method alloc.Method, records []datagen
 	if scenario == "join" || autopiloted {
 		standbys = 1 // the node a migration could bring in
 	}
-	// Autopilot cells get their own sink: the controller windows the
-	// router's live cluster.node.latency family for its p99 signal, and
-	// must read only this cell's router — on a shared sink the family
-	// also holds every earlier cell's traffic.
-	sink := cfg.Obs
-	if autopiloted {
-		sink = obs.NewSink()
-	}
 	h, err := cluster.StartHarness(cluster.HarnessConfig{
 		Map:      sm,
 		Method:   method,
 		Records:  records,
 		Standbys: standbys,
 		SlowUnit: cfg.BaseLatency, // a slow factor counts base latencies
-		Obs:      sink,
+		Obs:      cfg.Obs,
 		ServeOptions: []serve.Option{
 			serve.WithBaseLatency(cfg.BaseLatency),
 			serve.WithRetry(exec.RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond}),
@@ -338,7 +330,7 @@ func runClusterCell(sm *cluster.ShardMap, method alloc.Method, records []datagen
 				ErrorThreshold: 4,
 				Cooldown:       cfg.Duration / 10,
 			},
-			Obs: sink,
+			Obs: cfg.Obs,
 		},
 	})
 	if err != nil {
@@ -393,7 +385,7 @@ func runClusterCell(sm *cluster.ShardMap, method alloc.Method, records []datagen
 		ap, err = autopilot.New(autopilot.Config{
 			Router:      h.Router(),
 			Endpoints:   h.URLs(),
-			Obs:         sink,
+			Obs:         cfg.Obs,
 			Tick:        max(cfg.Duration/50, 5*time.Millisecond),
 			MigrateRate: cfg.MigrateRate,
 			Policy:      pol,
