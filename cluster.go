@@ -40,7 +40,8 @@ func NewOffsetShardMap(g *Grid, nodes, replicas, offset int) (*ShardMap, error) 
 // serving its hosted shards over HTTP.
 type ClusterNode = cluster.Node
 
-// ClusterNodeConfig configures a cluster node.
+// ClusterNodeConfig configures a cluster node. Its grid file uses the
+// default page capacity and uniform partition boundaries.
 type ClusterNodeConfig = cluster.NodeConfig
 
 // NewClusterNode builds a node holding its hosted slice of the records.
@@ -94,7 +95,9 @@ func DecodeClusterError(code, msg string) error { return cluster.DecodeError(cod
 // loopback listeners — for tests, benchmarks, and chaos experiments.
 type ClusterHarness = cluster.Harness
 
-// ClusterHarnessConfig configures an in-process cluster.
+// ClusterHarnessConfig configures an in-process cluster. Every node's
+// file holds the grid file's default page capacity, and the harness
+// makes its own fault injector (ClusterHarness.Faults).
 type ClusterHarnessConfig = cluster.HarnessConfig
 
 // StartClusterHarness boots nodes on loopback and a router over them.
@@ -147,15 +150,16 @@ func MigrateCluster(ctx context.Context, cfg ClusterMigrateConfig) (ClusterMigra
 // map, which is how routers learn of completed migrations.
 type StaleEpochError = cluster.StaleEpochError
 
-// NodeRebuildConfig configures a cross-node shard rebuild.
+// NodeRebuildConfig configures a cross-node shard rebuild. The rebuild
+// is unpaced; it yields to foreground reads through admission priority.
 type NodeRebuildConfig = cluster.RebuildConfig
 
 // NodeRebuildStats reports what a cross-node rebuild restored.
 type NodeRebuildStats = cluster.RebuildStats
 
 // RebuildClusterNode restores a node's hosted shards by streaming
-// buckets from replica holders at background priority, paced by the
-// repair throttle so foreground queries keep their latency budget.
+// buckets from replica holders at background priority, so foreground
+// queries on the donors win admission and keep their latency budget.
 func RebuildClusterNode(ctx context.Context, cfg NodeRebuildConfig, target *ClusterNode) (NodeRebuildStats, error) {
 	return cluster.RebuildNode(ctx, cfg, target)
 }

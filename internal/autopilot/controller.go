@@ -36,9 +36,6 @@ type Config struct {
 	// MigrateRate throttles autopilot migrations in pages per second
 	// through the repair token bucket (0 = unthrottled).
 	MigrateRate float64
-	// PageCapacity converts migration record counts into throttle
-	// pages (cluster default when 0).
-	PageCapacity int
 	// OnDecision, when set, receives every logged decision line as it
 	// happens — declusterd points this at its logger.
 	OnDecision func(string)
@@ -218,12 +215,11 @@ func (c *Controller) execute(ctx context.Context, now time.Time, act Action) {
 		return
 	}
 	mcfg := cluster.MigrateConfig{
-		Plan:         plan,
-		Endpoints:    c.cfg.Endpoints,
-		Client:       c.cfg.Client,
-		PageCapacity: c.cfg.PageCapacity,
-		Obs:          c.cfg.Obs,
-		Router:       c.cfg.Router,
+		Plan:      plan,
+		Endpoints: c.cfg.Endpoints,
+		Client:    c.cfg.Client,
+		Obs:       c.cfg.Obs,
+		Router:    c.cfg.Router,
 	}
 	if c.cfg.MigrateRate > 0 {
 		if th, terr := repair.NewThrottle(c.cfg.MigrateRate, 0); terr == nil {

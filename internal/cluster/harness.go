@@ -24,14 +24,10 @@ type HarnessConfig struct {
 	Method alloc.Method
 	// Records is the full dataset; each node keeps its hosted slice.
 	Records []datagen.Record
-	// PageCapacity is records per page (gridfile default when 0).
-	PageCapacity int
 	// Standbys boots this many extra empty nodes beyond the map — the
 	// members a join migration will bring in. Standby k gets member ID
 	// MaxMember()+1+k and an endpoint the router already knows.
 	Standbys int
-	// Faults is the shared node-level injector; nil creates one.
-	Faults *fault.NodeInjector
 	// SlowUnit converts slow-node factors into per-request delay.
 	SlowUnit time.Duration
 	// Obs optionally observes every node's scheduler and the router.
@@ -59,10 +55,7 @@ func StartHarness(cfg HarnessConfig) (*Harness, error) {
 	if cfg.Map == nil {
 		return nil, fmt.Errorf("cluster: harness needs a shard map")
 	}
-	if cfg.Faults == nil {
-		cfg.Faults = fault.NewNodeInjector()
-	}
-	h := &Harness{faults: cfg.Faults}
+	h := &Harness{faults: fault.NewNodeInjector()}
 	total := cfg.Map.Nodes() + cfg.Standbys
 	for i := 0; i < total; i++ {
 		member := i
@@ -75,9 +68,8 @@ func StartHarness(cfg HarnessConfig) (*Harness, error) {
 			ID:           member,
 			Map:          cfg.Map,
 			Method:       cfg.Method,
-			PageCapacity: cfg.PageCapacity,
 			Records:      cfg.Records,
-			Faults:       cfg.Faults,
+			Faults:       h.faults,
 			SlowUnit:     cfg.SlowUnit,
 			Obs:          cfg.Obs,
 			ServeOptions: cfg.ServeOptions,

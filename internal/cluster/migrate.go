@@ -36,8 +36,6 @@ type MigrateConfig struct {
 	// FetchAttempts bounds donor-rotation rounds per bucket and cutover
 	// retries per member (8 when 0).
 	FetchAttempts int
-	// PageCapacity converts record counts into throttle pages (32 when 0).
-	PageCapacity int
 	// Obs optionally counts migration progress:
 	// cluster.migrate.buckets / .records / .retries.
 	Obs *obs.Sink
@@ -124,7 +122,7 @@ func Migrate(ctx context.Context, cfg MigrateConfig) (MigrateStats, error) {
 		g: p.To.Grid(), client: cfg.Client, endpoints: cfg.Endpoints,
 		timeout: cfg.FetchTimeout, attempts: cfg.FetchAttempts,
 		priority: serve.MigrationPriority, epoch: p.From.Epoch(),
-		capacity: cfg.PageCapacity, throttle: cfg.Throttle,
+		throttle: cfg.Throttle,
 	}, cfg.Obs, "cluster.migrate")
 	progress := cfg.Progress
 	if progress == nil {

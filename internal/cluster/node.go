@@ -34,10 +34,6 @@ type NodeConfig struct {
 	// Method declusters each node's buckets across its local disks. Its
 	// grid must equal the shard map's grid.
 	Method alloc.Method
-	// PageCapacity is records per page (gridfile default when 0).
-	PageCapacity int
-	// Boundaries optionally sets per-axis partition boundaries.
-	Boundaries [][]float64
 	// Records is the full dataset; the node keeps only the records
 	// whose cell falls in a shard it hosts.
 	Records []datagen.Record
@@ -143,11 +139,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 // Passing two maps (cutover) keeps the union, so the previous epoch
 // stays fully answerable for one more migration.
 func (n *Node) buildStack(recs []datagen.Record, maps ...*ShardMap) (*gridfile.File, *serve.Scheduler, error) {
-	file, err := gridfile.New(gridfile.Config{
-		Method:       n.cfg.Method,
-		PageCapacity: n.cfg.PageCapacity,
-		Boundaries:   n.cfg.Boundaries,
-	})
+	file, err := gridfile.New(gridfile.Config{Method: n.cfg.Method})
 	if err != nil {
 		return nil, nil, fmt.Errorf("cluster: node %d: %w", n.id, err)
 	}
@@ -679,7 +671,7 @@ func (n *Node) handleShards(w http.ResponseWriter, r *http.Request) {
 		Grid:      sm.Grid().Dims(),
 	}
 	for _, sh := range sm.Shards() {
-		resp.Shards = append(resp.Shards, wireShard{ID: sh.ID, Rect: toWireRect(sh.Rect), Nodes: append([]int(nil), sh.Nodes...)})
+		resp.Shards = append(resp.Shards, wireShard{ID: sh.ID, Rect: toWireRect(sh.Rect), Nodes: sm.ShardMembers(sh.ID)})
 	}
 	writeJSON(w, resp)
 }

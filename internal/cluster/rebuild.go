@@ -12,6 +12,7 @@ import (
 	"decluster/internal/exec"
 	"decluster/internal/fault"
 	"decluster/internal/grid"
+	"decluster/internal/gridfile"
 	"decluster/internal/obs"
 	"decluster/internal/repair"
 )
@@ -38,8 +39,7 @@ const noDonorRounds = 2
 // RebuildConfig drives the cluster analogue of the disk rebuilder: a
 // node that lost its data is refilled bucket-by-bucket from the peer
 // replicas of every shard it hosts, reading at background priority so
-// foreground queries on the donor nodes always win admission, paced by
-// the same debt-based token bucket the disk rebuilder uses.
+// foreground queries on the donor nodes always win admission.
 type RebuildConfig struct {
 	// Map is the cluster's shard map.
 	Map *ShardMap
@@ -48,9 +48,6 @@ type RebuildConfig struct {
 	Endpoints []string
 	// Client optionally overrides the HTTP client.
 	Client *http.Client
-	// Throttle paces donor reads in pages per second; nil or zero-rate
-	// is unthrottled.
-	Throttle *repair.Throttle
 	// FetchTimeout bounds each bucket fetch from a donor (2s when 0).
 	FetchTimeout time.Duration
 	// FetchAttempts bounds how many rounds through the donor list one
@@ -72,7 +69,8 @@ type RebuildConfig struct {
 type RebuildStats struct {
 	// Shards, Buckets, Records recovered onto the target.
 	Shards, Buckets, Records int
-	// Pages is the paced I/O cost charged to the throttle.
+	// Pages is the I/O cost in pages of gridfile.DefaultPageCapacity
+	// records.
 	Pages int
 	// Retries counts donor fetches that failed and were retried
 	// against another replica.
@@ -102,7 +100,6 @@ func RebuildNode(ctx context.Context, cfg RebuildConfig, target *Node) (RebuildS
 		g: cfg.Map.Grid(), client: cfg.Client, endpoints: cfg.Endpoints,
 		timeout: cfg.FetchTimeout, attempts: cfg.FetchAttempts,
 		priority: repair.BackgroundPriority, epoch: cfg.Map.Epoch(),
-		capacity: target.cfg.PageCapacity, throttle: cfg.Throttle,
 	}, cfg.Obs, "cluster.rebuild")
 
 	start := time.Now()
@@ -124,20 +121,21 @@ func RebuildNode(ctx context.Context, cfg RebuildConfig, target *Node) (RebuildS
 
 // copier is the one per-bucket copy loop, behind both RebuildNode and
 // Migrate's COPY phase: fetch a bucket from its move's donors, hand it
-// to the caller's deliver, count it, charge the throttle. The
-// destination alone checks a page against its partition: a delivery it
-// refuses as a bad request (ErrBadRequest) fails that donor, and the next
-// one is tried.
+// to the caller's deliver, count it, charge the throttle (Migrate's;
+// a rebuild runs unpaced). Pages are counted at
+// gridfile.DefaultPageCapacity records, the capacity of every node's
+// file. The destination alone checks a page against its partition: a
+// delivery it refuses as a bad request (ErrBadRequest) fails that
+// donor, and the next one is tried.
 type copier struct {
 	g         *grid.Grid
-	client    *http.Client  // &http.Client{} when nil
-	endpoints []string      // base URL per member, indexed by stable member ID
-	timeout   time.Duration // per exchange; 2s when 0
-	attempts  int           // donor-rotation rounds per bucket; 8 when 0
-	priority  int           // admission priority of donor reads
-	epoch     uint64        // the epoch donor reads are stamped with
-	capacity  int           // records per throttle page; 32 when 0
-	throttle  *repair.Throttle
+	client    *http.Client     // &http.Client{} when nil
+	endpoints []string         // base URL per member, indexed by stable member ID
+	timeout   time.Duration    // per exchange; 2s when 0
+	attempts  int              // donor-rotation rounds per bucket; 8 when 0
+	priority  int              // admission priority of donor reads
+	epoch     uint64           // the epoch donor reads are stamped with
+	throttle  *repair.Throttle // nil is unpaced
 
 	mBuckets, mRecords, mRetries *obs.Counter
 
@@ -154,9 +152,6 @@ func newCopier(c copier, sink *obs.Sink, prefix string) *copier {
 	}
 	if c.attempts <= 0 {
 		c.attempts = 8
-	}
-	if c.capacity <= 0 {
-		c.capacity = 32
 	}
 	if c.client == nil {
 		c.client = &http.Client{}
@@ -194,7 +189,7 @@ func (c *copier) run(ctx context.Context, moves []Move, deliver func(dest int, c
 			if err != nil {
 				return fmt.Errorf("copy cell %v to member %d: %w", cell, mv.Dest, err)
 			}
-			pages := max(1, (n+c.capacity-1)/c.capacity)
+			pages := max(1, (n+gridfile.DefaultPageCapacity-1)/gridfile.DefaultPageCapacity)
 			c.buckets++
 			c.records += n
 			c.pages += pages

@@ -647,7 +647,8 @@ type shardsResponse struct {
 	Shards    []wireShard `json:"shards"`
 }
 
-// wireShard is one shard of a shardsResponse; only marshalled.
+// wireShard is one shard of a shardsResponse; only marshalled. Nodes
+// holds the stable member IDs of the shard's holders, primary first.
 type wireShard struct {
 	ID    int      `json:"id"`
 	Rect  wireRect `json:"rect"`

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -902,5 +903,46 @@ func checkAllocBudget(t *testing.T, what string, large, small func(), budget flo
 	}
 	if nSmall > budget {
 		t.Errorf("%s allocates %.0f objects for the 6×6 rect; the budget is %.0f", what, nSmall, budget)
+	}
+}
+
+// TestShardsListsMemberIDs checks that /v1/shards names each shard's
+// holders by stable member ID, not map-node index. After member 1
+// leaves a 4-node chain, the two differ for every shard it held.
+func TestShardsListsMemberIDs(t *testing.T) {
+	g := grid.MustNew(8, 8)
+	m, err := alloc.NewHCAM(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm, err := NewChainShardMap(g, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leave, err := PlanLeave(sm, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	to := leave.To
+	n, err := NewNode(NodeConfig{ID: to.MemberAt(0), Map: to, Method: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	n.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/shards", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	var resp shardsResponse
+	if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Shards) != len(to.Shards()) {
+		t.Fatalf("%d shards listed, map has %d", len(resp.Shards), len(to.Shards()))
+	}
+	for _, sh := range resp.Shards {
+		if want := to.ShardMembers(sh.ID); !slices.Equal(sh.Nodes, want) {
+			t.Errorf("shard %d listed on %v, held by members %v", sh.ID, sh.Nodes, want)
+		}
 	}
 }

@@ -6,30 +6,16 @@ import (
 )
 
 // AttrsConfig parameterizes the attribute-count experiment (Experiment
-// 3 of the paper).
+// 3 of the paper). It runs k = 3 attributes ("for this experiment we
+// considered 3 attributes") of 16 partitions each — a 16³ grid of 4096
+// buckets, matching the 64×64 bucket count of Experiments 1 and 2 —
+// over M = 16 disks.
 type AttrsConfig struct {
-	// Attrs is the number of attributes k (default 3 — "for this
-	// experiment we considered 3 attributes").
-	Attrs int
-	// Side is the partitions per attribute (default 16, giving a 16³
-	// grid of 4096 buckets, matching the default 64×64 bucket count).
-	Side int
-	// Disks is M (default 16).
-	Disks int
 	// Volumes are the query volumes swept (default 1, 2, 4, …, 512).
 	Volumes []int
 }
 
 func (c AttrsConfig) withDefaults() AttrsConfig {
-	if c.Attrs == 0 {
-		c.Attrs = 3
-	}
-	if c.Side == 0 {
-		c.Side = 16
-	}
-	if c.Disks == 0 {
-		c.Disks = 16
-	}
 	if len(c.Volumes) == 0 {
 		for v := 1; v <= 512; v *= 2 {
 			c.Volumes = append(c.Volumes, v)
@@ -47,11 +33,11 @@ func (c AttrsConfig) withDefaults() AttrsConfig {
 // 2-attribute sweeps.
 func Attributes(cfg AttrsConfig, opt Options) (*Experiment, error) {
 	cfg = cfg.withDefaults()
-	g, err := grid.Uniform(cfg.Attrs, cfg.Side)
+	g, err := grid.Uniform(3, 16)
 	if err != nil {
 		return nil, err
 	}
-	methods, err := opt.methods(g, cfg.Disks)
+	methods, err := opt.methods(g, 16)
 	if err != nil {
 		return nil, err
 	}

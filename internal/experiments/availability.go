@@ -23,22 +23,18 @@ import (
 // versus the number of simultaneously failed disks, comparing no
 // replication, chained replication, and offset replication across the
 // paper's allocation methods — the availability study the paper's
-// replication extension calls for.
+// replication extension calls for. It studies 4×4 queries, and the
+// offset variant backs each disk up Disks/2 disks away.
 type AvailabilityConfig struct {
 	// GridSide is the partitions per attribute of the 2-D grid
 	// (default 32).
 	GridSide int
 	// Disks is M (default 8).
 	Disks int
-	// QuerySides is the query shape studied (default 4×4).
-	QuerySides []int
 	// MaxFailed is the largest number of simultaneously failed disks
 	// swept (default 2; clamped to Disks-1). Zero selects the default;
 	// pass a negative value for an explicit 0, i.e. no failure sweep.
 	MaxFailed int
-	// Offset is the backup offset of the offset-replication variant
-	// (default Disks/2).
-	Offset int
 	// FailTrials is the number of failed-disk sets sampled per failure
 	// count (default 3).
 	FailTrials int
@@ -55,9 +51,6 @@ func (c AvailabilityConfig) withDefaults() AvailabilityConfig {
 	if c.Disks == 0 {
 		c.Disks = 8
 	}
-	if len(c.QuerySides) == 0 {
-		c.QuerySides = []int{4, 4}
-	}
 	switch {
 	case c.MaxFailed < 0: // explicitly no failure sweep
 		c.MaxFailed = 0
@@ -66,9 +59,6 @@ func (c AvailabilityConfig) withDefaults() AvailabilityConfig {
 	}
 	if c.MaxFailed > c.Disks-1 {
 		c.MaxFailed = c.Disks - 1
-	}
-	if c.Offset == 0 {
-		c.Offset = c.Disks / 2
 	}
 	if c.FailTrials == 0 {
 		c.FailTrials = 3
@@ -148,7 +138,7 @@ func Availability(cfg AvailabilityConfig, opt Options) (*AvailabilityResult, err
 	if limit == 0 || limit > 200 {
 		limit = 200 // the exact scheduler runs per query per failure set
 	}
-	qs, err := query.Placements(g, cfg.QuerySides, limit, opt.seed())
+	qs, err := query.Placements(g, []int{4, 4}, limit, opt.seed())
 	if err != nil {
 		return nil, err
 	}
@@ -165,16 +155,16 @@ func Availability(cfg AvailabilityConfig, opt Options) (*AvailabilityResult, err
 	}
 
 	res := &AvailabilityResult{
-		Workload: fmt.Sprintf("%d×%d", cfg.QuerySides[0], cfg.QuerySides[1]),
+		Workload: "4×4",
 		Disks:    cfg.Disks,
-		Offset:   cfg.Offset,
+		Offset:   cfg.Disks / 2,
 	}
 	for f := 0; f <= cfg.MaxFailed; f++ {
 		res.FailedCounts = append(res.FailedCounts, f)
 	}
 
 	for _, m := range methods {
-		schemes, err := replicaSchemes(m, cfg.Offset)
+		schemes, err := replicaSchemes(m, res.Offset)
 		if err != nil {
 			return nil, err
 		}

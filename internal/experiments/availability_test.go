@@ -7,7 +7,7 @@ import (
 
 func TestAvailabilityDefaults(t *testing.T) {
 	cfg := AvailabilityConfig{}.withDefaults()
-	if cfg.GridSide != 32 || cfg.Disks != 8 || cfg.MaxFailed != 2 || cfg.Offset != 4 {
+	if cfg.GridSide != 32 || cfg.Disks != 8 || cfg.MaxFailed != 2 {
 		t.Errorf("defaults wrong: %+v", cfg)
 	}
 	clamped := AvailabilityConfig{Disks: 4, MaxFailed: 9}.withDefaults()
@@ -35,6 +35,9 @@ func TestAvailabilityExperiment(t *testing.T) {
 	}
 	if len(res.FailedCounts) != 3 {
 		t.Fatalf("failure counts %v, want [0 1 2]", res.FailedCounts)
+	}
+	if res.Offset != 4 {
+		t.Errorf("offset %d, want Disks/2 = 4", res.Offset)
 	}
 	// Every paper method contributes three scheme rows.
 	if len(res.Rows)%3 != 0 || len(res.Rows) == 0 {

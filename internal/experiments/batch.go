@@ -15,7 +15,8 @@ import (
 // BatchConfig parameterizes the multi-user batch experiment — the
 // extension toward the multiuser analyses the paper cites
 // (Ghandeharizadeh & DeWitt): many queries queued at once per disk,
-// measuring makespan rather than single-query latency.
+// measuring makespan rather than single-query latency. Its disks are
+// disksim.Default1993.
 type BatchConfig struct {
 	// GridSide is the partitions per attribute of the 2-D grid
 	// (default 32).
@@ -29,8 +30,6 @@ type BatchConfig struct {
 	BatchSizes []int
 	// QuerySides is the query shape batched (default 4×4).
 	QuerySides []int
-	// Model is the disk model (default disksim.Default1993).
-	Model disksim.Model
 }
 
 func (c BatchConfig) withDefaults() BatchConfig {
@@ -48,9 +47,6 @@ func (c BatchConfig) withDefaults() BatchConfig {
 	}
 	if len(c.QuerySides) == 0 {
 		c.QuerySides = []int{4, 4}
-	}
-	if c.Model == (disksim.Model{}) {
-		c.Model = disksim.Default1993()
 	}
 	return c
 }
@@ -83,7 +79,7 @@ func Batch(cfg BatchConfig, opt Options) (*BatchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim, err := disksim.New(cfg.Model)
+	sim, err := disksim.New(disksim.Default1993())
 	if err != nil {
 		return nil, err
 	}

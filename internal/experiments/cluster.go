@@ -55,10 +55,9 @@ type ClusterChaosConfig struct {
 	// HedgeAfter is the router's hedge delay (default 4 × BaseLatency).
 	HedgeAfter time.Duration
 	// Replicas is the copies per shard of the replicated placements
-	// (default 2; the "none" placement always runs with 1).
+	// (default 2; the "none" placement always runs with 1, and the
+	// offset placement strides Nodes/2).
 	Replicas int
-	// Offset is the offset placement's stride (default Nodes/2).
-	Offset int
 	// MigrateRate paces the join/leave bucket copies in pages/second
 	// (0 = unthrottled); autopilot-driven migrations obey it too.
 	MigrateRate float64
@@ -115,9 +114,6 @@ func (c ClusterChaosConfig) withDefaults() ClusterChaosConfig {
 	}
 	if c.Replicas == 0 {
 		c.Replicas = 2
-	}
-	if c.Offset == 0 {
-		c.Offset = c.Nodes / 2
 	}
 	if c.SpikeFactor == 0 {
 		c.SpikeFactor = 2
@@ -233,7 +229,8 @@ type ClusterChaosResult struct {
 	Duration            time.Duration
 	BaseLatency         time.Duration
 	HedgeAfter          time.Duration
-	Offset              int
+	// Offset is the offset placement's stride, Nodes/2.
+	Offset int
 	// Seed replays the exact node fault schedules: every schedule is a
 	// pure function of (Seed, Nodes, Duration).
 	Seed  int64
@@ -269,7 +266,7 @@ func ClusterChaos(cfg ClusterChaosConfig, opt Options) (*ClusterChaosResult, err
 		Nodes: cfg.Nodes, DisksPerNode: cfg.DisksPerNode,
 		Clients: cfg.Clients, Duration: cfg.Duration,
 		BaseLatency: cfg.BaseLatency, HedgeAfter: cfg.HedgeAfter,
-		Offset: cfg.Offset, Seed: opt.seed(),
+		Offset: cfg.Nodes / 2, Seed: opt.seed(),
 	}
 	if cfg.Replicas < 1 || cfg.Replicas > cfg.Nodes {
 		return nil, fmt.Errorf("experiments: cluster replicas %d outside [1, %d nodes]", cfg.Replicas, cfg.Nodes)
@@ -281,7 +278,7 @@ func ClusterChaos(cfg ClusterChaosConfig, opt Options) (*ClusterChaosResult, err
 	}{
 		{"none", 1, 1},
 		{"chain", cfg.Replicas, 1},
-		{fmt.Sprintf("offset+%d", cfg.Offset), cfg.Replicas, cfg.Offset},
+		{fmt.Sprintf("offset+%d", res.Offset), cfg.Replicas, res.Offset},
 	}
 	for _, p := range placements {
 		sm, err := cluster.NewShardMap(g, cfg.Nodes, p.replicas, p.stride)

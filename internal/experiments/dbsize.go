@@ -8,28 +8,18 @@ import (
 )
 
 // DBSizeConfig parameterizes the database-size sweep (the "database
-// size" axis of the paper's parameter space).
+// size" axis of the paper's parameter space). Every size runs 8×8
+// queries over M = 16 disks.
 type DBSizeConfig struct {
 	// Sides are the grid side lengths swept (default 16, 32, 64, 128,
 	// 256 partitions per attribute — database size grows as side²;
 	// powers of two keep ECC applicable at every point).
 	Sides []int
-	// Disks is M (default 16).
-	Disks int
-	// QuerySides is the fixed query shape evaluated at every database
-	// size (default 8×8).
-	QuerySides []int
 }
 
 func (c DBSizeConfig) withDefaults() DBSizeConfig {
 	if len(c.Sides) == 0 {
 		c.Sides = []int{16, 32, 64, 128, 256}
-	}
-	if c.Disks == 0 {
-		c.Disks = 16
-	}
-	if len(c.QuerySides) == 0 {
-		c.QuerySides = []int{8, 8}
 	}
 	return c
 }
@@ -50,7 +40,7 @@ func DatabaseSize(cfg DBSizeConfig, opt Options) (*Experiment, error) {
 		if err != nil {
 			return nil, err
 		}
-		methods, err := opt.methods(g, cfg.Disks)
+		methods, err := opt.methods(g, 16)
 		if err != nil {
 			return nil, err
 		}
@@ -59,7 +49,7 @@ func DatabaseSize(cfg DBSizeConfig, opt Options) (*Experiment, error) {
 		} else if len(methodsNames) != len(methods) {
 			return nil, fmt.Errorf("experiments: method set changed across database sizes")
 		}
-		qs, err := query.Placements(g, cfg.QuerySides, opt.limit(), opt.seed())
+		qs, err := query.Placements(g, []int{8, 8}, opt.limit(), opt.seed())
 		if err != nil {
 			return nil, err
 		}

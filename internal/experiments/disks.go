@@ -12,11 +12,9 @@ import (
 // DisksConfig parameterizes the disk-count sweeps (Figure 5(a)/(b) of
 // the paper). Each query class is a band of sizes and shapes: every
 // query draws its side on each axis uniformly from the band, modelling
-// the paper's "small queries" and "large queries" populations.
+// the paper's "small queries" and "large queries" populations. The
+// grid is 64×64.
 type DisksConfig struct {
-	// GridSide is the partitions per attribute of the 2-D grid
-	// (default 64).
-	GridSide int
 	// Disks are the disk counts swept (default 2..32 — the paper's
 	// figure discusses crossovers at 14 and 25 disks, so the sweep must
 	// cover past 25).
@@ -24,9 +22,6 @@ type DisksConfig struct {
 }
 
 func (c DisksConfig) withDefaults() DisksConfig {
-	if c.GridSide == 0 {
-		c.GridSide = 64
-	}
 	if len(c.Disks) == 0 {
 		for m := 2; m <= 32; m += 2 {
 			c.Disks = append(c.Disks, m)
@@ -42,7 +37,7 @@ func (c DisksConfig) withDefaults() DisksConfig {
 // (zero-query result) to keep columns aligned. All (M, method) cells
 // fan across the sweep engine's worker pool.
 func disksSweep(id, title string, band [2]int, cfg DisksConfig, opt Options) (*Experiment, error) {
-	g, err := grid.New(cfg.GridSide, cfg.GridSide)
+	g, err := grid.New(64, 64)
 	if err != nil {
 		return nil, err
 	}

@@ -15,6 +15,8 @@ import (
 // EndToEndConfig parameterizes the end-to-end timing experiment — the
 // realism check layered on top of the paper's abstract metric: the same
 // workloads run against populated grid files and a period disk model.
+// It times 8×8 queries against files of the grid file's default page
+// capacity on disksim.Default1993.
 type EndToEndConfig struct {
 	// GridSide is the partitions per attribute of the 2-D grid
 	// (default 32).
@@ -23,12 +25,6 @@ type EndToEndConfig struct {
 	Disks int
 	// Records is the population size (default 50_000).
 	Records int
-	// PageCapacity is records per page (default gridfile default).
-	PageCapacity int
-	// QuerySides is the query shape timed (default 8×8).
-	QuerySides []int
-	// Model is the disk model (default disksim.Default1993).
-	Model disksim.Model
 }
 
 func (c EndToEndConfig) withDefaults() EndToEndConfig {
@@ -40,12 +36,6 @@ func (c EndToEndConfig) withDefaults() EndToEndConfig {
 	}
 	if c.Records == 0 {
 		c.Records = 50_000
-	}
-	if len(c.QuerySides) == 0 {
-		c.QuerySides = []int{8, 8}
-	}
-	if c.Model == (disksim.Model{}) {
-		c.Model = disksim.Default1993()
 	}
 	return c
 }
@@ -81,22 +71,22 @@ func EndToEnd(cfg EndToEndConfig, opt Options) (*EndToEndResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim, err := disksim.New(cfg.Model)
+	sim, err := disksim.New(disksim.Default1993())
 	if err != nil {
 		return nil, err
 	}
 	records := datagen.Uniform{K: 2, Seed: opt.seed()}.Generate(cfg.Records)
-	qs, err := query.Placements(g, cfg.QuerySides, opt.limit(), opt.seed())
+	qs, err := query.Placements(g, []int{8, 8}, opt.limit(), opt.seed())
 	if err != nil {
 		return nil, err
 	}
 
 	res := &EndToEndResult{
-		Workload: fmt.Sprintf("%d×%d range queries", cfg.QuerySides[0], cfg.QuerySides[1]),
+		Workload: "8×8 range queries",
 		Records:  cfg.Records,
 	}
 	for _, m := range methods {
-		f, err := populated(m, cfg.PageCapacity, records)
+		f, err := populated(m, 0, records)
 		if err != nil {
 			return nil, err
 		}

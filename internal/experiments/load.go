@@ -14,7 +14,8 @@ import (
 
 // LoadConfig parameterizes the open-system load sweep — mean response
 // versus arrival rate, the headline figure of the multiuser
-// declustering studies the paper cites ([21], [22]).
+// declustering studies the paper cites ([21], [22]). It offers 4×4
+// queries to disksim.Default1993.
 type LoadConfig struct {
 	// GridSide is the partitions per attribute of the 2-D grid
 	// (default 32).
@@ -23,16 +24,12 @@ type LoadConfig struct {
 	Disks int
 	// Records is the population size (default 30_000).
 	Records int
-	// QuerySides is the query shape offered (default 4×4).
-	QuerySides []int
 	// Rates are the arrival rates swept, in queries/second (default a
 	// geometric sweep into saturation for the 1993 disk model).
 	Rates []float64
 	// Queries is the number of arrivals simulated per rate
 	// (default 400).
 	Queries int
-	// Model is the disk model (default disksim.Default1993).
-	Model disksim.Model
 }
 
 func (c LoadConfig) withDefaults() LoadConfig {
@@ -45,17 +42,11 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	if c.Records == 0 {
 		c.Records = 30_000
 	}
-	if len(c.QuerySides) == 0 {
-		c.QuerySides = []int{4, 4}
-	}
 	if len(c.Rates) == 0 {
 		c.Rates = []float64{1, 2, 5, 10, 20, 40}
 	}
 	if c.Queries == 0 {
 		c.Queries = 400
-	}
-	if c.Model == (disksim.Model{}) {
-		c.Model = disksim.Default1993()
 	}
 	return c
 }
@@ -90,7 +81,7 @@ func Load(cfg LoadConfig, opt Options) (*LoadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim, err := disksim.New(cfg.Model)
+	sim, err := disksim.New(disksim.Default1993())
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +90,7 @@ func Load(cfg LoadConfig, opt Options) (*LoadResult, error) {
 	if limit == 0 || limit > 500 {
 		limit = 500
 	}
-	qs, err := query.Placements(g, cfg.QuerySides, limit, opt.seed())
+	qs, err := query.Placements(g, []int{4, 4}, limit, opt.seed())
 	if err != nil {
 		return nil, err
 	}

@@ -6,28 +6,13 @@ import (
 )
 
 // PMConfig parameterizes the partial-match experiment (the query class
-// §3.1 of the paper analyses theoretically).
-type PMConfig struct {
-	// Attrs is the number of attributes (default 3).
-	Attrs int
-	// Side is the partitions per attribute (default 16).
-	Side int
-	// Disks is M (default 8).
-	Disks int
-}
+// §3.1 of the paper analyses theoretically). It has no settings: the
+// experiment runs pmAttrs attributes of 16 partitions each over M = 8
+// disks.
+type PMConfig struct{}
 
-func (c PMConfig) withDefaults() PMConfig {
-	if c.Attrs == 0 {
-		c.Attrs = 3
-	}
-	if c.Side == 0 {
-		c.Side = 16
-	}
-	if c.Disks == 0 {
-		c.Disks = 8
-	}
-	return c
-}
+// pmAttrs is k, the partial-match grid's attribute count.
+const pmAttrs = 3
 
 // PartialMatch evaluates the methods over every partial-match pattern
 // (each attribute either pinned to a single partition or fully
@@ -35,24 +20,23 @@ func (c PMConfig) withDefaults() PMConfig {
 // makes the paper's §3.1 theory observable: DM/CMD answer every
 // one-unspecified pattern at the optimum, and deviations concentrate in
 // the mixed patterns.
-func PartialMatch(cfg PMConfig, opt Options) (*Experiment, error) {
-	cfg = cfg.withDefaults()
-	g, err := grid.Uniform(cfg.Attrs, cfg.Side)
+func PartialMatch(_ PMConfig, opt Options) (*Experiment, error) {
+	g, err := grid.Uniform(pmAttrs, 16)
 	if err != nil {
 		return nil, err
 	}
-	methods, err := opt.methods(g, cfg.Disks)
+	methods, err := opt.methods(g, 8)
 	if err != nil {
 		return nil, err
 	}
 	var workloads []query.Workload
 	// All 2^k−2 proper patterns (at least one specified, one not), in
 	// increasing number of unspecified attributes.
-	for unspecCount := 1; unspecCount < cfg.Attrs; unspecCount++ {
-		for mask := 1; mask < 1<<uint(cfg.Attrs); mask++ {
-			pattern := make([]bool, cfg.Attrs)
+	for unspecCount := 1; unspecCount < pmAttrs; unspecCount++ {
+		for mask := 1; mask < 1<<uint(pmAttrs); mask++ {
+			pattern := make([]bool, pmAttrs)
 			n := 0
-			for i := 0; i < cfg.Attrs; i++ {
+			for i := 0; i < pmAttrs; i++ {
 				if mask>>uint(i)&1 == 1 {
 					pattern[i] = true
 					n++

@@ -6,13 +6,8 @@ import (
 )
 
 // ShapeConfig parameterizes the query-shape sweep (Experiment 2 of the
-// paper).
+// paper), on a 64×64 grid over M = 16 disks.
 type ShapeConfig struct {
-	// GridSide is the partitions per attribute of the 2-D grid
-	// (default 64).
-	GridSide int
-	// Disks is M (default 16).
-	Disks int
 	// Area is the fixed query area whose shapes are swept (default 64,
 	// which spans aspect ratios 1:1 through 1:M and beyond on the
 	// default grid — the paper varies "from a square to a line by
@@ -21,12 +16,6 @@ type ShapeConfig struct {
 }
 
 func (c ShapeConfig) withDefaults() ShapeConfig {
-	if c.GridSide == 0 {
-		c.GridSide = 64
-	}
-	if c.Disks == 0 {
-		c.Disks = 16
-	}
 	if c.Area == 0 {
 		c.Area = 64
 	}
@@ -41,11 +30,11 @@ func (c ShapeConfig) withDefaults() ShapeConfig {
 // while the space-filling and code-based methods prefer compact shapes.
 func QueryShape(cfg ShapeConfig, opt Options) (*Experiment, error) {
 	cfg = cfg.withDefaults()
-	g, err := grid.New(cfg.GridSide, cfg.GridSide)
+	g, err := grid.New(64, 64)
 	if err != nil {
 		return nil, err
 	}
-	methods, err := opt.methods(g, cfg.Disks)
+	methods, err := opt.methods(g, 16)
 	if err != nil {
 		return nil, err
 	}

@@ -6,25 +6,14 @@ import (
 )
 
 // SizeConfig parameterizes the query-size sweep (Experiment 1 of the
-// paper).
+// paper), on a 64×64 grid over M = 16 disks.
 type SizeConfig struct {
-	// GridSide is the partitions per attribute of the 2-D grid
-	// (default 64).
-	GridSide int
-	// Disks is M (default 16).
-	Disks int
 	// Areas are the query areas swept (default 1, 2, 4, …, 1024 — the
 	// paper varies "area = 1 to area = 1024").
 	Areas []int
 }
 
 func (c SizeConfig) withDefaults() SizeConfig {
-	if c.GridSide == 0 {
-		c.GridSide = 64
-	}
-	if c.Disks == 0 {
-		c.Disks = 16
-	}
 	if len(c.Areas) == 0 {
 		for a := 1; a <= 1024; a *= 2 {
 			c.Areas = append(c.Areas, a)
@@ -42,11 +31,11 @@ func (c SizeConfig) withDefaults() SizeConfig {
 // past a size threshold.
 func QuerySize(cfg SizeConfig, opt Options) (*Experiment, error) {
 	cfg = cfg.withDefaults()
-	g, err := grid.New(cfg.GridSide, cfg.GridSide)
+	g, err := grid.New(64, 64)
 	if err != nil {
 		return nil, err
 	}
-	methods, err := opt.methods(g, cfg.Disks)
+	methods, err := opt.methods(g, 16)
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,8 @@ import (
 // SkewConfig parameterizes the data-skew experiment — an extension past
 // the paper's uniform-data assumption: the same query workload over
 // populations of different shapes, exposing how record placement skews
-// interact with bucket declustering.
+// interact with bucket declustering. It times 4×4 queries on
+// disksim.Default1993.
 type SkewConfig struct {
 	// GridSide is the partitions per attribute of the 2-D grid
 	// (default 32).
@@ -23,10 +24,6 @@ type SkewConfig struct {
 	Disks int
 	// Records is the population size (default 30_000).
 	Records int
-	// QuerySides is the query shape timed (default 4×4).
-	QuerySides []int
-	// Model is the disk model (default disksim.Default1993).
-	Model disksim.Model
 }
 
 func (c SkewConfig) withDefaults() SkewConfig {
@@ -38,12 +35,6 @@ func (c SkewConfig) withDefaults() SkewConfig {
 	}
 	if c.Records == 0 {
 		c.Records = 30_000
-	}
-	if len(c.QuerySides) == 0 {
-		c.QuerySides = []int{4, 4}
-	}
-	if c.Model == (disksim.Model{}) {
-		c.Model = disksim.Default1993()
 	}
 	return c
 }
@@ -87,7 +78,7 @@ func Skew(cfg SkewConfig, opt Options) (*SkewResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim, err := disksim.New(cfg.Model)
+	sim, err := disksim.New(disksim.Default1993())
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +86,7 @@ func Skew(cfg SkewConfig, opt Options) (*SkewResult, error) {
 	if limit == 0 || limit > 200 {
 		limit = 200 // per-query simulation is the bottleneck
 	}
-	qs, err := query.Placements(g, cfg.QuerySides, limit, opt.seed())
+	qs, err := query.Placements(g, []int{4, 4}, limit, opt.seed())
 	if err != nil {
 		return nil, err
 	}

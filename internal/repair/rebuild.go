@@ -20,8 +20,8 @@ import (
 // control: 200µs, doubling per consecutive shed up to 16×.
 var shedBackoff = exec.RetryPolicy{BaseBackoff: 200 * time.Microsecond, MaxBackoff: 3200 * time.Microsecond}
 
-// BackgroundPriority is the default admission priority of rebuild
-// reads: far below the default foreground priority (0), so a saturated
+// BackgroundPriority is the admission priority of rebuild reads: far
+// below the default foreground priority (0), so a saturated
 // scheduler sheds rebuild traffic first and foreground queries keep
 // their SLO.
 const BackgroundPriority = -1000
@@ -34,9 +34,6 @@ type RebuildConfig struct {
 	// Burst is the throttle's token headroom (default: one second of
 	// PagesPerSec).
 	Burst float64
-	// Priority is the admission priority of the rebuild's replica reads
-	// (default BackgroundPriority; only meaningful with a scheduler).
-	Priority int
 	// Parallel is the number of concurrent replica reads the rebuild
 	// keeps in flight (default 1). More parallelism cuts MTTR when the
 	// throttle allows it, at the price of more foreground contention.
@@ -92,9 +89,6 @@ func NewRebuilder(store *gridfile.Store, sched *serve.Scheduler, inj *fault.Inje
 	if inj == nil {
 		return nil, fmt.Errorf("repair: nil fault injector (rebuilds are driven by permanent failures)")
 	}
-	if cfg.Priority == 0 {
-		cfg.Priority = BackgroundPriority
-	}
 	if cfg.Parallel < 0 {
 		return nil, fmt.Errorf("repair: negative rebuild parallelism %d", cfg.Parallel)
 	}
@@ -126,7 +120,9 @@ func NewRebuilder(store *gridfile.Store, sched *serve.Scheduler, inj *fault.Inje
 // scheduler at background priority when one is attached — and streams
 // the copy onto the replacement disk under the throttle. When every
 // designated bucket is back, the injector's ReplaceDisk returns the
-// disk to service and the tracker (if any) records it healthy again.
+// disk to service and the tracker (if any) records it healthy again. A
+// ctx that ends before then fails the rebuild with ctx's error and
+// leaves the disk failed.
 func (r *Rebuilder) Rebuild(ctx context.Context, disk int) (*RebuildReport, error) {
 	if !r.inj.PermanentlyFailed(disk) {
 		return nil, fmt.Errorf("repair: disk %d is not permanently failed; nothing to rebuild", disk)
@@ -191,14 +187,20 @@ func (r *Rebuilder) Rebuild(ctx context.Context, disk int) (*RebuildReport, erro
 			}
 		}()
 	}
+feed:
 	for _, b := range missing {
 		select {
 		case buckets <- b:
 		case <-wctx.Done():
+			break feed
 		}
 	}
 	close(buckets)
 	wg.Wait()
+	if firstErr == nil && rep.Buckets < len(missing) {
+		// ctx ended before the last bucket landed: the disk stays failed.
+		firstErr = ctx.Err()
+	}
 	if firstErr != nil {
 		rep.Elapsed = time.Since(start)
 		return rep, firstErr
@@ -225,7 +227,7 @@ func (r *Rebuilder) fail(mu *sync.Mutex, firstErr *error, cancel context.CancelF
 }
 
 // readSurvivor reads bucket b's records from a surviving replica:
-// through the scheduler at the configured priority (retrying shed
+// through the scheduler at BackgroundPriority (retrying shed
 // reads, shedBackoff apart) when one is attached, else
 // directly from a clean live copy in the store.
 func (r *Rebuilder) readSurvivor(ctx context.Context, b int) ([]datagen.Record, int, error) {
@@ -237,7 +239,7 @@ func (r *Rebuilder) readSurvivor(ctx context.Context, b int) ([]datagen.Record, 
 	}
 	g := r.store.Grid()
 	c := g.Delinearize(b, nil)
-	q := serve.Query{Rect: grid.Rect{Lo: c, Hi: c}, Priority: r.cfg.Priority}
+	q := serve.Query{Rect: grid.Rect{Lo: c, Hi: c}, Priority: BackgroundPriority}
 	sheds := 0
 	for {
 		res, err := r.sched.Do(ctx, q)

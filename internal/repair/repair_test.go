@@ -13,6 +13,7 @@ import (
 	"decluster/internal/grid"
 	"decluster/internal/gridfile"
 	"decluster/internal/replica"
+	"decluster/internal/serve"
 )
 
 // fixture builds a populated grid file, a chained replica scheme over
@@ -386,5 +387,90 @@ func TestRebuildThrottled(t *testing.T) {
 	defer cancel()
 	if _, err := rb2.Rebuild(ctx, 2); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("cancelled rebuild returned %v", err)
+	}
+}
+
+// TestRebuildCancelledLeavesDiskFailed: a rebuild whose context ends
+// before every missing bucket has landed must fail with the context's
+// error and leave the disk failed, with and without a scheduler. The
+// context here is cancelled before Rebuild starts, so the feeder and
+// the workers race on an already-closed Done channel.
+func TestRebuildCancelledLeavesDiskFailed(t *testing.T) {
+	for _, withSched := range []bool{false, true} {
+		cut := 0 // runs the cancel cut short
+		for run := 0; run < 20; run++ {
+			f, rep, store := fixture(t, 4, 2048)
+			inj, _ := fault.New(fault.Config{})
+			var sched *serve.Scheduler
+			if withSched {
+				var err error
+				sched, err = serve.New(f,
+					serve.WithBucketReader(exec.NewStoreReader(store)),
+					serve.WithFaults(inj),
+					serve.WithFailover(rep))
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			var tr Tracker
+			rb, err := NewRebuilder(store, sched, inj, RebuildConfig{Tracker: &tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const lost = 1
+			inj.FailPermanent(lost)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			_, err = rb.Rebuild(ctx, lost)
+			if sched != nil {
+				if _, cerr := sched.Close(); cerr != nil {
+					t.Fatal(cerr)
+				}
+			}
+			missing := len(store.MissingOn(lost))
+			if missing == 0 {
+				continue // every bucket landed: a completed rebuild is correct
+			}
+			cut++
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("scheduler %v: cancelled rebuild with %d buckets missing returned %v", withSched, missing, err)
+			}
+			if !inj.DiskFailed(lost) {
+				t.Fatalf("scheduler %v: disk %d back in service with %d buckets missing", withSched, lost, missing)
+			}
+			if tr.Get(lost) == StateHealthy {
+				t.Fatalf("scheduler %v: tracker healthy with %d buckets missing", withSched, missing)
+			}
+		}
+		if cut == 0 {
+			t.Errorf("scheduler %v: a cancelled context never cut a rebuild short", withSched)
+		}
+	}
+}
+
+// TestScrubberHonoursCancelledContext: a sweep on an ended context
+// scans nothing, repairs nothing and returns the context's error.
+func TestScrubberHonoursCancelledContext(t *testing.T) {
+	_, _, store := fixture(t, 4, 2048)
+	inj, _ := fault.New(fault.Config{Seed: 9, CorruptProb: 0.25})
+	if SeedCorruption(store, inj) == 0 {
+		t.Fatal("nothing corrupted")
+	}
+	corrupt := len(store.VerifyAll())
+	sc, err := NewScrubber(store, ScrubConfig{Faults: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rep, err := sc.RunOnce(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled scrub returned %v", err)
+	}
+	if rep.PagesScanned != 0 || rep.Repaired != 0 {
+		t.Errorf("cancelled scrub scanned %d pages and repaired %d copies", rep.PagesScanned, rep.Repaired)
+	}
+	if got := len(store.VerifyAll()); got != corrupt {
+		t.Errorf("cancelled scrub changed the store: %d corrupt pages, want %d", got, corrupt)
 	}
 }

@@ -3,6 +3,7 @@ package repair
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sort"
 	"time"
 
@@ -13,11 +14,6 @@ import (
 
 // ScrubConfig tunes a Scrubber.
 type ScrubConfig struct {
-	// PagesPerSec throttles the sweep's verify I/O (0 = unthrottled).
-	PagesPerSec float64
-	// Burst is the throttle's token headroom (default: one second of
-	// PagesPerSec).
-	Burst float64
 	// Tracker optionally records per-disk repair states as the sweep
 	// finds (and clears) corruption.
 	Tracker *Tracker
@@ -25,8 +21,8 @@ type ScrubConfig struct {
 	// (a failed disk serves no reads, scrub or otherwise) and they are
 	// never used as repair sources.
 	Faults *fault.Injector
-	// Obs optionally receives scrub metrics (sweep/page/corruption
-	// counters and throttle tokens) in its registry.
+	// Obs optionally receives scrub metrics (sweep, page and corruption
+	// counters) in its registry.
 	Obs *obs.Sink
 }
 
@@ -57,20 +53,20 @@ type ScrubReport struct {
 // Scrubber sweeps the store's bucket copies, verifying checksums and
 // repairing corrupt copies from clean siblings. One sweep is RunOnce;
 // callers loop it (or run it under a ticker) for continuous scrubbing.
+// A sweep is unpaced: it reads the store directly, not through a
+// scheduler, so it competes with no admission queue.
 type Scrubber struct {
 	store *gridfile.Store
 	cfg   ScrubConfig
-	tb    *Throttle
 	m     *scrubMetrics
 }
 
-// NewScrubber builds a scrubber over the store.
+// NewScrubber builds a scrubber over the store (required).
 func NewScrubber(s *gridfile.Store, cfg ScrubConfig) (*Scrubber, error) {
-	tb, err := NewThrottle(cfg.PagesPerSec, cfg.Burst)
-	if err != nil {
-		return nil, err
+	if s == nil {
+		return nil, fmt.Errorf("repair: nil store")
 	}
-	sc := &Scrubber{store: s, cfg: cfg, tb: tb}
+	sc := &Scrubber{store: s, cfg: cfg}
 	if cfg.Obs != nil {
 		r := cfg.Obs.Registry()
 		sc.m = &scrubMetrics{
@@ -80,7 +76,6 @@ func NewScrubber(s *gridfile.Store, cfg ScrubConfig) (*Scrubber, error) {
 			repaired:     r.Counter("repair.scrub.repaired"),
 			unrepairable: r.Counter("repair.scrub.unrepairable"),
 		}
-		tb.AttachObserver(cfg.Obs, "repair.scrub.throttle.tokens")
 	}
 	return sc, nil
 }
@@ -89,7 +84,9 @@ func NewScrubber(s *gridfile.Store, cfg ScrubConfig) (*Scrubber, error) {
 // repairs corrupt copies from a clean live sibling, and updates the
 // tracker: a disk with corruption found goes suspect; a previously
 // suspect disk whose sweep comes back clean returns to healthy. The
-// sweep honours ctx (an ended context aborts with the partial report).
+// sweep checks ctx before each copy: an ended context stops it with the
+// partial report and ctx's error, and a partial sweep clears no
+// suspect disk.
 func (sc *Scrubber) RunOnce(ctx context.Context) (*ScrubReport, error) {
 	start := time.Now()
 	rep := &ScrubReport{}
@@ -109,7 +106,7 @@ func (sc *Scrubber) RunOnce(ctx context.Context) (*ScrubReport, error) {
 				skipped[d] = true
 				continue
 			}
-			if err := sc.tb.Take(ctx, float64(pages)); err != nil {
+			if err := ctx.Err(); err != nil {
 				rep.Elapsed = time.Since(start)
 				return rep, err
 			}

@@ -52,11 +52,11 @@ const (
 type RepairTracker = repair.Tracker
 
 // Scrubber sweeps stored bucket copies verifying checksums and
-// repairing mismatches from a clean sibling replica, paced by a token
-// bucket.
+// repairing mismatches from a clean sibling replica.
 type Scrubber = repair.Scrubber
 
-// ScrubConfig tunes a Scrubber's pace, tracker, and fault awareness.
+// ScrubConfig sets a Scrubber's tracker, fault awareness, and metrics
+// sink; a sweep is unpaced.
 type ScrubConfig = repair.ScrubConfig
 
 // ScrubReport summarizes one scrub sweep.
@@ -67,8 +67,9 @@ func NewScrubber(s *Store, cfg ScrubConfig) (*Scrubber, error) {
 	return repair.NewScrubber(s, cfg)
 }
 
-// Scrub runs one full scrub sweep with default pacing: every stored
-// copy verified, mismatches repaired from surviving replicas.
+// Scrub runs one full scrub sweep: every stored copy verified,
+// mismatches repaired from surviving replicas. An ended ctx stops it
+// with the partial report.
 func Scrub(ctx context.Context, s *Store, inj *FaultInjector) (*ScrubReport, error) {
 	sc, err := repair.NewScrubber(s, repair.ScrubConfig{Faults: inj})
 	if err != nil {
@@ -103,17 +104,16 @@ func WithServeWrapper(wrap func(BucketReader) BucketReader) ServeOption {
 // when a scheduler is attached.
 type Rebuilder = repair.Rebuilder
 
-// RebuildConfig tunes a rebuild: throttle, admission priority, shed
-// backoff, and state tracking.
+// RebuildConfig tunes a rebuild: throttle, parallelism, state tracking,
+// and metrics. Reads are always admitted at RebuildBackgroundPriority.
 type RebuildConfig = repair.RebuildConfig
 
 // RebuildReport summarizes one disk rebuild, including the elapsed
 // mean-time-to-repair.
 type RebuildReport = repair.RebuildReport
 
-// RebuildBackgroundPriority is the default admission priority of
-// rebuild reads — far below foreground, so overload sheds rebuild
-// traffic first.
+// RebuildBackgroundPriority is the admission priority of rebuild reads
+// — far below foreground, so overload sheds rebuild traffic first.
 const RebuildBackgroundPriority = repair.BackgroundPriority
 
 // NewRebuilder builds a rebuild engine. sched may be nil for direct
@@ -123,7 +123,8 @@ func NewRebuilder(s *Store, sched *Scheduler, inj *FaultInjector, cfg RebuildCon
 }
 
 // Rebuild reconstructs a permanently failed disk with default pacing
-// (unthrottled, background priority) and returns it to service.
+// (unthrottled, background priority) and returns it to service. A ctx
+// that ends first fails it and leaves the disk failed.
 func Rebuild(ctx context.Context, s *Store, sched *Scheduler, inj *FaultInjector, disk int) (*RebuildReport, error) {
 	rb, err := repair.NewRebuilder(s, sched, inj, repair.RebuildConfig{})
 	if err != nil {
