@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -346,5 +347,35 @@ func TestNodeRejectsForeignRects(t *testing.T) {
 	}
 	if res == nil || res.Covered != 0 {
 		t.Fatalf("misrouted query res = %+v", res)
+	}
+}
+
+// NewRouter refuses the negative settings that exec.New and serve.New
+// refuse, naming the field, instead of running on them: a negative
+// Retry.MaxAttempts answered no sub-query, a negative HedgeAfter also
+// turned off the at-once failover, and a negative NodeDeadline became 2s.
+func TestNewRouterRejectsNegativeSettings(t *testing.T) {
+	sm, err := NewChainShardMap(grid.MustNew(8, 8), 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	urls := []string{"http://127.0.0.1:1", "http://127.0.0.1:2", "http://127.0.0.1:3"}
+	for _, tc := range []struct {
+		field string
+		cfg   RouterConfig
+	}{
+		{"Retry.MaxAttempts", RouterConfig{Retry: exec.RetryPolicy{MaxAttempts: -1}}},
+		{"Retry.BaseBackoff", RouterConfig{Retry: exec.RetryPolicy{MaxAttempts: 2, BaseBackoff: -time.Millisecond}}},
+		{"Retry.MaxBackoff", RouterConfig{Retry: exec.RetryPolicy{MaxAttempts: 2, MaxBackoff: -time.Millisecond}}},
+		{"HedgeAfter", RouterConfig{HedgeAfter: -time.Millisecond}},
+		{"NodeDeadline", RouterConfig{NodeDeadline: -time.Second}},
+	} {
+		tc.cfg.Map, tc.cfg.Endpoints = sm, urls
+		if _, err := NewRouter(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("negative %s: NewRouter returned %v, want an error naming the field", tc.field, err)
+		}
+	}
+	if _, err := NewRouter(RouterConfig{Map: sm, Endpoints: urls}); err != nil {
+		t.Errorf("zero settings (the defaults): %v", err)
 	}
 }

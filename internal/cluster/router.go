@@ -49,18 +49,21 @@ type RouterConfig struct {
 	Client *http.Client
 	// NodeDeadline bounds each attempt against one node; an attempt
 	// running past it fails with errNodeTimeout and the router rotates
-	// to the next replica. Zero selects 2s.
+	// to the next replica. Zero selects 2s; negative is an error.
 	NodeDeadline time.Duration
 	// Retry governs attempts per sub-query across a shard's replicas:
 	// attempt i goes to candidate i mod replicas, with exponential
-	// backoff between rounds. Zero selects exec.DefaultRetry.
+	// backoff between rounds. Zero MaxAttempts selects
+	// exec.DefaultRetry; a negative field is an error.
 	Retry exec.RetryPolicy
 	// Breaker configures the per-member circuit breakers (serve breaker
 	// machinery, one slot per endpoint). Zero selects serve defaults.
 	Breaker serve.BreakerConfig
 	// HedgeAfter launches a hedge leg to the next allowed replica when
-	// an attempt is still unanswered after this long. Zero disables
-	// hedging.
+	// an attempt is still unanswered after this long and the hedge gate
+	// (serve.Breakers.Backup), asked at the attempt's start, gave it a
+	// delay. With hedging on, an attempt that fails outright fails over
+	// to that replica at once. Zero disables both; negative is an error.
 	HedgeAfter time.Duration
 	// Obs optionally records router metrics and per-query span trees.
 	Obs *obs.Sink
@@ -82,9 +85,14 @@ type Result struct {
 	SubQueries, Covered int
 	// Retries counts attempts beyond the first across all sub-queries.
 	Retries int
-	// Hedges counts hedge legs launched.
+	// Hedges counts the attempts that launched a second leg to a backup
+	// replica: a timed hedge beside a slow attempt, or the at-once
+	// failover of an attempt that failed outright. An attempt whose
+	// hedge gate gave no delay launches no timed hedge, and one that
+	// answers inside the delay launches none at all.
 	Hedges int
-	// HedgeWins counts sub-queries whose hedge leg answered first.
+	// HedgeWins counts sub-queries answered by such a second leg: a
+	// timed hedge that answered first, or a failover that answered.
 	HedgeWins int
 	// Degraded reports some node answered from a local replica disk
 	// (its own fail-stop degradation, distinct from cluster-level
@@ -141,6 +149,18 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	if len(cfg.Endpoints) < cfg.Map.Nodes() {
 		return nil, fmt.Errorf("cluster: %d endpoints for %d nodes", len(cfg.Endpoints), cfg.Map.Nodes())
+	}
+	switch {
+	case cfg.NodeDeadline < 0:
+		return nil, fmt.Errorf("cluster: negative NodeDeadline %v", cfg.NodeDeadline)
+	case cfg.HedgeAfter < 0:
+		return nil, fmt.Errorf("cluster: negative HedgeAfter %v", cfg.HedgeAfter)
+	case cfg.Retry.MaxAttempts < 0:
+		return nil, fmt.Errorf("cluster: negative Retry.MaxAttempts %d", cfg.Retry.MaxAttempts)
+	case cfg.Retry.BaseBackoff < 0:
+		return nil, fmt.Errorf("cluster: negative Retry.BaseBackoff %v", cfg.Retry.BaseBackoff)
+	case cfg.Retry.MaxBackoff < 0:
+		return nil, fmt.Errorf("cluster: negative Retry.MaxBackoff %v", cfg.Retry.MaxBackoff)
 	}
 	routes := make(map[int]*[2]route, len(cfg.Endpoints))
 	for i, u := range cfg.Endpoints {

@@ -32,37 +32,49 @@ func Worth(after, primary, backup time.Duration) bool {
 // Racer runs hedged races one after another, without a per-race
 // context, timer or result holder. A bucket read or node call that
 // answers inside the delay — nearly all of them — costs an atomic store
-// and a compare-and-swap and reads no clock (its start stamp is the
-// caller's), because everything a race needs outlives it:
+// and a compare-and-swap, reads no clock (its start stamp is the
+// caller's) and asks no gate, because everything a race needs outlives
+// it:
 //
 //   - one watchdog timer serves every race. It is armed lazily and when
 //     it fires it looks at the race in flight: none — it lapses, and the
 //     next race re-arms it; one younger than its delay — it re-arms for
-//     the remainder; one overdue — it claims the race and runs the
-//     backup leg on its own goroutine. The delay is therefore measured
-//     from the race's start, whenever the watchdog was armed.
+//     the remainder; one overdue — it claims the race, asks Gate whether
+//     a backup is still worth issuing, and if so runs the backup leg on
+//     its own goroutine. The delay is therefore measured from the race's
+//     start, whenever the watchdog was armed.
 //   - one cancellable leg context serves every race under the same
-//     caller context. It is replaced only after a race that launched a
-//     timed backup, the only kind that cancels it.
+//     caller context. It is replaced only after a race that may have
+//     cancelled it: one that launched a timed backup, or whose primary
+//     answered while the watchdog was still asking Gate.
 //
 // The zero value is ready. A Racer must not run two races at once; it
 // may be pooled and handed from goroutine to goroutine between races. It
 // holds its last race's leg function and leg context until the next
 // race, and the context and a pending watchdog until Release.
 type Racer[T any] struct {
+	// Gate, when set, is asked by the watchdog whether the race it has
+	// just claimed — primary overdue, backup not yet issued — should
+	// issue its backup; false declines, and the race goes on unhedged.
+	// Nil issues every overdue backup. It runs on the watchdog's
+	// goroutine; set it between races.
+	Gate func(primary, backup int) bool
+
 	// state is the race in flight: its start stamp shifted over a phase.
 	// Stamps strictly increase from race to race, so a state word names
 	// one race and a compare-and-swap on it cannot mistake a later race
 	// for the one it examined. The edges:
 	//
-	//	idle → reading(s)        the caller, starting race s (a store)
-	//	reading(s) → idle        the caller, its primary leg returned
-	//	reading(s) → hedging(s)  the watchdog, once s is overdue
-	//	hedging(s) → idle        the caller, after the backup leg returned
+	//	idle → reading(s)          the caller, starting race s (a store)
+	//	reading(s) → idle          the caller, its primary leg returned
+	//	reading(s) → hedging(s)    the watchdog, once s is overdue
+	//	hedging(s) → declined(s)   the watchdog, when Gate declines
+	//	hedging(s) → idle          the caller, after the backup leg returned
+	//	declined(s) → idle         the caller, its primary leg returned
 	//
 	// The two edges out of reading(s) are compare-and-swaps on the same
-	// word: exactly one of caller and watchdog wins it, which is what
-	// "hedged" means.
+	// word: exactly one of caller and watchdog wins it. A race is hedged
+	// when the watchdog won it and Gate let the backup go.
 	state atomic.Uint64
 	// after is the delay of the race in flight, read by the watchdog
 	// between two loads of state that must agree.
@@ -77,13 +89,14 @@ type Racer[T any] struct {
 
 	// Written by the caller before it publishes the race in state, read
 	// by the watchdog only after it has claimed that race.
-	legCtx context.Context
-	cancel context.CancelFunc
-	backup int
-	leg    func(ctx context.Context, target int, hedge bool) (T, error)
+	legCtx          context.Context
+	cancel          context.CancelFunc
+	primary, backup int
+	leg             func(ctx context.Context, target int, hedge bool) (T, error)
 
 	// The backup leg's outcome: written by the watchdog before it sends
-	// on done, read by the caller after it receives.
+	// on done, read by the caller after it receives. A declined race
+	// sends on done too, with no outcome.
 	val  T
 	err  error
 	done chan struct{}
@@ -98,6 +111,7 @@ const (
 	idle      = 0 // the whole word: no race in flight
 	reading   = 1
 	hedging   = 2
+	declined  = 3
 )
 
 // epoch anchors the stamps.
@@ -117,19 +131,21 @@ func Now() int64 { return int64(time.Since(epoch)) }
 // backup (hedge=true) beside it. The first success wins; the loser's
 // context is cancelled and Race waits for it to return, so whatever a
 // leg observes (health samples, metrics, spans) has landed when Race
-// does. A primary that fails before the backup started launches it at
-// once, whatever the delay: that is failover for a read that already
-// failed, not a bet on latency, so callers do not gate it — after <= 0
-// arms no watchdog and leaves only this failover. When both legs fail,
-// prefer picks the reported error from (primary's, backup's); a
-// cancelled caller gets ctx.Err(). backup < 0 means there is nothing to
-// race: the primary runs inline.
+// does. The backup goes only if Gate, asked when the race comes due,
+// lets it. A primary that fails before the backup started launches it
+// at once, whatever the delay or Gate: that is failover for a read that
+// already failed, not a bet on latency — after <= 0 arms no watchdog and
+// leaves only this failover. When both legs fail, prefer picks the
+// reported error from (primary's, backup's); a cancelled caller gets
+// ctx.Err(). backup < 0 means there is nothing to race: the primary runs
+// inline.
 //
 // start is the [Now] stamp the read began at, and the delay runs from
 // it: a caller that already holds one (the end of its previous read)
 // passes it, and one that does not passes Now(). A stamp already a delay
 // old launches the backup at once. Stamps need not increase from call to
-// call; the Racer moves one that does not just past its previous race's.
+// call; the Racer moves one that does not just past its previous race's,
+// and the delay runs from the moved stamp.
 //
 // Legs must return promptly once their context is cancelled. ctx is
 // compared with the previous race's, so its dynamic type must be
@@ -153,7 +169,7 @@ func (r *Racer[T]) Race(ctx context.Context, start int64, after time.Duration, p
 			r.parent = ctx
 			r.legCtx, r.cancel = context.WithCancel(ctx)
 		}
-		r.backup, r.leg = backup, leg
+		r.primary, r.backup, r.leg = primary, backup, leg
 		if r.after.Load() != int64(after) {
 			r.after.Store(int64(after))
 		}
@@ -166,16 +182,24 @@ func (r *Racer[T]) Race(ctx context.Context, start int64, after time.Duration, p
 		}
 
 		val, err = leg(r.legCtx, primary, false)
-		if hedged = !r.state.CompareAndSwap(race, idle); hedged {
-			if err == nil {
-				r.cancel() // the backup lost
+		if !r.state.CompareAndSwap(race, idle) {
+			// The watchdog claimed the race: it is asking Gate, or it
+			// declined, or the backup leg is running.
+			claimed := race &^ phaseMask
+			cancelled := err == nil && r.state.Load() != claimed|declined
+			if cancelled {
+				r.cancel() // the backup lost, or will find its context done
 			}
 			<-r.done
-			bval, berr = r.val, r.err
-			var zero T
-			r.val, r.err = zero, nil
+			if hedged = r.state.Load() == claimed|hedging; hedged {
+				bval, berr = r.val, r.err
+				var zero T
+				r.val, r.err = zero, nil
+			}
 			r.state.Store(idle)
-			r.dropLegCtx() // one of the legs has, or may have, cancelled it
+			if hedged || cancelled {
+				r.dropLegCtx() // one of the legs has, or may have, cancelled it
+			}
 		}
 	} else {
 		val, err = leg(ctx, primary, false)
@@ -205,10 +229,13 @@ func (r *Racer[T]) Race(ctx context.Context, start int64, after time.Duration, p
 // whichever one it finds by that race's own start — so one that lands
 // after the Racer went back to a pool and out again to another caller
 // can neither hedge the new race early nor touch the old one's result.
+// Gate is asked only once the race is claimed: before the claim the
+// caller may end the race and start the next, rewriting what Gate reads.
 func (r *Racer[T]) watch() {
 	r.fireAt.Store(0) // this fire is spent; whoever needs another arms it
+	var race uint64
 	for {
-		race := r.state.Load()
+		race = r.state.Load()
 		if race&phaseMask != reading {
 			// Nothing to guard. A race starting now loads fireAt after
 			// storing state, so it sees the zero above and arms — or its
@@ -228,7 +255,13 @@ func (r *Racer[T]) watch() {
 		}
 		// The race ended as it came due; look at what followed it.
 	}
-	// The caller now waits on done, so the race's fields hold still.
+	// The caller cannot end the race before it receives on done, so the
+	// race's fields hold still.
+	if r.Gate != nil && !r.Gate(r.primary, r.backup) {
+		r.state.Store(race&^phaseMask | declined)
+		r.done <- struct{}{}
+		return
+	}
 	r.val, r.err = r.leg(r.legCtx, r.backup, true)
 	if r.err == nil {
 		r.cancel() // the primary lost
@@ -261,7 +294,7 @@ func (r *Racer[T]) arm(race uint64, due int64) {
 	r.fireAt.Store(due)
 	wait := time.Duration(due - Now())
 	if r.timer == nil {
-		r.done = make(chan struct{}, 1) // one send per hedged race, received before the next race starts
+		r.done = make(chan struct{}, 1) // one send per claimed race, received before the next race starts
 		r.timer = time.AfterFunc(wait, r.watch)
 	} else {
 		r.timer.Reset(wait)

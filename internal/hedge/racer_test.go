@@ -361,3 +361,120 @@ func TestRacerWatchdogRacesThePrimary(t *testing.T) {
 	r.Release()
 	settle(t, baseline)
 }
+
+// A gate that declines leaves the race unhedged: no backup leg runs
+// beside the primary, and the Racer's next race is unaffected. A primary
+// that fails after the decline still fails over at once, on the caller's
+// goroutine.
+func TestRacerDeclinedGateLaunchesNoBackup(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var r Racer[int]
+	defer r.Release()
+	asked := make(chan [2]int, 1)
+	r.Gate = func(p, b int) bool {
+		asked <- [2]int{p, b}
+		return false
+	}
+
+	for _, tc := range []struct {
+		name       string
+		err        error // the primary's outcome
+		wantWinner int
+	}{
+		{"primary answers", nil, primary},
+		{"primary fails", errFailStop, backup},
+	} {
+		gate := make(chan struct{})
+		p, b := newScript(gate, tc.err), newScript(nil, nil)
+		go func() {
+			// The race comes due while its primary is gated: the watchdog
+			// claims it and asks the gate, which declines.
+			if got := <-asked; got != [2]int{primary, backup} {
+				t.Errorf("%s: gate asked of %v, want [%d %d]", tc.name, got, primary, backup)
+			}
+			close(gate)
+		}()
+		backupAfterPrimary := false
+		val, winner, hedged, err := r.Race(ctx, Now(), soon, primary, backup, func(ctx context.Context, target int, hedge bool) (int, error) {
+			if target == backup {
+				backupAfterPrimary = hedge && called(p) && isClosed(p.done)
+			}
+			return legs(p, b)(ctx, target, hedge)
+		}, nil)
+		if err != nil || winner != tc.wantWinner || val != tc.wantWinner {
+			t.Fatalf("%s: value %d winner %d err %v, want %d's", tc.name, val, winner, err, tc.wantWinner)
+		}
+		if tc.err == nil && (hedged || called(b)) {
+			t.Fatalf("%s: hedged %v, backup called %v: a declined race ran its backup", tc.name, hedged, called(b))
+		}
+		if tc.err != nil && (!hedged || !backupAfterPrimary) {
+			t.Fatalf("%s: hedged %v, backup after the failed primary %v: want the failover", tc.name, hedged, backupAfterPrimary)
+		}
+		if errors.Is(p.ctxErr, context.Canceled) {
+			t.Fatalf("%s: a declined race cancelled its primary", tc.name)
+		}
+		if st := r.state.Load(); st != idle {
+			t.Fatalf("%s: state %#x after the race, want idle", tc.name, st)
+		}
+	}
+
+	// The leg context survives a decline: the next race runs on it, and a
+	// gate that lets the backup go hedges as ever.
+	r.Gate = func(int, int) bool { return true }
+	p, b := newScript(make(chan struct{}), nil), newScript(nil, nil)
+	if _, winner, hedged, err := r.Race(ctx, Now(), soon, primary, backup, legs(p, b), nil); winner != backup || !hedged || err != nil {
+		t.Fatalf("after the declines: winner %d hedged %v err %v, want the backup's", winner, hedged, err)
+	}
+	settle(t, baseline)
+}
+
+func isClosed(c chan struct{}) bool {
+	select {
+	case <-c:
+		return true
+	default:
+		return false
+	}
+}
+
+// Races that share one start stamp — a batch of reads timed from the
+// batch's stamp — are each moved just past the previous race's, and the
+// watchdog judges each by its moved stamp: a shared stamp far older than
+// the delay hedges none of them while the stamp the Racer moved it past
+// is young.
+func TestRacerSharedStampJudgedFromBumpedStamps(t *testing.T) {
+	const after = 50 * time.Millisecond
+	for Now() <= 3*int64(after) {
+		runtime.Gosched() // stamps count from package load; the shared one must be positive
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var r Racer[int]
+	defer r.Release()
+
+	backupCalls := 0
+	leg := instant(&backupCalls)
+	young := Now()
+	if _, _, hedged, err := r.Race(ctx, young, after, primary, backup, leg, nil); hedged || err != nil {
+		t.Fatalf("first race: hedged %v err %v", hedged, err)
+	}
+	shared := young - 2*int64(after) // overdue, judged as given
+	for i := int64(1); i <= 3; i++ {
+		var stamp int64
+		_, winner, hedged, err := r.Race(ctx, shared, after, primary, backup, func(ctx context.Context, target int, hedge bool) (int, error) {
+			if target == primary {
+				stamp = int64(r.state.Load() >> phaseBits)
+				r.watch() // a fire now: due by the shared stamp, not by the moved one
+			}
+			return leg(ctx, target, hedge)
+		}, nil)
+		if winner != primary || hedged || err != nil || backupCalls != 0 {
+			t.Fatalf("race %d at the shared stamp: winner %d hedged %v err %v, %d backup legs: judged from the stamp as given", i, winner, hedged, err, backupCalls)
+		}
+		if stamp != young+i {
+			t.Fatalf("race %d ran at stamp %d, want %d: just past the previous race's", i, stamp-young, i)
+		}
+	}
+}

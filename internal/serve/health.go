@@ -470,13 +470,18 @@ func (h *Breakers) Leads(d int) bool {
 
 // Backup returns the holder that a read led by lead races — the first
 // allowed holder other than lead, preferring one in good standing; -1
-// when after <= 0 (hedging off) or none exists — and the delay to arm the
-// race with: after when hedge.Worth, on the two holders' EWMA latencies,
-// says a timed hedge is worth issuing, 0 when it does not or the backup
-// is on probation. A zero delay still leaves the backup as the failover
-// target of a lead that fails outright. Probation ranks holders against
-// one in good standing: a lead on probation itself (Lead found no better
-// one) races its backup as if nobody were on probation.
+// when after <= 0 (hedging off) or none exists — and the delay the timed
+// hedge to it is worth: after when hedge.Worth, on the two holders' EWMA
+// latencies, says a timed hedge is worth issuing, 0 when it does not or
+// the backup is on probation. It is the hedge gate. The router asks it
+// at each attempt's start, for the target and the delay; a disk read
+// arms every race at the configured delay and asks it, through the
+// race's hedge.Racer.Gate, only when the race comes due, so a healthy
+// read that answers inside the delay never asks. A zero delay still
+// leaves the backup as the failover target of a lead that fails
+// outright. Probation ranks holders against one in good standing: a
+// lead on probation itself (Lead found no better one) races its backup
+// as if nobody were on probation.
 func (h *Breakers) Backup(holders []int, lead int, after time.Duration) (b int, delay time.Duration) {
 	if after <= 0 {
 		return -1, 0

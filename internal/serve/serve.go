@@ -136,8 +136,11 @@ type Stats struct {
 	// priority, Expired at dispatch (DropExpired), Abandoned by their
 	// own context while queued.
 	Rejected, Evicted, Expired, Abandoned uint64
-	// HedgesIssued counts speculative backup reads; HedgesWon counts
-	// those that returned first.
+	// HedgesIssued counts backup reads issued against a bucket's other
+	// replica: speculative ones beside a slow primary read, and the
+	// at-once failover of a primary that failed outright. HedgesWon
+	// counts those whose records were returned. A race whose hedge gate
+	// declined issues no backup read and counts in neither.
 	HedgesIssued, HedgesWon uint64
 	// BreakerTrips counts closed/half-open → open transitions across
 	// all disks.
@@ -196,6 +199,11 @@ type Scheduler struct {
 	// delay, whose gate reads the EWMA they feed, or the breaker cooldown
 	// when hedging is off.
 	foldSpan int64
+	// batchEWMA is the EWMA, in nanoseconds, at or under which a disk's
+	// clean reads are timed in batches: batchReads of them span at most
+	// foldSpan/batchStale. Zero — every read timed — while a latency
+	// histogram is attached.
+	batchEWMA float64
 }
 
 // config collects the options of New.
@@ -350,6 +358,9 @@ func New(f *gridfile.File, opts ...Option) (*Scheduler, error) {
 			}
 			s.metrics.attachNodeMetrics(c.obs.Registry(), c.node)
 		}
+	}
+	if s.metrics.legLatency == nil {
+		s.batchEWMA = float64(s.foldSpan) / (batchStale * batchReads)
 	}
 
 	reader := c.reader

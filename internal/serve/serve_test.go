@@ -629,8 +629,8 @@ func TestOpenBreakerStillBacksUpFailedPrimary(t *testing.T) {
 		t.Fatal("fixture has no occupied bucket")
 	}
 	a, b := rep.PrimaryOf(bucket), rep.BackupOf(bucket)
-	if alt, after := s.altDisk(a, bucket); alt != b || after != time.Hour {
-		t.Fatalf("healthy: altDisk = (%d, %v), want (%d, 1h)", alt, after, b)
+	if alt := s.altDisk(a, bucket); alt != b || !s.hedgeWorth(a, b) {
+		t.Fatalf("healthy: altDisk = %d, gate %v; want %d, and the gate lets a timed hedge go", alt, s.hedgeWorth(a, b), b)
 	}
 
 	s.health.Observe(b, 0, fault.ErrTransient) // trips b's breaker
@@ -639,8 +639,8 @@ func TestOpenBreakerStillBacksUpFailedPrimary(t *testing.T) {
 	}
 	inj.FailDisk(a) // after "routing": the read below still targets a
 
-	if alt, after := s.altDisk(a, bucket); alt != b || after != 0 {
-		t.Errorf("backup breaker open: altDisk = (%d, %v), want (%d, 0): failover kept, timed hedge closed", alt, after, b)
+	if alt := s.altDisk(a, bucket); alt != b || s.hedgeWorth(a, b) {
+		t.Errorf("backup breaker open: altDisk = %d, gate %v; want %d and a declining gate: failover kept, timed hedge closed", alt, s.hedgeWorth(a, b), b)
 	}
 	r := s.newServedReader(injectedReader{inner: exec.NewFileReader(f), inj: inj})
 	recs, err := r.ReadBucket(context.Background(), a, bucket)
@@ -656,8 +656,82 @@ func TestOpenBreakerStillBacksUpFailedPrimary(t *testing.T) {
 
 	// A fail-stop backup is no backup at all.
 	inj.FailDisk(b)
-	if alt, _ := s.altDisk(a, bucket); alt != -1 {
+	if alt := s.altDisk(a, bucket); alt != -1 {
 		t.Errorf("fail-stop backup offered as hedge target %d", alt)
+	}
+}
+
+// slowDiskReader delays every read of one disk until its context ends
+// or delay passes.
+type slowDiskReader struct {
+	inner exec.BucketReader
+	disk  int
+	delay time.Duration
+}
+
+func (r slowDiskReader) ReadBucket(ctx context.Context, disk, bucket int) ([]datagen.Record, error) {
+	if disk == r.disk {
+		t := time.NewTimer(r.delay)
+		defer t.Stop()
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-t.C:
+		}
+	}
+	return r.inner.ReadBucket(ctx, disk, bucket)
+}
+
+// The hedge gate is asked when a straggling read's race comes due: with
+// the backup healthy the read hedges to it; with the backup's breaker
+// open by then the gate declines, and the read waits out its primary
+// with no backup read issued and no hedge counted.
+func TestHedgeGateAskedWhenTheRaceComesDue(t *testing.T) {
+	// The gap between the delay and the straggler's answer outlasts a
+	// late watchdog timer on a loaded host.
+	const after, straggle = 2 * time.Millisecond, 100 * time.Millisecond
+	f := newLoadedFile(t, 4, 1000)
+	rep, err := replica.NewOffset(f.Method(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(f,
+		WithFailover(rep),
+		WithBreaker(BreakerConfig{ErrorThreshold: 1, Cooldown: time.Hour}),
+		WithHedging(HedgeConfig{After: after}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bucket := -1
+	for b := 0; b < f.Grid().Buckets() && bucket < 0; b++ {
+		if f.BucketLen(b) > 0 {
+			bucket = b
+		}
+	}
+	a, b := rep.PrimaryOf(bucket), rep.BackupOf(bucket)
+	read := func() time.Duration {
+		t.Helper()
+		r := s.newServedReader(slowDiskReader{inner: exec.NewFileReader(f), disk: a, delay: straggle})
+		start := time.Now()
+		recs, err := r.ReadBucket(context.Background(), a, bucket)
+		took := time.Since(start)
+		r.EndRun(a)
+		if err != nil || len(recs) != f.BucketLen(bucket) {
+			t.Fatalf("read returned %d records, err %v; want %d", len(recs), err, f.BucketLen(bucket))
+		}
+		return took
+	}
+
+	read()
+	if st := s.Stats(); st.HedgesIssued != 1 || st.HedgesWon != 1 {
+		t.Fatalf("straggler with a healthy backup: hedges issued/won %d/%d, want 1/1", st.HedgesIssued, st.HedgesWon)
+	}
+	s.health.Observe(b, 0, fault.ErrTransient) // trips b's breaker
+	if took := read(); took < straggle {
+		t.Fatalf("the declined read returned in %v, before its %v primary", took, straggle)
+	}
+	if st := s.Stats(); st.HedgesIssued != 1 || st.HedgesWon != 1 {
+		t.Fatalf("straggler with an open backup: hedges issued/won %d/%d, want still 1/1", st.HedgesIssued, st.HedgesWon)
 	}
 }
 

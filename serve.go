@@ -46,7 +46,11 @@ const (
 	BreakerHalfOpen = serve.BreakerHalfOpen
 )
 
-// HedgeConfig tunes speculative backup reads.
+// HedgeConfig tunes speculative backup reads: After is the delay, run
+// from the read's stamp — for a healthy disk's read timed in a batch,
+// the batch's, which its EWMA puts within After/8 of the read — after
+// which a still-unanswered read races its other replica, if the hedge
+// gate, asked then, agrees.
 type HedgeConfig = serve.HedgeConfig
 
 // DiskHealth is one disk's health snapshot.
