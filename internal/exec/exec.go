@@ -370,7 +370,7 @@ type Result struct {
 	// success.
 	Retries int
 	// Rerouted counts buckets served from a backup replica because
-	// their primary disk was fail-stop.
+	// their primary disk was fail-stop or avoided.
 	Rerouted int
 	// Degraded reports whether any fail-stop disk affected routing.
 	Degraded bool

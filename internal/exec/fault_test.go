@@ -235,6 +235,13 @@ func TestFailoverCompletesCorrectly(t *testing.T) {
 	if deg, ok := maxLoad(res.BucketsPerDisk), maxLoad(healthy.BucketsPerDisk); deg > 2*ok {
 		t.Errorf("degraded busiest-disk load %d exceeds 2× fault-free %d", deg, ok)
 	}
+	opt, err := rep.ResponseTimeDegradedSet(q, []int{failedDisk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deg := maxLoad(res.BucketsPerDisk); deg != opt {
+		t.Errorf("degraded busiest-disk load %d, optimum %d", deg, opt)
+	}
 }
 
 // Both replicas of a bucket failed: failover must surface typed

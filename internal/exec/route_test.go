@@ -43,6 +43,7 @@ func TestRectAndBucketSetRouteAlike(t *testing.T) {
 		degraded    bool
 		rerouted    bool  // some bucket served off its primary
 		idle        []int // disks that must read nothing
+		optimalOff  []int // when set, the busiest disk reads offset's optimum with these disks out
 	}{
 		{name: "healthy"},
 		{name: "one disk failed, offset failover",
@@ -50,7 +51,7 @@ func TestRectAndBucketSetRouteAlike(t *testing.T) {
 		{name: "one disk failed, no failover",
 			opts: []Option{WithFaults(failed(1))}, unavailable: true},
 		{name: "avoid a live disk",
-			opts: []Option{WithFailover(offset), avoid(2)}, rerouted: true, idle: []int{2}},
+			opts: []Option{WithFailover(offset), avoid(2)}, rerouted: true, idle: []int{2}, optimalOff: []int{2}},
 		{name: "avoid both replicas of some bucket", // disks 0 and 2 pair up under offset 2
 			opts: []Option{WithFailover(offset), avoid(0, 2)}},
 		{name: "avoid both replicas, one disk failed",
@@ -108,6 +109,15 @@ func TestRectAndBucketSetRouteAlike(t *testing.T) {
 				for _, d := range tc.idle {
 					if byRect.BucketsPerDisk[d] != 0 {
 						t.Errorf("rect %v: disk %d read %d buckets, want none", r, d, byRect.BucketsPerDisk[d])
+					}
+				}
+				if tc.optimalOff != nil {
+					opt, err := offset.ResponseTimeDegradedSet(r, tc.optimalOff)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if busiest := slices.Max(byRect.BucketsPerDisk); busiest != opt {
+						t.Errorf("rect %v: busiest disk read %d buckets, optimum %d", r, busiest, opt)
 					}
 				}
 			}

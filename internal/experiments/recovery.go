@@ -207,9 +207,7 @@ func runRecoveryCell(m alloc.Method, rep *replica.Replicated, rate float64, cfg 
 	if err != nil {
 		return nil, err
 	}
-	store, err := gridfile.NewStore(f, func(b int) []int {
-		return []int{rep.PrimaryOf(b), rep.BackupOf(b)}
-	})
+	store, err := gridfile.NewStore(f, rep.Holders)
 	if err != nil {
 		return nil, err
 	}

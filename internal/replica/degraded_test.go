@@ -226,3 +226,31 @@ func bruteForceSet(r *Replicated, rect grid.Rect, failed map[int]bool) int {
 	}
 	return best
 }
+
+// BenchmarkDegradedAssignment prices one solve over a whole 64×64 HCAM
+// grid on 16 disks: healthy, and with one disk failed, whose 256
+// buckets all land on their backups and must be spread back out.
+func BenchmarkDegradedAssignment(b *testing.B) {
+	g := grid.MustNew(64, 64)
+	hcam, err := alloc.NewHCAM(g, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := NewChained(hcam)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buckets := g.AppendRect(nil, g.FullRect())
+	for _, bc := range []struct {
+		name   string
+		failed []int
+	}{{"healthy", nil}, {"one-failed", []int{3}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := r.DegradedAssignmentBuckets(buckets, bc.failed); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

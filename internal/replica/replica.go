@@ -6,14 +6,16 @@
 // a primary and a backup disk (chained declustering, Hsiao & DeWitt
 // 1990: backup = primary + 1 mod M, or a configurable offset), and a
 // query may read each bucket from either replica. The response time is
-// then a scheduling problem — assign each bucket to one of its two
-// disks minimizing the busiest disk — which this package solves
-// *exactly* by binary-searching the makespan and checking feasibility
-// with a max-flow (bipartite b-matching) argument.
+// then a scheduling problem — assign each bucket to one of its live
+// holders minimizing the busiest disk — which Assign solves *exactly*
+// for any number of holders per bucket, by shifting reads along paths
+// from a busiest disk to one at least two reads lighter until none is
+// left.
 package replica
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"decluster/internal/alloc"
@@ -21,9 +23,6 @@ import (
 	"decluster/internal/fault"
 	"decluster/internal/grid"
 )
-
-// job is one bucket read with its two admissible disks.
-type job struct{ a, b int }
 
 // Replicated is a two-copy declustering: per bucket, a primary and a
 // backup disk.
@@ -90,6 +89,10 @@ func (r *Replicated) PrimaryOf(b int) int { return r.primary[b] }
 // BackupOf returns the backup disk of the row-major bucket b.
 func (r *Replicated) BackupOf(b int) int { return r.backup[b] }
 
+// Holders returns the disks that store the row-major bucket b, primary
+// then backup, in a fresh slice.
+func (r *Replicated) Holders(b int) []int { return []int{r.primary[b], r.backup[b]} }
+
 // StorageOverhead returns the replication factor (2.0 — every bucket
 // stored twice). Provided for symmetry with cost reporting.
 func (r *Replicated) StorageOverhead() float64 { return 2.0 }
@@ -98,7 +101,7 @@ func (r *Replicated) StorageOverhead() float64 { return 2.0 }
 // under free replica choice: the minimum over all bucket→replica
 // assignments of the busiest disk's bucket count.
 func (r *Replicated) ResponseTime(rect grid.Rect) int {
-	rt, _ := r.responseTime(rect, nil)
+	_, _, rt, _ := r.schedule(r.g.AppendRect(nil, rect), nil)
 	return rt
 }
 
@@ -116,11 +119,8 @@ func (r *Replicated) ResponseTimeDegraded(rect grid.Rect, failed int) (int, erro
 // its replicas, and a plain error when the failed set itself is
 // invalid (out-of-range disk, or every disk failed).
 func (r *Replicated) ResponseTimeDegradedSet(rect grid.Rect, failed []int) (int, error) {
-	fs, err := r.failedSet(failed)
-	if err != nil {
-		return 0, err
-	}
-	return r.responseTime(rect, fs)
+	_, _, rt, err := r.schedule(r.g.AppendRect(nil, rect), failed)
+	return rt, err
 }
 
 // DegradedAssignment solves the min-makespan replica assignment of the
@@ -142,33 +142,30 @@ func (r *Replicated) DegradedAssignment(rect grid.Rect, failed []int) (map[int]i
 // across queries. Buckets may arrive in any order and may repeat; the
 // returned map has one entry per distinct bucket.
 func (r *Replicated) DegradedAssignmentBuckets(buckets []int, failed []int) (map[int]int, error) {
-	fs, err := r.failedSet(failed)
+	ids, pick, _, err := r.schedule(buckets, failed)
 	if err != nil {
 		return nil, err
+	}
+	out := make(map[int]int, len(ids))
+	for j, b := range ids {
+		out[b] = pick[j]
+	}
+	return out, nil
+}
+
+// schedule places the buckets on their live holders with the busiest
+// disk as light as it can be: bucket ids[j] is read from disk pick[j].
+func (r *Replicated) schedule(buckets, failed []int) (ids, pick []int, busiest int, err error) {
+	fs, err := r.failedSet(failed)
+	if err != nil {
+		return nil, nil, 0, err
 	}
 	jobs, ids, err := r.gather(buckets, fs)
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
-	out := make(map[int]int, len(jobs))
-	if len(jobs) == 0 {
-		return out, nil
-	}
-	q, err := r.makespan(jobs, len(fs))
-	if err != nil {
-		return nil, err
-	}
-	byDisk, ok := r.assign(jobs, q)
-	if !ok {
-		// makespan returned a feasible quota by construction.
-		panic(fmt.Sprintf("replica: optimal makespan %d infeasible", q))
-	}
-	for d, occupants := range byDisk {
-		for _, j := range occupants {
-			out[ids[j]] = d
-		}
-	}
-	return out, nil
+	pick, busiest = Assign(jobs, r.m)
+	return ids, pick, busiest, nil
 }
 
 // failedSet validates and dedups a failed-disk list.
@@ -186,12 +183,12 @@ func (r *Replicated) failedSet(failed []int) (map[int]bool, error) {
 	return fs, nil
 }
 
-// gather collects each listed bucket's admissible disks under the failed
-// set, plus the bucket ids in visit order. Repeated buckets contribute
-// one job (the physical read happens once). Buckets that lost both
-// replicas make the set unavailable.
-func (r *Replicated) gather(buckets []int, failed map[int]bool) ([]job, []int, error) {
-	jobs := make([]job, 0, len(buckets))
+// gather collects each listed bucket's live holders, primary first, plus
+// the bucket ids in visit order. Repeated buckets contribute one job
+// (the physical read happens once). Buckets that lost every holder make
+// the set unavailable.
+func (r *Replicated) gather(buckets []int, failed map[int]bool) ([][]int, []int, error) {
+	jobs := make([][]int, 0, len(buckets))
 	ids := make([]int, 0, len(buckets))
 	var lost []int
 	seen := make([]bool, len(r.primary))
@@ -203,18 +200,12 @@ func (r *Replicated) gather(buckets []int, failed map[int]bool) ([]job, []int, e
 			continue
 		}
 		seen[idx] = true
-		a, b := r.primary[idx], r.backup[idx]
-		aOK, bOK := !failed[a], !failed[b]
-		switch {
-		case !aOK && !bOK:
+		live := slices.DeleteFunc(r.Holders(idx), func(d int) bool { return failed[d] })
+		if len(live) == 0 {
 			lost = append(lost, idx)
 			continue
-		case !aOK:
-			a = b
-		case !bOK:
-			b = a
 		}
-		jobs = append(jobs, job{a, b})
+		jobs = append(jobs, live)
 		ids = append(ids, idx)
 	}
 	if len(lost) > 0 {
@@ -229,118 +220,82 @@ func (r *Replicated) gather(buckets []int, failed map[int]bool) ([]job, []int, e
 	return jobs, ids, nil
 }
 
-// responseTime solves the min-makespan replica assignment for the
-// query's buckets, excluding the failed disks (nil = none).
-func (r *Replicated) responseTime(rect grid.Rect, failed map[int]bool) (int, error) {
-	jobs, _, err := r.gather(r.g.AppendRect(nil, rect), failed)
-	if err != nil {
-		return 0, err
+// Assign places every job on one of the resources it may use so that
+// the busiest resource holds as few jobs as possible. jobs[j] lists the
+// resources in [0, resources) that job j may use, at least one and any
+// number of them. pick[j] is job j's resource and busiest the optimal
+// busiest-resource count.
+//
+// Every job starts on its first resource. While a path leads from a
+// busiest resource, through jobs that may move, to a resource holding
+// at least two fewer jobs, each job on it shifts one step along it.
+// When no path is left the answer is optimal: the resources reachable
+// from the busiest ones hold more than busiest−1 jobs each on average,
+// and none of those jobs may leave them (the cost-reducing paths of
+// Harvey, Ladner, Lovász and Tamir, "Semi-matchings for bipartite
+// graphs and load balancing", J. Algorithms 2006).
+func Assign(jobs [][]int, resources int) (pick []int, busiest int) {
+	pick = make([]int, len(jobs))
+	load := make([]int, resources)
+	for j, h := range jobs {
+		pick[j] = h[0]
+		load[h[0]]++
 	}
-	if len(jobs) == 0 {
-		return 0, nil
-	}
-	return r.makespan(jobs, len(failed))
-}
-
-// makespan binary-searches the optimal busiest-disk quota for the jobs,
-// with numFailed disks out of service. Feasibility by max-flow: source
-// → job (cap 1) → its disks → sink (cap L). With unit job capacities
-// this is bipartite b-matching; a simple augmenting-path matcher with
-// per-disk quotas suffices.
-func (r *Replicated) makespan(jobs []job, numFailed int) (int, error) {
-	n := len(jobs)
-	live := r.m - numFailed
-	if live < 1 {
-		return 0, fmt.Errorf("replica: no live disks")
-	}
-	lo, hi := cost.OptimalRT(n, live), n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if _, ok := r.assign(jobs, mid); ok {
-			hi = mid
-		} else {
-			lo = mid + 1
+	// on[start[d]:start[d+1]] are the jobs on resource d; via[d] is the
+	// job whose shift reaches d (root for a busiest resource, unseen if
+	// the search has not reached d).
+	const root, unseen = -1, -2
+	on, start, next, via := make([]int, len(jobs)), make([]int, resources+1), make([]int, resources), make([]int, resources)
+	var queue []int
+	for {
+		busiest = 0
+		for _, l := range load {
+			busiest = max(busiest, l)
 		}
-	}
-	return lo, nil
-}
-
-// assign attempts to place every job on one of its two disks with no
-// disk exceeding quota q, returning the per-disk occupant lists and
-// whether the placement succeeded. Augmenting-path b-matching: jobs are
-// matched one at a time; a job may displace another job from a full
-// disk if that job can move to its alternative disk (chains of
-// displacement are explored depth-first).
-func (r *Replicated) assign(jobs []job, q int) ([][]int, bool) {
-	loads := make([]int, r.m)
-	// byDisk tracks which jobs sit on each disk for displacement.
-	byDisk := make([][]int, r.m)
-	var place func(j int, visited []bool) bool
-	place = func(j int, visited []bool) bool {
-		for _, d := range []int{jobs[j].a, jobs[j].b} {
-			if visited[d] {
-				continue
-			}
-			if loads[d] < q {
-				loads[d]++
-				byDisk[d] = append(byDisk[d], j)
-				return true
+		for d, l := range load {
+			start[d+1] = start[d] + l
+		}
+		copy(next, start)
+		for j, d := range pick {
+			on[next[d]] = j
+			next[d]++
+		}
+		queue = queue[:0]
+		for d, l := range load {
+			via[d] = unseen
+			if l == busiest {
+				via[d] = root
+				queue = append(queue, d)
 			}
 		}
-		// Both disks full: try displacing an occupant to its other disk.
-		for _, d := range []int{jobs[j].a, jobs[j].b} {
-			if visited[d] {
-				continue
-			}
-			visited[d] = true
-			// Iterate a snapshot: a failed attempt below swap-removes and
-			// re-appends inside byDisk[d], which would skip the swapped-in
-			// occupant and retry the removed one if ranged over live.
-			occs := append([]int(nil), byDisk[d]...)
-			for _, occ := range occs {
-				other := jobs[occ].a
-				if other == d {
-					other = jobs[occ].b
+		end := -1
+	search:
+		for i := 0; i < len(queue); i++ {
+			d := queue[i]
+			for _, j := range on[start[d]:start[d+1]] {
+				for _, e := range jobs[j] {
+					if via[e] != unseen {
+						continue
+					}
+					via[e] = j
+					if load[e] <= busiest-2 {
+						end = e
+						break search
+					}
+					queue = append(queue, e)
 				}
-				if other == d {
-					continue // occupant has no alternative
-				}
-				// Temporarily remove the occupant — at its current index,
-				// which earlier failed attempts may have shifted — and try
-				// to re-place it.
-				i := indexOf(byDisk[d], occ)
-				byDisk[d][i] = byDisk[d][len(byDisk[d])-1]
-				byDisk[d] = byDisk[d][:len(byDisk[d])-1]
-				loads[d]--
-				if place(occ, visited) {
-					loads[d]++
-					byDisk[d] = append(byDisk[d], j)
-					return true
-				}
-				// Restore.
-				loads[d]++
-				byDisk[d] = append(byDisk[d], occ)
 			}
 		}
-		return false
-	}
-	for j := range jobs {
-		visited := make([]bool, r.m)
-		if !place(j, visited) {
-			return nil, false
+		if end < 0 {
+			return pick, busiest
 		}
-	}
-	return byDisk, true
-}
-
-// indexOf returns the position of x in xs; xs must contain x.
-func indexOf(xs []int, x int) int {
-	for i, v := range xs {
-		if v == x {
-			return i
+		load[end]++
+		for via[end] != root {
+			j := via[end]
+			end, pick[j] = pick[j], end
 		}
+		load[end]--
 	}
-	panic("replica: occupant vanished from its disk list")
 }
 
 // Evaluate measures the replicated scheme over a workload with the

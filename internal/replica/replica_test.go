@@ -2,7 +2,9 @@ package replica
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"decluster/internal/alloc"
@@ -321,4 +323,86 @@ func TestDegradedBound(t *testing.T) {
 			t.Fatalf("degraded RT %d exceeds twice healthy %d", deg, healthy)
 		}
 	}
+}
+
+// Assign is checked on raw job sets, with one to three holders per job,
+// three ways: its picks are admissible and realize the busiest load it
+// reports; that load equals the exhaustive optimum; and it is the least
+// capacity L under which every resource set U can hold the jobs that
+// may use nothing outside U (at most L·|U| of them).
+func TestAssignMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	trials := 4000
+	if testing.Short() {
+		trials = 400
+	}
+	holderCounts := make(map[int]bool)
+	for trial := 0; trial < trials; trial++ {
+		m := 1 + rng.Intn(6)
+		jobs := make([][]int, rng.Intn(11))
+		for j := range jobs {
+			jobs[j] = rng.Perm(m)[:1+rng.Intn(min(3, m))]
+			holderCounts[len(jobs[j])] = true
+		}
+		pick, busiest := Assign(jobs, m)
+		load := make([]int, m)
+		for j, d := range pick {
+			if !slices.Contains(jobs[j], d) {
+				t.Fatalf("trial %d: job %d (holders %v) placed on %d", trial, j, jobs[j], d)
+			}
+			load[d]++
+		}
+		if got := slices.Max(load); got != busiest {
+			t.Fatalf("trial %d: picks load the busiest resource with %d, reported %d", trial, got, busiest)
+		}
+		if want := bruteAssign(jobs, load); busiest != want {
+			t.Fatalf("trial %d (m=%d, jobs %v): Assign %d, brute force %d", trial, m, jobs, busiest, want)
+		}
+		if !covered(jobs, m, busiest) || busiest > 0 && covered(jobs, m, busiest-1) {
+			t.Fatalf("trial %d (m=%d, jobs %v): %d is not the least covering capacity", trial, m, jobs, busiest)
+		}
+	}
+	for _, r := range []int{1, 2, 3} {
+		if !holderCounts[r] {
+			t.Errorf("no job had %d holders", r)
+		}
+	}
+}
+
+// bruteAssign returns the least busiest load over every way of placing
+// the jobs; load is scratch space of one entry per resource.
+func bruteAssign(jobs [][]int, load []int) int {
+	clear(load)
+	var best func(j int) int
+	best = func(j int) int {
+		if j == len(jobs) {
+			return slices.Max(load)
+		}
+		b := len(jobs) + 1
+		for _, d := range jobs[j] {
+			load[d]++
+			b = min(b, best(j+1))
+			load[d]--
+		}
+		return b
+	}
+	return best(0)
+}
+
+// covered reports whether capacity L per resource fits every set U of
+// the m resources: the jobs whose holders all lie in U number at most
+// L·|U|.
+func covered(jobs [][]int, m, L int) bool {
+	for u := 1; u < 1<<m; u++ {
+		inside := 0
+		for _, h := range jobs {
+			if !slices.ContainsFunc(h, func(d int) bool { return u>>d&1 == 0 }) {
+				inside++
+			}
+		}
+		if inside > L*bits.OnesCount(uint(u)) {
+			return false
+		}
+	}
+	return true
 }

@@ -25,9 +25,7 @@ var ErrCorruptPage = gridfile.ErrCorrupt
 // physical store: every bucket is stored on its primary and backup disk
 // under the replica scheme.
 func NewReplicaStore(f *GridFile, rep *Replicated) (*Store, error) {
-	return gridfile.NewStore(f, func(b int) []int {
-		return []int{rep.PrimaryOf(b), rep.BackupOf(b)}
-	})
+	return gridfile.NewStore(f, rep.Holders)
 }
 
 // StoreReader reads buckets from a checksummed store, verifying page
