@@ -12,9 +12,9 @@
 // member abandoned cancels its remaining reads promptly.
 //
 // Alongside the batch path, the engine answers aggregate queries
-// (COUNT/SUM/MIN/MAX over a rectangle) from an AggregateIndex — per-disk
-// summed-area tables in the cost.PrefixEvaluator mould — with zero
-// bucket reads.
+// (COUNT/SUM/MIN/MAX over a rectangle) from an AggregateIndex — a
+// per-bucket summary walked over the rectangle — with zero bucket
+// reads.
 package batch
 
 import (
@@ -157,9 +157,6 @@ func New(f *gridfile.File, run ReadFunc, opts ...Option) (*Engine, error) {
 	e.baseCtx, e.baseCancel = context.WithCancel(context.Background())
 	return e, nil
 }
-
-// Index returns the engine's aggregate index.
-func (e *Engine) Index() *AggregateIndex { return e.ix }
 
 // Stats snapshots the lifetime counters.
 func (e *Engine) Stats() Stats {

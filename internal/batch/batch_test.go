@@ -43,7 +43,13 @@ type fixture struct {
 // outcomes are kept out by construction (no tight queue, no breaker).
 func newFixture(t testing.TB, chaos bool, engOpts ...batch.Option) *fixture {
 	t.Helper()
-	g := grid.MustNew(12, 12)
+	return newGridFixture(t, grid.MustNew(12, 12), chaos, engOpts...)
+}
+
+// newGridFixture is newFixture over the grid g, HCAM-allocated to 4
+// disks, with 2000 uniform records of g's dimensionality.
+func newGridFixture(t testing.TB, g *grid.Grid, chaos bool, engOpts ...batch.Option) *fixture {
+	t.Helper()
 	m, err := alloc.NewHCAM(g, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +58,7 @@ func newFixture(t testing.TB, chaos bool, engOpts ...batch.Option) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.InsertAll(datagen.Uniform{K: 2, Seed: 11}.Generate(2000)); err != nil {
+	if err := f.InsertAll(datagen.Uniform{K: g.K(), Seed: 11}.Generate(2000)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -198,15 +204,29 @@ func TestBatchDifferentialChaos(t *testing.T) {
 	}
 }
 
+// TestAggregateMatchesNaive checks every op against the records the
+// unbatched path returns, on the square 12×12 fixture and on grids
+// where a stride taken from the wrong axis would show: 9×7 (k = 2) and
+// 6×5×4 (k = 3).
 func TestAggregateMatchesNaive(t *testing.T) {
-	fx := newFixture(t, false)
+	for _, dims := range [][]int{{12, 12}, {9, 7}, {6, 5, 4}} {
+		g := grid.MustNew(dims...)
+		t.Run(g.String(), func(t *testing.T) { aggregateMatchesNaive(t, newGridFixture(t, g, false)) })
+	}
+}
+
+func aggregateMatchesNaive(t *testing.T, fx *fixture) {
 	rng := rand.New(rand.NewSource(42))
 	reads := func() uint64 { return fx.sink.Registry().Counter("exec.read.calls").Value() }
 
 	for i := 0; i < 40; i++ {
-		w, h := 1+rng.Intn(8), 1+rng.Intn(8)
-		x, y := rng.Intn(fx.g.Dim(0)-w+1), rng.Intn(fx.g.Dim(1)-h+1)
-		r := fx.g.MustRect(grid.Coord{x, y}, grid.Coord{x + w - 1, y + h - 1})
+		from, to := make(grid.Coord, fx.g.K()), make(grid.Coord, fx.g.K())
+		for a := range from {
+			w := 1 + rng.Intn(min(8, fx.g.Dim(a)))
+			from[a] = rng.Intn(fx.g.Dim(a) - w + 1)
+			to[a] = from[a] + w - 1
+		}
+		r := fx.g.MustRect(from, to)
 		attr := rng.Intn(fx.g.K())
 
 		// Naive answer from the record-level unbatched path.
@@ -257,7 +277,7 @@ func TestAggregateMatchesNaive(t *testing.T) {
 				continue // extrema undefined on empty rects
 			}
 			if tc.op == batch.OpSum {
-				// Summed-area folds reorder float additions; everything
+				// Per-bucket sums reorder float additions; everything
 				// else must be exact.
 				if math.Abs(got-tc.want) > 1e-9*math.Max(1, math.Abs(tc.want)) {
 					t.Fatalf("%v over %v attr %d: %g, want %g", tc.op, r, attr, got, tc.want)
@@ -277,20 +297,12 @@ func TestAggregateMatchesNaive(t *testing.T) {
 	if st.AggIssued != 160 || st.AggAnswered != 160 || st.AggFailed != 0 {
 		t.Fatalf("aggregate stats = %+v, want 160/160/0", st)
 	}
-	// Per-disk counts from the corner fold must re-add to the total.
 	agg, err := fx.eng.Aggregate(context.Background(), batch.AggregateQuery{Rect: fx.g.FullRect(), Op: batch.OpCount})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if agg.Count != int64(fx.f.Len()) {
 		t.Fatalf("full-grid count = %d, want %d", agg.Count, fx.f.Len())
-	}
-	var perDisk int64
-	for _, n := range agg.PerDisk {
-		perDisk += n
-	}
-	if perDisk != agg.Count {
-		t.Fatalf("Σ PerDisk = %d, Count = %d", perDisk, agg.Count)
 	}
 }
 
@@ -343,13 +355,9 @@ func TestAggregateMergeAndErrors(t *testing.T) {
 		t.Fatalf("AggFailed = %d, want %d", st.AggFailed, len(bad))
 	}
 
-	if _, err := batch.ParseAggregateOp("median"); err == nil {
-		t.Error("ParseAggregateOp accepted unknown op")
-	}
-	for _, op := range []batch.AggregateOp{batch.OpCount, batch.OpSum, batch.OpMin, batch.OpMax} {
-		back, err := batch.ParseAggregateOp(op.String())
-		if err != nil || back != op {
-			t.Errorf("op %v does not round-trip: %v, %v", op, back, err)
+	for op, want := range map[batch.AggregateOp]string{batch.OpCount: "count", batch.OpSum: "sum", batch.OpMin: "min", batch.OpMax: "max"} {
+		if got := op.String(); got != want {
+			t.Errorf("op %d is named %q, want %q", int(op), got, want)
 		}
 	}
 }

@@ -347,14 +347,14 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 // aggregate reads.
 func (n *Node) aggregateIndex() (*batch.AggregateIndex, error) {
 	n.mu.RLock()
-	ix, file, live := n.aggIx, n.aggFile, n.file
+	ix, fresh := n.aggIx, n.aggFresh()
 	n.mu.RUnlock()
-	if ix != nil && file == live && ix.Records() == int64(live.Len()) {
+	if fresh {
 		return ix, nil
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.aggIx != nil && n.aggFile == n.file && n.aggIx.Records() == int64(n.file.Len()) {
+	if n.aggFresh() {
 		return n.aggIx, nil
 	}
 	ix, err := batch.BuildAggregateIndex(n.file)
@@ -365,7 +365,14 @@ func (n *Node) aggregateIndex() (*batch.AggregateIndex, error) {
 	return ix, nil
 }
 
-// handleAggregate answers an aggregate leg from the node's summed-area
+// aggFresh reports whether aggIx reflects the live file as it stands.
+// The caller holds mu: the record count it compares is the one the
+// inserts write.
+func (n *Node) aggFresh() bool {
+	return n.aggIx != nil && n.aggFile == n.file && n.aggIx.Records() == int64(n.file.Len())
+}
+
+// handleAggregate answers an aggregate leg from the node's aggregate
 // index — zero bucket reads, no scheduler admission. Each of the leg's
 // rects is admitted as handleQuery admits its one, pending epoch
 // included: admit's readiness check leaves every bucket of the rect in

@@ -1,11 +1,15 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -415,5 +419,95 @@ func TestNodeAggregateRefusesPendingEpoch(t *testing.T) {
 	inFlight := grid.Rect{Lo: gained, Hi: gained.Clone()}
 	if _, err := sum(inFlight, plan.To.Epoch()); !errors.Is(err, fault.ErrUnavailable) {
 		t.Fatalf("pending-epoch aggregate over un-ingested %v: err = %v, want ErrUnavailable", inFlight, err)
+	}
+}
+
+// TestNodeAggregateIndexBesideInserts runs aggregate legs to a member
+// while it ingests /v1/migrate/bucket pages for a staged leave. The
+// aggregate index's staleness check reads the live file's record count,
+// which the inserts write, so it must read it under the node's lock
+// (-race). The legs and pages go straight to the node's handlers: over
+// sockets, every write and read of a body would order the two
+// goroutines for the race detector and hide the conflict. Each leg
+// covers all the shards the member hosts at the current epoch, so its
+// count lies between the node's record counts before and after the
+// inserts.
+func TestNodeAggregateIndexBesideInserts(t *testing.T) {
+	tc := startTestCluster(t, 4, 2, RouterConfig{})
+	cur := tc.h.Map()
+	plan, err := PlanLeave(cur, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dest := plan.Moves[0].Dest
+	n := tc.h.Node(dest)
+	req := readRequest{Kind: byte(batch.OpCount) + 1, Epoch: cur.Epoch()}
+	for _, s := range cur.HostedShardsOfMember(dest) {
+		req.Rects = append(req.Rects, cur.Shard(s).Rect)
+	}
+	body, err := req.appendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := n.Records()
+	n.mu.Lock()
+	n.pending = plan.To
+	n.mu.Unlock()
+
+	inserted := make(chan struct{})
+	stop := sync.OnceFunc(func() { close(inserted) })
+	defer stop()
+	legs := make(chan error, 1)
+	var counts []int64
+	go func() {
+		for done := false; !done || len(counts) < 8; {
+			select {
+			case <-inserted:
+				done = true
+			default:
+			}
+			rec := httptest.NewRecorder()
+			r := httptest.NewRequest(http.MethodPost, "/v1/aggregate", bytes.NewReader(body))
+			r.Header.Set("Content-Type", requestContentType)
+			n.handleAggregate(rec, r)
+			var a aggregateResponse
+			if err := a.decode(rec.Header().Get("Content-Type"), rec.Body.Bytes()); err != nil {
+				legs <- fmt.Errorf("leg answered %d %q: %w", rec.Code, rec.Body.String(), err)
+				return
+			}
+			counts = append(counts, a.Count)
+		}
+		legs <- nil
+	}()
+	for _, mv := range plan.Moves {
+		if mv.Dest != dest {
+			continue
+		}
+		for _, b := range mv.Buckets {
+			page, contentType, err := encodeBody(&recordPage{Epoch: plan.To.Epoch(), Buckets: 1, Cell: tc.g.Delinearize(b, nil), Records: tc.ref.Bucket(b)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			r := httptest.NewRequest(http.MethodPost, "/v1/migrate/bucket", bytes.NewReader(page))
+			r.Header.Set("Content-Type", contentType)
+			n.handleMigrateBucket(rec, r)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("ingest bucket %d: %d %s", b, rec.Code, rec.Body.String())
+			}
+		}
+	}
+	stop()
+	if err := <-legs; err != nil {
+		t.Fatal(err)
+	}
+	after := n.Records()
+	if after <= before {
+		t.Fatalf("node %d holds %d records after the inserts, %d before: nothing was ingested", dest, after, before)
+	}
+	for i, c := range counts {
+		if c < int64(before) || c > int64(after) {
+			t.Fatalf("leg %d counted %d records, want within [%d, %d]", i, c, before, after)
+		}
 	}
 }

@@ -558,7 +558,7 @@ func overlap(a, b grid.Rect) bool {
 }
 
 // aggregateResponse carries one partial aggregate, ready for
-// batch.MergeAggregates at the router. Attr and PerDisk stay node-side.
+// batch.MergeAggregates at the router. Attr stays node-side.
 type aggregateResponse struct {
 	batch.AggregateResult
 	Epoch uint64

@@ -28,8 +28,8 @@ import (
 // dedup ledger: batching answers the same logical queries from a
 // fraction of the physical reads, and goodput rises by roughly the
 // overlap factor once admission bounds the read concurrency. A final
-// drill answers aggregates from the prefix-table kernel and asserts it
-// dispatched zero bucket reads.
+// drill answers aggregates from the per-bucket aggregate index and
+// asserts it dispatched zero bucket reads.
 type BatchGoodputConfig struct {
 	// GridSide is the partitions per attribute of the 2-D grid
 	// (default 12).
