@@ -85,13 +85,5 @@ func WithBatchWindow(d time.Duration) BatchOption { return batch.WithWindow(d) }
 // waiting out the window (default 16).
 func WithBatchMax(n int) BatchOption { return batch.WithMaxBatch(n) }
 
-// WithBatchWave bounds the buckets per physical dispatch (0, the
-// default, dispatches a group's whole plan as one read).
-func WithBatchWave(n int) BatchOption { return batch.WithWave(n) }
-
 // WithBatchPolicy selects the read-ordering policy (default FIFO).
 func WithBatchPolicy(p BatchPolicy) BatchOption { return batch.WithPolicy(p) }
-
-// WithBatchObserver attaches an observability sink: batch.* metric
-// families plus a span tree per group when tracing.
-func WithBatchObserver(s *Sink) BatchOption { return batch.WithObserver(s) }

@@ -24,9 +24,9 @@ import (
 	"decluster/internal/experiments"
 	"decluster/internal/gf2"
 	"decluster/internal/grid"
-	"decluster/internal/hilbert"
 	"decluster/internal/optimality"
 	"decluster/internal/query"
+	"decluster/internal/sfc"
 )
 
 // benchOpt keeps the per-iteration work bounded so the full suite runs
@@ -443,12 +443,10 @@ func BenchmarkDiskOfHCAM(b *testing.B) {
 }
 
 func BenchmarkHilbertIndex(b *testing.B) {
-	c := hilbert.MustNew(2, 6)
 	coords := []int{13, 42}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		coords[0] = i & 63
-		if _, err := c.Index(coords); err != nil {
+		if _, err := sfc.HilbertIndex(coords, 6); err != nil {
 			b.Fatal(err)
 		}
 	}

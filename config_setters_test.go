@@ -32,6 +32,11 @@ import (
 //
 // *http.Client fields are exempt: they are deployment settings. A field
 // nothing sets is a constant with a name; inline it.
+//
+// The same walk holds the options to one rule: every exported With*
+// function declared under internal/ or at the root must be called
+// somewhere in the module. An option nothing calls is a setter for a
+// value nobody sets; delete it.
 func TestConfigFieldsHaveSetters(t *testing.T) {
 	fset := token.NewFileSet()
 	type pkgFiles struct {
@@ -103,8 +108,11 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 	// each true unless exempt.
 	type field struct{ pkg, typ, name string }
 	census := map[field]bool{}
+	type function struct{ pkg, name string }
+	options := map[function]bool{} // exported With* functions
 	for _, pf := range pkgs {
-		if !strings.HasPrefix(pf.path, "decluster/internal/") {
+		internal := strings.HasPrefix(pf.path, "decluster/internal/")
+		if !internal && pf.path != "decluster" {
 			continue
 		}
 		for _, f := range pf.files {
@@ -112,8 +120,11 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 				continue
 			}
 			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() && strings.HasPrefix(fd.Name.Name, "With") {
+					options[function{pf.path, fd.Name.Name}] = true
+				}
 				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.TYPE {
+				if !internal || !ok || gd.Tok != token.TYPE {
 					continue
 				}
 				for _, spec := range gd.Specs {
@@ -136,8 +147,9 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 	}
 
 	set := map[field]bool{}
+	called := map[function]bool{} // package-level functions some file calls
 	for _, pf := range pkgs {
-		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
+		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}, Uses: map[*ast.Ident]types.Object{}}
 		conf := types.Config{Importer: imp}
 		if _, err := conf.Check(pf.path, fset, pf.files, info); err != nil {
 			t.Fatalf("type-check %s: %v", pf.path, err)
@@ -146,6 +158,10 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 		for _, f := range pf.files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
+				case *ast.Ident:
+					if fn, ok := info.Uses[n].(*types.Func); ok && fn.Pkg() != nil && fn.Type().(*types.Signature).Recv() == nil {
+						called[function{fn.Pkg().Path(), fn.Name()}] = true
+					}
 				case *ast.CompositeLit:
 					named, ok := deref(info.Types[n].Type).(*types.Named)
 					if !ok || named.Obj().Pkg() == nil {
@@ -187,6 +203,18 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 	t.Logf("%d exported config fields under internal/, %d without a setter", len(census), len(missing))
 	if len(missing) > 0 {
 		t.Errorf("%d config fields have no setter; make each a constant:\n\t%s", len(missing), strings.Join(missing, "\n\t"))
+	}
+
+	var uncalled []string
+	for opt := range options {
+		if !called[opt] {
+			uncalled = append(uncalled, strings.TrimPrefix(opt.pkg, "decluster/")+"."+opt.name)
+		}
+	}
+	sort.Strings(uncalled)
+	t.Logf("%d exported With* functions, %d never called", len(options), len(uncalled))
+	if len(uncalled) > 0 {
+		t.Errorf("%d options have no caller; delete each:\n\t%s", len(uncalled), strings.Join(uncalled, "\n\t"))
 	}
 }
 

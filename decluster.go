@@ -84,7 +84,7 @@ func NewTable(name string, g *Grid, disks int, table []int) (Method, error) {
 }
 
 // Build constructs a method by registry name (DM, CMD, GDM, BDM, FX,
-// ExFX, FX*, ECC, HCAM, Random; case-insensitive).
+// ExFX, FX*, ECC, HCAM, ZCAM, GCAM, Random; case-insensitive).
 func Build(name string, g *Grid, disks int) (Method, error) {
 	return alloc.Build(name, g, disks)
 }

@@ -105,9 +105,6 @@ func WithQueryDeadline(d time.Duration) ExecOption { return exec.WithDeadline(d)
 // query re-scheduled to minimize the busiest surviving disk.
 func WithFailover(r *Replicated) ExecOption { return exec.WithFailover(r) }
 
-// WithBucketReader replaces the executor's default grid-file reader.
-func WithBucketReader(r BucketReader) ExecOption { return exec.WithBucketReader(r) }
-
 // DegradedResponseTime returns the parallel response time of query r
 // under method m with the listed disks failed: the busiest
 // surviving-disk bucket count. When any bucket of the query lives only

@@ -58,7 +58,7 @@ func defaultGDMCoeffs(k int) []int {
 
 // Build constructs a method by name (case-insensitive). Recognized
 // names: DM, CMD, GDM, BDM, FX, ExFX, FX* (the paper's FX/ExFX
-// selection rule), ECC, HCAM, Random.
+// selection rule), ECC, HCAM, ZCAM, GCAM, Random.
 func Build(name string, g *grid.Grid, m int) (Method, error) {
 	b, ok := builders[strings.ToUpper(name)]
 	if !ok {
@@ -90,7 +90,7 @@ func PaperSet(g *grid.Grid, m int) []Method {
 // as a disk sweep needs. The Hilbert ranks depend on the grid only, so
 // they are computed once and every HCAM of the call shares them.
 func PaperSets(g *grid.Grid, disks []int) [][]Method {
-	var hcam *HCAM // first HCAM built; the rest share its ranks
+	var hcam *RankDeal // first HCAM built; the rest share its ranks
 	out := make([][]Method, len(disks))
 	for i, m := range disks {
 		if dm, err := NewDM(g, m); err == nil {
@@ -102,7 +102,7 @@ func PaperSets(g *grid.Grid, disks []int) [][]Method {
 		if e, err := NewECC(g, m); err == nil {
 			out[i] = append(out[i], e)
 		}
-		var h *HCAM
+		var h *RankDeal
 		var err error
 		if hcam == nil {
 			h, err = NewHCAM(g, m)

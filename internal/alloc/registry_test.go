@@ -40,8 +40,12 @@ func TestBuildBDMNeedsBinaryGrid(t *testing.T) {
 	if _, err := Build("BDM", grid.MustNew(4, 4), 4); err == nil {
 		t.Fatal("BDM on non-binary grid accepted")
 	}
-	if _, err := Build("BDM", grid.MustNew(2, 2, 2), 4); err != nil {
+	m, err := Build("BDM", grid.MustNew(2, 2, 2), 4)
+	if err != nil {
 		t.Fatalf("BDM on binary grid rejected: %v", err)
+	}
+	if m.Name() != "BDM" {
+		t.Errorf("Build(BDM).Name() = %q, want BDM", m.Name())
 	}
 }
 
@@ -129,7 +133,7 @@ func TestPaperSetsMatchPaperSet(t *testing.T) {
 				if mm.Name() != want[j].Name() || mm.Disks() != m || !slices.Equal(Table(mm), Table(want[j])) {
 					t.Fatalf("%v M=%d: method %d (%s) differs from PaperSet", g, m, j, mm.Name())
 				}
-				if h, ok := mm.(*HCAM); ok {
+				if h, ok := mm.(*RankDeal); ok {
 					if ranks == nil {
 						ranks = &h.ranks[0]
 					} else if ranks != &h.ranks[0] {

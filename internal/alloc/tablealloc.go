@@ -2,7 +2,6 @@ package alloc
 
 import (
 	"fmt"
-	"math/rand"
 
 	"decluster/internal/grid"
 )
@@ -52,26 +51,4 @@ func (t *TableAlloc) Disks() int { return t.m }
 // DiskOf implements Method.
 func (t *TableAlloc) DiskOf(c grid.Coord) int {
 	return t.table[t.g.Linearize(c)]
-}
-
-// NewRandom builds a balanced pseudo-random allocation: bucket numbers
-// are shuffled deterministically from seed and disks dealt round-robin
-// over the shuffle, so per-disk loads differ by at most one. Random
-// allocation is the classic straw-man baseline: balanced overall but
-// with no locality structure, so nearby buckets frequently collide.
-func NewRandom(g *grid.Grid, m int, seed int64) (*TableAlloc, error) {
-	if err := checkArgs(g, m); err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(g.Buckets())
-	table := make([]int, g.Buckets())
-	for rank, bucket := range perm {
-		table[bucket] = rank % m
-	}
-	t, err := NewTable("Random", g, m, table)
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
 }

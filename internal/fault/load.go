@@ -61,15 +61,6 @@ func (s LoadSpikeSchedule) Active(t time.Duration) bool {
 	return t >= s.Start && t < s.End
 }
 
-// FactorAt returns the arrival-rate multiplier at time t: Factor
-// inside the window, 1 outside.
-func (s LoadSpikeSchedule) FactorAt(t time.Duration) float64 {
-	if s.Active(t) {
-		return s.Factor
-	}
-	return 1
-}
-
 // Region resolves the hot region into inclusive cell bounds for a grid
 // with the given per-axis dimensions. Bounds are clamped into the grid
 // and never empty: every axis spans at least one cell.

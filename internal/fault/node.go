@@ -5,8 +5,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"decluster/internal/obs"
 )
 
 // Node-level fault classes. Where the disk-level injector models what a
@@ -64,9 +62,6 @@ type NodeInjector struct {
 	crashed     map[int]bool
 	partitioned map[int]bool
 	slow        map[int]float64
-	// Transition counters; nil (no-op) until AttachNodeObserver.
-	obsCrashes, obsRestarts *obs.Counter
-	obsPartitions, obsHeals *obs.Counter
 }
 
 // NewNodeInjector returns an injector with every node healthy.
@@ -78,35 +73,10 @@ func NewNodeInjector() *NodeInjector {
 	}
 }
 
-// AttachNodeObserver registers node fault-transition counters in the
-// sink's registry and starts counting:
-//
-//	fault.node.crashes      healthy → crashed transitions
-//	fault.node.restarts     crashed → healthy transitions
-//	fault.node.partitions   healthy → partitioned transitions
-//	fault.node.heals        partitioned → healthy transitions
-//
-// A nil sink (or nil injector) is a no-op.
-func (in *NodeInjector) AttachNodeObserver(s *obs.Sink) {
-	if in == nil || s == nil {
-		return
-	}
-	r := s.Registry()
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.obsCrashes = r.Counter("fault.node.crashes")
-	in.obsRestarts = r.Counter("fault.node.restarts")
-	in.obsPartitions = r.Counter("fault.node.partitions")
-	in.obsHeals = r.Counter("fault.node.heals")
-}
-
 // Crash marks node n crashed.
 func (in *NodeInjector) Crash(n int) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if !in.crashed[n] {
-		in.obsCrashes.Inc()
-	}
 	in.crashed[n] = true
 }
 
@@ -114,9 +84,6 @@ func (in *NodeInjector) Crash(n int) {
 func (in *NodeInjector) Restart(n int) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if in.crashed[n] {
-		in.obsRestarts.Inc()
-	}
 	delete(in.crashed, n)
 }
 
@@ -125,9 +92,6 @@ func (in *NodeInjector) Restart(n int) {
 func (in *NodeInjector) Partition(n int) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if !in.partitioned[n] {
-		in.obsPartitions.Inc()
-	}
 	in.partitioned[n] = true
 }
 
@@ -135,9 +99,6 @@ func (in *NodeInjector) Partition(n int) {
 func (in *NodeInjector) Heal(n int) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if in.partitioned[n] {
-		in.obsHeals.Inc()
-	}
 	delete(in.partitioned, n)
 }
 

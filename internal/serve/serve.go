@@ -213,8 +213,6 @@ type config struct {
 	reader      exec.BucketReader
 	retry       exec.RetryPolicy
 	retrySet    bool
-	deadline    time.Duration
-	maxParallel int
 	baseLatency time.Duration
 	adm         AdmissionConfig
 	brk         BreakerConfig
@@ -241,12 +239,6 @@ func WithFailover(r *replica.Replicated) Option { return func(c *config) { c.rep
 func WithRetry(p exec.RetryPolicy) Option {
 	return func(c *config) { c.retry, c.retrySet = p, true }
 }
-
-// WithDeadline bounds each admitted query's execution wall-clock time.
-func WithDeadline(d time.Duration) Option { return func(c *config) { c.deadline = d } }
-
-// WithMaxParallel bounds each query's concurrent disk workers.
-func WithMaxParallel(n int) Option { return func(c *config) { c.maxParallel = n } }
 
 // WithBucketReader replaces the base grid-file reader.
 func WithBucketReader(r exec.BucketReader) Option { return func(c *config) { c.reader = r } }
@@ -403,12 +395,6 @@ func New(f *gridfile.File, opts ...Option) (*Scheduler, error) {
 	}
 	if c.retrySet {
 		execOpts = append(execOpts, exec.WithRetry(c.retry))
-	}
-	if c.deadline > 0 {
-		execOpts = append(execOpts, exec.WithDeadline(c.deadline))
-	}
-	if c.maxParallel > 0 {
-		execOpts = append(execOpts, exec.WithMaxParallel(c.maxParallel))
 	}
 	if c.obs != nil {
 		execOpts = append(execOpts, exec.WithObserver(c.obs))

@@ -100,13 +100,17 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := GrayCoords(16, 2, 2, nil); err == nil {
 		t.Error("gray overflow index accepted")
 	}
+	// A 63-bit index space: its bound 1<<63 does not fit in int64.
+	if _, err := MortonCoords(1<<63-1, 7, 9, nil); err != nil {
+		t.Errorf("last index of a 63-bit curve rejected: %v", err)
+	}
 	if _, err := RankTable(grid.MustNew(4, 4), Kind(9)); err == nil {
 		t.Error("unknown kind accepted")
 	}
 }
 
 func TestKindString(t *testing.T) {
-	if Morton.String() != "morton" || Gray.String() != "gray" {
+	if Morton.String() != "morton" || Gray.String() != "gray" || Hilbert.String() != "hilbert" {
 		t.Error("kind names wrong")
 	}
 	if Kind(5).String() != "Kind(5)" {
@@ -115,12 +119,15 @@ func TestKindString(t *testing.T) {
 }
 
 func TestRankTablePermutation(t *testing.T) {
-	for _, kind := range []Kind{Morton, Gray} {
-		for _, dims := range [][]int{{8, 8}, {5, 7}, {4, 4, 4}} {
+	for _, kind := range []Kind{Morton, Gray, Hilbert} {
+		for _, dims := range [][]int{{8, 8}, {4, 8}, {5, 7}, {4, 4, 4}, {3, 5, 2}} {
 			g := grid.MustNew(dims...)
 			ranks, err := RankTable(g, kind)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if len(ranks) != g.Buckets() {
+				t.Fatalf("%v on %v: table size %d, want %d", kind, g, len(ranks), g.Buckets())
 			}
 			seen := make([]bool, len(ranks))
 			for _, r := range ranks {

@@ -29,9 +29,8 @@ func NewReplicaStore(f *GridFile, rep *Replicated) (*Store, error) {
 }
 
 // StoreReader reads buckets from a checksummed store, verifying page
-// checksums on every read. Attach with WithBucketReader or
-// WithServeReader so queries observe — and with read-repair, fix —
-// silent corruption.
+// checksums on every read. Attach with WithServeReader so queries
+// observe — and with read-repair, fix — silent corruption.
 func StoreReader(s *Store) BucketReader { return exec.NewStoreReader(s) }
 
 // RepairState is one disk's position in the repair lifecycle:
@@ -90,12 +89,6 @@ func NewReadRepairer(s *Store, tracker *RepairTracker, inj *FaultInjector) *Read
 // WithReadRepair attaches inline read-repair to a serving scheduler:
 // foreground reads that observe corruption fix it in passing.
 func WithReadRepair(rr *ReadRepairer) ServeOption { return serve.WithReadWrapper(rr.Wrap) }
-
-// WithServeWrapper composes an arbitrary reader wrapper into a
-// scheduler's read path (applied in option order, innermost first).
-func WithServeWrapper(wrap func(BucketReader) BucketReader) ServeOption {
-	return serve.WithReadWrapper(wrap)
-}
 
 // Rebuilder reconstructs a permanently failed disk's bucket copies from
 // surviving replicas, throttled and admitted at background priority

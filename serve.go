@@ -100,13 +100,6 @@ func WithServeFailover(r *Replicated) ServeOption { return serve.WithFailover(r)
 // scheduler's executor.
 func WithServeRetry(p RetryPolicy) ServeOption { return serve.WithRetry(p) }
 
-// WithServeDeadline bounds each admitted query's execution wall-clock
-// time (queue wait excluded; bound that with the caller's context).
-func WithServeDeadline(d time.Duration) ServeOption { return serve.WithDeadline(d) }
-
-// WithServeMaxParallel bounds each query's concurrent disk workers.
-func WithServeMaxParallel(n int) ServeOption { return serve.WithMaxParallel(n) }
-
 // WithServeReader replaces the scheduler's base grid-file reader.
 func WithServeReader(r BucketReader) ServeOption { return serve.WithBucketReader(r) }
 
