@@ -121,23 +121,42 @@ func TestHilbertIndexErrors(t *testing.T) {
 
 // Ranks restricted to a subgrid preserve the curve's visiting order:
 // consecutive ranks correspond to increasing curve indexes, taken on
-// the smallest enclosing hypercube (b = 3 for 5×6 and for 8×3).
+// the smallest enclosing hypercube.
 func TestHilbertRankTableOrderPreserving(t *testing.T) {
-	for _, dims := range [][]int{{5, 6}, {8, 3}} {
-		g := grid.MustNew(dims...)
-		ranks, err := RankTable(g, Hilbert)
-		if err != nil {
-			t.Fatal(err)
-		}
-		byRank := make([]int64, g.Buckets())
-		g.Each(func(co grid.Coord) bool {
-			byRank[ranks[g.Linearize(co)]], _ = HilbertIndex([]int{co[0], co[1]}, 3)
-			return true
-		})
-		for i := 1; i < len(byRank); i++ {
-			if byRank[i] <= byRank[i-1] {
-				t.Fatalf("%v: rank %d has curve index %d ≤ previous %d", g, i, byRank[i], byRank[i-1])
-			}
+	checkHilbertOrder(t, grid.MustNew(5, 6), 3)
+}
+
+// An 8×3 grid needs 3 bits on its long axis and 2 on its short one; the
+// enclosing hypercube takes the larger, so its ranks follow the b = 3
+// curve.
+func TestHilbertForGrid(t *testing.T) {
+	g := grid.MustNew(8, 3)
+	if g.K() != 2 || g.CubeBits() != 3 {
+		t.Fatalf("8×3 grid: %d dims, %d cube bits; want 2, 3", g.K(), g.CubeBits())
+	}
+	checkHilbertOrder(t, g, 3)
+}
+
+func TestHilbertRankTablePermutation(t *testing.T) {
+	checkRankPermutation(t, Hilbert, [][]int{{8, 8}, {4, 8}, {5, 7}, {4, 4, 4}, {3, 5, 2}})
+}
+
+// checkHilbertOrder fails t unless the Hilbert ranks of the 2-D grid g
+// list its buckets in increasing order of their b-bit curve index.
+func checkHilbertOrder(t *testing.T, g *grid.Grid, b int) {
+	t.Helper()
+	ranks, err := RankTable(g, Hilbert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byRank := make([]int64, g.Buckets())
+	g.Each(func(co grid.Coord) bool {
+		byRank[ranks[g.Linearize(co)]], _ = HilbertIndex([]int{co[0], co[1]}, b)
+		return true
+	})
+	for i := 1; i < len(byRank); i++ {
+		if byRank[i] <= byRank[i-1] {
+			t.Fatalf("%v: rank %d has curve index %d ≤ previous %d", g, i, byRank[i], byRank[i-1])
 		}
 	}
 }
