@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"decluster/internal/ecc"
 	"decluster/internal/gf2"
@@ -28,11 +29,17 @@ import (
 // level, and so on. Combined with the parity-check columns cycling
 // through distinct nonzero vectors, grid-adjacent buckets (which differ
 // in low-order bits) land on different disks.
+//
+// The syndrome is linear in the word, and the word is the XOR of each
+// axis's bits placed alone, so the allocation keeps one syndrome per
+// axis value and a bucket's disk is the XOR of its K axis syndromes,
+// mod M.
 type ECC struct {
 	g      *grid.Grid
 	m      int
 	code   *ecc.Code
 	layout []bitRef // word bit position → (axis, bit level)
+	syn    [][]int  // per axis: coordinate value → syndrome of its bits alone
 }
 
 type bitRef struct {
@@ -46,15 +53,48 @@ type bitRef struct {
 // fold onto disks by mod m. It returns an error unless every grid
 // dimension is a power of two and m ≥ 2.
 func NewECC(g *grid.Grid, m int) (*ECC, error) {
+	layout, err := eccLayout(g, m)
+	if err != nil {
+		return nil, err
+	}
+	r := 1
+	for 1<<uint(r) < m {
+		r++
+	}
+	code, err := ecc.NewShortenedHamming(len(layout), r)
+	if err != nil {
+		return nil, err
+	}
+	return newECC(g, m, code, layout), nil
+}
+
+// NewECCWithCode constructs an ECC allocation from a caller-supplied
+// code (e.g. one transcribed from published parity-check tables). The
+// code's length must equal the total coordinate bits of g and its
+// syndrome count must be at least m.
+func NewECCWithCode(g *grid.Grid, m int, code *ecc.Code) (*ECC, error) {
+	layout, err := eccLayout(g, m)
+	if err != nil {
+		return nil, err
+	}
+	if code.Length() != len(layout) {
+		return nil, fmt.Errorf("alloc: code length %d != grid coordinate bits %d", code.Length(), len(layout))
+	}
+	if code.Syndromes() < m {
+		return nil, fmt.Errorf("alloc: code has %d syndromes; need ≥ %d disks", code.Syndromes(), m)
+	}
+	return newECC(g, m, code, layout), nil
+}
+
+// eccLayout checks that ECC applies to g over m disks and returns the
+// word's bit layout: bit levels least significant first, axes in order
+// within a level.
+func eccLayout(g *grid.Grid, m int) ([]bitRef, error) {
 	if err := checkArgs(g, m); err != nil {
 		return nil, err
 	}
 	if m < 2 {
 		return nil, fmt.Errorf("alloc: ECC needs at least 2 disks, got %d", m)
-	}
-	r := 1
-	for 1<<uint(r) < m {
-		r++
 	}
 	axisBits := make([]int, g.K())
 	n := 0
@@ -84,30 +124,26 @@ func NewECC(g *grid.Grid, m int) (*ECC, error) {
 			}
 		}
 	}
-	code, err := ecc.NewShortenedHamming(n, r)
-	if err != nil {
-		return nil, err
-	}
-	return &ECC{g: g, m: m, code: code, layout: layout}, nil
+	return layout, nil
 }
 
-// NewECCWithCode constructs an ECC allocation from a caller-supplied
-// code (e.g. one transcribed from published parity-check tables). The
-// code's length must equal the total coordinate bits of g and its
-// syndrome count must equal m.
-func NewECCWithCode(g *grid.Grid, m int, code *ecc.Code) (*ECC, error) {
-	base, err := NewECC(g, m)
-	if err != nil {
-		return nil, err
+// newECC builds the per-axis syndrome tables of code over layout. A
+// value's syndrome is that of the value without its lowest set bit,
+// XOR the parity-check column of that bit's word position.
+func newECC(g *grid.Grid, m int, code *ecc.Code, layout []bitRef) *ECC {
+	cols := make([][]int, g.K()) // per axis: bit level → parity-check column
+	for pos, ref := range layout {
+		cols[ref.axis] = append(cols[ref.axis], code.Syndrome(gf2.Vec(1)<<uint(pos)))
 	}
-	if code.Length() != len(base.layout) {
-		return nil, fmt.Errorf("alloc: code length %d != grid coordinate bits %d", code.Length(), len(base.layout))
+	syn := make([][]int, g.K())
+	for axis := range syn {
+		t := make([]int, g.Dim(axis))
+		for v := 1; v < len(t); v++ {
+			t[v] = t[v&(v-1)] ^ cols[axis][bits.TrailingZeros(uint(v))]
+		}
+		syn[axis] = t
 	}
-	if code.Syndromes() < m {
-		return nil, fmt.Errorf("alloc: code has %d syndromes; need ≥ %d disks", code.Syndromes(), m)
-	}
-	base.code = code
-	return base, nil
+	return &ECC{g: g, m: m, code: code, layout: layout, syn: syn}
 }
 
 // Name implements Method.
@@ -148,5 +184,9 @@ func (e *ECC) DiskOf(c grid.Coord) int {
 	if !e.g.Contains(c) {
 		panic(fmt.Sprintf("alloc: coordinate %v invalid for grid %v", c, e.g))
 	}
-	return e.code.Syndrome(e.Word(c)) % e.m
+	s := 0
+	for axis, v := range c {
+		s ^= e.syn[axis][v]
+	}
+	return s % e.m
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"decluster/internal/ecc"
+	"decluster/internal/gf2"
 	"decluster/internal/grid"
 )
 
@@ -193,4 +194,42 @@ func TestECCUnequalAxisWidths(t *testing.T) {
 			t.Fatalf("disk %d holds %d, want %d", disk, n, g.Buckets()/4)
 		}
 	}
+}
+
+// DiskOf must be the definition — the syndrome of the bucket's packed
+// word, folded by mod M — on every bucket, for any disk count and for a
+// caller-supplied code.
+func TestECCDiskOfIsFoldedSyndrome(t *testing.T) {
+	check := func(e *ECC) {
+		t.Helper()
+		g := e.Grid()
+		g.Each(func(c grid.Coord) bool {
+			if got, want := e.DiskOf(c), e.Code().Syndrome(e.Word(c))%e.Disks(); got != want {
+				t.Fatalf("%v, M=%d: DiskOf(%v) = %d, folded syndrome %d", g, e.Disks(), c, got, want)
+			}
+			return true
+		})
+	}
+	for _, dims := range [][]int{{2, 2}, {8, 8}, {64, 64}, {256, 256}, {64, 16}, {16, 16, 16}, {8, 4, 2}} {
+		g := grid.MustNew(dims...)
+		for m := 2; m <= 33; m++ {
+			e, err := NewECC(g, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(e)
+		}
+	}
+	// A code that is not the shortened Hamming default: 8×8 has 6
+	// coordinate bits, and three arbitrary parity checks give 8 syndromes
+	// for 5 disks.
+	code, err := ecc.NewFromParityCheck(gf2.MustMatrix(6, 0b101101, 0b011011, 0b110110))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewECCWithCode(grid.MustNew(8, 8), 5, code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(e)
 }

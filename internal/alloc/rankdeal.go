@@ -26,7 +26,7 @@ type RankDeal struct {
 // properties (Jagadish 1990), buckets close in space receive different
 // disks. On a grid that is not a full power-of-two hypercube, the curve
 // of the smallest enclosing hypercube is restricted to the grid. The
-// rank table costs O(B log B) time and O(B) memory in the bucket count B.
+// rank table costs O(B) time and memory in the bucket count B.
 func NewHCAM(g *grid.Grid, m int) (*RankDeal, error) {
 	return newCurveDeal("HCAM", g, m, sfc.Hilbert)
 }

@@ -37,11 +37,11 @@ func Attributes(cfg AttrsConfig, opt Options) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	methods, err := opt.methods(g, 16)
+	specs, err := query.SizeSpecs(g, cfg.Volumes)
 	if err != nil {
 		return nil, err
 	}
-	workloads, err := query.SizeSweep(g, cfg.Volumes, opt.limit(), opt.seed())
+	methods, workloads, err := opt.build(g, 16, specs)
 	if err != nil {
 		return nil, err
 	}

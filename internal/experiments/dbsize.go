@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"decluster/internal/alloc"
 	"decluster/internal/grid"
 	"decluster/internal/query"
 )
@@ -33,41 +34,58 @@ func (c DBSizeConfig) withDefaults() DBSizeConfig {
 // matter mostly through the *query*, not the database.
 func DatabaseSize(cfg DBSizeConfig, opt Options) (*Experiment, error) {
 	cfg = cfg.withDefaults()
-	var rows []Row
-	var methodsNames []string
-	for _, side := range cfg.Sides {
+	sets := make([][]alloc.Method, len(cfg.Sides))
+	workloads := make([]query.Workload, len(cfg.Sides))
+	var steps []func() error
+	for i, side := range cfg.Sides {
 		g, err := grid.New(side, side)
 		if err != nil {
 			return nil, err
 		}
-		methods, err := opt.methods(g, 16)
-		if err != nil {
-			return nil, err
-		}
-		if methodsNames == nil {
-			methodsNames = methodNames(methods)
-		} else if len(methodsNames) != len(methods) {
+		spec := query.Spec{Name: fmt.Sprintf("%d×%d buckets", side, side), Sides: []int{8, 8}}
+		steps = append(steps,
+			func() (err error) {
+				sets[i], err = opt.methods(g, 16)
+				return err
+			},
+			func() (err error) {
+				workloads[i], err = spec.Build(g, opt.limit(), opt.seed())
+				return err
+			})
+	}
+	if err := opt.setUp(steps...); err != nil {
+		return nil, err
+	}
+	// Every size's cells go through the pool in one call: one row per
+	// size, its methods in column order.
+	var names []string
+	var methods []alloc.Method
+	var cells []evalCell
+	for i, set := range sets {
+		if names == nil {
+			names = methodNames(set)
+		} else if len(names) != len(set) {
 			return nil, fmt.Errorf("experiments: method set changed across database sizes")
 		}
-		qs, err := query.Placements(g, []int{8, 8}, opt.limit(), opt.seed())
-		if err != nil {
-			return nil, err
+		for _, m := range set {
+			cells = append(cells, evalCell{method: len(methods), workload: i})
+			methods = append(methods, m)
 		}
-		w := query.Workload{
-			Name:    fmt.Sprintf("%d×%d buckets", side, side),
-			Queries: qs,
-		}
-		rs, err := evaluateGrid(methods, []query.Workload{w}, opt)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, rs...)
+	}
+	res, err := opt.evaluateCells(methods, workloads, cells)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Row, len(workloads))
+	n := len(names)
+	for i, w := range workloads {
+		rows[i] = Row{Label: w.Name, Results: res[i*n : (i+1)*n : (i+1)*n]}
 	}
 	return &Experiment{
 		ID:      "E8",
 		Title:   "Effect of database size",
 		XLabel:  "grid size",
-		Methods: methodsNames,
+		Methods: names,
 		Rows:    rows,
 	}, nil
 }

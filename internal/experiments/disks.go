@@ -51,17 +51,24 @@ func disksSweep(id, title string, band [2]int, cfg DisksConfig, opt Options) (*E
 		warnings = append(warnings,
 			fmt.Sprintf("exhaustive mode is undefined for the open-ended query band [%d..%d]; sampled %d placements instead", band[0], band[1], n))
 	}
-	w, err := query.RandomRange(g, band[0], band[1], n, opt.seed())
+	var w query.Workload
+	var perRow [][]alloc.Method
+	err = opt.setUp(
+		func() (err error) {
+			w, err = query.RandomRange(g, band[0], band[1], n, opt.seed())
+			return err
+		},
+		func() (err error) {
+			perRow, err = opt.methodSets(g, cfg.Disks)
+			return err
+		},
+	)
 	if err != nil {
 		return nil, err
 	}
 
 	// Column set: union of line names across all M; and one evaluation
 	// cell per applicable (M, method) pair.
-	perRow, err := opt.methodSets(g, cfg.Disks)
-	if err != nil {
-		return nil, err
-	}
 	var colSet []string
 	seen := map[string]bool{}
 	var methods []alloc.Method

@@ -83,19 +83,26 @@ func (o Options) methods(g *grid.Grid, m int) ([]alloc.Method, error) {
 
 // methodSets is methods for each disk count of a disk sweep over one
 // grid; the sets share whatever depends on the grid only (see
-// alloc.PaperSets).
+// alloc.PaperSets), and the random baseline shuffles its permutation
+// once per grid.
 func (o Options) methodSets(g *grid.Grid, disks []int) ([][]alloc.Method, error) {
 	sets := alloc.PaperSets(g, disks)
+	var random *alloc.RankDeal
 	for i, m := range disks {
 		if len(sets[i]) == 0 {
 			return nil, fmt.Errorf("experiments: no method applies to grid %v with %d disks", g, m)
 		}
 		if o.IncludeRandom {
-			r, err := alloc.NewRandom(g, m, o.seed())
+			var err error
+			if random == nil {
+				random, err = alloc.NewRandom(g, m, o.seed())
+			} else {
+				random, err = random.WithDisks(m)
+			}
 			if err != nil {
 				return nil, err
 			}
-			sets[i] = append(sets[i], r)
+			sets[i] = append(sets[i], random)
 		}
 	}
 	return sets, nil

@@ -25,11 +25,7 @@ func PartialMatch(_ PMConfig, opt Options) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	methods, err := opt.methods(g, 8)
-	if err != nil {
-		return nil, err
-	}
-	var workloads []query.Workload
+	var specs []query.Spec
 	// All 2^k−2 proper patterns (at least one specified, one not), in
 	// increasing number of unspecified attributes.
 	for unspecCount := 1; unspecCount < pmAttrs; unspecCount++ {
@@ -45,12 +41,16 @@ func PartialMatch(_ PMConfig, opt Options) (*Experiment, error) {
 			if n != unspecCount {
 				continue
 			}
-			w, err := query.PartialMatchWorkload(g, pattern, opt.limit(), opt.seed())
+			spec, err := query.PartialMatchSpec(g, pattern)
 			if err != nil {
 				return nil, err
 			}
-			workloads = append(workloads, w)
+			specs = append(specs, spec)
 		}
+	}
+	methods, workloads, err := opt.build(g, 8, specs)
+	if err != nil {
+		return nil, err
 	}
 	rows, err := evaluateGrid(methods, workloads, opt)
 	if err != nil {

@@ -34,11 +34,11 @@ func QueryShape(cfg ShapeConfig, opt Options) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	methods, err := opt.methods(g, 16)
+	specs, err := query.ShapeSpecs(g, cfg.Area)
 	if err != nil {
 		return nil, err
 	}
-	workloads, err := query.ShapeSweep(g, cfg.Area, opt.limit(), opt.seed())
+	methods, workloads, err := opt.build(g, 16, specs)
 	if err != nil {
 		return nil, err
 	}

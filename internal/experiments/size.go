@@ -35,11 +35,11 @@ func QuerySize(cfg SizeConfig, opt Options) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	methods, err := opt.methods(g, 16)
+	specs, err := query.SizeSpecs(g, cfg.Areas)
 	if err != nil {
 		return nil, err
 	}
-	workloads, err := query.SizeSweep(g, cfg.Areas, opt.limit(), opt.seed())
+	methods, workloads, err := opt.build(g, 16, specs)
 	if err != nil {
 		return nil, err
 	}

@@ -8,13 +8,16 @@ import (
 
 	"decluster/internal/alloc"
 	"decluster/internal/cost"
+	"decluster/internal/grid"
 	"decluster/internal/query"
 )
 
 // The sweep engine fans (method, workload) evaluation cells across a
-// bounded worker pool. Every experiment sweep — rows × methods, or the
-// disk sweeps' (M, method) grid — flattens into cells, runs here, and
-// reassembles by index, so result ordering is deterministic regardless
+// bounded worker pool; before the cells, an experiment's set-up steps —
+// its method sets and workloads — run on the same pool. Every
+// experiment sweep — rows × methods, or the disk sweeps' (M, method)
+// grid — flattens into cells, runs here, and reassembles by index, so
+// result ordering is deterministic regardless
 // of completion order and the parallel path produces byte-identical
 // experiment tables to a -parallel 1 run. A method's kernel is built
 // once per call, by the first worker to reach one of its cells; every
@@ -70,8 +73,8 @@ func (o Options) newKernelCloner(m alloc.Method, work cost.Work) (func() cost.RT
 
 // evaluateCells runs the cells on Options.Parallel workers and returns
 // one Result per cell, aligned to the input order. The first kernel
-// construction error aborts the sweep (remaining queued cells are
-// drained unevaluated).
+// construction error aborts the sweep (cells not yet started are
+// skipped).
 func (o Options) evaluateCells(methods []alloc.Method, workloads []query.Workload, cells []evalCell) ([]cost.Result, error) {
 	out := make([]cost.Result, len(cells))
 	kernels := make([]sharedKernel, len(methods))
@@ -84,57 +87,92 @@ func (o Options) evaluateCells(methods []alloc.Method, workloads []query.Workloa
 		kernels[c.method].left.Add(1)
 		work[c.method] = work[c.method].Add(perWorkload[c.workload])
 	}
-	par := o.parallel()
-	if par > len(cells) {
-		par = len(cells)
-	}
-	if par < 1 {
-		par = 1
-	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < par; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range next {
-				mu.Lock()
-				failed := firstErr != nil
-				mu.Unlock()
-				if failed {
-					continue
-				}
-				c := cells[idx]
-				k := &kernels[c.method]
-				k.build.Do(func() { k.clone, k.err = o.newKernelCloner(methods[c.method], work[c.method]) })
-				if k.err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = k.err
-					}
-					mu.Unlock()
-					continue
-				}
-				out[idx] = k.clone().Evaluate(workloads[c.workload])
-				if k.left.Add(-1) == 0 {
-					k.clone = nil // last cell: release the tables
-				}
-			}
-		}()
-	}
-	for i := range cells {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := o.forEach(len(cells), func(idx int) error {
+		c := cells[idx]
+		k := &kernels[c.method]
+		k.build.Do(func() { k.clone, k.err = o.newKernelCloner(methods[c.method], work[c.method]) })
+		if k.err != nil {
+			return k.err
+		}
+		out[idx] = k.clone().Evaluate(workloads[c.workload])
+		if k.left.Add(-1) == 0 {
+			k.clone = nil // last cell: release the tables
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// forEach calls fn(0), …, fn(n−1) on Options.Parallel workers, the
+// calling goroutine among them: the sweep engine's pool, which runs an
+// experiment's set-up steps and then its cells. Once a call fails, the
+// calls not yet started are skipped, and the error returned is that of
+// the failed call with the lowest index.
+func (o Options) forEach(n int, fn func(i int) error) error {
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		mu     sync.Mutex
+		errAt  = n
+		first  error
+		wg     sync.WaitGroup
+	)
+	worker := func() {
+		defer wg.Done()
+		for !failed.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			if err := fn(i); err != nil {
+				mu.Lock()
+				if i < errAt {
+					errAt, first = i, err
+				}
+				mu.Unlock()
+				failed.Store(true)
+			}
+		}
+	}
+	par := min(o.parallel(), n)
+	wg.Add(max(par, 1))
+	for range par - 1 {
+		go worker()
+	}
+	worker()
+	wg.Wait()
+	return first
+}
+
+// setUp runs an experiment's independent build steps — its method sets
+// and workloads — on the sweep engine's pool; see forEach for errors.
+func (o Options) setUp(steps ...func() error) error {
+	return o.forEach(len(steps), func(i int) error { return steps[i]() })
+}
+
+// build returns the method set of g over m disks and the workloads of
+// specs, drawn with the options' limit and seed, as set-up steps on the
+// sweep engine's pool.
+func (o Options) build(g *grid.Grid, m int, specs []query.Spec) ([]alloc.Method, []query.Workload, error) {
+	var methods []alloc.Method
+	workloads := make([]query.Workload, len(specs))
+	steps := []func() error{func() (err error) {
+		methods, err = o.methods(g, m)
+		return err
+	}}
+	for i, s := range specs {
+		steps = append(steps, func() (err error) {
+			workloads[i], err = s.Build(g, o.limit(), o.seed())
+			return err
+		})
+	}
+	if err := o.setUp(steps...); err != nil {
+		return nil, nil, err
+	}
+	return methods, workloads, nil
 }
 
 // evaluateGrid evaluates every method over every workload through the

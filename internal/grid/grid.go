@@ -515,6 +515,19 @@ func (g *Grid) BitsPerAxis() []int {
 	return out
 }
 
+// CubeBits returns the bits per axis of the smallest power-of-two
+// hypercube enclosing g — the widest entry of BitsPerAxis. It is the
+// order of the space-filling curves that linearize g.
+func (g *Grid) CubeBits() int {
+	b := 1
+	for _, d := range g.dims {
+		if ab := bitsFor(d); ab > b {
+			b = ab
+		}
+	}
+	return b
+}
+
 // bitsFor returns ⌈log2 n⌉ clamped below at 1: the width in bits of the
 // largest coordinate on an axis with n partitions.
 func bitsFor(n int) int {

@@ -556,55 +556,6 @@ func TestCubeBits(t *testing.T) {
 	}
 }
 
-// CurveRanks must order buckets by the index callback: on a grid that
-// fills its hypercube the rank is the index itself (no sort); on any
-// other grid the ranks are the dense renumbering of the indexes.
-func TestCurveRanks(t *testing.T) {
-	for _, dims := range [][]int{{4, 4}, {8, 8, 8}, {3, 4}, {5, 7}, {3, 5, 2}, {1, 6}} {
-		g := MustNew(dims...)
-		side := 1 << uint(g.CubeBits())
-		// Column-major position in the enclosing cube, reversed: a
-		// bijection onto [0, side^k) that is neither row-major nor
-		// monotone in the bucket number.
-		index := func(c []int) int64 {
-			idx, points := int64(0), int64(1)
-			for i := len(c) - 1; i >= 0; i-- {
-				idx = idx*int64(side) + int64(c[i])
-				points *= int64(side)
-			}
-			return points - 1 - idx
-		}
-		ranks := g.CurveRanks(index)
-		if len(ranks) != g.Buckets() {
-			t.Fatalf("%v: %d ranks for %d buckets", g, len(ranks), g.Buckets())
-		}
-		byRank := make([]int64, g.Buckets())
-		for i := range byRank {
-			byRank[i] = -1
-		}
-		g.Each(func(c Coord) bool {
-			r := ranks[g.Linearize(c)]
-			if r < 0 || r >= len(byRank) || byRank[r] != -1 {
-				t.Fatalf("%v: ranks are not a permutation", g)
-			}
-			byRank[r] = index(c)
-			return true
-		})
-		for r := 1; r < len(byRank); r++ {
-			if byRank[r] <= byRank[r-1] {
-				t.Fatalf("%v: rank %d has index %d ≤ previous %d", g, r, byRank[r], byRank[r-1])
-			}
-		}
-		if g.Buckets() == 1<<uint(g.K()*g.CubeBits()) {
-			for r, idx := range byRank {
-				if int64(r) != idx {
-					t.Fatalf("%v fills its cube: rank %d has index %d", g, r, idx)
-				}
-			}
-		}
-	}
-}
-
 // TestEachBucketMatchesAppendRect pins the callback walk to the slice
 // walk: same buckets, same order, stops at the first false and says so,
 // and allocates nothing.

@@ -13,8 +13,8 @@ package query
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"sort"
 
 	"decluster/internal/grid"
 )
@@ -104,19 +104,19 @@ func Placements(g *grid.Grid, sides []int, limit int, seed int64) ([]grid.Rect, 
 
 // sampledPlacements draws `limit` distinct placements uniformly without
 // replacement by sampling placement indexes and decoding them in
-// ascending index order, which is low-corner row-major order.
+// ascending index order, which is low-corner row-major order. Draws are
+// deduplicated in a bitset over the placement indexes — at most one bit
+// per bucket — whose set bits, read in order, are the sample sorted.
 func sampledPlacements(g *grid.Grid, sides []int, total, limit int, seed int64) ([]grid.Rect, error) {
 	rng := rand.New(rand.NewSource(seed))
-	picked := make(map[int]struct{}, limit)
-	idxs := make([]int, 0, limit)
-	for len(idxs) < limit {
+	picked := make([]uint64, (total+63)/64)
+	for n := 0; n < limit; {
 		idx := rng.Intn(total)
-		if _, dup := picked[idx]; !dup {
-			picked[idx] = struct{}{}
-			idxs = append(idxs, idx)
+		if bit := uint64(1) << uint(idx&63); picked[idx>>6]&bit == 0 {
+			picked[idx>>6] |= bit
+			n++
 		}
 	}
-	sort.Ints(idxs)
 	// Decode placement index → low corner using mixed-radix digits of
 	// per-axis free positions (d_i − side_i + 1), row-major. Every
 	// corner lives in one slab, capped so an append cannot reach its
@@ -127,17 +127,20 @@ func sampledPlacements(g *grid.Grid, sides []int, total, limit int, seed int64) 
 		radix[i] = g.Dim(i) - sides[i] + 1
 	}
 	slab := make([]int, 2*k*limit)
-	out := make([]grid.Rect, limit)
-	for n, idx := range idxs {
-		corners := slab[2*k*n:]
-		lo := grid.Coord(corners[:k:k])
-		hi := grid.Coord(corners[k : 2*k : 2*k])
-		for i := k - 1; i >= 0; i-- {
-			lo[i] = idx % radix[i]
-			hi[i] = lo[i] + sides[i] - 1
-			idx /= radix[i]
+	out := make([]grid.Rect, 0, limit)
+	for word, set := range picked {
+		for ; set != 0; set &= set - 1 {
+			idx := word<<6 | bits.TrailingZeros64(set)
+			corners := slab[2*k*len(out):]
+			lo := grid.Coord(corners[:k:k])
+			hi := grid.Coord(corners[k : 2*k : 2*k])
+			for i := k - 1; i >= 0; i-- {
+				lo[i] = idx % radix[i]
+				hi[i] = lo[i] + sides[i] - 1
+				idx /= radix[i]
+			}
+			out = append(out, grid.Rect{Lo: lo, Hi: hi})
 		}
-		out[n] = grid.Rect{Lo: lo, Hi: hi}
 	}
 	return out, nil
 }
@@ -213,21 +216,58 @@ func ShapesOfArea(g *grid.Grid, area int) ([][]int, error) {
 	return out, nil
 }
 
+// Spec is a workload before its queries are drawn: every placement of
+// one rectangle, sampled down to the limit with the seed plus Offset.
+// The sweeps list their workloads as specs so a caller can draw them
+// concurrently.
+type Spec struct {
+	Name   string
+	Sides  []int
+	Offset int64
+}
+
+// Build draws the workload on g (see Placements).
+func (s Spec) Build(g *grid.Grid, limit int, seed int64) (Workload, error) {
+	qs, err := Placements(g, s.Sides, limit, seed+s.Offset)
+	if err != nil {
+		return Workload{}, err
+	}
+	return Workload{Name: s.Name, Queries: qs}, nil
+}
+
+// buildAll draws every spec in order.
+func buildAll(g *grid.Grid, specs []Spec, limit int, seed int64) ([]Workload, error) {
+	out := make([]Workload, len(specs))
+	for i, s := range specs {
+		w, err := s.Build(g, limit, seed)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = w
+	}
+	return out, nil
+}
+
 // SizeSweep builds one workload per area: all placements (sampled down
 // to limit) of the most-square shape of that area. Areas that admit no
 // fitting shape are skipped with an error only if *no* area fits.
 func SizeSweep(g *grid.Grid, areas []int, limit int, seed int64) ([]Workload, error) {
-	var out []Workload
+	specs, err := SizeSpecs(g, areas)
+	if err != nil {
+		return nil, err
+	}
+	return buildAll(g, specs, limit, seed)
+}
+
+// SizeSpecs lists SizeSweep's workloads, undrawn.
+func SizeSpecs(g *grid.Grid, areas []int) ([]Spec, error) {
+	var out []Spec
 	for _, a := range areas {
 		sides, err := SquarishSides(g, a)
 		if err != nil {
 			continue
 		}
-		qs, err := Placements(g, sides, limit, seed+int64(a))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Workload{Name: fmt.Sprintf("area=%d", a), Queries: qs})
+		out = append(out, Spec{Name: fmt.Sprintf("area=%d", a), Sides: sides, Offset: int64(a)})
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("query: no area in %v fits grid %v", areas, g)
@@ -241,6 +281,15 @@ func SizeSweep(g *grid.Grid, areas []int, limit int, seed int64) ([]Workload, er
 // Shapes are deduplicated by aspect ratio (s0 ≥ s1 orientation kept
 // separate from s0 < s1, since grids and methods are not symmetric).
 func ShapeSweep(g *grid.Grid, area, limit int, seed int64) ([]Workload, error) {
+	specs, err := ShapeSpecs(g, area)
+	if err != nil {
+		return nil, err
+	}
+	return buildAll(g, specs, limit, seed)
+}
+
+// ShapeSpecs lists ShapeSweep's workloads, undrawn.
+func ShapeSpecs(g *grid.Grid, area int) ([]Spec, error) {
 	if g.K() != 2 {
 		return nil, fmt.Errorf("query: ShapeSweep requires a 2-attribute grid, got %d", g.K())
 	}
@@ -254,13 +303,9 @@ func ShapeSweep(g *grid.Grid, area, limit int, seed int64) ([]Workload, error) {
 			shapes[j], shapes[j-1] = shapes[j-1], shapes[j]
 		}
 	}
-	var out []Workload
-	for _, s := range shapes {
-		qs, err := Placements(g, s, limit, seed+int64(s[0]))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Workload{Name: fmt.Sprintf("%d×%d", s[0], s[1]), Queries: qs})
+	out := make([]Spec, len(shapes))
+	for i, s := range shapes {
+		out[i] = Spec{Name: fmt.Sprintf("%d×%d", s[0], s[1]), Sides: s, Offset: int64(s[0])}
 	}
 	return out, nil
 }
@@ -400,8 +445,17 @@ func HotRegion(g *grid.Grid, hot grid.Rect, heat float64, minSide, maxSide, n in
 // partition value, unspecified attributes span their full domain. The
 // result is sampled down to limit placements when needed.
 func PartialMatchWorkload(g *grid.Grid, unspecified []bool, limit int, seed int64) (Workload, error) {
+	spec, err := PartialMatchSpec(g, unspecified)
+	if err != nil {
+		return Workload{}, err
+	}
+	return spec.Build(g, limit, seed)
+}
+
+// PartialMatchSpec is PartialMatchWorkload's workload, undrawn.
+func PartialMatchSpec(g *grid.Grid, unspecified []bool) (Spec, error) {
 	if len(unspecified) != g.K() {
-		return Workload{}, fmt.Errorf("query: pattern arity %d for %d-attribute grid", len(unspecified), g.K())
+		return Spec{}, fmt.Errorf("query: pattern arity %d for %d-attribute grid", len(unspecified), g.K())
 	}
 	sides := make([]int, g.K())
 	name := "PM["
@@ -414,12 +468,7 @@ func PartialMatchWorkload(g *grid.Grid, unspecified []bool, limit int, seed int6
 			name += "s"
 		}
 	}
-	name += "]"
-	qs, err := Placements(g, sides, limit, seed)
-	if err != nil {
-		return Workload{}, err
-	}
-	return Workload{Name: name, Queries: qs}, nil
+	return Spec{Name: name + "]", Sides: sides}, nil
 }
 
 // PointWorkload enumerates point queries (all attributes specified),

@@ -1,6 +1,9 @@
 package query
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"decluster/internal/grid"
@@ -450,4 +453,67 @@ func TestSampledPlacementsAscendingAndPinned(t *testing.T) {
 			t.Fatalf("%v: appending to a corner overwrote its neighbour", g)
 		}
 	}
+}
+
+// The bitset sampler must draw exactly the sample of its definition: the
+// same RNG draws deduplicated in a map, sorted with sort.Ints, and
+// decoded to low corners in that order.
+func TestSampledPlacementsMatchMapReference(t *testing.T) {
+	for _, tc := range []struct {
+		dims, sides []int
+		limit       int
+		seed        int64
+	}{
+		{[]int{64, 64}, []int{5, 4}, 3659, 1},   // total = limit + 1
+		{[]int{64, 64}, []int{5, 4}, 1830, 2},   // total = 2·limit
+		{[]int{256, 256}, []int{8, 8}, 2000, 1}, // total = 62,001
+		{[]int{256, 256}, []int{8, 8}, 2000, 7},
+		{[]int{16, 16, 16}, []int{2, 3, 4}, 500, 42},
+		{[]int{3, 9}, []int{3, 1}, 1, 5},
+	} {
+		g := grid.MustNew(tc.dims...)
+		total, err := g.PlacementCount(tc.sides)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sampledPlacements(g, tc.sides, total, tc.limit, tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceSample(g, tc.sides, total, tc.limit, tc.seed)
+		if len(got) != len(want) {
+			t.Fatalf("%v %v: %d rects, want %d", g, tc.sides, len(got), len(want))
+		}
+		for i := range want {
+			if !slices.Equal(got[i].Lo, want[i].Lo) || !slices.Equal(got[i].Hi, want[i].Hi) {
+				t.Fatalf("%v %v seed %d: rect %d is %v, want %v", g, tc.sides, tc.seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// referenceSample is the map-and-sort sampler the bitset replaced.
+func referenceSample(g *grid.Grid, sides []int, total, limit int, seed int64) []grid.Rect {
+	rng := rand.New(rand.NewSource(seed))
+	picked := make(map[int]struct{}, limit)
+	idxs := make([]int, 0, limit)
+	for len(idxs) < limit {
+		idx := rng.Intn(total)
+		if _, dup := picked[idx]; !dup {
+			picked[idx] = struct{}{}
+			idxs = append(idxs, idx)
+		}
+	}
+	sort.Ints(idxs)
+	out := make([]grid.Rect, len(idxs))
+	for n, idx := range idxs {
+		lo, hi := make(grid.Coord, g.K()), make(grid.Coord, g.K())
+		for i := g.K() - 1; i >= 0; i-- {
+			radix := g.Dim(i) - sides[i] + 1
+			lo[i], hi[i] = idx%radix, idx%radix+sides[i]-1
+			idx /= radix
+		}
+		out[n] = grid.Rect{Lo: lo, Hi: hi}
+	}
+	return out
 }

@@ -16,7 +16,10 @@
 package sfc
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"decluster/internal/grid"
 )
@@ -198,17 +201,12 @@ func HilbertIndex(coords []int, b int) (int64, error) {
 	if err := validate(coords, len(coords), b); err != nil {
 		return 0, err
 	}
-	return hilbert(coords, b, make([]uint64, len(coords))), nil
-}
-
-// hilbert is HilbertIndex for coordinates already known to be valid,
-// with the caller's scratch x (len n) in place of a per-call slice.
-func hilbert(coords []int, b int, x []uint64) int64 {
+	x := make([]uint64, len(coords))
 	for i, v := range coords {
 		x[i] = uint64(v)
 	}
 	axesToTranspose(x, b)
-	return morton(x, b)
+	return morton(x, b), nil
 }
 
 // HilbertCoords inverts HilbertIndex, writing into dst when it has
@@ -260,20 +258,228 @@ func (k Kind) String() string {
 // bucket the curve of the smallest enclosing hypercube visits first has
 // rank 0, and so on. For grids that exactly fill the hypercube the rank
 // equals the curve index.
+//
+// The table is built by descending the curve one bit level at a time in
+// index order and numbering buckets as they are reached, so it costs
+// O(B) time for B buckets — no per-bucket index and no sort. Subcubes
+// outside the grid are never entered.
 func RankTable(g *grid.Grid, kind Kind) ([]int, error) {
 	b := g.CubeBits()
 	if g.K()*b > maxIndexBits {
 		return nil, fmt.Errorf("sfc: grid %v needs %d index bits; max %d", g, g.K()*b, maxIndexBits)
 	}
-	switch kind {
-	case Morton:
-		return g.CurveRanks(func(coords []int) int64 { return morton(coords, b) }), nil
-	case Gray:
-		return g.CurveRanks(func(coords []int) int64 { return grayInverse(morton(coords, b)) }), nil
-	case Hilbert:
-		x := make([]uint64, g.K())
-		return g.CurveRanks(func(coords []int) int64 { return hilbert(coords, b, x) }), nil
-	default:
+	if kind != Morton && kind != Gray && kind != Hilbert {
 		return nil, fmt.Errorf("sfc: unknown curve kind %v", kind)
 	}
+	k := g.K()
+	d := &descent{
+		gray:    kind != Morton,
+		hilbert: kind == Hilbert,
+		dims:    g.Dims(),
+		strides: make([]int, k),
+		lo:      make([]int, k),
+		ids:     make(map[string]int32),
+		ranks:   make([]int, g.Buckets()),
+	}
+	stride := 1
+	for a := k - 1; a >= 0; a-- {
+		d.strides[a] = stride
+		stride *= d.dims[a]
+	}
+	identity := make([]uint8, k)
+	for a := range identity {
+		identity[a] = uint8(a)
+	}
+	d.node(b-1, 0, d.intern(identity, 0, 0))
+	return d.ranks, nil
+}
+
+// descent numbers a grid's buckets in curve order. Each subcube visits
+// its 2^K children in the order of the K-bit index digit h they take at
+// this level; bit K−1−i of a digit or of a position mask belongs to
+// position i, as the Morton interleave puts dimension 0 highest.
+//
+//   - Morton: position i is axis i, and its bit is h's.
+//   - Gray: the digit is Gray-decoded, x = h ⊕ h>>1 ⊕ parity<<(K−1),
+//     where the parity is the last bit of the level above's digit (0 at
+//     the top).
+//   - Hilbert: x is decoded as for Gray, then position i names axis
+//     perm[i], its bit inverted where flip has the position's bit set.
+//     The child inherits the permutation and flip mask after Skilling's
+//     per-level steps (AxestoTranspose): for each position i in turn,
+//     x_i = 1 inverts position 0, x_i = 0 swaps positions 0 and i.
+//
+// The state (perm, flip, parity) repeats across subcubes, so each one
+// reached is numbered once and its children listed once, the first
+// time a subcube in that state lies wholly in the grid on its lower
+// halves. A subcube with an axis that has no room for its upper half
+// forces that position to the lower half; the other positions' digit
+// bits then count up in index order (a forced digit bit follows from
+// the bit before it, so it never decides the order of two children).
+type descent struct {
+	gray, hilbert bool
+	dims, strides []int
+	lo            []int // low corner of the subcube being visited
+	states        []curveState
+	ids           map[string]int32 // state key → index in states
+	key           []byte
+	perm          []uint8 // move's scratch; intern keeps a copy
+	ranks         []int
+	next          int
+}
+
+// curveState is the curve's orientation on entering a subcube.
+type curveState struct {
+	perm         []uint8 // position → axis
+	flip, parity uint64
+	children     []move // in index order; nil until first needed
+}
+
+// move is one child of a subcube: the axes on which it takes the upper
+// half, its bucket-number offset from the subcube's low corner for
+// children of side 1, and its state.
+type move struct {
+	upper uint64
+	off   int
+	state int32
+}
+
+// node visits, in curve order, the children of side 2^lvl of the
+// subcube at the low corner d.lo, whose row-major bucket number is off
+// and whose state is s.
+func (d *descent) node(lvl, off int, s int32) {
+	half := 1 << uint(lvl)
+	var room uint64 // axes with room for the upper half
+	for a, lo := range d.lo {
+		if lo+half < d.dims[a] {
+			room |= 1 << uint(a)
+		}
+	}
+	if room == 1<<uint(len(d.lo))-1 {
+		children := d.children(s)
+		if lvl == 0 {
+			for _, mv := range children {
+				d.ranks[off+mv.off] = d.next
+				d.next++
+			}
+			return
+		}
+		for _, mv := range children {
+			d.visit(lvl, off, mv)
+		}
+		return
+	}
+	st := d.states[s]
+	top := uint(len(st.perm) - 1)
+	var free uint64 // positions with room for the upper half
+	for i, a := range st.perm {
+		free |= room >> a & 1 << (top - uint(i))
+	}
+	// j runs over the subsets of free in ascending order.
+	for j := uint64(0); ; j = (j - free) & free {
+		mv := d.move(s, d.fillForced(st, j, free))
+		if lvl == 0 {
+			d.ranks[off+mv.off] = d.next
+			d.next++
+		} else {
+			d.visit(lvl, off, mv)
+		}
+		if j == free {
+			return
+		}
+	}
+}
+
+// visit descends into the child mv of the subcube at d.lo, whose
+// children have side 2^lvl.
+func (d *descent) visit(lvl, off int, mv move) {
+	half := 1 << uint(lvl)
+	for m := mv.upper; m != 0; m &= m - 1 {
+		d.lo[bits.TrailingZeros64(m)] += half
+	}
+	d.node(lvl-1, off+mv.off*half, mv.state)
+	for m := mv.upper; m != 0; m &= m - 1 {
+		d.lo[bits.TrailingZeros64(m)] -= half
+	}
+}
+
+// children lists state s's children in index order.
+func (d *descent) children(s int32) []move {
+	if d.states[s].children == nil {
+		list := make([]move, 1<<uint(len(d.lo)))
+		for h := range list {
+			list[h] = d.move(s, uint64(h))
+		}
+		d.states[s].children = list
+	}
+	return d.states[s].children
+}
+
+// move returns the child with index digit h of a subcube in state s.
+func (d *descent) move(s int32, h uint64) move {
+	st := d.states[s]
+	top := uint(len(st.perm) - 1)
+	x := h
+	if d.gray {
+		x ^= h>>1 ^ st.parity<<top
+	}
+	var mv move
+	for i, a := range st.perm {
+		if (x^st.flip)>>(top-uint(i))&1 != 0 {
+			mv.upper |= 1 << a
+			mv.off += d.strides[a]
+		}
+	}
+	perm, flip, parity := st.perm, st.flip, uint64(0)
+	if d.gray {
+		parity = h & 1
+	}
+	if d.hilbert {
+		perm = append(d.perm[:0], st.perm...)
+		d.perm = perm
+		for i := range perm {
+			bit := uint64(1) << (top - uint(i))
+			if x&bit != 0 {
+				flip ^= 1 << top // invert position 0
+				continue
+			}
+			perm[0], perm[i] = perm[i], perm[0]
+			if (flip>>top^flip>>(top-uint(i)))&1 != 0 {
+				flip ^= 1<<top | bit
+			}
+		}
+	}
+	mv.state = d.intern(perm, flip, parity)
+	return mv
+}
+
+// intern returns the number of the state (perm, flip, parity), adding
+// it if it is new.
+func (d *descent) intern(perm []uint8, flip, parity uint64) int32 {
+	d.key = binary.LittleEndian.AppendUint64(append(d.key[:0], perm...), flip<<1|parity)
+	if s, ok := d.ids[string(d.key)]; ok {
+		return s
+	}
+	s := int32(len(d.states))
+	d.ids[string(d.key)] = s
+	d.states = append(d.states, curveState{perm: slices.Clone(perm), flip: flip, parity: parity})
+	return s
+}
+
+// fillForced returns the digit of state st's child whose free positions
+// carry j's bits and whose other positions take the lower half.
+func (d *descent) fillForced(st curveState, j, free uint64) uint64 {
+	h, prev := j, st.parity
+	for p := len(st.perm) - 1; p >= 0; p-- {
+		hb := h >> uint(p) & 1
+		if free>>uint(p)&1 == 0 {
+			hb = st.flip >> uint(p) & 1 // x = flip: the lower half
+			if d.gray {
+				hb ^= prev
+			}
+			h |= hb << uint(p)
+		}
+		prev = hb
+	}
+	return h
 }

@@ -1,7 +1,9 @@
 package sfc
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -183,5 +185,79 @@ func TestQuickRoundTrips(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// RankTable must equal its definition on every grid: buckets sorted by
+// their curve index on the smallest enclosing hypercube, numbered in
+// that order. On a grid that fills the hypercube the rank is the index.
+func TestRankTableMatchesSortByIndex(t *testing.T) {
+	grids := [][]int{
+		{1}, {2}, {7}, {64},
+		{1, 1}, {8, 8}, {8, 3}, {5, 6}, {100, 37}, {64, 48}, {1, 6}, {3, 4}, {5, 7}, {2, 2}, {256, 256},
+		{4, 4, 4}, {3, 5, 7}, {3, 5, 2}, {8, 8, 8}, {16, 1, 9},
+		{4, 3, 2, 5}, {2, 2, 2, 2}, {5, 1, 6, 3},
+		{3, 3, 3, 3, 3}, {4, 4, 4, 4, 4}, {2, 3, 2, 3, 2},
+		{2, 3, 1, 2, 3, 2, 2},
+	}
+	index := map[Kind]func([]int, int) (int64, error){Morton: MortonIndex, Gray: GrayIndex, Hilbert: HilbertIndex}
+	for _, dims := range grids {
+		g := grid.MustNew(dims...)
+		b := g.CubeBits()
+		for _, kind := range []Kind{Morton, Gray, Hilbert} {
+			got, err := RankTable(g, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, idx := sortByIndex(t, g, b, index[kind])
+			if !slices.Equal(got, want) {
+				t.Fatalf("%v on %v: descent ranks differ from the sorted indexes", kind, g)
+			}
+			if g.Buckets() == 1<<uint(g.K()*b) {
+				for bucket, r := range got {
+					if int64(r) != idx[bucket] {
+						t.Fatalf("%v on %v fills its cube: bucket %d has rank %d, index %d", kind, g, bucket, r, idx[bucket])
+					}
+				}
+			}
+		}
+	}
+}
+
+// sortByIndex is RankTable's definition: every bucket's b-bit curve
+// index, sorted, and each bucket's position in that order. It also
+// returns the indexes by bucket number.
+func sortByIndex(t *testing.T, g *grid.Grid, b int, index func([]int, int) (int64, error)) (ranks []int, idx []int64) {
+	t.Helper()
+	idx = make([]int64, g.Buckets())
+	order := make([]int, g.Buckets())
+	g.Each(func(c grid.Coord) bool {
+		bucket := g.Linearize(c)
+		v, err := index(c, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx[bucket], order[bucket] = v, bucket
+		return true
+	})
+	slices.SortFunc(order, func(x, y int) int { return cmp.Compare(idx[x], idx[y]) })
+	ranks = make([]int, len(order))
+	for r, bucket := range order {
+		ranks[bucket] = r
+	}
+	return ranks, idx
+}
+
+func BenchmarkRankTable(b *testing.B) {
+	for _, dims := range [][]int{{256, 256}, {64, 64}, {16, 16, 16}} {
+		g := grid.MustNew(dims...)
+		b.Run(g.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if _, err := RankTable(g, Hilbert); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
