@@ -47,11 +47,9 @@ func checkArgs(g *grid.Grid, m int) error {
 // Table materializes the full allocation of a method as a slice indexed
 // by row-major bucket number.
 func Table(m Method) []int {
-	g := m.Grid()
-	out := make([]int, 0, g.Buckets())
-	g.Each(func(c grid.Coord) bool { // row-major: visit order is bucket number
-		out = append(out, m.DiskOf(c))
-		return true
+	out := make([]int, 0, m.Grid().Buckets())
+	EachRow(m, func(_ grid.Coord, row []int) { // row-major: visit order is bucket number
+		out = append(out, row...)
 	})
 	return out
 }
@@ -61,10 +59,10 @@ func Table(m Method) []int {
 // Buckets()/Disks().
 func LoadHistogram(m Method) []int {
 	counts := make([]int, m.Disks())
-	g := m.Grid()
-	g.Each(func(c grid.Coord) bool {
-		counts[m.DiskOf(c)]++
-		return true
+	EachRow(m, func(_ grid.Coord, row []int) {
+		for _, d := range row {
+			counts[d]++
+		}
 	})
 	return counts
 }

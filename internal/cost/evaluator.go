@@ -35,22 +35,31 @@ type Evaluator struct {
 
 // NewEvaluator materializes the method's allocation.
 func NewEvaluator(m alloc.Method) *Evaluator {
+	e := new(Evaluator)
+	e.Rebuild(m)
+	return e
+}
+
+// Rebuild makes e the walk kernel of m, as NewEvaluator(m) builds it,
+// in place: the table and scratch reuse e's backing arrays when those
+// are large enough, and every table entry is written. It invalidates
+// every Clone taken before the call.
+func (e *Evaluator) Rebuild(m alloc.Method) {
 	g := m.Grid()
-	strides := make([]int, g.K())
+	e.method, e.g, e.disks = m, g, m.Disks()
+	e.strides = resize(e.strides, g.K())
 	stride := 1
 	for i := g.K() - 1; i >= 0; i-- {
-		strides[i] = stride
+		e.strides[i] = stride
 		stride *= g.Dim(i)
 	}
-	return &Evaluator{
-		method:  m,
-		g:       g,
-		disks:   m.Disks(),
-		table:   alloc.Table(m),
-		loads:   make([]int, m.Disks()),
-		strides: strides,
-		cur:     make([]int, g.K()),
-	}
+	table := resize(e.table, g.Buckets())[:0]
+	alloc.EachRow(m, func(_ grid.Coord, row []int) {
+		table = append(table, row...)
+	})
+	e.table = table
+	e.loads = resize(e.loads, e.disks)
+	e.cur = resize(e.cur, g.K())
 }
 
 // setDisk updates the materialized table entry for bucket b — the walk

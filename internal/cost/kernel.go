@@ -131,15 +131,18 @@ func (w Work) Add(o Work) Work {
 // returns KernelPrefix when a method over g on disks disks gets prefix
 // tables that fit tableBudget (≤ 0 selects DefaultTableBudget) and cost
 // less than walking, KernelWalk otherwise. Building the tables is
-// (k+1)·M·Π(d_i+1) counter updates (the scatter plus k prefix passes)
-// and each query adds M·2^k counters; the walk probes Σ|Q| buckets.
-// The two sides are compared 1:1, with no tuning constant.
+// max(1, k−1)·M·Π(d_i+1) counter updates (the fused pass, which
+// scatters and takes the prefixes of the last two axes, plus one
+// prefix pass per other axis) and each query adds M·2^k counters; the
+// walk probes Σ|Q| buckets. The two sides are compared 1:1, with no
+// tuning constant.
 func AutoKernel(g *grid.Grid, disks int, work Work, tableBudget int64) Kernel {
 	if !prefixFitsBudget(g, disks, tableBudget) {
 		return KernelWalk
 	}
 	counters := float64(PrefixTableBytes(g, disks) / 4)
-	prefix := float64(g.K()+1)*counters + float64(disks)*math.Ldexp(float64(work.Queries), g.K())
+	passes := float64(max(1, g.K()-1))
+	prefix := passes*counters + float64(disks)*math.Ldexp(float64(work.Queries), g.K())
 	if prefix < float64(work.Buckets) {
 		return KernelPrefix
 	}

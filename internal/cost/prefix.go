@@ -19,8 +19,10 @@ import (
 // rectangle's volume. The walk kernel (Evaluator) is O(volume); on the
 // large-query disk sweeps (sides up to 48 ⇒ ~2300 buckets per query)
 // the prefix kernel replaces thousands of bucket probes with a handful
-// of adds. Construction is O(k·M·buckets): a build-once, query-millions
-// trade.
+// of adds. Construction writes each of the M·Π(d_i+1) counters once in
+// one fused pass, plus one prefix pass per axis beyond the last two:
+// O(max(1, k−1)·M·buckets), a build-once, query-millions trade, and
+// Rebuild repeats it in place for another method.
 //
 // Layout: one flat []int32 indexed cell-major over the padded grid
 // (d_i + 1 entries per axis, so every corner lookup is branchless) with
@@ -82,71 +84,128 @@ func PrefixTableBytes(g *grid.Grid, disks int) int64 {
 // be represented: more buckets than an int32 counter can count, or a
 // padded table so large its length overflows an int.
 func NewPrefixEvaluator(m alloc.Method) (*PrefixEvaluator, error) {
+	e := new(PrefixEvaluator)
+	if err := e.Rebuild(m); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Rebuild makes e the kernel of m, bit-identical to
+// NewPrefixEvaluator(m), in place: the tables and scratch reuse e's
+// backing arrays when those are large enough, and every table entry is
+// written, so nothing of the previous method survives. Like InsertLayer
+// it invalidates every Clone taken before the call. On error — the
+// tables of m are unrepresentable — e is left unchanged.
+func (e *PrefixEvaluator) Rebuild(m alloc.Method) error {
 	g := m.Grid()
 	disks := m.Disks()
-	if int64(g.Buckets()) > math.MaxInt32 {
-		return nil, fmt.Errorf("cost: prefix kernel: %d buckets exceed int32 counters", g.Buckets())
-	}
-	bytes := PrefixTableBytes(g, disks)
-	if bytes == math.MaxInt64 || bytes/4 > math.MaxInt-1 {
-		return nil, fmt.Errorf("cost: prefix kernel: table for grid %v × %d disks overflows", g, disks)
+	if err := checkPrefixShape(g, disks); err != nil {
+		return err
 	}
 	k := g.K()
-	paddedDims := make([]int, k)
-	cells := 1
-	for i := 0; i < k; i++ {
-		paddedDims[i] = g.Dim(i) + 1
-		cells *= paddedDims[i]
-	}
-	e := &PrefixEvaluator{
-		method:     m,
-		g:          g,
-		disks:      disks,
-		k:          k,
-		sat:        make([]int32, cells*disks),
-		pstrides:   make([]int, k),
-		paddedDims: paddedDims,
-		loads:      make([]int, disks),
-		corners:    make([]cornerTerm, 1<<uint(k)),
-		dcoord:     make([]int, k),
-	}
+	e.method, e.g, e.disks, e.k = m, g, disks, k
+	e.paddedDims = resize(e.paddedDims, k)
+	e.pstrides = resize(e.pstrides, k)
 	// Strides of the padded grid (row-major, last axis fastest).
 	stride := disks
 	for i := k - 1; i >= 0; i-- {
+		e.paddedDims[i] = g.Dim(i) + 1
 		e.pstrides[i] = stride
-		stride *= paddedDims[i]
+		stride *= e.paddedDims[i]
 	}
+	e.sat = resize(e.sat, stride)
+	e.loads = resize(e.loads, disks)
+	e.corners = resize(e.corners, 1<<uint(k))
+	e.dcoord = resize(e.dcoord, k)
+	e.build()
+	return nil
+}
 
-	// Scatter the allocation: bucket c contributes 1 to its own padded
-	// cell c+1 (exclusive prefix: S[x] counts cells strictly below x on
-	// every axis). Buckets arrive in row-major order, so the padded
-	// offset is carried along an odometer instead of recomputed.
-	cur := e.dcoord
-	off := 0
-	for _, s := range e.pstrides {
-		off += s
+// checkPrefixShape reports whether prefix tables over g on disks disks
+// are representable: int32 counters and an int-indexable table.
+func checkPrefixShape(g *grid.Grid, disks int) error {
+	if int64(g.Buckets()) > math.MaxInt32 {
+		return fmt.Errorf("cost: prefix kernel: %d buckets exceed int32 counters", g.Buckets())
 	}
-	for _, d := range alloc.Table(m) {
-		e.sat[off+d]++
-		for i := k - 1; i >= 0; i-- {
-			cur[i]++
-			off += e.pstrides[i]
-			if cur[i] < g.Dim(i) {
-				break
-			}
-			off -= cur[i] * e.pstrides[i]
-			cur[i] = 0
+	if bytes := PrefixTableBytes(g, disks); bytes == math.MaxInt64 || bytes/4 > math.MaxInt-1 {
+		return fmt.Errorf("cost: prefix kernel: table for grid %v × %d disks overflows", g, disks)
+	}
+	return nil
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. What the reused part held is left for the caller to
+// overwrite.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// build writes every table entry from the method's rows, each entry
+// once. The entries with padded coordinate 0 on any axis but the last
+// are the zero planes (exclusive prefix: nothing lies below them) and
+// are cleared. Every other padded row is one grid row, shifted up one
+// on each axis, and one fused pass writes it — the scatter and the
+// prefixes of the last two axes together: its first entry is zero, and
+// entry x is the entry above it on axis k−2 plus the row's running
+// per-disk count of its first x buckets. The other k−2 axes, if any,
+// then take one prefix pass each.
+func (e *PrefixEvaluator) build() {
+	k, disks := e.k, e.disks
+	for axis := 0; axis < k-1; axis++ {
+		row := e.pstrides[axis]
+		block := row * e.paddedDims[axis]
+		for base := 0; base < len(e.sat); base += block {
+			clear(e.sat[base : base+row])
 		}
 	}
+	width := disks * e.paddedDims[k-1] // one padded row
+	above := 0                         // the row above, on axis k−2
+	if k > 1 {
+		above = e.pstrides[k-2]
+	}
+	run := e.loads // scratch until the first query
+	alloc.EachRow(e.method, func(c grid.Coord, row []int) {
+		off := 0
+		for i, v := range c[:k-1] {
+			off += (v + 1) * e.pstrides[i]
+		}
+		dst := e.sat[off : off+width]
+		clear(dst[:disks])
+		clear(run)
+		if k == 1 {
+			for x, d := range row {
+				run[d]++
+				cell := dst[(x+1)*disks:][:disks]
+				for i := range cell {
+					cell[i] = int32(run[i])
+				}
+			}
+			return
+		}
+		src := e.sat[off-above : off-above+width]
+		for x, d := range row {
+			run[d]++
+			o := (x + 1) * disks
+			cell := dst[o : o+disks]
+			up := src[o:][:len(cell)]
+			for i, r := range run[:len(cell)] {
+				cell[i] = up[i] + int32(r)
+			}
+		}
+	})
 
-	// Run a prefix pass along each axis in turn; after all k passes
-	// S[x] holds the box sum over [0,x) per disk. Along one axis the
-	// table is blocks of paddedDims[axis] rows, a row being the
-	// pstrides[axis] contiguous counters that share that axis
-	// coordinate; each row accumulates from its predecessor.
-	for axis := 0; axis < k; axis++ {
+	// A prefix pass along each remaining axis; after them S[x] holds
+	// the box sum over [0,x) per disk. Along one axis the table is
+	// blocks of paddedDims[axis] rows, a row being the pstrides[axis]
+	// contiguous counters that share that axis coordinate; each row
+	// accumulates from its predecessor.
+	for axis := 0; axis < k-2; axis++ {
 		row := e.pstrides[axis]
-		block := row * paddedDims[axis]
+		block := row * e.paddedDims[axis]
 		for base := 0; base < len(e.sat); base += block {
 			for lo := base + row; lo < base+block; lo += row {
 				dst := e.sat[lo : lo+row]
@@ -157,7 +216,6 @@ func NewPrefixEvaluator(m alloc.Method) (*PrefixEvaluator, error) {
 			}
 		}
 	}
-	return e, nil
 }
 
 // Method returns the evaluated method.
@@ -188,9 +246,6 @@ func (e *PrefixEvaluator) Loads(r grid.Rect) []int {
 	return e.loads
 }
 
-// DiskLoads is the historical name of Loads.
-func (e *PrefixEvaluator) DiskLoads(r grid.Rect) []int { return e.Loads(r) }
-
 // ResponseTime returns the parallel response time of the query in
 // bucket accesses: the maximum per-disk load, by inclusion–exclusion
 // over the 2^k corners of r.
@@ -213,12 +268,10 @@ func (e *PrefixEvaluator) ResponseTime(r grid.Rect) int {
 // mirrors the corners built so far down by (Hi+1−Lo)·stride with
 // flipped sign, which computes all 2^k offsets in O(2^k) total adds
 // instead of O(k·2^k) and skips vanished corners without a branch in
-// the streaming loop.
+// the streaming loop. The first corner (all Hi) is positive and its
+// counts are assigned, so the loads need no zeroing pass; each other
+// corner's M counters are sliced once and added or subtracted.
 func (e *PrefixEvaluator) rectLoads(r grid.Rect) {
-	loads := e.loads
-	for i := range loads {
-		loads[i] = 0
-	}
 	corners := e.corners
 	off0 := 0
 	for i := 0; i < e.k; i++ {
@@ -236,16 +289,19 @@ func (e *PrefixEvaluator) rectLoads(r grid.Rect) {
 		}
 		n *= 2
 	}
-	disks := e.disks
-	for ci := 0; ci < n; ci++ {
-		off := corners[ci].off
-		if corners[ci].neg {
-			for d := 0; d < disks; d++ {
-				loads[d] -= int(e.sat[off+d])
+	loads := e.loads
+	for d, v := range e.sat[off0:][:len(loads)] {
+		loads[d] = int(v)
+	}
+	for _, c := range corners[1:n] {
+		counts := e.sat[c.off:][:len(loads)]
+		if c.neg {
+			for d, v := range counts {
+				loads[d] -= int(v)
 			}
 		} else {
-			for d := 0; d < disks; d++ {
-				loads[d] += int(e.sat[off+d])
+			for d, v := range counts {
+				loads[d] += int(v)
 			}
 		}
 	}
@@ -258,7 +314,7 @@ func (e *PrefixEvaluator) rectLoads(r grid.Rect) {
 // x_i > cell_i on every padded axis, so the cost is
 // O(∏_i (d_i − cell_i)) — cheapest for cells near the grid's high
 // corner, worst O(∏ d_i) for cell 0 — and always beats the
-// O(k·∏(d_i+1)·disks) full rebuild. The update is exact in integers, so
+// O(∏(d_i+1)·disks) full rebuild. The update is exact in integers, so
 // a delta-maintained table is bit-identical to a from-scratch rebuild
 // (fuzz-verified by FuzzPrefixApplyDelta). A cell changing disks is
 // MoveCell, which makes both updates in one walk of the box.
@@ -350,7 +406,7 @@ func (e *PrefixEvaluator) addSuffix(cell grid.Coord, a int, da int32, b int, db 
 // coordinate, each block gains one row, and on exclusive prefix sums
 // the duplication is exact: S'[j] = S[j] for j ≤ p+1 and
 // S'[j] = S[j−1] + (S[p+1] − S[p]) for j ≥ p+2. That is one contiguous
-// O(table) pass — no allocation table, no scatter, no k prefix passes —
+// O(table) pass — no read of the allocation and no prefix pass —
 // made in place from the back, so no second table is ever live; the
 // backing array grows by doubling, so a sequence of inserts allocates
 // O(log growth) times. The result is bit-identical to NewPrefixEvaluator
@@ -382,11 +438,8 @@ func (e *PrefixEvaluator) InsertLayer(axis, p int) error {
 			return fmt.Errorf("cost: InsertLayer: method grid %v is not the tables' shape grown on axis %d", g, axis)
 		}
 	}
-	if int64(g.Buckets()) > math.MaxInt32 {
-		return fmt.Errorf("cost: prefix kernel: %d buckets exceed int32 counters", g.Buckets())
-	}
-	if bytes := PrefixTableBytes(g, e.disks); bytes == math.MaxInt64 || bytes/4 > math.MaxInt-1 {
-		return fmt.Errorf("cost: prefix kernel: table for grid %v × %d disks overflows", g, e.disks)
+	if err := checkPrefixShape(g, e.disks); err != nil {
+		return err
 	}
 
 	row := e.pstrides[axis]

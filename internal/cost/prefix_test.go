@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestPrefixDiskLoadsMatchReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	eachRectOf(g, func(r grid.Rect) {
-		got := e.DiskLoads(r)
+		got := e.Loads(r)
 		want := DiskLoads(m, r)
 		for d := range want {
 			if got[d] != want[d] {
@@ -364,5 +365,28 @@ func TestPrefixBuildMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkPrefixBuild builds the prefix tables of HCAM, the sweeps'
+// most common prefix-table method, from scratch.
+func BenchmarkPrefixBuild(b *testing.B) {
+	for _, tc := range []struct {
+		dims  []int
+		disks int
+	}{{[]int{64, 64}, 16}, {[]int{64, 64}, 32}, {[]int{256, 256}, 16}, {[]int{16, 16, 16}, 16}} {
+		g := grid.MustNew(tc.dims...)
+		m, err := alloc.NewHCAM(g, tc.disks)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%v/M%d", g, tc.disks), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewPrefixEvaluator(m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

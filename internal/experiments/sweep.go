@@ -22,13 +22,14 @@ import (
 // experiment tables to a -parallel 1 run. A method's kernel is built
 // once per call, by the first worker to reach one of its cells; every
 // cell evaluates through a Clone (cost.Evaluator/PrefixEvaluator share
-// their immutable tables and keep scratch per clone), and the kernel is
-// dropped when the method's last cell finishes. The kernel choice
-// (walk vs prefix tables, Options.Kernel) is per method: under the auto
-// kernel, cost.AutoKernel weighs the method's prefix tables against
-// walking all of its cells' queries, so a method whose tables would
-// bust the budget or cost more than they save walks without affecting
-// its neighbours.
+// their immutable tables and keep scratch per clone). When the method's
+// last cell finishes, its kernel goes on the call's free list, and a
+// later method's build rebuilds it in place; the list dies with the
+// call. The kernel choice (walk vs prefix tables, Options.Kernel) is
+// per method: under the auto kernel, cost.AutoKernel weighs the
+// method's prefix tables against walking all of its cells' queries, so
+// a method whose tables would bust the budget or cost more than they
+// save walks without affecting its neighbours.
 
 // evalCell is one unit of sweep work: one method and one workload, by
 // their indices in the lists handed to evaluateCells.
@@ -41,34 +42,86 @@ type evalCell struct {
 // evaluateCells call.
 type sharedKernel struct {
 	build sync.Once
-	clone func() cost.RTEvaluator // nil once released
+	root  cost.RTEvaluator // the build every cell clones; nil once released
 	err   error
 	left  atomic.Int32 // cells of this method not yet evaluated
 }
 
-// newKernelCloner builds the chosen kernel for m, which will answer
-// work, and returns the function that hands out clones sharing its
-// tables. Under the auto kernel a method whose work does not pay for
-// prefix tables walks; otherwise the budget-only auto of
-// cost.NewKernelEvaluator decides, falling back to the walk should the
-// tables prove unrepresentable.
-func (o Options) newKernelCloner(m alloc.Method, work cost.Work) (func() cost.RTEvaluator, error) {
+// spareKernels is one evaluateCells call's free list: the root kernels
+// of methods whose cells have all finished, which later methods rebuild
+// in place instead of allocating and zeroing tables of their own. It
+// dies with its call.
+type spareKernels struct {
+	mu   sync.Mutex
+	free []cost.RTEvaluator
+}
+
+func (s *spareKernels) put(ev cost.RTEvaluator) {
+	s.mu.Lock()
+	s.free = append(s.free, ev)
+	s.mu.Unlock()
+}
+
+// takeSpare removes and returns the most recently freed kernel of type
+// T, if there is one.
+func takeSpare[T cost.RTEvaluator](s *spareKernels) (T, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := len(s.free) - 1; i >= 0; i-- {
+		if ev, ok := s.free[i].(T); ok {
+			s.free = append(s.free[:i], s.free[i+1:]...)
+			return ev, true
+		}
+	}
+	var none T
+	return none, false
+}
+
+// newKernel builds the chosen kernel for m, which will answer work,
+// rebuilding a spare kernel of the same type when there is one. Under
+// the auto kernel, cost.AutoKernel decides, and a method whose prefix
+// tables prove unrepresentable walks.
+func (o Options) newKernel(m alloc.Method, work cost.Work, spare *spareKernels) (cost.RTEvaluator, error) {
 	kernel := o.Kernel
-	if kernel == cost.KernelAuto && cost.AutoKernel(m.Grid(), m.Disks(), work, o.TableBudget) == cost.KernelWalk {
-		kernel = cost.KernelWalk
+	if kernel == cost.KernelAuto {
+		kernel = cost.AutoKernel(m.Grid(), m.Disks(), work, o.TableBudget)
 	}
-	ev, err := cost.NewKernelEvaluator(m, kernel, o.TableBudget)
-	if err != nil {
-		return nil, err
-	}
-	switch e := ev.(type) {
-	case *cost.PrefixEvaluator:
-		return func() cost.RTEvaluator { return e.Clone() }, nil
-	case *cost.Evaluator:
-		return func() cost.RTEvaluator { return e.Clone() }, nil
+	switch kernel {
+	case cost.KernelPrefix:
+		e, reused := takeSpare[*cost.PrefixEvaluator](spare)
+		var err error
+		if reused {
+			err = e.Rebuild(m)
+		} else {
+			e, err = cost.NewPrefixEvaluator(m)
+		}
+		if err == nil {
+			return e, nil
+		}
+		if reused {
+			spare.put(e) // Rebuild left it as it was
+		}
+		if o.Kernel == cost.KernelPrefix {
+			return nil, err
+		}
+	case cost.KernelWalk:
 	default:
-		return nil, fmt.Errorf("experiments: kernel %T cannot be shared across workers", ev)
+		return nil, fmt.Errorf("experiments: unknown kernel %v", kernel)
 	}
+	if e, ok := takeSpare[*cost.Evaluator](spare); ok {
+		e.Rebuild(m)
+		return e, nil
+	}
+	return cost.NewEvaluator(m), nil
+}
+
+// cloneKernel returns a clone of a kernel newKernel built, sharing its
+// tables.
+func cloneKernel(ev cost.RTEvaluator) cost.RTEvaluator {
+	if e, ok := ev.(*cost.PrefixEvaluator); ok {
+		return e.Clone()
+	}
+	return ev.(*cost.Evaluator).Clone()
 }
 
 // evaluateCells runs the cells on Options.Parallel workers and returns
@@ -87,16 +140,19 @@ func (o Options) evaluateCells(methods []alloc.Method, workloads []query.Workloa
 		kernels[c.method].left.Add(1)
 		work[c.method] = work[c.method].Add(perWorkload[c.workload])
 	}
+	var spare spareKernels
 	err := o.forEach(len(cells), func(idx int) error {
 		c := cells[idx]
 		k := &kernels[c.method]
-		k.build.Do(func() { k.clone, k.err = o.newKernelCloner(methods[c.method], work[c.method]) })
+		k.build.Do(func() { k.root, k.err = o.newKernel(methods[c.method], work[c.method], &spare) })
 		if k.err != nil {
 			return k.err
 		}
-		out[idx] = k.clone().Evaluate(workloads[c.workload])
+		out[idx] = cloneKernel(k.root).Evaluate(workloads[c.workload])
 		if k.left.Add(-1) == 0 {
-			k.clone = nil // last cell: release the tables
+			// Last cell: no clone of the root is in use any more.
+			spare.put(k.root)
+			k.root = nil
 		}
 		return nil
 	})

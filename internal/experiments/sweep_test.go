@@ -96,12 +96,12 @@ func TestSweepAutoKernelFollowsWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clone, err := Options{}.newKernelCloner(m, cost.WorkOf(w))
+		ev, err := Options{}.newKernel(m, cost.WorkOf(w), &spareKernels{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, got := clone().(*cost.PrefixEvaluator); got != tc.prefix {
-			t.Errorf("sides %d..%d: built %T, want prefix %v", tc.lo, tc.hi, clone(), tc.prefix)
+		if _, got := ev.(*cost.PrefixEvaluator); got != tc.prefix {
+			t.Errorf("sides %d..%d: built %T, want prefix %v", tc.lo, tc.hi, ev, tc.prefix)
 		}
 	}
 }

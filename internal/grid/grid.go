@@ -12,6 +12,7 @@ package grid
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -287,13 +288,16 @@ func (r Rect) Sides() []int {
 // bucket count. Rectangles built by NewRect on a valid Grid can never
 // saturate (grid construction bounds the bucket count), but Rect
 // literals with astronomical sides are used by theory code and must not
-// silently wrap.
+// silently wrap. The overflow test is the high word of a 64-bit
+// product, not a division per axis.
 func (r Rect) Volume() int {
 	v := 1
 	for i := range r.Lo {
 		s := r.Side(i)
-		if s > 1 && v > math.MaxInt/s {
-			return math.MaxInt
+		if s > 1 && v > 0 {
+			if hi, lo := bits.Mul64(uint64(v), uint64(s)); hi != 0 || lo > math.MaxInt {
+				return math.MaxInt
+			}
 		}
 		v *= s
 	}
