@@ -70,25 +70,41 @@ type Result struct {
 
 // Evaluate measures method m over workload w.
 func Evaluate(m alloc.Method, w query.Workload) Result {
-	return aggregate(m.Name(), m.Disks(), w, func(q grid.Rect) int {
+	return aggregate(m.Name(), m.Disks(), w, nil, func(q grid.Rect) int {
 		return ResponseTime(m, q)
 	})
 }
 
+// EvaluateVolumes is ev.Evaluate(w), bit-identical, for a caller that
+// evaluates w under several methods and has measured its queries'
+// volumes once: volumes[i] must be w.Queries[i].Volume().
+func EvaluateVolumes(ev RTEvaluator, w query.Workload, volumes []int) Result {
+	m := ev.Method()
+	return aggregate(m.Name(), m.Disks(), w, volumes, ev.ResponseTime)
+}
+
 // aggregate folds per-query response times into a Result. Every kernel
-// (the naive walk above, Evaluator, PrefixEvaluator) funnels through
-// this one loop so their Results are bit-identical: same integer sums,
-// same float divisions, in the same order.
-func aggregate(method string, disks int, w query.Workload, rt func(grid.Rect) int) Result {
+// (the naive walk above, Evaluator, PrefixEvaluator) and
+// EvaluateVolumes funnel through this one loop so their Results are
+// bit-identical: same integer sums, same float divisions, in the same
+// order. volumes holds each query's Volume() when the caller measured
+// them; nil measures them here.
+func aggregate(method string, disks int, w query.Workload, volumes []int, rt func(grid.Rect) int) Result {
 	res := Result{Method: method, Workload: w.Name, Queries: len(w.Queries)}
 	if len(w.Queries) == 0 {
 		res.Ratio = 1
 		return res
 	}
 	sumRT, sumOpt, optimalCount := 0, 0, 0
-	for _, q := range w.Queries {
+	for i, q := range w.Queries {
 		t := rt(q)
-		opt := OptimalRT(q.Volume(), disks)
+		var volume int
+		if volumes != nil {
+			volume = volumes[i]
+		} else {
+			volume = q.Volume()
+		}
+		opt := OptimalRT(volume, disks)
 		sumRT += t
 		sumOpt += opt
 		if t == opt {

@@ -23,7 +23,10 @@ type Evaluator struct {
 	g      *grid.Grid
 	disks  int
 	table  []int
-	loads  []int
+	// loads are the per-disk counters of one query. They are all zero
+	// between queries: ResponseTime clears each one as its max pass
+	// reads it, and Rebuild and Clone start them at zero.
+	loads []int
 	// strides mirror the grid's row-major linearization so the outer
 	// axes can step bucket numbers incrementally instead of
 	// re-linearizing; the last axis's stride is 1.
@@ -59,6 +62,7 @@ func (e *Evaluator) Rebuild(m alloc.Method) {
 	})
 	e.table = table
 	e.loads = resize(e.loads, e.disks)
+	clear(e.loads)
 	e.cur = resize(e.cur, g.K())
 }
 
@@ -84,9 +88,6 @@ func (e *Evaluator) Method() alloc.Method { return e.method }
 // bucket accesses, using the materialized table.
 func (e *Evaluator) ResponseTime(r grid.Rect) int {
 	loads := e.loads
-	for i := range loads {
-		loads[i] = 0
-	}
 	// The last axis has stride 1, so each row of the rectangle is one
 	// contiguous run of the table; only the outer axes step through the
 	// odometer, which carries the row's first bucket number along.
@@ -117,10 +118,11 @@ func (e *Evaluator) ResponseTime(r grid.Rect) int {
 		}
 	}
 	max := 0
-	for _, v := range loads {
+	for i, v := range loads {
 		if v > max {
 			max = v
 		}
+		loads[i] = 0
 	}
 	return max
 }
@@ -128,5 +130,5 @@ func (e *Evaluator) ResponseTime(r grid.Rect) int {
 // Evaluate measures the method over a workload with the same aggregates
 // as the package-level Evaluate.
 func (e *Evaluator) Evaluate(w query.Workload) Result {
-	return aggregate(e.method.Name(), e.disks, w, e.ResponseTime)
+	return aggregate(e.method.Name(), e.disks, w, nil, e.ResponseTime)
 }

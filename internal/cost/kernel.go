@@ -107,19 +107,12 @@ func prefixFitsBudget(g *grid.Grid, disks int, tableBudget int64) bool {
 }
 
 // Work is what a kernel will be asked to answer: a number of queries
-// and their total volume Σ|Q|, the walk kernel's bucket probes.
+// and their total volume Σ|Q|, the walk kernel's bucket probes. The
+// sweep engine sums it from the query volumes it measures once per
+// workload, the same volumes its cells fold through EvaluateVolumes.
 type Work struct {
 	Queries int64
 	Buckets int64
-}
-
-// WorkOf measures a workload.
-func WorkOf(w query.Workload) Work {
-	out := Work{Queries: int64(len(w.Queries))}
-	for _, q := range w.Queries {
-		out.Buckets += int64(q.Volume())
-	}
-	return out
 }
 
 // Add returns the combined work of w and o.
@@ -135,7 +128,9 @@ func (w Work) Add(o Work) Work {
 // scatters and takes the prefixes of the last two axes, plus one
 // prefix pass per other axis) and each query adds M·2^k counters; the
 // walk probes Σ|Q| buckets. The two sides are compared 1:1, with no
-// tuning constant.
+// tuning constant. The choice needs only the grid, M and the work, so
+// a caller knows each method's kernel, and the size of its tables,
+// before building any.
 func AutoKernel(g *grid.Grid, disks int, work Work, tableBudget int64) Kernel {
 	if !prefixFitsBudget(g, disks, tableBudget) {
 		return KernelWalk

@@ -492,5 +492,5 @@ func (e *PrefixEvaluator) TablesEqual(o *PrefixEvaluator) bool {
 // — bit-identical, via the shared fold — as Evaluate and
 // Evaluator.Evaluate.
 func (e *PrefixEvaluator) Evaluate(w query.Workload) Result {
-	return aggregate(e.method.Name(), e.disks, w, e.ResponseTime)
+	return aggregate(e.method.Name(), e.disks, w, nil, e.ResponseTime)
 }

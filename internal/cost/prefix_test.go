@@ -250,7 +250,7 @@ func TestAutoKernelResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k := AutoKernel(big, 16, WorkOf(query.Workload{Queries: small}), 0); k != KernelWalk {
+	if k := AutoKernel(big, 16, workOf(query.Workload{Queries: small}), 0); k != KernelWalk {
 		t.Errorf("256×256, M=16, 2000 8×8 queries: %v, want walk", k)
 	}
 
@@ -261,7 +261,7 @@ func TestAutoKernelResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	work := WorkOf(large)
+	work := workOf(large)
 	if k := AutoKernel(g, 16, work, 0); k != KernelPrefix {
 		t.Errorf("64×64, M=16, sides 16..48: %v, want prefix", k)
 	}
@@ -273,6 +273,16 @@ func TestAutoKernelResolution(t *testing.T) {
 	if k := AutoKernel(g, 16, Work{}, 0); k != KernelWalk {
 		t.Errorf("no work: %v, want walk", k)
 	}
+}
+
+// workOf measures a workload as the sweep engine does: its queries and
+// their total volume.
+func workOf(w query.Workload) Work {
+	out := Work{Queries: int64(len(w.Queries))}
+	for _, q := range w.Queries {
+		out.Buckets += int64(q.Volume())
+	}
+	return out
 }
 
 // TestLoadsZeroAllocs gates the hot-path allocation budget of the

@@ -127,3 +127,40 @@ func testEvaluatorRebuild(t *testing.T) {
 		}
 	}
 }
+
+// The walk's per-disk counters are cleared by the max pass that reads
+// them, not before each query, so they must be all zero between queries
+// however an Evaluator came to be: built, cloned, or rebuilt onto a
+// larger M and then a smaller one over arrays holding a sentinel.
+// Answers alternate between a kernel and its clone.
+func TestEvaluatorScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := grid.MustNew(24, 20)
+	var e *Evaluator
+	for _, disks := range []int{8, 16, 5} {
+		m, err := alloc.NewHCAM(g, disks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e == nil {
+			e = NewEvaluator(m)
+		} else {
+			for _, s := range [][]int{e.table[:cap(e.table)], e.loads[:cap(e.loads)], e.cur[:cap(e.cur)]} {
+				for i := range s {
+					s[i] = -7
+				}
+			}
+			e.Rebuild(m)
+		}
+		clone := e.Clone()
+		for j, r := range sampledRects(g, rng, 60) {
+			ev := e
+			if j%3 == 1 {
+				ev = clone
+			}
+			if got, want := ev.ResponseTime(r), ResponseTime(m, r); got != want {
+				t.Fatalf("M=%d, query %d %v: %d, reference %d", disks, j, r, got, want)
+			}
+		}
+	}
+}

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -19,17 +22,22 @@ import (
 // grid — flattens into cells, runs here, and reassembles by index, so
 // result ordering is deterministic regardless
 // of completion order and the parallel path produces byte-identical
-// experiment tables to a -parallel 1 run. A method's kernel is built
-// once per call, by the first worker to reach one of its cells; every
-// cell evaluates through a Clone (cost.Evaluator/PrefixEvaluator share
-// their immutable tables and keep scratch per clone). When the method's
-// last cell finishes, its kernel goes on the call's free list, and a
-// later method's build rebuilds it in place; the list dies with the
-// call. The kernel choice (walk vs prefix tables, Options.Kernel) is
-// per method: under the auto kernel, cost.AutoKernel weighs the
-// method's prefix tables against walking all of its cells' queries, so
-// a method whose tables would bust the budget or cost more than they
-// save walks without affecting its neighbours.
+// experiment tables to a -parallel 1 run. Each call measures its
+// workloads' query volumes once; every cell folds through
+// cost.EvaluateVolumes with them, and each method's work (the kernel
+// choice's input) is summed from them. The kernel choice (walk vs
+// prefix tables, Options.Kernel) is per method: under the auto kernel,
+// cost.AutoKernel weighs the method's prefix tables against walking
+// all of its cells' queries, so a method whose tables would bust the
+// budget or cost more than they save walks without affecting its
+// neighbours. The choice is made before any build, and the cells start
+// largest tables first. A method's kernel is built once per call, by
+// the first worker to reach one of its cells; every cell evaluates
+// through a Clone (cost.Evaluator/PrefixEvaluator share their
+// immutable tables and keep scratch per clone). When the method's last
+// cell finishes, its kernel goes on the call's free list, and a later,
+// no larger method's build rebuilds it in place; the list dies with
+// the call.
 
 // evalCell is one unit of sweep work: one method and one workload, by
 // their indices in the lists handed to evaluateCells.
@@ -77,15 +85,23 @@ func takeSpare[T cost.RTEvaluator](s *spareKernels) (T, bool) {
 	return none, false
 }
 
-// newKernel builds the chosen kernel for m, which will answer work,
-// rebuilding a spare kernel of the same type when there is one. Under
-// the auto kernel, cost.AutoKernel decides, and a method whose prefix
-// tables prove unrepresentable walks.
-func (o Options) newKernel(m alloc.Method, work cost.Work, spare *spareKernels) (cost.RTEvaluator, error) {
-	kernel := o.Kernel
-	if kernel == cost.KernelAuto {
-		kernel = cost.AutoKernel(m.Grid(), m.Disks(), work, o.TableBudget)
+// tableBytes returns the memory of the tables kernel builds for m: the
+// prefix kernel's summed-area tables, or the walk kernel's one int per
+// bucket.
+func tableBytes(m alloc.Method, kernel cost.Kernel) int64 {
+	switch kernel {
+	case cost.KernelPrefix:
+		return cost.PrefixTableBytes(m.Grid(), m.Disks())
+	case cost.KernelWalk:
+		return int64(m.Grid().Buckets()) * strconv.IntSize / 8
 	}
+	return 0
+}
+
+// newKernel builds kernel for m, rebuilding a spare kernel of the same
+// type when there is one. Under the auto kernel, a method whose prefix
+// tables prove unrepresentable walks.
+func (o Options) newKernel(m alloc.Method, kernel cost.Kernel, spare *spareKernels) (cost.RTEvaluator, error) {
 	switch kernel {
 	case cost.KernelPrefix:
 		e, reused := takeSpare[*cost.PrefixEvaluator](spare)
@@ -124,31 +140,74 @@ func cloneKernel(ev cost.RTEvaluator) cost.RTEvaluator {
 	return ev.(*cost.Evaluator).Clone()
 }
 
-// evaluateCells runs the cells on Options.Parallel workers and returns
-// one Result per cell, aligned to the input order. The first kernel
-// construction error aborts the sweep (cells not yet started are
-// skipped).
-func (o Options) evaluateCells(methods []alloc.Method, workloads []query.Workload, cells []evalCell) ([]cost.Result, error) {
-	out := make([]cost.Result, len(cells))
-	kernels := make([]sharedKernel, len(methods))
+// measure returns each workload's query volumes, measured once for
+// every cell that evaluates the workload, and the work of each method's
+// cells, summed from those volumes.
+func measure(methods []alloc.Method, workloads []query.Workload, cells []evalCell) ([][]int, []cost.Work) {
+	volumes := make([][]int, len(workloads))
 	perWorkload := make([]cost.Work, len(workloads))
 	for i, w := range workloads {
-		perWorkload[i] = cost.WorkOf(w)
+		volumes[i] = make([]int, len(w.Queries))
+		perWorkload[i].Queries = int64(len(w.Queries))
+		for j, q := range w.Queries {
+			volumes[i][j] = q.Volume()
+			perWorkload[i].Buckets += int64(volumes[i][j])
+		}
 	}
-	work := make([]cost.Work, len(methods)) // summed over each method's cells
+	work := make([]cost.Work, len(methods))
 	for _, c := range cells {
-		kernels[c.method].left.Add(1)
 		work[c.method] = work[c.method].Add(perWorkload[c.workload])
 	}
+	return volumes, work
+}
+
+// schedule returns the kernel each method gets for its work
+// (Options.Kernel, with auto resolved by cost.AutoKernel) and the order
+// the engine starts the cells in: non-increasing in the table bytes of
+// their method's kernel, input order among equal sizes. A finished
+// method's kernel is then always large enough for the next build of its
+// type to rebuild in place, and the longest builds start first.
+func (o Options) schedule(methods []alloc.Method, work []cost.Work, cells []evalCell) ([]cost.Kernel, []int) {
+	kernels := make([]cost.Kernel, len(methods))
+	bytes := make([]int64, len(methods))
+	for i, m := range methods {
+		kernels[i] = o.Kernel
+		if o.Kernel == cost.KernelAuto {
+			kernels[i] = cost.AutoKernel(m.Grid(), m.Disks(), work[i], o.TableBudget)
+		}
+		bytes[i] = tableBytes(m, kernels[i])
+	}
+	order := make([]int, len(cells))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(bytes[cells[b].method], bytes[cells[a].method])
+	})
+	return kernels, order
+}
+
+// evaluateCells runs the cells on Options.Parallel workers, in the
+// order schedule gives, and returns one Result per cell, aligned to the
+// input order. A kernel construction error aborts the sweep; the error
+// returned is that of the lowest failing cell index (see forEach).
+func (o Options) evaluateCells(methods []alloc.Method, workloads []query.Workload, cells []evalCell) ([]cost.Result, error) {
+	volumes, work := measure(methods, workloads, cells)
+	kinds, order := o.schedule(methods, work, cells)
+	out := make([]cost.Result, len(cells))
+	kernels := make([]sharedKernel, len(methods))
+	for _, c := range cells {
+		kernels[c.method].left.Add(1)
+	}
 	var spare spareKernels
-	err := o.forEach(len(cells), func(idx int) error {
+	err := o.forEach(len(cells), order, func(idx int) error {
 		c := cells[idx]
 		k := &kernels[c.method]
-		k.build.Do(func() { k.root, k.err = o.newKernel(methods[c.method], work[c.method], &spare) })
+		k.build.Do(func() { k.root, k.err = o.newKernel(methods[c.method], kinds[c.method], &spare) })
 		if k.err != nil {
 			return k.err
 		}
-		out[idx] = cloneKernel(k.root).Evaluate(workloads[c.workload])
+		out[idx] = cost.EvaluateVolumes(cloneKernel(k.root), workloads[c.workload], volumes[c.workload])
 		if k.left.Add(-1) == 0 {
 			// Last cell: no clone of the root is in use any more.
 			spare.put(k.root)
@@ -162,34 +221,43 @@ func (o Options) evaluateCells(methods []alloc.Method, workloads []query.Workloa
 	return out, nil
 }
 
-// forEach calls fn(0), …, fn(n−1) on Options.Parallel workers, the
-// calling goroutine among them: the sweep engine's pool, which runs an
+// forEach calls fn(i) for every i in [0, n) on Options.Parallel
+// workers, the calling goroutine among them, starting the calls in the
+// order given (nil: ascending): the sweep engine's pool, which runs an
 // experiment's set-up steps and then its cells. Once a call fails, the
-// calls not yet started are skipped, and the error returned is that of
-// the failed call with the lowest index.
-func (o Options) forEach(n int, fn func(i int) error) error {
+// calls not yet started whose index is above the lowest failed one are
+// skipped; every lower index still runs, so the error returned is that
+// of the lowest index that fails, whatever the order and the number of
+// workers.
+func (o Options) forEach(n int, order []int, fn func(i int) error) error {
 	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		mu     sync.Mutex
-		errAt  = n
-		first  error
-		wg     sync.WaitGroup
+		next  atomic.Int64
+		errAt atomic.Int64 // the lowest failed index, n while none has
+		mu    sync.Mutex
+		first error
+		wg    sync.WaitGroup
 	)
+	errAt.Store(int64(n))
 	worker := func() {
 		defer wg.Done()
-		for !failed.Load() {
+		for {
 			i := int(next.Add(1) - 1)
 			if i >= n {
 				return
 			}
+			if order != nil {
+				i = order[i]
+			}
+			if int64(i) > errAt.Load() {
+				continue
+			}
 			if err := fn(i); err != nil {
 				mu.Lock()
-				if i < errAt {
-					errAt, first = i, err
+				if int64(i) < errAt.Load() {
+					errAt.Store(int64(i))
+					first = err
 				}
 				mu.Unlock()
-				failed.Store(true)
 			}
 		}
 	}
@@ -206,7 +274,7 @@ func (o Options) forEach(n int, fn func(i int) error) error {
 // setUp runs an experiment's independent build steps — its method sets
 // and workloads — on the sweep engine's pool; see forEach for errors.
 func (o Options) setUp(steps ...func() error) error {
-	return o.forEach(len(steps), func(i int) error { return steps[i]() })
+	return o.forEach(len(steps), nil, func(i int) error { return steps[i]() })
 }
 
 // build returns the method set of g over m disks and the workloads of

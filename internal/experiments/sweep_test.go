@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -96,7 +97,10 @@ func TestSweepAutoKernelFollowsWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, err := Options{}.newKernel(m, cost.WorkOf(w), &spareKernels{})
+		methods, cells := []alloc.Method{m}, []evalCell{{}}
+		_, work := measure(methods, []query.Workload{w}, cells)
+		kernels, _ := Options{}.schedule(methods, work, cells)
+		ev, err := Options{}.newKernel(m, kernels[0], &spareKernels{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,20 +138,134 @@ func TestSweepExhaustiveDisksWarns(t *testing.T) {
 	}
 }
 
-// A forced prefix kernel that cannot represent its tables must surface
-// the error, not hang or drop cells.
+// A kernel that cannot be built aborts the sweep with the error of the
+// lowest failing cell index, whatever the start order and the number of
+// workers. Forced prefix tables for DM on a grid beyond int32 counters
+// are refused before anything is allocated. The two huge methods'
+// tables are the largest, so their cells start first, the higher index
+// (the larger grid) first of all; the small method's cell, below both,
+// still runs.
 func TestSweepKernelErrorPropagates(t *testing.T) {
-	// 2^40 buckets per axis pair would be absurd; instead force the
-	// error path via a tiny budget with KernelPrefix? KernelPrefix
-	// ignores budgets, so drive the engine directly with a cell whose
-	// prefix table length overflows int32 counting. Easiest real
-	// trigger at test scale: none exists — so assert the error path of
-	// evaluateCells with a stub kernel error is unreachable and instead
-	// verify the engine's first-error abort contract via the public
-	// seam: an unknown kernel value.
-	_, err := DisksSmall(DisksConfig{Disks: []int{4}}, Options{Kernel: cost.Kernel(99), SampleLimit: 50})
+	small := grid.MustNew(8, 8)
+	w, err := query.RandomRange(small, 1, 4, 20, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var methods []alloc.Method
+	for _, g := range []*grid.Grid{small, grid.MustNew(1<<16, 1<<16+1), grid.MustNew(1<<16, 1<<16+2)} {
+		m, err := alloc.NewDM(g, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		methods = append(methods, m)
+	}
+	cells := []evalCell{{method: 0}, {method: 1}, {method: 2}}
+	workloads := []query.Workload{w}
+	opt := Options{Kernel: cost.KernelPrefix}
+	_, work := measure(methods, workloads, cells)
+	if _, order := opt.schedule(methods, work, cells); !slices.Equal(order, []int{2, 1, 0}) {
+		t.Fatalf("start order %v, want [2 1 0]", order)
+	}
+	const cell1 = "4295032832 buckets" // 2^16 × (2^16+1), refused by cell 1's build
+	for _, par := range []int{1, 2, 4} {
+		opt.Parallel = par
+		_, err := opt.evaluateCells(methods, workloads, cells)
+		if err == nil || !strings.Contains(err.Error(), cell1) {
+			t.Errorf("parallel %d: error %v, want cell 1's refusal of %s", par, err, cell1)
+		}
+	}
+
+	_, err = DisksSmall(DisksConfig{Disks: []int{4}}, Options{Kernel: cost.Kernel(99), SampleLimit: 50})
 	if err == nil {
 		t.Fatal("unknown kernel did not propagate an error")
+	}
+}
+
+// The engine starts its cells largest kernel tables first: the start
+// order is a permutation of the cells, non-increasing in the table
+// bytes of the kernel each cell's method gets, and in input order among
+// equal sizes.
+func TestSweepScheduleLargestFirst(t *testing.T) {
+	g := grid.MustNew(64, 64)
+	check := func(name string, opt Options, methods []alloc.Method, workloads []query.Workload, cells []evalCell) []int {
+		t.Helper()
+		_, work := measure(methods, workloads, cells)
+		kernels, order := opt.schedule(methods, work, cells)
+		started := make([]bool, len(cells))
+		for _, i := range order {
+			if i < 0 || i >= len(cells) || started[i] {
+				t.Fatalf("%s: start order %v is not a permutation of %d cells", name, order, len(cells))
+			}
+			started[i] = true
+		}
+		if len(order) != len(cells) {
+			t.Fatalf("%s: start order %v is not a permutation of %d cells", name, order, len(cells))
+		}
+		size := func(i int) int64 {
+			m := cells[i].method
+			return tableBytes(methods[m], kernels[m])
+		}
+		for p := 1; p < len(order); p++ {
+			a, b := order[p-1], order[p]
+			if size(a) < size(b) || size(a) == size(b) && a > b {
+				t.Fatalf("%s: cell %d (%d table bytes) starts before cell %d (%d)", name, a, size(a), b, size(b))
+			}
+		}
+		return order
+	}
+
+	// A disk sweep lists its (M, method) cells by ascending M, one
+	// workload for all. Its large queries get prefix tables, M·65²·4
+	// bytes, so the cells start by descending M; its small queries
+	// walk, one table of the same size for every M, so they keep the
+	// list's order.
+	disks := []int{4, 8, 16, 32}
+	sets, err := Options{}.methodSets(g, disks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var methods []alloc.Method
+	var cells []evalCell
+	for _, set := range sets {
+		for _, m := range set {
+			cells = append(cells, evalCell{method: len(methods)})
+			methods = append(methods, m)
+		}
+	}
+	for _, band := range [][2]int{{16, 48}, {1, 4}} {
+		w, err := query.RandomRange(g, band[0], band[1], 400, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		order := check(w.Name, Options{}, methods, []query.Workload{w}, cells)
+		for p := 1; p < len(order); p++ {
+			prev, cur := methods[order[p-1]].Disks(), methods[order[p]].Disks()
+			if band[0] == 16 && prev < cur || band[0] == 1 && order[p] < order[p-1] {
+				t.Fatalf("%s: start order %v", w.Name, order)
+			}
+		}
+	}
+
+	// evaluateGrid's cells share one grid and M, so every size ties
+	// under each kernel and the order is the input order.
+	workloads, err := query.SizeSweep(g, []int{4, 64, 1024}, 100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := alloc.PaperSet(g, 16)
+	var grid []evalCell
+	for i := range workloads {
+		for j := range plain {
+			grid = append(grid, evalCell{method: j, workload: i})
+		}
+	}
+	for _, kernel := range []cost.Kernel{cost.KernelAuto, cost.KernelWalk, cost.KernelPrefix} {
+		order := check("evaluateGrid/"+kernel.String(), Options{Kernel: kernel}, plain, workloads, grid)
+		for p, i := range order {
+			if p != i {
+				t.Fatalf("evaluateGrid/%v: start order %v, want input order", kernel, order)
+			}
+		}
 	}
 }
 
