@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -186,5 +187,8 @@ func TestMigrateJoinAndStaleQuery(t *testing.T) {
 	}
 	if err := runMigrate(&out, "leave", peers, sm, 99, 0, time.Second); err == nil {
 		t.Error("leave of unknown member accepted")
+	}
+	if err := runMigrate(&out, "join", peers, sm, -1, math.NaN(), time.Second); err == nil {
+		t.Error("NaN -migrate-rate accepted")
 	}
 }

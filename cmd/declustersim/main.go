@@ -207,7 +207,8 @@ func main() {
 			}
 		}
 	})
-	if *soak < 0 || *qps < 0 || *clients < 0 || *hedgeAfter < 0 {
+	// A float flag is checked as !(x >= 0), which refuses NaN too.
+	if *soak < 0 || !(*qps >= 0) || *clients < 0 || *hedgeAfter < 0 {
 		fmt.Fprintln(os.Stderr, "declustersim: -soak, -qps, -clients, and -hedge-after must be ≥ 0")
 		os.Exit(2)
 	}
@@ -218,7 +219,7 @@ func main() {
 		HedgeAfter: *hedgeAfter,
 	}
 	set.goodput = experiments.BatchGoodputConfig{Duration: *soak, Clients: *clients}
-	if *nodes < 0 || *replicas < 0 || *migrateRate < 0 || *spikeFactor < 0 || *autoP99 < 0 {
+	if *nodes < 0 || *replicas < 0 || !(*migrateRate >= 0) || !(*spikeFactor >= 0) || *autoP99 < 0 {
 		fmt.Fprintln(os.Stderr, "declustersim: -nodes, -replicas, -migrate-rate, -spike-factor, and -autopilot-p99 must be ≥ 0")
 		os.Exit(2)
 	}
@@ -386,7 +387,7 @@ func parseRates(s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("-rebuild-rate: %q is not a number", part)
 		}
-		if r < 0 {
+		if !(r >= 0) { // refuses NaN too
 			return nil, fmt.Errorf("-rebuild-rate: %v must be ≥ 0 (0 = unthrottled)", r)
 		}
 		rates = append(rates, r)

@@ -218,6 +218,9 @@ func TestParseRates(t *testing.T) {
 	if _, err := parseRates("-5"); err == nil {
 		t.Error("negative rate accepted")
 	}
+	if _, err := parseRates("NaN"); err == nil {
+		t.Error("NaN rate accepted")
+	}
 }
 
 func TestRunWitness(t *testing.T) {

@@ -34,7 +34,8 @@ type Config struct {
 	// envelope; zero fields take Policy defaults.
 	Policy Policy
 	// MigrateRate throttles autopilot migrations in pages per second
-	// through the repair token bucket (0 = unthrottled).
+	// through the repair token bucket (0 = unthrottled); New refuses a
+	// rate repair.NewThrottle refuses (negative, NaN or infinite).
 	MigrateRate float64
 	// OnDecision, when set, receives every logged decision line as it
 	// happens — declusterd points this at its logger.
@@ -122,6 +123,9 @@ func New(cfg Config) (*Controller, error) {
 	if len(cfg.Endpoints) == 0 {
 		return nil, fmt.Errorf("autopilot: no endpoints")
 	}
+	if _, err := repair.NewThrottle(cfg.MigrateRate, 0); err != nil {
+		return nil, fmt.Errorf("autopilot: MigrateRate: %w", err)
+	}
 	if cfg.Tick <= 0 {
 		cfg.Tick = 50 * time.Millisecond
 	}
@@ -206,6 +210,10 @@ func (c *Controller) tick(ctx context.Context, now time.Time) {
 // pending epoch) until it completes or rolls back.
 func (c *Controller) execute(ctx context.Context, now time.Time, act Action) {
 	plan, desc, err := c.plan(act)
+	var throttle *repair.Throttle // a fresh burst per migration
+	if err == nil {
+		throttle, err = repair.NewThrottle(c.cfg.MigrateRate, 0)
+	}
 	if err != nil {
 		// Planning failed before anything moved: no rollback needed,
 		// but cool down as if aborted so we don't spin on a bad plan.
@@ -220,11 +228,7 @@ func (c *Controller) execute(ctx context.Context, now time.Time, act Action) {
 		Client:    c.cfg.Client,
 		Obs:       c.cfg.Obs,
 		Router:    c.cfg.Router,
-	}
-	if c.cfg.MigrateRate > 0 {
-		if th, terr := repair.NewThrottle(c.cfg.MigrateRate, 0); terr == nil {
-			mcfg.Throttle = th
-		}
+		Throttle:  throttle,
 	}
 	st, err := cluster.Migrate(ctx, mcfg)
 	aborted := err != nil || st.Aborted

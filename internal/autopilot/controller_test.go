@@ -3,6 +3,7 @@ package autopilot
 import (
 	"context"
 	"errors"
+	"math"
 	"sort"
 	"sync"
 	"testing"
@@ -270,5 +271,29 @@ func TestAutopilotFuseHoldsUnderPartition(t *testing.T) {
 	}
 	if rig.h.Router().Epoch() != 1 {
 		t.Errorf("epoch moved during partition: %d", rig.h.Router().Epoch())
+	}
+}
+
+// TestNewRejectsBadMigrateRate: a MigrateRate the repair throttle
+// refuses is refused by New, not run unthrottled at the first migration.
+func TestNewRejectsBadMigrateRate(t *testing.T) {
+	sm, err := cluster.NewChainShardMap(grid.MustNew(8, 8), 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps := []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}
+	rt, err := cluster.NewRouter(cluster.RouterConfig{Map: sm, Endpoints: eps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rate := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := New(Config{Router: rt, Endpoints: eps, MigrateRate: rate}); err == nil {
+			t.Errorf("MigrateRate %v accepted", rate)
+		}
+	}
+	for _, rate := range []float64{0, 800} {
+		if _, err := New(Config{Router: rt, Endpoints: eps, MigrateRate: rate}); err != nil {
+			t.Errorf("MigrateRate %v: %v", rate, err)
+		}
 	}
 }

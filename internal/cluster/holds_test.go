@@ -145,7 +145,7 @@ func TestPendingEpochReadsMatchOracle(t *testing.T) {
 
 	// PREPARE and COPY the leave by hand, stopping short of CUTOVER.
 	pending := leave.To.Epoch()
-	cp := newCopier(copier{g: tc.g, endpoints: tc.h.URLs(), epoch: leave.From.Epoch()}, nil, "")
+	cp := newCopier(copier{g: tc.g, endpoints: tc.h.URLs(), epoch: leave.From.Epoch()})
 	for _, m := range unionMembers(leave.From, leave.To) {
 		if err := cp.post(ctx, m, "prepare", prepareRequest{Map: toWireMap(leave.To)}, nil); err != nil {
 			t.Fatalf("prepare member %d: %v", m, err)
@@ -153,7 +153,7 @@ func TestPendingEpochReadsMatchOracle(t *testing.T) {
 	}
 	defer abortAll(cp, unionMembers(leave.From, leave.To), pending)
 	sent := map[[2]int]int{} // (dest, bucket) → records the donor sent
-	if err := cp.run(ctx, leave.Moves, func(dest int, cell grid.Coord, recs []datagen.Record) error {
+	if _, _, err := copyMoves(ctx, cp, leave.Moves, copyConfig(0, nil), func(dest int, cell grid.Coord, recs []datagen.Record) error {
 		sent[[2]int{dest, tc.g.Linearize(cell)}] = len(recs)
 		return cp.post(ctx, dest, "bucket", &recordPage{Epoch: pending, Buckets: 1, Cell: cell, Records: recs}, nil)
 	}); err != nil {
@@ -163,7 +163,7 @@ func TestPendingEpochReadsMatchOracle(t *testing.T) {
 		t.Fatal("the leave copied nothing")
 	}
 
-	at := newCopier(copier{g: tc.g, endpoints: tc.h.URLs(), epoch: pending}, nil, "")
+	at := newCopier(copier{g: tc.g, endpoints: tc.h.URLs(), epoch: pending})
 	wrong := 0
 	for key, n := range sent {
 		dest, cell := key[0], tc.g.Delinearize(key[1], nil)

@@ -119,11 +119,10 @@ func Migrate(ctx context.Context, cfg MigrateConfig) (MigrateStats, error) {
 		}
 	}
 	cp := newCopier(copier{
-		g: p.To.Grid(), client: cfg.Client, endpoints: cfg.Endpoints,
-		timeout: cfg.FetchTimeout, attempts: cfg.FetchAttempts,
+		g: p.To.Grid(), client: cfg.Client, endpoints: cfg.Endpoints, timeout: cfg.FetchTimeout,
 		priority: serve.MigrationPriority, epoch: p.From.Epoch(),
-		throttle: cfg.Throttle,
-	}, cfg.Obs, "cluster.migrate")
+	})
+	ccfg := copyConfig(cfg.FetchAttempts, cfg.Throttle)
 	progress := cfg.Progress
 	if progress == nil {
 		progress = func(MigrateEvent) {}
@@ -151,17 +150,18 @@ func Migrate(ctx context.Context, cfg MigrateConfig) (MigrateStats, error) {
 	}
 
 	// COPY.
-	err := cp.run(ctx, moves, func(dest int, cell grid.Coord, recs []datagen.Record) error {
+	moved, cr, err := copyMoves(ctx, cp, moves, ccfg, func(dest int, cell grid.Coord, recs []datagen.Record) error {
 		if err := cp.post(ctx, dest, "bucket", &recordPage{
 			Epoch: p.To.Epoch(), Buckets: 1, Cell: cell, Records: recs,
 		}, nil); err != nil {
 			return err
 		}
-		// The copier counts a bucket once deliver returns: this one is next.
-		progress(MigrateEvent{Phase: "copy", Member: dest, Buckets: cp.buckets + 1})
+		st.Buckets++
+		progress(MigrateEvent{Phase: "copy", Member: dest, Buckets: st.Buckets})
 		return nil
 	})
-	st.Moves, st.Buckets, st.Records, st.Pages, st.Retries = cp.moves, cp.buckets, cp.records, cp.pages, cp.retries
+	countCopy(cfg.Obs, "cluster.migrate", cr)
+	st.Moves, st.Buckets, st.Records, st.Pages, st.Retries = moved, cr.Buckets, cr.Records, cr.Pages, cr.Retries
 	if err != nil {
 		return abort(err)
 	}
@@ -172,7 +172,7 @@ func Migrate(ctx context.Context, cfg MigrateConfig) (MigrateStats, error) {
 	acked := 0
 	for _, m := range members {
 		var err error
-		for round := 0; round < cp.attempts; round++ {
+		for round := 0; round < ccfg.Rounds; round++ {
 			if err = cp.post(ctx, m, "cutover", epochRequest{Epoch: p.To.Epoch()}, nil); err == nil {
 				break
 			}

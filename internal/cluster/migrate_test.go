@@ -565,12 +565,12 @@ func TestMigrateBucketRefusesForeignRecords(t *testing.T) {
 		t.Fatal("node 0 does not hold a record in bucket 0: not the scenario under test")
 	}
 	stray := tc.ref.Bucket(0)[0]
-	cp := newCopier(copier{g: tc.g, endpoints: tc.h.URLs(), epoch: plan.From.Epoch()}, nil, "")
+	cp := newCopier(copier{g: tc.g, endpoints: tc.h.URLs(), epoch: plan.From.Epoch()})
 	if err := cp.post(ctx, 0, "prepare", prepareRequest{Map: toWireMap(plan.To)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	refused := false
-	err = cp.run(ctx, plan.Moves, func(dest int, cell grid.Coord, recs []datagen.Record) error {
+	_, _, err = copyMoves(ctx, cp, plan.Moves, copyConfig(0, nil), func(dest int, cell grid.Coord, recs []datagen.Record) error {
 		page := &recordPage{Epoch: plan.To.Epoch(), Buckets: 1, Cell: cell, Records: recs}
 		if !refused {
 			refused = true

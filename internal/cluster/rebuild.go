@@ -12,29 +12,18 @@ import (
 	"decluster/internal/exec"
 	"decluster/internal/fault"
 	"decluster/internal/grid"
-	"decluster/internal/gridfile"
 	"decluster/internal/obs"
 	"decluster/internal/repair"
 )
 
-// ErrNoDonor marks a rebuild or migration fetch that failed because
-// every replica holder of a bucket was hard-down — transport errors or
-// timeouts from all of them, repeatedly. It is the fail-fast complement
-// to the patient retry loop: donors that are merely shedding load
-// (overloaded, draining) earn more rounds, donors that are silent do
-// not. Every ErrNoDonor also matches fault.ErrUnavailable, so existing
-// "data unreachable" handling sees it without changes.
-var ErrNoDonor = errors.New("cluster: every donor hard-down")
+// ErrNoDonor fails a rebuild or migration bucket whose every replica
+// holder was hard-down (repair.Copy's all-silent fuse). It also matches
+// fault.ErrUnavailable.
+var ErrNoDonor = repair.ErrNoDonor
 
 // donorBackoff paces the rounds through a bucket's donor list: 1ms
 // doubling, capped at 50ms.
 var donorBackoff = exec.RetryPolicy{BaseBackoff: time.Millisecond, MaxBackoff: 50 * time.Millisecond}
-
-// noDonorRounds is how many consecutive all-hard rounds the fetch loop
-// tolerates before giving up with ErrNoDonor. Two rounds filter out a
-// single coincident blip without holding a doomed rebuild hostage for
-// the full attempt budget.
-const noDonorRounds = 2
 
 // RebuildConfig drives the cluster analogue of the disk rebuilder: a
 // node that lost its data is refilled bucket-by-bucket from the peer
@@ -50,15 +39,10 @@ type RebuildConfig struct {
 	Client *http.Client
 	// FetchTimeout bounds each bucket fetch from a donor (2s when 0).
 	FetchTimeout time.Duration
-	// FetchAttempts bounds how many rounds through the donor list one
-	// bucket may take before the rebuild gives up (8 when 0). Donors
-	// shed background reads whenever foreground load wants the disk, so
-	// a patient retry loop — not a first-failure abort — is what lets a
-	// rebuild make progress through sustained traffic (rounds run
-	// donorBackoff apart). Exception: when
-	// every donor fails hard (transport error or timeout — nobody home)
-	// for noDonorRounds consecutive rounds, the fetch fails fast with
-	// ErrNoDonor instead of waiting out the budget.
+	// FetchAttempts bounds the rounds through the donor list one bucket
+	// may take (8 when 0): donors shed background reads under foreground
+	// load, so patience is what lets a rebuild progress. Two rounds in
+	// which every donor is silent fail fast with ErrNoDonor instead.
 	FetchAttempts int
 	// Obs optionally counts rebuild progress:
 	// cluster.rebuild.buckets / .records / .retries.
@@ -97,10 +81,9 @@ func RebuildNode(ctx context.Context, cfg RebuildConfig, target *Node) (RebuildS
 		return st, fmt.Errorf("cluster: %d endpoints for members up to %d", len(cfg.Endpoints), cfg.Map.MaxMember())
 	}
 	cp := newCopier(copier{
-		g: cfg.Map.Grid(), client: cfg.Client, endpoints: cfg.Endpoints,
-		timeout: cfg.FetchTimeout, attempts: cfg.FetchAttempts,
+		g: cfg.Map.Grid(), client: cfg.Client, endpoints: cfg.Endpoints, timeout: cfg.FetchTimeout,
 		priority: repair.BackgroundPriority, epoch: cfg.Map.Epoch(),
-	}, cfg.Obs, "cluster.rebuild")
+	})
 
 	start := time.Now()
 	if err := target.BeginRebuild(); err != nil {
@@ -108,9 +91,10 @@ func RebuildNode(ctx context.Context, cfg RebuildConfig, target *Node) (RebuildS
 	}
 	// A wiped node's hosted shards are one move each: same map on both
 	// sides, nothing already held.
-	err := cp.run(ctx, fill(cfg.Map, cfg.Map, target.ID(), true),
+	moved, cr, err := copyMoves(ctx, cp, fill(cfg.Map, cfg.Map, target.ID(), true), copyConfig(cfg.FetchAttempts, nil),
 		func(_ int, cell grid.Coord, recs []datagen.Record) error { return target.RebuildInsert(cell, recs) })
-	st.Shards, st.Buckets, st.Records, st.Pages, st.Retries = cp.moves, cp.buckets, cp.records, cp.pages, cp.retries
+	countCopy(cfg.Obs, "cluster.rebuild", cr)
+	st.Shards, st.Buckets, st.Records, st.Pages, st.Retries = moved, cr.Buckets, cr.Records, cr.Pages, cr.Retries
 	if err != nil {
 		return st, fmt.Errorf("cluster: rebuild member %d: %w", target.ID(), err)
 	}
@@ -119,149 +103,91 @@ func RebuildNode(ctx context.Context, cfg RebuildConfig, target *Node) (RebuildS
 	return st, nil
 }
 
-// copier is the one per-bucket copy loop, behind both RebuildNode and
-// Migrate's COPY phase: fetch a bucket from its move's donors, hand it
-// to the caller's deliver, count it, charge the throttle (Migrate's;
-// a rebuild runs unpaced). Pages are counted at
-// gridfile.DefaultPageCapacity records, the capacity of every node's
-// file. The destination alone checks a page against its partition: a
-// delivery it refuses as a bad request (ErrBadRequest) fails that
-// donor, and the next one is tried.
+// copier is the HTTP half of a node rebuild or migration: a donor's
+// one-bucket read at the copier's priority and epoch, and the
+// /v1/migrate steps.
 type copier struct {
 	g         *grid.Grid
-	client    *http.Client     // &http.Client{} when nil
-	endpoints []string         // base URL per member, indexed by stable member ID
-	timeout   time.Duration    // per exchange; 2s when 0
-	attempts  int              // donor-rotation rounds per bucket; 8 when 0
-	priority  int              // admission priority of donor reads
-	epoch     uint64           // the epoch donor reads are stamped with
-	throttle  *repair.Throttle // nil is unpaced
-
-	mBuckets, mRecords, mRetries *obs.Counter
-
-	// The running tally: moves completed, buckets and records copied,
-	// pages charged to the throttle, donor fetches retried.
-	moves, buckets, records, pages, retries int
+	client    *http.Client  // &http.Client{} when nil
+	endpoints []string      // base URL per member, indexed by stable member ID
+	timeout   time.Duration // per exchange; 2s when 0
+	priority  int           // admission priority of donor reads
+	epoch     uint64        // the epoch donor reads are stamped with
 }
 
-// newCopier fills c's defaults and, given a sink, registers the
-// <prefix>.buckets / .records / .retries counters.
-func newCopier(c copier, sink *obs.Sink, prefix string) *copier {
+// newCopier fills c's defaults.
+func newCopier(c copier) *copier {
 	if c.timeout <= 0 {
 		c.timeout = 2 * time.Second
-	}
-	if c.attempts <= 0 {
-		c.attempts = 8
 	}
 	if c.client == nil {
 		c.client = &http.Client{}
 	}
-	if sink != nil {
-		r := sink.Registry()
-		c.mBuckets = r.Counter(prefix + ".buckets")
-		c.mRecords = r.Counter(prefix + ".records")
-		c.mRetries = r.Counter(prefix + ".retries")
-	}
 	return &c
 }
 
-// run copies every bucket of every move, in order. A bucket counts once
-// deliver has accepted it; the first error — a move nobody else holds
-// (fault.ErrUnavailable: the data exists nowhere), a bucket no donor
-// could supply, a delivery refused other than as a bad request, a
-// cancelled context — stops the run.
-func (c *copier) run(ctx context.Context, moves []Move, deliver func(dest int, cell grid.Coord, recs []datagen.Record) error) error {
-	for _, mv := range moves {
-		if len(mv.Sources) == 0 {
-			return fmt.Errorf("%w: %d buckets of member %d have no other holder",
-				fault.ErrUnavailable, len(mv.Buckets), mv.Dest)
-		}
-		for _, b := range mv.Buckets {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			cell := c.g.Delinearize(b, nil)
-			n, retries, err := c.copyBucket(ctx, mv.Sources, cell, func(recs []datagen.Record) error {
-				return deliver(mv.Dest, cell, recs)
-			})
-			c.retries += retries
-			c.mRetries.Add(uint64(retries))
-			if err != nil {
-				return fmt.Errorf("copy cell %v to member %d: %w", cell, mv.Dest, err)
-			}
-			pages := max(1, (n+gridfile.DefaultPageCapacity-1)/gridfile.DefaultPageCapacity)
-			c.buckets++
-			c.records += n
-			c.pages += pages
-			c.mBuckets.Inc()
-			c.mRecords.Add(uint64(n))
-			if err := c.throttle.Take(ctx, float64(pages)); err != nil {
-				return err
-			}
-		}
-		c.moves++
+// copyConfig paces a node path's repair.Copy: one bucket at a time,
+// attempts rounds (8 when ≤ 0) donorBackoff apart, charged to tb, in
+// pages of gridfile.DefaultPageCapacity records, as every node's file.
+func copyConfig(attempts int, tb *repair.Throttle) repair.CopyConfig {
+	if attempts <= 0 {
+		attempts = 8
 	}
-	return nil
+	return repair.CopyConfig{Parallel: 1, Throttle: tb, Backoff: donorBackoff, Rounds: attempts}
 }
 
-// copyBucket reads one bucket from the first donor that answers with a
-// page deliver accepts, rotating through donors on failure and backing
-// off between rounds — donors legitimately shed background reads under
-// foreground load, so a failed round means "later", not "lost", until
-// the attempt budget runs out. A delivery refused as a bad request fails
-// its donor like a refused read; any other refusal stops the copy. A
-// round in which every donor fails hard (transport error or timeout —
-// silence, not shedding) counts toward a short fuse: after noDonorRounds
-// consecutive all-hard rounds the copy fails fast with ErrNoDonor.
-// Returns the records delivered and how many tries failed first.
-func (c *copier) copyBucket(ctx context.Context, donors []int, cell grid.Coord, deliver func([]datagen.Record) error) (int, int, error) {
-	var lastErr error
-	retries := 0
-	allHardRounds := 0
-	for round := 0; round < c.attempts; round++ {
-		if round > 0 {
-			if err := donorBackoff.Wait(ctx, round); err != nil {
-				return 0, retries, err
-			}
+// copyMoves runs repair.Copy over every move, in order, and returns how
+// many moves completed and what landed. Donor d of a move is its
+// Sources[d], read by cp: an answered refusal is Later, anything else
+// Silent. deliver lands a page on the move's destination; the
+// destination alone checks a page against its partition, and a page it
+// refuses as a bad request (ErrBadRequest) is Later, so the next donor
+// is tried. A move nobody else holds fails with fault.ErrUnavailable:
+// the data exists nowhere.
+func copyMoves(ctx context.Context, cp *copier, moves []Move, cfg repair.CopyConfig,
+	deliver func(dest int, cell grid.Coord, recs []datagen.Record) error) (int, repair.CopyReport, error) {
+	var sum repair.CopyReport
+	for i, mv := range moves {
+		if len(mv.Sources) == 0 {
+			return i, sum, fmt.Errorf("%w: %d buckets of member %d have no other holder",
+				fault.ErrUnavailable, len(mv.Buckets), mv.Dest)
 		}
-		allHard := true
-		for i, donor := range donors {
-			if round > 0 || i > 0 {
-				retries++
-			}
-			if donor >= len(c.endpoints) || c.endpoints[donor] == "" {
-				lastErr = fmt.Errorf("cluster: no endpoint for member %d", donor)
-				continue
-			}
-			recs, err := c.fetchBucketFrom(ctx, c.endpoints[donor], cell)
-			if err == nil {
-				if err = deliver(recs); err == nil {
-					return len(recs), retries, nil
+		rep, err := repair.Copy(ctx, mv.Buckets, len(mv.Sources),
+			func(ctx context.Context, b, d int) ([]datagen.Record, error) {
+				recs, err := cp.fetchBucketFrom(ctx, cp.endpoints[mv.Sources[d]], cp.g.Delinearize(b, nil))
+				switch {
+				case err == nil:
+					return recs, nil
+				case breakerCountable(err):
+					return nil, repair.Silent(err)
 				}
-				if !errors.Is(err, ErrBadRequest) {
-					return 0, retries, err
+				return nil, repair.Later(err) // the donor answered: alive, worth another round
+			},
+			func(_ context.Context, b int, recs []datagen.Record) error {
+				err := deliver(mv.Dest, cp.g.Delinearize(b, nil), recs)
+				if errors.Is(err, ErrBadRequest) {
+					return repair.Later(err)
 				}
-			}
-			if ctx.Err() != nil {
-				return 0, retries, ctx.Err()
-			}
-			if !breakerCountable(err) { // the donor answered: alive, worth another round
-				allHard = false
-			}
-			lastErr = err
-		}
-		if allHard {
-			allHardRounds++
-			if allHardRounds >= noDonorRounds {
-				return 0, retries, fmt.Errorf("%w: %w: %d donors silent for %d rounds (last: %v)",
-					ErrNoDonor, fault.ErrUnavailable, len(donors), allHardRounds, lastErr)
-			}
-		} else {
-			allHardRounds = 0
+				return err
+			}, cfg)
+		sum.Buckets += rep.Buckets
+		sum.Records += rep.Records
+		sum.Pages += rep.Pages
+		sum.Retries += rep.Retries
+		if err != nil {
+			return i, sum, fmt.Errorf("copy to member %d: %w", mv.Dest, err)
 		}
 	}
-	return 0, retries, fmt.Errorf("%w: %d donors failed %d rounds (last: %v)",
-		fault.ErrUnavailable, len(donors), c.attempts, lastErr)
+	return len(moves), sum, nil
+}
+
+// countCopy adds what a copy landed and retried to the sink's
+// <prefix>.buckets / .records / .retries counters (nil sink: nothing).
+func countCopy(sink *obs.Sink, prefix string, rep repair.CopyReport) {
+	r := sink.Registry()
+	r.Counter(prefix + ".buckets").Add(uint64(rep.Buckets))
+	r.Counter(prefix + ".records").Add(uint64(rep.Records))
+	r.Counter(prefix + ".retries").Add(uint64(rep.Retries))
 }
 
 // fetchBucketFrom reads one bucket from a donor: a one-cell /v1/query

@@ -6,10 +6,10 @@
 //
 // Three cooperating mechanisms:
 //
-//   - Scrubber: a background sweep over every stored bucket copy,
-//     verifying page checksums and repairing mismatches from a clean
-//     sibling replica, paced by a token bucket so scrub I/O is a bounded
-//     tax on the system.
+//   - Scrubber: a sweep over every stored bucket copy, verifying page
+//     checksums and repairing mismatches from a clean sibling replica.
+//     It is unpaced: it reads the store directly, through no admission
+//     queue.
 //
 //   - ReadRepairer: an exec.BucketReader wrapper (attach with
 //     serve.WithReadWrapper or exec.WithReadWrapper) that catches a
@@ -23,7 +23,8 @@
 //     reads through the serving scheduler at background priority and
 //     pacing them with a token-bucket throttle, so foreground queries
 //     keep their SLO while redundancy is restored. When the last bucket
-//     lands it returns the disk to service (fault.ReplaceDisk).
+//     lands it returns the disk to service (fault.ReplaceDisk). Its
+//     copy loop, Copy, also refills a cluster node and migrates buckets.
 //
 // A Tracker records the per-disk repair state machine the DESIGN doc
 // describes: healthy → suspect (corruption seen) → rebuilding → healthy.

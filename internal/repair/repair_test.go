@@ -3,6 +3,7 @@ package repair
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -207,6 +208,23 @@ func TestTokenBucketPaces(t *testing.T) {
 	defer cancel()
 	if err := tb.Take(ctx, 10000); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("cancelled take returned %v", err)
+	}
+}
+
+// TestThrottleRejectsNonFinite: a NaN or infinite rate, and a NaN or
+// +Inf burst, would let Take grant tokens without ever waiting.
+func TestThrottleRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct{ rate, burst float64 }{
+		{nan, 0}, {inf, 0}, {-inf, 0}, {10, nan}, {10, inf},
+	} {
+		if tb, err := NewThrottle(c.rate, c.burst); err == nil {
+			t.Errorf("NewThrottle(%v, %v) = %+v, want an error", c.rate, c.burst, tb)
+		}
+	}
+	// A -Inf burst is ≤ 0: the default, one second of rate.
+	if _, err := NewThrottle(10, -inf); err != nil {
+		t.Errorf("NewThrottle(10, -Inf): %v", err)
 	}
 }
 

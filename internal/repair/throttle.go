@@ -3,6 +3,7 @@ package repair
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -13,9 +14,9 @@ import (
 // tokens are available, where tokens accrue at rate per second up to
 // burst. Debt-based: a take larger than the current balance sleeps
 // exactly the refill time of the shortfall, so pacing is smooth even
-// when bucket sizes vary. The disk rebuilder and the scrubber pace with
-// it, and so do the cluster-level node rebuild and migration copy. A
-// nil Throttle never blocks (unthrottled).
+// when bucket sizes vary. Copy charges it for the disk rebuild and for
+// migration; a node rebuild and a scrub sweep run unpaced. A nil
+// Throttle never blocks (unthrottled).
 type Throttle struct {
 	rate  float64 // tokens per second
 	burst float64
@@ -29,10 +30,12 @@ type Throttle struct {
 
 // NewThrottle builds a throttle granting rate tokens per second with
 // the given burst headroom (≤ 0 selects one second of rate). Rate 0
-// returns a nil, never-blocking throttle.
+// returns a nil, never-blocking throttle. A negative rate and a NaN or
+// infinite one are refused, as are a NaN and a +Inf burst: each would
+// make Take's arithmetic grant tokens without waiting.
 func NewThrottle(rate, burst float64) (*Throttle, error) {
-	if rate < 0 {
-		return nil, fmt.Errorf("repair: negative throttle rate %v", rate)
+	if !(rate >= 0) || math.IsInf(rate, 1) || math.IsNaN(burst) || math.IsInf(burst, 1) {
+		return nil, fmt.Errorf("repair: throttle rate %v and burst %v must be finite, the rate ≥ 0", rate, burst)
 	}
 	if rate == 0 {
 		return nil, nil
