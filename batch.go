@@ -11,10 +11,11 @@ import (
 // BatchEngine groups in-flight range queries inside a small time/size
 // window, dedupes their shared bucket demand so each distinct bucket is
 // read once physically and fanned out to every covering query, and
-// dispatches the deduped reads through the Scheduler's admission path.
-// Abandoning one query never cancels a read another query still needs.
-// The engine also answers aggregate queries (COUNT/SUM/MIN/MAX over a
-// rectangle) from per-disk summed-area tables with zero bucket reads.
+// dispatches each group as one bucket-set read through the Scheduler's
+// admission path. Abandoning one query never cancels a read another
+// query still needs. The engine also answers aggregate queries
+// (COUNT/SUM/MIN/MAX over a rectangle) from a per-bucket summary walked
+// over the rectangle, with zero bucket reads.
 type BatchEngine = batch.Engine
 
 // BatchOption configures a BatchEngine.
@@ -30,16 +31,6 @@ type BatchAnswer = batch.Answer
 
 // BatchStats is a snapshot of an engine's lifetime counters.
 type BatchStats = batch.Stats
-
-// BatchPolicy orders a batch group's physical reads.
-type BatchPolicy = batch.Policy
-
-// Read-ordering policies: FIFO dispatches in first-demand order,
-// shared-work-first dispatches the most-shared buckets first.
-const (
-	BatchFIFO            = batch.PolicyFIFO
-	BatchSharedWorkFirst = batch.PolicySharedWorkFirst
-)
 
 // AggregateOp selects the aggregate a query computes.
 type AggregateOp = batch.AggregateOp
@@ -84,6 +75,3 @@ func WithBatchWindow(d time.Duration) BatchOption { return batch.WithWindow(d) }
 // WithBatchMax caps a group's size; a full group dispatches without
 // waiting out the window (default 16).
 func WithBatchMax(n int) BatchOption { return batch.WithMaxBatch(n) }
-
-// WithBatchPolicy selects the read-ordering policy (default FIFO).
-func WithBatchPolicy(p BatchPolicy) BatchOption { return batch.WithPolicy(p) }

@@ -31,7 +31,6 @@ func TestFacadeBatch(t *testing.T) {
 	eng, err := decluster.NewBatchEngine(f, s,
 		decluster.WithBatchWindow(3*time.Millisecond),
 		decluster.WithBatchMax(8),
-		decluster.WithBatchPolicy(decluster.BatchSharedWorkFirst),
 	)
 	if err != nil {
 		t.Fatal(err)

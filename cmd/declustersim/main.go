@@ -184,7 +184,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "declustersim: -fail-disks must be ≥ 0")
 		os.Exit(2)
 	}
-	if *failProb < 0 || *failProb >= 1 {
+	// A float flag is checked as !(x >= 0) or !(0 <= x < 1), which
+	// refuses NaN too.
+	if !(*failProb >= 0 && *failProb < 1) {
 		fmt.Fprintln(os.Stderr, "declustersim: -fail-prob must be in [0, 1)")
 		os.Exit(2)
 	}
@@ -207,7 +209,6 @@ func main() {
 			}
 		}
 	})
-	// A float flag is checked as !(x >= 0), which refuses NaN too.
 	if *soak < 0 || !(*qps >= 0) || *clients < 0 || *hedgeAfter < 0 {
 		fmt.Fprintln(os.Stderr, "declustersim: -soak, -qps, -clients, and -hedge-after must be ≥ 0")
 		os.Exit(2)
@@ -255,7 +256,7 @@ func main() {
 		scenarios = append(scenarios, "blinking-partition")
 	}
 	set.cluster.Scenarios = scenarios
-	if *corruptProb < 0 || *corruptProb >= 1 {
+	if !(*corruptProb >= 0 && *corruptProb < 1) {
 		fmt.Fprintln(os.Stderr, "declustersim: -corrupt-prob must be in [0, 1)")
 		os.Exit(2)
 	}

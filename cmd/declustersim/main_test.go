@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -350,6 +354,34 @@ func TestCheckFlagScope(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.wantErr) || !strings.Contains(err.Error(), tc.experiment) {
 			t.Errorf("checkFlagScope(%q, %v) error %q does not name the flag and experiment", tc.experiment, tc.passed, err)
+		}
+	}
+}
+
+// TestProbFlagsRefuseNaN runs the command itself: the test binary
+// re-executes this test with the command line after "--", and the child
+// hands it to main. A NaN probability must stop the command with exit
+// status 2 and the flag's range message before the experiment that
+// reads it runs.
+func TestProbFlagsRefuseNaN(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 && args[0] == "declustersim" {
+		os.Args = args
+		flag.CommandLine = flag.NewFlagSet(args[0], flag.ExitOnError)
+		main()
+		return
+	}
+	for name, experiment := range map[string]string{"fail-prob": "availability", "corrupt-prob": "recovery"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestProbFlagsRefuseNaN$", "--",
+			"declustersim", "-experiment", experiment, "-samples", "20", "-"+name, "NaN")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("-%s NaN: %v, want exit status 2", name, err)
+		}
+		if want := "-" + name + " must be in [0, 1)"; !strings.Contains(stderr.String(), want) {
+			t.Errorf("-%s NaN: stderr %q, want %q", name, stderr.String(), want)
 		}
 	}
 }

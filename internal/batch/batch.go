@@ -1,15 +1,18 @@
 // Package batch turns the one-query-at-a-time serving path into a
 // shared-work engine: in-flight range queries are grouped inside a
 // small time/size window, decomposed into bucket demand, and deduped so
-// each distinct bucket is read once physically and fanned out to every
-// logical query that covers it. The group's physical reads dispatch
-// through the caller-supplied ReadFunc — in production the
-// serve.Scheduler's bucket-set admission path — so the engine sits
-// between admission and exec dispatch without owning either. A
-// pluggable policy orders the reads (FIFO vs shared-work-first), and
-// per-query cancellation is refcounted: abandoning one query never
-// cancels a read another query still needs, while a group whose every
-// member abandoned cancels its remaining reads promptly.
+// each distinct bucket is read once and fanned out to every logical
+// query that covers it. A group is one physical read — the buckets a
+// pending member still covers, ascending — dispatched through the
+// caller-supplied ReadFunc (in production the serve.Scheduler's
+// bucket-set admission path) and cut back into buckets by the read's
+// per-bucket record counts. The engine sits between admission and exec
+// dispatch without owning either. In the paper's model a bucket set
+// costs its busiest disk's bucket count, whatever order the disk reads
+// in, so the engine orders nothing. Per-query cancellation is
+// refcounted: abandoning one query never cancels a read another query
+// still needs, while a group whose every member abandoned cancels its
+// read promptly.
 //
 // Alongside the batch path, the engine answers aggregate queries
 // (COUNT/SUM/MIN/MAX over a rectangle) from an AggregateIndex — a
@@ -21,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,8 +43,10 @@ var ErrClosed = errors.New("batch: engine closed")
 // ReadFunc executes one physical bucket-set read at the given
 // admission priority. The production wiring is
 // serve.Scheduler.DoBuckets; tests may substitute anything honouring
-// the same contract: distinct buckets in, records in (bucket,
-// insertion) order out.
+// the same contract: distinct ascending buckets in; records out in
+// (bucket, insertion) order, with RecordsPerBucket holding one count
+// per bucket asked for. A read whose counts do not match fails the
+// group's pending members.
 type ReadFunc func(ctx context.Context, buckets []int, priority int) (*exec.Result, error)
 
 // Query is one logical unit of batching: a cell rectangle plus the
@@ -62,20 +68,17 @@ type Answer struct {
 	// Shared is how many of those buckets at least one other group
 	// member also demanded.
 	Shared int
-	// Degraded reports a degraded (failover-routed) wave served part of
-	// this answer.
+	// Degraded reports that the group's read was degraded
+	// (failover-routed).
 	Degraded bool
 }
 
 // Engine batches logical queries over one grid file.
 type Engine struct {
-	f      *gridfile.File
 	g      *grid.Grid
 	run    ReadFunc
 	window time.Duration
 	max    int
-	wave   int
-	policy Policy
 	ix     *AggregateIndex
 
 	obs     *obs.Sink
@@ -85,9 +88,11 @@ type Engine struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	mu     sync.Mutex
-	cur    *group
-	closed bool
+	mu  sync.Mutex
+	cur *group
+	// closed is written under mu, so no query joins a group after
+	// Close flushed it; Aggregate reads it without the lock.
+	closed atomic.Bool
 	wg     sync.WaitGroup
 }
 
@@ -102,19 +107,9 @@ func WithWindow(d time.Duration) Option { return func(e *Engine) { e.window = d 
 // waiting out the window (default 16).
 func WithMaxBatch(n int) Option { return func(e *Engine) { e.max = n } }
 
-// WithWave bounds the buckets per physical dispatch: a group's plan is
-// issued in policy-ordered waves of at most n buckets, each one
-// admission unit, and queries complete as soon as their last bucket's
-// wave lands. 0 (the default) dispatches the whole plan as one wave —
-// maximum dedup throughput, coarsest completion.
-func WithWave(n int) Option { return func(e *Engine) { e.wave = n } }
-
-// WithPolicy selects the read-ordering policy (default PolicyFIFO).
-func WithPolicy(p Policy) Option { return func(e *Engine) { e.policy = p } }
-
 // WithObserver attaches an observability sink: the engine mirrors its
 // counters into batch.* metric families and — when tracing — records a
-// span tree per group (plan, waves, savings).
+// span tree per group (plan, read, savings).
 func WithObserver(s *obs.Sink) Option { return func(e *Engine) { e.obs = s } }
 
 // New builds an engine over the file, dispatching physical reads
@@ -128,7 +123,6 @@ func New(f *gridfile.File, run ReadFunc, opts ...Option) (*Engine, error) {
 		return nil, fmt.Errorf("batch: nil read func")
 	}
 	e := &Engine{
-		f:      f,
 		g:      f.Grid(),
 		run:    run,
 		window: 2 * time.Millisecond,
@@ -142,9 +136,6 @@ func New(f *gridfile.File, run ReadFunc, opts ...Option) (*Engine, error) {
 	}
 	if e.max < 1 {
 		return nil, fmt.Errorf("batch: max batch %d < 1", e.max)
-	}
-	if e.wave < 0 {
-		return nil, fmt.Errorf("batch: negative wave size %d", e.wave)
 	}
 	ix, err := BuildAggregateIndex(f)
 	if err != nil {
@@ -182,11 +173,10 @@ func (e *Engine) Stats() Stats {
 // Close returns ErrClosed.
 func (e *Engine) Close() (Stats, error) {
 	e.mu.Lock()
-	if e.closed {
+	if e.closed.Swap(true) {
 		e.mu.Unlock()
 		return e.Stats(), ErrClosed
 	}
-	e.closed = true
 	g := e.cur
 	e.cur = nil
 	e.mu.Unlock()
@@ -241,8 +231,12 @@ func (e *Engine) Do(ctx context.Context, q Query) (*Answer, error) {
 }
 
 // Aggregate answers one aggregate query straight from the index —
-// zero bucket reads by construction.
+// zero bucket reads by construction. After Close it returns ErrClosed
+// and leaves the final counters as Close returned them.
 func (e *Engine) Aggregate(ctx context.Context, q AggregateQuery) (AggregateResult, error) {
+	if e.closed.Load() {
+		return AggregateResult{}, ErrClosed
+	}
 	e.stats.AggIssued.Add(1)
 	e.metrics.aggIssued.Inc()
 	if err := ctx.Err(); err != nil {
@@ -303,8 +297,8 @@ type group struct {
 	started  atomic.Bool
 	// pending counts members not yet decided (answered, failed, or
 	// abandoned); incremented as members join, decremented by
-	// memberDone. At zero the group's remaining reads are cancelled —
-	// nobody needs them.
+	// memberDone. At zero the group's read is cancelled — nobody needs
+	// it.
 	pending atomic.Int64
 	// ctx/cancel are created with the group (immutable after), so an
 	// abandonment landing before the group even executes cancels safely.
@@ -313,10 +307,10 @@ type group struct {
 }
 
 // memberDone records one member's decision; the last one cancels the
-// group's remaining physical reads. Before launch the count may
-// transiently hit zero and refill as later queries join the window, so
-// cancellation waits for started — execute's wave pruning already skips
-// a fully-abandoned plan, and its deferred cancel releases the context.
+// group's physical read. Before launch the count may transiently hit
+// zero and refill as later queries join the window, so cancellation
+// waits for started — execute's pruning already skips a fully-abandoned
+// plan, and its deferred cancel releases the context.
 func (g *group) memberDone() {
 	if g.pending.Add(-1) == 0 && g.started.Load() {
 		g.cancel()
@@ -334,7 +328,7 @@ func (e *Engine) enqueue(ctx context.Context, q Query, buckets []int) (*member, 
 		done:     make(chan struct{}),
 	}
 	e.mu.Lock()
-	if e.closed {
+	if e.closed.Load() {
 		e.mu.Unlock()
 		return nil, ErrClosed
 	}
@@ -382,11 +376,12 @@ func (e *Engine) launch(g *group) {
 	go g.execute()
 }
 
-// execute runs one group end to end: plan, policy-ordered waves of
-// deduped physical reads, per-bucket fan-out, per-member delivery.
+// execute runs one group end to end: plan, prune, one deduped physical
+// read, the cut back into buckets, per-member delivery.
 func (g *group) execute() {
 	e := g.e
 	defer e.wg.Done()
+	defer g.cancel()
 	start := time.Now()
 	e.stats.Groups.Add(1)
 	e.metrics.groups.Inc()
@@ -396,9 +391,7 @@ func (g *group) execute() {
 	prio := members[0].prio
 	for i, m := range members {
 		lists[i] = m.buckets
-		if m.prio > prio {
-			prio = m.prio
-		}
+		prio = max(prio, m.prio)
 		if e.metrics.windowWait != nil {
 			e.metrics.windowWait.Observe(time.Since(m.enqueued))
 		}
@@ -408,134 +401,99 @@ func (g *group) execute() {
 	e.metrics.demand.Add(uint64(plan.Demand))
 	e.stats.Deduped.Add(uint64(plan.Saved()))
 	e.metrics.deduped.Add(uint64(plan.Saved()))
-	order := plan.Order(e.policy)
 
-	var tr *obs.Trace
-	if e.obs.Tracing() {
-		tr = e.obs.StartTrace(fmt.Sprintf("batch group n=%d buckets=%d saved=%d %s",
-			len(members), len(order), plan.Saved(), e.policy))
-		defer e.obs.FinishTrace(tr)
-	}
-
-	defer g.cancel()
-
-	waveSize := e.wave
-	if waveSize == 0 {
-		waveSize = len(order)
-	}
-
-	perBucket := make(map[int][]datagen.Record, len(order))
-	remaining := make([]int, len(members))
-	for i := range members {
-		remaining[i] = len(lists[i])
-	}
-	degraded := false
-	dispatched := 0
-	var groupErr error
-
-	deliver := func(qi int) {
-		m := members[qi]
-		if !m.state.CompareAndSwap(statePending, stateDecided) {
-			return
-		}
-		ans := &Answer{Buckets: len(lists[qi]), Degraded: degraded}
-		for _, b := range lists[qi] {
-			ans.Records = append(ans.Records, perBucket[b]...)
-			if len(plan.Covers[b]) > 1 {
-				ans.Shared++
-			}
-		}
-		m.ans = ans
-		close(m.done)
-		e.stats.Answered.Add(1)
-		e.metrics.answered.Inc()
-		if e.metrics.queryLatency != nil {
-			e.metrics.queryLatency.Observe(time.Since(m.enqueued))
-		}
-		g.memberDone()
-	}
-
-	for wi := 0; wi < len(order) && groupErr == nil; wi += waveSize {
-		wave := order[wi:min(wi+waveSize, len(order))]
-		// Prune buckets nobody pending still covers — reads whose every
-		// logical owner abandoned are never dispatched.
-		live := make([]int, 0, len(wave))
-		for _, b := range wave {
-			needed := false
-			for _, qi := range plan.Covers[b] {
-				if members[qi].state.Load() == statePending {
-					needed = true
-					break
-				}
-			}
-			if needed {
+	// Prune buckets nobody pending still covers — reads whose every
+	// logical owner abandoned are never dispatched — and read the rest
+	// ascending, the executor's rank-free order. A member still pending
+	// at delivery was pending here, so every bucket it covers is read.
+	live := make([]int, 0, len(plan.Buckets))
+	for _, b := range plan.Buckets {
+		for _, qi := range plan.Covers[b] {
+			if members[qi].state.Load() == statePending {
 				live = append(live, b)
-			}
-		}
-		if len(live) == 0 {
-			continue
-		}
-		var wsp *obs.Span
-		if tr != nil {
-			wsp = tr.Root().Child(fmt.Sprintf("wave %d (%d buckets)", wi/waveSize, len(live)))
-		}
-		res, err := e.run(g.ctx, live, prio)
-		dispatched += len(live)
-		if err != nil {
-			wsp.FinishErr(err)
-			groupErr = err
-			break
-		}
-		wsp.Finish()
-		if res.Degraded {
-			degraded = true
-		}
-		for _, rec := range res.Records {
-			b, err := e.f.BucketOf(rec.Values)
-			if err != nil {
-				groupErr = fmt.Errorf("batch: record %d maps to no cell: %w", rec.ID, err)
 				break
 			}
-			perBucket[b] = append(perBucket[b], rec)
-		}
-		if groupErr != nil {
-			break
-		}
-		for _, b := range live {
-			for _, qi := range plan.Covers[b] {
-				remaining[qi]--
-				if remaining[qi] == 0 {
-					deliver(qi)
-				}
-			}
 		}
 	}
-
-	// Planned reads never dispatched — wave pruning plus an aborted
-	// group's tail — all count Pruned, keeping Demand == Physical +
-	// Deduped + Pruned exact.
-	pruned := len(order) - dispatched
-	e.stats.Physical.Add(uint64(dispatched))
-	e.metrics.physical.Add(uint64(dispatched))
+	slices.Sort(live)
+	pruned := len(plan.Buckets) - len(live)
+	e.stats.Physical.Add(uint64(len(live)))
+	e.metrics.physical.Add(uint64(len(live)))
 	e.stats.Pruned.Add(uint64(pruned))
 	e.metrics.pruned.Add(uint64(pruned))
 
-	if groupErr == nil {
-		groupErr = fmt.Errorf("batch: internal: group finished with undelivered members")
+	var tr *obs.Trace
+	if e.obs.Tracing() {
+		tr = e.obs.StartTrace(fmt.Sprintf("batch group n=%d buckets=%d saved=%d pruned=%d",
+			len(members), len(live), plan.Saved(), pruned))
+		defer e.obs.FinishTrace(tr)
 	}
-	for _, m := range members {
-		if m.state.CompareAndSwap(statePending, stateDecided) {
-			m.err = groupErr
-			close(m.done)
+
+	var perBucket map[int][]datagen.Record
+	var degraded bool
+	var err error
+	if len(live) > 0 {
+		sp := tr.Root().Child("read")
+		var res *exec.Result
+		res, err = e.run(g.ctx, live, prio)
+		if err == nil {
+			degraded = res.Degraded
+			perBucket, err = cut(live, res)
+		}
+		sp.FinishErr(err)
+	}
+
+	for qi, m := range members {
+		if !m.state.CompareAndSwap(statePending, stateDecided) {
+			continue
+		}
+		if err != nil {
+			m.err = err
 			e.stats.Failed.Add(1)
 			e.metrics.failed.Inc()
-			g.memberDone()
-			if tr != nil {
-				tr.Root().Annotate("failed member")
+			tr.Root().Annotate("failed member")
+		} else {
+			ans := &Answer{Buckets: len(lists[qi]), Degraded: degraded}
+			for _, b := range lists[qi] {
+				ans.Records = append(ans.Records, perBucket[b]...)
+				if len(plan.Covers[b]) > 1 {
+					ans.Shared++
+				}
+			}
+			m.ans = ans
+			e.stats.Answered.Add(1)
+			e.metrics.answered.Inc()
+			if e.metrics.queryLatency != nil {
+				e.metrics.queryLatency.Observe(time.Since(m.enqueued))
 			}
 		}
+		close(m.done)
+		g.memberDone()
 	}
 	if e.metrics.groupLatency != nil {
 		e.metrics.groupLatency.Observe(time.Since(start))
 	}
+}
+
+// cut splits a read of the ascending buckets back into per-bucket
+// record runs by the read's own counts, refusing counts that do not
+// match the buckets asked for or the records returned — a record is
+// never put in the wrong bucket.
+func cut(buckets []int, res *exec.Result) (map[int][]datagen.Record, error) {
+	if len(res.RecordsPerBucket) != len(buckets) {
+		return nil, fmt.Errorf("batch: read returned %d bucket counts for %d buckets",
+			len(res.RecordsPerBucket), len(buckets))
+	}
+	perBucket := make(map[int][]datagen.Record, len(buckets))
+	rest := res.Records
+	for i, n := range res.RecordsPerBucket {
+		if n < 0 || n > len(rest) {
+			return nil, fmt.Errorf("batch: read's bucket counts do not match its %d records", len(res.Records))
+		}
+		perBucket[buckets[i]], rest = rest[:n:n], rest[n:]
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("batch: read's bucket counts do not match its %d records", len(res.Records))
+	}
+	return perBucket, nil
 }

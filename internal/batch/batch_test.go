@@ -184,23 +184,17 @@ func TestBatchDifferentialHealthy(t *testing.T) {
 }
 
 func TestBatchDifferentialChaos(t *testing.T) {
-	for _, pol := range []batch.Policy{batch.PolicyFIFO, batch.PolicySharedWorkFirst} {
-		t.Run(pol.String(), func(t *testing.T) {
-			fx := newFixture(t, true,
-				batch.WithWindow(3*time.Millisecond),
-				batch.WithMaxBatch(6),
-				batch.WithWave(4),
-				batch.WithPolicy(pol))
-			diffBatch(t, fx, rects(fx.g, 7, 18))
-			st := fx.eng.Stats()
-			if st.Answered != 18 {
-				t.Fatalf("answered %d of 18 under chaos", st.Answered)
-			}
-			if st.Demand != st.Physical+st.Deduped+st.Pruned {
-				t.Fatalf("Demand %d != Physical %d + Deduped %d + Pruned %d",
-					st.Demand, st.Physical, st.Deduped, st.Pruned)
-			}
-		})
+	fx := newFixture(t, true,
+		batch.WithWindow(3*time.Millisecond),
+		batch.WithMaxBatch(6))
+	diffBatch(t, fx, rects(fx.g, 7, 18))
+	st := fx.eng.Stats()
+	if st.Answered != 18 {
+		t.Fatalf("answered %d of 18 under chaos", st.Answered)
+	}
+	if st.Demand != st.Physical+st.Deduped+st.Pruned {
+		t.Fatalf("Demand %d != Physical %d + Deduped %d + Pruned %d",
+			st.Demand, st.Physical, st.Deduped, st.Pruned)
 	}
 }
 
@@ -379,5 +373,26 @@ func TestEngineCloseRejectsNewQueries(t *testing.T) {
 	}
 	if _, err := fx.eng.Close(); err != batch.ErrClosed {
 		t.Fatalf("second close error = %v, want ErrClosed", err)
+	}
+}
+
+// TestEngineAggregateAfterClose requires a closed engine to refuse
+// aggregates as it refuses searches, leaving the counters Close
+// returned as final.
+func TestEngineAggregateAfterClose(t *testing.T) {
+	fx := newFixture(t, false)
+	q := batch.AggregateQuery{Rect: fx.g.MustRect(grid.Coord{0, 0}, grid.Coord{2, 2}), Op: batch.OpCount}
+	if _, err := fx.eng.Aggregate(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	final, err := fx.eng.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := fx.eng.Aggregate(context.Background(), q); err != batch.ErrClosed {
+		t.Fatalf("post-close aggregate = %+v, %v; want ErrClosed", res, err)
+	}
+	if st := fx.eng.Stats(); st != final {
+		t.Fatalf("counters moved after Close: %+v, Close returned %+v", st, final)
 	}
 }

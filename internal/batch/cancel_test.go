@@ -17,11 +17,11 @@ import (
 )
 
 // gatedReader serves bucket reads straight from the grid file, but
-// blocks each wave on a token — making "cancel one member mid-batch" a
+// blocks each read on a token — making "cancel one member mid-batch" a
 // deterministic schedule instead of a race.
 type gatedReader struct {
 	f    *gridfile.File
-	gate chan struct{} // one token per wave
+	gate chan struct{} // one token per read
 
 	mu    sync.Mutex
 	waves [][]int
@@ -46,11 +46,12 @@ func (r *gatedReader) read(ctx context.Context, buckets []int, prio int) (*exec.
 			return nil, err
 		}
 		res.Records = append(res.Records, rs.Records...)
+		res.RecordsPerBucket = append(res.RecordsPerBucket, len(rs.Records))
 	}
 	return res, nil
 }
 
-// dispatched counts the waves and buckets the reader actually served,
+// dispatched counts the reads and buckets the reader actually served,
 // and how many times bucket `of` was among them.
 func (r *gatedReader) dispatched(of int) (waves, buckets, timesRead int) {
 	r.mu.Lock()
@@ -83,7 +84,7 @@ func newGatedFile(t *testing.T) (*gridfile.File, *gatedReader) {
 	return f, &gatedReader{f: f, gate: make(chan struct{}, 64)}
 }
 
-// TestBatchCancellationSharedRead abandons one member before the wave
+// TestBatchCancellationSharedRead abandons one member before the read
 // holding its shared bucket can run, and requires the read to complete
 // untouched for the members that still need it: their answers stay
 // bit-identical to a solo run, the shared bucket is read exactly once,
@@ -95,16 +96,14 @@ func TestBatchCancellationSharedRead(t *testing.T) {
 	g := f.Grid()
 	eng, err := batch.New(f, rd.read,
 		batch.WithWindow(time.Hour), // dispatch by batch-full only
-		batch.WithMaxBatch(3),
-		batch.WithWave(1),
-		batch.WithPolicy(batch.PolicySharedWorkFirst))
+		batch.WithMaxBatch(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Three members sharing cell (0,0): shared-work-first puts that
-	// bucket in wave 0, and the gate holds every wave until released,
-	// so the whole plan is still undispatched when member 1 abandons.
+	// Three members sharing cell (0,0): the gate holds the group's read
+	// until released, so the whole plan is still undispatched when
+	// member 1 abandons.
 	qs := []grid.Rect{
 		g.MustRect(grid.Coord{0, 0}, grid.Coord{0, 1}),
 		g.MustRect(grid.Coord{0, 0}, grid.Coord{1, 0}),
@@ -138,7 +137,7 @@ func TestBatchCancellationSharedRead(t *testing.T) {
 		t.Fatalf("abandoned member error = %v, want context.Canceled", errs[1])
 	}
 
-	// Release more tokens than the plan has waves and let the group run.
+	// Release more tokens than the group has reads and let it run.
 	for i := 0; i < 16; i++ {
 		rd.gate <- struct{}{}
 	}
@@ -187,15 +186,14 @@ func TestBatchCancellationSharedRead(t *testing.T) {
 }
 
 // TestBatchCancellationPrunesSoleReads abandons the only owner of two
-// buckets before its waves dispatch and requires the engine to prune
+// buckets before its read dispatches and requires the engine to prune
 // those reads rather than issue them for nobody.
 func TestBatchCancellationPrunesSoleReads(t *testing.T) {
 	f, rd := newGatedFile(t)
 	g := f.Grid()
 	eng, err := batch.New(f, rd.read,
 		batch.WithWindow(40*time.Millisecond), // launch by window expiry
-		batch.WithMaxBatch(4),
-		batch.WithWave(1))
+		batch.WithMaxBatch(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,5 +250,75 @@ func TestBatchCancellationPrunesSoleReads(t *testing.T) {
 	}
 	if waves, buckets, _ := rd.dispatched(0); waves != 1 || buckets != 1 {
 		t.Fatalf("reader served %d waves / %d buckets, want exactly 1/1", waves, buckets)
+	}
+}
+
+// TestBatchReadCountsMismatch serves reads whose per-bucket counts
+// disagree with the buckets asked for or the records returned, and
+// requires every pending member to fail with an error and no records:
+// a record is never put in the wrong bucket.
+func TestBatchReadCountsMismatch(t *testing.T) {
+	f, rd := newGatedFile(t)
+	g := f.Grid()
+	for _, tc := range []struct {
+		name string
+		skew func(*exec.Result)
+	}{
+		{"short", func(r *exec.Result) { r.RecordsPerBucket = r.RecordsPerBucket[1:] }},
+		{"long", func(r *exec.Result) { r.RecordsPerBucket = append(r.RecordsPerBucket, 0) }},
+		{"overrun", func(r *exec.Result) { r.RecordsPerBucket[0] += len(r.Records) + 1 }},
+		{"underrun", func(r *exec.Result) { r.RecordsPerBucket[len(r.RecordsPerBucket)-1]-- }},
+		// The right total, split with a negative count.
+		{"negative", func(r *exec.Result) {
+			c := r.RecordsPerBucket
+			c[0], c[1] = -1, c[0]+c[1]+1
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			read := func(ctx context.Context, buckets []int, prio int) (*exec.Result, error) {
+				rd.gate <- struct{}{}
+				res, err := rd.read(ctx, buckets, prio)
+				if err == nil {
+					tc.skew(res)
+				}
+				return res, err
+			}
+			eng, err := batch.New(f, read, batch.WithWindow(time.Hour), batch.WithMaxBatch(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs := []grid.Rect{
+				g.MustRect(grid.Coord{0, 0}, grid.Coord{1, 1}),
+				g.MustRect(grid.Coord{1, 1}, grid.Coord{2, 3}),
+				g.MustRect(grid.Coord{4, 4}, grid.Coord{4, 5}),
+			}
+			answers := make([]*batch.Answer, len(qs))
+			errs := make([]error, len(qs))
+			var wg sync.WaitGroup
+			for i := range qs {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					answers[i], errs[i] = eng.Search(context.Background(), qs[i])
+				}(i)
+			}
+			wg.Wait()
+			for i := range qs {
+				if errs[i] == nil || answers[i] != nil {
+					t.Fatalf("member %d: answered %t, error %v; want no answer and an error", i, answers[i] != nil, errs[i])
+				}
+			}
+			st, err := eng.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Issued != 3 || st.Answered != 0 || st.Failed != 3 || st.Abandoned != 0 {
+				t.Fatalf("stats = %+v, want issued 3, answered 0, failed 3", st)
+			}
+			if st.Demand != st.Physical+st.Deduped+st.Pruned {
+				t.Fatalf("Demand %d != Physical %d + Deduped %d + Pruned %d",
+					st.Demand, st.Physical, st.Deduped, st.Pruned)
+			}
+		})
 	}
 }

@@ -19,10 +19,9 @@ type Stats struct {
 	// Groups counts executed batch groups.
 	Groups uint64
 	// Demand is the logical bucket demand summed over queries; Physical
-	// the bucket reads dispatched; Deduped the reads dedup eliminated at
-	// plan time; Pruned the planned reads never dispatched because every
-	// covering query had already abandoned (or a failed wave aborted the
-	// group).
+	// the bucket reads dispatched, failed or not; Deduped the reads
+	// dedup eliminated at plan time; Pruned the planned reads never
+	// dispatched because every covering query had already abandoned.
 	Demand, Physical, Deduped, Pruned uint64
 	// AggIssued/AggAnswered/AggFailed count aggregate queries, which
 	// never touch a BucketReader: AggIssued == AggAnswered + AggFailed.

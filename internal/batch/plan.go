@@ -1,35 +1,5 @@
 package batch
 
-import "sort"
-
-// Policy orders a plan's physical reads.
-type Policy int
-
-const (
-	// PolicyFIFO dispatches buckets in first-demand order: the order in
-	// which arriving queries first asked for them. Queries tend to
-	// complete in arrival order.
-	PolicyFIFO Policy = iota
-	// PolicySharedWorkFirst dispatches the most-shared buckets first
-	// (cover count descending, first-demand order within a tie), so
-	// each early read unblocks the largest number of logical queries —
-	// the ordering that maximizes queries-answered-per-read when waves
-	// are smaller than the plan.
-	PolicySharedWorkFirst
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case PolicyFIFO:
-		return "fifo"
-	case PolicySharedWorkFirst:
-		return "shared-work-first"
-	default:
-		return "unknown"
-	}
-}
-
 // Plan is the deduped read plan of one batch group: every distinct
 // bucket any member query demands, read once, fanned out to every
 // member that covers it. Building a plan is pure bookkeeping — no I/O
@@ -72,15 +42,3 @@ func BuildPlan(queries [][]int) *Plan {
 // Saved is the reads dedup eliminates: logical demand minus the
 // physical reads a full dispatch performs.
 func (p *Plan) Saved() int { return p.Demand - len(p.Buckets) }
-
-// Order returns the dispatch order of the plan's distinct buckets
-// under the policy. The result is always a permutation of p.Buckets.
-func (p *Plan) Order(policy Policy) []int {
-	out := append([]int(nil), p.Buckets...)
-	if policy == PolicySharedWorkFirst {
-		sort.SliceStable(out, func(i, j int) bool {
-			return len(p.Covers[out[i]]) > len(p.Covers[out[j]])
-		})
-	}
-	return out
-}

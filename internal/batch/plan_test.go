@@ -2,7 +2,6 @@ package batch
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -33,30 +32,8 @@ func TestBuildPlanDedup(t *testing.T) {
 	}
 }
 
-func TestPlanOrderPolicies(t *testing.T) {
-	p := BuildPlan([][]int{
-		{1, 2, 3},
-		{3, 2},
-		{3},
-	})
-	if got, want := p.Order(PolicyFIFO), []int{1, 2, 3}; !reflect.DeepEqual(got, want) {
-		t.Errorf("FIFO order = %v, want %v", got, want)
-	}
-	if got, want := p.Order(PolicySharedWorkFirst), []int{3, 2, 1}; !reflect.DeepEqual(got, want) {
-		t.Errorf("shared-work-first order = %v, want %v", got, want)
-	}
-	// Order never mutates the plan.
-	if want := []int{1, 2, 3}; !reflect.DeepEqual(p.Buckets, want) {
-		t.Errorf("Buckets mutated to %v", p.Buckets)
-	}
-	if PolicyFIFO.String() != "fifo" || PolicySharedWorkFirst.String() != "shared-work-first" {
-		t.Errorf("policy names = %q, %q", PolicyFIFO, PolicySharedWorkFirst)
-	}
-}
-
 // FuzzBatchDedup checks the plan invariants on arbitrary overlapping
-// demand sets: both policy orders are permutations of the distinct
-// buckets, every query's buckets are covered exactly once per query,
+// demand sets: every query's buckets are covered exactly once per query,
 // no read is orphaned (covered by nobody), and the accounting ties out.
 func FuzzBatchDedup(f *testing.F) {
 	f.Add([]byte{})
@@ -146,25 +123,6 @@ func FuzzBatchDedup(f *testing.F) {
 		}
 		if p.Saved() < 0 {
 			t.Fatalf("negative savings %d", p.Saved())
-		}
-
-		// Both policies produce permutations of the distinct buckets.
-		for _, pol := range []Policy{PolicyFIFO, PolicySharedWorkFirst} {
-			ord := p.Order(pol)
-			a := append([]int(nil), ord...)
-			b := append([]int(nil), p.Buckets...)
-			sort.Ints(a)
-			sort.Ints(b)
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("%v order %v is not a permutation of %v", pol, ord, p.Buckets)
-			}
-		}
-		// Shared-work-first is sorted by cover count descending.
-		swf := p.Order(PolicySharedWorkFirst)
-		for i := 1; i < len(swf); i++ {
-			if len(p.Covers[swf[i-1]]) < len(p.Covers[swf[i]]) {
-				t.Fatalf("shared-work-first order %v not descending by covers at %d", swf, i)
-			}
 		}
 	})
 }

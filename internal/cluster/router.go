@@ -766,7 +766,7 @@ type AggregateResult struct {
 // Aggregate answers COUNT/SUM/MIN/MAX over a rectangle across the
 // cluster: the rect decomposes into per-shard pieces, the fewest holders
 // that cover them each answer theirs in one leg from a disk-free
-// summed-area index (planCover), and the partials merge exactly. Every
+// per-bucket summary (planCover), and the partials merge exactly. Every
 // leg runs the same scatter as Search (rotation, backoff, hedging,
 // breakers); a merged leg that fails splits back into one leg per piece.
 // Only the current epoch is asked. Unlike Search, any uncovered piece

@@ -607,11 +607,10 @@ func (e *Executor) run(ctx context.Context, qs *queryState, buckets, rank []int)
 // in qs.perDisk — the one place that decides which disk reads which
 // bucket, for rectangles and explicit read sets alike — and, beside
 // each bucket, its rank (rank[i], or i when rank is nil). Within each
-// disk, buckets are read in the order given (the knob a batch scheduling
-// policy turns). With fail-stop disks present it either reroutes via the
-// replica scheme's min-makespan degraded assignment or — without
-// replication — reports the unreachable buckets as a typed
-// *fault.UnavailableError. Disks named by the WithAvoid hook are
+// disk, buckets are read in the order given. With fail-stop disks
+// present it either reroutes via the replica scheme's min-makespan
+// degraded assignment or — without replication — reports the
+// unreachable buckets as a typed *fault.UnavailableError. Disks named by the WithAvoid hook are
 // additionally routed around when the failover scheme permits, falling
 // back to reading them when it does not: avoidance is advisory,
 // fail-stop is not. On a healthy executor nothing is allocated.

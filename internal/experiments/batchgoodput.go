@@ -21,10 +21,9 @@ import (
 )
 
 // BatchGoodputConfig parameterizes Experiment EB: the same overlapping
-// multi-client workload driven through the scheduler three ways —
-// every query individually, batched FIFO, and batched
-// shared-work-first — under a straggler disk, transient read errors,
-// and one failed disk covered by chained replication. The point is the
+// multi-client workload driven through the scheduler two ways — every
+// query individually, and batched — under a straggler disk, transient
+// read errors, and one failed disk covered by chained replication. The point is the
 // dedup ledger: batching answers the same logical queries from a
 // fraction of the physical reads, and goodput rises by roughly the
 // overlap factor once admission bounds the read concurrency. A final
@@ -107,7 +106,7 @@ func (c BatchGoodputConfig) withDefaults() BatchGoodputConfig {
 
 // BatchGoodputCell is one dispatch mode's soak outcome.
 type BatchGoodputCell struct {
-	Mode string // "individual", "batch fifo", "batch swf"
+	Mode string // "individual" or "batched"
 
 	Issued, Answered, Failed uint64
 	GoodputQPS               float64
@@ -115,8 +114,8 @@ type BatchGoodputCell struct {
 
 	// The dedup ledger, in bucket-read units. For the individual mode
 	// Physical == Demand by definition (every query reads its own
-	// buckets); for the batch modes Demand − Physical is the shared
-	// work the plan collapsed.
+	// buckets); batched, Demand − Physical is the shared work the plan
+	// collapsed.
 	Physical, Demand, Deduped, Pruned uint64
 }
 
@@ -145,7 +144,7 @@ type BatchGoodputResult struct {
 	AggReads   uint64
 }
 
-// BatchGoodput runs Experiment EB. All three cells share one HCAM grid
+// BatchGoodput runs Experiment EB. Both cells share one HCAM grid
 // file and an identical chaos profile (straggler disk 0, disk 1 down
 // behind chained replication, transient errors); only the dispatch
 // path differs.
@@ -184,21 +183,11 @@ func BatchGoodput(cfg BatchGoodputConfig, opt Options) (*BatchGoodputResult, err
 		Duration: cfg.Duration, BaseLatency: cfg.BaseLatency,
 		Window: cfg.Window, MaxInFlight: cfg.MaxInFlight,
 	}
-	cells := []struct {
-		mode    string
-		batched bool
-		policy  batch.Policy
-	}{
-		{"individual", false, batch.PolicyFIFO},
-		{"batch fifo", true, batch.PolicyFIFO},
-		{"batch swf", true, batch.PolicySharedWorkFirst},
-	}
-	for _, c := range cells {
-		cell, err := runBatchGoodputCell(f, pool, c.batched, c.policy, cfg, opt.seed())
+	for _, batched := range []bool{false, true} {
+		cell, err := runBatchGoodputCell(f, pool, batched, cfg, opt.seed())
 		if err != nil {
 			return nil, err
 		}
-		cell.Mode = c.mode
 		res.Cells = append(res.Cells, *cell)
 	}
 
@@ -235,9 +224,7 @@ func newBatchGoodputScheduler(f *gridfile.File, cfg BatchGoodputConfig, seed int
 		serve.WithBaseLatency(cfg.BaseLatency),
 		// The queue holds every client four times over: EB measures what
 		// the read slots deliver, not what the queue turns away.
-		serve.WithAdmission(serve.AdmissionConfig{
-			MaxInFlight: cfg.MaxInFlight, MaxQueue: 4 * cfg.Clients, DropExpired: true,
-		}),
+		serve.WithAdmission(serve.AdmissionConfig{MaxInFlight: cfg.MaxInFlight, MaxQueue: 4 * cfg.Clients}),
 		serve.WithDrainTimeout(10 * time.Second),
 	}
 	if cfg.Obs != nil {
@@ -251,7 +238,7 @@ func newBatchGoodputScheduler(f *gridfile.File, cfg BatchGoodputConfig, seed int
 const batchGoodputMaxBatch = 16
 
 // runBatchGoodputCell soaks one dispatch mode.
-func runBatchGoodputCell(f *gridfile.File, pool []grid.Rect, batched bool, policy batch.Policy, cfg BatchGoodputConfig, seed int64) (*BatchGoodputCell, error) {
+func runBatchGoodputCell(f *gridfile.File, pool []grid.Rect, batched bool, cfg BatchGoodputConfig, seed int64) (*BatchGoodputCell, error) {
 	sched, err := newBatchGoodputScheduler(f, cfg, seed)
 	if err != nil {
 		return nil, err
@@ -262,7 +249,6 @@ func runBatchGoodputCell(f *gridfile.File, pool []grid.Rect, batched bool, polic
 		bopts := []batch.Option{
 			batch.WithWindow(cfg.Window),
 			batch.WithMaxBatch(batchGoodputMaxBatch),
-			batch.WithPolicy(policy),
 		}
 		if cfg.Obs != nil {
 			bopts = append(bopts, batch.WithObserver(cfg.Obs))
@@ -301,8 +287,9 @@ func runBatchGoodputCell(f *gridfile.File, pool []grid.Rect, batched bool, polic
 	s.at(cfg.Duration, s.halt)
 	s.wait()
 
-	cell := &BatchGoodputCell{}
+	cell := &BatchGoodputCell{Mode: "individual"}
 	if batched {
+		cell.Mode = "batched"
 		st, err := eng.Close()
 		if err != nil {
 			sched.Close()

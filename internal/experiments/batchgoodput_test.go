@@ -28,7 +28,7 @@ func TestBatchGoodputStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantModes := []string{"individual", "batch fifo", "batch swf"}
+	wantModes := []string{"individual", "batched"}
 	if len(res.Cells) != len(wantModes) {
 		t.Fatalf("want %d cells, got %d", len(wantModes), len(res.Cells))
 	}

@@ -208,9 +208,7 @@ func runChaosCell(f *gridfile.File, rep *replica.Replicated, hedged bool, cfg Ch
 		serve.WithBaseLatency(cfg.BaseLatency),
 		// Admission sits deliberately below Clients, so overload sheds
 		// rather than queueing without bound.
-		serve.WithAdmission(serve.AdmissionConfig{
-			MaxInFlight: max(2, cfg.Clients/2), MaxQueue: max(2, cfg.Clients/4), DropExpired: true,
-		}),
+		serve.WithAdmission(serve.AdmissionConfig{MaxInFlight: max(2, cfg.Clients/2), MaxQueue: max(2, cfg.Clients/4)}),
 		// Breakers trip on error runs only: the straggler is the hedge
 		// schemes' job, so the latency threshold stays disabled to keep
 		// the hedged/unhedged comparison clean.

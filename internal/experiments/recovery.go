@@ -230,9 +230,7 @@ func runRecoveryCell(m alloc.Method, rep *replica.Replicated, rate float64, cfg 
 		// admission is the scarce resource a running rebuild read
 		// visibly occupies — the contention the throttle exists to
 		// bound.
-		serve.WithAdmission(serve.AdmissionConfig{
-			MaxInFlight: max(2, cfg.Clients/4), MaxQueue: max(2, cfg.Clients), DropExpired: true,
-		}),
+		serve.WithAdmission(serve.AdmissionConfig{MaxInFlight: max(2, cfg.Clients/4), MaxQueue: max(2, cfg.Clients)}),
 		serve.WithDrainTimeout(10 * time.Second),
 	}
 	if cfg.Obs != nil {

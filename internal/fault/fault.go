@@ -23,6 +23,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -165,10 +166,12 @@ func (in *Injector) AttachObserver(s *obs.Sink) {
 
 // New validates the configuration and builds an injector.
 func New(cfg Config) (*Injector, error) {
-	if cfg.TransientProb < 0 || cfg.TransientProb >= 1 {
+	// Every probability is checked as !(0 <= p < 1) and every factor as
+	// !(1 <= f < +Inf), which refuse NaN too.
+	if !(cfg.TransientProb >= 0 && cfg.TransientProb < 1) {
 		return nil, fmt.Errorf("fault: transient probability %v outside [0,1)", cfg.TransientProb)
 	}
-	if cfg.CorruptProb < 0 || cfg.CorruptProb >= 1 {
+	if !(cfg.CorruptProb >= 0 && cfg.CorruptProb < 1) {
 		return nil, fmt.Errorf("fault: corruption probability %v outside [0,1)", cfg.CorruptProb)
 	}
 	in := &Injector{
@@ -189,8 +192,8 @@ func New(cfg Config) (*Injector, error) {
 		if d < 0 {
 			return nil, fmt.Errorf("fault: negative straggler disk %d", d)
 		}
-		if f < 1 {
-			return nil, fmt.Errorf("fault: straggler multiplier %v on disk %d below 1", f, d)
+		if !(f >= 1 && f < math.Inf(1)) {
+			return nil, fmt.Errorf("fault: straggler multiplier %v on disk %d not a finite factor ≥ 1", f, d)
 		}
 		in.slow[d] = f
 	}
@@ -211,7 +214,7 @@ func (in *Injector) TransientProb() float64 {
 // e.g. to ramp fault pressure mid-run during a chaos drill. It rejects
 // probabilities outside [0, 1).
 func (in *Injector) SetTransientProb(p float64) error {
-	if p < 0 || p >= 1 {
+	if !(p >= 0 && p < 1) {
 		return fmt.Errorf("fault: transient probability %v outside [0,1)", p)
 	}
 	in.mu.Lock()
@@ -230,7 +233,7 @@ func (in *Injector) CorruptProb() float64 {
 // SetCorruptProb changes the per-page corruption probability. It
 // rejects probabilities outside [0, 1).
 func (in *Injector) SetCorruptProb(p float64) error {
-	if p < 0 || p >= 1 {
+	if !(p >= 0 && p < 1) {
 		return fmt.Errorf("fault: corruption probability %v outside [0,1)", p)
 	}
 	in.mu.Lock()
@@ -449,11 +452,11 @@ func (in *Injector) SlowFactor(d int) float64 {
 	return 1
 }
 
-// SetSlowFactor marks disk d a straggler with the given latency
+// SetSlowFactor marks disk d a straggler with the given finite latency
 // multiplier (≥ 1); 1 clears it.
 func (in *Injector) SetSlowFactor(d int, f float64) error {
-	if f < 1 {
-		return fmt.Errorf("fault: straggler multiplier %v below 1", f)
+	if !(f >= 1 && f < math.Inf(1)) {
+		return fmt.Errorf("fault: straggler multiplier %v not a finite factor ≥ 1", f)
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()

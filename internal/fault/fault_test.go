@@ -37,6 +37,41 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNonFiniteRefused requires every probability and straggler factor
+// check to refuse NaN, which passes any plain comparison, and the
+// factors to refuse +Inf.
+func TestNonFiniteRefused(t *testing.T) {
+	nan := math.NaN()
+	for _, cfg := range []Config{
+		{TransientProb: nan},
+		{CorruptProb: nan},
+		{Stragglers: map[int]float64{0: nan}},
+		{Stragglers: map[int]float64{0: math.Inf(1)}},
+	} {
+		if _, err := New(cfg); err == nil {
+			t.Errorf("config %+v accepted", cfg)
+		}
+	}
+	in, err := New(Config{Seed: 1, TransientProb: 0.2, CorruptProb: 0.1, Stragglers: map[int]float64{0: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.SetTransientProb(nan); err == nil {
+		t.Error("SetTransientProb(NaN) accepted")
+	}
+	if err := in.SetCorruptProb(nan); err == nil {
+		t.Error("SetCorruptProb(NaN) accepted")
+	}
+	for _, f := range []float64{nan, math.Inf(1)} {
+		if err := in.SetSlowFactor(0, f); err == nil {
+			t.Errorf("SetSlowFactor(0, %v) accepted", f)
+		}
+	}
+	if in.TransientProb() != 0.2 || in.CorruptProb() != 0.1 || in.SlowFactor(0) != 3 {
+		t.Error("refused values mutated state")
+	}
+}
+
 func TestFailStopLifecycle(t *testing.T) {
 	in, _ := New(Config{})
 	if in.DiskFailed(0) {

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -102,11 +103,11 @@ func (in *NodeInjector) Heal(n int) {
 	delete(in.partitioned, n)
 }
 
-// SetNodeSlow marks node n a straggler with the given latency
+// SetNodeSlow marks node n a straggler with the given finite latency
 // multiplier (≥ 1); 1 clears it.
 func (in *NodeInjector) SetNodeSlow(n int, f float64) error {
-	if f < 1 {
-		return fmt.Errorf("fault: node straggler multiplier %v below 1", f)
+	if !(f >= 1 && f < math.Inf(1)) { // refuses NaN too
+		return fmt.Errorf("fault: node straggler multiplier %v not a finite factor ≥ 1", f)
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()

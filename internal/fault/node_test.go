@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -36,6 +37,11 @@ func TestNodeInjectorStates(t *testing.T) {
 
 	if err := in.SetNodeSlow(1, 0.5); err == nil {
 		t.Fatal("SetNodeSlow accepted factor < 1")
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1)} {
+		if err := in.SetNodeSlow(1, f); err == nil {
+			t.Fatalf("SetNodeSlow accepted factor %v", f)
+		}
 	}
 	if err := in.SetNodeSlow(1, 4); err != nil {
 		t.Fatal(err)

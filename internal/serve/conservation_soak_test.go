@@ -109,7 +109,7 @@ func TestConservationSoak(t *testing.T) {
 		serve.WithHedging(serve.HedgeConfig{After: 250 * time.Microsecond}),
 		serve.WithBreaker(serve.BreakerConfig{ErrorThreshold: 6, Cooldown: 10 * time.Millisecond}),
 		serve.WithReadWrapper(rr.Wrap),
-		serve.WithAdmission(serve.AdmissionConfig{MaxInFlight: 3, MaxQueue: 4, DropExpired: true}),
+		serve.WithAdmission(serve.AdmissionConfig{MaxInFlight: 3, MaxQueue: 4}),
 		serve.WithDrainTimeout(10*time.Second),
 		serve.WithObserver(sink),
 	)
@@ -129,8 +129,6 @@ func TestConservationSoak(t *testing.T) {
 		batch.WithObserver(sink),
 		batch.WithWindow(3*time.Millisecond),
 		batch.WithMaxBatch(8),
-		batch.WithWave(6),
-		batch.WithPolicy(batch.PolicySharedWorkFirst),
 	)
 	if err != nil {
 		t.Fatal(err)

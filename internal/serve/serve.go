@@ -84,12 +84,11 @@ type AdmissionConfig struct {
 	// (default 2×GOMAXPROCS).
 	MaxInFlight int
 	// MaxQueue bounds the admission queue (default 64; negative = no
-	// queue, saturated arrivals are rejected immediately).
+	// queue, saturated arrivals are rejected immediately). A queued
+	// query whose context has already expired at dispatch is dropped,
+	// counted shed, instead of spending disk time on an answer nobody
+	// is waiting for.
 	MaxQueue int
-	// DropExpired drops a queued query whose context has already
-	// expired at dispatch time, counting it shed instead of spending
-	// disk time on an answer nobody is waiting for.
-	DropExpired bool
 }
 
 func (c AdmissionConfig) withDefaults() (AdmissionConfig, error) {
@@ -133,8 +132,9 @@ type Stats struct {
 	// Failed failed any other way (including mid-query deadlines).
 	Admitted, Completed, Unavailable, Failed uint64
 	// Shed classes: Rejected at admission, Evicted from the queue by
-	// priority, Expired at dispatch (DropExpired), Abandoned by their
-	// own context while queued.
+	// priority, Expired when dispatch finds their context already ended
+	// before they left the queue, Abandoned by their own context while
+	// queued.
 	Rejected, Evicted, Expired, Abandoned uint64
 	// HedgesIssued counts backup reads issued against a bucket's other
 	// replica: speculative ones beside a slow primary read, and the
@@ -615,9 +615,9 @@ func (s *Scheduler) release() {
 	s.mu.Unlock()
 }
 
-// dispatchLocked grants freed slots to the best waiters, applying the
-// expired-drop policy, and completes the drain once the scheduler is
-// closed and idle. Callers hold s.mu.
+// dispatchLocked grants freed slots to the best waiters, dropping any
+// whose context has already ended, and completes the drain once the
+// scheduler is closed and idle. Callers hold s.mu.
 //
 // The scalar gauges serve.queue.depth and serve.inflight move by deltas,
 // here and at every other site that changes what they count, because
@@ -629,7 +629,7 @@ func (s *Scheduler) dispatchLocked() {
 		w := heap.Pop(&s.waiters).(*waiter)
 		w.decided = true
 		m.queueDepth.Add(-1)
-		if s.adm.DropExpired && w.ctx.Err() != nil {
+		if w.ctx.Err() != nil {
 			s.stats.Expired.Add(1)
 			m.expired.Inc()
 			m.nodeShed.Inc()
