@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -183,19 +184,46 @@ func TestBatchDifferentialHealthy(t *testing.T) {
 	}
 }
 
+// TestBatchDifferentialChaos issues one query set under chaos in two
+// arrival orders: as drawn (fifo), and with the rectangles most queries
+// share issued first (shared-work-first). A group is one bucket-set
+// read whichever members joined it first, so both orders must match the
+// unbatched path and keep the ledger identity.
 func TestBatchDifferentialChaos(t *testing.T) {
-	fx := newFixture(t, true,
-		batch.WithWindow(3*time.Millisecond),
-		batch.WithMaxBatch(6))
-	diffBatch(t, fx, rects(fx.g, 7, 18))
-	st := fx.eng.Stats()
-	if st.Answered != 18 {
-		t.Fatalf("answered %d of 18 under chaos", st.Answered)
+	for _, tc := range []struct {
+		name  string
+		order func([]grid.Rect)
+	}{
+		{"fifo", func([]grid.Rect) {}},
+		{"shared-work-first", sharedFirst},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fx := newFixture(t, true,
+				batch.WithWindow(3*time.Millisecond),
+				batch.WithMaxBatch(6))
+			qs := rects(fx.g, 7, 18)
+			tc.order(qs)
+			diffBatch(t, fx, qs)
+			st := fx.eng.Stats()
+			if st.Answered != 18 {
+				t.Fatalf("answered %d of 18 under chaos", st.Answered)
+			}
+			if st.Demand != st.Physical+st.Deduped+st.Pruned {
+				t.Fatalf("Demand %d != Physical %d + Deduped %d + Pruned %d",
+					st.Demand, st.Physical, st.Deduped, st.Pruned)
+			}
+		})
 	}
-	if st.Demand != st.Physical+st.Deduped+st.Pruned {
-		t.Fatalf("Demand %d != Physical %d + Deduped %d + Pruned %d",
-			st.Demand, st.Physical, st.Deduped, st.Pruned)
+}
+
+// sharedFirst reorders qs so the rectangles drawn most often come
+// first, keeping draw order within a tie.
+func sharedFirst(qs []grid.Rect) {
+	n := make(map[string]int, len(qs))
+	for _, r := range qs {
+		n[r.String()]++
 	}
+	sort.SliceStable(qs, func(i, j int) bool { return n[qs[i].String()] > n[qs[j].String()] })
 }
 
 // TestAggregateMatchesNaive checks every op against the records the
