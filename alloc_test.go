@@ -67,6 +67,38 @@ func TestRangeSearchZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestRangeSearchPagesZeroAllocs is the same budget for the page
+// answer a cluster node frames from: handing the slots over as Pages, and
+// Release dropping them, allocate nothing once the pools are warm.
+func TestRangeSearchPagesZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime allocates in goroutine bookkeeping; the alloc gate runs in the no-race CI step")
+	}
+	f := newAllocFixture(t)
+	e, err := decluster.NewExecutor(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	r := f.Grid().MustRect(decluster.Coord{4, 4}, decluster.Coord{27, 27})
+	query := func() {
+		res, err := e.RangeSearchPages(ctx, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Pages) != r.Volume() || len(res.Records) != 0 {
+			t.Fatalf("%d pages and %d records for %d buckets", len(res.Pages), len(res.Records), r.Volume())
+		}
+		res.Release()
+	}
+	for i := 0; i < 8; i++ {
+		query()
+	}
+	if avg := testing.AllocsPerRun(100, query); avg > 0 {
+		t.Fatalf("RangeSearchPages allocates %.2f times per query; the hot-path budget is 0", avg)
+	}
+}
+
 // TestRangeSearchZeroAllocsParallelLimit covers the semaphore-limited
 // variant of the same path — fewer permitted workers than active disks
 // exercises the permit channel, which must also be allocation-free.

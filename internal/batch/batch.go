@@ -197,7 +197,12 @@ func (e *Engine) Search(ctx context.Context, r grid.Rect) (*Answer, error) {
 // Do submits one query. The call blocks through the batching window
 // and the group's physical reads; cancelling ctx abandons only this
 // query — shared reads other members still need are never cancelled.
+// After Close it returns ErrClosed and leaves the final counters as
+// Close returned them.
 func (e *Engine) Do(ctx context.Context, q Query) (*Answer, error) {
+	if e.closed.Load() {
+		return nil, ErrClosed
+	}
 	e.stats.Issued.Add(1)
 	e.metrics.issued.Inc()
 	buckets, err := e.bucketsOf(q.Rect)

@@ -424,3 +424,19 @@ func TestEngineAggregateAfterClose(t *testing.T) {
 		t.Fatalf("counters moved after Close: %+v, Close returned %+v", st, final)
 	}
 }
+
+// TestEngineDoAfterClose requires a closed engine to refuse a search
+// before it counts it: the counters stay as Close returned them.
+func TestEngineDoAfterClose(t *testing.T) {
+	fx := newFixture(t, false)
+	final, err := fx.eng.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans, err := fx.eng.Do(context.Background(), batch.Query{Rect: fx.g.MustRect(grid.Coord{0, 0}, grid.Coord{1, 1})}); err != batch.ErrClosed {
+		t.Fatalf("post-close search = %+v, %v; want ErrClosed", ans, err)
+	}
+	if st := fx.eng.Stats(); st != final {
+		t.Fatalf("counters moved after Close: %+v, Close returned %+v", st, final)
+	}
+}

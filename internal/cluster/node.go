@@ -323,7 +323,7 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	res, err := sched.Do(r.Context(), serve.Query{Rect: rect, Priority: req.Priority})
+	res, err := sched.DoPages(r.Context(), serve.Query{Rect: rect, Priority: req.Priority})
 	// Only foreground reads are the node's serving latency: a copier's
 	// below-zero reads queue behind them by design. Failures count too: a
 	// shed or timed-out query is the latency signal at its loudest, and
@@ -336,8 +336,13 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	defer res.Release() // back to the scheduler's pool once the answer is framed
-	writePage(w, &recordPage{Epoch: sm.Epoch(), Buckets: rect.Volume(), Degraded: res.Degraded, Counts: res.RecordsPerBucket, Records: res.Records})
+	// The frame is encoded from the bucket pages, views of the live file.
+	// They stay valid until the frame is written: the file's one writer
+	// beside running reads, a migration ingest, writes only buckets
+	// absent from it, which admit keeps every read off. Release drops the
+	// views once the frame is out.
+	defer res.Release()
+	writePage(w, &recordPage{Epoch: sm.Epoch(), Buckets: rect.Volume(), Degraded: res.Degraded, Counts: res.RecordsPerBucket, Pages: res.Pages})
 }
 
 // aggregateIndex returns the node's aggregate index, rebuilding it when

@@ -25,10 +25,11 @@ import (
 // Wire shapes for the node HTTP API. The rule: records are frames, reads
 // are fixed binary layouts, everything else and every error is JSON. The
 // two record-carrying payloads — the 200 answer of /v1/query and the body
-// of /v1/migrate/bucket — are one record frame, the bucket page as
-// gridfile already holds it. The request both read endpoints take and the
-// aggregate answer are fixed layouts, so a leg pays for its reads, not
-// its envelope. Errors travel as an errorBody whose Code round-trips
+// of /v1/migrate/bucket — are one record frame, encoded from bucket
+// pages: the executor's per-bucket views of the grid file for a query,
+// the one page being moved for a migration. The request both read
+// endpoints take and the aggregate answer are fixed layouts, so a leg
+// pays for its reads, not its envelope. Errors travel as an errorBody whose Code round-trips
 // through DecodeError into the typed sentinel the node matched (see
 // errors.go). Each payload has exactly one encoding, picked by its Go
 // type and verified by Content-Type on receipt. Layouts are little-endian.
@@ -142,21 +143,36 @@ type recordPage struct {
 	Degraded bool   // some bucket came from a replica disk, not its primary
 	Cell     []int  // the bucket a /v1/migrate/bucket page belongs to
 	// Counts, when not nil, makes a counted frame: Buckets entries, how
-	// many of Records each bucket holds, row-major, summing to
-	// len(Records) — or the receiver refuses the frame.
-	Counts  []int
+	// many of the records each bucket holds, row-major, summing to their
+	// number — or the receiver refuses the frame.
+	Counts []int
+	// Records are the payload as one run: what decode materialises, and
+	// the one bucket a migration sends.
 	Records []datagen.Record
+	// Pages, when not nil, are the payload instead, as the runs a node's
+	// query read left them (exec.Result.Pages), framed in order without
+	// being copied into one Records first.
+	Pages [][]datagen.Record
 }
 
-// appendTo frames p onto buf[:0]. A record set that is not k values wide
-// throughout is refused rather than emitted as a ragged page.
+// appendTo frames p onto buf[:0], walking its pages — Pages, or Records
+// as the one page. A record set that is not k values wide throughout is
+// refused rather than emitted as a ragged page.
 func (p *recordPage) appendTo(buf []byte) ([]byte, error) {
-	k := 0
-	if len(p.Records) > 0 {
-		k = len(p.Records[0].Values)
+	pages := p.Pages
+	if pages == nil {
+		one := [1][]datagen.Record{p.Records}
+		pages = one[:]
 	}
-	if uint64(p.Buckets) > math.MaxUint32 || len(p.Cell) > math.MaxUint8 || k > math.MaxUint16 || uint64(len(p.Records)) > math.MaxUint32 {
-		return nil, fmt.Errorf("cluster: page of %d records × %d values over %d buckets does not fit a record frame", len(p.Records), k, p.Buckets)
+	n, k := 0, -1
+	for _, page := range pages {
+		if n += len(page); k < 0 && len(page) > 0 {
+			k = len(page[0].Values)
+		}
+	}
+	k = max(k, 0)
+	if uint64(p.Buckets) > math.MaxUint32 || len(p.Cell) > math.MaxUint8 || k > math.MaxUint16 || uint64(n) > math.MaxUint32 {
+		return nil, fmt.Errorf("cluster: page of %d records × %d values over %d buckets does not fit a record frame", n, k, p.Buckets)
 	}
 	flags := byte(0)
 	if p.Degraded {
@@ -165,25 +181,27 @@ func (p *recordPage) appendTo(buf []byte) ([]byte, error) {
 	if p.Counts != nil {
 		flags |= 2
 	}
-	buf = slices.Grow(buf[:0], frameHeaderLen+4*len(p.Cell)+4*len(p.Counts)+len(p.Records)*(8+8*k))
+	buf = slices.Grow(buf[:0], frameHeaderLen+4*len(p.Cell)+4*len(p.Counts)+n*(8+8*k))
 	buf = append(append(buf, frameMagic...), flags, byte(len(p.Cell)))
 	buf = le.AppendUint16(buf, uint16(k))
 	buf = le.AppendUint64(buf, p.Epoch)
 	buf = le.AppendUint32(buf, uint32(p.Buckets))
-	buf = le.AppendUint32(buf, uint32(len(p.Records)))
+	buf = le.AppendUint32(buf, uint32(n))
 	for _, c := range p.Cell {
 		buf = le.AppendUint32(buf, uint32(c))
 	}
 	for _, c := range p.Counts {
 		buf = le.AppendUint32(buf, uint32(c))
 	}
-	for _, r := range p.Records {
-		if len(r.Values) != k {
-			return nil, fmt.Errorf("cluster: record %d has %d values in a page of %d-value records", r.ID, len(r.Values), k)
-		}
-		buf = le.AppendUint64(buf, uint64(r.ID))
-		for _, v := range r.Values {
-			buf = le.AppendUint64(buf, math.Float64bits(v))
+	for _, page := range pages {
+		for _, r := range page {
+			if len(r.Values) != k {
+				return nil, fmt.Errorf("cluster: record %d has %d values in a page of %d-value records", r.ID, len(r.Values), k)
+			}
+			buf = le.AppendUint64(buf, uint64(r.ID))
+			for _, v := range r.Values {
+				buf = le.AppendUint64(buf, math.Float64bits(v))
+			}
 		}
 	}
 	return buf, nil

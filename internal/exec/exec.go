@@ -349,20 +349,32 @@ func (e *Executor) queryReader() BucketReader {
 //
 // Ownership: the caller owns a returned Result and every slice it
 // holds. Nothing in the executor retains or mutates them, so holding a
-// Result across later queries is always safe. A caller that is done
-// with a Result may call Release to recycle its buffers into the
-// executor's pool; after Release the Result and its slices must not be
-// touched — a later query may reuse them. Callers that never call
-// Release simply opt out of reuse.
+// Result across later queries is always safe — except the pages of a
+// RangeSearchPages answer, which are the grid file's own (see Pages). A
+// caller that is done with a Result may call Release to recycle its
+// buffers into the executor's pool; after Release the Result and its
+// slices must not be touched — a later query may reuse them. Callers
+// that never call Release simply opt out of reuse.
 type Result struct {
 	// Records are the qualifying records, in deterministic (bucket,
 	// insertion) order regardless of worker scheduling: the query's
-	// buckets ascending, each bucket's records in storage order.
+	// buckets ascending, each bucket's records in storage order. A
+	// RangeSearchPages answer leaves it empty and carries Pages instead.
 	Records []datagen.Record
+	// Pages, set only by RangeSearchPages, has one entry per bucket of
+	// the query, ascending: the bucket's records as the read returned
+	// them, nil for an empty bucket — Records before the copy, for a
+	// caller that only encodes them. A page from the default reader is a
+	// view of the grid file's storage, valid until the next write to its
+	// bucket (gridfile.File.Bucket): the caller must not write to it,
+	// must not let a write to its buckets run before it is done with it,
+	// and must be done with it by Release, which drops every page.
+	Pages [][]datagen.Record
 	// RecordsPerBucket has one entry per bucket of the query, ascending —
 	// Records order: entry i is how many of Records came from the i-th
 	// bucket, 0 for an empty one. Records is their concatenation, so a
-	// consumer can cut it back into buckets without mapping a value.
+	// consumer can cut it back into buckets without mapping a value. With
+	// Pages, entry i is len(Pages[i]).
 	RecordsPerBucket []int
 	// BucketsPerDisk counts buckets each worker read.
 	BucketsPerDisk []int
@@ -379,16 +391,23 @@ type Result struct {
 	// built outside the pooled path (and after Release, making a double
 	// Release a no-op).
 	owner *sync.Pool
+	// pages keeps Pages' backing, cleared, while Pages is nil.
+	pages [][]datagen.Record
 }
 
 // Release hands the Result's buffers back for reuse by later queries.
 // It is optional: callers that keep results alive indefinitely just
 // never call it. Calling Release while still holding Records is a
 // use-after-free bug on the caller's side; Release on a nil Result or
-// one not from the pool is a no-op.
+// one not from the pool is a no-op. Release drops the Result's pages:
+// a pooled Result keeps no view of a file.
 func (r *Result) Release() {
 	if r == nil || r.owner == nil {
 		return
+	}
+	if r.Pages != nil {
+		clear(r.Pages)
+		r.pages, r.Pages = r.Pages[:0], nil
 	}
 	p := r.owner
 	r.owner = nil
@@ -405,6 +424,19 @@ type placed struct{ bucket, rank int }
 // deadline. The first worker error cancels all siblings promptly.
 // Results are merged into deterministic order.
 func (e *Executor) RangeSearch(ctx context.Context, r grid.Rect) (*Result, error) {
+	return e.rangeSearch(ctx, r, false)
+}
+
+// RangeSearchPages is RangeSearch for a caller that only encodes the
+// answer: the Result carries each bucket's page in Pages, in the order
+// RangeSearch would copy them into Records, and leaves Records empty.
+// The pages are the file's own storage; see Result.Pages for how long
+// they stay valid.
+func (e *Executor) RangeSearchPages(ctx context.Context, r grid.Rect) (*Result, error) {
+	return e.rangeSearch(ctx, r, true)
+}
+
+func (e *Executor) rangeSearch(ctx context.Context, r grid.Rect, pages bool) (*Result, error) {
 	g := e.file.Grid()
 	if err := g.CheckRect(r); err != nil {
 		return nil, fmt.Errorf("exec: %w", err)
@@ -413,7 +445,7 @@ func (e *Executor) RangeSearch(ctx context.Context, r grid.Rect) (*Result, error
 	// list and take the same route as an explicit read set.
 	qs := e.getState()
 	qs.buckets = g.AppendRect(qs.buckets[:0], r) // ascending: a bucket's rank is its index
-	return e.run(ctx, qs, qs.buckets, nil)
+	return e.run(ctx, qs, qs.buckets, nil, pages)
 }
 
 // RangeSearchBuckets reads an explicit set of row-major bucket numbers
@@ -432,7 +464,7 @@ func (e *Executor) RangeSearchBuckets(ctx context.Context, buckets []int) (*Resu
 		e.putState(qs)
 		return nil, err
 	}
-	return e.run(ctx, qs, buckets, rank)
+	return e.run(ctx, qs, buckets, rank, false)
 }
 
 // rankBuckets validates an explicit read set — every bucket inside
@@ -485,11 +517,12 @@ func (qs *queryState) rankBuckets(buckets []int, n int) (rank []int, err error) 
 // deadline, leaving each page in the slot of its bucket's rank (nil
 // rank: the set is ascending and the rank is the index), and one pass
 // over the slots gathers the records in deterministic (bucket,
-// insertion) order. Every piece of per-query state — the rectangle's
-// bucket list, routing tables, disk tasks, the cancellation context,
-// the slots, the Result — is pooled, so the healthy unobserved path
+// insertion) order — or, with pages set, hands the slots over as
+// Result.Pages. Every piece of per-query state — the rectangle's bucket
+// list, routing tables, disk tasks, the cancellation context, the
+// slots, the Result — is pooled, so the healthy unobserved path
 // allocates nothing.
-func (e *Executor) run(ctx context.Context, qs *queryState, buckets, rank []int) (*Result, error) {
+func (e *Executor) run(ctx context.Context, qs *queryState, buckets, rank []int, pages bool) (*Result, error) {
 	// Past validation every query ends in exactly one of queriesOK /
 	// queriesErr, so exec.queries == exec.queries.ok + exec.queries.err.
 	m := e.metrics
@@ -588,7 +621,8 @@ func (e *Executor) run(ctx context.Context, qs *queryState, buckets, rank []int)
 	// insertion order) regardless of worker scheduling — slot order. The
 	// records are copied out of the read path's views into the Result's
 	// own backing, so the Result aliases neither the grid file nor any
-	// pooled buffer.
+	// pooled buffer. A page answer copies the slots' headers instead, not
+	// their records: it aliases the file by contract, never the state.
 	if cap(out.RecordsPerBucket) < len(qs.slots) {
 		out.RecordsPerBucket = make([]int, len(qs.slots))
 	}
@@ -596,9 +630,14 @@ func (e *Executor) run(ctx context.Context, qs *queryState, buckets, rank []int)
 	recs := out.Records[:0]
 	for i, page := range qs.slots {
 		out.RecordsPerBucket[i] = len(page)
-		recs = append(recs, page...)
+		if !pages {
+			recs = append(recs, page...)
+		}
 	}
 	out.Records = recs
+	if pages {
+		out.Pages = append(out.pages[:0], qs.slots...)
+	}
 	e.putState(qs)
 	return out, nil
 }

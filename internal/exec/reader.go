@@ -42,8 +42,9 @@ func NewFileReader(f *gridfile.File) BucketReader { return fileReader{f: f} }
 // bucket storage directly as a read-only view — no coordinate
 // round-trip, no result-set envelope, no copying. The executor's merge
 // copies records into the query's Result before returning, so the view
-// never escapes to callers. The disk argument is irrelevant — every
-// replica serves identical bytes.
+// escapes only to a RangeSearchPages caller, which takes it as a view
+// (Result.Pages). The disk argument is irrelevant — every replica serves
+// identical bytes.
 type fileReader struct {
 	f *gridfile.File
 }

@@ -207,7 +207,8 @@ func (f *File) BucketLen(b int) int { return len(f.buckets[b]) }
 // the executor's hot read path. Callers must not mutate the returned
 // slice or hold it across an Insert or Delete into bucket b; copy
 // anything that outlives the read (the executor copies during its
-// merge). A write to another bucket leaves the view intact.
+// merge, or hands the view on as a page). A write to another bucket
+// leaves the view intact.
 func (f *File) Bucket(b int) []datagen.Record { return f.buckets[b] }
 
 // BucketPages returns the number of pages bucket b occupies:

@@ -419,6 +419,14 @@ func (s *Scheduler) Do(ctx context.Context, q Query) (*exec.Result, error) {
 	return s.do(ctx, serveOp{kind: opRect, rect: q.Rect, prio: q.Priority})
 }
 
+// DoPages is Do for a caller that only encodes the answer: the Result
+// carries each bucket's page in Pages instead of a copy of the records
+// in Records (exec.Executor.RangeSearchPages). Admission, stats and
+// tracing are Do's.
+func (s *Scheduler) DoPages(ctx context.Context, q Query) (*exec.Result, error) {
+	return s.do(ctx, serveOp{kind: opPages, rect: q.Rect, prio: q.Priority})
+}
+
 // BucketQuery is one admission unit naming an explicit bucket set —
 // the shape of a physical read the batch engine dispatches after
 // deduping shared buckets across a group of logical queries. It rides
@@ -456,17 +464,18 @@ type opKind uint8
 const (
 	opRect opKind = iota
 	opBuckets
+	opPages // a rect answered as pages
 )
 
 // label formats the op's trace name; called only on the traced path.
 func (o *serveOp) label() string {
-	if o.kind == opRect {
+	if o.kind != opBuckets {
 		return fmt.Sprintf("query %v prio %d", o.rect, o.prio)
 	}
 	return fmt.Sprintf("bucketset n=%d prio %d", len(o.buckets), o.prio)
 }
 
-// do is the shared admission-and-execution lifecycle of Do and
+// do is the shared admission-and-execution lifecycle of Do, DoPages and
 // DoBuckets: count issued, trace, admit, run, classify the outcome.
 func (s *Scheduler) do(ctx context.Context, o serveOp) (*exec.Result, error) {
 	m := &s.metrics
@@ -494,9 +503,12 @@ func (s *Scheduler) do(ctx context.Context, o serveOp) (*exec.Result, error) {
 	ectx := obs.ContextWithSpan(ctx, esp)
 	var res *exec.Result
 	var err error
-	if o.kind == opRect {
+	switch o.kind {
+	case opRect:
 		res, err = s.ex.RangeSearch(ectx, o.rect)
-	} else {
+	case opPages:
+		res, err = s.ex.RangeSearchPages(ectx, o.rect)
+	default:
 		res, err = s.ex.RangeSearchBuckets(ectx, o.buckets)
 	}
 	esp.FinishErr(err)
