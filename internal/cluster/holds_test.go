@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
+	"decluster/internal/alloc"
 	"decluster/internal/datagen"
 	"decluster/internal/grid"
 )
@@ -217,5 +220,45 @@ func TestRebuildAndMigrateCopyAlike(t *testing.T) {
 	if reb.Buckets != mig.Buckets || reb.Records != mig.Records || reb.Pages != mig.Pages {
 		t.Fatalf("rebuild copied %d buckets / %d records / %d pages, migration of the same set %d / %d / %d",
 			reb.Buckets, reb.Records, reb.Pages, mig.Buckets, mig.Records, mig.Pages)
+	}
+}
+
+// TestNewNodeLoadsHostedSubset checks the node's one-pass bulk load:
+// its file holds exactly the records of the buckets it hosts, each
+// bucket in input order as per-record inserts would store it, and a
+// record that maps to no bucket fails the load with an error naming
+// the record's ID.
+func TestNewNodeLoadsHostedSubset(t *testing.T) {
+	g := grid.MustNew(16, 16)
+	m, err := alloc.NewHCAM(g, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm, err := NewChainShardMap(g, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := datagen.Uniform{K: 2, Seed: 5}.Generate(2000)
+	id := sm.MemberAt(1)
+	n, err := NewNode(NodeConfig{ID: id, Map: sm, Method: m, Records: recs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = n.Close() })
+	want := make([][]datagen.Record, g.Buckets())
+	for _, r := range recs {
+		if b, _ := n.file.BucketOf(r.Values); sm.Holds(id, b) {
+			want[b] = append(want[b], r)
+		}
+	}
+	for b := range want {
+		if !slices.EqualFunc(n.file.Bucket(b), want[b], func(x, y datagen.Record) bool { return x.ID == y.ID }) {
+			t.Fatalf("bucket %d holds %d records, want the %d hosted ones in input order", b, n.file.BucketLen(b), len(want[b]))
+		}
+	}
+
+	bad := append(slices.Clone(recs[:10]), datagen.Record{ID: 4242, Values: []float64{0.5, 1.5}})
+	if _, err := NewNode(NodeConfig{ID: id, Map: sm, Method: m, Records: bad}); err == nil || !strings.Contains(err.Error(), "record 4242:") {
+		t.Fatalf("NewNode with a bad record = %v, want an error naming record 4242", err)
 	}
 }

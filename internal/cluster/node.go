@@ -135,7 +135,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 }
 
 // buildStack creates a fresh grid file holding the subset of recs this
-// member hosts under ANY of the given maps, and a scheduler over it.
+// member hosts under ANY of the given maps, bulk-loaded in one pass so
+// each hosted bucket is one packed run, and a scheduler over it.
 // Passing two maps (cutover) keeps the union, so the previous epoch
 // stays fully answerable for one more migration.
 func (n *Node) buildStack(recs []datagen.Record, maps ...*ShardMap) (*gridfile.File, *serve.Scheduler, error) {
@@ -147,17 +148,9 @@ func (n *Node) buildStack(recs []datagen.Record, maps ...*ShardMap) (*gridfile.F
 	for i, sm := range maps {
 		views[i] = sm.holder(n.id)
 	}
-	for _, r := range recs {
-		b, err := file.BucketOf(r.Values)
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: node %d: record %d: %w", n.id, r.ID, err)
-		}
-		if !slices.ContainsFunc(views, func(h holder) bool { return h.holds(b) }) {
-			continue
-		}
-		if err := file.Insert(r); err != nil {
-			return nil, nil, fmt.Errorf("cluster: node %d: record %d: %w", n.id, r.ID, err)
-		}
+	hosted := func(b int) bool { return slices.ContainsFunc(views, func(h holder) bool { return h.holds(b) }) }
+	if i, err := file.InsertWhere(recs, hosted); err != nil {
+		return nil, nil, fmt.Errorf("cluster: node %d: record %d: %w", n.id, recs[i].ID, err)
 	}
 	opts := n.cfg.ServeOptions
 	if n.cfg.Obs != nil {

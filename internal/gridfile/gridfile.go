@@ -6,6 +6,13 @@
 // declustering method assigns. Searches return both the qualifying
 // records and a per-disk page access trace that the disk simulator
 // (package disksim) replays into wall-clock response times.
+//
+// A bucket is stored as one contiguous run of records, as the paper's
+// bucket is one block of pages. A bulk load (InsertAll, InsertWhere)
+// gives each bucket that was empty one packed run of a record array
+// shared by the batch, capped at its length so a later write into the
+// bucket reallocates it rather than writing into the next bucket's run;
+// a bucket that already holds records appends.
 package gridfile
 
 import (
@@ -140,14 +147,65 @@ func (f *File) Insert(r datagen.Record) error {
 	return nil
 }
 
-// InsertAll stores a batch of records, stopping at the first error.
+// InsertAll bulk-loads a batch of records, stopping at the first error:
+// the records before the bad one are stored, and the error names its
+// index. See InsertWhere for the storage layout.
 func (f *File) InsertAll(rs []datagen.Record) error {
-	for i, r := range rs {
-		if err := f.Insert(r); err != nil {
-			return fmt.Errorf("gridfile: record %d: %w", i, err)
-		}
+	if i, err := f.InsertWhere(rs, nil); err != nil {
+		return fmt.Errorf("gridfile: record %d: %w", i, err)
 	}
 	return nil
+}
+
+// InsertWhere bulk-loads the records of rs whose bucket keep accepts
+// (every record when keep is nil), computing each record's bucket once.
+// It stops at the first record whose values map to no bucket, stores
+// the records before it, and returns its index with the error; on
+// success the index is len(rs).
+//
+// Each bucket that was empty before the call receives one packed run of
+// a record array shared by the batch, in input order, capped at its
+// length: a later Insert into it reallocates instead of writing into
+// the next bucket's run, so views of neighbouring buckets stay valid.
+// A bucket that already held records appends its new records, so
+// repeated small batches stay amortised O(1) per record. Records are
+// stored as given — the file aliases their Values.
+func (f *File) InsertWhere(rs []datagen.Record, keep func(b int) bool) (int, error) {
+	// at[i] is record i's bucket, or -1 when keep refused it; bucket
+	// numbers fit in int32 because New holds a slice header per bucket.
+	at := make([]int32, len(rs))
+	counts := make([]int, len(f.buckets))
+	n, packed := len(rs), 0
+	var err error
+	for i, r := range rs {
+		b, berr := f.BucketOf(r.Values)
+		if berr != nil {
+			n, err = i, berr
+			break
+		}
+		if keep != nil && !keep(b) {
+			at[i] = -1
+			continue
+		}
+		at[i] = int32(b)
+		counts[b]++
+		if len(f.buckets[b]) == 0 {
+			packed++
+		}
+	}
+	run := make([]datagen.Record, packed)
+	for b, c := range counts {
+		if c > 0 && len(f.buckets[b]) == 0 {
+			f.buckets[b], run = run[:0:c], run[c:]
+		}
+	}
+	for i, b := range at[:n] {
+		if b >= 0 {
+			f.buckets[b] = append(f.buckets[b], rs[i])
+			f.count++
+		}
+	}
+	return n, err
 }
 
 // Delete removes the record matching rec's ID from the bucket holding
@@ -208,7 +266,9 @@ func (f *File) BucketLen(b int) int { return len(f.buckets[b]) }
 // slice or hold it across an Insert or Delete into bucket b; copy
 // anything that outlives the read (the executor copies during its
 // merge, or hands the view on as a page). A write to another bucket
-// leaves the view intact.
+// leaves the view intact, even where the two buckets are neighbouring
+// runs of one bulk-loaded array: each run is capped at its length, so
+// growing a bucket moves that bucket only.
 func (f *File) Bucket(b int) []datagen.Record { return f.buckets[b] }
 
 // BucketPages returns the number of pages bucket b occupies:

@@ -136,10 +136,20 @@ func newCopy(recs []datagen.Record, capacity int) *storedCopy {
 	return &storedCopy{recs: clone, sums: checksums(clone, capacity)}
 }
 
+// cloneRecords deep-clones recs in two allocations: one record array
+// and one value slab, each record's Values a capped run of the slab.
 func cloneRecords(recs []datagen.Record) []datagen.Record {
-	clone := make([]datagen.Record, len(recs))
+	n := 0
+	for _, r := range recs {
+		n += len(r.Values)
+	}
+	clone, slab := make([]datagen.Record, len(recs)), make([]float64, n)
 	for i, r := range recs {
-		clone[i] = datagen.Record{ID: r.ID, Values: append([]float64(nil), r.Values...)}
+		clone[i].ID = r.ID
+		if k := len(r.Values); k > 0 {
+			clone[i].Values, slab = slab[:k:k], slab[k:]
+			copy(clone[i].Values, r.Values)
+		}
 	}
 	return clone
 }

@@ -2,6 +2,7 @@ package gridfile
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -252,4 +253,47 @@ func TestStoreConcurrency(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestStoreCopiesOwnTheirValues checks NewStore's deep clone: changing
+// the source file's values afterwards leaves every stored copy reading
+// back verified and unchanged.
+func TestStoreCopiesOwnTheirValues(t *testing.T) {
+	f, s := storeFixture(t)
+	want := make([][]datagen.Record, s.Grid().Buckets())
+	for b := range want {
+		for _, r := range f.Bucket(b) {
+			want[b] = append(want[b], datagen.Record{ID: r.ID, Values: append([]float64(nil), r.Values...)})
+		}
+		for _, r := range f.Bucket(b) {
+			for i := range r.Values {
+				r.Values[i] = 1 - r.Values[i]
+			}
+		}
+	}
+	for b := range want {
+		for _, d := range s.Holders(b) {
+			recs, err := s.ReadVerified(d, b)
+			if err != nil {
+				t.Fatalf("read (%d,%d) after the source changed: %v", d, b, err)
+			}
+			if len(recs) != len(want[b]) {
+				t.Fatalf("copy (%d,%d) holds %d records, want %d", d, b, len(recs), len(want[b]))
+			}
+			for i, r := range recs {
+				if r.ID != want[b][i].ID || !slices.Equal(r.Values, want[b][i].Values) {
+					t.Fatalf("copy (%d,%d) record %d = %v, want %v", d, b, i, r, want[b][i])
+				}
+			}
+		}
+	}
+}
+
+// TestStoreCloneTwoAllocs checks that a bucket copy costs one record
+// array and one value slab, not one Values slice per record.
+func TestStoreCloneTwoAllocs(t *testing.T) {
+	recs := datagen.Uniform{K: 3, Seed: 2}.Generate(50)
+	if n := testing.AllocsPerRun(10, func() { cloneRecords(recs) }); n != 2 {
+		t.Fatalf("cloning %d records makes %.0f allocations, want 2", len(recs), n)
+	}
 }
