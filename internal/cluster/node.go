@@ -149,7 +149,7 @@ func (n *Node) buildStack(recs []datagen.Record, maps ...*ShardMap) (*gridfile.F
 		views[i] = sm.holder(n.id)
 	}
 	hosted := func(b int) bool { return slices.ContainsFunc(views, func(h holder) bool { return h.holds(b) }) }
-	if i, err := file.InsertWhere(recs, hosted); err != nil {
+	if i, err := gridfile.InsertWhere(file, recs, hosted); err != nil {
 		return nil, nil, fmt.Errorf("cluster: node %d: record %d: %w", n.id, recs[i].ID, err)
 	}
 	opts := n.cfg.ServeOptions

@@ -12,7 +12,8 @@
 // gives each bucket that was empty one packed run of a record array
 // shared by the batch, capped at its length so a later write into the
 // bucket reallocates it rather than writing into the next bucket's run;
-// a bucket that already holds records appends.
+// a bucket that already holds records appends, and so does every record
+// of a load too small for the grid to pay for counting it per bucket.
 package gridfile
 
 import (
@@ -151,30 +152,58 @@ func (f *File) Insert(r datagen.Record) error {
 // the records before the bad one are stored, and the error names its
 // index. See InsertWhere for the storage layout.
 func (f *File) InsertAll(rs []datagen.Record) error {
-	if i, err := f.InsertWhere(rs, nil); err != nil {
+	if i, err := f.insertWhere(rs, nil); err != nil {
 		return fmt.Errorf("gridfile: record %d: %w", i, err)
 	}
 	return nil
 }
 
-// InsertWhere bulk-loads the records of rs whose bucket keep accepts
-// (every record when keep is nil), computing each record's bucket once.
-// It stops at the first record whose values map to no bucket, stores
-// the records before it, and returns its index with the error; on
-// success the index is len(rs).
+// InsertWhere bulk-loads into f the records of rs whose bucket keep
+// accepts (every record when keep is nil), computing each record's
+// bucket once — the one-pass load a cluster node builds its hosted
+// subset with. It is a function rather than a File method so the
+// public GridFile type does not grow a callback loader. It stops at the
+// first record whose values map to no bucket, stores the records before
+// it, and returns its index with the error; on success the index is
+// len(rs).
 //
-// Each bucket that was empty before the call receives one packed run of
-// a record array shared by the batch, in input order, capped at its
-// length: a later Insert into it reallocates instead of writing into
-// the next bucket's run, so views of neighbouring buckets stay valid.
-// A bucket that already held records appends its new records, so
-// repeated small batches stay amortised O(1) per record. Records are
-// stored as given — the file aliases their Values.
-func (f *File) InsertWhere(rs []datagen.Record, keep func(b int) bool) (int, error) {
+// A load of at least one record per sparseLoad buckets counts itself
+// per bucket and gives each bucket that was empty before the call one
+// packed run of a record array shared by the batch, in input order,
+// capped at its length: a later Insert into it reallocates instead of
+// writing into the next bucket's run, so views of neighbouring buckets
+// stay valid. A bucket that already held records appends its new
+// records. A smaller load (a migrated bucket, a catalog insert) appends
+// every record, as Insert does, so a call costs O(len(rs)) on any grid
+// and repeated small batches stay amortised O(1) per record. Records
+// are stored as given — the file aliases their Values.
+func InsertWhere(f *File, rs []datagen.Record, keep func(b int) bool) (int, error) {
+	return f.insertWhere(rs, keep)
+}
+
+// sparseLoad is the bucket-to-record ratio above which a load appends
+// instead of packing: its per-bucket counts (4 B a bucket) then cost no
+// more than the records' own 32 B slots.
+const sparseLoad = 8
+
+func (f *File) insertWhere(rs []datagen.Record, keep func(b int) bool) (int, error) {
+	if len(rs)*sparseLoad < len(f.buckets) {
+		for i, r := range rs {
+			b, err := f.BucketOf(r.Values)
+			if err != nil {
+				return i, err
+			}
+			if keep == nil || keep(b) {
+				f.buckets[b] = append(f.buckets[b], r)
+				f.count++
+			}
+		}
+		return len(rs), nil
+	}
 	// at[i] is record i's bucket, or -1 when keep refused it; bucket
 	// numbers fit in int32 because New holds a slice header per bucket.
 	at := make([]int32, len(rs))
-	counts := make([]int, len(f.buckets))
+	counts := make([]int32, len(f.buckets))
 	n, packed := len(rs), 0
 	var err error
 	for i, r := range rs {
@@ -188,14 +217,14 @@ func (f *File) InsertWhere(rs []datagen.Record, keep func(b int) bool) (int, err
 			continue
 		}
 		at[i] = int32(b)
-		counts[b]++
 		if len(f.buckets[b]) == 0 {
+			counts[b]++
 			packed++
 		}
 	}
 	run := make([]datagen.Record, packed)
 	for b, c := range counts {
-		if c > 0 && len(f.buckets[b]) == 0 {
+		if c > 0 {
 			f.buckets[b], run = run[:0:c], run[c:]
 		}
 	}

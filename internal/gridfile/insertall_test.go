@@ -3,6 +3,7 @@ package gridfile
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -89,9 +90,22 @@ func TestInsertAllMatchesInsert(t *testing.T) {
 			}
 			bucketsEqual(t, "one InsertAll", ref, one)
 
+			// Batches alternate between sizes that pack (at least one
+			// record per sparseLoad buckets) and smaller ones that append.
 			batched, rng, intoFilled := fresh(), rand.New(rand.NewSource(11)), 0
+			small := g.Buckets()/sparseLoad - 1
+			packs, appends := 0, 0
 			for lo := 0; lo < len(recs); {
-				hi := min(lo+1+rng.Intn(len(recs)/8), len(recs))
+				size := small + 1 + rng.Intn(len(recs)/8)
+				if (packs+appends)%2 == 1 {
+					size = 1 + rng.Intn(small)
+				}
+				hi := min(lo+size, len(recs))
+				if (hi-lo)*sparseLoad < g.Buckets() {
+					appends++
+				} else {
+					packs++
+				}
 				for _, r := range recs[lo:hi] {
 					if b, _ := batched.BucketOf(r.Values); batched.BucketLen(b) > 0 {
 						intoFilled++
@@ -102,8 +116,8 @@ func TestInsertAllMatchesInsert(t *testing.T) {
 				}
 				lo = hi
 			}
-			if intoFilled == 0 {
-				t.Fatal("no batch landed in a non-empty bucket; the fixture must exercise the append path")
+			if intoFilled == 0 || packs == 0 || appends == 0 {
+				t.Fatalf("%d records landed in non-empty buckets, %d batches packed and %d appended; the fixture must exercise every path", intoFilled, packs, appends)
 			}
 			bucketsEqual(t, "random batches", ref, batched)
 
@@ -116,7 +130,7 @@ func TestInsertAllMatchesInsert(t *testing.T) {
 					}
 				}
 			}
-			if i, err := where.InsertWhere(recs, even); err != nil || i != len(recs) {
+			if i, err := InsertWhere(where, recs, even); err != nil || i != len(recs) {
 				t.Fatalf("InsertWhere = %d, %v; want %d, nil", i, err, len(recs))
 			}
 			bucketsEqual(t, "InsertWhere", refEven, where)
@@ -258,7 +272,9 @@ func TestInsertAllStopsAtErrorNamesIndex(t *testing.T) {
 // TestInsertAllAmortisedAllocs gates the bulk load: loading 5k or 50k
 // records into an empty 64×64 file makes the same few allocations — one
 // bucket index per record, one count per bucket, one shared record
-// array — however many buckets the records fill.
+// array — however many buckets the records fill. A load too small to
+// pack allocates in proportion to its records, not to the grid: a
+// migrated bucket's ingest pays nothing per bucket of a 64×64 file.
 func TestInsertAllAmortisedAllocs(t *testing.T) {
 	g := grid.MustNew(64, 64)
 	m, err := alloc.NewDM(g, 8)
@@ -289,5 +305,59 @@ func TestInsertAllAmortisedAllocs(t *testing.T) {
 	small, large := allocs(5000), allocs(50000)
 	if small != large || large > 3 {
 		t.Fatalf("InsertAll allocates %.0f allocs for 5k records and %.0f for 50k, want the same ≤ 3", small, large)
+	}
+
+	f, err := New(Config{Method: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := datagen.Uniform{K: 2, Seed: 2}.Generate(2000)
+	if err := f.InsertAll(recs[:1]); err != nil {
+		t.Fatal(err)
+	}
+	rest := recs[1:]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range rest {
+		if err := f.InsertAll(rest[i : i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// A one-record load appends: a new one-record array for an empty
+	// bucket, an amortised doubling for a filled one. 256 B per load is
+	// far below the 16 KB a count of the grid's 4,096 buckets would take.
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(rest)); per > 256 {
+		t.Fatalf("a one-record InsertAll into a loaded 64×64 file allocates %.0f B, want ≤ 256", per)
+	}
+	if f.Len() != len(recs) {
+		t.Fatalf("loaded %d records, want %d", f.Len(), len(recs))
+	}
+}
+
+// BenchmarkInsertAllPerBucket loads a 64×64 file one bucket per
+// InsertAll, as a cluster node ingests a migration or a rebuild: the
+// cost per call must follow the bucket's records, not the grid.
+func BenchmarkInsertAllPerBucket(b *testing.B) {
+	g := grid.MustNew(64, 64)
+	m, err := alloc.NewDM(g, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err := New(Config{Method: m})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := src.InsertAll(datagen.Uniform{K: 2, Seed: 1}.Generate(25000)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f, _ := New(Config{Method: m})
+		for k := 0; k < g.Buckets(); k++ {
+			if err := f.InsertAll(src.Bucket(k)); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
