@@ -99,9 +99,9 @@ func TestRangeSearchPagesZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestRangeSearchZeroAllocsParallelLimit covers the semaphore-limited
-// variant of the same path — fewer permitted workers than active disks
-// exercises the permit channel, which must also be allocation-free.
+// TestRangeSearchZeroAllocsParallelLimit covers the variant of the same
+// path with fewer runners than active disks — runners that pull more than
+// one run each, which must also be allocation-free.
 func TestRangeSearchZeroAllocsParallelLimit(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates in goroutine bookkeeping; the alloc gate runs in the no-race CI step")

@@ -6,10 +6,10 @@ import (
 	"decluster/internal/exec"
 )
 
-// Executor runs grid-file searches with real per-disk concurrency: one
-// worker goroutine per disk, reading the buckets its disk holds — the
-// fan-out a parallel I/O subsystem performs, as live Go code rather
-// than a timing model.
+// Executor runs grid-file searches with real per-disk concurrency: each
+// disk's run of buckets is read whole on one goroutine, and runs are
+// read in parallel — the fan-out a parallel I/O subsystem performs, as
+// live Go code rather than a timing model.
 type Executor = exec.Executor
 
 // ExecResult is the outcome of a parallel search: records in
@@ -24,7 +24,9 @@ func NewExecutor(f *GridFile, opts ...ExecOption) (*Executor, error) {
 // ExecOption configures an Executor.
 type ExecOption = exec.Option
 
-// WithMaxParallel bounds the number of disk workers running at once.
+// WithMaxParallel bounds the number of disk runs read at once (default:
+// one per disk, capped at 4·NumCPU); the calling goroutine is one of the
+// runners.
 func WithMaxParallel(n int) ExecOption { return exec.WithMaxParallel(n) }
 
 // ParallelRangeSearch is a convenience wrapper: build an executor and

@@ -1,9 +1,9 @@
-// Package exec executes grid-file searches with real concurrency: one
-// worker goroutine per disk, each reading the buckets its disk holds,
-// exactly the fan-out a parallel I/O subsystem performs. The disksim
-// package *models* time; this package actually parallelizes the work,
-// so library users get a drop-in concurrent scan whose speedup follows
-// the declustering quality the study measures.
+// Package exec executes grid-file searches with real concurrency: each
+// disk's run of buckets is read whole by one goroutine, and runs are read
+// in parallel — the fan-out a parallel I/O subsystem performs. The
+// disksim package *models* time; this package actually parallelizes the
+// work, so library users get a drop-in concurrent scan whose speedup
+// follows the declustering quality the study measures.
 //
 // The executor is fault-aware: reads go through a pluggable
 // BucketReader that may return errors, transient errors are retried
@@ -93,8 +93,8 @@ func DefaultRetry() RetryPolicy {
 // Executor runs searches over a grid file with per-disk parallelism.
 type Executor struct {
 	file *gridfile.File
-	// maxParallel bounds concurrently running disk workers; 0 means one
-	// worker per disk.
+	// maxParallel bounds the runs read at once; 0 means one per disk.
+	// Either way the bound is capped at 4·NumCPU.
 	maxParallel int
 	// reader serves bucket reads (default: the grid file itself).
 	reader BucketReader
@@ -165,10 +165,10 @@ func newExecMetrics(r *obs.Registry, disks int) *execMetrics {
 	}
 }
 
-// readTally accumulates one disk worker's hot-path counter deltas as
+// readTally accumulates one disk run's hot-path counter deltas as
 // plain integers so the read loop pays no contended atomics — sixteen
-// workers hammering the same shared counters serialize on cache lines
-// and cost ~20% of a range search. The worker flushes once when it
+// runs hammering the same shared counters serialize on cache lines
+// and cost ~20% of a range search. The run flushes once when it
 // finishes, before the query completes, so every post-query read of
 // the registry still sees exact conservation; only a mid-query scrape
 // can observe the deltas in flight (already true of any multi-counter
@@ -177,16 +177,16 @@ type readTally struct {
 	calls, callsOK, callsErr, cancelled uint64
 	attempts, attemptsOK, attemptsErr   uint64
 	retried                             uint64
-	// stamp is where the worker's next timed attempt starts: the
+	// stamp is where the run's next timed attempt starts: the
 	// hedge.Now stamp its last clean attempt ended at, or 0 to take a
 	// fresh one (first attempt, or after an error and its backoff). One
-	// clock read per attempt, and the worker's loop between two reads
+	// clock read per attempt, and the run's loop between two reads
 	// counts toward the second.
 	stamp int64
 }
 
-// flush folds one worker's tally into the shared counters: eight
-// atomic adds per worker per query instead of five per bucket read.
+// flush folds one run's tally into the shared counters: eight
+// atomic adds per disk per query instead of five per bucket read.
 func (m *execMetrics) flush(disk int, t *readTally) {
 	if m == nil || t == nil {
 		return
@@ -205,8 +205,12 @@ func (m *execMetrics) flush(disk int, t *readTally) {
 // Option configures an Executor.
 type Option func(*Executor)
 
-// WithMaxParallel bounds the number of disk workers running at once —
-// useful when simulating fewer I/O channels than disks.
+// WithMaxParallel bounds the number of disk runs read at once — useful
+// when simulating fewer I/O channels than disks. A query starts at most
+// that many runners, the calling goroutine among them, and each runner
+// reads whole runs, claimed in ascending disk order, until none is left.
+// 0 (the default) means one runner per disk; the bound is capped at
+// 4·NumCPU either way.
 func WithMaxParallel(n int) Option {
 	return func(e *Executor) { e.maxParallel = n }
 }
@@ -271,9 +275,9 @@ func WithObserver(s *obs.Sink) Option {
 // given several wrappers, each is applied in option order with later
 // wrappers outermost (a health observer added after a read-repairer
 // sees the repaired, error-free reads). fn is called once per query and
-// must return a reader safe for concurrent use by that query's disk
-// workers. A disk's reads come from one worker, one at a time; when the
-// outermost wrapper's reader is a RunEnder, that worker calls
+// must return a reader safe for concurrent use by that query's runners.
+// A disk's reads come from one goroutine, one at a time; when the
+// outermost wrapper's reader is a RunEnder, that goroutine calls
 // EndRun(disk) after its last read of the query, before the query
 // returns — where a reader that batches per-disk bookkeeping (the
 // scheduler's health tracker) flushes it.
@@ -357,7 +361,7 @@ func (e *Executor) queryReader() BucketReader {
 // that never call Release simply opt out of reuse.
 type Result struct {
 	// Records are the qualifying records, in deterministic (bucket,
-	// insertion) order regardless of worker scheduling: the query's
+	// insertion) order regardless of run scheduling: the query's
 	// buckets ascending, each bucket's records in storage order. A
 	// RangeSearchPages answer leaves it empty and carries Pages instead.
 	Records []datagen.Record
@@ -376,7 +380,7 @@ type Result struct {
 	// consumer can cut it back into buckets without mapping a value. With
 	// Pages, entry i is len(Pages[i]).
 	RecordsPerBucket []int
-	// BucketsPerDisk counts buckets each worker read.
+	// BucketsPerDisk counts the non-empty buckets each disk read.
 	BucketsPerDisk []int
 	// Retries counts transient read errors that were retried to
 	// success.
@@ -420,9 +424,9 @@ func (r *Result) Release() {
 type placed struct{ bucket, rank int }
 
 // RangeSearch reads every bucket of the cell rectangle r concurrently,
-// one worker per disk, honouring ctx cancellation and the configured
-// deadline. The first worker error cancels all siblings promptly.
-// Results are merged into deterministic order.
+// each disk's run on one goroutine, honouring ctx cancellation and the
+// configured deadline. The first read error cancels all sibling runs
+// promptly. Results are merged into deterministic order.
 func (e *Executor) RangeSearch(ctx context.Context, r grid.Rect) (*Result, error) {
 	return e.rangeSearch(ctx, r, false)
 }
@@ -449,7 +453,7 @@ func (e *Executor) rangeSearch(ctx context.Context, r grid.Rect, pages bool) (*R
 }
 
 // RangeSearchBuckets reads an explicit set of row-major bucket numbers
-// with the same machinery as RangeSearch: per-disk workers, retries,
+// with the same machinery as RangeSearch: per-disk runs, retries,
 // deadline, breaker avoidance, and degraded failover routing. It is
 // the physical entry point of the batch engine, whose deduped read
 // plans are bucket sets rather than rectangles. Buckets must be
@@ -512,16 +516,16 @@ func (qs *queryState) rankBuckets(buckets []int, n int) (rank []int, err error) 
 }
 
 // run executes one already-validated query on the pooled state qs:
-// route partitions the bucket set into per-disk lists, then one pooled
-// worker per disk reads its list honouring ctx and the configured
-// deadline, leaving each page in the slot of its bucket's rank (nil
-// rank: the set is ascending and the rank is the index), and one pass
-// over the slots gathers the records in deterministic (bucket,
-// insertion) order — or, with pages set, hands the slots over as
-// Result.Pages. Every piece of per-query state — the rectangle's bucket
-// list, routing tables, disk tasks, the cancellation context, the
-// slots, the Result — is pooled, so the healthy unobserved path
-// allocates nothing.
+// route partitions the bucket set into per-disk runs, then at most limit
+// runners — the caller and parked workers — claim the runs and read each
+// whole, honouring ctx and the configured deadline, leaving each page in
+// the slot of its bucket's rank (nil rank: the set is ascending and the
+// rank is the index), and one pass over the slots gathers the records in
+// deterministic (bucket, insertion) order — or, with pages set, hands the
+// slots over as Result.Pages. Every piece of per-query state — the
+// rectangle's bucket list, routing tables, disk tasks, the cancellation
+// context, the slots, the Result — is pooled, so the healthy unobserved
+// path allocates nothing.
 func (e *Executor) run(ctx context.Context, qs *queryState, buckets, rank []int, pages bool) (*Result, error) {
 	// Past validation every query ends in exactly one of queriesOK /
 	// queriesErr, so exec.queries == exec.queries.ok + exec.queries.err.
@@ -546,14 +550,11 @@ func (e *Executor) run(ctx context.Context, qs *queryState, buckets, rank []int,
 	}
 
 	disks := e.file.Disks()
-	active := 0
+	qs.active = qs.active[:0]
 	for d := 0; d < disks; d++ {
-		t := &qs.tasks[d]
-		t.read = 0
-		t.retries = 0
-		t.tally = readTally{}
+		qs.tasks[d] = diskTask{}
 		if len(qs.perDisk[d]) > 0 {
-			active++
+			qs.active = append(qs.active, d)
 		}
 	}
 	qs.slots = slices.Grow(qs.slots[:0], len(buckets))[:len(buckets)]
@@ -568,25 +569,18 @@ func (e *Executor) run(ctx context.Context, qs *queryState, buckets, rank []int,
 	if limit < 1 {
 		limit = 1
 	}
-	useSem := limit < active
-	if useSem {
-		qs.setSemTokens(limit)
-	}
 
+	// At most limit runners pull the runs: this goroutine and up to
+	// limit−1 parked workers, so a query whose buckets sit on one disk
+	// hands nothing off.
 	qs.reader = e.queryReader()
 	qs.ender, _ = qs.reader.(RunEnder)
-	qs.wg.Add(active)
-	for d := 0; d < disks; d++ {
-		if len(qs.perDisk[d]) == 0 {
-			continue
-		}
-		t := &qs.tasks[d]
-		t.qs = qs
-		t.disk = d
-		t.buckets = qs.perDisk[d]
-		t.useSem = useSem
-		submitTask(t)
+	qs.next.Store(0)
+	for i := 1; i < min(limit, len(qs.active)); i++ {
+		qs.wg.Add(1)
+		submit(qs)
 	}
+	qs.pull()
 	qs.wg.Wait()
 	qs.endCtx()
 
@@ -618,7 +612,7 @@ func (e *Executor) run(ctx context.Context, qs *queryState, buckets, rank []int,
 		out.Retries += t.retries
 	}
 	// Deterministic merge: records ordered by (bucket of origin,
-	// insertion order) regardless of worker scheduling — slot order. The
+	// insertion order) regardless of run scheduling — slot order. The
 	// records are copied out of the read path's views into the Result's
 	// own backing, so the Result aliases neither the grid file nor any
 	// pooled buffer. A page answer copies the slots' headers instead, not
@@ -758,9 +752,9 @@ func setToSlice(set map[int]bool) []int {
 // terminal error if any. dsp, when non-nil, is the disk span attempt
 // spans hang off; the attempt span also rides the context so reader
 // wrappers (hedging, read-repair) can attach their own children. t,
-// when non-nil, receives the counter deltas as plain adds (the worker
+// when non-nil, receives the counter deltas as plain adds (the run
 // flushes it); only the per-disk latency histogram — private to this
-// worker's disk — is touched per read.
+// run's disk — is touched per read.
 func (e *Executor) readWithRetry(ctx context.Context, reader BucketReader, dsp *obs.Span, t *readTally, disk, bucket int) ([]datagen.Record, int, error) {
 	max := e.retry.MaxAttempts
 	if max < 1 {

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"decluster/internal/alloc"
@@ -139,18 +140,39 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
+// WithMaxParallel bounds the disks read at once, whatever the limit, and
+// keeps a disk's reads one at a time in routed order; the answer stays
+// whole.
 func TestMaxParallelRespected(t *testing.T) {
 	f := newLoadedFile(t, 8, 1000)
-	e, err := New(f, WithMaxParallel(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.RangeSearch(context.Background(), f.Grid().FullRect())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Records) != 1000 {
-		t.Fatalf("got %d records, want 1000", len(res.Records))
+	g := f.Grid()
+	for _, tc := range []struct {
+		name  string
+		opts  []Option
+		limit int
+	}{
+		{"1", []Option{WithMaxParallel(1)}, 1},
+		{"3", []Option{WithMaxParallel(3)}, 3},
+		{"default", nil, min(f.Disks(), 4*runtime.NumCPU())},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newRunProbe(fileReader{f: f}, f.Disks())
+			e, err := New(f, append(tc.opts, WithBucketReader(p))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []grid.Rect{g.FullRect(), g.MustRect(grid.Coord{3, 2}, grid.Coord{9, 11})} {
+				p.reset()
+				res, err := e.RangeSearch(context.Background(), r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.check(t, tc.limit)
+				if r.Volume() == g.Buckets() && len(res.Records) != 1000 {
+					t.Fatalf("got %d records, want 1000", len(res.Records))
+				}
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"decluster/internal/datagen"
@@ -11,24 +12,24 @@ import (
 )
 
 // This file holds the executor's steady-state pooling machinery: parked
-// disk workers, per-query state reuse, a reusable cancellation context,
+// workers, per-query state reuse, a reusable cancellation context,
 // and the result pool behind Result.Release. Together they make the
 // healthy RangeSearch path (nil obs sink, no injector, no reader wraps)
 // allocation-free per query — asserted by TestRangeSearchZeroAllocs and
 // enforced in the CI bench smoke.
 
-// workerIdle is how long a parked disk worker waits for its next task
+// workerIdle is how long a parked worker waits for its next query
 // before retiring. Parked workers bound steady-state goroutine churn to
 // zero; the idle timeout bounds the parked population after a load
 // spike drains.
 const workerIdle = 10 * time.Second
 
-// execWorker is one reusable disk-work goroutine. Its task channel is
+// execWorker is one reusable runner goroutine. Its query channel is
 // buffered so the submitter's send never blocks: a worker is handed a
-// task only after being removed from the free list, and it re-parks
-// before signalling completion, so at most one task is ever in flight.
+// query only after being removed from the free list, and it re-parks
+// before signalling completion, so at most one query is ever in flight.
 type execWorker struct {
-	ch chan *diskTask
+	ch chan *queryState
 }
 
 // workerPool is the process-global parked-worker freelist. It is shared
@@ -39,9 +40,10 @@ var workerPool struct {
 	free []*execWorker
 }
 
-// submitTask hands t to a parked worker, spawning a fresh one only when
-// the free list is empty (cold start or load spike).
-func submitTask(t *diskTask) {
+// submit hands qs to a parked worker, which pulls runs until none is
+// left unclaimed, spawning a fresh worker only when the free list is
+// empty (cold start or load spike).
+func submit(qs *queryState) {
 	workerPool.mu.Lock()
 	var w *execWorker
 	if n := len(workerPool.free); n > 0 {
@@ -51,10 +53,10 @@ func submitTask(t *diskTask) {
 	}
 	workerPool.mu.Unlock()
 	if w == nil {
-		w = &execWorker{ch: make(chan *diskTask, 1)}
+		w = &execWorker{ch: make(chan *queryState, 1)}
 		go w.loop()
 	}
-	w.ch <- t
+	w.ch <- qs
 }
 
 // park returns w to the free list.
@@ -65,7 +67,7 @@ func (w *execWorker) park() {
 }
 
 // tryRetire removes w from the free list, reporting success. Failure
-// means a submitter already claimed w, so a task is (about to be) in
+// means a submitter already claimed w, so a query is (about to be) in
 // flight and w must serve it instead of exiting.
 func (w *execWorker) tryRetire() bool {
 	workerPool.mu.Lock()
@@ -82,19 +84,19 @@ func (w *execWorker) tryRetire() bool {
 	return false
 }
 
-// loop serves tasks until the worker sits idle for workerIdle.
+// loop serves queries until the worker sits idle for workerIdle.
 func (w *execWorker) loop() {
 	idle := time.NewTimer(workerIdle)
 	defer idle.Stop()
 	for {
 		select {
-		case t := <-w.ch:
-			w.serve(t)
+		case qs := <-w.ch:
+			w.serve(qs)
 		case <-idle.C:
 			if w.tryRetire() {
 				return
 			}
-			// A submitter claimed us as the timer fired; the task is in
+			// A submitter claimed us as the timer fired; the query is in
 			// flight on our buffered channel.
 			w.serve(<-w.ch)
 		}
@@ -108,65 +110,67 @@ func (w *execWorker) loop() {
 	}
 }
 
-// serve runs one task. The worker re-parks itself *before* signalling
+// serve pulls qs's runs. The worker re-parks itself *before* signalling
 // completion so a caller issuing its next query immediately after
 // wg.Wait finds this worker on the free list — steady-state execution
-// spawns no goroutines.
-func (w *execWorker) serve(t *diskTask) {
-	wg := &t.qs.wg
-	t.run()
+// spawns no goroutines. Once Done is signalled qs belongs to the caller
+// again, so nothing touches it after.
+func (w *execWorker) serve(qs *queryState) {
+	wg := &qs.wg
+	qs.pull()
 	w.park()
 	wg.Done()
 }
 
-// diskTask is one disk's share of a query: its bucket list in, its
-// counters out (the pages go to the query's slots). Tasks live in
-// queryState and are reused across queries.
-type diskTask struct {
-	qs      *queryState
-	disk    int
-	buckets []placed
-	useSem  bool
+// pull claims the query's unclaimed runs one at a time, in ascending
+// disk order, and reads each whole on the calling goroutine, until every
+// run is claimed. A run is claimed exactly once, so a disk is read by
+// one goroutine, in routed order.
+func (qs *queryState) pull() {
+	for {
+		i := int(qs.next.Add(1)) - 1
+		if i >= len(qs.active) {
+			return
+		}
+		qs.runDisk(qs.active[i])
+	}
+}
 
+// diskTask is one disk's counters for a query (its pages go to the
+// query's slots). Tasks live in queryState and are reused across
+// queries.
+type diskTask struct {
 	read    int // non-empty buckets read
 	retries int
 	tally   readTally
 }
 
-// run reads the task's buckets; it is the body of the old per-query
-// worker goroutine, now executed by a pooled worker.
-func (t *diskTask) run() {
-	qs := t.qs
+// runDisk reads disk d's run: the buckets route gave it, in order. It
+// records the first error and ends the run — EndRun, the disk span and
+// the tally flush — on every exit path.
+func (qs *queryState) runDisk(d int) {
 	e := qs.ex
+	t := &qs.tasks[d]
 	if qs.ender != nil {
-		defer qs.ender.EndRun(t.disk)
+		defer qs.ender.EndRun(d)
 	}
 	var dsp *obs.Span
 	if qs.qsp != nil {
-		dsp = qs.qsp.Child(diskSpanName(t.disk))
+		dsp = qs.qsp.Child(diskSpanName(d))
 		defer dsp.Finish()
 	}
 	var tally *readTally
 	if qs.m != nil {
 		tally = &t.tally
-		defer qs.m.flush(t.disk, &t.tally)
+		defer qs.m.flush(d, &t.tally)
 	}
 	// The query's cancellation is looked up once: per bucket it is a
 	// receive that does not block, where ctx.Err() would take the
-	// context's mutex, which every worker of the query shares.
+	// context's mutex, which every runner of the query shares. A run
+	// claimed after cancellation stops at its first bucket.
 	ctx := qs.ctx
 	done := ctx.Done()
-	if t.useSem {
-		select {
-		case <-qs.sem:
-			defer qs.releaseSem()
-		case <-done:
-			dsp.FinishErr(ctx.Err())
-			qs.fail(ctx.Err())
-			return
-		}
-	}
-	for _, p := range t.buckets {
+	for _, p := range qs.perDisk[d] {
 		select {
 		case <-done:
 			err := ctx.Err()
@@ -179,7 +183,7 @@ func (t *diskTask) run() {
 			qs.slots[p.rank] = nil // the grid directory knows the bucket is empty
 			continue
 		}
-		recs, tries, err := e.readWithRetry(ctx, qs.reader, dsp, tally, t.disk, p.bucket)
+		recs, tries, err := e.readWithRetry(ctx, qs.reader, dsp, tally, d, p.bucket)
 		t.retries += tries
 		if err != nil {
 			dsp.FinishErr(err)
@@ -192,8 +196,8 @@ func (t *diskTask) run() {
 }
 
 // queryState is the reusable per-query scratch of one Executor: routing
-// tables, disk tasks, the concurrency semaphore, the gather's slots, and
-// a reusable cancellation context. States are pooled per executor so
+// tables, disk tasks, the run claim counter, the gather's slots, and a
+// reusable cancellation context. States are pooled per executor so
 // the steady-state query path performs no heap allocation.
 type queryState struct {
 	ex     *Executor
@@ -203,11 +207,10 @@ type queryState struct {
 	m      *execMetrics
 	qsp    *obs.Span
 
-	// sem carries "permit" tokens: acquire = receive, release = send.
-	// Its capacity is the disk count; semTokens tracks how many tokens
-	// are currently banked so each query adjusts rather than refills.
-	sem       chan struct{}
-	semTokens int
+	// active lists the disks with buckets in this query, ascending: one
+	// run each. next is the index of the next unclaimed run.
+	active []int
+	next   atomic.Int64
 
 	wg sync.WaitGroup
 
@@ -228,8 +231,8 @@ type queryState struct {
 	// buckets is RangeSearch's enumeration of its rectangle, kept for
 	// its capacity; perDisk is route's partition of the query's bucket
 	// set (this list or a caller's explicit one). slots has one entry
-	// per bucket of the set, in ascending bucket order: each worker
-	// writes the slots of its own buckets, the gather reads them all.
+	// per bucket of the set, in ascending bucket order: each run writes
+	// the slots of its own buckets, the gather reads them all.
 	buckets []int
 	perDisk [][]placed
 	tasks   []diskTask
@@ -250,7 +253,6 @@ func (e *Executor) getState() *queryState {
 	disks := e.file.Disks()
 	return &queryState{
 		ex:      e,
-		sem:     make(chan struct{}, disks),
 		perDisk: make([][]placed, disks),
 		tasks:   make([]diskTask, disks),
 	}
@@ -268,7 +270,7 @@ func (e *Executor) putState(qs *queryState) {
 	e.states.Put(qs)
 }
 
-// fail records the query's first error and cancels the sibling workers.
+// fail records the query's first error and cancels the sibling runs.
 func (qs *queryState) fail(err error) {
 	qs.mu.Lock()
 	if qs.firstErr == nil {
@@ -281,21 +283,6 @@ func (qs *queryState) fail(err error) {
 	}
 	qs.mu.Unlock()
 }
-
-// setSemTokens banks exactly n permit tokens in the semaphore.
-func (qs *queryState) setSemTokens(n int) {
-	for qs.semTokens < n {
-		qs.sem <- struct{}{}
-		qs.semTokens++
-	}
-	for qs.semTokens > n {
-		<-qs.sem
-		qs.semTokens--
-	}
-}
-
-// releaseSem returns one permit.
-func (qs *queryState) releaseSem() { qs.sem <- struct{}{} }
 
 // beginCtx installs the query's effective context: the reusable qctx on
 // the unwrapped path, or the stdlib timeout/cancel composition when
@@ -391,7 +378,7 @@ func (qc *queryCtx) begin(parent context.Context, deadline time.Duration) contex
 		}
 	}
 	if parent.Done() != nil {
-		// A caller already gone is not left to the watcher: the workers
+		// A caller already gone is not left to the watcher: the runners
 		// could finish the query before it runs.
 		if err := parent.Err(); err != nil {
 			qc.cancelCurrent(err)
@@ -407,7 +394,7 @@ func (qc *queryCtx) begin(parent context.Context, deadline time.Duration) contex
 }
 
 // end disarms qc after its query completes. Callers guarantee every
-// worker using qc has finished.
+// runner using qc has finished.
 func (qc *queryCtx) end() {
 	if qc.timer != nil {
 		qc.timer.Stop()
@@ -428,7 +415,7 @@ func (qc *queryCtx) end() {
 }
 
 // cancelCurrent cancels the query currently using qc. Only callers
-// within that query's lifetime (its own workers) may use it.
+// within that query's lifetime (its own runners) may use it.
 func (qc *queryCtx) cancelCurrent(err error) {
 	qc.mu.Lock()
 	if qc.err == nil {

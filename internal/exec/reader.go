@@ -13,8 +13,9 @@ import (
 // the executor's pluggable I/O layer: the default implementation reads
 // the in-memory grid file, and wrappers can inject faults, add caching,
 // or fetch from remote storage. Implementations must be safe for
-// concurrent use — the executor calls ReadBucket from one goroutine per
-// disk.
+// concurrent use — the executor reads up to one disk per runner at once.
+// Each disk's reads for a query come from one goroutine, one at a time,
+// in routed order.
 type BucketReader interface {
 	// ReadBucket returns the records of the row-major bucket b as served
 	// by disk d. A returned error matching fault.ErrTransient is
@@ -23,10 +24,13 @@ type BucketReader interface {
 }
 
 // RunEnder is implemented by a query's reader that keeps per-disk state
-// across a run: the reads one disk worker makes for one query, one after
-// another. The worker calls EndRun(disk) when its run ends, on every
-// exit path, on its own goroutine, before the query returns, so whatever
-// the reader deferred has landed by the time the caller sees the result.
+// across a run: the reads of one disk for one query, made one after
+// another by the one goroutine that claimed the run. That goroutine
+// calls EndRun(disk) once when the run ends, on every exit path —
+// cancellation included — before the query returns, so whatever the
+// reader deferred has landed by the time the caller sees the result.
+// Every disk with buckets in the query gets exactly one EndRun; a disk
+// without gets none.
 // Only the outermost reader — the last WithReadWrapper's — is asked.
 type RunEnder interface {
 	EndRun(disk int)

@@ -49,14 +49,14 @@ const (
 // it sees injected faults; reads it issues itself (the hedge leg) go
 // back through the per-query fault layer via inner.
 //
-// The executor reads disk d only from d's worker, one read at a time,
-// and ends that worker's run — its reads of d for this query — with
-// EndRun before the query returns. So slots[d] has one writer, and what
-// a healthy read costs is kept there across the run:
+// The executor reads disk d's run — its reads of d for this query — on
+// the one goroutine that claimed it, one read at a time, and ends the run
+// with EndRun before the query returns. So slots[d] has one writer, and
+// what a healthy read costs is kept there across the run:
 //
 //   - no clock read. The chain stamp is where d's next read starts, the
 //     end of its last timed read, so the gap between two reads (the
-//     worker's loop, well under a microsecond) counts toward the second.
+//     run's loop, well under a microsecond) counts toward the second.
 //     Clean reads on a closed breaker of a disk whose EWMA is warm and
 //     at most foldSpan/(batchStale·batchReads) share one clock read per
 //     batch of up to batchReads: each starts — and races — from the
@@ -89,8 +89,9 @@ type servedReader struct {
 	slots []diskSlot
 }
 
-// diskSlot is one disk's run state, written only by that disk's worker
-// and padded to a cache line so that no two workers write one line.
+// diskSlot is one disk's run state, written only by the goroutine
+// reading that disk's run and padded to a cache line so that no two
+// runners write one line.
 type diskSlot struct {
 	chain int64       // the stamp the disk's next read starts at, 0 for a fresh one; an open batch's stamp
 	since int64       // the start stamp of the run's first pending read
@@ -145,7 +146,7 @@ func (r *servedReader) ReadBucket(ctx context.Context, disk, bucket int) ([]data
 	return recs, err
 }
 
-// EndRun implements exec.RunEnder: disk's worker has made its last read
+// EndRun implements exec.RunEnder: disk's run has made its last read
 // of the query. The run's open batch is timed, its pending clean reads
 // are folded into the tracker, and its bucketRace goes back to the pool.
 func (r *servedReader) EndRun(disk int) {
@@ -161,10 +162,9 @@ func (r *servedReader) EndRun(disk int) {
 // bucketRace is what a run's hedged bucket reads need beyond their
 // arguments, pooled: the Racer with its watchdog and leg context, and
 // the leg and gate functions, bound to this struct once so that a read
-// builds no closure. A disk worker reads its buckets one after another
+// builds no closure. A disk's run reads its buckets one after another
 // under one query context, so the leg context is made once per run, and
-// only when the run's worker draws a Racer that last served another
-// query.
+// only when the run draws a Racer that last served another query.
 type bucketRace struct {
 	racer  hedge.Racer[[]datagen.Record]
 	leg    func(ctx context.Context, disk int, hedgeLeg bool) ([]datagen.Record, error)
@@ -232,8 +232,8 @@ func preferTransient(cur, next error) error {
 // (fault-injecting) reader, books the outcome in the health tracker, and
 // returns the stamp the disk's next read starts at: start while a batch
 // is open, the read's end once timed, 0 after an error. sl is the disk's
-// slot when the read is its worker's own, nil for a hedge or failover
-// leg, which is timed and observed on its own. A worker's clean read on
+// slot when the read is its run's own, nil for a hedge or failover
+// leg, which is timed and observed on its own. A run's clean read on
 // a closed breaker joins the open batch, or opens one (see servedReader),
 // and its sample joins the slot's pending run, which is folded
 //
@@ -286,7 +286,7 @@ func (r *servedReader) observe(ctx context.Context, disk, bucket int, start int6
 	return recs, end, err
 }
 
-// joins reports whether a worker's clean read on a closed breaker goes
+// joins reports whether a run's clean read on a closed breaker goes
 // untimed: it joins the open batch short of the batch's last read, or
 // opens a batch on a disk whose EWMA is set and at most batchEWMA.
 func (r *servedReader) joins(disk int, sl *diskSlot) bool {

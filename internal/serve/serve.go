@@ -261,7 +261,7 @@ func WithBaseLatency(d time.Duration) Option { return func(c *config) { c.baseLa
 // so disk health and hedging observe the wrapper's repaired (or still
 // failing) reads rather than the raw ones. fn is called once per query
 // and must return a reader safe for concurrent use by that query's
-// disk workers.
+// runners.
 func WithReadWrapper(fn func(exec.BucketReader) exec.BucketReader) Option {
 	return func(c *config) { c.wraps = append(c.wraps, fn) }
 }
