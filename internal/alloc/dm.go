@@ -11,8 +11,7 @@ import (
 // coefficients a_i. Choosing a_i coprime to M and to each other spreads
 // diagonal query patterns that plain DM stacks onto few disks.
 type GDM struct {
-	g      *grid.Grid
-	m      int
+	fold   // axis i: value v → a_i·v mod M, built by repeated addition
 	name   string
 	coeffs []int
 }
@@ -34,7 +33,13 @@ func newGDM(name string, g *grid.Grid, m int, coeffs []int) (*GDM, error) {
 	for i, a := range coeffs {
 		cs[i] = ((a % m) + m) % m
 	}
-	return &GDM{g: g, m: m, name: name, coeffs: cs}, nil
+	f := newFold(g, m, false, func(i, v int, t []int) int {
+		if v == 0 {
+			return 0
+		}
+		return addMod(t[v-1], cs[i], m)
+	})
+	return &GDM{fold: f, name: name, coeffs: cs}, nil
 }
 
 // NewDM constructs the disk modulo method of Du & Sobolewski (TODS
@@ -79,27 +84,9 @@ func unitCoeffs(k int) []int {
 // Name implements Method.
 func (d *GDM) Name() string { return d.name }
 
-// Grid implements Method.
-func (d *GDM) Grid() *grid.Grid { return d.g }
-
-// Disks implements Method.
-func (d *GDM) Disks() int { return d.m }
-
 // Coefficients returns a copy of the reduced coefficient vector.
 func (d *GDM) Coefficients() []int {
 	out := make([]int, len(d.coeffs))
 	copy(out, d.coeffs)
 	return out
-}
-
-// DiskOf implements Method.
-func (d *GDM) DiskOf(c grid.Coord) int {
-	if !d.g.Contains(c) {
-		panic(fmt.Sprintf("alloc: coordinate %v invalid for grid %v", c, d.g))
-	}
-	sum := 0
-	for i, v := range c {
-		sum += d.coeffs[i] * v
-	}
-	return sum % d.m
 }

@@ -131,6 +131,28 @@ func TestGDMNegativeCoefficientsReduced(t *testing.T) {
 	}
 }
 
+// Σ a_i·i_i can pass 2⁶³ while every coefficient and coordinate is far
+// below it: here (M−2)·(2²⁰−1) ≈ 1.4·2⁶². Both DiskOf and the row must
+// still return the residue, not a wrapped product.
+func TestGDMLargeSumStaysInRange(t *testing.T) {
+	m := 3<<42 + 1
+	g := grid.MustNew(1<<20, 2)
+	gdm, err := NewGDM(g, m, []int{m - 2, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 13194137436164 // (−2·(2²⁰−1) + 1) mod M
+	c := grid.Coord{1<<20 - 1, 1}
+	if got := gdm.DiskOf(c); got != want {
+		t.Errorf("DiskOf(%v) = %d, want %d", c, got, want)
+	}
+	EachRow(gdm, func(rc grid.Coord, row []int) {
+		if rc[0] == c[0] && row[1] != want {
+			t.Errorf("row of %v: disk %d, want %d", c, row[1], want)
+		}
+	})
+}
+
 func TestGDMWithUnitCoeffsEqualsDM(t *testing.T) {
 	g := grid.MustNew(5, 7)
 	dm, _ := NewDM(g, 4)

@@ -35,11 +35,9 @@ import (
 // axis value and a bucket's disk is the XOR of its K axis syndromes,
 // mod M.
 type ECC struct {
-	g      *grid.Grid
-	m      int
+	fold   // axis i: value v → syndrome of v's bits alone
 	code   *ecc.Code
 	layout []bitRef // word bit position → (axis, bit level)
-	syn    [][]int  // per axis: coordinate value → syndrome of its bits alone
 }
 
 type bitRef struct {
@@ -135,25 +133,17 @@ func newECC(g *grid.Grid, m int, code *ecc.Code, layout []bitRef) *ECC {
 	for pos, ref := range layout {
 		cols[ref.axis] = append(cols[ref.axis], code.Syndrome(gf2.Vec(1)<<uint(pos)))
 	}
-	syn := make([][]int, g.K())
-	for axis := range syn {
-		t := make([]int, g.Dim(axis))
-		for v := 1; v < len(t); v++ {
-			t[v] = t[v&(v-1)] ^ cols[axis][bits.TrailingZeros(uint(v))]
+	f := newFold(g, m, true, func(i, v int, t []int) int {
+		if v == 0 {
+			return 0
 		}
-		syn[axis] = t
-	}
-	return &ECC{g: g, m: m, code: code, layout: layout, syn: syn}
+		return t[v&(v-1)] ^ cols[i][bits.TrailingZeros(uint(v))]
+	})
+	return &ECC{fold: f, code: code, layout: layout}
 }
 
 // Name implements Method.
 func (e *ECC) Name() string { return "ECC" }
-
-// Grid implements Method.
-func (e *ECC) Grid() *grid.Grid { return e.g }
-
-// Disks implements Method.
-func (e *ECC) Disks() int { return e.m }
 
 // Code returns the underlying binary code.
 func (e *ECC) Code() *ecc.Code { return e.code }
@@ -177,16 +167,4 @@ func (e *ECC) Word(c grid.Coord) gf2.Vec {
 		x |= gf2.Vec(c[ref.axis]>>uint(ref.level)&1) << uint(pos)
 	}
 	return x
-}
-
-// DiskOf implements Method.
-func (e *ECC) DiskOf(c grid.Coord) int {
-	if !e.g.Contains(c) {
-		panic(fmt.Sprintf("alloc: coordinate %v invalid for grid %v", c, e.g))
-	}
-	s := 0
-	for axis, v := range c {
-		s ^= e.syn[axis][v]
-	}
-	return s % e.m
 }

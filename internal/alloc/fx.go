@@ -1,10 +1,6 @@
 package alloc
 
-import (
-	"fmt"
-
-	"decluster/internal/grid"
-)
+import "decluster/internal/grid"
 
 // FX is the field-wise exclusive-or method of Kim & Pramanik (SIGMOD
 // 1988): bucket <i_1,…,i_k> goes to disk (bits(i_1) ⊕ … ⊕ bits(i_k))
@@ -13,8 +9,7 @@ import (
 // The paper under reproduction uses FX when the number of partitions
 // per attribute exceeds the number of disks, and ExFX otherwise.
 type FX struct {
-	g *grid.Grid
-	m int
+	fold // every axis: value v → v
 }
 
 // NewFX constructs a field-wise XOR allocation of g over m disks.
@@ -22,29 +17,11 @@ func NewFX(g *grid.Grid, m int) (*FX, error) {
 	if err := checkArgs(g, m); err != nil {
 		return nil, err
 	}
-	return &FX{g: g, m: m}, nil
+	return &FX{newFold(g, m, true, func(_, v int, _ []int) int { return v })}, nil
 }
 
 // Name implements Method.
 func (f *FX) Name() string { return "FX" }
-
-// Grid implements Method.
-func (f *FX) Grid() *grid.Grid { return f.g }
-
-// Disks implements Method.
-func (f *FX) Disks() int { return f.m }
-
-// DiskOf implements Method.
-func (f *FX) DiskOf(c grid.Coord) int {
-	if !f.g.Contains(c) {
-		panic(fmt.Sprintf("alloc: coordinate %v invalid for grid %v", c, f.g))
-	}
-	x := 0
-	for _, v := range c {
-		x ^= v
-	}
-	return x % f.m
-}
 
 // ExFX is the extended field-wise XOR method, used when attribute
 // domains are narrower than the disk count: a plain XOR of b-bit fields
@@ -61,11 +38,8 @@ func (f *FX) DiskOf(c grid.Coord) int {
 // when its own domain is small. The stagger for field i is
 // i·max(1, ⌊L/k⌋) bit positions, wrapped.
 type ExFX struct {
-	g       *grid.Grid
-	m       int
-	width   int   // L: widened field width in bits
-	bits    []int // source width per field
-	stagger []int // rotation per field
+	fold      // axis i: value v → v widened and rotated
+	width int // L: widened field width in bits
 }
 
 // NewExFX constructs an extended field-wise XOR allocation of g over m
@@ -88,46 +62,25 @@ func NewExFX(g *grid.Grid, m int) (*ExFX, error) {
 	if stag < 1 {
 		stag = 1
 	}
-	staggers := make([]int, g.K())
-	for i := range staggers {
-		staggers[i] = (i * stag) % width
-	}
-	return &ExFX{g: g, m: m, width: width, bits: bits, stagger: staggers}, nil
+	f := newFold(g, m, true, func(i, v int, _ []int) int {
+		return widen(v, bits[i], width, i*stag%width)
+	})
+	return &ExFX{fold: f, width: width}, nil
 }
 
 // Name implements Method.
 func (f *ExFX) Name() string { return "ExFX" }
 
-// Grid implements Method.
-func (f *ExFX) Grid() *grid.Grid { return f.g }
-
-// Disks implements Method.
-func (f *ExFX) Disks() int { return f.m }
-
 // Width returns the widened field width L in bits.
 func (f *ExFX) Width() int { return f.width }
 
-// DiskOf implements Method.
-func (f *ExFX) DiskOf(c grid.Coord) int {
-	if !f.g.Contains(c) {
-		panic(fmt.Sprintf("alloc: coordinate %v invalid for grid %v", c, f.g))
-	}
-	x := 0
-	for i, v := range c {
-		x ^= f.widen(v, i)
-	}
-	return x % f.m
-}
-
-// widen tiles the b-bit value v cyclically to width L and rotates it by
-// the field's stagger.
-func (f *ExFX) widen(v, field int) int {
-	b := f.bits[field]
+// widen tiles the b-bit value v cyclically to width bits and rotates
+// it by stagger.
+func widen(v, b, width, stagger int) int {
 	out := 0
-	for j := 0; j < f.width; j++ {
+	for j := 0; j < width; j++ {
 		bit := v >> uint(j%b) & 1
-		pos := (j + f.stagger[field]) % f.width
-		out |= bit << uint(pos)
+		out |= bit << uint((j+stagger)%width)
 	}
 	return out
 }

@@ -14,10 +14,8 @@ import (
 // apart: HCAM, ZCAM and GCAM visit buckets along a space-filling curve,
 // Random in a seeded shuffle.
 type RankDeal struct {
-	g     *grid.Grid
-	m     int
-	name  string
-	ranks []int // bucket number → visit rank; shared, never written
+	deal // bucket number → visit rank; shared between disk counts
+	name string
 }
 
 // NewHCAM constructs the Hilbert-curve allocation method of Faloutsos &
@@ -53,7 +51,7 @@ func newCurveDeal(name string, g *grid.Grid, m int, kind sfc.Kind) (*RankDeal, e
 	if err != nil {
 		return nil, fmt.Errorf("alloc: %s: %w", name, err)
 	}
-	return &RankDeal{g: g, m: m, name: name, ranks: ranks}, nil
+	return &RankDeal{deal: newDeal(g, m, ranks), name: name}, nil
 }
 
 // NewRandom builds a balanced pseudo-random allocation: the visit order
@@ -70,7 +68,7 @@ func NewRandom(g *grid.Grid, m int, seed int64) (*RankDeal, error) {
 	for rank, bucket := range perm {
 		ranks[bucket] = rank
 	}
-	return &RankDeal{g: g, m: m, name: "Random", ranks: ranks}, nil
+	return &RankDeal{deal: newDeal(g, m, ranks), name: "Random"}, nil
 }
 
 // WithDisks returns the same deal over m disks. The visit ranks do not
@@ -80,24 +78,13 @@ func (d *RankDeal) WithDisks(m int) (*RankDeal, error) {
 	if err := checkArgs(d.g, m); err != nil {
 		return nil, err
 	}
-	return &RankDeal{g: d.g, m: m, name: d.name, ranks: d.ranks}, nil
+	return &RankDeal{deal: newDeal(d.g, m, d.vals), name: d.name}, nil
 }
 
 // Name implements Method.
 func (d *RankDeal) Name() string { return d.name }
 
-// Grid implements Method.
-func (d *RankDeal) Grid() *grid.Grid { return d.g }
-
-// Disks implements Method.
-func (d *RankDeal) Disks() int { return d.m }
-
 // Rank returns the visit rank of the bucket at c.
 func (d *RankDeal) Rank(c grid.Coord) int {
-	return d.ranks[d.g.Linearize(c)]
-}
-
-// DiskOf implements Method.
-func (d *RankDeal) DiskOf(c grid.Coord) int {
-	return d.ranks[d.g.Linearize(c)] % d.m
+	return d.vals[d.g.Linearize(c)]
 }

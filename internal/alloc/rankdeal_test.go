@@ -110,7 +110,7 @@ func TestHCAMWithDisksSharesRanks(t *testing.T) {
 			if h.Disks() != m || h.Grid() != g || !slices.Equal(Table(h), Table(fresh)) {
 				t.Fatalf("%v: WithDisks(%d) differs from NewHCAM", g, m)
 			}
-			if &h.ranks[0] != &base.ranks[0] {
+			if &h.vals[0] != &base.vals[0] {
 				t.Fatalf("%v: WithDisks(%d) copied the rank table", g, m)
 			}
 		}

@@ -135,8 +135,8 @@ func TestPaperSetsMatchPaperSet(t *testing.T) {
 				}
 				if h, ok := mm.(*RankDeal); ok {
 					if ranks == nil {
-						ranks = &h.ranks[0]
-					} else if ranks != &h.ranks[0] {
+						ranks = &h.vals[0]
+					} else if ranks != &h.vals[0] {
 						t.Fatalf("%v M=%d: HCAM has its own rank table", g, m)
 					}
 				}

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"fmt"
 	"math"
 
 	"decluster/internal/grid"
@@ -14,18 +15,24 @@ import (
 // keeps and must not write c.
 //
 // It is the allocation a row at a time, for callers that read all of
-// it: GDM steps its sum by the last coefficient and wraps at M; FX,
-// ExFX, ECC and the rank deals reduce a 32-bit value per bucket; the
-// outer coordinates are combined once per row, not per bucket. Any
-// other method falls back to DiskOf per bucket.
+// it. The methods of this package write a row from the same tables
+// DiskOf reads; any other method falls back to DiskOf per bucket.
 func EachRow(m Method, fn func(c grid.Coord, row []int)) {
 	g := m.Grid()
 	last := g.K() - 1
-	fill := rowFuncOf(m)
+	rw, _ := m.(interface{ row(c grid.Coord, row []int) })
 	c := make(grid.Coord, last+1)
 	row := make([]int, g.Dim(last))
 	for {
-		fill(c, row)
+		if rw != nil {
+			rw.row(c, row)
+		} else {
+			for j := range row {
+				c[last] = j
+				row[j] = m.DiskOf(c)
+			}
+			c[last] = 0
+		}
 		fn(c, row)
 		i := last - 1
 		for ; i >= 0; i-- {
@@ -41,122 +48,130 @@ func EachRow(m Method, fn func(c grid.Coord, row []int)) {
 	}
 }
 
-// rowMethod is a method that fills a row of disks faster than DiskOf
-// can one bucket at a time.
-type rowMethod interface {
-	// rowFunc returns the function writing the disks of the row that
-	// starts at c into row (see EachRow), or nil when the method's
-	// values do not fit the 32-bit reduction.
-	rowFunc() func(c grid.Coord, row []int)
+// target is what every rule of this package shares: the grid, the disk
+// count M, and whether the values it reduces mod M fit 32 bits.
+type target struct {
+	g      *grid.Grid
+	m      int
+	narrow bool
 }
 
-// rowFuncOf returns m's row function, or the DiskOf fallback.
-func rowFuncOf(m Method) func(c grid.Coord, row []int) {
-	if rm, ok := m.(rowMethod); ok {
-		if fill := rm.rowFunc(); fill != nil {
-			return fill
-		}
+// Grid implements Method.
+func (t *target) Grid() *grid.Grid { return t.g }
+
+// Disks implements Method.
+func (t *target) Disks() int { return t.m }
+
+// mod reduces a value of the rule mod M. It takes a copy, so a row loop
+// holding the target in a local keeps M and narrow in registers.
+func (t target) mod(x int) int {
+	if t.narrow {
+		return int(uint32(x) % uint32(t.m))
 	}
-	return func(c grid.Coord, row []int) {
-		last := len(c) - 1
-		for j := range row {
-			c[last] = j
-			row[j] = m.DiskOf(c)
-		}
-		c[last] = 0
-	}
+	return x % t.m
 }
 
-// fits32 reports whether every value in [0, n) and the disk count m
-// fit the 32-bit reduction.
-func fits32(n, m int) bool {
-	return uint64(n) <= math.MaxUint32+1 && uint64(m) <= math.MaxUint32
+// fold is a coordinate-wise rule: a bucket's disk combines one term per
+// axis, read from that axis's table, either by sum mod M (the disk
+// modulo family, whose terms are below M) or by XOR taken mod M (FX,
+// ExFX, ECC).
+type fold struct {
+	target
+	terms [][]int // per axis: coordinate value → term
+	xor   bool
 }
 
-func (d *GDM) rowFunc() func(grid.Coord, []int) {
-	last := len(d.coeffs) - 1
-	step := d.coeffs[last] // reduced: in [0, M)
-	return func(c grid.Coord, row []int) {
-		s := 0
-		for i, v := range c[:last] {
-			s += d.coeffs[i] * v
+// newFold builds the tables of a fold over g and m: entry v of axis i
+// is term(i, v, t), filled in increasing v, where t is the table so far.
+func newFold(g *grid.Grid, m int, xor bool, term func(i, v int, t []int) int) fold {
+	narrow := uint64(m) <= math.MaxUint32
+	terms := make([][]int, g.K())
+	for i := range terms {
+		t := make([]int, g.Dim(i))
+		for v := range t {
+			t[v] = term(i, v, t)
+			narrow = narrow && uint64(t[v]) <= math.MaxUint32
 		}
-		s %= d.m
-		for j := range row {
-			row[j] = s
-			if s += step; s >= d.m {
-				s -= d.m
-			}
-		}
+		terms[i] = t
 	}
+	return fold{target{g, m, narrow}, terms, xor}
 }
 
-func (f *FX) rowFunc() func(grid.Coord, []int) {
-	// The XOR of coordinates stays below 2^CubeBits.
-	if f.g.CubeBits() > 32 || !fits32(0, f.m) {
-		return nil
+// DiskOf implements Method.
+func (f *fold) DiskOf(c grid.Coord) int {
+	if len(c) != len(f.terms) {
+		f.invalid(c)
 	}
-	last := f.g.K() - 1
-	m := uint32(f.m)
-	return func(c grid.Coord, row []int) {
-		x := 0
-		for _, v := range c[:last] {
-			x ^= v
-		}
-		for j := range row {
-			row[j] = int((uint32(x) ^ uint32(j)) % m)
-		}
+	if f.xor {
+		return f.mod(f.combine(c))
 	}
+	return f.combine(c)
 }
 
-func (f *ExFX) rowFunc() func(grid.Coord, []int) {
-	if f.width > 32 || !fits32(0, f.m) {
-		return nil
-	}
-	last := f.g.K() - 1
-	wide := make([]uint32, f.g.Dim(last)) // last-axis value → widened field
-	for v := range wide {
-		wide[v] = uint32(f.widen(v, last))
-	}
-	m := uint32(f.m)
-	return func(c grid.Coord, row []int) {
-		x := 0
-		for i, v := range c[:last] {
-			x ^= f.widen(v, i)
+// combine folds the terms of the leading len(c) axes: a sum already
+// reduced mod M, or an XOR not yet reduced. It panics on a value out of
+// its axis's range.
+func (f *fold) combine(c grid.Coord) int {
+	s := 0
+	for i, v := range c {
+		t := f.terms[i]
+		if uint(v) >= uint(len(t)) {
+			f.invalid(c)
 		}
-		for j, w := range wide[:len(row)] {
-			row[j] = int((uint32(x) ^ w) % m)
+		if f.xor {
+			s ^= t[v]
+		} else {
+			s = addMod(s, t[v], f.m)
 		}
 	}
+	return s
 }
 
-func (e *ECC) rowFunc() func(grid.Coord, []int) {
-	if !fits32(e.code.Syndromes(), e.m) {
-		return nil
-	}
-	last := len(e.syn) - 1
-	syn := e.syn[last]
-	m := uint32(e.m)
-	return func(c grid.Coord, row []int) {
-		s := 0
-		for axis, v := range c[:last] {
-			s ^= e.syn[axis][v]
-		}
-		for j, w := range syn[:len(row)] {
-			row[j] = int((uint32(s) ^ uint32(w)) % m)
+func (f *fold) invalid(c grid.Coord) {
+	panic(fmt.Sprintf("alloc: coordinate %v invalid for grid %v", c, f.g))
+}
+
+func (f *fold) row(c grid.Coord, row []int) {
+	last, t, xor := len(c)-1, f.target, f.xor
+	s := f.combine(c[:last])
+	for j, v := range f.terms[last][:len(row)] {
+		if xor {
+			row[j] = t.mod(s ^ v)
+		} else {
+			row[j] = addMod(s, v, t.m)
 		}
 	}
 }
 
-func (d *RankDeal) rowFunc() func(grid.Coord, []int) {
-	if !fits32(d.g.Buckets(), d.m) {
-		return nil
+// addMod returns (x+y) mod m for x, y in [0, m), with no sum that could
+// overflow.
+func addMod(x, y, m int) int {
+	if x >= m-y {
+		return x - (m - y)
 	}
-	m := uint32(d.m)
-	return func(c grid.Coord, row []int) {
-		base := d.g.Linearize(c)
-		for j, r := range d.ranks[base : base+len(row)] {
-			row[j] = int(uint32(r) % m)
-		}
+	return x + y
+}
+
+// deal is a bucket-wise rule: the bucket numbered b goes to disk
+// vals[b] mod M, every value being below M or below the bucket count.
+type deal struct {
+	target
+	vals []int // bucket number → value; may be shared, never written
+}
+
+func newDeal(g *grid.Grid, m int, vals []int) deal {
+	narrow := uint64(m) <= math.MaxUint32 && uint64(len(vals)) <= math.MaxUint32+1
+	return deal{target{g, m, narrow}, vals}
+}
+
+// DiskOf implements Method.
+func (d *deal) DiskOf(c grid.Coord) int {
+	return d.mod(d.vals[d.g.Linearize(c)])
+}
+
+func (d *deal) row(c grid.Coord, row []int) {
+	base, t := d.g.Linearize(c), d.target
+	for j, v := range d.vals[base : base+len(row)] {
+		row[j] = t.mod(v)
 	}
 }

@@ -8,8 +8,9 @@ import (
 )
 
 // Every row EachRow hands out must equal DiskOf bucket for bucket, for
-// every registered method that builds on the grid and for a table
-// allocation, which takes the DiskOf fallback.
+// every registered method that builds on the grid, for a table
+// allocation, and for a method from outside the package, which takes
+// the DiskOf fallback.
 func TestRowsMatchDiskOf(t *testing.T) {
 	grids := [][]int{{1, 7}, {8, 3}, {64, 64}, {100, 37}, {256, 256}, {16, 16, 16}, {3, 5, 7}, {4, 3, 2, 5}}
 	for _, dims := range grids {
@@ -29,13 +30,106 @@ func TestRowsMatchDiskOf(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			methods = append(methods, ta)
+			methods = append(methods, ta, outside{g: g, m: m})
 			for _, meth := range methods {
 				if err := rowsMatchDiskOf(meth); err != nil {
 					t.Fatalf("%s on %v over %d disks: %v", meth.Name(), g, m, err)
 				}
 			}
 		}
+	}
+}
+
+// outside is a method that is neither a fold nor a deal: the weighted
+// coordinate sum Σ (i+1)·c_i mod M.
+type outside struct {
+	g *grid.Grid
+	m int
+}
+
+func (o outside) Name() string     { return "outside" }
+func (o outside) Grid() *grid.Grid { return o.g }
+func (o outside) Disks() int       { return o.m }
+func (o outside) DiskOf(c grid.Coord) int {
+	s := 0
+	for i, v := range c {
+		s += (i + 1) * v
+	}
+	return s % o.m
+}
+
+// Disk counts past 2³² take the wide reduction. EachRow must still
+// equal DiskOf, and both the rule's own formula: the XOR of the fields,
+// FX's plain and ExFX's widened (33 bits here, so the reduction bites),
+// or the visit rank.
+func TestRowsMatchDiskOfWide(t *testing.T) {
+	g := grid.MustNew(8, 5, 6)
+	for _, m := range []int{1<<32 + 1, 1<<32 + 3, 3<<40 + 7} {
+		fx, err := NewFX(g, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exfx, err := NewExFX(g, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hcam, err := NewHCAM(g, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wide, err := hcam.WithDisks(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fx.narrow || exfx.narrow || wide.narrow {
+			t.Fatalf("%d disks took the 32-bit reduction", m)
+		}
+		bits := g.BitsPerAxis()
+		stag := max(1, exfx.Width()/g.K())
+		formula := map[Method]func(c grid.Coord) int{
+			fx: func(c grid.Coord) int { return (c[0] ^ c[1] ^ c[2]) % m },
+			exfx: func(c grid.Coord) int {
+				x := 0
+				for i, v := range c {
+					x ^= widen(v, bits[i], exfx.Width(), i*stag%exfx.Width())
+				}
+				return x % m
+			},
+			wide: func(c grid.Coord) int { return hcam.Rank(c) % m },
+		}
+		for meth, want := range formula {
+			if err := rowsMatchDiskOf(meth); err != nil {
+				t.Fatalf("%s over %d disks: %v", meth.Name(), m, err)
+			}
+			g.Each(func(c grid.Coord) bool {
+				if got := meth.DiskOf(c); got != want(c) {
+					t.Fatalf("%s over %d disks: DiskOf(%v) = %d, want %d", meth.Name(), m, c, got, want(c))
+				}
+				return true
+			})
+		}
+	}
+}
+
+// DiskOf sits on every record's path; it must not allocate for any
+// registered method.
+func TestDiskOfZeroAllocs(t *testing.T) {
+	built := map[string]bool{}
+	for _, g := range []*grid.Grid{grid.MustNew(16, 8), grid.MustNew(2, 2, 2)} {
+		c := g.Delinearize(g.Buckets()-3, nil)
+		for _, name := range Names() {
+			meth, err := Build(name, g, 7)
+			if err != nil {
+				continue
+			}
+			built[name] = true
+			if n := testing.AllocsPerRun(100, func() { meth.DiskOf(c) }); n != 0 {
+				t.Errorf("%s on %v: DiskOf allocates %.1f times per call", name, g, n)
+			}
+		}
+	}
+	if len(built) != len(Names()) {
+		t.Fatalf("built %d of %d registered methods", len(built), len(Names()))
 	}
 }
 

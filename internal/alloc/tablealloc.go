@@ -11,10 +11,8 @@ import (
 // strict-optimality search and the input format for allocations loaded
 // from external tools.
 type TableAlloc struct {
-	g     *grid.Grid
-	m     int
-	name  string
-	table []int
+	deal // bucket number → disk
+	name string
 }
 
 // NewTable wraps an explicit bucket→disk table. The table must have one
@@ -36,19 +34,8 @@ func NewTable(name string, g *grid.Grid, m int, table []int) (*TableAlloc, error
 		}
 		t[i] = d
 	}
-	return &TableAlloc{g: g, m: m, name: name, table: t}, nil
+	return &TableAlloc{deal: newDeal(g, m, t), name: name}, nil
 }
 
 // Name implements Method.
 func (t *TableAlloc) Name() string { return t.name }
-
-// Grid implements Method.
-func (t *TableAlloc) Grid() *grid.Grid { return t.g }
-
-// Disks implements Method.
-func (t *TableAlloc) Disks() int { return t.m }
-
-// DiskOf implements Method.
-func (t *TableAlloc) DiskOf(c grid.Coord) int {
-	return t.table[t.g.Linearize(c)]
-}

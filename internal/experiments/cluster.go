@@ -153,9 +153,11 @@ type ClusterChaosCell struct {
 	// placements only).
 	RebuiltRecords int
 
-	// Events is the fault timeline as applied. It is a pure function of
-	// the seed — replays compare equal — so rebuild outcomes, which race
-	// real foreground load on the wall clock, are logged separately.
+	// Events is the chaos timeline as scheduled: the seeded fault
+	// events, the migration plan or the load spike, recorded before the
+	// soak starts. It is a pure function of the seed — replays compare
+	// equal — so rebuild outcomes, which race real foreground load on
+	// the wall clock, are logged separately.
 	Events []string
 
 	// RebuildLog records cross-node rebuild outcomes (success with
@@ -427,7 +429,15 @@ func runClusterCell(sm *cluster.ShardMap, method alloc.Method, records []datagen
 	})
 
 	if scenario == "join" || scenario == "leave" {
-		s.at(cfg.Duration/4, func() { runClusterMigration(h, sm, scenario, cfg, seed, cell, logf) })
+		// Planned from the boot map, which nothing changes before ¼ of
+		// the soak, so the plan line is a pure function of seed and
+		// geometry.
+		if plan, err := planClusterMigration(h.Map(), scenario, seed); err != nil {
+			cell.MigrationLog = append(cell.MigrationLog, fmt.Sprintf("plan: %v", err))
+		} else {
+			cell.Events = append(cell.Events, fmt.Sprintf("%v %s", (cfg.Duration/4).Round(time.Millisecond), plan))
+			s.at(cfg.Duration/4, func() { runClusterMigration(h, plan, scenario, cfg, cell, logf) })
+		}
 	}
 	// On a node-loss crash with replication available, the victim's
 	// shards are rebuilt from its peers while it is down, so the restart
@@ -460,12 +470,14 @@ func runClusterCell(sm *cluster.ShardMap, method alloc.Method, records []datagen
 			victim, st.Records, time.Since(rstart).Round(time.Millisecond), st.Retries)
 	}
 	// The seeded fault schedule plays in At order on the soak's own clock.
+	for _, e := range schedule.Events {
+		cell.Events = append(cell.Events, fmt.Sprintf("%v %s node %d", e.At.Round(time.Millisecond), e.Kind, e.Node))
+	}
 	s.at(0, func() {
 		for _, e := range schedule.Events {
 			if !s.sleep(e.At-time.Since(s.start)) || h.Faults().Apply(e) != nil {
 				return
 			}
-			logf(&cell.Events, "%v %s node %d", e.At.Round(time.Millisecond), e.Kind, e.Node)
 			if e.Kind == fault.EventCrash && scenario == "node-loss" && sm.Replicas() > 1 {
 				rebuildWG.Add(1)
 				go rebuild(e.Node)
@@ -542,30 +554,24 @@ func runClusterCell(sm *cluster.ShardMap, method alloc.Method, records []datagen
 	return cell, nil
 }
 
-// runClusterMigration is the join/leave scenarios' timeline action: at
-// ¼ of the soak it plans the membership change from the router's live
-// map and executes it online — prepare, throttled copy, cutover,
-// adopt — while the closed-loop clients keep
-// querying. The migration runs on its own deadline rather than the
-// soak's: queries stop at the end of the run, but an in-flight handoff
-// is left to converge (or abort on its own) so the cell reports the
-// epoch the cluster actually settled on.
-func runClusterMigration(h *cluster.Harness, sm *cluster.ShardMap, scenario string, cfg ClusterChaosConfig, seed int64, cell *ClusterChaosCell, logf func(log *[]string, format string, args ...any)) {
-	var plan *cluster.MigrationPlan
-	var err error
+// planClusterMigration plans the join/leave scenario's membership
+// change from map m: a join onto the standby, or the seeded member's
+// leave.
+func planClusterMigration(m *cluster.ShardMap, scenario string, seed int64) (*cluster.MigrationPlan, error) {
 	if scenario == "join" {
-		plan, err = cluster.PlanJoin(h.Map())
-	} else {
-		victim := h.Map().MemberAt(fault.Pick(seed, 0, sm.Nodes()))
-		plan, err = cluster.PlanLeave(h.Map(), victim)
+		return cluster.PlanJoin(m)
 	}
-	if err != nil {
-		logf(&cell.MigrationLog, "plan: %v", err)
-		return
-	}
-	// The plan line is deterministic — a pure function of seed and
-	// geometry — so it lives in Events with the fault timelines.
-	logf(&cell.Events, "%v %s", (cfg.Duration / 4).Round(time.Millisecond), plan)
+	return cluster.PlanLeave(m, m.MemberAt(fault.Pick(seed, 0, m.Nodes())))
+}
+
+// runClusterMigration is the join/leave scenarios' timeline action: at
+// ¼ of the soak it executes the plan online — prepare, throttled copy,
+// cutover, adopt — while the closed-loop clients keep querying. The
+// migration runs on its own deadline rather than the soak's: queries
+// stop at the end of the run, but an in-flight handoff is left to
+// converge (or abort on its own) so the cell reports the epoch the
+// cluster actually settled on.
+func runClusterMigration(h *cluster.Harness, plan *cluster.MigrationPlan, scenario string, cfg ClusterChaosConfig, cell *ClusterChaosCell, logf func(log *[]string, format string, args ...any)) {
 	throttle, err := repair.NewThrottle(cfg.MigrateRate, 0)
 	if err != nil {
 		logf(&cell.MigrationLog, "throttle: %v", err)
