@@ -36,6 +36,23 @@ type RunEnder interface {
 	EndRun(disk int)
 }
 
+// Waitless is implemented by a reader that can declare its reads never
+// wait: no device, timer or remote call, only the CPU, as with a grid
+// file's in-memory pages. Such a read is slow only while its goroutine
+// is descheduled, and a backup read on the same CPUs cannot beat it, so
+// a hedging layer above need not race it. A wrapper forwards its inner
+// reader's answer, or says false if it may wait itself; a reader that
+// does not implement Waitless may wait.
+type Waitless interface {
+	NeverWaits() bool
+}
+
+// NeverWaits reports whether r declares that its reads never wait.
+func NeverWaits(r BucketReader) bool {
+	w, ok := r.(Waitless)
+	return ok && w.NeverWaits()
+}
+
 // NewFileReader returns the default grid-file BucketReader — the one an
 // Executor uses when no WithBucketReader option is given — so callers
 // composing their own reader stacks (latency simulation, caching,
@@ -57,6 +74,9 @@ type fileReader struct {
 func (r fileReader) ReadBucket(_ context.Context, _, b int) ([]datagen.Record, error) {
 	return r.f.Bucket(b), nil
 }
+
+// NeverWaits implements Waitless: a bucket is a page already in memory.
+func (fileReader) NeverWaits() bool { return true }
 
 // NewStoreReader returns a BucketReader over a checksummed physical
 // store: unlike the grid-file reader, the disk argument matters — each
@@ -82,6 +102,10 @@ func (r storeReader) ReadBucket(_ context.Context, d, b int) ([]datagen.Record, 
 	}
 	return r.s.ReadVerified(d, b)
 }
+
+// NeverWaits implements Waitless: a store's copies are in memory, and a
+// read verifies them on the CPU.
+func (storeReader) NeverWaits() bool { return true }
 
 // faultReader wraps a BucketReader with an injector: each read first
 // consults the injector, which may fail it (fail-stop disk) or make it
@@ -114,3 +138,7 @@ func (r *faultReader) ReadBucket(ctx context.Context, disk, bucket int) ([]datag
 	}
 	return r.inner.ReadBucket(ctx, disk, bucket)
 }
+
+// NeverWaits implements Waitless: the injector fails reads but never
+// delays them, so the answer is the inner reader's.
+func (r *faultReader) NeverWaits() bool { return NeverWaits(r.inner) }

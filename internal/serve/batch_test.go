@@ -350,7 +350,7 @@ func TestRunFoldBatchClosesWhenItsReadComesDue(t *testing.T) {
 		want.Observe(0, x, nil)
 	}
 	lo, _, _, _ := trackerState(want, 0)
-	fast := exec.NewFileReader(f)
+	fast := mayWaitReader{exec.NewFileReader(f)} // raced, as a reader that can wait is
 	r := s.newServedReader(fast)
 	sl := &r.slots[d]
 	var asks atomic.Int64

@@ -50,7 +50,12 @@ const (
 // from the read's stamp — for a healthy disk's read timed in a batch,
 // the batch's, which its EWMA puts within After/8 of the read — after
 // which a still-unanswered read races its other replica, if the hedge
-// gate, asked then, agrees.
+// gate, asked then, agrees. Only a read that can wait is raced: one
+// through a reader that declares its reads never wait (the default
+// grid-file reader, StoreReader, or any reader with a NeverWaits method
+// that returns true) is an in-memory page access that no backup on the
+// same CPUs can beat, so it is not raced and only fails over when it
+// fails.
 type HedgeConfig = serve.HedgeConfig
 
 // DiskHealth is one disk's health snapshot.
