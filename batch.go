@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"decluster/internal/aggregate"
 	"decluster/internal/batch"
 	"decluster/internal/serve"
 )
@@ -33,21 +34,21 @@ type BatchAnswer = batch.Answer
 type BatchStats = batch.Stats
 
 // AggregateOp selects the aggregate a query computes.
-type AggregateOp = batch.AggregateOp
+type AggregateOp = aggregate.AggregateOp
 
 // Aggregate operators, answered without any bucket reads.
 const (
-	AggCount = batch.OpCount
-	AggSum   = batch.OpSum
-	AggMin   = batch.OpMin
-	AggMax   = batch.OpMax
+	AggCount = aggregate.OpCount
+	AggSum   = aggregate.OpSum
+	AggMin   = aggregate.OpMin
+	AggMax   = aggregate.OpMax
 )
 
 // AggregateQuery asks for one aggregate over a cell rectangle.
-type AggregateQuery = batch.AggregateQuery
+type AggregateQuery = aggregate.AggregateQuery
 
 // AggregateResult is an aggregate answer.
-type AggregateResult = batch.AggregateResult
+type AggregateResult = aggregate.AggregateResult
 
 // ErrBatchClosed matches queries submitted to a closed engine.
 var ErrBatchClosed = batch.ErrClosed
@@ -65,7 +66,7 @@ func NewBatchEngine(f *GridFile, s *Scheduler, opts ...BatchOption) (*BatchEngin
 // MergeAggregates folds partial aggregate results of the same
 // (op, attr) — e.g. per-shard answers — into one.
 func MergeAggregates(op AggregateOp, attr int, parts []AggregateResult) AggregateResult {
-	return batch.MergeAggregates(op, attr, parts)
+	return aggregate.MergeAggregates(op, attr, parts)
 }
 
 // WithBatchWindow sets the batching window: a group dispatches when

@@ -1,4 +1,6 @@
-package batch
+// Package aggregate answers COUNT/SUM/MIN/MAX over a cell rectangle of a
+// grid file from a per-bucket summary, with no bucket read.
+package aggregate
 
 import (
 	"fmt"
@@ -115,7 +117,7 @@ type AggregateIndex struct {
 // disk reads.
 func BuildAggregateIndex(f *gridfile.File) (*AggregateIndex, error) {
 	if f == nil {
-		return nil, fmt.Errorf("batch: nil grid file")
+		return nil, fmt.Errorf("aggregate: nil grid file")
 	}
 	g := f.Grid()
 	k, nb := g.K(), g.Buckets()
@@ -166,10 +168,10 @@ func (ix *AggregateIndex) Records() int64 { return ix.records }
 func (ix *AggregateIndex) Aggregate(q AggregateQuery) (AggregateResult, error) {
 	r := q.Rect
 	if err := ix.g.CheckRect(r); err != nil {
-		return AggregateResult{}, fmt.Errorf("batch: %w", err)
+		return AggregateResult{}, fmt.Errorf("aggregate: %w", err)
 	}
 	if q.Op != OpCount && (q.Attr < 0 || q.Attr >= ix.k) {
-		return AggregateResult{}, fmt.Errorf("batch: attribute %d outside [0,%d)", q.Attr, ix.k)
+		return AggregateResult{}, fmt.Errorf("aggregate: attribute %d outside [0,%d)", q.Attr, ix.k)
 	}
 	res := AggregateResult{Op: q.Op, Attr: q.Attr, Buckets: r.Volume()}
 	var sums, mins, maxs []float64

@@ -15,8 +15,8 @@
 // read promptly.
 //
 // Alongside the batch path, the engine answers aggregate queries
-// (COUNT/SUM/MIN/MAX over a rectangle) from an AggregateIndex — a
-// per-bucket summary walked over the rectangle — with zero bucket
+// (COUNT/SUM/MIN/MAX over a rectangle) from an aggregate.AggregateIndex
+// — a per-bucket summary walked over the rectangle — with zero bucket
 // reads.
 package batch
 
@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"decluster/internal/aggregate"
 	"decluster/internal/datagen"
 	"decluster/internal/exec"
 	"decluster/internal/grid"
@@ -79,7 +80,7 @@ type Engine struct {
 	run    ReadFunc
 	window time.Duration
 	max    int
-	ix     *AggregateIndex
+	ix     *aggregate.AggregateIndex
 
 	obs     *obs.Sink
 	metrics batchMetrics
@@ -137,7 +138,7 @@ func New(f *gridfile.File, run ReadFunc, opts ...Option) (*Engine, error) {
 	if e.max < 1 {
 		return nil, fmt.Errorf("batch: max batch %d < 1", e.max)
 	}
-	ix, err := BuildAggregateIndex(f)
+	ix, err := aggregate.BuildAggregateIndex(f)
 	if err != nil {
 		return nil, err
 	}
@@ -238,22 +239,22 @@ func (e *Engine) Do(ctx context.Context, q Query) (*Answer, error) {
 // Aggregate answers one aggregate query straight from the index —
 // zero bucket reads by construction. After Close it returns ErrClosed
 // and leaves the final counters as Close returned them.
-func (e *Engine) Aggregate(ctx context.Context, q AggregateQuery) (AggregateResult, error) {
+func (e *Engine) Aggregate(ctx context.Context, q aggregate.AggregateQuery) (aggregate.AggregateResult, error) {
 	if e.closed.Load() {
-		return AggregateResult{}, ErrClosed
+		return aggregate.AggregateResult{}, ErrClosed
 	}
 	e.stats.AggIssued.Add(1)
 	e.metrics.aggIssued.Inc()
 	if err := ctx.Err(); err != nil {
 		e.stats.AggFailed.Add(1)
 		e.metrics.aggFailed.Inc()
-		return AggregateResult{}, err
+		return aggregate.AggregateResult{}, err
 	}
 	res, err := e.ix.Aggregate(q)
 	if err != nil {
 		e.stats.AggFailed.Add(1)
 		e.metrics.aggFailed.Inc()
-		return AggregateResult{}, err
+		return aggregate.AggregateResult{}, err
 	}
 	e.stats.AggAnswered.Add(1)
 	e.metrics.aggAnswered.Inc()

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"decluster/internal/aggregate"
 	"decluster/internal/alloc"
 	"decluster/internal/batch"
 	"decluster/internal/datagen"
@@ -266,15 +267,15 @@ func aggregateMatchesNaive(t *testing.T, fx *fixture) {
 
 		before := reads()
 		for _, tc := range []struct {
-			op   batch.AggregateOp
+			op   aggregate.AggregateOp
 			want float64
 		}{
-			{batch.OpCount, float64(count)},
-			{batch.OpSum, sum},
-			{batch.OpMin, lo},
-			{batch.OpMax, hi},
+			{aggregate.OpCount, float64(count)},
+			{aggregate.OpSum, sum},
+			{aggregate.OpMin, lo},
+			{aggregate.OpMax, hi},
 		} {
-			agg, err := fx.eng.Aggregate(context.Background(), batch.AggregateQuery{Rect: r, Op: tc.op, Attr: attr})
+			agg, err := fx.eng.Aggregate(context.Background(), aggregate.AggregateQuery{Rect: r, Op: tc.op, Attr: attr})
 			if err != nil {
 				t.Fatalf("%v over %v: %v", tc.op, r, err)
 			}
@@ -286,19 +287,19 @@ func aggregateMatchesNaive(t *testing.T, fx *fixture) {
 			}
 			var got float64
 			switch tc.op {
-			case batch.OpCount:
+			case aggregate.OpCount:
 				got = float64(agg.Count)
-			case batch.OpSum:
+			case aggregate.OpSum:
 				got = agg.Sum
-			case batch.OpMin:
+			case aggregate.OpMin:
 				got = agg.Min
-			case batch.OpMax:
+			case aggregate.OpMax:
 				got = agg.Max
 			}
-			if count == 0 && (tc.op == batch.OpMin || tc.op == batch.OpMax) {
+			if count == 0 && (tc.op == aggregate.OpMin || tc.op == aggregate.OpMax) {
 				continue // extrema undefined on empty rects
 			}
-			if tc.op == batch.OpSum {
+			if tc.op == aggregate.OpSum {
 				// Per-bucket sums reorder float additions; everything
 				// else must be exact.
 				if math.Abs(got-tc.want) > 1e-9*math.Max(1, math.Abs(tc.want)) {
@@ -319,7 +320,7 @@ func aggregateMatchesNaive(t *testing.T, fx *fixture) {
 	if st.AggIssued != 160 || st.AggAnswered != 160 || st.AggFailed != 0 {
 		t.Fatalf("aggregate stats = %+v, want 160/160/0", st)
 	}
-	agg, err := fx.eng.Aggregate(context.Background(), batch.AggregateQuery{Rect: fx.g.FullRect(), Op: batch.OpCount})
+	agg, err := fx.eng.Aggregate(context.Background(), aggregate.AggregateQuery{Rect: fx.g.FullRect(), Op: aggregate.OpCount})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,14 +336,14 @@ func TestAggregateMergeAndErrors(t *testing.T) {
 	whole := fx.g.FullRect()
 	left := fx.g.MustRect(grid.Coord{0, 0}, grid.Coord{5, 11})
 	right := fx.g.MustRect(grid.Coord{6, 0}, grid.Coord{11, 11})
-	for _, op := range []batch.AggregateOp{batch.OpCount, batch.OpSum, batch.OpMin, batch.OpMax} {
-		q := batch.AggregateQuery{Op: op, Attr: 1}
+	for _, op := range []aggregate.AggregateOp{aggregate.OpCount, aggregate.OpSum, aggregate.OpMin, aggregate.OpMax} {
+		q := aggregate.AggregateQuery{Op: op, Attr: 1}
 		q.Rect = whole
 		want, err := fx.eng.Aggregate(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var parts []batch.AggregateResult
+		var parts []aggregate.AggregateResult
 		for _, r := range []grid.Rect{left, right} {
 			q.Rect = r
 			p, err := fx.eng.Aggregate(context.Background(), q)
@@ -351,7 +352,7 @@ func TestAggregateMergeAndErrors(t *testing.T) {
 			}
 			parts = append(parts, p)
 		}
-		got := batch.MergeAggregates(op, 1, parts)
+		got := aggregate.MergeAggregates(op, 1, parts)
 		if got.Count != want.Count || got.Buckets != want.Buckets ||
 			math.Abs(got.Sum-want.Sum) > 1e-9*math.Abs(want.Sum) ||
 			got.Min != want.Min || got.Max != want.Max {
@@ -359,10 +360,10 @@ func TestAggregateMergeAndErrors(t *testing.T) {
 		}
 	}
 
-	bad := []batch.AggregateQuery{
-		{Rect: grid.Rect{Lo: grid.Coord{0}, Hi: grid.Coord{0}}, Op: batch.OpCount},
-		{Rect: fx.g.MustRect(grid.Coord{0, 0}, grid.Coord{0, 0}), Op: batch.OpSum, Attr: 5},
-		{Rect: grid.Rect{Lo: grid.Coord{3, 3}, Hi: grid.Coord{2, 2}}, Op: batch.OpCount},
+	bad := []aggregate.AggregateQuery{
+		{Rect: grid.Rect{Lo: grid.Coord{0}, Hi: grid.Coord{0}}, Op: aggregate.OpCount},
+		{Rect: fx.g.MustRect(grid.Coord{0, 0}, grid.Coord{0, 0}), Op: aggregate.OpSum, Attr: 5},
+		{Rect: grid.Rect{Lo: grid.Coord{3, 3}, Hi: grid.Coord{2, 2}}, Op: aggregate.OpCount},
 	}
 	for _, q := range bad {
 		if _, err := fx.eng.Aggregate(context.Background(), q); err == nil {
@@ -377,7 +378,7 @@ func TestAggregateMergeAndErrors(t *testing.T) {
 		t.Fatalf("AggFailed = %d, want %d", st.AggFailed, len(bad))
 	}
 
-	for op, want := range map[batch.AggregateOp]string{batch.OpCount: "count", batch.OpSum: "sum", batch.OpMin: "min", batch.OpMax: "max"} {
+	for op, want := range map[aggregate.AggregateOp]string{aggregate.OpCount: "count", aggregate.OpSum: "sum", aggregate.OpMin: "min", aggregate.OpMax: "max"} {
 		if got := op.String(); got != want {
 			t.Errorf("op %d is named %q, want %q", int(op), got, want)
 		}
@@ -409,7 +410,7 @@ func TestEngineCloseRejectsNewQueries(t *testing.T) {
 // returned as final.
 func TestEngineAggregateAfterClose(t *testing.T) {
 	fx := newFixture(t, false)
-	q := batch.AggregateQuery{Rect: fx.g.MustRect(grid.Coord{0, 0}, grid.Coord{2, 2}), Op: batch.OpCount}
+	q := aggregate.AggregateQuery{Rect: fx.g.MustRect(grid.Coord{0, 0}, grid.Coord{2, 2}), Op: aggregate.OpCount}
 	if _, err := fx.eng.Aggregate(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"decluster/internal/batch"
+	"decluster/internal/aggregate"
 	"decluster/internal/exec"
 	"decluster/internal/grid"
 )
@@ -46,7 +46,7 @@ func TestRouterRetriesMalformedAggregateLeg(t *testing.T) {
 	ctx := context.Background()
 	for name, edit := range map[string]func(a *aggregateResponse){
 		"op differs": func(a *aggregateResponse) {
-			a.Op, a.Count, a.Sum, a.Min, a.Max = (a.Op+1)%(batch.OpMax+1), a.Count+1, a.Sum+1, a.Max, a.Min-1
+			a.Op, a.Count, a.Sum, a.Min, a.Max = (a.Op+1)%(aggregate.OpMax+1), a.Count+1, a.Sum+1, a.Max, a.Min-1
 		},
 		"buckets differ": func(a *aggregateResponse) { a.Buckets, a.Count = a.Buckets+1, a.Count+1 },
 	} {
@@ -58,8 +58,8 @@ func TestRouterRetriesMalformedAggregateLeg(t *testing.T) {
 		}
 		retries := 0
 		for _, r := range testQueries(tc.g) {
-			for _, op := range []batch.AggregateOp{batch.OpCount, batch.OpSum, batch.OpMin, batch.OpMax} {
-				q := batch.AggregateQuery{Rect: r, Op: op, Attr: 1}
+			for _, op := range []aggregate.AggregateOp{aggregate.OpCount, aggregate.OpSum, aggregate.OpMin, aggregate.OpMax} {
+				q := aggregate.AggregateQuery{Rect: r, Op: op, Attr: 1}
 				got, err := rt.Aggregate(ctx, q)
 				if err != nil {
 					t.Fatalf("%s: %v over %v: %v", name, op, r, err)
@@ -113,8 +113,8 @@ func TestClusterAggregate(t *testing.T) {
 		attr := rng.Intn(2)
 		count, sum, lo, hi := naive(r, attr)
 
-		for _, op := range []batch.AggregateOp{batch.OpCount, batch.OpSum, batch.OpMin, batch.OpMax} {
-			res, err := rt.Aggregate(ctx, batch.AggregateQuery{Rect: r, Op: op, Attr: attr})
+		for _, op := range []aggregate.AggregateOp{aggregate.OpCount, aggregate.OpSum, aggregate.OpMin, aggregate.OpMax} {
+			res, err := rt.Aggregate(ctx, aggregate.AggregateQuery{Rect: r, Op: op, Attr: attr})
 			if err != nil {
 				t.Fatalf("%v over %v: %v", op, r, err)
 			}
@@ -124,14 +124,14 @@ func TestClusterAggregate(t *testing.T) {
 			if res.Buckets != r.Volume() {
 				t.Fatalf("%v over %v: Buckets = %d, want %d", op, r, res.Buckets, r.Volume())
 			}
-			if op == batch.OpSum && math.Abs(res.Sum-sum) > 1e-9*math.Max(1, math.Abs(sum)) {
+			if op == aggregate.OpSum && math.Abs(res.Sum-sum) > 1e-9*math.Max(1, math.Abs(sum)) {
 				t.Fatalf("sum over %v attr %d: %g, want %g", r, attr, res.Sum, sum)
 			}
 			if count > 0 {
-				if op == batch.OpMin && res.Min != lo {
+				if op == aggregate.OpMin && res.Min != lo {
 					t.Fatalf("min over %v attr %d: %g, want %g", r, attr, res.Min, lo)
 				}
-				if op == batch.OpMax && res.Max != hi {
+				if op == aggregate.OpMax && res.Max != hi {
 					t.Fatalf("max over %v attr %d: %g, want %g", r, attr, res.Max, hi)
 				}
 			}

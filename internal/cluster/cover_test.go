@@ -11,7 +11,7 @@ import (
 	"strings"
 	"testing"
 
-	"decluster/internal/batch"
+	"decluster/internal/aggregate"
 	"decluster/internal/exec"
 	"decluster/internal/grid"
 	"decluster/internal/obs"
@@ -144,7 +144,7 @@ func TestCoverRotatesLeads(t *testing.T) {
 	tc := startTestCluster(t, 4, 2, RouterConfig{Obs: sink})
 	ctx := context.Background()
 	for range 64 {
-		res, err := tc.h.Router().Aggregate(ctx, batch.AggregateQuery{Rect: tc.g.FullRect(), Op: batch.OpCount})
+		res, err := tc.h.Router().Aggregate(ctx, aggregate.AggregateQuery{Rect: tc.g.FullRect(), Op: aggregate.OpCount})
 		if err != nil || res.SubQueries != 4 || res.Retries != 0 || res.Count != int64(len(tc.recs)) {
 			t.Fatalf("full-grid count: %v, %+v", err, res)
 		}
@@ -164,13 +164,13 @@ func TestCoverRotatesLeads(t *testing.T) {
 }
 
 // refAggregate answers q from the single-node reference file.
-func refAggregate(t *testing.T, tc *testCluster, q batch.AggregateQuery) batch.AggregateResult {
+func refAggregate(t *testing.T, tc *testCluster, q aggregate.AggregateQuery) aggregate.AggregateResult {
 	t.Helper()
 	rs, err := tc.ref.CellRangeSearch(q.Rect)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := batch.AggregateResult{Op: q.Op, Attr: q.Attr, Buckets: q.Rect.Volume(), Min: math.Inf(1), Max: math.Inf(-1)}
+	want := aggregate.AggregateResult{Op: q.Op, Attr: q.Attr, Buckets: q.Rect.Volume(), Min: math.Inf(1), Max: math.Inf(-1)}
 	for _, rec := range rs.Records {
 		v := rec.Values[q.Attr]
 		want.Count++
@@ -187,16 +187,16 @@ func askAll(t *testing.T, tc *testCluster, rt *Router) int {
 	t.Helper()
 	retries := 0
 	for _, r := range testQueries(tc.g) {
-		for _, op := range []batch.AggregateOp{batch.OpCount, batch.OpSum, batch.OpMin, batch.OpMax} {
-			q := batch.AggregateQuery{Rect: r, Op: op, Attr: 1}
+		for _, op := range []aggregate.AggregateOp{aggregate.OpCount, aggregate.OpSum, aggregate.OpMin, aggregate.OpMax} {
+			q := aggregate.AggregateQuery{Rect: r, Op: op, Attr: 1}
 			got, err := rt.Aggregate(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%v over %v: %v", op, r, err)
 			}
 			want := refAggregate(t, tc, q)
 			if got.Op != op || got.Count != want.Count || got.Buckets != want.Buckets ||
-				op == batch.OpSum && math.Abs(got.Sum-want.Sum) > 1e-9*math.Max(1, math.Abs(want.Sum)) ||
-				want.Count > 0 && (op == batch.OpMin && got.Min != want.Min || op == batch.OpMax && got.Max != want.Max) {
+				op == aggregate.OpSum && math.Abs(got.Sum-want.Sum) > 1e-9*math.Max(1, math.Abs(want.Sum)) ||
+				want.Count > 0 && (op == aggregate.OpMin && got.Min != want.Min || op == aggregate.OpMax && got.Max != want.Max) {
 				t.Fatalf("%v over %v: %+v, reference %+v", op, r, got.AggregateResult, want)
 			}
 			retries += got.Retries
@@ -252,7 +252,7 @@ func TestMergedLegSplitsBackWithOneAttempt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = rt.Aggregate(context.Background(), batch.AggregateQuery{Rect: tc.g.FullRect(), Op: batch.OpCount})
+	_, err = rt.Aggregate(context.Background(), aggregate.AggregateQuery{Rect: tc.g.FullRect(), Op: aggregate.OpCount})
 	var pe *PartialError
 	if !errors.As(err, &pe) || pe.Cause == nil || !strings.Contains(pe.Cause.Error(), "malformed answer") || strings.Contains(pe.Cause.Error(), "%!") {
 		t.Fatalf("merged leg on a tampered member, one attempt: err = %v, want a partial caused by the malformed answer", err)
@@ -272,7 +272,7 @@ func TestMergedLegPartialOnlyWhenReplicaSetDown(t *testing.T) {
 	askAll(t, tc, tc.h.Router())
 	tc.h.Faults().Crash(1)
 	for range 4 { // every rotation of the cover
-		_, err := tc.h.Router().Aggregate(context.Background(), batch.AggregateQuery{Rect: tc.g.FullRect(), Op: batch.OpSum, Attr: 1})
+		_, err := tc.h.Router().Aggregate(context.Background(), aggregate.AggregateQuery{Rect: tc.g.FullRect(), Op: aggregate.OpSum, Attr: 1})
 		var pe *PartialError
 		if !errors.As(err, &pe) || !slices.Equal(pe.Shards, []int{0}) || len(pe.Uncovered) != 1 || pe.Uncovered[0].String() != tc.h.Map().Shard(0).Rect.String() {
 			t.Fatalf("members 0 and 1 down: err = %v, want a partial naming shard 0 alone", err)
@@ -308,7 +308,7 @@ func TestMergedLegFollowsStaleEpoch(t *testing.T) {
 	}
 	// Three shards on three members, two copies each: the full grid is one
 	// merged leg and one single, under either map.
-	q := batch.AggregateQuery{Rect: tc.g.FullRect(), Op: batch.OpSum, Attr: 1}
+	q := aggregate.AggregateQuery{Rect: tc.g.FullRect(), Op: aggregate.OpSum, Attr: 1}
 	res, err := rt.Aggregate(ctx, q)
 	if err != nil {
 		t.Fatal(err)

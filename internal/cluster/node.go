@@ -11,8 +11,8 @@ import (
 	"sync"
 	"time"
 
+	"decluster/internal/aggregate"
 	"decluster/internal/alloc"
-	"decluster/internal/batch"
 	"decluster/internal/datagen"
 	"decluster/internal/fault"
 	"decluster/internal/grid"
@@ -100,7 +100,7 @@ type Node struct {
 	// aggFile still is the live file at the record count the index
 	// snapshotted — a cutover swap or any insert (rebuild, migration)
 	// invalidates it.
-	aggIx   *batch.AggregateIndex
+	aggIx   *aggregate.AggregateIndex
 	aggFile *gridfile.File
 }
 
@@ -343,7 +343,7 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 // migration insert) since the last snapshot. The index is immutable once
 // built, so the double-checked rebuild races safely with concurrent
 // aggregate reads.
-func (n *Node) aggregateIndex() (*batch.AggregateIndex, error) {
+func (n *Node) aggregateIndex() (*aggregate.AggregateIndex, error) {
 	n.mu.RLock()
 	ix, fresh := n.aggIx, n.aggFresh()
 	n.mu.RUnlock()
@@ -355,7 +355,7 @@ func (n *Node) aggregateIndex() (*batch.AggregateIndex, error) {
 	if n.aggFresh() {
 		return n.aggIx, nil
 	}
-	ix, err := batch.BuildAggregateIndex(n.file)
+	ix, err := aggregate.BuildAggregateIndex(n.file)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: node %d: %w", n.id, err)
 	}
@@ -394,8 +394,8 @@ func (n *Node) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	q := batch.AggregateQuery{Op: batch.AggregateOp(req.Kind - 1), Attr: req.Attr}
-	parts := make([]batch.AggregateResult, len(req.Rects), maxRequestRects)
+	q := aggregate.AggregateQuery{Op: aggregate.AggregateOp(req.Kind - 1), Attr: req.Attr}
+	parts := make([]aggregate.AggregateResult, len(req.Rects), maxRequestRects)
 	for i, rect := range req.Rects {
 		q.Rect = rect
 		if parts[i], err = ix.Aggregate(q); err != nil {
@@ -407,7 +407,7 @@ func (n *Node) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequestError{err})
 		return
 	}
-	writePage(w, &aggregateResponse{AggregateResult: batch.MergeAggregates(q.Op, q.Attr, parts), Epoch: sm.Epoch()})
+	writePage(w, &aggregateResponse{AggregateResult: aggregate.MergeAggregates(q.Op, q.Attr, parts), Epoch: sm.Epoch()})
 }
 
 // handlePrepare stages the next-epoch map (PREPARE). Idempotent for the

@@ -11,7 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"decluster/internal/batch"
+	"decluster/internal/aggregate"
 	"decluster/internal/datagen"
 	"decluster/internal/exec"
 	"decluster/internal/grid"
@@ -307,7 +307,7 @@ var searchOp = legOp[pageLeg]{
 // aggregateOp is the leg op of one aggregate query. A leg must answer the
 // op asked, over every bucket of its rects (a node's index always covers
 // a rect's volume): merged, any other answer is a wrong number.
-func aggregateOp(q batch.AggregateQuery) legOp[aggregateResponse] {
+func aggregateOp(q aggregate.AggregateQuery) legOp[aggregateResponse] {
 	return legOp[aggregateResponse]{
 		route: aggregateRoute, cover: true, span: "agg shard", limit: smallPayloadLimit,
 		req: readRequest{Kind: byte(q.Op) + 1, Attr: q.Attr},
@@ -750,7 +750,7 @@ func callNode[R any](ctx context.Context, rt *Router, op legOp[R], node int, rec
 // AggregateResult is a gathered cluster aggregate: the merged
 // batch-layer answer plus routing metadata.
 type AggregateResult struct {
-	batch.AggregateResult
+	aggregate.AggregateResult
 	// SubQueries is how many per-shard pieces the rectangle decomposed
 	// into; all of them were answered (a partial aggregate would be a
 	// silently wrong number, so partial coverage is an error instead).
@@ -774,7 +774,7 @@ type AggregateResult struct {
 // answer, it is a wrong one — the *PartialError names the uncovered
 // sub-rectangles. Stale-epoch adoption follows the same gossip path as
 // Search.
-func (rt *Router) Aggregate(ctx context.Context, q batch.AggregateQuery) (*AggregateResult, error) {
+func (rt *Router) Aggregate(ctx context.Context, q aggregate.AggregateQuery) (*AggregateResult, error) {
 	rt.mAggregates.Inc()
 	start := time.Now()
 	var root *obs.Span
@@ -794,14 +794,14 @@ func (rt *Router) Aggregate(ctx context.Context, q batch.AggregateQuery) (*Aggre
 			}
 			return nil, err
 		}
-		parts := make([]batch.AggregateResult, 0, len(g.outs))
+		parts := make([]aggregate.AggregateResult, 0, len(g.outs))
 		for _, o := range g.outs {
 			if o.resp != nil { // an empty slot has none
 				parts = append(parts, o.resp.AggregateResult)
 			}
 		}
 		return &AggregateResult{
-			AggregateResult: batch.MergeAggregates(q.Op, q.Attr, parts),
+			AggregateResult: aggregate.MergeAggregates(q.Op, q.Attr, parts),
 			SubQueries:      len(g.subs), Retries: g.retries, Epoch: cur.Epoch(),
 		}, nil
 	})

@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"decluster/internal/batch"
+	"decluster/internal/aggregate"
 	"decluster/internal/exec"
 	"decluster/internal/fault"
 	"decluster/internal/grid"
@@ -60,7 +60,7 @@ var routerOps = []routerOp{
 		name: "Aggregate",
 		ask: func(ctx context.Context, t *testing.T, tc *testCluster, q grid.Rect) (int, int, error) {
 			t.Helper()
-			res, err := tc.h.Router().Aggregate(ctx, batch.AggregateQuery{Rect: q, Op: batch.OpSum, Attr: 1})
+			res, err := tc.h.Router().Aggregate(ctx, aggregate.AggregateQuery{Rect: q, Op: aggregate.OpSum, Attr: 1})
 			if err != nil {
 				return 0, 0, err
 			}
@@ -78,7 +78,7 @@ var routerOps = []routerOp{
 			return res.Retries, res.EpochFollows, nil
 		},
 		leg: func(ctx context.Context, rt *Router, member int, rect grid.Rect, epoch uint64) error {
-			q := batch.AggregateQuery{Rect: rect, Op: batch.OpCount}
+			q := aggregate.AggregateQuery{Rect: rect, Op: aggregate.OpCount}
 			_, err := callNode(ctx, rt, aggregateOp(q), member, []grid.Rect{rect}, epoch)
 			return err
 		},
@@ -401,7 +401,7 @@ func TestNodeAggregateRefusesPendingEpoch(t *testing.T) {
 
 	ctx := context.Background()
 	sum := func(rect grid.Rect, epoch uint64) (*aggregateResponse, error) {
-		q := batch.AggregateQuery{Rect: rect, Op: batch.OpSum, Attr: 1}
+		q := aggregate.AggregateQuery{Rect: rect, Op: aggregate.OpSum, Attr: 1}
 		return callNode(ctx, tc.h.Router(), aggregateOp(q), dest, []grid.Rect{rect}, epoch)
 	}
 	want, err := sum(held, cur.Epoch())
@@ -441,7 +441,7 @@ func TestNodeAggregateIndexBesideInserts(t *testing.T) {
 	}
 	dest := plan.Moves[0].Dest
 	n := tc.h.Node(dest)
-	req := readRequest{Kind: byte(batch.OpCount) + 1, Epoch: cur.Epoch()}
+	req := readRequest{Kind: byte(aggregate.OpCount) + 1, Epoch: cur.Epoch()}
 	for _, s := range cur.HostedShardsOfMember(dest) {
 		req.Rects = append(req.Rects, cur.Shard(s).Rect)
 	}

@@ -17,7 +17,7 @@ import (
 	"sync"
 	"time"
 
-	"decluster/internal/batch"
+	"decluster/internal/aggregate"
 	"decluster/internal/datagen"
 	"decluster/internal/grid"
 )
@@ -463,7 +463,7 @@ func toWireRect(r grid.Rect) wireRect {
 // one-bucket read on /v1/query, an aggregate leg on /v1/aggregate. The
 // node must hold every bucket of every rect under the map at Epoch.
 type readRequest struct {
-	Kind     byte   // 0 for the rect's records, 1 + the batch.AggregateOp for an aggregate
+	Kind     byte   // 0 for the rect's records, 1 + the aggregate.AggregateOp for an aggregate
 	Attr     int    // the attribute an aggregate reduces
 	Epoch    uint64 // the shard-map epoch the sender routed against
 	Priority int    // admission tier: 0 for a router leg, below 0 for a copier's read
@@ -497,14 +497,14 @@ func (q *readRequest) appendTo(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeRequest reads a read request POSTed to /v1/aggregate (aggregate
+// decodeRequest reads a read request POSTed to /v1/aggregate (agg
 // set) or /v1/query. It checks the content type, the smallPayloadLimit
 // cap, magic and version, a kind the endpoint serves, no bucket list, a
 // rect count from 1 to maxRequestRects (exactly 1 on /v1/query), the
 // exact length that count makes, coordinates ≤ MaxInt32 and pairwise
 // disjoint rects, refusing as a bad request. It allocates only the rects
 // and their coordinates.
-func decodeRequest(contentType string, body io.Reader, aggregate bool) (readRequest, error) {
+func decodeRequest(contentType string, body io.Reader, agg bool) (readRequest, error) {
 	bp := pageBufs.Get().(*[]byte)
 	defer pageBufs.Put(bp)
 	// The header sizes the read: the rects it announces (no more than the
@@ -533,11 +533,11 @@ func decodeRequest(contentType string, body io.Reader, aggregate bool) (readRequ
 		return readRequest{}, badRequestError{fmt.Errorf("read request version %d; this node reads version %d", data[3], requestMagic[3])}
 	}
 	if contentType != requestContentType || n < requestHeaderLen || string(data[:4]) != requestMagic ||
-		data[4] > byte(batch.OpMax)+1 || (data[4] > 0) != aggregate || data[5] == 0 || le.Uint32(data[20:]) != 0 {
+		data[4] > byte(aggregate.OpMax)+1 || (data[4] > 0) != agg || data[5] == 0 || le.Uint32(data[20:]) != 0 {
 		return readRequest{}, badRequestError{fmt.Errorf("not a read request for this endpoint (%q, %d bytes)", contentType, n)}
 	}
 	k, count := int(data[5]), le.Uint32(data[24:])
-	if count == 0 || count > maxRequestRects || (count > 1 && !aggregate) {
+	if count == 0 || count > maxRequestRects || (count > 1 && !agg) {
 		return readRequest{}, badRequestError{fmt.Errorf("read request of %d rects: an aggregate takes 1 to %d, a query 1", count, maxRequestRects)}
 	}
 	if n != requestHeaderLen+8*k*int(count) {
@@ -576,9 +576,9 @@ func overlap(a, b grid.Rect) bool {
 }
 
 // aggregateResponse carries one partial aggregate, ready for
-// batch.MergeAggregates at the router. Attr stays node-side.
+// aggregate.MergeAggregates at the router. Attr stays node-side.
 type aggregateResponse struct {
-	batch.AggregateResult
+	aggregate.AggregateResult
 	Epoch uint64
 }
 
@@ -592,11 +592,11 @@ func (a *aggregateResponse) appendTo(buf []byte) ([]byte, error) {
 
 // decode reads an aggregate answer, checking content type, length and op.
 func (a *aggregateResponse) decode(contentType string, data []byte) error {
-	if contentType != aggregateContentType || len(data) != 48 || le.Uint32(data)-1 > uint32(batch.OpMax) {
+	if contentType != aggregateContentType || len(data) != 48 || le.Uint32(data)-1 > uint32(aggregate.OpMax) {
 		return fmt.Errorf("not an aggregate answer (%q, %d bytes)", contentType, len(data))
 	}
-	*a = aggregateResponse{Epoch: le.Uint64(data[40:]), AggregateResult: batch.AggregateResult{
-		Op: batch.AggregateOp(le.Uint32(data) - 1), Buckets: int(le.Uint32(data[4:])), Count: int64(le.Uint64(data[8:])),
+	*a = aggregateResponse{Epoch: le.Uint64(data[40:]), AggregateResult: aggregate.AggregateResult{
+		Op: aggregate.AggregateOp(le.Uint32(data) - 1), Buckets: int(le.Uint32(data[4:])), Count: int64(le.Uint64(data[8:])),
 		Sum: math.Float64frombits(le.Uint64(data[16:])), Min: math.Float64frombits(le.Uint64(data[24:])),
 		Max: math.Float64frombits(le.Uint64(data[32:])),
 	}}

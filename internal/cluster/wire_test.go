@@ -24,8 +24,8 @@ import (
 	"testing"
 	"time"
 
+	"decluster/internal/aggregate"
 	"decluster/internal/alloc"
-	"decluster/internal/batch"
 	"decluster/internal/datagen"
 	"decluster/internal/fault"
 	"decluster/internal/grid"
@@ -281,7 +281,7 @@ func encodeRequest(t testing.TB, q *readRequest) []byte {
 func TestRequestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	for k := 1; k <= 4; k++ {
-		for kind := byte(0); kind <= byte(batch.OpMax)+1; kind++ {
+		for kind := byte(0); kind <= byte(aggregate.OpMax)+1; kind++ {
 			for _, prio := range []int{0, -500, -1000, math.MinInt32, math.MaxInt32} {
 				n := 1
 				if kind > 0 {
@@ -347,7 +347,7 @@ func TestRequestDecodeRefusals(t *testing.T) {
 		return b
 	}
 	sum := func(rects ...grid.Rect) []byte {
-		return encodeRequest(t, &readRequest{Kind: byte(batch.OpSum) + 1, Epoch: 1, Rects: rects})
+		return encodeRequest(t, &readRequest{Kind: byte(aggregate.OpSum) + 1, Epoch: 1, Rects: rects})
 	}
 	cells := make([]grid.Rect, maxRequestRects+1)
 	for i := range cells {
@@ -377,7 +377,7 @@ func TestRequestDecodeRefusals(t *testing.T) {
 		{"bad magic", requestContentType, mutate(func(b []byte) { b[0] = 'X' }), false},
 		{"version 1", requestContentType, mutate(func(b []byte) { b[3] = 1 }), false},
 		{"version 3", requestContentType, mutate(func(b []byte) { b[3] = 3 }), false},
-		{"unknown kind", requestContentType, mutate(func(b []byte) { b[4] = byte(batch.OpMax) + 2 }), true},
+		{"unknown kind", requestContentType, mutate(func(b []byte) { b[4] = byte(aggregate.OpMax) + 2 }), true},
 		{"aggregate kind on /v1/query", requestContentType, mutate(func(b []byte) { b[4] = 1 }), false},
 		{"records kind on /v1/aggregate", requestContentType, valid, true},
 		{"no axes", requestContentType, mutate(func(b []byte) { b[5] = 0 })[:requestHeaderLen], false},
@@ -845,7 +845,7 @@ func TestRouterAggregateZeroAllocsPerBucket(t *testing.T) {
 	_, rt, large, small := allocFixture(t)
 	aggregate := func(q grid.Rect) func() {
 		return func() {
-			res, err := rt.Aggregate(context.Background(), batch.AggregateQuery{Rect: q, Op: batch.OpSum, Attr: 1})
+			res, err := rt.Aggregate(context.Background(), aggregate.AggregateQuery{Rect: q, Op: aggregate.OpSum, Attr: 1})
 			if err != nil || res.SubQueries != 4 || res.Count == 0 {
 				t.Fatalf("aggregate %v: %v, %+v", q, err, res)
 			}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"decluster/internal/aggregate"
 	"decluster/internal/alloc"
 	"decluster/internal/batch"
 	"decluster/internal/datagen"
@@ -338,12 +339,12 @@ func runAggregateDrill(f *gridfile.File, pool []grid.Rect, cfg BatchGoodputConfi
 	}
 	defer eng.Close()
 
-	ops := []batch.AggregateOp{batch.OpCount, batch.OpSum, batch.OpMin, batch.OpMax}
+	ops := []aggregate.AggregateOp{aggregate.OpCount, aggregate.OpSum, aggregate.OpMin, aggregate.OpMax}
 	rng := rand.New(rand.NewSource(seed + 1))
 	ctx := context.Background()
 	start := time.Now()
 	for i := 0; i < cfg.Aggregates; i++ {
-		q := batch.AggregateQuery{
+		q := aggregate.AggregateQuery{
 			Rect: pool[rng.Intn(len(pool))],
 			Op:   ops[i%len(ops)],
 			Attr: rng.Intn(2),

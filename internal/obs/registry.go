@@ -106,8 +106,12 @@ func newHistogram(bounds []time.Duration) *Histogram {
 }
 
 // Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
-	if h == nil {
+func (h *Histogram) Observe(d time.Duration) { h.ObserveN(d, 1) }
+
+// ObserveN records n observations of d, as n calls of Observe would; n
+// ≤ 0 records nothing.
+func (h *Histogram) ObserveN(d time.Duration, n int) {
+	if h == nil || n <= 0 {
 		return
 	}
 	v := int64(d)
@@ -122,9 +126,9 @@ func (h *Histogram) Observe(d time.Duration) {
 			hi = mid
 		}
 	}
-	h.counts[lo].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
+	h.counts[lo].Add(uint64(n))
+	h.count.Add(uint64(n))
+	h.sum.Add(v * int64(n))
 	for {
 		cur := h.min.Load()
 		if v >= cur || h.min.CompareAndSwap(cur, v) {

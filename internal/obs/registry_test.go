@@ -100,6 +100,46 @@ func TestHistogramExactAggregates(t *testing.T) {
 	}
 }
 
+// ObserveN(d, n) leaves a histogram exactly as n calls of Observe(d) do
+// — count, sum, min, max and every percentile — and ObserveN(d, 0)
+// changes nothing.
+func TestHistogramObserveNMatchesObserve(t *testing.T) {
+	batched, oneByOne := NewRegistry().Histogram("h"), NewRegistry().Histogram("h")
+	for _, b := range []struct {
+		d time.Duration
+		n int
+	}{
+		{3 * time.Millisecond, 4},
+		{700 * time.Nanosecond, 1},
+		{time.Nanosecond, 0},  // would lower the min
+		{15 * time.Second, 3}, // the overflow bucket
+		{40 * time.Microsecond, 9},
+		{time.Hour, 0}, // would raise the max
+	} {
+		batched.ObserveN(b.d, b.n)
+		for i := 0; i < b.n; i++ {
+			oneByOne.Observe(b.d)
+		}
+		if batched.Count() != oneByOne.Count() || batched.Sum() != oneByOne.Sum() ||
+			batched.Min() != oneByOne.Min() || batched.Max() != oneByOne.Max() {
+			t.Fatalf("after ObserveN(%v, %d): count/sum/min/max %d/%v/%v/%v, one by one %d/%v/%v/%v", b.d, b.n,
+				batched.Count(), batched.Sum(), batched.Min(), batched.Max(),
+				oneByOne.Count(), oneByOne.Sum(), oneByOne.Min(), oneByOne.Max())
+		}
+		for p := 0.0; p <= 100; p += 0.5 {
+			if got, want := batched.Percentile(p), oneByOne.Percentile(p); got != want {
+				t.Fatalf("after ObserveN(%v, %d): p%v = %v, one by one %v", b.d, b.n, p, got, want)
+			}
+		}
+	}
+	empty := NewRegistry().Histogram("h")
+	empty.ObserveN(time.Second, 0)
+	if empty.Count() != 0 || empty.Sum() != 0 || empty.Min() != 0 || empty.Max() != 0 || empty.Percentile(50) != 0 {
+		t.Errorf("ObserveN(d, 0) on an empty histogram: count %d, sum %v, min %v, max %v, p50 %v; want all 0",
+			empty.Count(), empty.Sum(), empty.Min(), empty.Max(), empty.Percentile(50))
+	}
+}
+
 func TestHistogramPercentileConventions(t *testing.T) {
 	h := NewRegistry().Histogram("h")
 	if h.Percentile(50) != 0 {

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"decluster/internal/datagen"
 	"decluster/internal/exec"
 	"decluster/internal/grid"
 	"decluster/internal/hedge"
@@ -16,11 +18,11 @@ import (
 	"decluster/internal/replica"
 )
 
-// The tests of the batched clock: a worker's clean reads of a warm disk
-// share one clock read per batch (see servedReader). TestRunFoldBooks*
-// run under an observer or on cold disks, which time every read; their
-// twins here warm the disks first and attach no histogram, so that they
-// book through batches.
+// The tests of the run clock: over a reader that never waits, a disk's
+// run is timed once, and each of its reads is booked as the run's mean
+// (see servedReader). The twins here of TestRunFoldBooks* read through a
+// cutReader that declares its reads never wait, and also bound the clock
+// reads.
 
 // countClock routes s's stamps through a clock that counts its reads.
 func countClock(s *Scheduler) *atomic.Int64 {
@@ -32,9 +34,41 @@ func countClock(s *Scheduler) *atomic.Int64 {
 	return &reads
 }
 
-// Every batch is booked before its query returns: after each fault-free
+// waitlessCut is a cutReader that declares its reads never wait, so that
+// a scheduler over it times each disk's run once, and that notes which
+// disks it read.
+type waitlessCut struct {
+	*cutReader
+	mu    sync.Mutex
+	disks map[int]bool
+}
+
+func newWaitlessCut(cr *cutReader) *waitlessCut {
+	return &waitlessCut{cutReader: cr, disks: map[int]bool{}}
+}
+
+func (r *waitlessCut) ReadBucket(ctx context.Context, disk, bucket int) ([]datagen.Record, error) {
+	r.mu.Lock()
+	r.disks[disk] = true
+	r.mu.Unlock()
+	return r.cutReader.ReadBucket(ctx, disk, bucket)
+}
+
+func (*waitlessCut) NeverWaits() bool { return true }
+
+// runs returns how many disks were read since its last call: the runs
+// of the queries in between, when each query runs alone.
+func (r *waitlessCut) runs() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := int64(len(r.disks))
+	clear(r.disks)
+	return n
+}
+
+// Every run is booked before its query returns: after each fault-free
 // hedged search the tracker has booked exactly the clean reads served,
-// and the clock was read less often than a disk was.
+// and the clock was read at most twice per run.
 func TestRunFoldBatchedBooksEveryReadBeforeReturn(t *testing.T) {
 	f := newLoadedFile(t, 4, 3000)
 	rep, err := replica.NewOffset(f.Method(), 2)
@@ -42,20 +76,21 @@ func TestRunFoldBatchedBooksEveryReadBeforeReturn(t *testing.T) {
 		t.Fatal(err)
 	}
 	cr := &cutReader{inner: exec.NewFileReader(f), after: math.MaxInt64}
-	s, err := New(f, WithBucketReader(cr), WithFailover(rep), WithHedging(HedgeConfig{After: time.Hour}))
+	wr := newWaitlessCut(cr)
+	s, err := New(f, WithBucketReader(wr), WithFailover(rep), WithHedging(HedgeConfig{After: time.Hour}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	clock := countClock(s)
 	g := f.Grid()
 	rng := rand.New(rand.NewSource(11))
-	var clock0, clean0 int64 // counted by the end of the warm-up
 	for i := 0; i < 20; i++ {
 		x, y := rng.Intn(g.Dim(0)), rng.Intn(g.Dim(1))
 		q := g.MustRect(grid.Coord{x / 2, y / 2}, grid.Coord{x, y})
 		if i == 0 {
-			q = g.FullRect() // warms every disk
+			q = g.FullRect()
 		}
+		clock0 := clock.Load()
 		res, err := s.Search(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
@@ -64,22 +99,19 @@ func TestRunFoldBatchedBooksEveryReadBeforeReturn(t *testing.T) {
 		if reads, _ := bookedReads(s); reads != uint64(cr.clean.Load()) {
 			t.Fatalf("after search %d (%v): %d reads booked, %d clean reads served", i, q, reads, cr.clean.Load())
 		}
-		if i == 0 {
-			clock0, clean0 = clock.Load(), cr.clean.Load()
+		if n, runs := clock.Load()-clock0, wr.runs(); n > 2*runs {
+			t.Fatalf("search %d (%v): %d clock reads for %d runs, want at most 2 per run", i, q, n, runs)
 		}
 	}
 	if st := s.Stats(); st.HedgesIssued != 0 {
 		t.Fatalf("%d hedges: want none", st.HedgesIssued)
 	}
-	if n, reads := clock.Load()-clock0, cr.clean.Load()-clean0; n >= reads {
-		t.Fatalf("%d clock reads for %d disk reads on warm disks: the reads were not batched", n, reads)
-	}
 }
 
-// A query cut short on warm disks — cancelled mid-batch, or failed on one
-// disk after k clean reads there — still books every observable read it
-// made before it returns: the clean reads of every open batch, and the
-// failure.
+// A query cut short — cancelled mid-run, or failed on one disk after k
+// clean reads there — still books every observable read it made before
+// it returns: the clean reads pending in every run, and the failure; and
+// the clock was read at most twice per run.
 func TestRunFoldBatchedBooksCutRuns(t *testing.T) {
 	f := newLoadedFile(t, 4, 3000)
 	q := f.Grid().FullRect()
@@ -105,13 +137,15 @@ func TestRunFoldBatchedBooksCutRuns(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		cr := &cutReader{inner: exec.NewFileReader(f), after: math.MaxInt64, cancel: cancel}
-		s, err := New(f, WithBucketReader(cr), WithFailover(rep), WithHedging(HedgeConfig{After: time.Hour}))
+		wr := newWaitlessCut(cr)
+		s, err := New(f, WithBucketReader(wr), WithFailover(rep), WithHedging(HedgeConfig{After: time.Hour}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		clock := countClock(s)
 		reads0, clean0 := warm(t, s, cr)
 		clock0 := clock.Load()
+		wr.runs() // forgets the warm-up's
 		const k = 37
 		cr.after = cr.served.Load() + k
 		if _, err := s.Search(ctx, q); !errors.Is(err, context.Canceled) {
@@ -123,8 +157,8 @@ func TestRunFoldBatchedBooksCutRuns(t *testing.T) {
 			t.Fatalf("%d reads / %d errors booked; the query made %d clean reads (cut after %d) and no observable error",
 				reads-reads0, errs, clean-clean0, k)
 		}
-		if n := clock.Load() - clock0; n >= k {
-			t.Fatalf("%d clock reads for %d clean disk reads on warm disks: the reads were not batched", n, k)
+		if n, runs := clock.Load()-clock0, wr.runs(); n > 2*runs {
+			t.Fatalf("%d clock reads for %d runs, want at most 2 per run", n, runs)
 		}
 	})
 
@@ -132,12 +166,16 @@ func TestRunFoldBatchedBooksCutRuns(t *testing.T) {
 		const disk, k = 2, 9
 		broken := errors.New("disk gone")
 		cr := &cutReader{inner: exec.NewFileReader(f), after: math.MaxInt64, fail: broken, failDisk: disk}
-		s, err := New(f, WithBucketReader(cr))
+		wr := newWaitlessCut(cr)
+		s, err := New(f, WithBucketReader(wr))
 		if err != nil {
 			t.Fatal(err)
 		}
+		clock := countClock(s)
 		reads0, clean0 := warm(t, s, cr)
 		disk0 := s.HealthSnapshot()[disk].Reads
+		clock0 := clock.Load()
+		wr.runs() // forgets the warm-up's
 		cr.after = cr.served.Load() + k
 		if _, err := s.Search(context.Background(), q); !errors.Is(err, broken) {
 			t.Fatalf("query returned %v, want the disk's failure", err)
@@ -151,17 +189,21 @@ func TestRunFoldBatchedBooksCutRuns(t *testing.T) {
 		if h := s.HealthSnapshot()[disk]; h.Reads-disk0 != k+1 || h.Errors != 1 {
 			t.Fatalf("disk %d booked %d reads / %d errors, want %d / 1", disk, h.Reads-disk0, h.Errors, k+1)
 		}
+		if n, runs := clock.Load()-clock0, wr.runs(); n > 2*runs {
+			t.Fatalf("%d clock reads for %d runs, want at most 2 per run", n, runs)
+		}
 	})
 }
 
-// A warm, fast disk's clean run of n reads reads the clock at most
-// ⌈n/16⌉ + 2 times — its first stamp, one per batch, and EndRun's — and
-// books each read as its batch's mean. A cold disk, a slow one, and any
-// disk under a latency histogram are timed read by read.
+// A clean run of n reads over a reader that never waits reads the clock
+// exactly twice — its first stamp and EndRun's — and books each read as
+// the run's mean, into the tracker and, when one is attached, the leg
+// histogram. So does a cold disk, a slow one, and one under a latency
+// histogram.
 func TestRunFoldBatchedClock(t *testing.T) {
 	const (
 		n    = 40
-		step = 1600 // the fake clock's tick per read of it, ns: a multiple of 16
+		step = 1600 // the fake clock's tick per read of it, ns: a multiple of n
 	)
 	f := newLoadedFile(t, 4, 3000)
 	const d = 1
@@ -174,22 +216,23 @@ func TestRunFoldBatchedClock(t *testing.T) {
 	if len(buckets) < n {
 		t.Fatalf("disk %d holds %d occupied buckets, want %d", d, len(buckets), n)
 	}
-	brk := BreakerConfig{Cooldown: time.Hour} // foldSpan: no fold inside the run
+	brk := BreakerConfig{Cooldown: time.Hour}
 	for _, tc := range []struct {
 		name string
 		warm time.Duration // the disk's EWMA before the run, 0 for cold
-		opts []Option
-		// batches is the run's reads per clock read after its first
-		// stamp; nil times every read.
-		batches []int
+		sink *obs.Sink
 	}{
-		{name: "warm", warm: time.Microsecond, batches: []int{16, 16, 8}},
+		{name: "warm", warm: time.Microsecond},
 		{name: "cold"},
 		{name: "slow", warm: time.Minute},
-		{name: "observed", warm: time.Microsecond, opts: []Option{WithObserver(obs.NewSink())}},
+		{name: "observed", warm: time.Microsecond, sink: obs.NewSink()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := New(f, append([]Option{WithBreaker(brk)}, tc.opts...)...)
+			opts := []Option{WithBreaker(brk)}
+			if tc.sink != nil {
+				opts = append(opts, WithObserver(tc.sink))
+			}
+			s, err := New(f, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,31 +258,27 @@ func TestRunFoldBatchedClock(t *testing.T) {
 			}
 			r.EndRun(d)
 
-			batches := tc.batches
-			if batches == nil {
-				batches = make([]int, n)
-				for i := range batches {
-					batches[i] = 1
-				}
+			const mean = time.Duration(step / n)
+			for i := 0; i < n; i++ {
+				want.Observe(0, mean, nil)
 			}
-			for _, size := range batches {
-				for i := 0; i < size; i++ {
-					want.Observe(0, time.Duration(step/size), nil)
-				}
-			}
-			if limit := (n+15)/16 + 2; tc.batches != nil && reads > limit {
-				t.Errorf("%d clock reads for %d reads, want at most %d", reads, n, limit)
-			}
-			if tc.batches == nil && reads != n+1 {
-				t.Errorf("%d clock reads for %d reads, want %d: one per read and the first stamp", reads, n, n+1)
+			if reads != 2 {
+				t.Errorf("%d clock reads for %d reads, want 2: the first stamp and EndRun's", reads, n)
 			}
 			ge, gr, _, _ := trackerState(s.health, d)
 			we, wr, _, _ := trackerState(want, 0)
 			if math.Abs(ge-we) > 1e-9*we {
-				t.Errorf("EWMA %vns, want %vns: each read booked as its batch's mean", ge, we)
+				t.Errorf("EWMA %vns, want %vns: each read booked as the run's mean", ge, we)
 			}
 			if gr != wr {
 				t.Errorf("%d reads booked, want %d", gr, wr)
+			}
+			if tc.sink != nil {
+				h := tc.sink.Registry().Histogram("serve.read.leg.latency")
+				if h.Count() != n || h.Sum() != n*mean || h.Min() != mean || h.Max() != mean {
+					t.Errorf("leg histogram count %d, sum %v, min %v, max %v; want %d samples of %v",
+						h.Count(), h.Sum(), h.Min(), h.Max(), n, mean)
+				}
 			}
 		})
 	}
@@ -304,94 +343,4 @@ func TestRunFoldBatchedHedgedReadTimedFromItsStamp(t *testing.T) {
 	if reads != 2 {
 		t.Fatalf("%d reads booked, want 2: the warm-up and the hedged read", reads)
 	}
-}
-
-// A batched read that comes due closes its batch even when the gate
-// declines: it is booked with the reads before it, and the next read
-// takes a fresh stamp instead of racing from one already a delay old —
-// which would bring every later read of the batch due at once, each
-// asking the gate again.
-func TestRunFoldBatchClosesWhenItsReadComesDue(t *testing.T) {
-	// The delay outlasts a scheduling hiccup of a fast read on a loaded
-	// host, and the slow read outlasts a late watchdog timer.
-	const after, slow = 40 * time.Millisecond, 120 * time.Millisecond
-	f := newLoadedFile(t, 4, 3000)
-	rep, err := replica.NewOffset(f.Method(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(f, WithFailover(rep), WithBreaker(BreakerConfig{Cooldown: time.Hour}), WithHedging(HedgeConfig{After: after}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const d, n = 1, 5
-	var buckets []int
-	for b := 0; b < f.Grid().Buckets() && len(buckets) < n; b++ {
-		if rep.PrimaryOf(b) == d && f.BucketLen(b) > 0 {
-			buckets = append(buckets, b)
-		}
-	}
-	if len(buckets) < n {
-		t.Fatalf("disk %d is primary of %d occupied buckets, want %d", d, len(buckets), n)
-	}
-	for disk := 0; disk < f.Disks(); disk++ {
-		if disk == d {
-			s.health.Observe(disk, time.Microsecond, nil) // opens batches
-		} else {
-			s.health.Observe(disk, time.Minute, nil) // the gate declines every hedge to it
-		}
-	}
-	// lo is the EWMA that the warm-up and two reads of slow/2 leave.
-	want, err := NewBreakers(BreakerConfig{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []time.Duration{time.Microsecond, slow / 2, slow / 2} {
-		want.Observe(0, x, nil)
-	}
-	lo, _, _, _ := trackerState(want, 0)
-	fast := mayWaitReader{exec.NewFileReader(f)} // raced, as a reader that can wait is
-	r := s.newServedReader(fast)
-	sl := &r.slots[d]
-	var asks atomic.Int64
-	for i, b := range buckets {
-		if i == 1 {
-			r.inner = slowDiskReader{inner: fast, disk: d, delay: slow}
-		}
-		if _, err := r.ReadBucket(context.Background(), d, b); err != nil {
-			t.Fatal(err)
-		}
-		switch i {
-		case 0:
-			if sl.batch != 1 {
-				t.Fatalf("first read left %d reads in the batch, want 1", sl.batch)
-			}
-			br := sl.race
-			gate := br.racer.Gate
-			br.racer.Gate = func(primary, backup int) bool {
-				asks.Add(1)
-				return gate(primary, backup)
-			}
-			defer func() { br.racer.Gate = br.worth }()
-		case 1:
-			r.inner = fast
-			if asks.Load() != 1 {
-				t.Fatalf("the gate was asked %d times of the slow read, want once", asks.Load())
-			}
-			// The batch spans more than foldSpan, so closing it folds it.
-			ewma, reads, _, _ := trackerState(s.health, d)
-			if sl.batch != 0 || sl.chain != 0 || sl.run.n != 0 || reads != 3 || ewma < lo {
-				t.Fatalf("after the read came due: %d reads in the batch, chain %d, %d reads pending, %d booked, EWMA %v; "+
-					"want the batch closed, a fresh chain, and both reads booked at their mean, so an EWMA of at least %v",
-					sl.batch, sl.chain, sl.run.n, reads, time.Duration(ewma), time.Duration(lo))
-			}
-		}
-	}
-	if got := asks.Load(); got != 1 {
-		t.Errorf("the gate was asked %d times, want once: only the slow read came due", got)
-	}
-	if st := s.Stats(); st.HedgesIssued != 0 {
-		t.Errorf("%d hedges issued, want none: the gate declined", st.HedgesIssued)
-	}
-	r.EndRun(d)
 }

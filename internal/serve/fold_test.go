@@ -182,8 +182,9 @@ func bookedReads(s *Scheduler) (reads, errs uint64) {
 }
 
 // Every run is folded before its query returns: after each fault-free
-// hedged search — every read a race against a backup, none launched —
-// the tracker has booked exactly the legs the scheduler counted.
+// hedged search over the file reader, whose reads never wait and so are
+// not raced, the tracker has booked exactly the legs the scheduler
+// counted.
 func TestRunFoldBooksEveryReadBeforeReturn(t *testing.T) {
 	f := newLoadedFile(t, 4, 3000)
 	rep, err := replica.NewOffset(f.Method(), 2)

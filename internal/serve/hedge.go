@@ -20,11 +20,8 @@ type HedgeConfig struct {
 	// backup read is issued against the bucket's other replica
 	// (0 disables hedging). Choose it near the healthy read-latency
 	// tail — e.g. an observed p95 — so only stragglers are hedged. The
-	// delay runs from the read's stamp, which for a read timed in a
-	// batch (see servedReader) is the batch's: a batch opens only on a
-	// disk whose EWMA puts its reads within After/8, and a read that
-	// comes due closes it. When a read comes due, the backup goes only
-	// if the hedge gate
+	// delay runs from the read's own stamp, taken as it starts. When a
+	// read comes due, the backup goes only if the hedge gate
 	// (Breakers.Backup) still gives it a delay. With hedging on, a
 	// primary read that fails outright also fails over to the live
 	// replica at once instead of waiting for the retry loop to re-try
@@ -42,16 +39,6 @@ type HedgeConfig struct {
 	After time.Duration
 }
 
-const (
-	// batchReads is the most clean reads of one disk that one clock
-	// read times.
-	batchReads = 16
-	// batchStale bounds how stale a batched read's stamp may be: a batch
-	// opens only on a disk whose EWMA says batchReads reads span at most
-	// foldSpan/batchStale.
-	batchStale = 8
-)
-
 // servedReader is the per-query reader the scheduler installs via
 // exec.WithReadWrapper: it books every read's latency and outcome in
 // the health tracker and — when hedging is configured — races a
@@ -59,44 +46,30 @@ const (
 // it sees injected faults; reads it issues itself (the hedge leg) go
 // back through the per-query fault layer via inner.
 //
-// The executor reads disk d's run — its reads of d for this query — on
-// the one goroutine that claimed it, one read at a time, and ends the run
-// with EndRun before the query returns. So slots[d] has one writer, and
-// what a healthy read costs is kept there across the run:
+// Whether inner's reads can wait (exec.NeverWaits, asked once per query)
+// picks how a read is timed:
 //
-//   - no clock read. The chain stamp is where d's next read starts, the
-//     end of its last timed read, so the gap between two reads (the
-//     run's loop, well under a microsecond) counts toward the second.
-//     Clean reads on a closed breaker of a disk whose EWMA is warm and
-//     at most foldSpan/(batchStale·batchReads) share one clock read per
-//     batch of up to batchReads: each starts — and races — from the
-//     batch's stamp, the chain, and the clock is read to close the batch
-//     at its last read, at a read that errs, fails over or comes due
-//     (hedged or not), on a breaker that is not closed, and at EndRun.
-//     Each read is then booked as the batch mean; one that closes the
-//     batch unbooked (cancelled, or failed) still takes its share. A cold
-//     or slower disk times every read, and so does every disk while a
-//     latency histogram (WithObserver) is attached. A read that erred or
-//     came due leaves the chain 0, and the next read takes a fresh stamp:
-//     a retry backoff or a race's second leg never counts as read time,
-//     and no read races from a stamp already a delay old.
-//   - no lock. A clean read on a closed breaker joins the slot's pending
-//     run, which is folded into the tracker in one locked step (see
-//     observe for when); the tracker's lock and cache line are touched
-//     once per run, not by every read of every in-flight query.
-//   - no hedge gate. A race is armed at the configured delay whenever the
-//     bucket has a live other replica and its reader can wait; the gate
-//     is asked only of a race that comes due (hedgeWorth).
-//   - no race at all over a reader that never waits (exec.NeverWaits,
-//     asked once per query): the primary read is observed directly, and
-//     only a read that fails looks up the other replica and fails over
-//     to it (failover).
-//   - no pool round trip. The run draws its bucketRace at its first race
-//     and keeps it until EndRun.
+//   - a read that can wait is stamped as it starts and booked with
+//     Breakers.Observe as it ends. When the bucket has a live other
+//     replica it is raced against it at the configured delay, and the
+//     hedge gate is asked only of a race that comes due (hedgeWorth).
+//   - over a reader that never waits nothing is raced, and disk d's run —
+//     its reads of d for this query, made one at a time by the one
+//     goroutine that claimed it and ended with EndRun before the query
+//     returns — is timed once. So slots[d] has one writer, and a clean
+//     read on a closed breaker is only counted there: no clock read, no
+//     lock. The clock is read at the run's first read, and again only at
+//     EndRun or at a read booked on its own: a failure, or any read while
+//     the breaker is not closed, so half-open probes count one by one.
+//     The pending reads and the read that closes them are then each
+//     booked as their mean (book). A read that fails looks up the other
+//     replica and fails over to it (failover), and the next read takes a
+//     fresh stamp, so a retry backoff never counts as read time.
 //
-// Hedge and failover legs take stamps of their own, are observed one by
-// one and never touch a slot. Every stamp is read from the tracker's
-// clock, Breakers.now.
+// Hedge and failover legs take stamps of their own and are booked one by
+// one. A run that races draws its bucketRace at its first race and keeps
+// it until EndRun. Every stamp is read from the tracker's clock,
+// Breakers.now.
 type servedReader struct {
 	s        *Scheduler
 	inner    exec.BucketReader
@@ -106,13 +79,12 @@ type servedReader struct {
 
 // diskSlot is one disk's run state, written only by the goroutine
 // reading that disk's run and padded to a cache line so that no two
-// runners write one line.
+// runners write one.
 type diskSlot struct {
-	chain int64       // the stamp the disk's next read starts at, 0 for a fresh one; an open batch's stamp
-	since int64       // the start stamp of the run's first pending read
-	run   cleanRun    // clean reads not yet folded into the tracker
-	race  *bucketRace // the run's race state, nil until its first race
-	batch int         // the open batch's reads, none of them timed yet
+	chain   int64       // the stamp the run's untimed reads began at, 0 for a fresh one
+	pending int         // clean reads since chain, counted and not yet timed
+	race    *bucketRace // the run's race state, nil until its first race
+	_       [40]byte
 }
 
 func (s *Scheduler) newServedReader(inner exec.BucketReader) *servedReader {
@@ -126,43 +98,26 @@ func (s *Scheduler) newServedReader(inner exec.BucketReader) *servedReader {
 // against its disk. A read that never waits is not raced; it only fails
 // over.
 func (r *servedReader) ReadBucket(ctx context.Context, disk, bucket int) ([]datagen.Record, error) {
-	s := r.s
-	sl := &r.slots[disk]
-	start := sl.chain
-	if start == 0 {
-		start = s.health.now()
-		sl.chain = start // the stamp of a batch this read opens
-	}
 	if r.waitless {
-		recs, next, err := r.observe(ctx, disk, bucket, start, sl)
-		sl.chain = next
+		recs, err := r.runRead(ctx, disk, bucket)
 		if err != nil {
 			return r.failover(ctx, disk, bucket, recs, err)
 		}
 		return recs, nil
 	}
+	s := r.s
 	alt := s.altDisk(disk, bucket)
 	if alt < 0 {
-		recs, next, err := r.observe(ctx, disk, bucket, start, sl)
-		sl.chain = next
-		return recs, err
+		return r.observe(ctx, disk, bucket, s.health.now())
 	}
+	sl := &r.slots[disk]
 	br := sl.race
 	if br == nil {
 		br = bucketRaces.Get().(*bucketRace)
 		br.r, sl.race = r, br
 	}
-	br.bucket, br.start, br.asked = bucket, start, false
-	recs, winner, hedged, err := br.racer.Race(ctx, start, s.hedge.After, disk, alt, br.leg, preferTransient)
-	if !hedged && !br.asked {
-		sl.chain = br.next
-		return recs, err
-	}
-	// The read came due. A batch it joined is timed now, and the next
-	// read takes a fresh stamp rather than race from one already a delay
-	// old.
-	r.closeBatch(disk, sl)
-	sl.chain = 0
+	br.bucket, br.start = bucket, s.health.now()
+	recs, winner, _, err := br.racer.Race(ctx, br.start, s.hedge.After, disk, alt, br.leg, preferTransient)
 	if err == nil && winner == alt {
 		s.stats.HedgesWon.Add(1)
 		s.metrics.hedgesWon.Inc()
@@ -173,9 +128,7 @@ func (r *servedReader) ReadBucket(ctx context.Context, disk, bucket int) ([]data
 // failover answers a never-waiting read whose primary failed with err
 // by the rule a race follows: the bucket's live other replica is read
 // at once, as a hedge leg, and when it fails too the reported error is
-// preferTransient's choice, or the context's once it is done. The
-// failed read has already broken the disk's chain, so the next read
-// takes a fresh stamp.
+// preferTransient's choice, or the context's once it is done.
 func (r *servedReader) failover(ctx context.Context, disk, bucket int, recs []datagen.Record, err error) ([]datagen.Record, error) {
 	s := r.s
 	alt := s.altDisk(disk, bucket)
@@ -198,16 +151,18 @@ func (r *servedReader) failover(ctx context.Context, disk, bucket int, recs []da
 }
 
 // EndRun implements exec.RunEnder: disk's run has made its last read
-// of the query. The run's open batch is timed, its pending clean reads
-// are folded into the tracker, and its bucketRace goes back to the pool.
+// of the query. Its pending clean reads are timed and booked, and its
+// bucketRace goes back to the pool.
 func (r *servedReader) EndRun(disk int) {
 	sl := &r.slots[disk]
-	r.closeBatch(disk, sl)
-	r.s.health.fold(disk, &sl.run)
+	if sl.pending > 0 {
+		r.book(disk, sl, 0)
+	}
 	if br := sl.race; br != nil {
-		sl.race, br.r = nil, nil
+		br.r = nil
 		bucketRaces.Put(br)
 	}
+	*sl = diskSlot{}
 }
 
 // bucketRace is what a run's hedged bucket reads need beyond their
@@ -221,14 +176,7 @@ type bucketRace struct {
 	leg    func(ctx context.Context, disk int, hedgeLeg bool) ([]datagen.Record, error)
 	r      *servedReader
 	bucket int
-	// start is the read's stamp; next, the primary leg's chain stamp for
-	// the disk's next read, is written by that leg on the caller's
-	// goroutine.
-	start, next int64
-	// asked records that the watchdog asked the gate: written on its
-	// goroutine before it sends on the race's done channel, read by the
-	// caller after Race received.
-	asked bool
+	start  int64 // the read's stamp
 }
 
 var bucketRaces = sync.Pool{New: func() any {
@@ -240,13 +188,10 @@ var bucketRaces = sync.Pool{New: func() any {
 
 // read is a race's leg: one observed read of the bucket from disk d.
 func (br *bucketRace) read(ctx context.Context, d int, hedgeLeg bool) ([]datagen.Record, error) {
-	r := br.r
-	if !hedgeLeg {
-		recs, next, err := r.observe(ctx, d, br.bucket, br.start, &r.slots[d])
-		br.next = next
-		return recs, err
+	if hedgeLeg {
+		return br.r.hedgeLeg(ctx, d, br.bucket)
 	}
-	return r.hedgeLeg(ctx, d, br.bucket)
+	return br.r.observe(ctx, d, br.bucket, br.start)
 }
 
 // hedgeLeg is one hedge or failover read of bucket from disk d, counted
@@ -261,17 +206,14 @@ func (r *servedReader) hedgeLeg(ctx context.Context, d, bucket int) ([]datagen.R
 	if s.obs.Tracing() {
 		sp = obs.SpanFromContext(ctx).Child(fmt.Sprintf("hedge d%d", d))
 	}
-	recs, _, err := r.observe(ctx, d, bucket, s.health.now(), nil)
+	recs, err := r.observe(ctx, d, bucket, s.health.now())
 	sp.FinishErr(err)
 	return recs, err
 }
 
 // worth is the race's gate, asked by its watchdog when the race comes
 // due.
-func (br *bucketRace) worth(primary, backup int) bool {
-	br.asked = true
-	return br.r.s.hedgeWorth(primary, backup)
-}
+func (br *bucketRace) worth(primary, backup int) bool { return br.r.s.hedgeWorth(primary, backup) }
 
 // preferTransient picks the error a doubly failed read reports: if one
 // leg hit a fail-stop disk (mid-flight failure) and the other merely a
@@ -286,98 +228,61 @@ func preferTransient(cur, next error) error {
 }
 
 // observe serves one read that began at the stamp start from the inner
-// (fault-injecting) reader, books the outcome in the health tracker, and
-// returns the stamp the disk's next read starts at: start while a batch
-// is open, the read's end once timed, 0 after an error. sl is the disk's
-// slot when the read is its run's own, nil for a hedge or failover
-// leg, which is timed and observed on its own. A run's clean read on
-// a closed breaker joins the open batch, or opens one (see servedReader),
-// and its sample joins the slot's pending run, which is folded
-//
-//   - at EndRun;
-//   - before any other outcome on the disk is observed, so that a streak
-//     of errors keeps its order against the clean reads before it;
-//   - once it spans foldSpan, so that within one long query the disk's
-//     EWMA — the hedge gate's input — lags by at most that span, give or
-//     take a batch.
-//
-// While the breaker is not closed every read is observed one by one, so
-// half-open probes count exactly as they always did.
-func (r *servedReader) observe(ctx context.Context, disk, bucket int, start int64, sl *diskSlot) ([]datagen.Record, int64, error) {
+// (fault-injecting) reader and books it on its own: a read that can
+// wait, or a hedge or failover leg.
+func (r *servedReader) observe(ctx context.Context, disk, bucket int, start int64) ([]datagen.Record, error) {
 	recs, err := r.inner.ReadBucket(ctx, disk, bucket)
 	s := r.s
-	h := s.health
-	m := &s.metrics
-	m.legs.Inc()
-	clean := sl != nil && err == nil && h.closed(disk)
-	if clean && r.joins(disk, sl) {
-		sl.batch++
-		return recs, start, nil
+	s.metrics.legs.Inc()
+	x := time.Duration(s.health.now() - start)
+	s.health.Observe(disk, x, err)
+	s.metrics.legLatency.Observe(x)
+	return recs, err
+}
+
+// runRead serves one read of disk's run over a reader that never waits:
+// a clean read on a closed breaker is only counted, and any other is
+// booked on its own, closing the run's pending reads with it (see
+// servedReader).
+func (r *servedReader) runRead(ctx context.Context, disk, bucket int) ([]datagen.Record, error) {
+	sl := &r.slots[disk]
+	h := r.s.health
+	if sl.chain == 0 {
+		sl.chain = h.now()
 	}
-	end := h.now()
-	n := 1 // the reads that start..end times: this one and the batch it closes
-	if sl != nil {
-		n += sl.batch
-		sl.batch = 0
+	recs, err := r.inner.ReadBucket(ctx, disk, bucket)
+	r.s.metrics.legs.Inc()
+	if err == nil && h.closed(disk) {
+		sl.pending++
+		return recs, nil
 	}
-	x := float64(end-start) / float64(n)
-	switch {
-	case sl == nil:
-		h.Observe(disk, time.Duration(x), err)
-	case clean:
-		sl.pend(start, n, x, h.cfg.Alpha)
-		if end-sl.since >= s.foldSpan {
-			h.fold(disk, &sl.run)
-		}
-	default:
-		sl.pend(start, n-1, x, h.cfg.Alpha)
-		h.fold(disk, &sl.run)
-		h.Observe(disk, time.Duration(x), err)
-	}
-	if m.legLatency != nil {
-		m.legLatency.Observe(time.Duration(x))
-	}
+	h.Observe(disk, r.book(disk, sl, 1), err)
 	if err != nil {
-		end = 0
+		sl.chain = 0
 	}
-	return recs, end, err
+	return recs, err
 }
 
-// joins reports whether a run's clean read on a closed breaker goes
-// untimed: it joins the open batch short of the batch's last read, or
-// opens a batch on a disk whose EWMA is set and at most batchEWMA.
-func (r *servedReader) joins(disk int, sl *diskSlot) bool {
-	if sl.batch > 0 {
-		return sl.batch < batchReads-1
-	}
-	ewma := r.s.health.disks[disk].latency()
-	return ewma > 0 && ewma <= r.s.batchEWMA
-}
-
-// closeBatch times the slot's open batch, if any, to now: each of its
-// reads is booked as the batch mean.
-func (r *servedReader) closeBatch(disk int, sl *diskSlot) {
-	if sl.batch == 0 {
-		return
-	}
+// book reads the clock and times the slot's pending reads and the extra
+// reads that close them — one read booked on its own, or none at EndRun
+// — each as their mean since the slot's chain stamp. The pending reads
+// are folded into the tracker before the closing read is observed, so
+// that a streak of errors keeps its order against the clean reads before
+// it, and all of them go to the leg histogram in one call. The clock's
+// reading is where the run's next read starts; book returns the mean.
+func (r *servedReader) book(disk int, sl *diskSlot, extra int) time.Duration {
 	h := r.s.health
 	end := h.now()
-	sl.pend(sl.chain, sl.batch, float64(end-sl.chain)/float64(sl.batch), h.cfg.Alpha)
-	sl.batch = 0
-	if end-sl.since >= r.s.foldSpan {
-		h.fold(disk, &sl.run)
+	n := sl.pending + extra
+	x := float64(end-sl.chain) / float64(n)
+	var run cleanRun
+	for ; sl.pending > 0; sl.pending-- {
+		run.add(x, h.cfg.Alpha)
 	}
-}
-
-// pend adds n clean samples of x to the slot's run; start is the stamp
-// the first of them began at.
-func (sl *diskSlot) pend(start int64, n int, x, alpha float64) {
-	if n > 0 && sl.run.n == 0 {
-		sl.since = start
-	}
-	for ; n > 0; n-- {
-		sl.run.add(x, alpha)
-	}
+	h.fold(disk, &run)
+	r.s.metrics.legLatency.ObserveN(time.Duration(x), n)
+	sl.chain = end
+	return time.Duration(x)
 }
 
 // altDisk returns the other replica of bucket — the target of the

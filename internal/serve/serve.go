@@ -193,17 +193,6 @@ type Scheduler struct {
 	// base latency clamped up to the host timer floor); immutable after
 	// New.
 	warnings []string
-
-	// foldSpan bounds, in hedge.Now nanoseconds, the time a disk's pending
-	// clean reads may cover before servedReader folds them: the hedge
-	// delay, whose gate reads the EWMA they feed, or the breaker cooldown
-	// when hedging is off.
-	foldSpan int64
-	// batchEWMA is the EWMA, in nanoseconds, at or under which a disk's
-	// clean reads are timed in batches: batchReads of them span at most
-	// foldSpan/batchStale. Zero — every read timed — while a latency
-	// histogram is attached.
-	batchEWMA float64
 }
 
 // config collects the options of New.
@@ -336,10 +325,6 @@ func New(f *gridfile.File, opts ...Option) (*Scheduler, error) {
 		drain:   c.drain,
 		drained: make(chan struct{}),
 	}
-	s.foldSpan = int64(h.Cooldown())
-	if c.hedge.After > 0 {
-		s.foldSpan = int64(c.hedge.After)
-	}
 	if c.obs != nil {
 		s.obs = c.obs
 		s.metrics = newServeMetrics(c.obs.Registry())
@@ -350,9 +335,6 @@ func New(f *gridfile.File, opts ...Option) (*Scheduler, error) {
 			}
 			s.metrics.attachNodeMetrics(c.obs.Registry(), c.node)
 		}
-	}
-	if s.metrics.legLatency == nil {
-		s.batchEWMA = float64(s.foldSpan) / (batchStale * batchReads)
 	}
 
 	reader := c.reader
