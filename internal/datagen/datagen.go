@@ -60,13 +60,25 @@ func (u Uniform) Attrs() int { return u.K }
 // Generate implements Generator.
 func (u Uniform) Generate(n int) []Record {
 	rng := rand.New(rand.NewSource(u.Seed))
-	out := make([]Record, n)
+	out := newRecords(n, u.K)
 	for i := range out {
-		vals := make([]float64, u.K)
+		vals := out[i].Values
 		for j := range vals {
 			vals[j] = rng.Float64()
 		}
-		out[i] = Record{ID: i, Values: vals}
+	}
+	return out
+}
+
+// newRecords returns n records with IDs 0…n−1 and k zero values each,
+// cut from one slab: each record's Values is a 3-index slice of it, so
+// an append to one record's Values copies rather than overwrite its
+// neighbour's.
+func newRecords(n, k int) []Record {
+	out := make([]Record, n)
+	slab := make([]float64, n*k)
+	for i := range out {
+		out[i] = Record{ID: i, Values: slab[i*k : (i+1)*k : (i+1)*k]}
 	}
 	return out
 }
@@ -100,14 +112,13 @@ func (z Zipf) Generate(n int) []Record {
 		buckets = 64
 	}
 	zipf := rand.NewZipf(rng, s, 1, uint64(buckets-1))
-	out := make([]Record, n)
+	out := newRecords(n, z.K)
 	for i := range out {
-		vals := make([]float64, z.K)
+		vals := out[i].Values
 		for j := range vals {
 			q := float64(zipf.Uint64())
 			vals[j] = clamp((q + rng.Float64()) / float64(buckets))
 		}
-		out[i] = Record{ID: i, Values: vals}
 	}
 	return out
 }
@@ -146,14 +157,13 @@ func (c Clustered) Generate(n int) []Record {
 			centers[i][j] = rng.Float64()
 		}
 	}
-	out := make([]Record, n)
+	out := newRecords(n, c.K)
 	for i := range out {
 		center := centers[rng.Intn(clusters)]
-		vals := make([]float64, c.K)
+		vals := out[i].Values
 		for j := range vals {
 			vals[j] = clamp(center[j] + rng.NormFloat64()*sigma)
 		}
-		out[i] = Record{ID: i, Values: vals}
 	}
 	return out
 }
@@ -185,14 +195,13 @@ func (c Correlated) Attrs() int { return c.K }
 func (c Correlated) Generate(n int) []Record {
 	rng := rand.New(rand.NewSource(c.Seed))
 	noise := c.noise()
-	out := make([]Record, n)
+	out := newRecords(n, c.K)
 	for i := range out {
-		vals := make([]float64, c.K)
+		vals := out[i].Values
 		vals[0] = rng.Float64()
 		for j := 1; j < c.K; j++ {
 			vals[j] = clamp(vals[0] + (rng.Float64()*2-1)*noise)
 		}
-		out[i] = Record{ID: i, Values: vals}
 	}
 	return out
 }

@@ -202,3 +202,23 @@ func TestCellCoversAllPartitions(t *testing.T) {
 		t.Errorf("uniform records cover %d/16 cells", len(seen))
 	}
 }
+
+// Every generator cuts its records' values from one slab, yet an append
+// to one record's Values leaves its neighbour's values as they were.
+func TestGenerateValuesDoNotAlias(t *testing.T) {
+	for _, g := range []Generator{
+		Uniform{K: 3, Seed: 1},
+		Zipf{K: 3, Seed: 1, S: 1.5},
+		Clustered{K: 3, Seed: 1, Clusters: 2},
+		Correlated{K: 3, Seed: 1},
+	} {
+		recs := g.Generate(4)
+		next := append([]float64(nil), recs[2].Values...)
+		_ = append(recs[1].Values, 0.5)
+		for j, v := range recs[2].Values {
+			if v != next[j] {
+				t.Errorf("%s: appending to record 1's values changed record 2's value %d from %v to %v", g.Name(), j, next[j], v)
+			}
+		}
+	}
+}

@@ -552,7 +552,7 @@ func (e *Executor) run(ctx context.Context, qs *queryState, buckets, rank []int,
 	disks := e.file.Disks()
 	qs.active = qs.active[:0]
 	for d := 0; d < disks; d++ {
-		qs.tasks[d] = diskTask{}
+		qs.tasks[d].reset()
 		if len(qs.perDisk[d]) > 0 {
 			qs.active = append(qs.active, d)
 		}
@@ -575,6 +575,9 @@ func (e *Executor) run(ctx context.Context, qs *queryState, buckets, rank []int,
 	// hands nothing off.
 	qs.reader = e.queryReader()
 	qs.ender, _ = qs.reader.(RunEnder)
+	if qs.runs, _ = qs.reader.(RunReader); qs.runs != nil && !NeverWaits(qs.reader) {
+		qs.runs = nil
+	}
 	qs.next.Store(0)
 	for i := 1; i < min(limit, len(qs.active)); i++ {
 		qs.wg.Add(1)
@@ -746,56 +749,96 @@ func setToSlice(set map[int]bool) []int {
 	return out
 }
 
+// readStretch reads a stretch of disk's run in one ReadRun call (see
+// runDisk). t, when non-nil, counts its n clean reads as n calls and n
+// attempts, and a failed read as one more of each, left for
+// readWithRetry to classify. The stretch is timed with one clock read
+// at each end, and disk's latency histogram gets one sample of the mean
+// per attempt.
+func (e *Executor) readStretch(ctx context.Context, rr RunReader, t *readTally, disk int, buckets []int, pages [][]datagen.Record) (int, error) {
+	if t == nil {
+		return rr.ReadRun(ctx, disk, buckets, pages)
+	}
+	if t.stamp == 0 {
+		t.stamp = hedge.Now()
+	}
+	n, err := rr.ReadRun(ctx, disk, buckets, pages)
+	end := hedge.Now()
+	k := n
+	if err != nil {
+		k++
+	}
+	t.calls += uint64(k)
+	t.attempts += uint64(k)
+	t.callsOK += uint64(n)
+	t.attemptsOK += uint64(n)
+	if k > 0 {
+		e.metrics.diskLatency.At(disk).ObserveN(time.Duration(end-t.stamp)/time.Duration(k), k)
+	}
+	t.stamp = end
+	if err != nil {
+		t.stamp = 0 // an error's backoff is not read time
+	}
+	return n, err
+}
+
 // readWithRetry reads one bucket through the query's reader, retrying
 // transient errors per the policy with capped exponential backoff. It
 // returns the records, the number of retries performed, and the
-// terminal error if any. dsp, when non-nil, is the disk span attempt
-// spans hang off; the attempt span also rides the context so reader
-// wrappers (hedging, read-repair) can attach their own children. t,
-// when non-nil, receives the counter deltas as plain adds (the run
+// terminal error if any. A non-nil first is the error the read's first
+// attempt already met in a stretch (readStretch counted and timed it):
+// the loop starts by classifying it. dsp, when non-nil, is the disk span
+// attempt spans hang off; the attempt span also rides the context so
+// reader wrappers (hedging, read-repair) can attach their own children.
+// t, when non-nil, receives the counter deltas as plain adds (the run
 // flushes it); only the per-disk latency histogram — private to this
 // run's disk — is touched per read.
-func (e *Executor) readWithRetry(ctx context.Context, reader BucketReader, dsp *obs.Span, t *readTally, disk, bucket int) ([]datagen.Record, int, error) {
+func (e *Executor) readWithRetry(ctx context.Context, reader BucketReader, dsp *obs.Span, t *readTally, disk, bucket int, first error) ([]datagen.Record, int, error) {
 	max := e.retry.MaxAttempts
 	if max < 1 {
 		max = 1
 	}
 	var lat *obs.Histogram
 	if t != nil {
-		t.calls++
+		if first == nil {
+			t.calls++
+		}
 		lat = e.metrics.diskLatency.At(disk)
 	}
+	var recs []datagen.Record
+	err := first
 	for attempt := 1; ; attempt++ {
-		rctx := ctx
-		var asp *obs.Span
-		if dsp != nil {
-			asp = dsp.Child(fmt.Sprintf("read b%d attempt %d", bucket, attempt))
-			rctx = obs.ContextWithSpan(ctx, asp)
-		}
-		if t != nil {
-			if t.stamp == 0 {
-				t.stamp = hedge.Now()
+		if attempt > 1 || first == nil {
+			rctx := ctx
+			var asp *obs.Span
+			if dsp != nil {
+				asp = dsp.Child(fmt.Sprintf("read b%d attempt %d", bucket, attempt))
+				rctx = obs.ContextWithSpan(ctx, asp)
 			}
-			t.attempts++
-		}
-		recs, err := reader.ReadBucket(rctx, disk, bucket)
-		if t != nil {
-			end := hedge.Now()
-			lat.Observe(time.Duration(end - t.stamp))
-			t.stamp = 0 // an error's backoff is not read time
-			if err == nil {
-				t.stamp = end
+			if t != nil {
+				if t.stamp == 0 {
+					t.stamp = hedge.Now()
+				}
+				t.attempts++
 			}
+			recs, err = reader.ReadBucket(rctx, disk, bucket)
+			if t != nil {
+				end := hedge.Now()
+				lat.Observe(time.Duration(end - t.stamp))
+				t.stamp = 0 // an error's backoff is not read time
+				if err == nil {
+					t.stamp = end
+				}
+			}
+			asp.FinishErr(err)
 		}
 		if err == nil {
-			asp.Finish()
 			if t != nil {
 				t.attemptsOK++
 				t.callsOK++
 			}
 			return recs, attempt - 1, nil
 		}
-		asp.FinishErr(err)
 		if attempt >= max || !errors.Is(err, fault.ErrTransient) {
 			if t != nil {
 				t.attemptsErr++

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -137,17 +138,31 @@ func (qs *queryState) pull() {
 }
 
 // diskTask is one disk's counters for a query (its pages go to the
-// query's slots). Tasks live in queryState and are reused across
-// queries.
+// query's slots), and the scratch its run reads through. Tasks live in
+// queryState and are reused across queries.
 type diskTask struct {
 	read    int // non-empty buckets read
 	retries int
 	tally   readTally
+
+	// The run's non-empty buckets, their ranks, and the pages a stretch
+	// reads them into; kept for their capacity.
+	buckets, ranks []int
+	pages          [][]datagen.Record
 }
 
-// runDisk reads disk d's run: the buckets route gave it, in order. It
-// records the first error and ends the run — EndRun, the disk span and
-// the tally flush — on every exit path.
+// reset zeroes the task's counters for a new query.
+func (t *diskTask) reset() { t.read, t.retries, t.tally = 0, 0, readTally{} }
+
+// runDisk reads disk d's run: the buckets route gave it, in order,
+// skipping those the grid directory knows are empty. Over a RunReader
+// that never waits, and with no span to keep per attempt, it reads the
+// run in stretches: one ReadRun call each, from the run's start or from
+// the bucket after a failed one. Otherwise a stretch is one ReadBucket
+// call. A failed read goes through readWithRetry, from the error it
+// already met. Cancellation is checked before each stretch and at the
+// run's end. The run records the first error and ends — EndRun, the
+// disk span and the tally flush — on every exit path.
 func (qs *queryState) runDisk(d int) {
 	e := qs.ex
 	t := &qs.tasks[d]
@@ -164,13 +179,28 @@ func (qs *queryState) runDisk(d int) {
 		tally = &t.tally
 		defer qs.m.flush(d, &t.tally)
 	}
-	// The query's cancellation is looked up once: per bucket it is a
-	// receive that does not block, where ctx.Err() would take the
-	// context's mutex, which every runner of the query shares. A run
-	// claimed after cancellation stops at its first bucket.
+	runs := qs.runs
+	if dsp != nil {
+		runs = nil
+	}
+	buckets, ranks := t.buckets[:0], t.ranks[:0]
+	for _, p := range qs.perDisk[d] {
+		if e.file.BucketLen(p.bucket) == 0 {
+			qs.slots[p.rank] = nil
+			continue
+		}
+		buckets, ranks = append(buckets, p.bucket), append(ranks, p.rank)
+	}
+	t.buckets, t.ranks = buckets, ranks
+	pages := slices.Grow(t.pages[:0], len(buckets))[:len(buckets)]
+	t.pages = pages
+	// The query's cancellation is looked up once: a check is a receive
+	// that does not block, where ctx.Err() would take the context's
+	// mutex, which every runner of the query shares. A run claimed after
+	// cancellation stops before its first read.
 	ctx := qs.ctx
 	done := ctx.Done()
-	for _, p := range qs.perDisk[d] {
+	for i := 0; ; {
 		select {
 		case <-done:
 			err := ctx.Err()
@@ -179,19 +209,31 @@ func (qs *queryState) runDisk(d int) {
 			return
 		default:
 		}
-		if e.file.BucketLen(p.bucket) == 0 {
-			qs.slots[p.rank] = nil // the grid directory knows the bucket is empty
-			continue
+		if i == len(buckets) {
+			return
 		}
-		recs, tries, err := e.readWithRetry(ctx, qs.reader, dsp, tally, d, p.bucket)
+		var err error
+		if runs != nil {
+			var n int
+			n, err = e.readStretch(ctx, runs, tally, d, buckets[i:], pages[i:])
+			for j := i; j < i+n; j++ {
+				qs.slots[ranks[j]] = pages[j]
+			}
+			t.read += n
+			if i += n; err == nil {
+				continue
+			}
+		}
+		recs, tries, err := e.readWithRetry(ctx, qs.reader, dsp, tally, d, buckets[i], err)
 		t.retries += tries
 		if err != nil {
 			dsp.FinishErr(err)
 			qs.fail(err)
 			return
 		}
-		qs.slots[p.rank] = recs
+		qs.slots[ranks[i]] = recs
 		t.read++
+		i++
 	}
 }
 
@@ -203,7 +245,8 @@ type queryState struct {
 	ex     *Executor
 	ctx    context.Context
 	reader BucketReader
-	ender  RunEnder // reader's EndRun, nil when it has none
+	ender  RunEnder  // reader's EndRun, nil when it has none
+	runs   RunReader // reader's ReadRun, nil unless it never waits
 	m      *execMetrics
 	qsp    *obs.Span
 
@@ -264,6 +307,7 @@ func (e *Executor) putState(qs *queryState) {
 	qs.ctx = nil
 	qs.reader = nil
 	qs.ender = nil
+	qs.runs = nil
 	qs.qsp = nil
 	qs.m = nil
 	qs.firstErr = nil

@@ -12,15 +12,60 @@ import (
 // BucketReader serves the records of one bucket from one disk. It is
 // the executor's pluggable I/O layer: the default implementation reads
 // the in-memory grid file, and wrappers can inject faults, add caching,
-// or fetch from remote storage. Implementations must be safe for
-// concurrent use — the executor reads up to one disk per runner at once.
-// Each disk's reads for a query come from one goroutine, one at a time,
-// in routed order.
+// or fetch from remote storage.
+//
+// The contract: implementations must be safe for concurrent use — the
+// executor reads up to one disk per runner at once — but each disk's
+// reads for a query come from one goroutine, one at a time, in routed
+// order. A returned error matching fault.ErrTransient is retryable; any
+// other error aborts the query. The records returned may be a view of
+// the reader's storage: the executor only reads them.
 type BucketReader interface {
 	// ReadBucket returns the records of the row-major bucket b as served
-	// by disk d. A returned error matching fault.ErrTransient is
-	// retryable; any other error aborts the query.
+	// by disk d.
 	ReadBucket(ctx context.Context, disk, bucket int) ([]datagen.Record, error)
+}
+
+// RunReader is implemented by a reader that can read a stretch of one
+// disk's run in one call. ReadRun reads buckets in order, as that many
+// ReadBucket calls would — same records, same errors, same side effects
+// — and stores each answer in pages at the same index. n counts the
+// reads that succeeded before buckets[n] failed with err, and is
+// len(buckets) when err is nil; after a failure pages[n:] are
+// unspecified. The failed read is the caller's to retry, and the next
+// stretch starts after it.
+//
+// The executor calls ReadRun only on the outermost reader, and only
+// while NeverWaits says true of it: a stretch is read without a
+// cancellation check, a span or a clock read between its buckets, which
+// is right only for reads that cannot wait. Under a trace span it reads
+// one bucket per call through ReadBucket instead, so that every attempt
+// keeps its span. A wrapper that implements ReadRun passes the stretch
+// on with the package's ReadRun, whether or not its inner reader does.
+type RunReader interface {
+	ReadRun(ctx context.Context, disk int, buckets []int, pages [][]datagen.Record) (n int, err error)
+}
+
+// ReadRun reads buckets of disk through r as one stretch: in one
+// ReadRun call when r is a RunReader, else one ReadBucket per bucket,
+// stopping at the first error. Its results are RunReader.ReadRun's.
+func ReadRun(ctx context.Context, r BucketReader, disk int, buckets []int, pages [][]datagen.Record) (int, error) {
+	if rr, ok := r.(RunReader); ok {
+		return rr.ReadRun(ctx, disk, buckets, pages)
+	}
+	return readEach(ctx, r, disk, buckets, pages)
+}
+
+// readEach reads a stretch one ReadBucket call per bucket.
+func readEach(ctx context.Context, r BucketReader, disk int, buckets []int, pages [][]datagen.Record) (int, error) {
+	for i, b := range buckets {
+		recs, err := r.ReadBucket(ctx, disk, b)
+		if err != nil {
+			return i, err
+		}
+		pages[i] = recs
+	}
+	return len(buckets), nil
 }
 
 // RunEnder is implemented by a query's reader that keeps per-disk state
@@ -40,9 +85,11 @@ type RunEnder interface {
 // wait: no device, timer or remote call, only the CPU, as with a grid
 // file's in-memory pages. Such a read is slow only while its goroutine
 // is descheduled, and a backup read on the same CPUs cannot beat it, so
-// a hedging layer above need not race it. A wrapper forwards its inner
-// reader's answer, or says false if it may wait itself; a reader that
-// does not implement Waitless may wait.
+// a hedging layer above need not race it, and the executor reads the
+// run in stretches (RunReader) with no cancellation check between their
+// reads. The contract: a wrapper forwards its inner reader's answer, or
+// says false if it may wait itself; a reader that does not implement
+// Waitless may wait. The answer must not change during a query.
 type Waitless interface {
 	NeverWaits() bool
 }
@@ -75,6 +122,14 @@ func (r fileReader) ReadBucket(_ context.Context, _, b int) ([]datagen.Record, e
 	return r.f.Bucket(b), nil
 }
 
+// ReadRun implements RunReader: a grid-file read cannot fail.
+func (r fileReader) ReadRun(_ context.Context, _ int, buckets []int, pages [][]datagen.Record) (int, error) {
+	for i, b := range buckets {
+		pages[i] = r.f.Bucket(b)
+	}
+	return len(buckets), nil
+}
+
 // NeverWaits implements Waitless: a bucket is a page already in memory.
 func (fileReader) NeverWaits() bool { return true }
 
@@ -101,6 +156,11 @@ func (r storeReader) ReadBucket(_ context.Context, d, b int) ([]datagen.Record, 
 		return nil, nil
 	}
 	return r.s.ReadVerified(d, b)
+}
+
+// ReadRun implements RunReader.
+func (r storeReader) ReadRun(ctx context.Context, d int, buckets []int, pages [][]datagen.Record) (int, error) {
+	return readEach(ctx, r, d, buckets, pages)
 }
 
 // NeverWaits implements Waitless: a store's copies are in memory, and a
@@ -137,6 +197,13 @@ func (r *faultReader) ReadBucket(ctx context.Context, disk, bucket int) ([]datag
 		return nil, err
 	}
 	return r.inner.ReadBucket(ctx, disk, bucket)
+}
+
+// ReadRun implements RunReader: the injector is consulted before each
+// bucket's read, as ReadBucket does, so a stretch draws the coins the
+// same reads draw one at a time.
+func (r *faultReader) ReadRun(ctx context.Context, disk int, buckets []int, pages [][]datagen.Record) (int, error) {
+	return readEach(ctx, r, disk, buckets, pages)
 }
 
 // NeverWaits implements Waitless: the injector fails reads but never

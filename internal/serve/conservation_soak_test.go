@@ -371,3 +371,131 @@ func TestConservationSoak(t *testing.T) {
 		}
 	}
 }
+
+// TestConservationSoakNeverWaiting is the soak's never-waiting cell: the
+// same read-leg and executor identities over a stack whose reads never
+// wait — a store reader under transient faults and a flapping disk, with
+// no latency reader and no read-repair wrapper — so every run is read in
+// stretches and booked by servedReader's run fold, and every leg must
+// still be counted and timed exactly once.
+func TestConservationSoakNeverWaiting(t *testing.T) {
+	const (
+		disks   = 4
+		clients = 6
+		perCli  = 150
+	)
+	g := grid.MustNew(16, 16)
+	m, err := alloc.NewHCAM(g, disks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := gridfile.New(gridfile.Config{Method: m, PageCapacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.InsertAll(datagen.Uniform{K: 2, Seed: 7}.Generate(3000)); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := replica.NewChained(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := gridfile.NewStore(f, func(b int) []int {
+		return []int{rep.PrimaryOf(b), rep.BackupOf(b)}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := fault.New(fault.Config{Seed: 29, TransientProb: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := obs.NewSink()
+	s, err := serve.New(f,
+		serve.WithBucketReader(exec.NewStoreReader(store)),
+		serve.WithFaults(inj),
+		serve.WithFailover(rep),
+		serve.WithRetry(exec.RetryPolicy{MaxAttempts: 6, BaseBackoff: 20 * time.Microsecond, MaxBackoff: 200 * time.Microsecond}),
+		serve.WithHedging(serve.HedgeConfig{After: time.Millisecond}),
+		serve.WithBreaker(serve.BreakerConfig{ErrorThreshold: 6, Cooldown: 5 * time.Millisecond}),
+		serve.WithObserver(sink),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Flap disk 1 while the clients run, and leave it recovered.
+	stop := make(chan struct{})
+	var chaosWG sync.WaitGroup
+	chaosWG.Add(1)
+	go func() {
+		defer chaosWG.Done()
+		for failed := false; ; failed = !failed {
+			select {
+			case <-stop:
+				if failed {
+					inj.FlipDisks(nil, []int{1})
+				}
+				return
+			case <-time.After(2 * time.Millisecond):
+			}
+			if failed {
+				inj.FlipDisks(nil, []int{1})
+			} else {
+				inj.FlipDisks([]int{1}, nil)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(3000 + c)))
+			for k := 0; k < perCli; k++ {
+				w, h := 1+rng.Intn(10), 1+rng.Intn(10)
+				x, y := rng.Intn(g.Dim(0)-w+1), rng.Intn(g.Dim(1)-h+1)
+				_, _ = s.Do(context.Background(), serve.Query{Rect: g.MustRect(grid.Coord{x, y}, grid.Coord{x + w - 1, y + h - 1})})
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(stop)
+	chaosWG.Wait()
+	snap, err := s.Close()
+	if err != nil {
+		t.Fatalf("drain after soak: %v", err)
+	}
+	st := snap.Stats
+
+	reg := sink.Registry()
+	cv := func(name string) uint64 { return reg.Counter(name).Value() }
+	eq := func(what string, got, want uint64) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s: %d != %d", what, got, want)
+		}
+	}
+	attempts := cv("exec.read.attempts")
+	eq("legs = attempts + hedges", cv("serve.reads.legs"), attempts+st.HedgesIssued)
+	eq("leg latency count = legs", reg.Histogram("serve.read.leg.latency").Count(), cv("serve.reads.legs"))
+	eq("attempts = ok+err+retried",
+		attempts, cv("exec.read.attempts.ok")+cv("exec.read.attempts.err")+cv("exec.read.attempts.retried"))
+	eq("calls = ok+err+cancelled",
+		cv("exec.read.calls"), cv("exec.read.calls.ok")+cv("exec.read.calls.err")+cv("exec.read.calls.cancelled"))
+	eq("disk attempts family sum = attempts",
+		reg.CounterFamily("exec.disk.read.attempts", "disk", 1).Sum(), attempts)
+	eq("disk latency family count = attempts",
+		reg.HistogramFamily("exec.disk.read.latency", "disk", 1).Count(), attempts)
+	eq("exec queries ok = serve completed", cv("exec.queries.ok"), st.Completed)
+
+	if st.Completed == 0 {
+		t.Error("no query completed")
+	}
+	if cv("exec.read.attempts.retried") == 0 {
+		t.Error("no retries; transient faults had no effect")
+	}
+	if st.HedgesIssued == 0 {
+		t.Error("no failover leg issued; the flapping disk had no effect")
+	}
+}

@@ -447,3 +447,31 @@ func TestCoTenantGaugesSumOverSchedulers(t *testing.T) {
 		t.Fatalf("after Close: queue depth %d, in flight %d; want 0 and 0", d, n)
 	}
 }
+
+// A run of n equal samples added in closed form — (1−α)ⁿ by squaring —
+// is the run the per-sample loop builds, to 1e-12 relative, from an
+// empty run and from one already holding samples.
+func TestRunFoldClosedFormMatchesLoop(t *testing.T) {
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b)) }
+	for _, alpha := range []float64{0.05, 0.2, 0.5, 0.9} {
+		for _, n := range []int{1, 2, 3, 144, 2304} {
+			for _, prior := range []int{0, 5} {
+				var loop, closed cleanRun
+				for i := 0; i < prior; i++ {
+					x := float64(1000 * (i + 1))
+					loop.add(x, alpha)
+					closed.add(x, alpha)
+				}
+				const x = 73_456.25
+				for i := 0; i < n; i++ {
+					loop.add(x, alpha)
+				}
+				closed.addN(x, alpha, n)
+				if closed.n != loop.n || closed.first != loop.first || !near(closed.sum, loop.sum) || !near(closed.decay, loop.decay) {
+					t.Errorf("alpha %.2f, %d prior samples, n %d: closed form n %d first %v sum %v decay %v; loop %d %v %v %v",
+						alpha, prior, n, closed.n, closed.first, closed.sum, closed.decay, loop.n, loop.first, loop.sum, loop.decay)
+				}
+			}
+		}
+	}
+}

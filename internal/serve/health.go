@@ -272,6 +272,27 @@ func (r *cleanRun) add(x, alpha float64) {
 	r.n++
 }
 
+// addN appends n samples of x, as n calls of add would: (1−α)ⁿ by
+// squaring, and Σ over the n samples as x·(1−(1−α)ⁿ).
+func (r *cleanRun) addN(x, alpha float64, n int) {
+	if n <= 0 {
+		return
+	}
+	if r.n == 0 {
+		r.decay, r.first = 1, x
+	}
+	k := 1.0
+	for b, e := 1-alpha, n; e > 0; e >>= 1 {
+		if e&1 == 1 {
+			k *= b
+		}
+		b *= b
+	}
+	r.sum = k*r.sum + x*(1-k)
+	r.decay *= k
+	r.n += n
+}
+
 // fold books run against endpoint d under one lock, as n clean Observe
 // calls would on a closed breaker — the EWMA by the closed form, reads
 // and samples up by n, the error streak broken — and empties run. The

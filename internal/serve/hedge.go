@@ -32,10 +32,11 @@ type HedgeConfig struct {
 	// reader, the store reader, and the fault layer over either) a read
 	// is an in-memory page access that can run late only while its
 	// goroutine is descheduled, and a backup on the same CPUs cannot win.
-	// Such a read keeps only the failover. On the benchmark's node-large
-	// search (48×48 rect, 2,304 reads) racing every read launched no
-	// backup at all, and not racing them raised its throughput 1.58×
-	// (ops_per_kref 1,325 → 2,096).
+	// Such a read keeps only the failover, and the executor reads its run
+	// in stretches (exec.RunReader), so After never applies to it. On the
+	// benchmark's node-large search (48×48 rect, 2,304 reads) racing
+	// every read launched no backup at all, and not racing them raised
+	// its throughput 1.58× (ops_per_kref 1,325 → 2,096).
 	After time.Duration
 }
 
@@ -44,7 +45,9 @@ type HedgeConfig struct {
 // the health tracker and — when hedging is configured — races a
 // speculative backup read against slow primaries. It is outermost, so
 // it sees injected faults; reads it issues itself (the hedge leg) go
-// back through the per-query fault layer via inner.
+// back through the per-query fault layer via inner. It declares its
+// reads never wait exactly when inner does, and then the executor reads
+// each run through ReadRun, in stretches.
 //
 // Whether inner's reads can wait (exec.NeverWaits, asked once per query)
 // picks how a read is timed:
@@ -54,17 +57,19 @@ type HedgeConfig struct {
 //     replica it is raced against it at the configured delay, and the
 //     hedge gate is asked only of a race that comes due (hedgeWorth).
 //   - over a reader that never waits nothing is raced, and disk d's run —
-//     its reads of d for this query, made one at a time by the one
-//     goroutine that claimed it and ended with EndRun before the query
-//     returns — is timed once. So slots[d] has one writer, and a clean
-//     read on a closed breaker is only counted there: no clock read, no
-//     lock. The clock is read at the run's first read, and again only at
-//     EndRun or at a read booked on its own: a failure, or any read while
-//     the breaker is not closed, so half-open probes count one by one.
-//     The pending reads and the read that closes them are then each
-//     booked as their mean (book). A read that fails looks up the other
-//     replica and fails over to it (failover), and the next read takes a
-//     fresh stamp, so a retry backoff never counts as read time.
+//     its reads of d for this query, made one stretch at a time by the
+//     one goroutine that claimed it and ended with EndRun before the
+//     query returns — is timed once. So slots[d] has one writer. A
+//     stretch read while the breaker is closed goes to inner in one call
+//     (exec.ReadRun), and its clean reads are only counted there: no
+//     clock read, no lock. The clock is read at the run's first read, and
+//     again only at EndRun or at a read booked on its own (settle): a
+//     failure, or any read while the breaker is not closed, made one
+//     ReadBucket at a time, so half-open probes count one by one. The
+//     pending reads and the read that closes them are then each booked
+//     as their mean (book). A read that fails looks up the other replica
+//     and fails over to it (failover), and the next read takes a fresh
+//     stamp, so a retry backoff never counts as read time.
 //
 // Hedge and failover legs take stamps of their own and are booked one by
 // one. A run that races draws its bucketRace at its first race and keeps
@@ -99,11 +104,7 @@ func (s *Scheduler) newServedReader(inner exec.BucketReader) *servedReader {
 // over.
 func (r *servedReader) ReadBucket(ctx context.Context, disk, bucket int) ([]datagen.Record, error) {
 	if r.waitless {
-		recs, err := r.runRead(ctx, disk, bucket)
-		if err != nil {
-			return r.failover(ctx, disk, bucket, recs, err)
-		}
-		return recs, nil
+		return r.runRead(ctx, disk, bucket)
 	}
 	s := r.s
 	alt := s.altDisk(disk, bucket)
@@ -240,10 +241,51 @@ func (r *servedReader) observe(ctx context.Context, disk, bucket int, start int6
 	return recs, err
 }
 
+// ReadRun implements exec.RunReader: a stretch of disk's run, in order.
+// While the breaker is closed over a reader that never waits, the inner
+// reader reads the stretch in one call (exec.ReadRun) and its clean
+// reads are only counted, as pending reads of the run. A failed read is
+// settled on its own, and the stretch goes on after it when the
+// failover answers. Any other read — the breaker not closed at its
+// turn, or a reader that can wait — is one ReadBucket call, so
+// half-open probes are booked one by one. A breaker that trips during
+// an inner stretch applies from the next read that checks it.
+func (r *servedReader) ReadRun(ctx context.Context, disk int, buckets []int, pages [][]datagen.Record) (int, error) {
+	h := r.s.health
+	sl := &r.slots[disk]
+	for i := 0; i < len(buckets); i++ {
+		if !r.waitless || !h.closed(disk) {
+			recs, err := r.ReadBucket(ctx, disk, buckets[i])
+			if err != nil {
+				return i, err
+			}
+			pages[i] = recs
+			continue
+		}
+		if sl.chain == 0 {
+			sl.chain = h.now()
+		}
+		n, err := exec.ReadRun(ctx, r.inner, disk, buckets[i:], pages[i:])
+		sl.pending += n
+		if i += n; err == nil {
+			return i, nil
+		}
+		recs, err := r.settle(ctx, disk, buckets[i], nil, err)
+		if err != nil {
+			return i, err
+		}
+		pages[i] = recs
+	}
+	return len(buckets), nil
+}
+
+// NeverWaits implements exec.Waitless: the scheduler's reads wait when
+// its inner reader's do.
+func (r *servedReader) NeverWaits() bool { return r.waitless }
+
 // runRead serves one read of disk's run over a reader that never waits:
 // a clean read on a closed breaker is only counted, and any other is
-// booked on its own, closing the run's pending reads with it (see
-// servedReader).
+// settled on its own (see servedReader).
 func (r *servedReader) runRead(ctx context.Context, disk, bucket int) ([]datagen.Record, error) {
 	sl := &r.slots[disk]
 	h := r.s.health
@@ -251,16 +293,25 @@ func (r *servedReader) runRead(ctx context.Context, disk, bucket int) ([]datagen
 		sl.chain = h.now()
 	}
 	recs, err := r.inner.ReadBucket(ctx, disk, bucket)
-	r.s.metrics.legs.Inc()
 	if err == nil && h.closed(disk) {
 		sl.pending++
 		return recs, nil
 	}
-	h.Observe(disk, r.book(disk, sl, 1), err)
-	if err != nil {
-		sl.chain = 0
+	return r.settle(ctx, disk, bucket, recs, err)
+}
+
+// settle books one read of disk's never-waiting run on its own, closing
+// the run's pending reads with it, and fails a failed read over to the
+// bucket's other replica. The next read after a failure takes a fresh
+// stamp.
+func (r *servedReader) settle(ctx context.Context, disk, bucket int, recs []datagen.Record, err error) ([]datagen.Record, error) {
+	sl := &r.slots[disk]
+	r.s.health.Observe(disk, r.book(disk, sl, 1), err)
+	if err == nil {
+		return recs, nil
 	}
-	return recs, err
+	sl.chain = 0
+	return r.failover(ctx, disk, bucket, recs, err)
 }
 
 // book reads the clock and times the slot's pending reads and the extra
@@ -268,18 +319,19 @@ func (r *servedReader) runRead(ctx context.Context, disk, bucket int) ([]datagen
 // — each as their mean since the slot's chain stamp. The pending reads
 // are folded into the tracker before the closing read is observed, so
 // that a streak of errors keeps its order against the clean reads before
-// it, and all of them go to the leg histogram in one call. The clock's
-// reading is where the run's next read starts; book returns the mean.
+// it, and all of them go to the leg counter and histogram in one call
+// each. The clock's reading is where the run's next read starts; book
+// returns the mean.
 func (r *servedReader) book(disk int, sl *diskSlot, extra int) time.Duration {
 	h := r.s.health
 	end := h.now()
 	n := sl.pending + extra
 	x := float64(end-sl.chain) / float64(n)
 	var run cleanRun
-	for ; sl.pending > 0; sl.pending-- {
-		run.add(x, h.cfg.Alpha)
-	}
+	run.addN(x, h.cfg.Alpha, sl.pending)
+	sl.pending = 0
 	h.fold(disk, &run)
+	r.s.metrics.legs.Add(uint64(n))
 	r.s.metrics.legLatency.ObserveN(time.Duration(x), n)
 	sl.chain = end
 	return time.Duration(x)
