@@ -180,7 +180,7 @@ type readTally struct {
 	// stamp is where the run's next timed attempt starts: the
 	// hedge.Now stamp its last clean attempt ended at, or 0 to take a
 	// fresh one (first attempt, or after an error and its backoff). One
-	// clock read per attempt, and the run's loop between two reads
+	// clock read per attempt, and the run's loop between two attempts
 	// counts toward the second.
 	stamp int64
 }
@@ -188,7 +188,7 @@ type readTally struct {
 // flush folds one run's tally into the shared counters: eight
 // atomic adds per disk per query instead of five per bucket read.
 func (m *execMetrics) flush(disk int, t *readTally) {
-	if m == nil || t == nil {
+	if m == nil {
 		return
 	}
 	m.calls.Add(t.calls)
@@ -575,9 +575,7 @@ func (e *Executor) run(ctx context.Context, qs *queryState, buckets, rank []int,
 	// hands nothing off.
 	qs.reader = e.queryReader()
 	qs.ender, _ = qs.reader.(RunEnder)
-	if qs.runs, _ = qs.reader.(RunReader); qs.runs != nil && !NeverWaits(qs.reader) {
-		qs.runs = nil
-	}
+	qs.waitless = NeverWaits(qs.reader)
 	qs.next.Store(0)
 	for i := 1; i < min(limit, len(qs.active)); i++ {
 		qs.wg.Add(1)
@@ -749,111 +747,69 @@ func setToSlice(set map[int]bool) []int {
 	return out
 }
 
-// readStretch reads a stretch of disk's run in one ReadRun call (see
-// runDisk). t, when non-nil, counts its n clean reads as n calls and n
-// attempts, and a failed read as one more of each, left for
-// readWithRetry to classify. The stretch is timed with one clock read
-// at each end, and disk's latency histogram gets one sample of the mean
-// per attempt.
-func (e *Executor) readStretch(ctx context.Context, rr RunReader, t *readTally, disk int, buckets []int, pages [][]datagen.Record) (int, error) {
-	if t == nil {
-		return rr.ReadRun(ctx, disk, buckets, pages)
+// readAttempt is one attempt at a stretch of disk's run — the rest of
+// the run, or one bucket (see runDisk) — as one ReadRun call on the
+// query's reader r; try numbers the attempt from 1. It is the one place
+// a read is spanned, counted and timed. dsp, when non-nil, is the disk
+// span: the attempt's span hangs off it and rides the context, so reader
+// wrappers (hedging, read-repair) can attach their own children. The n
+// clean reads and a failed one count as attempts, and as calls only on a
+// first attempt; the failed read is readWithRetry's to classify. With
+// metrics on, one clock read at each end times the stretch, and disk's
+// latency histogram gets one sample of the mean per attempt.
+func (e *Executor) readAttempt(ctx context.Context, r BucketReader, dsp *obs.Span, t *readTally, disk, try int, buckets []int, pages [][]datagen.Record) (int, error) {
+	var asp *obs.Span
+	if dsp != nil {
+		asp = dsp.Child(fmt.Sprintf("read b%d attempt %d", buckets[0], try))
+		ctx = obs.ContextWithSpan(ctx, asp)
 	}
-	if t.stamp == 0 {
+	m := e.metrics
+	if m != nil && t.stamp == 0 {
 		t.stamp = hedge.Now()
 	}
-	n, err := rr.ReadRun(ctx, disk, buckets, pages)
-	end := hedge.Now()
-	k := n
+	n, err := ReadRun(ctx, r, disk, buckets, pages)
+	k := uint64(n)
 	if err != nil {
 		k++
 	}
-	t.calls += uint64(k)
-	t.attempts += uint64(k)
-	t.callsOK += uint64(n)
+	t.attempts += k
 	t.attemptsOK += uint64(n)
-	if k > 0 {
-		e.metrics.diskLatency.At(disk).ObserveN(time.Duration(end-t.stamp)/time.Duration(k), k)
+	t.callsOK += uint64(n)
+	if try == 1 {
+		t.calls += k
 	}
-	t.stamp = end
-	if err != nil {
-		t.stamp = 0 // an error's backoff is not read time
+	if m != nil && k > 0 {
+		end := hedge.Now()
+		m.diskLatency.At(disk).ObserveN(time.Duration(end-t.stamp)/time.Duration(k), int(k))
+		t.stamp = end
+		if err != nil {
+			t.stamp = 0 // an error's backoff is not read time
+		}
 	}
+	asp.FinishErr(err)
 	return n, err
 }
 
-// readWithRetry reads one bucket through the query's reader, retrying
-// transient errors per the policy with capped exponential backoff. It
-// returns the records, the number of retries performed, and the
-// terminal error if any. A non-nil first is the error the read's first
-// attempt already met in a stretch (readStretch counted and timed it):
-// the loop starts by classifying it. dsp, when non-nil, is the disk span
-// attempt spans hang off; the attempt span also rides the context so
-// reader wrappers (hedging, read-repair) can attach their own children.
-// t, when non-nil, receives the counter deltas as plain adds (the run
-// flushes it); only the per-disk latency histogram — private to this
-// run's disk — is touched per read.
-func (e *Executor) readWithRetry(ctx context.Context, reader BucketReader, dsp *obs.Span, t *readTally, disk, bucket int, first error) ([]datagen.Record, int, error) {
-	max := e.retry.MaxAttempts
-	if max < 1 {
-		max = 1
-	}
-	var lat *obs.Histogram
-	if t != nil {
-		if first == nil {
-			t.calls++
-		}
-		lat = e.metrics.diskLatency.At(disk)
-	}
-	var recs []datagen.Record
-	err := first
+// readWithRetry settles the read of bucket[0] whose first attempt failed
+// with err: a transient error is retried per the policy, with capped
+// exponential backoff, each retry one readAttempt into page[0]. It
+// returns the number of retries performed and the terminal error if any,
+// counting in t how the read ended.
+func (e *Executor) readWithRetry(ctx context.Context, r BucketReader, dsp *obs.Span, t *readTally, disk int, bucket []int, page [][]datagen.Record, err error) (int, error) {
+	limit := max(e.retry.MaxAttempts, 1)
 	for attempt := 1; ; attempt++ {
-		if attempt > 1 || first == nil {
-			rctx := ctx
-			var asp *obs.Span
-			if dsp != nil {
-				asp = dsp.Child(fmt.Sprintf("read b%d attempt %d", bucket, attempt))
-				rctx = obs.ContextWithSpan(ctx, asp)
-			}
-			if t != nil {
-				if t.stamp == 0 {
-					t.stamp = hedge.Now()
-				}
-				t.attempts++
-			}
-			recs, err = reader.ReadBucket(rctx, disk, bucket)
-			if t != nil {
-				end := hedge.Now()
-				lat.Observe(time.Duration(end - t.stamp))
-				t.stamp = 0 // an error's backoff is not read time
-				if err == nil {
-					t.stamp = end
-				}
-			}
-			asp.FinishErr(err)
+		if attempt >= limit || !errors.Is(err, fault.ErrTransient) {
+			t.attemptsErr++
+			t.callsErr++
+			return attempt - 1, fmt.Errorf("exec: disk %d bucket %d: %w", disk, bucket[0], err)
 		}
-		if err == nil {
-			if t != nil {
-				t.attemptsOK++
-				t.callsOK++
-			}
-			return recs, attempt - 1, nil
+		t.retried++
+		if werr := e.retry.Wait(ctx, attempt); werr != nil {
+			t.cancelled++
+			return attempt - 1, werr
 		}
-		if attempt >= max || !errors.Is(err, fault.ErrTransient) {
-			if t != nil {
-				t.attemptsErr++
-				t.callsErr++
-			}
-			return nil, attempt - 1, fmt.Errorf("exec: disk %d bucket %d: %w", disk, bucket, err)
-		}
-		if t != nil {
-			t.retried++
-		}
-		if err := e.retry.Wait(ctx, attempt); err != nil {
-			if t != nil {
-				t.cancelled++
-			}
-			return nil, attempt - 1, err
+		if _, err = e.readAttempt(ctx, r, dsp, t, disk, attempt+1, bucket, page); err == nil {
+			return attempt, nil
 		}
 	}
 }

@@ -155,14 +155,14 @@ type diskTask struct {
 func (t *diskTask) reset() { t.read, t.retries, t.tally = 0, 0, readTally{} }
 
 // runDisk reads disk d's run: the buckets route gave it, in order,
-// skipping those the grid directory knows are empty. Over a RunReader
-// that never waits, and with no span to keep per attempt, it reads the
-// run in stretches: one ReadRun call each, from the run's start or from
-// the bucket after a failed one. Otherwise a stretch is one ReadBucket
-// call. A failed read goes through readWithRetry, from the error it
-// already met. Cancellation is checked before each stretch and at the
-// run's end. The run records the first error and ends — EndRun, the
-// disk span and the tally flush — on every exit path.
+// skipping those the grid directory knows are empty. Every read is one
+// readAttempt of a stretch: the rest of the run when the query's reader
+// never waits and no span is attached, otherwise one bucket, so that a
+// read that can wait, or keeps a span, is attempted on its own. A failed
+// read goes through readWithRetry, and the next stretch starts after it.
+// Cancellation is checked before each stretch and at the run's end. The
+// run records the first error and ends — EndRun, the disk span and the
+// tally flush — on every exit path.
 func (qs *queryState) runDisk(d int) {
 	e := qs.ex
 	t := &qs.tasks[d]
@@ -174,15 +174,10 @@ func (qs *queryState) runDisk(d int) {
 		dsp = qs.qsp.Child(diskSpanName(d))
 		defer dsp.Finish()
 	}
-	var tally *readTally
 	if qs.m != nil {
-		tally = &t.tally
 		defer qs.m.flush(d, &t.tally)
 	}
-	runs := qs.runs
-	if dsp != nil {
-		runs = nil
-	}
+	stretch := qs.waitless && dsp == nil
 	buckets, ranks := t.buckets[:0], t.ranks[:0]
 	for _, p := range qs.perDisk[d] {
 		if e.file.BucketLen(p.bucket) == 0 {
@@ -212,28 +207,27 @@ func (qs *queryState) runDisk(d int) {
 		if i == len(buckets) {
 			return
 		}
-		var err error
-		if runs != nil {
-			var n int
-			n, err = e.readStretch(ctx, runs, tally, d, buckets[i:], pages[i:])
-			for j := i; j < i+n; j++ {
-				qs.slots[ranks[j]] = pages[j]
-			}
-			t.read += n
-			if i += n; err == nil {
-				continue
-			}
+		j := i + 1
+		if stretch {
+			j = len(buckets)
 		}
-		recs, tries, err := e.readWithRetry(ctx, qs.reader, dsp, tally, d, buckets[i], err)
-		t.retries += tries
+		n, err := e.readAttempt(ctx, qs.reader, dsp, &t.tally, d, 1, buckets[i:j], pages[i:j])
 		if err != nil {
-			dsp.FinishErr(err)
-			qs.fail(err)
-			return
+			var tries int
+			tries, err = e.readWithRetry(ctx, qs.reader, dsp, &t.tally, d, buckets[i+n:i+n+1], pages[i+n:i+n+1], err)
+			t.retries += tries
+			if err != nil {
+				dsp.FinishErr(err)
+				qs.fail(err)
+				return
+			}
+			n++
 		}
-		qs.slots[ranks[i]] = recs
-		t.read++
-		i++
+		for k := i; k < i+n; k++ {
+			qs.slots[ranks[k]] = pages[k]
+		}
+		t.read += n
+		i += n
 	}
 }
 
@@ -242,13 +236,13 @@ func (qs *queryState) runDisk(d int) {
 // reusable cancellation context. States are pooled per executor so
 // the steady-state query path performs no heap allocation.
 type queryState struct {
-	ex     *Executor
-	ctx    context.Context
-	reader BucketReader
-	ender  RunEnder  // reader's EndRun, nil when it has none
-	runs   RunReader // reader's ReadRun, nil unless it never waits
-	m      *execMetrics
-	qsp    *obs.Span
+	ex       *Executor
+	ctx      context.Context
+	reader   BucketReader
+	ender    RunEnder // reader's EndRun, nil when it has none
+	waitless bool     // reader never waits: a run is read in stretches
+	m        *execMetrics
+	qsp      *obs.Span
 
 	// active lists the disks with buckets in this query, ascending: one
 	// run each. next is the index of the next unclaimed run.
@@ -307,7 +301,6 @@ func (e *Executor) putState(qs *queryState) {
 	qs.ctx = nil
 	qs.reader = nil
 	qs.ender = nil
-	qs.runs = nil
 	qs.qsp = nil
 	qs.m = nil
 	qs.firstErr = nil

@@ -35,20 +35,23 @@ type BucketReader interface {
 // unspecified. The failed read is the caller's to retry, and the next
 // stretch starts after it.
 //
-// The executor calls ReadRun only on the outermost reader, and only
-// while NeverWaits says true of it: a stretch is read without a
-// cancellation check, a span or a clock read between its buckets, which
-// is right only for reads that cannot wait. Under a trace span it reads
-// one bucket per call through ReadBucket instead, so that every attempt
-// keeps its span. A wrapper that implements ReadRun passes the stretch
-// on with the package's ReadRun, whether or not its inner reader does.
+// Every read of a run is one ReadRun call (the package function) on the
+// outermost reader, spanned, counted and timed as one attempt. A stretch
+// is the rest of the run only while NeverWaits says true of that reader
+// and no trace span is attached: it is read without a cancellation
+// check, a span or a clock read between its buckets, which is right only
+// for reads that cannot wait. Otherwise a stretch is one bucket, so that
+// every attempt keeps its span and a read that can wait is timed on its
+// own. A wrapper that implements ReadRun passes the stretch on with the
+// package's ReadRun, whether or not its inner reader does.
 type RunReader interface {
 	ReadRun(ctx context.Context, disk int, buckets []int, pages [][]datagen.Record) (n int, err error)
 }
 
 // ReadRun reads buckets of disk through r as one stretch: in one
 // ReadRun call when r is a RunReader, else one ReadBucket per bucket,
-// stopping at the first error. Its results are RunReader.ReadRun's.
+// stopping at the first error — the fallback the store reader and the
+// fault layer rely on. Its results are RunReader.ReadRun's.
 func ReadRun(ctx context.Context, r BucketReader, disk int, buckets []int, pages [][]datagen.Record) (int, error) {
 	if rr, ok := r.(RunReader); ok {
 		return rr.ReadRun(ctx, disk, buckets, pages)
@@ -86,7 +89,7 @@ type RunEnder interface {
 // file's in-memory pages. Such a read is slow only while its goroutine
 // is descheduled, and a backup read on the same CPUs cannot beat it, so
 // a hedging layer above need not race it, and the executor reads the
-// run in stretches (RunReader) with no cancellation check between their
+// run in stretches (ReadRun) with no cancellation check between their
 // reads. The contract: a wrapper forwards its inner reader's answer, or
 // says false if it may wait itself; a reader that does not implement
 // Waitless may wait. The answer must not change during a query.
@@ -158,11 +161,6 @@ func (r storeReader) ReadBucket(_ context.Context, d, b int) ([]datagen.Record, 
 	return r.s.ReadVerified(d, b)
 }
 
-// ReadRun implements RunReader.
-func (r storeReader) ReadRun(ctx context.Context, d int, buckets []int, pages [][]datagen.Record) (int, error) {
-	return readEach(ctx, r, d, buckets, pages)
-}
-
 // NeverWaits implements Waitless: a store's copies are in memory, and a
 // read verifies them on the CPU.
 func (storeReader) NeverWaits() bool { return true }
@@ -197,13 +195,6 @@ func (r *faultReader) ReadBucket(ctx context.Context, disk, bucket int) ([]datag
 		return nil, err
 	}
 	return r.inner.ReadBucket(ctx, disk, bucket)
-}
-
-// ReadRun implements RunReader: the injector is consulted before each
-// bucket's read, as ReadBucket does, so a stretch draws the coins the
-// same reads draw one at a time.
-func (r *faultReader) ReadRun(ctx context.Context, disk int, buckets []int, pages [][]datagen.Record) (int, error) {
-	return readEach(ctx, r, disk, buckets, pages)
 }
 
 // NeverWaits implements Waitless: the injector fails reads but never

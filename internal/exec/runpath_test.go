@@ -32,15 +32,13 @@ func (p *stretchProbe) ReadRun(ctx context.Context, disk int, buckets []int, pag
 
 func (p *stretchProbe) NeverWaits() bool { return NeverWaits(p.inner) }
 
-// oneAtATime forwards a never-waiting stack but is no RunReader, so the
-// executor reads through it one bucket per call.
+// oneAtATime forwards a stack but is no RunReader and declares nothing,
+// so the executor reads through it one attempt of one bucket at a time.
 type oneAtATime struct{ inner BucketReader }
 
 func (r oneAtATime) ReadBucket(ctx context.Context, disk, bucket int) ([]datagen.Record, error) {
 	return r.inner.ReadBucket(ctx, disk, bucket)
 }
-
-func (r oneAtATime) NeverWaits() bool { return NeverWaits(r.inner) }
 
 // failStop is a base reader whose disk stops answering after its after
 // reads: every later read of it fails with fault.ErrDiskFailed.
@@ -83,9 +81,11 @@ var readCounters = []string{
 // A run read in stretches gives what the same reads give one bucket per
 // call: the same answer, BucketsPerDisk and Retries under transient
 // errors, the same error when a disk goes fail-stop mid-run, the same
-// exec.read.* counts with a tally attached, and context.Canceled when
-// the query is cancelled between stretches. A wrapper that is no
-// RunReader is read one bucket per call.
+// exec.read.* counts with a tally attached — each side conserved, every
+// call and every attempt ending one way — and context.Canceled when the
+// query is cancelled between stretches. The fault layer with no wrapper
+// over it is read in stretches through ReadRun's fallback, and a
+// wrapper that is no RunReader is read one bucket per call.
 func TestRunPathMatchesPerBucket(t *testing.T) {
 	f := newLoadedFile(t, 4, 3000)
 	q := f.Grid().MustRect(grid.Coord{1, 1}, grid.Coord{12, 12})
@@ -167,12 +167,10 @@ func TestRunPathMatchesPerBucket(t *testing.T) {
 		}
 	})
 
-	t.Run("tally", func(t *testing.T) {
-		sinks := [2]*obs.Sink{obs.NewSink(), obs.NewSink()}
-		n := 0
-		observe := func(e *Executor) { WithObserver(sinks[n])(e); n++ }
-		a, b, _ := search(t, file, transient(t), retry, observe)
-		same(t, a, b)
+	// sameTally checks that the two stacks' sinks counted the same reads,
+	// and that each conserves them.
+	sameTally := func(t *testing.T, sinks [2]*obs.Sink) {
+		t.Helper()
 		for _, name := range readCounters {
 			if x, y := sinks[0].Registry().Counter(name).Value(), sinks[1].Registry().Counter(name).Value(); x != y {
 				t.Errorf("%s: %d in stretches, %d one bucket per call", name, x, y)
@@ -180,7 +178,14 @@ func TestRunPathMatchesPerBucket(t *testing.T) {
 		}
 		for i, s := range sinks {
 			reg := s.Registry()
-			attempts := reg.Counter("exec.read.attempts").Value()
+			c := func(name string) uint64 { return reg.Counter(name).Value() }
+			if calls, ended := c("exec.read.calls"), c("exec.read.calls.ok")+c("exec.read.calls.err")+c("exec.read.calls.cancelled"); calls != ended {
+				t.Errorf("stack %d: %d calls, %d ok + err + cancelled", i, calls, ended)
+			}
+			attempts := c("exec.read.attempts")
+			if ended := c("exec.read.attempts.ok") + c("exec.read.attempts.err") + c("exec.read.attempts.retried"); attempts != ended {
+				t.Errorf("stack %d: %d attempts, %d ok + err + retried", i, attempts, ended)
+			}
 			if got := reg.HistogramFamily("exec.disk.read.latency", "disk", 1).Count(); got != attempts {
 				t.Errorf("stack %d: %d latency samples for %d attempts", i, got, attempts)
 			}
@@ -188,6 +193,39 @@ func TestRunPathMatchesPerBucket(t *testing.T) {
 				t.Errorf("stack %d: per-disk attempts sum to %d, want %d", i, got, attempts)
 			}
 		}
+	}
+
+	t.Run("tally", func(t *testing.T) {
+		sinks := [2]*obs.Sink{obs.NewSink(), obs.NewSink()}
+		n := 0
+		observe := func(e *Executor) { WithObserver(sinks[n])(e); n++ }
+		a, b, _ := search(t, file, transient(t), retry, observe)
+		same(t, a, b)
+		if a.res.Retries == 0 {
+			t.Error("no retries at a 30% transient rate")
+		}
+		sameTally(t, sinks)
+	})
+
+	t.Run("fault layer unwrapped", func(t *testing.T) {
+		sinks := [2]*obs.Sink{obs.NewSink(), obs.NewSink()}
+		var out [2]outcome
+		for i, wraps := range [][]Option{nil, {WithReadWrapper(func(inner BucketReader) BucketReader { return oneAtATime{inner} })}} {
+			e, err := New(f, append([]Option{WithBucketReader(file()), transient(t), retry, WithObserver(sinks[i])}, wraps...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 && !NeverWaits(e.queryReader()) {
+				t.Fatal("the fault layer over the file reader may wait; the cell reads nothing in stretches")
+			}
+			res, err := e.RangeSearch(ctx, q)
+			out[i] = outcome{res, err}
+		}
+		same(t, out[0], out[1])
+		if out[0].res.Retries == 0 {
+			t.Error("no retries at a 30% transient rate")
+		}
+		sameTally(t, sinks)
 	})
 
 	t.Run("cancelled between stretches", func(t *testing.T) {

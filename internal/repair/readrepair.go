@@ -107,3 +107,8 @@ func (r *repairingReader) ReadBucket(ctx context.Context, disk, bucket int) ([]d
 	sp.FinishErr(err)
 	return nil, err
 }
+
+// NeverWaits implements exec.Waitless: a repair reads a sibling copy and
+// writes it back in memory, so the wrapper waits when its inner reader
+// does.
+func (r *repairingReader) NeverWaits() bool { return exec.NeverWaits(r.inner) }

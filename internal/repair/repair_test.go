@@ -492,3 +492,72 @@ func TestScrubberHonoursCancelledContext(t *testing.T) {
 		t.Errorf("cancelled scrub changed the store: %d corrupt pages, want %d", got, corrupt)
 	}
 }
+
+// Read-repair forwards its inner reader's NeverWaits: a repair reads a
+// sibling copy and writes it back in memory. So a hedged scheduler over
+// the store reader with read-repair races no read — a clean search
+// issues no hedge, even at a delay every race would outlast — and still
+// repairs a corrupted copy inline.
+func TestReadRepairKeepsStoreNeverWaiting(t *testing.T) {
+	f, rep, store := fixture(t, 4, 2048)
+	rr := NewReadRepairer(store, nil, nil)
+	if !exec.NeverWaits(rr.Wrap(exec.NewStoreReader(store))) {
+		t.Fatal("read-repair over the store reader declares that its reads may wait")
+	}
+	s, err := serve.New(f,
+		serve.WithBucketReader(exec.NewStoreReader(store)),
+		serve.WithFailover(rep),
+		serve.WithHedging(serve.HedgeConfig{After: time.Nanosecond}),
+		serve.WithReadWrapper(rr.Wrap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	plain, err := exec.New(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := f.Grid().FullRect()
+	want, err := plain.RangeSearch(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	search := func(what string) {
+		t.Helper()
+		got, err := s.Search(ctx, q)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if len(got.Records) != len(want.Records) {
+			t.Fatalf("%s: %d records, want %d", what, len(got.Records), len(want.Records))
+		}
+		for i := range got.Records {
+			if got.Records[i].ID != want.Records[i].ID {
+				t.Fatalf("%s: record %d differs", what, i)
+			}
+		}
+		got.Release()
+		if n := s.Stats().HedgesIssued; n != 0 {
+			t.Fatalf("%s: %d hedges issued over an in-memory store, want 0", what, n)
+		}
+	}
+	search("clean search")
+
+	bucket := -1
+	for b := 0; b < f.Grid().Buckets() && bucket < 0; b++ {
+		if store.BucketPages(b) > 0 {
+			bucket = b
+		}
+	}
+	if bucket < 0 || !store.Corrupt(rep.PrimaryOf(bucket), bucket, 0) {
+		t.Fatal("no primary copy to corrupt")
+	}
+	search("search over a corrupted copy")
+	if rr.Repairs() != 1 || rr.Failures() != 0 {
+		t.Errorf("%d repairs, %d failures; want the corrupted copy repaired inline", rr.Repairs(), rr.Failures())
+	}
+	if bad := store.VerifyAll(); len(bad) != 0 {
+		t.Errorf("%d corrupt copies left after the search repaired it", len(bad))
+	}
+}

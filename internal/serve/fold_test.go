@@ -34,8 +34,8 @@ func trackerState(h *Breakers, d int) (ewma float64, reads uint64, samples, cons
 	return t.latency(), t.reads, t.samples, t.consecErrs
 }
 
-// Folding a run of clean samples books what observing them one at a
-// time books: the same EWMA up to rounding, the same counts, the error
+// Folding a run of equal clean samples books what observing them one at
+// a time books: the same EWMA up to rounding, the same counts, the error
 // streak broken — for random run lengths, latencies, smoothing factors
 // and errors between runs.
 func TestRunFoldMatchesPerReadObserve(t *testing.T) {
@@ -50,17 +50,12 @@ func TestRunFoldMatchesPerReadObserve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var run cleanRun
 		for step := 0; step < 20; step++ {
-			for i, n := 0, rng.Intn(40); i < n; i++ {
-				x := time.Duration(1 + rng.Intn(5_000_000))
-				run.add(float64(x), cfg.Alpha)
+			n, x := rng.Intn(40), time.Duration(1+rng.Intn(5_000_000))
+			for i := 0; i < n; i++ {
 				perRead.Observe(0, x, nil)
 			}
-			folded.fold(0, &run)
-			if run.n != 0 {
-				t.Fatalf("fold left %d samples pending", run.n)
-			}
+			folded.fold(0, float64(x), n)
 			for i, n := 0, rng.Intn(3); i < n; i++ {
 				folded.Observe(0, 0, fault.ErrTransient)
 				perRead.Observe(0, 0, fault.ErrTransient)
@@ -78,36 +73,23 @@ func TestRunFoldMatchesPerReadObserve(t *testing.T) {
 	}
 }
 
-// A latency threshold crossed inside a run trips the breaker at that
-// run's fold, and not before: pending samples are not yet booked.
+// A latency threshold crossed by a run trips the breaker at that run's
+// fold, and not before: a run is booked only when it is folded.
 func TestRunFoldLatencyTripAtFold(t *testing.T) {
 	const slow, fast = 10 * time.Millisecond, 100 * time.Microsecond
 	h, err := NewBreakers(BreakerConfig{ErrorThreshold: -1, LatencyThreshold: time.Millisecond, MinSamples: 4, Cooldown: time.Hour}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var run cleanRun
-	for i := 0; i < 3; i++ {
-		run.add(float64(slow), h.cfg.Alpha)
-	}
-	h.fold(0, &run)
+	h.fold(0, float64(slow), 3)
 	if !h.closed(0) {
 		t.Fatal("a run of 3 slow reads tripped the breaker below MinSamples 4")
 	}
-	for i := 0; i < 20; i++ {
-		run.add(float64(fast), h.cfg.Alpha)
-	}
-	h.fold(0, &run)
+	h.fold(0, float64(fast), 20)
 	if !h.closed(0) || h.EWMALatency(0) > time.Millisecond {
 		t.Fatalf("fast reads left the EWMA at %v, closed %v; the next run must start closed and below the threshold", h.EWMALatency(0), h.closed(0))
 	}
-	for i := 0; i < 12; i++ {
-		run.add(float64(slow), h.cfg.Alpha)
-		if !h.closed(0) || h.Trips() != 0 {
-			t.Fatalf("pending sample %d tripped the breaker before the fold", i+1)
-		}
-	}
-	h.fold(0, &run)
+	h.fold(0, float64(slow), 12)
 	if h.closed(0) || h.Trips() != 1 {
 		t.Fatalf("run crossing the threshold (EWMA %v): closed %v, trips %d; want open at the fold", h.EWMALatency(0), h.closed(0), h.Trips())
 	}
@@ -448,28 +430,39 @@ func TestCoTenantGaugesSumOverSchedulers(t *testing.T) {
 	}
 }
 
-// A run of n equal samples added in closed form — (1−α)ⁿ by squaring —
-// is the run the per-sample loop builds, to 1e-12 relative, from an
-// empty run and from one already holding samples.
+// Folding n equal samples in closed form — (1−α)ⁿ by squaring — books
+// the EWMA that n Observe calls book on a twin tracker, to 1e-12
+// relative, on an endpoint with no sample yet and on one already holding
+// samples.
 func TestRunFoldClosedFormMatchesLoop(t *testing.T) {
 	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b)) }
 	for _, alpha := range []float64{0.05, 0.2, 0.5, 0.9} {
 		for _, n := range []int{1, 2, 3, 144, 2304} {
 			for _, prior := range []int{0, 5} {
-				var loop, closed cleanRun
+				cfg := BreakerConfig{ErrorThreshold: -1, Alpha: alpha}
+				loop, err := NewBreakers(cfg, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				closed, err := NewBreakers(cfg, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for i := 0; i < prior; i++ {
-					x := float64(1000 * (i + 1))
-					loop.add(x, alpha)
-					closed.add(x, alpha)
+					x := time.Duration(1000 * (i + 1))
+					loop.Observe(0, x, nil)
+					closed.Observe(0, x, nil)
 				}
-				const x = 73_456.25
+				const x = 73_457 * time.Nanosecond
 				for i := 0; i < n; i++ {
-					loop.add(x, alpha)
+					loop.Observe(0, x, nil)
 				}
-				closed.addN(x, alpha, n)
-				if closed.n != loop.n || closed.first != loop.first || !near(closed.sum, loop.sum) || !near(closed.decay, loop.decay) {
-					t.Errorf("alpha %.2f, %d prior samples, n %d: closed form n %d first %v sum %v decay %v; loop %d %v %v %v",
-						alpha, prior, n, closed.n, closed.first, closed.sum, closed.decay, loop.n, loop.first, loop.sum, loop.decay)
+				closed.fold(0, float64(x), n)
+				ce, cr, cs, _ := trackerState(closed, 0)
+				le, lr, ls, _ := trackerState(loop, 0)
+				if !near(ce, le) || cr != lr || cs != ls {
+					t.Errorf("alpha %.2f, %d prior samples, n %d: closed form EWMA %v, %d reads, %d samples; loop %v, %d, %d",
+						alpha, prior, n, ce, cr, cs, le, lr, ls)
 				}
 			}
 		}

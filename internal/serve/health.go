@@ -250,76 +250,41 @@ func (h *Breakers) Observe(d int, lat time.Duration, err error) {
 	}
 }
 
-// cleanRun is a run of clean reads of one endpoint awaiting fold: its n
-// latency samples x₁…xₙ in closed form, so that booking them costs one
-// EWMA step whatever n is. Unrolled, n steps of Observe's EWMA from e are
-// (1−α)ⁿ·e + Σ α(1−α)ⁿ⁻ⁱ·xᵢ, and seeding e with x₁ reproduces Observe's
-// first sample exactly.
-type cleanRun struct {
-	n     int
-	sum   float64 // Σ α(1−α)ⁿ⁻ⁱ·xᵢ
-	decay float64 // (1−α)ⁿ
-	first float64 // x₁
-}
-
-// add appends the sample x under the smoothing factor alpha.
-func (r *cleanRun) add(x, alpha float64) {
-	if r.n == 0 {
-		r.decay, r.first = 1, x
-	}
-	r.sum = (1-alpha)*r.sum + alpha*x
-	r.decay *= 1 - alpha
-	r.n++
-}
-
-// addN appends n samples of x, as n calls of add would: (1−α)ⁿ by
-// squaring, and Σ over the n samples as x·(1−(1−α)ⁿ).
-func (r *cleanRun) addN(x, alpha float64, n int) {
+// fold books n clean reads of endpoint d, each of latency x ns, under
+// one lock, as n clean Observe calls would on a closed breaker: reads and
+// samples up by n, the error streak broken, and the EWMA by the closed
+// form of n steps, ewma ← (1−α)ⁿ·ewma + x·(1−(1−α)ⁿ) with (1−α)ⁿ by
+// squaring, seeded with x when d has no sample yet. The latency trip is
+// checked once, at the fold. Probes are not counted: callers fold only
+// reads they made while the breaker was closed, and observe the others
+// one by one.
+func (h *Breakers) fold(d int, x float64, n int) {
 	if n <= 0 {
 		return
 	}
-	if r.n == 0 {
-		r.decay, r.first = 1, x
-	}
 	k := 1.0
-	for b, e := 1-alpha, n; e > 0; e >>= 1 {
+	for b, e := 1-h.cfg.Alpha, n; e > 0; e >>= 1 {
 		if e&1 == 1 {
 			k *= b
 		}
 		b *= b
 	}
-	r.sum = k*r.sum + x*(1-k)
-	r.decay *= k
-	r.n += n
-}
-
-// fold books run against endpoint d under one lock, as n clean Observe
-// calls would on a closed breaker — the EWMA by the closed form, reads
-// and samples up by n, the error streak broken — and empties run. The
-// latency trip is checked once, at the fold. Probes are not counted:
-// callers fold only reads they made while the breaker was closed, and
-// observe the others one by one.
-func (h *Breakers) fold(d int, run *cleanRun) {
-	if run.n == 0 {
-		return
-	}
 	t := h.disks[d]
 	t.mu.Lock()
 	h.tickLocked(t)
-	ewma := t.latency()
-	if t.samples == 0 {
-		ewma = run.first
+	ewma := x
+	if t.samples > 0 {
+		ewma = t.latency()
 	}
-	ewma = run.decay*ewma + run.sum
+	ewma = k*ewma + x*(1-k)
 	t.ewma.Store(math.Float64bits(ewma))
-	t.reads += uint64(run.n)
-	t.samples += run.n
+	t.reads += uint64(n)
+	t.samples += n
 	t.consecErrs = 0
 	if t.state == BreakerClosed && h.slowLocked(t, ewma) {
 		h.tripLocked(t)
 	}
 	t.mu.Unlock()
-	*run = cleanRun{}
 }
 
 // slowLocked reports whether t, at EWMA ewma, meets the latency trip.

@@ -29,14 +29,14 @@ type HedgeConfig struct {
 	//
 	// Only a read that can wait is raced. Over a reader stack that
 	// declares its reads never wait (exec.Waitless: the default grid-file
-	// reader, the store reader, and the fault layer over either) a read
-	// is an in-memory page access that can run late only while its
-	// goroutine is descheduled, and a backup on the same CPUs cannot win.
-	// Such a read keeps only the failover, and the executor reads its run
-	// in stretches (exec.RunReader), so After never applies to it. On the
-	// benchmark's node-large search (48×48 rect, 2,304 reads) racing
-	// every read launched no backup at all, and not racing them raised
-	// its throughput 1.58× (ops_per_kref 1,325 → 2,096).
+	// reader, the store reader, and the fault layer or read-repair over
+	// either) a read is an in-memory page access that can run late only
+	// while its goroutine is descheduled, and a backup on the same CPUs
+	// cannot win. Such a read keeps only the failover, and the executor
+	// reads its run in stretches (exec.ReadRun), so After never applies
+	// to it. On the benchmark's node-large search (48×48 rect, 2,304
+	// reads) racing every read launched no backup at all, and not racing
+	// them raised its throughput 1.58× (ops_per_kref 1,325 → 2,096).
 	After time.Duration
 }
 
@@ -46,8 +46,8 @@ type HedgeConfig struct {
 // speculative backup read against slow primaries. It is outermost, so
 // it sees injected faults; reads it issues itself (the hedge leg) go
 // back through the per-query fault layer via inner. It declares its
-// reads never wait exactly when inner does, and then the executor reads
-// each run through ReadRun, in stretches.
+// reads never wait exactly when inner does, and the executor reads each
+// run through ReadRun: in stretches then, one bucket per call otherwise.
 //
 // Whether inner's reads can wait (exec.NeverWaits, asked once per query)
 // picks how a read is timed:
@@ -59,17 +59,18 @@ type HedgeConfig struct {
 //   - over a reader that never waits nothing is raced, and disk d's run —
 //     its reads of d for this query, made one stretch at a time by the
 //     one goroutine that claimed it and ended with EndRun before the
-//     query returns — is timed once. So slots[d] has one writer. A
-//     stretch read while the breaker is closed goes to inner in one call
+//     query returns — is timed once. So slots[d] has one writer. ReadRun
+//     is the one entry point; ReadBucket is a one-bucket ReadRun. While
+//     the breaker is closed a stretch goes to inner in one call
 //     (exec.ReadRun), and its clean reads are only counted there: no
 //     clock read, no lock. The clock is read at the run's first read, and
 //     again only at EndRun or at a read booked on its own (settle): a
-//     failure, or any read while the breaker is not closed, made one
-//     ReadBucket at a time, so half-open probes count one by one. The
-//     pending reads and the read that closes them are then each booked
-//     as their mean (book). A read that fails looks up the other replica
-//     and fails over to it (failover), and the next read takes a fresh
-//     stamp, so a retry backoff never counts as read time.
+//     failure, or any read made while the breaker is not closed, so
+//     half-open probes count one by one. The pending reads and the read
+//     that closes them are then each booked as their mean (book). A read
+//     that fails looks up the other replica and fails over to it
+//     (failover), and the next read takes a fresh stamp, so a retry
+//     backoff never counts as read time.
 //
 // Hedge and failover legs take stamps of their own and are booked one by
 // one. A run that races draws its bucketRace at its first race and keeps
@@ -100,11 +101,13 @@ func (s *Scheduler) newServedReader(inner exec.BucketReader) *servedReader {
 // hedging (hedge.Racer: exactly one leg's records are returned, and the
 // loser's health and metric observations have landed — the conservation
 // invariants count on that). A lost leg's context error is not charged
-// against its disk. A read that never waits is not raced; it only fails
-// over.
+// against its disk. A read that never waits is a one-bucket ReadRun: it
+// is not raced, and only fails over.
 func (r *servedReader) ReadBucket(ctx context.Context, disk, bucket int) ([]datagen.Record, error) {
 	if r.waitless {
-		return r.runRead(ctx, disk, bucket)
+		var page [1][]datagen.Record
+		_, err := r.ReadRun(ctx, disk, []int{bucket}, page[:])
+		return page[0], err
 	}
 	s := r.s
 	alt := s.altDisk(disk, bucket)
@@ -242,35 +245,38 @@ func (r *servedReader) observe(ctx context.Context, disk, bucket int, start int6
 }
 
 // ReadRun implements exec.RunReader: a stretch of disk's run, in order.
-// While the breaker is closed over a reader that never waits, the inner
-// reader reads the stretch in one call (exec.ReadRun) and its clean
-// reads are only counted, as pending reads of the run. A failed read is
-// settled on its own, and the stretch goes on after it when the
-// failover answers. Any other read — the breaker not closed at its
-// turn, or a reader that can wait — is one ReadBucket call, so
-// half-open probes are booked one by one. A breaker that trips during
-// an inner stretch applies from the next read that checks it.
+// Over a reader that can wait each read is a ReadBucket call, raced on
+// its own. Over one that never waits, while the breaker is closed the
+// inner reader reads the stretch in one call (exec.ReadRun) and its
+// clean reads are only counted, as pending reads of the run; a failed
+// read is settled on its own, and the stretch goes on after it when the
+// failover answers. A read made while the breaker is not closed is made
+// on its own and settled, so half-open probes are booked one by one. A
+// breaker that trips during an inner stretch applies from the next read
+// that checks it.
 func (r *servedReader) ReadRun(ctx context.Context, disk int, buckets []int, pages [][]datagen.Record) (int, error) {
 	h := r.s.health
 	sl := &r.slots[disk]
 	for i := 0; i < len(buckets); i++ {
-		if !r.waitless || !h.closed(disk) {
-			recs, err := r.ReadBucket(ctx, disk, buckets[i])
-			if err != nil {
-				return i, err
-			}
-			pages[i] = recs
-			continue
-		}
-		if sl.chain == 0 {
+		if r.waitless && sl.chain == 0 {
 			sl.chain = h.now()
 		}
-		n, err := exec.ReadRun(ctx, r.inner, disk, buckets[i:], pages[i:])
-		sl.pending += n
-		if i += n; err == nil {
-			return i, nil
+		var recs []datagen.Record
+		var err error
+		switch {
+		case !r.waitless:
+			recs, err = r.ReadBucket(ctx, disk, buckets[i])
+		case h.closed(disk):
+			n, rerr := exec.ReadRun(ctx, r.inner, disk, buckets[i:], pages[i:])
+			sl.pending += n
+			if i += n; rerr == nil {
+				return i, nil
+			}
+			recs, err = r.settle(ctx, disk, buckets[i], nil, rerr)
+		default:
+			recs, err = r.inner.ReadBucket(ctx, disk, buckets[i])
+			recs, err = r.settle(ctx, disk, buckets[i], recs, err)
 		}
-		recs, err := r.settle(ctx, disk, buckets[i], nil, err)
 		if err != nil {
 			return i, err
 		}
@@ -282,23 +288,6 @@ func (r *servedReader) ReadRun(ctx context.Context, disk int, buckets []int, pag
 // NeverWaits implements exec.Waitless: the scheduler's reads wait when
 // its inner reader's do.
 func (r *servedReader) NeverWaits() bool { return r.waitless }
-
-// runRead serves one read of disk's run over a reader that never waits:
-// a clean read on a closed breaker is only counted, and any other is
-// settled on its own (see servedReader).
-func (r *servedReader) runRead(ctx context.Context, disk, bucket int) ([]datagen.Record, error) {
-	sl := &r.slots[disk]
-	h := r.s.health
-	if sl.chain == 0 {
-		sl.chain = h.now()
-	}
-	recs, err := r.inner.ReadBucket(ctx, disk, bucket)
-	if err == nil && h.closed(disk) {
-		sl.pending++
-		return recs, nil
-	}
-	return r.settle(ctx, disk, bucket, recs, err)
-}
 
 // settle books one read of disk's never-waiting run on its own, closing
 // the run's pending reads with it, and fails a failed read over to the
@@ -327,10 +316,8 @@ func (r *servedReader) book(disk int, sl *diskSlot, extra int) time.Duration {
 	end := h.now()
 	n := sl.pending + extra
 	x := float64(end-sl.chain) / float64(n)
-	var run cleanRun
-	run.addN(x, h.cfg.Alpha, sl.pending)
+	h.fold(disk, x, sl.pending)
 	sl.pending = 0
-	h.fold(disk, &run)
 	r.s.metrics.legs.Add(uint64(n))
 	r.s.metrics.legLatency.ObserveN(time.Duration(x), n)
 	sl.chain = end

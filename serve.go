@@ -50,8 +50,9 @@ const (
 // from the read's own stamp, after which a still-unanswered read races
 // its other replica, if the hedge gate, asked then, agrees. Only a read
 // that can wait is raced: one through a reader that declares its reads
-// never wait (the default grid-file reader, StoreReader, or any reader
-// with a NeverWaits method that returns true) is an in-memory page
+// never wait (the default grid-file reader, StoreReader, read-repair
+// over either, or any reader with a NeverWaits method that returns
+// true) is an in-memory page
 // access that no backup on the same CPUs can beat, so it is not raced
 // and only fails over when it fails.
 type HedgeConfig = serve.HedgeConfig
