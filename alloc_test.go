@@ -2,10 +2,14 @@ package decluster_test
 
 import (
 	"context"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"decluster"
 	"decluster/internal/alloc"
+	"decluster/internal/datagen"
+	"decluster/internal/exec"
 	"decluster/internal/grid"
 )
 
@@ -99,15 +103,29 @@ func TestRangeSearchPagesZeroAllocs(t *testing.T) {
 	}
 }
 
+// mayWaitReader passes reads through and declares nothing, so the
+// executor treats its reads as ones that may wait and hands runs to
+// parked workers.
+type mayWaitReader struct {
+	inner exec.BucketReader
+}
+
+func (r mayWaitReader) ReadBucket(ctx context.Context, disk, bucket int) ([]datagen.Record, error) {
+	return r.inner.ReadBucket(ctx, disk, bucket)
+}
+
 // TestRangeSearchZeroAllocsParallelLimit covers the variant of the same
 // path with fewer runners than active disks — runners that pull more than
-// one run each, which must also be allocation-free.
+// one run each, which must also be allocation-free. The default reader's
+// reads never wait and are the caller's alone, so the runners read
+// through a pass-through reader that may wait.
 func TestRangeSearchZeroAllocsParallelLimit(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates in goroutine bookkeeping; the alloc gate runs in the no-race CI step")
 	}
 	f := newAllocFixture(t)
-	e, err := decluster.NewExecutor(f, decluster.WithMaxParallel(3))
+	e, err := decluster.NewExecutor(f, decluster.WithMaxParallel(3),
+		exec.WithBucketReader(mayWaitReader{exec.NewFileReader(f)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,5 +143,59 @@ func TestRangeSearchZeroAllocsParallelLimit(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, query); avg > 0 {
 		t.Fatalf("limited RangeSearch allocates %.2f times per query; budget is 0", avg)
+	}
+}
+
+// TestRangeSearchColdAmortisedAllocs is the budget of an answer the
+// result pool cannot serve — the caller keeps it, or the GC emptied the
+// pool: its records are copied into one backing sized to the answer, so
+// a 48×48 rect (~27k records) makes as many allocations as a 6×6 one,
+// and the backing holds nothing past the answer.
+func TestRangeSearchColdAmortisedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime allocates in goroutine bookkeeping; the alloc gate runs in the no-race CI step")
+	}
+	g := grid.MustNew(64, 64)
+	m, err := alloc.NewHCAM(g, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := decluster.NewGridFile(decluster.GridFileConfig{Method: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.InsertAll(decluster.UniformRecords{K: 2, Seed: 7}.Generate(50000)); err != nil {
+		t.Fatal(err)
+	}
+	e, err := decluster.NewExecutor(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Results an earlier test released sit in the process-wide pool; two
+	// collections empty it, and nothing here releases one. The collector
+	// then stays off: after a collection each sync.Pool allocates its
+	// per-P array afresh, a count that follows the bytes allocated, not
+	// the executor's allocations.
+	runtime.GC()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ctx := context.Background()
+	allocs := func(side int) float64 {
+		r := g.MustRect(grid.Coord{8, 8}, grid.Coord{8 + side - 1, 8 + side - 1})
+		query := func() {
+			res, err := e.RangeSearch(ctx, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Records) == 0 || cap(res.Records) != len(res.Records) {
+				t.Fatalf("%dx%d answer: %d records in a backing of %d", side, side, len(res.Records), cap(res.Records))
+			}
+		}
+		query() // warm the query state and any runner
+		return testing.AllocsPerRun(20, query)
+	}
+	small, large := allocs(6), allocs(48)
+	if large != small {
+		t.Fatalf("an unreleased 48x48 search allocates %.0f times, a 6x6 one %.0f; the answer's size should not matter", large, small)
 	}
 }

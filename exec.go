@@ -26,7 +26,9 @@ type ExecOption = exec.Option
 
 // WithMaxParallel bounds the number of disk runs read at once (default:
 // one per disk, capped at 4·NumCPU); the calling goroutine is one of the
-// runners.
+// runners. It bounds reads that may wait or work: a query that only
+// views the grid file's pages (the default reader, no layer above it that
+// may wait, no retry that sleeps) runs on the caller alone.
 func WithMaxParallel(n int) ExecOption { return exec.WithMaxParallel(n) }
 
 // ParallelRangeSearch is a convenience wrapper: build an executor and

@@ -1,9 +1,9 @@
 // Package exec executes grid-file searches with real concurrency: each
-// disk's run of buckets is read whole by one goroutine, and runs are read
-// in parallel — the fan-out a parallel I/O subsystem performs. The
-// disksim package *models* time; this package actually parallelizes the
-// work, so library users get a drop-in concurrent scan whose speedup
-// follows the declustering quality the study measures.
+// disk's run of buckets is read whole by one goroutine, and runs that
+// wait or work are read in parallel — a parallel I/O subsystem's
+// fan-out. The disksim package *models* time; this package actually
+// parallelizes the work, so library users get a drop-in concurrent scan
+// whose speedup follows the declustering quality the study measures.
 //
 // The executor is fault-aware: reads go through a pluggable
 // BucketReader that may return errors, transient errors are retried
@@ -210,7 +210,10 @@ type Option func(*Executor)
 // that many runners, the calling goroutine among them, and each runner
 // reads whole runs, claimed in ascending disk order, until none is left.
 // 0 (the default) means one runner per disk; the bound is capped at
-// 4·NumCPU either way.
+// 4·NumCPU either way. The bound is for reads that may wait or work: a
+// query that only views the grid file's pages — the default reader, no
+// layer above it that may wait (NeverWaits) and no retry that sleeps —
+// has nothing to overlap, and is read by the calling goroutine alone.
 func WithMaxParallel(n int) Option {
 	return func(e *Executor) { e.maxParallel = n }
 }
@@ -418,11 +421,6 @@ func (r *Result) Release() {
 	p.Put(r)
 }
 
-// placed is one bucket of a query on the disk that reads it. Its rank is
-// the bucket's position among the query's buckets in ascending order —
-// the slot its page takes in the gather, which therefore never sorts.
-type placed struct{ bucket, rank int }
-
 // RangeSearch reads every bucket of the cell rectangle r concurrently,
 // each disk's run on one goroutine, honouring ctx cancellation and the
 // configured deadline. The first read error cancels all sibling runs
@@ -516,10 +514,11 @@ func (qs *queryState) rankBuckets(buckets []int, n int) (rank []int, err error) 
 }
 
 // run executes one already-validated query on the pooled state qs:
-// route partitions the bucket set into per-disk runs, then at most limit
-// runners — the caller and parked workers — claim the runs and read each
-// whole, honouring ctx and the configured deadline, leaving each page in
-// the slot of its bucket's rank (nil rank: the set is ascending and the
+// route partitions the bucket set into per-disk runs, then the caller
+// alone if the reads only view pages, else at most limit runners — the
+// caller and parked workers — claim the runs and read each whole,
+// honouring ctx and the configured deadline, leaving each page in the
+// slot of its bucket's rank (nil rank: the set is ascending and the
 // rank is the index), and one pass over the slots gathers the records in
 // deterministic (bucket, insertion) order — or, with pages set, hands the
 // slots over as Result.Pages. Every piece of per-query state — the
@@ -539,6 +538,7 @@ func (e *Executor) run(ctx context.Context, qs *queryState, buckets, rank []int,
 	}
 	qs.beginCtx(ctx)
 
+	qs.slots = slices.Grow(qs.slots[:0], len(buckets))[:len(buckets)]
 	rerouted, degraded, err := e.route(qs, buckets, rank)
 	if err != nil {
 		qs.endCtx()
@@ -552,30 +552,23 @@ func (e *Executor) run(ctx context.Context, qs *queryState, buckets, rank []int,
 	disks := e.file.Disks()
 	qs.active = qs.active[:0]
 	for d := 0; d < disks; d++ {
-		qs.tasks[d].reset()
-		if len(qs.perDisk[d]) > 0 {
+		if qs.tasks[d].routed {
 			qs.active = append(qs.active, d)
 		}
-	}
-	qs.slots = slices.Grow(qs.slots[:0], len(buckets))[:len(buckets)]
-
-	limit := e.maxParallel
-	if limit == 0 || limit > disks {
-		limit = disks
-	}
-	if limit > runtime.NumCPU()*4 {
-		limit = runtime.NumCPU() * 4
-	}
-	if limit < 1 {
-		limit = 1
 	}
 
 	// At most limit runners pull the runs: this goroutine and up to
 	// limit−1 parked workers, so a query whose buckets sit on one disk
-	// hands nothing off.
+	// hands nothing off. A query that only views pages (WithMaxParallel)
+	// is this goroutine's alone: a runner would have neither a wait nor
+	// work to overlap, and the merge after the runs is serial anyway.
 	qs.reader = e.queryReader()
 	qs.ender, _ = qs.reader.(RunEnder)
 	qs.waitless = NeverWaits(qs.reader)
+	limit := 1
+	if _, views := e.reader.(fileReader); !views || !qs.waitless || (e.retry.MaxAttempts > 1 && e.retry.Delay(1) > 0) {
+		limit = min(cmp.Or(e.maxParallel, disks), disks, runtime.NumCPU()*4)
+	}
 	qs.next.Store(0)
 	for i := 1; i < min(limit, len(qs.active)); i++ {
 		qs.wg.Add(1)
@@ -615,43 +608,50 @@ func (e *Executor) run(ctx context.Context, qs *queryState, buckets, rank []int,
 	// Deterministic merge: records ordered by (bucket of origin,
 	// insertion order) regardless of run scheduling — slot order. The
 	// records are copied out of the read path's views into the Result's
-	// own backing, so the Result aliases neither the grid file nor any
-	// pooled buffer. A page answer copies the slots' headers instead, not
-	// their records: it aliases the file by contract, never the state.
+	// own backing, sized once, so the Result aliases neither the grid
+	// file nor any pooled buffer. A page answer copies the slots' headers
+	// instead, not their records: it aliases the file by contract, never
+	// the state.
 	if cap(out.RecordsPerBucket) < len(qs.slots) {
 		out.RecordsPerBucket = make([]int, len(qs.slots))
 	}
 	out.RecordsPerBucket = out.RecordsPerBucket[:len(qs.slots)]
-	recs := out.Records[:0]
+	total := 0
 	for i, page := range qs.slots {
 		out.RecordsPerBucket[i] = len(page)
-		if !pages {
+		total += len(page)
+	}
+	recs := out.Records[:0]
+	if pages {
+		out.Pages = append(out.pages[:0], qs.slots...)
+	} else {
+		if cap(recs) < total {
+			recs = make([]datagen.Record, 0, total)
+		}
+		for _, page := range qs.slots {
 			recs = append(recs, page...)
 		}
 	}
 	out.Records = recs
-	if pages {
-		out.Pages = append(out.pages[:0], qs.slots...)
-	}
 	e.putState(qs)
 	return out, nil
 }
 
-// route partitions the query's bucket set into per-disk work lists held
-// in qs.perDisk — the one place that decides which disk reads which
-// bucket, for rectangles and explicit read sets alike — and, beside
-// each bucket, its rank (rank[i], or i when rank is nil). Within each
-// disk, buckets are read in the order given. With fail-stop disks
-// present it either reroutes via the replica scheme's min-makespan
-// degraded assignment or — without replication — reports the
-// unreachable buckets as a typed *fault.UnavailableError. Disks named by the WithAvoid hook are
-// additionally routed around when the failover scheme permits, falling
-// back to reading them when it does not: avoidance is advisory,
-// fail-stop is not. On a healthy executor nothing is allocated.
+// route partitions the query's bucket set into per-disk runs in qs.tasks
+// — the one place that decides which disk reads which bucket, for
+// rectangles and explicit read sets alike. A run holds its disk's
+// non-empty buckets in the order given and each one's rank (rank[i], or
+// i when rank is nil): its slot in the gather, which never sorts. An
+// empty bucket's slot is set to nil here; its disk still has a run.
+// With fail-stop disks present route reroutes via the replica scheme's
+// min-makespan degraded assignment or, without replication, reports the
+// unreachable buckets as a typed *fault.UnavailableError. Disks named by
+// WithAvoid are also routed around when the failover scheme permits,
+// else read: avoidance is advisory, fail-stop is not. On a healthy
+// executor nothing is allocated.
 func (e *Executor) route(qs *queryState, buckets, rank []int) (rerouted int, degraded bool, err error) {
-	perDisk := qs.perDisk
-	for d := range perDisk {
-		perDisk[d] = perDisk[d][:0]
+	for d := range qs.tasks {
+		qs.tasks[d].reset()
 	}
 	var failed map[int]bool
 	if e.inj != nil {
@@ -698,11 +698,17 @@ func (e *Executor) route(qs *queryState, buckets, rank []int) (rerouted int, deg
 	}
 
 	place := func(d, i int) {
-		p := placed{bucket: buckets[i], rank: i}
+		t := &qs.tasks[d]
+		t.routed = true
+		b, r := buckets[i], i
 		if rank != nil {
-			p.rank = rank[i]
+			r = rank[i]
 		}
-		perDisk[d] = append(perDisk[d], p)
+		if e.file.BucketLen(b) == 0 {
+			qs.slots[r] = nil
+			return
+		}
+		t.buckets, t.ranks = append(t.buckets, b), append(t.ranks, r)
 	}
 	switch {
 	case assign != nil:

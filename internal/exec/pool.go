@@ -137,28 +137,34 @@ func (qs *queryState) pull() {
 	}
 }
 
-// diskTask is one disk's counters for a query (its pages go to the
-// query's slots), and the scratch its run reads through. Tasks live in
-// queryState and are reused across queries.
+// diskTask is one disk's run of a query as route wrote it, its counters
+// (its pages go to the query's slots), and the scratch its run reads
+// through. Tasks live in queryState and are reused across queries.
 type diskTask struct {
 	read    int // non-empty buckets read
 	retries int
 	tally   readTally
 
-	// The run's non-empty buckets, their ranks, and the pages a stretch
-	// reads them into; kept for their capacity.
+	// routed says the query has buckets on the disk, empty ones included,
+	// so the disk has a run. buckets and ranks are the run's non-empty
+	// buckets in routed order and their ranks, pages what a stretch reads
+	// them into; all three kept for their capacity.
+	routed         bool
 	buckets, ranks []int
 	pages          [][]datagen.Record
 }
 
-// reset zeroes the task's counters for a new query.
-func (t *diskTask) reset() { t.read, t.retries, t.tally = 0, 0, readTally{} }
+// reset empties the task for a new query's routing.
+func (t *diskTask) reset() {
+	t.read, t.retries, t.tally, t.routed = 0, 0, readTally{}, false
+	t.buckets, t.ranks = t.buckets[:0], t.ranks[:0]
+}
 
-// runDisk reads disk d's run: the buckets route gave it, in order,
-// skipping those the grid directory knows are empty. Every read is one
-// readAttempt of a stretch: the rest of the run when the query's reader
-// never waits and no span is attached, otherwise one bucket, so that a
-// read that can wait, or keeps a span, is attempted on its own. A failed
+// runDisk reads disk d's run: the non-empty buckets route gave it, in
+// order. Every read is one readAttempt of a stretch: the rest of the run
+// when the query's reader never waits and no span is attached, otherwise
+// one bucket, so that a read that can wait, or keeps a span, is
+// attempted on its own. A failed
 // read goes through readWithRetry, and the next stretch starts after it.
 // Cancellation is checked before each stretch and at the run's end. The
 // run records the first error and ends — EndRun, the disk span and the
@@ -178,15 +184,7 @@ func (qs *queryState) runDisk(d int) {
 		defer qs.m.flush(d, &t.tally)
 	}
 	stretch := qs.waitless && dsp == nil
-	buckets, ranks := t.buckets[:0], t.ranks[:0]
-	for _, p := range qs.perDisk[d] {
-		if e.file.BucketLen(p.bucket) == 0 {
-			qs.slots[p.rank] = nil
-			continue
-		}
-		buckets, ranks = append(buckets, p.bucket), append(ranks, p.rank)
-	}
-	t.buckets, t.ranks = buckets, ranks
+	buckets, ranks := t.buckets, t.ranks
 	pages := slices.Grow(t.pages[:0], len(buckets))[:len(buckets)]
 	t.pages = pages
 	// The query's cancellation is looked up once: a check is a receive
@@ -266,12 +264,11 @@ type queryState struct {
 	tCancel   context.CancelFunc
 
 	// buckets is RangeSearch's enumeration of its rectangle, kept for
-	// its capacity; perDisk is route's partition of the query's bucket
-	// set (this list or a caller's explicit one). slots has one entry
-	// per bucket of the set, in ascending bucket order: each run writes
-	// the slots of its own buckets, the gather reads them all.
+	// its capacity; tasks hold route's partition of the query's bucket
+	// set (this list or a caller's explicit one). slots has one entry per
+	// bucket of the set, in ascending order: route nils the empty ones,
+	// each run writes its own, and the gather reads them all.
 	buckets []int
-	perDisk [][]placed
 	tasks   []diskTask
 	slots   [][]datagen.Record
 
@@ -287,12 +284,7 @@ func (e *Executor) getState() *queryState {
 	if v := e.states.Get(); v != nil {
 		return v.(*queryState)
 	}
-	disks := e.file.Disks()
-	return &queryState{
-		ex:      e,
-		perDisk: make([][]placed, disks),
-		tasks:   make([]diskTask, disks),
-	}
+	return &queryState{ex: e, tasks: make([]diskTask, e.file.Disks())}
 }
 
 // putState returns qs to the pool, dropping per-query references while

@@ -88,11 +88,13 @@ type RunEnder interface {
 // wait: no device, timer or remote call, only the CPU, as with a grid
 // file's in-memory pages. Such a read is slow only while its goroutine
 // is descheduled, and a backup read on the same CPUs cannot beat it, so
-// a hedging layer above need not race it, and the executor reads the
+// a hedging layer above need not race it, and the executor reads each
 // run in stretches (ReadRun) with no cancellation check between their
-// reads. The contract: a wrapper forwards its inner reader's answer, or
-// says false if it may wait itself; a reader that does not implement
-// Waitless may wait. The answer must not change during a query.
+// reads — over the grid file's own pages, on its calling goroutine alone
+// (see WithMaxParallel). The contract: a wrapper forwards its inner
+// reader's answer, or says false if it may wait itself; a reader that
+// does not implement Waitless may wait. The answer must not change
+// during a query.
 type Waitless interface {
 	NeverWaits() bool
 }

@@ -277,18 +277,10 @@ func TestRunEnderContract(t *testing.T) {
 	}
 }
 
-// The caller is a runner: a query whose buckets all sit on one disk
-// hands nothing to the worker pool, and a query over eight disks at
-// WithMaxParallel(3) hands its runs to two parked workers besides the
-// caller — the same two every time once warm, so no goroutine starts.
-// The pool is emptied first, so any handoff shows as a parked worker.
-func TestCallerAsRunner(t *testing.T) {
-	f := newLoadedFile(t, 8, 2000)
-	g := f.Grid()
-	e, err := New(f, WithMaxParallel(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+// emptyWorkerPool sets the parked workers aside until the test ends, so
+// any handoff the test makes shows as a parked worker, and returns a
+// count of the workers parked since.
+func emptyWorkerPool(t *testing.T) (parked func() int) {
 	workerPool.mu.Lock()
 	saved := workerPool.free
 	workerPool.free = nil
@@ -298,11 +290,27 @@ func TestCallerAsRunner(t *testing.T) {
 		workerPool.free = append(workerPool.free, saved...)
 		workerPool.mu.Unlock()
 	})
-	parked := func() int {
+	return func() int {
 		workerPool.mu.Lock()
 		defer workerPool.mu.Unlock()
 		return len(workerPool.free)
 	}
+}
+
+// The caller is a runner: over a reader that may wait, a query whose
+// buckets all sit on one disk hands nothing to the worker pool, and a
+// query over eight disks at WithMaxParallel(3) hands its runs to two
+// parked workers besides the caller — the same two every time once
+// warm, so no goroutine starts. The pool is emptied first, so any
+// handoff shows as a parked worker.
+func TestCallerAsRunner(t *testing.T) {
+	f := newLoadedFile(t, 8, 2000)
+	g := f.Grid()
+	e, err := New(f, WithMaxParallel(3), WithBucketReader(mayWaitReader{fileReader{f: f}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := emptyWorkerPool(t)
 	ctx := context.Background()
 	query := func(search func() (*Result, error)) {
 		t.Helper()
